@@ -305,6 +305,23 @@ def riemann_from_jet(jet: PointJet) -> np.ndarray:
     return rlow
 
 
+def frame_contract(arr, f1, f2, f3, f4) -> np.ndarray:
+    """Contract a 4-index array into frames, keeping the raw slot order.
+
+    ``out[a, b, c, d] = arr[i, j, k, l] f1[a, i] f2[b, j] f3[c, k]
+    f4[d, l]``; each frame is an (m, n) array whose rows are the frame
+    vectors' components.  Staged as four pairwise contractions: each one
+    contracts the leading axis with a frame (a reshape and one matrix
+    product) and appends the frame index, so no 5-operand product is formed.
+    """
+    out = np.asarray(arr)
+    for frame in (f1, f2, f3, f4):
+        rest = out.shape[1:]
+        out = (out.reshape(out.shape[0], -1).T @ frame.T).reshape(
+            rest + (frame.shape[0],))
+    return out
+
+
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
     """(d omega) components from a first-order jet of a k-form."""
     n = len(jet.point)

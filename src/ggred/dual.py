@@ -211,28 +211,27 @@ def hypot(x, y):
 
 def _split(out, level):
     """Split an array-like of mixed floats/duals into (value, eps@level)."""
-    arr = np.asarray(out, dtype=object)
-    vals = np.empty(arr.shape, dtype=object)
-    eps = np.empty(arr.shape, dtype=object)
-    flat_a, flat_v, flat_e = arr.ravel(), vals.ravel(), eps.ravel()
-    for i, e in enumerate(flat_a):
+    vals = np.array(out, dtype=object)      # a copy, own-level duals replaced
+    eps = np.empty(vals.shape, dtype=object)
+    eps.fill(0.0)
+    flat_v, flat_e = vals.reshape(-1), eps.reshape(-1)
+    for i, e in enumerate(flat_v.tolist()):
         if isinstance(e, Dual) and e.level == level:
             flat_v[i] = e.val
             flat_e[i] = e.eps
-        else:
-            flat_v[i] = e
-            flat_e[i] = 0.0
     return vals, eps
 
 
 def tighten(arr):
     """Return a float array when no duals remain, object array otherwise."""
     a = np.asarray(arr)
-    if a.dtype == object:
-        if any(isinstance(e, Dual) for e in a.ravel()):
-            return a
+    try:
         return a.astype(float)
-    return a.astype(float)
+    except (TypeError, ValueError):
+        if a.dtype == object and any(isinstance(e, Dual)
+                                     for e in a.ravel().tolist()):
+            return a
+        raise
 
 
 def partial(fn, point, axis):

@@ -12,6 +12,8 @@ innermost (last listed) measure outwards, so that for a single pair
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy.linalg import schur
 
@@ -21,17 +23,30 @@ MAX_GENERATORS = 16
 _COEFF_TOL = 0.0  # exact storage; pruning only of exact zeros
 
 
-def _mul_sign(amask: int, bmask: int) -> int:
-    """Sign of (theta_A) * (theta_B) when merging ascending products."""
-    swaps = 0
-    a = amask
-    b = bmask
-    while b:
-        low = b & -b
-        # bits of a strictly greater than this bit of b
-        swaps += bin(a >> (low.bit_length())).count("1")
-        b &= b - 1
-    return -1 if swaps % 2 else 1
+def _parity_above(mask: int) -> int:
+    """Bit j set iff ``mask`` has an odd number of set bits above bit j.
+
+    A suffix XOR by doubling shifts; the four shifts cover
+    ``MAX_GENERATORS`` = 16 bits.
+    """
+    above = mask >> 1
+    above ^= above >> 1
+    above ^= above >> 2
+    above ^= above >> 4
+    above ^= above >> 8
+    return above
+
+
+def _real_scalar(x) -> float:
+    """A real scalar operand (0-d arrays included) as a float."""
+    if type(x) is float:
+        return x
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if isinstance(x, numbers.Real):
+        return float(x)
+    raise TypeError(
+        f"cannot combine a Grassmann element with {type(x).__name__}")
 
 
 class GrassmannElement:
@@ -57,6 +72,21 @@ class GrassmannElement:
             raise UnknownGeneratorError(f"generator {i} outside 0..{n - 1}")
         return cls(n, {1 << i: 1.0})
 
+    @classmethod
+    def from_terms(cls, n: int, masks, coeffs) -> "GrassmannElement":
+        """sum_k coeffs[k] * theta^masks[k], summed in the order given.
+
+        Equals adding the one-term elements one by one, exact zeros pruned.
+        """
+        out: dict[int, float] = {}
+        for m, c in zip(masks, coeffs):
+            v = out.get(m, 0.0) + c
+            if v == 0.0:
+                out.pop(m, None)
+            else:
+                out[m] = v
+        return cls(n, out)
+
     def copy(self) -> "GrassmannElement":
         return GrassmannElement(self.n, self.coeffs)
 
@@ -67,8 +97,8 @@ class GrassmannElement:
             raise ValueError("mixing algebras of different generator counts")
 
     def __add__(self, other):
-        if np.isscalar(other):
-            other = GrassmannElement.scalar(self.n, other)
+        if not isinstance(other, GrassmannElement):
+            other = GrassmannElement.scalar(self.n, _real_scalar(other))
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
@@ -85,27 +115,33 @@ class GrassmannElement:
         return GrassmannElement(self.n, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            other = GrassmannElement.scalar(self.n, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            if other == 0.0:
-                return GrassmannElement(self.n)
+        if not isinstance(other, GrassmannElement):
+            s = _real_scalar(other)
+            # a product can underflow to zero; only nonzero entries are kept
             return GrassmannElement(
-                self.n, {m: c * other for m, c in self.coeffs.items()})
+                self.n, {m: v for m, c in self.coeffs.items()
+                         if (v := c * s) != 0.0})
         self._check(other)
         out: dict[int, float] = {}
+        bitems = list(other.coeffs.items())
         for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
+            # merging theta_A theta_B into ascending order passes each
+            # generator of B over the generators of A above it
+            above = _parity_above(ma)
+            for mb, cb in bitems:
                 if ma & mb:
                     continue
                 m = ma | mb
-                v = out.get(m, 0.0) + _mul_sign(ma, mb) * ca * cb
+                t = ca * cb
+                if (above & mb).bit_count() & 1:
+                    t = -t
+                v = out.get(m, 0.0) + t
                 if v == 0.0:
                     out.pop(m, None)
                 else:
@@ -134,26 +170,21 @@ class GrassmannElement:
         return GrassmannElement(
             self.n, {m: c for m, c in self.coeffs.items() if m})
 
-    def degree_part(self, k: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.n,
-            {m: c for m, c in self.coeffs.items() if bin(m).count("1") == k})
-
     def degrees(self) -> set[int]:
-        return {bin(m).count("1") for m in self.coeffs}
+        return {m.bit_count() for m in self.coeffs}
 
     def is_even(self) -> bool:
-        return all(d % 2 == 0 for d in self.degrees())
+        return not any(m.bit_count() & 1 for m in self.coeffs)
 
     def is_odd(self) -> bool:
-        return all(d % 2 == 1 for d in self.degrees())
+        return all(m.bit_count() & 1 for m in self.coeffs)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def max_abs_degree(self, k: int) -> float:
         return max((abs(c) for m, c in self.coeffs.items()
-                    if bin(m).count("1") == k), default=0.0)
+                    if m.bit_count() == k), default=0.0)
 
     def exp(self) -> "GrassmannElement":
         """exp of an even element (body handled exactly, soul nilpotent)."""
@@ -198,8 +229,7 @@ def berezin_integral(e: GrassmannElement, generators) -> GrassmannElement:
         for m, c in out.coeffs.items():
             if not m & bit:
                 continue
-            below = bin(m & (bit - 1)).count("1")
-            sign = -1.0 if below % 2 else 1.0
+            sign = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
             new[m & ~bit] = new.get(m & ~bit, 0.0) + sign * c
         out = GrassmannElement(e.n, {m: c for m, c in new.items() if c != 0.0})
     return out

@@ -14,6 +14,7 @@ Grassmann generator layout with m zero modes per chirality: generators
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,44 @@ G = GrassmannElement
 # the Model-I quartic pairing and the fermionic Euler density
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _words(shape, factors):
+    """Masks and signs of the generator products indexed by an array.
+
+    Entry ``idx`` stands for theta_g0 theta_g1 ... with one factor per
+    ``(offset, axis)`` pair of ``factors``: ``g_j = offset_j + idx[axis_j]``.
+    Returns read-only arrays of ``shape``: the product's mask, its sign
+    (+-1.0) once sorted into ascending order, and whether its generators
+    are distinct.  The cache is bounded; callers use a handful of shapes.
+    """
+    grids = np.ix_(*(np.arange(k) for k in shape))
+    gens = [off + grids[ax] for off, ax in factors]
+    masks, inversions, valid = 0, 0, True
+    for j, gj in enumerate(gens):
+        masks = masks | (1 << gj)
+        for gl in gens[j + 1:]:
+            inversions = inversions + (gj > gl)
+            valid = valid & (gj != gl)
+    sign = np.where(inversions % 2, -1.0, 1.0)
+    out = [np.array(a) for a in np.broadcast_arrays(masks, sign, valid)]
+    for a in out:
+        a.flags.writeable = False
+    return tuple(out)
+
+
+def _word_sum(ngen, coeffs, factors):
+    """sum coeffs[idx] theta_g0 theta_g1 ..., assembled word by word.
+
+    See :func:`_words` for ``factors``.  Terms are summed in the C order of
+    ``coeffs``, as the explicit generator-product loop over its axes sums
+    them.
+    """
+    masks, sign, valid = _words(coeffs.shape, factors)
+    keep = valid & (coeffs != 0.0)
+    return G.from_terms(ngen, masks[keep].tolist(),
+                        (coeffs * sign)[keep].tolist())
+
+
 def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
                       ) -> GrassmannElement:
     """The pairing (psi_-, R psi_-) as a Grassmann element.
@@ -45,21 +84,10 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
     """
     if mminus is None:
         mminus = mplus
-    ngen = mplus + mminus
-    out = G(ngen)
-    for mu in range(mplus):
-        for nu in range(mplus):
-            for rho in range(mminus):
-                for sig in range(mminus):
-                    c = rfr[mu, nu, rho, sig]
-                    if c == 0.0:
-                        continue
-                    prod = (G.generator(ngen, mplus + rho)
-                            * G.generator(ngen, mu)
-                            * G.generator(ngen, mplus + sig)
-                            * G.generator(ngen, nu))
-                    out = out + 0.5 * c * prod
-    return out
+    rfr = np.asarray(rfr, dtype=float)[:mplus, :mplus, :mminus, :mminus]
+    # psi-_rho psi+_mu psi-_sig psi+_nu as (offset, axis) factors
+    return _word_sum(mplus + mminus, 0.5 * rfr,
+                     ((mplus, 2), (0, 0), (mplus, 3), (0, 1)))
 
 
 def operator_slots_to_raw(arr: np.ndarray) -> np.ndarray:
@@ -87,9 +115,8 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray) -> float:
     if n % 2:
         raise OddDimensionError("Euler density needs even dimension")
     low = np.linalg.cholesky(gmat)
-    frame = np.linalg.inv(low).T          # columns: oriented orthonormal frame
-    rfr = np.einsum("ijkl,ia,jb,kc,ld->abcd", rarr, frame, frame, frame,
-                    frame)
+    frame = np.linalg.inv(low)            # rows: oriented orthonormal frame
+    rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     quart = curvature_quartic(rfr, n)
     dens = berezin_integral((0.5 * quart).exp(), euler_measure(n))
     return dens.body
@@ -238,9 +265,7 @@ class AuxiliaryPolynomial:
         invl = _gv_matvec(inv, lw)
         for ki, k in enumerate(keep):
             lk = self.l_entry(k)
-            corr = self._zero()
-            for wi in range(nw):
-                corr = corr + self.q_entry(k, group[wi]) * invl[wi]
+            corr = _gv_dot([self.q_entry(k, w) for w in group], invl)
             new_l = lk - corr
             if new_l.max_abs():
                 out.lin[k] = new_l
@@ -261,17 +286,8 @@ class AuxiliaryPolynomial:
 
 
 def _gm_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[_gv_dot(row, col) for col in cols] for row in a]
 
 
 def _gm_add(a, b):
@@ -284,20 +300,20 @@ def _gm_scale(a, s):
 
 
 def _gv_matvec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return out
+    return [_gv_dot(row, v) for row in a]
 
 
 def _gv_dot(u, v):
-    acc = u[0] * v[0]
-    for k in range(1, len(u)):
-        acc = acc + u[k] * v[k]
-    return acc
+    """sum_k u[k] v[k], skipping the products with an exactly zero factor.
+
+    Adding a zero element changes nothing, so the sum is the one the full
+    loop gives; most block entries of the component actions are zero.
+    """
+    acc = None
+    for a, b in zip(u, v):
+        if a.coeffs and b.coeffs:
+            acc = a * b if acc is None else acc + a * b
+    return G(u[0].n) if acc is None else acc
 
 
 # ----------------------------------------------------------------------
@@ -433,20 +449,13 @@ def _quad_sum(ngen, m, coeffs, first, second):
     ``first``/``second`` select the chirality offset: 0 for plus modes,
     m for minus modes.
     """
-    out = G(ngen)
-    rows, cols = coeffs.shape
-    for rr in range(rows):
-        for cc in range(cols):
-            c = coeffs[rr, cc]
-            if c == 0.0:
-                continue
-            ia, ib = first + rr, second + cc
-            if ia == ib:
-                continue
-            lo_first = ia < ib
-            mask = (1 << ia) | (1 << ib)
-            out = out + G(ngen, {mask: c if lo_first else -c})
-    return out
+    return _word_sum(ngen, coeffs, ((first, 0), (second, 1)))
+
+
+def _flux_square_quartic(dmat: np.ndarray) -> GrassmannElement:
+    """sum dmat[r, m, s, n] psi-_r psi+_m psi-_s psi+_n over m modes each."""
+    m = dmat.shape[0]
+    return _word_sum(2 * m, dmat, ((m, 0), (0, 1), (m, 2), (0, 3)))
 
 
 def _base_action(pf: PointFrame, poly: AuxiliaryPolynomial):
@@ -454,8 +463,7 @@ def _base_action(pf: PointFrame, poly: AuxiliaryPolynomial):
     m = pf.m
     ngen = 2 * m
     p_fr, m_fr = pf.plus_frame, pf.minus_frame
-    rhat = np.einsum("ijkl,ai,bj,ck,dl->abcd", pf.r_minus, p_fr, p_fr, m_fr,
-                     m_fr)
+    rhat = ch.frame_contract(pf.r_minus, p_fr, p_fr, m_fr, m_fr)
     # the action pairs the curvature in the pairing-flipped component
     # convention (a sign flip of the sphere-positive array): the flux-squared
     # part must cancel against the multiplier Gaussian downstream
@@ -470,19 +478,7 @@ def _base_action(pf: PointFrame, poly: AuxiliaryPolynomial):
         if coupling.max_abs():
             poly.add_lin(f"F{k}", coupling)
     dmat = np.einsum("rmk,kl,snl->rmsn", c1, pf.ginv, c1)
-    hh = G(ngen)
-    for rr in range(m):
-        for mm_ in range(m):
-            for ss in range(m):
-                for nn in range(m):
-                    c = dmat[rr, mm_, ss, nn]
-                    if c == 0.0:
-                        continue
-                    prod = (G.generator(ngen, m + rr) * G.generator(ngen, mm_)
-                            * G.generator(ngen, m + ss)
-                            * G.generator(ngen, nn))
-                    hh = hh + c * prod
-    poly.add_const(0.125 * hh)
+    poly.add_const(0.125 * _flux_square_quartic(dmat))
 
 
 def build_quotient_action(pf: PointFrame) -> AuxiliaryPolynomial:

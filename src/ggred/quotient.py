@@ -597,8 +597,8 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     # operator-slot pairing [mu,nu,rho,sigma] = pairing of the curvature on
     # (E_mu, E_nu) applied to E_rho against E_sigma: last two slots swapped
     # relative to the raw component contraction.
-    term1 = np.einsum("ijkl,ai,bj,ck,dl->abdc", rmin, plus, plus, minus,
-                      minus)
+    term1 = np.swapaxes(ch.frame_contract(rmin, plus, plus, minus, minus),
+                        2, 3)
 
     dxi_p, dxi_m = [], []
     for a in range(ea.s):
@@ -628,8 +628,8 @@ def reduced_curvature_direct(scn: QuotientScenario, qpoint,
     basis = np.asarray(basis, dtype=float)
     ctxr = reduced_context(scn)
     rarr = bismut_curvature(-1, ctxr, qpoint)
-    return np.einsum("ijkl,ai,bj,ck,dl->abdc", rarr, basis, basis, basis,
-                     basis)
+    return np.swapaxes(ch.frame_contract(rarr, basis, basis, basis, basis),
+                       2, 3)
 
 
 def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
@@ -648,8 +648,8 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
     m = basis.shape[0]
     p = scn.lift(qpoint)
     gmat = ctx.metric_at(p)
-    lifts = [np.asarray(v, dtype=float)
-             for v in horizontal_lift(scn, p, +1, basis)]
+    lifts = np.array([np.asarray(v, dtype=float)
+                      for v in horizontal_lift(scn, p, +1, basis)])
 
     qfields = [ch.ChartField(scn.quotient, ch.VECTOR,
                              lambda c, w=basis[i]: np.array(w), name=f"E{i}")
@@ -677,9 +677,8 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
             amat[j, i] = -a
 
     rarr = ch.riemann(ctx.g, p)
-    base = np.einsum("ijkl,ai,bj,ck,dl->abdc", rarr,
-                     np.array(lifts), np.array(lifts), np.array(lifts),
-                     np.array(lifts))
+    base = np.swapaxes(ch.frame_contract(rarr, lifts, lifts, lifts, lifts),
+                       2, 3)
     inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner
             + np.einsum("nrms->mnrs", inner)

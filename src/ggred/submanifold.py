@@ -285,8 +285,8 @@ def reduced_curvature_sub(scn: SubmanifoldScenario, u,
     rmin = bismut_curvature(-1, scn.ctx, p)
     # operator-slot pairing: swap the last two frame slots of the
     # component-array contraction
-    term1 = np.einsum("ijkl,ai,bj,ck,dl->abdc", rmin, basis, basis, basis,
-                      basis)
+    term1 = np.swapaxes(ch.frame_contract(rmin, basis, basis, basis, basis),
+                        2, 3)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     mm = nabla_pm_dsigma(scn, -1, p)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
@@ -308,8 +308,8 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
     coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
     ctxn = induced_context(scn)
     rarr = bismut_curvature(-1, ctxn, u)
-    return np.einsum("ijkl,ai,bj,ck,dl->abdc", rarr, coords, coords, coords,
-                     coords)
+    return np.swapaxes(
+        ch.frame_contract(rarr, coords, coords, coords, coords), 2, 3)
 
 
 def gauss_equation_oracle(scn: SubmanifoldScenario, u,
@@ -326,8 +326,8 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     gmat = scn.ctx.metric_at(p)
     ginv = ch.metric_inverse(gmat)
     rarr = ch.riemann(scn.ctx.g, p)
-    term1 = np.einsum("ijkl,ai,bj,ck,dl->abdc", rarr, basis, basis, basis,
-                      basis)
+    term1 = np.swapaxes(ch.frame_contract(rarr, basis, basis, basis, basis),
+                        2, 3)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     grads = np.array([np.asarray(g, dtype=float)
                       for g in scn.sd.gradients(p)])

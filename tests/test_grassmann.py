@@ -151,3 +151,27 @@ def test_exp_of_quadratic_terminates():
     e = q.exp()
     assert max(e.degrees()) <= 6
     assert np.isclose(e.body, 1.0)
+
+
+def test_real_scalar_operands():
+    e = G.generator(3, 0) * G.generator(3, 2) + 2.0
+    assert e * np.array(0.5) == e * 0.5
+    assert np.array(0.5) * e == e * 0.5
+    assert e + np.array(1.0) == e + 1.0
+    assert e - np.array(1.0) == e - 1.0
+    assert e * np.float64(3.0) == e * 3 == 3.0 * e
+    for bad in (np.array([1.0, 2.0]), 1j, "x", None):
+        with pytest.raises(TypeError):
+            e * bad
+        with pytest.raises(TypeError):
+            e + bad
+
+
+def test_underflowing_scalar_product_is_pruned():
+    t = G.generator(2, 0)
+    tiny = (t * 1e-200) * 1e-200
+    assert tiny.coeffs == {}
+    assert tiny == G(2)
+    assert tiny.is_even()
+    mixed = (G.scalar(2, 1.0) + t * 1e-200) * 1e-200
+    assert mixed.coeffs == {0: 1e-200}
