@@ -34,6 +34,7 @@ from .errors import DegreeError, DomainError, EvaluationError, SingularMetricErr
 EPS_ID = 1e-8          # tolerance for pointwise algebraic identities
 EPS_CROSS = 1e-6       # tolerance for checks routed through a chart map
 DOMAIN_MARGIN = 1e-3   # sampled points stay this fraction of each axis inside
+PIVOT_RTOL = 1e-12     # a pivot <= this share of max |entry| is singular
 
 
 @dataclass(frozen=True)
@@ -187,15 +188,28 @@ def _stack(parts):
 
 
 def metric_inverse(gmat):
-    """Inverse of a metric component matrix; raises on singular input."""
+    """Inverse of a metric component matrix; raises on singular input.
+
+    Both paths use the same scale-relative test: the float path on the
+    Cholesky pivots, the dual-aware path on its elimination pivots.  A
+    positive definite matrix has its largest |entry| on the diagonal.
+    """
     g = np.asarray(gmat)
     if g.dtype == object:
         return invert_matrix(g)
     try:
-        np.linalg.cholesky(0.5 * (g + g.T))
+        chol = np.linalg.cholesky(0.5 * (g + g.T))
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric not positive definite") from exc
+    if min(chol.diagonal().tolist()) ** 2 <= \
+            PIVOT_RTOL * max(g.diagonal().tolist()):
+        raise SingularMetricError("metric numerically singular")
     return np.linalg.inv(g)
+
+
+def _pivot_floor(m) -> float:
+    """Largest pivot treated as zero: PIVOT_RTOL times max |body| entry."""
+    return PIVOT_RTOL * max(abs(dual.body(v)) for v in m.ravel().tolist())
 
 
 def invert_matrix(m):
@@ -207,9 +221,10 @@ def invert_matrix(m):
     inv[:] = 0.0
     for i in range(n):
         inv[i, i] = 1.0
+    floor = _pivot_floor(a)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(dual.body(a[r, col])))
-        if abs(dual.body(a[piv, col])) < 1e-14:
+        if abs(dual.body(a[piv, col])) <= floor:
             raise SingularMetricError("singular matrix in dual-aware inverse")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
@@ -226,29 +241,39 @@ def invert_matrix(m):
 
 
 def solve_linear(m, rhs):
-    """LU solve with partial pivoting, tolerant of dual-number entries."""
+    """LU solve with partial pivoting, tolerant of dual-number entries.
+
+    ``rhs`` is an (n,) vector or an (n, k) block of k right-hand sides.
+    The matrix is factored once; each column gets exactly the arithmetic of
+    a solve with that column alone.  Rows are Python lists, since numpy's
+    per-call overhead dwarfs the work on a handful of objects.
+    """
     m = np.asarray(m, dtype=object)
+    rhs = np.asarray(rhs, dtype=object)
     n = m.shape[0]
-    a = m.copy()
-    b = np.asarray(rhs, dtype=object).copy()
+    floor = _pivot_floor(m)
+    a = m.tolist()
+    b = rhs.reshape(n, -1).tolist()
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(dual.body(a[r, col])))
-        if abs(dual.body(a[piv, col])) < 1e-14:
+        piv = max(range(col, n), key=lambda r: abs(dual.body(a[r][col])))
+        if abs(dual.body(a[piv][col])) <= floor:
             raise SingularMetricError("singular linear system")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        arow, brow = a[col], b[col]
         for r in range(col + 1, n):
-            fac = a[r, col] / a[col, col]
-            a[r, col:] = a[r, col:] - fac * a[col, col:]
-            b[r] = b[r] - fac * b[col]
-    x = np.empty(n, dtype=object)
+            fac = a[r][col] / arow[col]
+            a[r][col:] = [u - fac * v for u, v in zip(a[r][col:], arow[col:])]
+            b[r] = [u - fac * v for u, v in zip(b[r], brow)]
+    x = [None] * n
     for r in range(n - 1, -1, -1):
         acc = b[r]
         for c in range(r + 1, n):
-            acc = acc - a[r, c] * x[c]
-        x[r] = acc / a[r, r]
-    return x
+            acc = [u - a[r][c] * v for u, v in zip(acc, x[c])]
+        x[r] = [u / a[r][r] for u in acc]
+    out = np.empty((n, len(b[0])), dtype=object)
+    out[:] = x
+    return out.reshape(rhs.shape)
 
 
 def christoffel(g: ChartField, point) -> np.ndarray:
@@ -319,6 +344,20 @@ def frame_contract(arr, f1, f2, f3, f4) -> np.ndarray:
         rest = out.shape[1:]
         out = (out.reshape(out.shape[0], -1).T @ frame.T).reshape(
             rest + (frame.shape[0],))
+    return out
+
+
+def pullback(arr, frame) -> np.ndarray:
+    """Pull a k-index array back through one frame in every slot.
+
+    ``out[a, b, ...] = arr[i, j, ...] frame[a, i] frame[b, j] ...``; the
+    (m, n) frame holds one vector's components per row and may carry
+    dual entries.  Staged as k tensordots over the leading axis, so a
+    3-form costs n^3 m + n^2 m^2 + n m^3 products instead of n^3 m^3.
+    """
+    out = np.asarray(arr)
+    for _ in range(out.ndim):
+        out = np.tensordot(out, frame, axes=(0, 1))
     return out
 
 

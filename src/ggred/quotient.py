@@ -331,8 +331,11 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
     """tau_sign lifts of quotient vectors at an ambient point.
 
     Solves the square system stacking the s constraint rows of tau_sign on
-    d(project); raises LiftError when the system degenerates.
+    d(project), one factorization for all vectors; raises LiftError when
+    the system degenerates.
     """
+    if len(qvecs) == 0:
+        return []
     rows = constraint_rows(scn.ea, scn.ctx, point, sign)
     dproj = project_jacobian(scn, point)
     n = scn.ambient_dim
@@ -341,16 +344,13 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
     for a in range(s):
         mat[a, :] = rows[a]
     mat[s:, :] = dproj
-    out = []
-    for w in qvecs:
-        rhs = np.empty(n, dtype=object)
-        rhs[:s] = 0.0
-        rhs[s:] = np.asarray(w, dtype=object)
-        try:
-            out.append(dual.tighten(ch.solve_linear(mat, rhs)))
-        except Exception as exc:
-            raise LiftError(f"horizontal lift degenerate: {exc}") from exc
-    return out
+    rhs = np.empty((n, len(qvecs)), dtype=object)
+    rhs[:s] = 0.0
+    rhs[s:] = np.asarray(qvecs, dtype=object).T
+    try:
+        return [dual.tighten(x) for x in ch.solve_linear(mat, rhs).T]
+    except Exception as exc:
+        raise LiftError(f"horizontal lift degenerate: {exc}") from exc
 
 
 def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
@@ -393,6 +393,22 @@ def omega_two_form(scn: QuotientScenario, point):
     return om
 
 
+def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):
+    """(point, float tau_sign lifts of the coordinate frame, reduced metric)
+    at lift(qpoint); raises LiftError unless the metric is positive."""
+    m = scn.reduced_dim
+    p = scn.lift(qpoint)
+    lifts = np.array([np.asarray(v, dtype=float)
+                      for v in horizontal_lift(scn, p, sign, np.eye(m))])
+    gmat = scn.ctx.metric_at(p)
+    gred = np.array([[la @ gmat @ lb for lb in lifts] for la in lifts])
+    try:
+        np.linalg.cholesky(0.5 * (gred + gred.T))
+    except np.linalg.LinAlgError as exc:
+        raise LiftError("reduced metric not positive definite") from exc
+    return p, lifts, gred
+
+
 def reduce_metric_flux(scn: QuotientScenario, qpoint):
     """Reduced metric and flux components at a quotient point.
 
@@ -401,42 +417,29 @@ def reduce_metric_flux(scn: QuotientScenario, qpoint):
     vanishes identically when the quotient dimension is at most 2.
     """
     m = scn.reduced_dim
-    p = scn.lift(qpoint)
-    lifts = horizontal_lift(scn, p, +1, np.eye(m))
-    lifts = [np.asarray(v, dtype=float) for v in lifts]
-    gmat = scn.ctx.metric_at(p)
-    gred = np.array([[la @ gmat @ lb for lb in lifts] for la in lifts])
-    try:
-        np.linalg.cholesky(0.5 * (gred + gred.T))
-    except np.linalg.LinAlgError as exc:
-        raise LiftError("reduced metric not positive definite") from exc
+    p, lifts, gred = _lifted_metric(scn, qpoint, +1)
     hred = np.zeros((m, m, m))
     if m > 2:
-        hred = _reduced_flux_at(scn, p, lifts)
+        hred = np.vectorize(dual.body, otypes=[float])(
+            _reduced_flux(scn, p, lifts))
     return gred, hred
 
 
-def _reduced_flux_at(scn: QuotientScenario, point, lifts):
-    ea = scn.ea
-    m = len(lifts)
-    hval = np.asarray(scn.ctx.H(point), dtype=object)
+def _reduced_flux(scn: QuotientScenario, point, lifts):
+    """(H + Omega^a wedge xi_a) on the rows of ``lifts`` (dual-safe).
+
+    H is pulled back in stages; each wedge term comes from the m x m
+    array L Omega^a L^T and the vector xi_a L^T of the lift rows L.
+    """
+    lifts = np.array(lifts, dtype=object)
+    out = ch.pullback(np.asarray(scn.ctx.H(point), dtype=object), lifts)
     om = omega_two_form(scn, point)
-    xvals = [np.asarray(f(point), dtype=object) for f in ea.xi]
-    out = np.zeros((m, m, m))
-    for mu in range(m):
-        for nu in range(m):
-            for rho in range(m):
-                x, y, z = lifts[mu], lifts[nu], lifts[rho]
-                acc = np.einsum("ijk,i,j,k->", hval, x, y, z)
-                for a in range(ea.s):
-                    oa = om[a]
-                    oxy = x @ oa @ y
-                    oxz = x @ oa @ z
-                    oyz = y @ oa @ z
-                    acc = acc + (oxy * (xvals[a] @ z)
-                                 - oxz * (xvals[a] @ y)
-                                 + oyz * (xvals[a] @ x))
-                out[mu, nu, rho] = dual.body(acc)
+    for a, xf in enumerate(scn.ea.xi):
+        o = lifts @ om[a] @ lifts.T
+        w = np.asarray(xf(point), dtype=object) @ lifts.T
+        out = out + (o[:, :, None] * w[None, None, :]
+                     - o[:, None, :] * w[None, :, None]
+                     + o[None, :, :] * w[:, None, None])
     return out
 
 
@@ -447,12 +450,7 @@ def reduced_metric_components(scn: QuotientScenario, qpoint,
     The two restrictions give the same quotient metric; comparing them is a
     consistency check on the horizontal geometry.
     """
-    m = scn.reduced_dim
-    p = scn.lift(qpoint)
-    lifts = horizontal_lift(scn, p, sign, np.eye(m))
-    lifts = [np.asarray(v, dtype=float) for v in lifts]
-    gmat = scn.ctx.metric_at(p)
-    return np.array([[la @ gmat @ lb for lb in lifts] for la in lifts])
+    return _lifted_metric(scn, qpoint, sign)[2]
 
 
 def reduced_metric_field(scn: QuotientScenario) -> ch.ChartField:
@@ -461,13 +459,10 @@ def reduced_metric_field(scn: QuotientScenario) -> ch.ChartField:
 
     def fn(coords):
         p = scn.lift(coords)
-        lifts = horizontal_lift(scn, p, +1, np.eye(m))
+        lifts = np.array(horizontal_lift(scn, p, +1, np.eye(m)),
+                         dtype=object)
         gmat = np.asarray(scn.ctx.g(p), dtype=object)
-        out = np.empty((m, m), dtype=object)
-        for a in range(m):
-            for b in range(m):
-                out[a, b] = lifts[a] @ gmat @ lifts[b]
-        return out
+        return lifts @ gmat @ lifts.T
     return ch.ChartField(scn.quotient, ch.METRIC, fn, name="g_red")
 
 
@@ -479,33 +474,7 @@ def reduced_flux_field(scn: QuotientScenario) -> ch.ChartField:
 
     def fn(coords):
         p = scn.lift(coords)
-        lifts = horizontal_lift(scn, p, +1, np.eye(m))
-        hval = np.asarray(scn.ctx.H(p), dtype=object)
-        om = omega_two_form(scn, p)
-        xvals = [np.asarray(f(p), dtype=object) for f in scn.ea.xi]
-        out = np.empty((m, m, m), dtype=object)
-        for mu in range(m):
-            for nu in range(m):
-                for rho in range(m):
-                    x, y, z = lifts[mu], lifts[nu], lifts[rho]
-                    acc = 0.0
-                    for i in range(scn.ambient_dim):
-                        for j in range(scn.ambient_dim):
-                            for k in range(scn.ambient_dim):
-                                hv = hval[i, j, k]
-                                if isinstance(hv, float) and hv == 0.0:
-                                    continue
-                                acc = acc + hv * x[i] * y[j] * z[k]
-                    for a in range(scn.ea.s):
-                        oa = om[a]
-                        oxy = x @ oa @ y
-                        oxz = x @ oa @ z
-                        oyz = y @ oa @ z
-                        acc = acc + (oxy * (xvals[a] @ z)
-                                     - oxz * (xvals[a] @ y)
-                                     + oyz * (xvals[a] @ x))
-                    out[mu, nu, rho] = acc
-        return out
+        return _reduced_flux(scn, p, horizontal_lift(scn, p, +1, np.eye(m)))
     return ch.ChartField(scn.quotient, ch.form_valence(3), fn, name="H_red")
 
 
@@ -551,7 +520,7 @@ def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq, qpoint) -> float:
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
     """Deterministic g_red-orthonormal basis of the quotient tangent space."""
-    gred, _ = reduce_metric_flux(scn, qpoint)
+    gred = _lifted_metric(scn, qpoint, +1)[2]
     basis = ch.mgs_orthonormalize(list(np.eye(scn.reduced_dim)), gred)
     if len(basis) != scn.reduced_dim:
         raise RankError("quotient frame degenerate")

@@ -147,25 +147,8 @@ def induced_flux_field(scn: SubmanifoldScenario) -> ch.ChartField:
         return zero_flux(scn.nchart)
 
     def fn(u):
-        p = scn.embed(u)
-        hval = np.asarray(scn.ctx.H(p), dtype=object)
-        demb = embed_jacobian(scn, u)
-        out = np.empty((m, m, m), dtype=object)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    acc = 0.0
-                    n = scn.ambient_dim
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                hv = hval[i, j, k]
-                                if isinstance(hv, float) and hv == 0.0:
-                                    continue
-                                acc = acc + hv * demb[i, a] * demb[j, b] \
-                                    * demb[k, c]
-                    out[a, b, c] = acc
-        return out
+        hval = np.asarray(scn.ctx.H(scn.embed(u)), dtype=object)
+        return ch.pullback(hval, embed_jacobian(scn, u).T)
     return ch.ChartField(scn.nchart, ch.form_valence(3), fn, name="induced H")
 
 
