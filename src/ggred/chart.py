@@ -213,31 +213,8 @@ def _pivot_floor(m) -> float:
 
 
 def invert_matrix(m):
-    """Gauss-Jordan inverse that tolerates dual-number entries."""
-    m = np.asarray(m, dtype=object)
-    n = m.shape[0]
-    a = m.copy()
-    inv = np.empty((n, n), dtype=object)
-    inv[:] = 0.0
-    for i in range(n):
-        inv[i, i] = 1.0
-    floor = _pivot_floor(a)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(dual.body(a[r, col])))
-        if abs(dual.body(a[piv, col])) <= floor:
-            raise SingularMetricError("singular matrix in dual-aware inverse")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        scale = a[col, col]
-        a[col] = a[col] / scale
-        inv[col] = inv[col] / scale
-        for r in range(n):
-            if r != col:
-                fac = a[r, col]
-                a[r] = a[r] - fac * a[col]
-                inv[r] = inv[r] - fac * inv[col]
-    return inv
+    """Inverse that tolerates dual-number entries: solve_linear on I."""
+    return solve_linear(m, np.eye(len(m)))
 
 
 def solve_linear(m, rhs):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -99,7 +97,7 @@ def setup_scenario(cfg: dict) -> sc.Scenario:
     return scenario
 
 
-def run_scenario(cfg: dict, jobs: int = 1) -> dict:
+def run_scenario(cfg: dict) -> dict:
     scenario = setup_scenario(cfg)
     requested = cfg["checks"]
     if requested is None:
@@ -118,12 +116,7 @@ def run_scenario(cfg: dict, jobs: int = 1) -> dict:
         return ck.run_check(scenario, cid, cfg["seed"],
                             tol_override=override)
 
-    if jobs > 1 and len(requested) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, requested))
-    else:
-        results = [one(cid) for cid in requested]
-
+    results = [one(cid) for cid in requested]
     overall = "pass" if all(r.passed for r in results) else "fail"
     return {
         "version": REPORT_VERSION,
@@ -203,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--report", help="write the report to this path")
     runp.add_argument("--format", choices=("json", "text"), default="text")
-    runp.add_argument("--jobs", type=int,
-                      default=int(os.environ.get("GGRED_JOBS", "1")),
-                      help="worker threads (hint only; results identical)")
 
     sub.add_parser("list", help="print scenarios and checks")
 
@@ -256,7 +246,7 @@ def main(argv=None) -> int:
             sys.stdout.write("ok\n")
             return 0
         cfg = _config_from_args(args)
-        report = run_scenario(cfg, jobs=max(args.jobs, 1))
+        report = run_scenario(cfg)
         text = format_report(report, args.format)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:

@@ -132,18 +132,11 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
                       ctx: GeneralizedMetricContext, point) -> np.ndarray:
     """(nabla^pm_X Y)^i = X^j d_j Y^i + Gamma^i_jk X^j Y^k
     +/- (1/2) g^{il} H_{ljk} X^j Y^k."""
-    s = _sgn(sign)
     jy = ch.differentiate(y, point, order=1)
-    gam = ch.christoffel(ctx.g, point)
-    gmat = ctx.metric_at(point)
-    ginv = ch.metric_inverse(gmat)
-    hval = ctx.flux_at(point)
+    coeffs = bismut_connection_coeffs(sign, ctx, point)
     xval = dual.tighten(np.asarray(x(point), dtype=object))
-    yval = jy.value
-    out = np.einsum("j,ji->i", xval, jy.d1)
-    out = out + np.einsum("ijk,j,k->i", gam, xval, yval)
-    out = out + 0.5 * s * np.einsum("il,ljk,j,k->i", ginv, hval, xval, yval)
-    return out
+    return (np.einsum("j,ji->i", xval, jy.d1)
+            + np.einsum("ijk,j,k->i", coeffs, xval, jy.value))
 
 
 def bismut_connection_coeffs(sign, ctx: GeneralizedMetricContext, point):
@@ -246,8 +239,3 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
            - np.einsum("mbl,lac->mcab", gam, gam))
     gmat = ctx.metric_at(point)
     return np.einsum("km,mlij->ijkl", gmat, rop)
-
-
-def pair_curvature(rarr: np.ndarray, a, b, c, d) -> float:
-    """(R(A,B)C, D): plain contraction in the package array convention."""
-    return float(np.einsum("ijkl,i,j,k,l->", rarr, a, b, c, d))

@@ -17,7 +17,7 @@ import numpy as np
 from . import chart as ch
 from . import dual
 from . import quotient as qt
-from .errors import RankError, ReductionConditionError
+from .errors import ReductionConditionError
 from .genmetric import GeneralizedMetricContext, bismut_connection_coeffs
 
 
@@ -108,25 +108,12 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
         {k: qt.ConditionResult(k, v, tol) for k, v in res.items()})
 
 
-def tau_projector(scn: qt.QuotientScenario, point, sign: int) -> np.ndarray:
-    """g-orthogonal projector onto tau_sign at an ambient point."""
-    gmat = scn.ctx.metric_at(point)
-    vpm = np.array([np.asarray(v, dtype=float)
-                    for v in qt.v_pm_values(scn.ea, scn.ctx, point, sign)])
-    t = vpm @ gmat @ vpm.T
-    try:
-        tinv = np.linalg.inv(t)
-    except np.linalg.LinAlgError as exc:
-        raise RankError("tau projector degenerate") from exc
-    return np.eye(scn.ambient_dim) - vpm.T @ tinv @ vpm @ gmat
-
-
 def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
                          point):
     """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm."""
     out = []
     for sign, j in bh.pair():
-        proj = tau_projector(scn, point, sign)
+        proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
         jv = dual.tighten(np.asarray(j(point), dtype=object))
         defect = (np.eye(scn.ambient_dim) - proj) @ jv @ proj
         out.append(float(np.linalg.norm(defect, 2)))

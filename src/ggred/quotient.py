@@ -18,7 +18,7 @@ import numpy as np
 
 from . import chart as ch
 from . import dual
-from .errors import LiftError, RankError, ScenarioError
+from .errors import LiftError, RankError, ScenarioError, SingularMetricError
 from .genmetric import (GeneralizedMetricContext, bismut_connection_coeffs,
                         bismut_curvature, zero_flux)
 
@@ -176,10 +176,7 @@ def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
                 sign: int) -> ch.ChartField:
     """The 1-form g(V_a^pm) = g(V_a) +/- xi_a."""
     def fn(coords):
-        gmat = np.asarray(ctx.g(coords), dtype=object)
-        v = np.asarray(ea.V[a](coords), dtype=object)
-        x = np.asarray(ea.xi[a](coords), dtype=object)
-        return gmat @ v + sign * x
+        return constraint_rows(ea, ctx, coords, sign)[a]
     return ch.ChartField(ctx.chart, ch.COVECTOR, fn,
                          name=f"xi{a}{'+' if sign > 0 else '-'}")
 
@@ -196,6 +193,21 @@ def constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
     return rows
 
 
+def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
+                  sign: int) -> np.ndarray:
+    """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
+    with V the rows V_a^sign and T = V g V^T."""
+    gmat = ctx.metric_at(point)
+    vpm = np.array([np.asarray(v, dtype=float)
+                    for v in v_pm_values(ea, ctx, point, sign)])
+    t = vpm @ gmat @ vpm.T
+    try:
+        tinv = np.linalg.inv(t)
+    except np.linalg.LinAlgError as exc:
+        raise RankError("V^pm degenerate; tau projector undefined") from exc
+    return np.eye(gmat.shape[0]) - vpm.T @ tinv @ vpm @ gmat
+
+
 def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                       point):
     """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point.
@@ -209,14 +221,7 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     s = ea.s
     frames = []
     for sign in (+1, -1):
-        vpm = np.array([np.asarray(v, dtype=float)
-                        for v in v_pm_values(ea, ctx, point, sign)])
-        t = vpm @ gmat @ vpm.T
-        try:
-            tinv = np.linalg.inv(t)
-        except np.linalg.LinAlgError as exc:
-            raise RankError("V^pm degenerate; frame undefined") from exc
-        proj = np.eye(n) - vpm.T @ tinv @ vpm @ gmat
+        proj = tau_projector(ea, ctx, point, sign)
         cand = [proj @ e for e in np.eye(n)]
         basis = ch.mgs_orthonormalize(cand, gmat)
         if len(basis) != n - s:
@@ -224,6 +229,14 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                 f"tau frame has rank {len(basis)}, expected {n - s}")
         frames.append(np.array(basis))
     return frames[0], frames[1]
+
+
+def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
+    """K^{-1} for K_ab = g(V_a, V_b) - xi_a(V_b) at a point (dual-safe)."""
+    gmat = np.asarray(ctx.g(point), dtype=object)
+    v = np.array([np.asarray(f(point), dtype=object) for f in ea.V])
+    x = np.array([np.asarray(f(point), dtype=object) for f in ea.xi])
+    return ch.invert_matrix(v @ gmat @ v.T - x @ v.T)
 
 
 def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
@@ -236,7 +249,6 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     form theta^a; the two agree on tau_sign.
     """
     frame = np.asarray(frame, dtype=float)
-    m = frame.shape[0]
     s = ea.s
     rm = reduction_matrices(ea, ctx, point)
     dxi_pm = []
@@ -253,24 +265,10 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     from_xi = np.einsum("aij,pi,qj->apq", mix, frame, frame)
 
     def theta_fn(coords):
-        gmat = np.asarray(ctx.g(coords), dtype=object)
-        v = [np.asarray(f(coords), dtype=object) for f in ea.V]
-        x = [np.asarray(f(coords), dtype=object) for f in ea.xi]
-        kmat = np.empty((s, s), dtype=object)
-        for a in range(s):
-            for b in range(s):
-                kmat[a, b] = (v[a] @ gmat @ v[b]) - (x[a] @ v[b])
-        kinv = ch.invert_matrix(kmat)
-        rows = [gmat @ v[b] + sign * x[b] for b in range(s)]
-        out = np.empty((s, len(rows[0])), dtype=object)
-        for a in range(s):
-            for j in range(len(rows[0])):
-                acc = 0.0
-                for b in range(s):
-                    kab = kinv[b, a] if sign > 0 else kinv[a, b]
-                    acc = acc + kab * rows[b][j]
-                out[a, j] = acc
-        return out
+        # theta^a = K^{ba} g(V_b^+) on tau_+, K^{ab} g(V_b^-) on tau_-
+        kinv = _k_inverse(ea, ctx, coords)
+        rows = np.array(constraint_rows(ea, ctx, coords, sign))
+        return (kinv.T if sign > 0 else kinv) @ rows
 
     jet = ch.differentiate(theta_fn, point, order=1)
     # d(theta^a)_{ij} = d_i theta^a_j - d_j theta^a_i
@@ -317,14 +315,7 @@ class QuotientScenario:
 
 def project_jacobian(scn: QuotientScenario, point):
     """d(project) at an ambient point; dual-safe in the point."""
-    cols = [dual.partial(scn.project, list(point), i)[1]
-            for i in range(len(point))]
-    if any(np.asarray(c).dtype == object for c in cols):
-        out = np.empty((len(cols[0]), len(cols)), dtype=object)
-        for i, c in enumerate(cols):
-            out[:, i] = c
-        return out
-    return np.stack(cols, axis=1)
+    return dual.gradient(scn.project, list(point)).T
 
 
 def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
@@ -348,9 +339,10 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
     rhs[:s] = 0.0
     rhs[s:] = np.asarray(qvecs, dtype=object).T
     try:
-        return [dual.tighten(x) for x in ch.solve_linear(mat, rhs).T]
-    except Exception as exc:
+        sol = ch.solve_linear(mat, rhs)
+    except SingularMetricError as exc:
         raise LiftError(f"horizontal lift degenerate: {exc}") from exc
+    return [dual.tighten(x) for x in sol.T]
 
 
 def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
@@ -367,30 +359,11 @@ def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
 def omega_two_form(scn: QuotientScenario, point):
     """tau_+ curvature 2-forms Omega^a as ambient component arrays."""
     ea, ctx = scn.ea, scn.ctx
-    s = ea.s
-    gmat = np.asarray(ctx.g(point), dtype=object)
-    v = [np.asarray(f(point), dtype=object) for f in ea.V]
-    x = [np.asarray(f(point), dtype=object) for f in ea.xi]
-    kmat = np.empty((s, s), dtype=object)
-    for a in range(s):
-        for b in range(s):
-            kmat[a, b] = (v[a] @ gmat @ v[b]) - (x[a] @ v[b])
-    kinv = ch.invert_matrix(kmat)
-    dxi = []
-    for b in range(s):
-        jet = ch.differentiate(xi_pm_field(ea, ctx, b, +1), point, order=1,
-                               chart=None)
-        dxi.append(ch.exterior_derivative(jet, 1))
-    n = scn.ambient_dim
-    om = np.empty((s, n, n), dtype=object)
-    for a in range(s):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for b in range(s):
-                    acc = acc + kinv[b, a] * dxi[b][i, j]
-                om[a, i, j] = acc
-    return om
+    dxi = np.array([ch.exterior_derivative(
+        ch.differentiate(xi_pm_field(ea, ctx, b, +1), point, order=1), 1)
+        for b in range(ea.s)], dtype=object)
+    # Omega^a = K^{ba} d(g(V_b^+))
+    return np.tensordot(_k_inverse(ea, ctx, point), dxi, axes=(0, 0))
 
 
 def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):

@@ -28,17 +28,7 @@ from .submanifold import SectionData, SubmanifoldScenario
 PI = float(np.pi)
 
 
-def _perm_sign(p):
-    s = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
-
-
-_PERMS3 = [(p, _perm_sign(p)) for p in itertools.permutations((0, 1, 2))]
+_PERMS3 = [(p, ch._perm_sign(p)) for p in itertools.permutations((0, 1, 2))]
 
 
 def antisym3(n, axes, value):
@@ -352,7 +342,7 @@ S3S1_FLUX_SCALE = 2.0
 
 _VOL4 = np.zeros((4, 4, 4, 4))
 for _p in itertools.permutations(range(4)):
-    _VOL4[_p] = _perm_sign(_p)
+    _VOL4[_p] = ch._perm_sign(_p)
 
 _J_LEFT = np.array([[0., -1., 0., 0.],
                     [1., 0., 0., 0.],

@@ -106,14 +106,7 @@ class SubmanifoldScenario:
 
 def embed_jacobian(scn: SubmanifoldScenario, u):
     """d(embed) columns at a locus-chart point (dual-safe)."""
-    cols = [dual.partial(scn.embed, list(u), a)[1]
-            for a in range(len(u))]
-    if any(np.asarray(c).dtype == object for c in cols):
-        out = np.empty((len(cols[0]), len(cols)), dtype=object)
-        for a, c in enumerate(cols):
-            out[:, a] = c
-        return out
-    return np.stack(cols, axis=1)
+    return dual.gradient(scn.embed, list(u)).T
 
 
 def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:

@@ -120,15 +120,6 @@ def test_reports_byte_identical(tmp_path):
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_jobs_do_not_change_results(tmp_path):
-    cfg = cli.load_config({"scenario": "hopf", "parameters": {"flux": 1.0},
-                           "checks": ["lemma62", "pair_symmetry"],
-                           "seed": 3})
-    a = cli.run_scenario(cfg, jobs=1)
-    b = cli.run_scenario(cfg, jobs=4)
-    assert json.dumps(a) == json.dumps(b)
-
-
 def test_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(["run", "--scenario", "flat_torus", "--checks", "euler",
@@ -151,13 +142,6 @@ def test_config_must_choose_one_source():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["run", "--bogus"])
     assert cli.main(["run"]) == 2
-
-
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("GGRED_JOBS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["run", "--scenario", "flat_torus"])
-    assert args.jobs == 3
 
 
 def test_round_sphere_quadrature_order_override(capsys):
