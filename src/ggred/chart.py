@@ -157,12 +157,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
         use_chart.require_inside(point)
     n = len(point)
     value = dual.tighten(_eval_checked(fn, list(point)))
-
-    d1_parts = []
-    for a in range(n):
-        _, da = dual.partial(fn, list(point), a)
-        d1_parts.append(da)
-    d1 = _stack(d1_parts)
+    d1 = dual.gradient(fn, list(point))
 
     d2 = None
     if order == 2:
@@ -174,17 +169,9 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
                 c[_a] = dual.Dual(c[_a], 1.0, lvl)
                 _, eps = dual._split(fn(c), lvl)
                 return eps
-            row = [dual.partial(da_fn, list(point), b)[1] for b in range(n)]
-            rows.append(_stack(row))
-        d2 = _stack(rows)
+            rows.append(dual.gradient(da_fn, list(point)))
+        d2 = np.array(rows)
     return PointJet(tuple(point), value, d1, d2)
-
-
-def _stack(parts):
-    first = np.asarray(parts[0])
-    if first.dtype == object:
-        return np.asarray(parts, dtype=object)
-    return np.array(parts)
 
 
 def metric_inverse(gmat):
@@ -456,7 +443,7 @@ def lie_derivative_form(v: ChartField, omega: ChartField, point) -> np.ndarray:
     k = omega.valence.cov
     jet = differentiate(omega, point, order=1)
     dom = exterior_derivative(jet, k)
-    vval = differentiate(v, point, order=1).value
+    vval = dual.tighten(_eval_checked(v, list(point)))
     term1 = interior(vval, np.asarray(dom, dtype=object), k + 1)
 
     if k == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,13 @@ def load_config(data: dict) -> dict:
     for k, v in params.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ConfigError(f"parameter {k!r} must be a number")
+        if not math.isfinite(v):
+            raise ConfigError(f"parameter {k!r} must be finite, got {v}")
+    for k in ("points", "order"):
+        v = params.get(k, 1)
+        if v < 1 or v != int(v):
+            raise ConfigError(
+                f"parameter {k!r} must be a positive integer, got {v}")
     if name != "custom":
         bad = set(params) - sc.ALLOWED_PARAMS[name]
         if bad:
@@ -176,7 +184,7 @@ def _parse_set(items):
         except ValueError as exc:
             raise ConfigError(f"--set value for {key!r} must be numeric") \
                 from exc
-        out[key] = int(num) if num == int(num) and "." not in val \
+        out[key] = int(num) if num.is_integer() and "." not in val \
             and "e" not in val.lower() else num
     return out
 

@@ -32,9 +32,8 @@ class BiHermitianData:
         return ((+1, self.Jplus), (-1, self.Jminus))
 
 
-def nijenhuis(j: ch.ChartField, point) -> np.ndarray:
-    """N[i, a, b] components of the Nijenhuis tensor at a point."""
-    jet = ch.differentiate(j, point, order=1)
+def nijenhuis(jet: ch.PointJet) -> np.ndarray:
+    """N[i, a, b] of the Nijenhuis tensor, from an order-1 jet of J."""
     jv = jet.value        # J^i_j
     dj = jet.d1           # dj[k, i, j] = d_k J^i_j
     t1 = np.einsum("la,lib->iab", jv, dj)
@@ -44,11 +43,10 @@ def nijenhuis(j: ch.ChartField, point) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def nabla_j(sign, j: ch.ChartField, ctx: GeneralizedMetricContext,
-            point) -> np.ndarray:
-    """(grad^sign_k J)^i_j at a point."""
-    jet = ch.differentiate(j, point, order=1)
-    coeffs = bismut_connection_coeffs(sign, ctx, point)
+def nabla_j(sign, jet: ch.PointJet,
+            ctx: GeneralizedMetricContext) -> np.ndarray:
+    """(grad^sign_k J)^i_j from an order-1 jet of J."""
+    coeffs = bismut_connection_coeffs(sign, ctx, jet.point)
     return (jet.d1
             + np.einsum("ikl,lj->kij", coeffs, jet.value)
             - np.einsum("lkj,il->kij", coeffs, jet.value))
@@ -88,7 +86,8 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
     for p in points:
         gmat = ctx.metric_at(p)
         for sign, j in bh.pair():
-            jv = dual.tighten(np.asarray(j(p), dtype=object))
+            jet = ch.differentiate(j, p, order=1)
+            jv = jet.value
             res["square"] = max(res["square"],
                                 float(np.max(np.abs(jv @ jv + np.eye(n)))))
             res["compatibility"] = max(
@@ -96,10 +95,10 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
                 float(np.max(np.abs(jv.T @ gmat @ jv - gmat))))
             res["integrability"] = max(
                 res["integrability"],
-                float(np.max(np.abs(nijenhuis(j, p)))))
+                float(np.max(np.abs(nijenhuis(jet)))))
             res["parallel"] = max(
                 res["parallel"],
-                float(np.max(np.abs(nabla_j(sign, j, ctx, p)))))
+                float(np.max(np.abs(nabla_j(sign, jet, ctx)))))
             vecs = [tuple(rng.normal(size=(3, n)))
                     for _ in range(4)]
             res["flux_type"] = max(res["flux_type"],

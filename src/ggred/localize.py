@@ -23,7 +23,7 @@ from . import chart as ch
 from . import quotient as qt
 from . import submanifold as sm
 from .errors import (FrameMismatchError, OddDimensionError,
-                     SingularBodyError)
+                     SingularBodyError, SingularMetricError)
 from .genmetric import GeneralizedMetricContext, bismut_curvature
 from .grassmann import GrassmannElement, berezin_integral
 
@@ -114,7 +114,11 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray) -> float:
     n = gmat.shape[0]
     if n % 2:
         raise OddDimensionError("Euler density needs even dimension")
-    low = np.linalg.cholesky(gmat)
+    try:
+        low = np.linalg.cholesky(gmat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(
+            "Euler density needs a positive definite metric") from exc
     frame = np.linalg.inv(low)            # rows: oriented orthonormal frame
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     quart = curvature_quartic(rfr, n)
@@ -381,14 +385,15 @@ def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
     minus = np.array([np.asarray(v, dtype=float)
                       for v in qt.horizontal_lift(scn, p, -1, basis)])
     s = ea.s
-    vv = np.array([np.asarray(f(p), dtype=float) for f in ea.V])
-    xv = np.array([np.asarray(f(p), dtype=float) for f in ea.xi])
+    # one jet of the stacked rows: [0, a] = V_a, [1, a] = xi_a
+    jet = ch.differentiate(
+        lambda c: [[f(c) for f in ea.V], [f(c) for f in ea.xi]], p,
+        order=1, chart=ctx.chart)
+    vv, xv = jet.value
     dxi, dvl = [], []
     for a in range(s):
-        jx = ch.differentiate(ea.xi[a], p, order=1)
-        dxi.append(jx.d1 - np.einsum("mki,m->ki", gamma, jx.value))
-        jv = ch.differentiate(ea.V[a], p, order=1)
-        dv = jv.d1 + np.einsum("ikm,m->ki", gamma, jv.value)
+        dxi.append(jet.d1[:, 1, a] - np.einsum("mki,m->ki", gamma, xv[a]))
+        dv = jet.d1[:, 0, a] + np.einsum("ikm,m->ki", gamma, vv[a])
         dvl.append(np.einsum("ki,im->km", dv, gmat))
     rm = qt.reduction_matrices(ea, ctx, p)
     pf = PointFrame(
@@ -424,16 +429,12 @@ def point_frame_section(scn: sm.SubmanifoldScenario, u,
     p = scn.embed(u)
     ctx = scn.ctx
     gmat, ginv, hval, gamma, rmin = _common_frame_data(ctx, p)
-    n = ctx.chart.dim
-    grads, hesses = [], []
-    for s_field in scn.sd.sigma:
-        jet = ch.differentiate(s_field, p, order=2, chart=None)
-        grads.append(jet.d1.reshape(n))
-        hesses.append(jet.d2.reshape(n, n))
+    jet = scn.sd.jet(p, order=2)
     pf = PointFrame(
-        point=tuple(p), n=n, g=gmat, ginv=ginv, H=hval, gamma=gamma,
-        r_minus=rmin, r=scn.sd.r, dsigma=np.array(grads),
-        hess_sigma=np.array(hesses),
+        point=tuple(p), n=ctx.chart.dim, g=gmat, ginv=ginv, H=hval,
+        gamma=gamma, r_minus=rmin, r=scn.sd.r,
+        dsigma=np.ascontiguousarray(jet.d1.T),
+        hess_sigma=np.ascontiguousarray(np.moveaxis(jet.d2, 2, 0)),
         plus_frame=basis, minus_frame=basis)
     _check_zero_mode_frames(pf)
     return pf

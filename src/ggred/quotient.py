@@ -163,15 +163,6 @@ def v_pm_values(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
     return out
 
 
-def v_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
-               sign: int) -> ch.ChartField:
-    """The vector field V_a +/- g^{-1} xi_a."""
-    def fn(coords):
-        return v_pm_values(ea, ctx, coords, sign)[a]
-    return ch.ChartField(ctx.chart, ch.VECTOR, fn,
-                         name=f"V{a}{'+' if sign > 0 else '-'}")
-
-
 def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
                 sign: int) -> ch.ChartField:
     """The 1-form g(V_a^pm) = g(V_a) +/- xi_a."""
@@ -191,6 +182,27 @@ def constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
         x = np.asarray(xf(point), dtype=object)
         rows.append(gmat @ v + sign * x)
     return rows
+
+
+def d_constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext,
+                      point):
+    """(d(g V_a^+), d(g V_a^-)): two s x n x n stacks of the 2-forms
+    d(g(V_a) +/- xi_a), from one order-1 jet of the rows g V_a and xi_a.
+
+    The sign is applied to the jet before it is antisymmetrized, so each
+    stack equals the exterior derivative of that sign's own row jet.
+    """
+    def rows(coords):
+        gmat = np.asarray(ctx.g(coords), dtype=object)
+        return [[gmat @ np.asarray(f(coords), dtype=object) for f in ea.V],
+                [np.asarray(f(coords), dtype=object) for f in ea.xi]]
+
+    d1 = ch.differentiate(rows, point, order=1, chart=ctx.chart).d1
+    out = []
+    for sign in (+1, -1):
+        d = d1[:, 0] + sign * d1[:, 1]          # d[k, a, j] = d_k row_aj
+        out.append(d.transpose(1, 0, 2) - d.transpose(1, 2, 0))
+    return tuple(out)
 
 
 def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
@@ -249,14 +261,8 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     form theta^a; the two agree on tau_sign.
     """
     frame = np.asarray(frame, dtype=float)
-    s = ea.s
     rm = reduction_matrices(ea, ctx, point)
-    dxi_pm = []
-    for a in range(s):
-        jet = ch.differentiate(xi_pm_field(ea, ctx, a, sign), point, order=1,
-                               chart=ctx.chart)
-        dxi_pm.append(ch.exterior_derivative(jet, 1))
-    dxi_pm = np.array(dxi_pm)
+    dxi_pm = d_constraint_rows(ea, ctx, point)[0 if sign > 0 else 1]
     # curvature of tau_+: K^{ba} d(g V_b^+); of tau_-: K^{ab} d(g V_b^-)
     if sign > 0:
         mix = np.einsum("ba,bij->aij", rm.Kinv, dxi_pm)
@@ -359,9 +365,7 @@ def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
 def omega_two_form(scn: QuotientScenario, point):
     """tau_+ curvature 2-forms Omega^a as ambient component arrays."""
     ea, ctx = scn.ea, scn.ctx
-    dxi = np.array([ch.exterior_derivative(
-        ch.differentiate(xi_pm_field(ea, ctx, b, +1), point, order=1), 1)
-        for b in range(ea.s)], dtype=object)
+    dxi = np.asarray(d_constraint_rows(ea, ctx, point)[0], dtype=object)
     # Omega^a = K^{ba} d(g(V_b^+))
     return np.tensordot(_k_inverse(ea, ctx, point), dxi, axes=(0, 0))
 
@@ -504,13 +508,11 @@ def _minus_derivative_matrix(scn: QuotientScenario, point):
     """D[a, j, i] = (grad^-_j V_a^-)^i at a point."""
     ea, ctx = scn.ea, scn.ctx
     coeffs = bismut_connection_coeffs(-1, ctx, point)
-    out = []
-    for a in range(ea.s):
-        f = v_pm_field(ea, ctx, a, -1)
-        jet = ch.differentiate(f, point, order=1, chart=ctx.chart)
-        out.append(np.einsum("ji->ji", jet.d1)
-                   + np.einsum("ijk,k->ji", coeffs, jet.value))
-    return np.array(out)
+    jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), point,
+                           order=1, chart=ctx.chart)
+    return np.array([jet.d1[:, a] + np.einsum("ijk,k->ji", coeffs,
+                                              jet.value[a])
+                     for a in range(ea.s)])
 
 
 def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
@@ -542,14 +544,7 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     term1 = np.swapaxes(ch.frame_contract(rmin, plus, plus, minus, minus),
                         2, 3)
 
-    dxi_p, dxi_m = [], []
-    for a in range(ea.s):
-        jp = ch.differentiate(xi_pm_field(ea, ctx, a, +1), p, order=1)
-        jm = ch.differentiate(xi_pm_field(ea, ctx, a, -1), p, order=1)
-        dxi_p.append(ch.exterior_derivative(jp, 1))
-        dxi_m.append(ch.exterior_derivative(jm, 1))
-    dxi_p = np.array(dxi_p)
-    dxi_m = np.array(dxi_m)
+    dxi_p, dxi_m = d_constraint_rows(ea, ctx, p)
     om_p = np.einsum("aij,bi,cj->abc", dxi_p, plus, plus)
     om_m = np.einsum("aij,ci,dj->acd", dxi_m, minus, minus)
     term2 = -0.5 * np.einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)

@@ -43,13 +43,16 @@ class SectionData:
         return np.array([dual.body(np.asarray(s(point), dtype=object)
                                    .ravel()[0]) for s in self.sigma])
 
+    def jet(self, point, order: int = 1) -> ch.PointJet:
+        """One jet of all sigma^alpha: the last axis of every part is alpha."""
+        return ch.differentiate(
+            lambda c: [np.asarray(s(c), dtype=object).ravel()[0]
+                       for s in self.sigma],
+            point, order=order, chart=self.sigma[0].chart)
+
     def gradients(self, point):
         """d sigma rows (dual-safe)."""
-        rows = []
-        for s in self.sigma:
-            jet = ch.differentiate(s, point, order=1, chart=None)
-            rows.append(np.asarray(jet.d1, dtype=object).reshape(-1))
-        return rows
+        return list(np.asarray(self.jet(point).d1, dtype=object).T)
 
     def on_locus(self, point, tol: float = EPS_LOCUS) -> bool:
         return bool(np.max(np.abs(self.values(point))) <= tol)
@@ -153,13 +156,10 @@ def induced_context(scn: SubmanifoldScenario) -> GeneralizedMetricContext:
 def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int, point) -> np.ndarray:
     """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at an ambient point."""
     coeffs = bismut_connection_coeffs(sign, scn.ctx, point)
-    out = []
-    for s in scn.sd.sigma:
-        jet = ch.differentiate(s, point, order=2, chart=None)
-        hess = jet.d2.reshape(scn.ambient_dim, scn.ambient_dim)
-        grad = jet.d1.reshape(scn.ambient_dim)
-        out.append(hess - np.einsum("lij,l->ij", coeffs, grad))
-    return np.array(out)
+    jet = scn.sd.jet(point, order=2)
+    grads = np.ascontiguousarray(jet.d1.T)
+    return np.array([jet.d2[:, :, al] - np.einsum("lij,l->ij", coeffs, grad)
+                     for al, grad in enumerate(grads)])
 
 
 def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):

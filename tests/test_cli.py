@@ -151,3 +151,55 @@ def test_round_sphere_quadrature_order_override(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["checks"][0]["points"] == 24 ** 2
     assert report["checks"][0]["status"] == "pass"
+
+
+def test_set_nan_parameter_is_config_error(capsys):
+    rc = cli.main(["run", "--scenario", "hopf_flux", "--set", "flux=nan",
+                   "--checks", "lemma62"])
+    assert rc == 2
+    assert "flux" in capsys.readouterr().err
+
+
+def test_set_inf_parameter_is_config_error(capsys):
+    rc = cli.main(["run", "--scenario", "hopf_flux", "--set", "flux=inf",
+                   "--checks", "lemma62"])
+    assert rc == 2
+    assert "flux" in capsys.readouterr().err
+
+
+def test_config_nan_points_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "hopf_flux", "parameters": {"points": NaN},'
+                    ' "checks": ["lemma62"]}', encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_config_infinite_order_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "round_sphere", "parameters": '
+                    '{"order": Infinity}, "checks": ["euler"]}',
+                    encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 2
+    assert "order" in capsys.readouterr().err
+
+
+def test_set_negative_points_is_config_error(capsys):
+    rc = cli.main(["run", "--scenario", "hopf_flux", "--set", "points=-3",
+                   "--checks", "lemma62"])
+    assert rc == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_set_zero_points_is_config_error(capsys):
+    rc = cli.main(["run", "--scenario", "hopf_flux", "--set", "points=0",
+                   "--checks", "thm63,localize2,pair_symmetry"])
+    assert rc == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_set_zero_quadrature_order_is_config_error(capsys):
+    rc = cli.main(["run", "--scenario", "round_sphere", "--set", "order=0",
+                   "--checks", "euler"])
+    assert rc == 2
+    assert "order" in capsys.readouterr().err

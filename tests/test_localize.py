@@ -7,7 +7,7 @@ from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import submanifold as sm
 from ggred.checks import mixed_multiplier_closed_form
-from ggred.errors import SingularBodyError
+from ggred.errors import SingularBodyError, SingularMetricError
 from ggred.grassmann import GrassmannElement as G
 from ggred.scenarios import (flat_torus, hopf, hopf_flux, product_qg,
                              round_sphere, s3xs1_gk, s3xt2, sphere_in_flat)
@@ -316,3 +316,8 @@ def test_composed_reduction_endpoints():
     assert (exponent - lz.localized_exponent_target(pf2, thm2)).max_abs() \
         < 1e-8
     assert np.isclose(thm2[0, 1, 1, 0], 4.0, atol=1e-9)
+
+
+def test_euler_density_indefinite_metric_is_singular_metric_error():
+    with pytest.raises(SingularMetricError, match="positive definite"):
+        lz.euler_density(np.zeros((2, 2, 2, 2)), np.diag([1.0, -1.0]))
