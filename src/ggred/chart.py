@@ -142,12 +142,26 @@ def _eval_checked(fn, coords):
     return out
 
 
+JET_MEMO_SIZE = 64
+_jet_memo: dict = {}   # (id(fn), float point) -> (fn, read-only PointJet)
+
+
+def clear_jet_memo():
+    """Forget every memoized jet; ``checks.run_check`` calls this first."""
+    _jet_memo.clear()
+
+
 def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> PointJet:
     """Exact partial derivatives of ``f`` at ``point`` via dual numbers.
 
     ``f`` may be a ChartField (its chart bounds are then enforced) or any
     pure callable on coordinates.  ``order`` is 1 or 2; second derivatives
     use nested duals with independent level tags.
+
+    Jets of a ChartField at a point free of duals are memoized, keyed by
+    the identity of the field's ``fn`` and the point, with read-only
+    arrays; an order-2 entry also answers order-1 requests.  The memo holds
+    at most ``JET_MEMO_SIZE`` entries and is emptied when full.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -155,6 +169,14 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     use_chart = chart or (f.chart if isinstance(f, ChartField) else None)
     if use_chart is not None:
         use_chart.require_inside(point)
+    key = None
+    if isinstance(f, ChartField) and \
+            not any(isinstance(x, dual.Dual) for x in point):
+        key = (id(fn), tuple(float(x) for x in point))
+        _, hit = _jet_memo.get(key, (None, None))
+        if hit is not None and (order == 1 or hit.d2 is not None):
+            return PointJet(tuple(point), hit.value, hit.d1,
+                            hit.d2 if order == 2 else None)
     n = len(point)
     value = dual.tighten(_eval_checked(fn, list(point)))
     d1 = dual.gradient(fn, list(point))
@@ -171,7 +193,15 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
                 return eps
             rows.append(dual.gradient(da_fn, list(point)))
         d2 = np.array(rows)
-    return PointJet(tuple(point), value, d1, d2)
+    jet = PointJet(tuple(point), value, d1, d2)
+    if key is not None:
+        for arr in (value, d1, d2):
+            if arr is not None:
+                arr.flags.writeable = False
+        if len(_jet_memo) >= JET_MEMO_SIZE:
+            _jet_memo.clear()
+        _jet_memo[key] = (fn, jet)   # fn held so its id is not reused
+    return jet
 
 
 def metric_inverse(gmat):

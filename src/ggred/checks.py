@@ -49,11 +49,11 @@ def _result(cid, points, residual, tol, exploratory=False) -> CheckResult:
 def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
     """A smooth seeded vector field: affine plus sine terms per axis."""
     n = chart.dim
-    c0 = rng.normal(size=n) * 0.5
-    c1 = rng.normal(size=(n, n)) * 0.3
+    c0 = (rng.normal(size=n) * 0.5).tolist()
+    c1 = (rng.normal(size=(n, n)) * 0.3).tolist()
 
     def fn(c):
-        return [c0[i] + sum(c1[i, j] * sin(c[j]) for j in range(n))
+        return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
                 for i in range(n)]
     return ch.ChartField(chart, ch.VECTOR, fn, name="random")
 
@@ -424,6 +424,7 @@ def run_check(s: Scenario, cid: str, seed: int, tol_override=None,
     spec = REGISTRY[cid]
     if not applicable(s, cid):
         raise ScenarioError(f"check {cid!r} not applicable to {s.name!r}")
+    ch.clear_jet_memo()
     rng = np.random.default_rng([seed, CHECK_ORDER.index(cid)])
     tol = spec.tolerance if tol_override is None else float(tol_override)
     return spec.fn(s, rng, tol, points)

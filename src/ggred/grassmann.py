@@ -264,23 +264,22 @@ def pfaffian(a: np.ndarray) -> float:
     if np.max(np.abs(a + a.T)) > 1e-8 * scale:
         raise AsymmetryError("matrix is not antisymmetric")
     if n <= 8:
-        return _pf_recursive(a)
+        return _pf_recursive(a.tolist(), list(range(n)))
     blocks, orth = schur(a)
     return float(np.prod(np.diag(blocks, 1)[::2]) * np.linalg.det(orth))
 
 
-def _pf_recursive(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 2:
-        return float(a[0, 1])
+def _pf_recursive(a: list, idx: list) -> float:
+    """Expansion along the first row of the minor on rows/columns ``idx``."""
+    if len(idx) == 2:
+        return a[idx[0]][idx[1]]
+    first, rest = idx[0], idx[1:]
     total = 0.0
-    rest = list(range(1, n))
-    for idx, j in enumerate(rest):
-        keep = [k for k in rest if k != j]
-        minor = a[np.ix_(keep, keep)]
-        sign = -1.0 if idx % 2 else 1.0
-        total += sign * a[0, j] * _pf_recursive(minor)
-    return float(total)
+    for k, j in enumerate(rest):
+        sign = -1.0 if k % 2 else 1.0
+        total += sign * a[first][j] * _pf_recursive(
+            a, [i for i in rest if i != j])
+    return total
 
 
 def fermionic_gaussian(a: np.ndarray) -> float:

@@ -203,3 +203,17 @@ def test_set_zero_quadrature_order_is_config_error(capsys):
                    "--checks", "euler"])
     assert rc == 2
     assert "order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, param, check", [
+    ("flat_torus", "dim", "pfaffian"),
+    ("round_sphere", "factors", "euler"),
+    ("hopf", "torus_factors", "lemma62"),
+])
+def test_set_fractional_integer_parameter_is_config_error(
+        capsys, scenario, param, check):
+    rc = cli.main(["run", "--scenario", scenario, "--set", f"{param}=2.5",
+                   "--checks", check])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert param in err and "2.5" in err

@@ -1,9 +1,13 @@
-"""Reference tests for the direct assembly, frame contraction and jet split.
+"""Reference tests for the direct assembly, frame contraction, jet split,
+Pfaffian recursion and random vector fields.
 
 Each fast path is compared with the explicit construction it replaces,
 written out here as the oracle: Grassmann words as products of
 ``G.generator`` elements, the frame contraction as a 5-operand ``einsum``,
-and the dual split as a per-entry rule.
+the dual split as a per-entry rule, the Pfaffian as the recursion over
+``np.ix_`` minors and the random field with numpy-scalar coefficients.
+The last two perform the same float operations, so they must agree bit
+for bit.
 """
 
 import itertools
@@ -14,10 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggred import chart as ch
+from ggred import checks as ck
 from ggred import dual
 from ggred import localize as lz
-from ggred.dual import Dual
+from ggred.dual import Dual, sin
 from ggred.grassmann import GrassmannElement as G
+from ggred.grassmann import pfaffian
+from ggred.scenarios import s3xt2
 
 MODES = st.integers(min_value=1, max_value=4)
 
@@ -152,3 +159,64 @@ def test_tighten_falls_back_only_for_duals():
                 np.array(["abc", 1.0], dtype=object)):
         with pytest.raises((TypeError, ValueError)):
             dual.tighten(bad)
+
+
+def pf_ix_minors(a):
+    """The Pfaffian by first-row expansion over ``np.ix_`` minors."""
+    n = a.shape[0]
+    if n == 2:
+        return float(a[0, 1])
+    total = 0.0
+    rest = list(range(1, n))
+    for idx, j in enumerate(rest):
+        keep = [k for k in rest if k != j]
+        sign = -1.0 if idx % 2 else 1.0
+        total += sign * a[0, j] * pf_ix_minors(a[np.ix_(keep, keep)])
+    return float(total)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pfaffian_equals_ix_minor_recursion(n):
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        a = rng.normal(size=(n, n))
+        a = a - a.T
+        got = pfaffian(a)
+        assert type(got) is float
+        assert got == pf_ix_minors(a)
+
+
+def numpy_coefficient_field(chart, rng):
+    """``checks.random_vector_field`` with numpy-scalar coefficients."""
+    n = chart.dim
+    c0 = rng.normal(size=n) * 0.5
+    c1 = rng.normal(size=(n, n)) * 0.3
+
+    def fn(c):
+        return [c0[i] + sum(c1[i, j] * sin(c[j]) for j in range(n))
+                for i in range(n)]
+    return ch.ChartField(chart, ch.VECTOR, fn, name="random")
+
+
+def same_bits(a, b):
+    """Equal dual trees whose float leaves have equal bit patterns."""
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        return isinstance(a, Dual) and isinstance(b, Dual) \
+            and a.level == b.level and same_bits(a.val, b.val) \
+            and same_bits(a.eps, b.eps)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_vector_field_equals_numpy_coefficients(seed):
+    chart = s3xt2({}).chart
+    point = list(chart.sample(np.random.default_rng(seed), 1)[0])
+    point[2] = Dual(point[2], 1.0, dual.fresh_level())
+    got = ck.random_vector_field(chart, np.random.default_rng(seed))
+    want = numpy_coefficient_field(chart, np.random.default_rng(seed))
+    assert all(same_bits(a, b) for a, b in zip(got(point), want(point)))
+    jg = ch.differentiate(got, point, order=1)
+    jw = ch.differentiate(want, point, order=1)
+    for a, b in ((jg.value, jw.value), (jg.d1, jw.d1)):
+        assert a.shape == b.shape
+        assert all(same_bits(x, y) for x, y in zip(a.ravel(), b.ravel()))

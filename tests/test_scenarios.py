@@ -104,3 +104,9 @@ def test_builtin_form_fields_are_antisymmetric():
         s = sc.build(name, {})
         pts = s.chart.sample(rng, 3)
         assert ch.antisymmetry_residual(s.ctx.H, pts) < ch.EPS_ID
+
+
+def test_integer_parameters_accept_integral_floats():
+    assert sc.build("flat_torus", {"dim": 3.0}).chart.dim == 3
+    assert sc.build("round_sphere", {"factors": 2.0}).chart.dim == 4
+    assert sc.build("hopf", {"torus_factors": 2.0}).chart.dim == 5
