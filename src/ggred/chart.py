@@ -55,14 +55,10 @@ class Chart:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        if len(point) != self.dim:
-            return False
-        for x, l, u in zip(point, self.lower, self.upper):
-            pad = margin * (u - l)
-            if not (l + pad < dual.body(x) < u - pad):
-                return False
-        return True
+    def contains(self, point) -> bool:
+        return len(point) == self.dim and all(
+            l < dual.body(x) < u
+            for x, l, u in zip(point, self.lower, self.upper))
 
     def require_inside(self, point):
         if not self.contains(point):
@@ -356,27 +352,24 @@ def pullback(arr, frame) -> np.ndarray:
 
 
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
-    """(d omega) components from a first-order jet of a k-form."""
-    n = len(jet.point)
-    if degree == 0:
-        return jet.d1
-    out_shape = (n,) * (degree + 1)
-    sample = jet.d1.ravel()[0]
-    dtype = object if isinstance(sample, dual.Dual) or jet.d1.dtype == object \
-        else float
-    out = np.zeros(out_shape, dtype=dtype)
-    for idx in itertools.product(range(n), repeat=degree + 1):
-        acc = 0.0
-        for j in range(degree + 1):
-            rest = idx[:j] + idx[j + 1:]
-            term = jet.d1[(idx[j],) + rest]
-            acc = acc + term if j % 2 == 0 else acc - term
-        out[idx] = acc
+    """(d omega) components from a first-order jet of a k-form.
+
+    The alternating sum over j of ``d1`` with its derivative axis moved to
+    slot j, so term j reads ``d_{ij} omega_{i0..^ij..ik}``.
+    """
+    out = jet.d1
+    for j in range(1, degree + 1):
+        term = np.moveaxis(jet.d1, 0, j)
+        out = out + term if j % 2 == 0 else out - term
     return out
 
 
 def wedge(omega: np.ndarray, eta: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Wedge product of fully antisymmetric component arrays (shuffle sum)."""
+    """Wedge product of fully antisymmetric component arrays.
+
+    A signed sum over the (p, q) shuffles of transposes of the one outer
+    product ``omega_{a..} eta_{b..}``.
+    """
     n = omega.shape[0] if p else eta.shape[0]
     if p + q > n:
         raise DegreeError(f"wedge degree {p}+{q} exceeds dimension {n}")
@@ -384,21 +377,11 @@ def wedge(omega: np.ndarray, eta: np.ndarray, p: int, q: int) -> np.ndarray:
         return omega * eta
     if q == 0:
         return eta * omega
-    out = np.zeros((n,) * (p + q), dtype=object)
-    indices = list(range(p + q))
-    shuffles = [
-        (sel, tuple(i for i in indices if i not in sel))
-        for sel in itertools.combinations(indices, p)
-    ]
-    for idx in itertools.product(range(n), repeat=p + q):
-        acc = 0.0
-        for sel, rest in shuffles:
-            perm = sel + rest
-            sign = _perm_sign(perm)
-            a = omega[tuple(idx[i] for i in sel)]
-            b = eta[tuple(idx[i] for i in rest)]
-            acc = acc + sign * a * b
-        out[idx] = acc
+    outer = np.multiply.outer(omega, eta)
+    out = 0.0
+    for sel in itertools.combinations(range(p + q), p):
+        perm = sel + tuple(i for i in range(p + q) if i not in sel)
+        out = out + _perm_sign(perm) * np.transpose(outer, np.argsort(perm))
     return dual.tighten(out)
 
 
@@ -459,34 +442,19 @@ def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
             - np.einsum("j,ji->i", jy.value, jx.d1))
 
 
-def lie_derivative_metric(v: ChartField, g: ChartField, point) -> np.ndarray:
-    """(L_V g)_{ij} at a point."""
+def lie_derivative(v: ChartField, t: ChartField, point) -> np.ndarray:
+    """(L_V T)_{i..} = V^m d_m T_{i..} + sum_s T_{..m..} d_{i_s} V^m.
+
+    The coordinate formula for a covariant tensor field T of any rank, with
+    m in slot s of the s-th term; built from the memoized jets of V and T.
+    """
     jv = differentiate(v, point, order=1)
-    jg = differentiate(g, point, order=1)
-    return (np.einsum("k,kij->ij", jv.value, jg.d1)
-            + np.einsum("kj,ik->ij", jg.value, jv.d1)
-            + np.einsum("ik,jk->ij", jg.value, jv.d1))
-
-
-def lie_derivative_form(v: ChartField, omega: ChartField, point) -> np.ndarray:
-    """(L_V omega) for a k-form, via Cartan's formula i_V d + d i_V."""
-    k = omega.valence.cov
-    jet = differentiate(omega, point, order=1)
-    dom = exterior_derivative(jet, k)
-    vval = dual.tighten(_eval_checked(v, list(point)))
-    term1 = interior(vval, np.asarray(dom, dtype=object), k + 1)
-
-    if k == 0:
-        return dual.tighten(term1)
-
-    def ivomega(coords):
-        w = np.asarray(omega.fn(coords), dtype=object)
-        vv = np.asarray(v.fn(coords), dtype=object)
-        return interior(vv, w, k)
-
-    jet2 = differentiate(ivomega, point, order=1, chart=omega.chart)
-    term2 = exterior_derivative(jet2, k - 1)
-    return dual.tighten(np.asarray(term1, dtype=object) + term2)
+    jt = differentiate(t, point, order=1)
+    out = np.tensordot(jv.value, jt.d1, axes=(0, 0))
+    for slot in range(jt.value.ndim):
+        out = out + np.moveaxis(
+            np.tensordot(jt.value, jv.d1, axes=(slot, 1)), -1, slot)
+    return out
 
 
 def antisymmetry_residual(field: ChartField, points) -> float:

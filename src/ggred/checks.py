@@ -22,7 +22,7 @@ from .errors import ScenarioError
 from .genmetric import (bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
-from .scenarios import Scenario
+from .scenarios import Scenario, int_param
 
 
 @dataclass
@@ -58,10 +58,9 @@ def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
     return ch.ChartField(chart, ch.VECTOR, fn, name="random")
 
 
-def _npoints(scenario, default, override=None):
-    if override is not None:
-        return int(override)
-    return int(scenario.params.get("points", default))
+def _npoints(s: Scenario, default, override=None):
+    params = s.params if override is None else {"points": override}
+    return int_param(params, "points", default, s.name, positive=True)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +247,8 @@ def _euler_setup(s: Scenario):
         key = ("round_sphere", int(s.params.get("factors", 1)))
     else:
         key = None
-    order = int(s.params.get("order", 16 if dim <= 2 else 8))
-    order = min(order, 32)
+    order = min(int_param(s.params, "order", 16 if dim <= 2 else 8, s.name,
+                          positive=True), 32)
     return dim, key, order
 
 

@@ -90,13 +90,12 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
                     ctx: GeneralizedMetricContext, point) -> GeneralizedVector:
     """Flux-twisted Courant bracket of A = X + xi and B = Y + eta at a point.
 
-    Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H, with
-    the Lie derivative expanded through Cartan's formula.
+    Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H.
     """
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
 
-    cov = ch.lie_derivative_form(a_vec, b_cov, point)
+    cov = ch.lie_derivative(a_vec, b_cov, point)
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
     yval = dual.tighten(np.asarray(b_vec(point), dtype=object))

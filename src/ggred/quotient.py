@@ -100,14 +100,12 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
             ivh = np.einsum("ijk,i->jk", hval, vvals[a])
             res["flux_match"] = max(res["flux_match"],
                                     float(np.max(np.abs(dxi - ivh))))
-            lvg = ch.lie_derivative_metric(ea.V[a], ctx.g, p)
-            res["invariance"] = max(res["invariance"],
-                                    float(np.max(np.abs(lvg))))
-            lvh = ch.lie_derivative_form(ea.V[a], ctx.H, p)
-            res["invariance"] = max(res["invariance"],
-                                    float(np.max(np.abs(lvh))))
+            for t in (ctx.g, ctx.H):
+                lvt = ch.lie_derivative(ea.V[a], t, p)
+                res["invariance"] = max(res["invariance"],
+                                        float(np.max(np.abs(lvt))))
             for b in range(s):
-                lvxi = ch.lie_derivative_form(ea.V[a], ea.xi[b], p)
+                lvxi = ch.lie_derivative(ea.V[a], ea.xi[b], p)
                 res["flux_match"] = max(res["flux_match"],
                                         float(np.max(np.abs(lvxi))))
         gram = np.array([[va @ gmat @ vb for vb in vvals] for va in vvals])

@@ -41,11 +41,13 @@ def antisym3(n, axes, value):
     return out
 
 
-def _int_param(params, key, default, scenario):
-    """An integer parameter; a fractional or non-finite value raises."""
+def int_param(params, key, default, scenario, positive=False):
+    """An integer parameter; a fractional or non-finite value raises, and
+    so does one below 1 when ``positive``."""
     v = params.get(key, default)
-    if not float(v).is_integer():
-        raise ConfigError(f"{scenario}: {key} must be an integer, got {v}")
+    if not float(v).is_integer() or (positive and v < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"{scenario}: {key} must be {kind}, got {v}")
     return int(v)
 
 
@@ -74,7 +76,7 @@ class Scenario:
 
 def flat_torus(params) -> Scenario:
     """Flat T^dim; with dim = 3 an optional constant 3-form flux."""
-    dim = _int_param(params, "dim", 2, "flat_torus")
+    dim = int_param(params, "dim", 2, "flat_torus")
     flux = float(params.get("flux", 0.0))
     if dim < 2 or dim > 4:
         raise ConfigError("flat_torus: dim must be 2, 3 or 4")
@@ -104,7 +106,7 @@ def _sphere_metric(radius):
 def round_sphere(params) -> Scenario:
     """Round S^2 of given radius; factors = 2 gives the product S^2 x S^2."""
     radius = float(params.get("radius", 1.0))
-    factors = _int_param(params, "factors", 1, "round_sphere")
+    factors = int_param(params, "factors", 1, "round_sphere")
     if factors == 1:
         box = Chart("sphere", (0.05, 0.0), (PI - 0.05, 2 * PI))
         g = ChartField(box, METRIC, _sphere_metric(radius), name="round")
@@ -163,7 +165,7 @@ def hopf(params, torus_factors: int | None = None, name="hopf") -> Scenario:
     geometry (nonzero reduced flux, tilted horizontal spaces).
     """
     lam = float(params.get("flux", 0.0))
-    tor = _int_param(params, "torus_factors", torus_factors or 0, name)
+    tor = int_param(params, "torus_factors", torus_factors or 0, name)
     cross = float(params.get("cross_flux", 0.0))
     shift = float(params.get("xi_shift", 0.0))
     brk_iso = float(params.get("break_isotropy", 0.0))

@@ -110,3 +110,41 @@ def test_integer_parameters_accept_integral_floats():
     assert sc.build("flat_torus", {"dim": 3.0}).chart.dim == 3
     assert sc.build("round_sphere", {"factors": 2.0}).chart.dim == 4
     assert sc.build("hopf", {"torus_factors": 2.0}).chart.dim == 5
+
+
+# -- integer parameters read by the checks ---------------------------------
+
+BAD_INTEGER_PARAMETERS = [
+    ("hopf", {"points": 2.5}, "lemma62", None, "points"),
+    ("hopf", {}, "lemma62", 2.5, "points"),
+    ("hopf", {"points": float("inf")}, "lemma62", None, "points"),
+    ("hopf", {"points": 0}, "lemma62", None, "points"),
+    ("hopf", {}, "ea_validate", -2, "points"),
+    ("round_sphere", {"order": 2.5}, "euler", None, "order"),
+    ("round_sphere", {"order": float("nan")}, "euler", None, "order"),
+    ("round_sphere", {"order": 0}, "euler", None, "order"),
+]
+
+
+@pytest.mark.parametrize("name, params, cid, points, key",
+                         BAD_INTEGER_PARAMETERS,
+                         ids=["fractional_points", "fractional_points_argument",
+                              "infinite_points", "zero_points",
+                              "negative_points_argument", "fractional_order",
+                              "nan_order", "zero_order"])
+def test_checks_reject_bad_integer_parameters(name, params, cid, points, key):
+    from ggred import checks as ck
+    s = sc.build(name, params)
+    with pytest.raises(ConfigError) as err:
+        ck.run_check(s, cid, 42, points=points)
+    assert f"{name}: {key} must be a positive integer" in str(err.value)
+
+
+def test_checks_accept_integral_float_parameters():
+    from ggred import checks as ck
+    assert ck.run_check(sc.build("hopf", {"points": 3.0}), "lemma62",
+                        42).points == 3
+    assert ck.run_check(sc.build("hopf", {}), "ea_validate", 42,
+                        points=2.0).points == 2
+    assert ck.run_check(sc.build("round_sphere", {"order": 4.0}), "euler",
+                        42).points == 16
