@@ -129,13 +129,13 @@ class PointJet:
     d2: np.ndarray | None = None
 
 
-def _eval_checked(fn, coords):
+def _eval_checked(fn, coords, size):
     out = np.asarray(fn(coords), dtype=object)
-    flat = out.ravel()
-    for v in flat:
-        if not np.isfinite(dual.body(v)):
-            raise EvaluationError("field evaluation produced non-finite output")
-    return out
+    bodies = dual.tighten(out, size) if size else \
+        [dual.body(v) for v in out.ravel().tolist()]
+    if not np.all(np.isfinite(bodies)):
+        raise EvaluationError("field evaluation produced non-finite output")
+    return bodies if size else dual.tighten(out)
 
 
 JET_MEMO_SIZE = 64
@@ -158,15 +158,20 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     the identity of the field's ``fn`` and the point, with read-only
     arrays; an order-2 entry also answers order-1 requests.  The memo holds
     at most ``JET_MEMO_SIZE`` entries and is emptied when full.
+
+    A batch point (``dual.Batch`` coordinates) gives arrays with a trailing
+    node axis from the same passes; every node is checked, none memoized.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     fn = f.fn if isinstance(f, ChartField) else f
     use_chart = chart or (f.chart if isinstance(f, ChartField) else None)
+    size = dual.nodes(point)
     if use_chart is not None:
-        use_chart.require_inside(point)
+        for node in dual.tighten(list(point), size).T if size else [point]:
+            use_chart.require_inside(node)
     key = None
-    if isinstance(f, ChartField) and \
+    if isinstance(f, ChartField) and not size and \
             not any(isinstance(x, dual.Dual) for x in point):
         key = (id(fn), tuple(float(x) for x in point))
         _, hit = _jet_memo.get(key, (None, None))
@@ -174,7 +179,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
             return PointJet(tuple(point), hit.value, hit.d1,
                             hit.d2 if order == 2 else None)
     n = len(point)
-    value = dual.tighten(_eval_checked(fn, list(point)))
+    value = _eval_checked(fn, list(point), size)
     d1 = dual.gradient(fn, list(point))
 
     d2 = None
@@ -189,6 +194,8 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
                 return eps
             rows.append(dual.gradient(da_fn, list(point)))
         d2 = np.array(rows)
+    if size:
+        d1, d2 = (d if d is None else dual.tighten(d, size) for d in (d1, d2))
     jet = PointJet(tuple(point), value, d1, d2)
     if key is not None:
         for arr in (value, d1, d2):
@@ -210,14 +217,22 @@ def metric_inverse(gmat):
     g = np.asarray(gmat)
     if g.dtype == object:
         return invert_matrix(g)
+    g = _stack(g)
     try:
-        chol = np.linalg.cholesky(0.5 * (g + g.T))
+        chol = np.linalg.cholesky(0.5 * (g + g.swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric not positive definite") from exc
-    if min(chol.diagonal().tolist()) ** 2 <= \
-            PIVOT_RTOL * max(g.diagonal().tolist()):
+    if (chol.diagonal(0, -2, -1).min(-1) ** 2 <=
+            PIVOT_RTOL * g.diagonal(0, -2, -1).max(-1)).any():
         raise SingularMetricError("metric numerically singular")
-    return np.linalg.inv(g)
+    return _stack(np.linalg.inv(g), g.ndim - 2)
+
+
+def _stack(m, k: int = 2):
+    """The first ``k`` axes of ``m`` moved last: (n, n, nodes) matrices as a
+    stack for ``np.linalg`` and ``@``; ``k = m.ndim - 2`` undoes it."""
+    return m if k in (0, m.ndim) else \
+        m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
 
 
 def _pivot_floor(m) -> float:
@@ -275,14 +290,14 @@ def christoffel(g: ChartField, point) -> np.ndarray:
 def christoffel_from_jet(jet: PointJet) -> np.ndarray:
     gmat = jet.value
     if np.asarray(gmat).dtype != object and \
-            np.max(np.abs(gmat - gmat.T)) > EPS_ID:
+            np.max(np.abs(gmat - gmat.swapaxes(0, 1))) > EPS_ID:
         raise SingularMetricError("metric component matrix is not symmetric")
     ginv = metric_inverse(gmat)
     dg = jet.d1  # dg[a, i, j] = d_a g_{ij}
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})
-    t = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) \
-        - np.einsum("ljk->ljk", dg)
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+    t = np.einsum("jlk...->ljk...", dg) + np.einsum("klj...->ljk...", dg) \
+        - np.einsum("ljk...->ljk...", dg)
+    return 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
 
 
 def riemann(g: ChartField, point) -> np.ndarray:
@@ -297,26 +312,25 @@ def riemann(g: ChartField, point) -> np.ndarray:
 
 def riemann_from_jet(jet: PointJet) -> np.ndarray:
     gmat = jet.value
-    n = gmat.shape[0]
     ginv = metric_inverse(gmat)
     dg = jet.d1
     d2g = jet.d2
-    t = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) \
-        - np.einsum("ljk->ljk", dg)
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+    t = np.einsum("jlk...->ljk...", dg) + np.einsum("klj...->ljk...", dg) \
+        - np.einsum("ljk...->ljk...", dg)
+    gamma = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
     # d_a Gamma^i_{jk}: differentiate the defining formula by hand.
-    dt = np.einsum("ajlk->aljk", d2g) + np.einsum("aklj->aljk", d2g) \
-        - np.einsum("aljk->aljk", d2g)
-    dginv = -np.einsum("im,amn,nl->ail", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("ail,ljk->aijk", dginv, t)
-                    + np.einsum("il,aljk->aijk", ginv, dt))
+    dt = np.einsum("ajlk...->aljk...", d2g) \
+        + np.einsum("aklj...->aljk...", d2g) - np.einsum("aljk...->aljk...", d2g)
+    dginv = -np.einsum("im...,amn...,nl...->ail...", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("ail...,ljk...->aijk...", dginv, t)
+                    + np.einsum("il...,aljk...->aijk...", ginv, dt))
     # Operator components: R(e_a, e_b) e_c = Rop[m, c, a, b] e_m.
-    rop = (np.einsum("ambc->mcab", dgamma)
-           - np.einsum("bmac->mcab", dgamma)
-           + np.einsum("mal,lbc->mcab", gamma, gamma)
-           - np.einsum("mbl,lac->mcab", gamma, gamma))
+    rop = (np.einsum("ambc...->mcab...", dgamma)
+           - np.einsum("bmac...->mcab...", dgamma)
+           + np.einsum("mal...,lbc...->mcab...", gamma, gamma)
+           - np.einsum("mbl...,lac...->mcab...", gamma, gamma))
     # Lower and flip the last operand into the pairing convention.
-    rlow = np.einsum("km,mlij->ijkl", gmat, rop)
+    rlow = np.einsum("km...,mlij...->ijkl...", gmat, rop)
     return rlow
 
 
@@ -328,13 +342,17 @@ def frame_contract(arr, f1, f2, f3, f4) -> np.ndarray:
     vectors' components.  Staged as four pairwise contractions: each one
     contracts the leading axis with a frame (a reshape and one matrix
     product) and appends the frame index, so no 5-operand product is formed.
+    Trailing node axes on ``arr`` and the frames give one product per node.
     """
-    out = np.asarray(arr)
+    out = _stack(np.asarray(arr), 4)
+    lead = out.ndim - 4
     for frame in (f1, f2, f3, f4):
-        rest = out.shape[1:]
-        out = (out.reshape(out.shape[0], -1).T @ frame.T).reshape(
-            rest + (frame.shape[0],))
-    return out
+        frame = _stack(frame)
+        shape = out.shape
+        out = (out.reshape(shape[:lead + 1] + (-1,)).swapaxes(-1, -2)
+               @ frame.swapaxes(-1, -2)).reshape(
+            shape[:lead] + shape[lead + 1:] + frame.shape[-2:-1])
+    return _stack(out, out.ndim - 4)
 
 
 def pullback(arr, frame) -> np.ndarray:

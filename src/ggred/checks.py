@@ -232,6 +232,7 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
 
 _EULER_EXPECTED = {
     ("flat_torus", 2): (0.0, 1e-10),
+    ("flat_torus", 4): (0.0, 1e-10),
     ("round_sphere", 1): (2.0, 0.02),
     ("round_sphere", 2): (4.0, 0.08),
 }

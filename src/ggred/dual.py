@@ -130,6 +130,52 @@ class Dual:
         return f"Dual({self.val!r}, {self.eps!r}, L{self.level})"
 
 
+def _elementwise(f):
+    def op(self, o):
+        return NotImplemented if isinstance(o, (Dual, np.ndarray)) else \
+            Batch(f(self.v, o.v if isinstance(o, Batch) else o))
+    return op
+
+
+class Batch:
+    """One float per node of a point batch; a scalar to numpy and to ``Dual``.
+
+    Arithmetic is elementwise, and ``**`` and this module's math functions
+    call libm node by node, so each node gets the bits of the scalar path.
+    Comparisons and truth tests raise ``TypeError`` (no batch form)."""
+
+    __slots__ = ("v",)
+    __add__ = __radd__ = _elementwise(np.add)
+    __sub__ = _elementwise(np.subtract)
+    __rsub__ = _elementwise(lambda a, b: b - a)
+    __mul__ = __rmul__ = _elementwise(np.multiply)
+    __truediv__ = _elementwise(np.divide)
+    __rtruediv__ = _elementwise(lambda a, b: b / a)
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=float)
+
+    def __bool__(self, *_):
+        raise TypeError("a Batch has no order and no truth value")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__
+
+    def __neg__(self):
+        return Batch(-self.v)
+
+    def __pow__(self, p):
+        return NotImplemented if isinstance(p, Dual) else _nodes(pow, self, p)
+
+    def __rpow__(self, base):
+        return _nodes(pow, base, self)
+
+
+def _nodes(f, *args):
+    """``f`` node by node over the Batch arguments (floats are shared)."""
+    return Batch(list(map(f, *(a.v.tolist() if isinstance(a, Batch)
+                               else itertools.repeat(a) for a in args))))
+
+
 def body(x):
     """Strip all dual layers, returning the underlying float."""
     while isinstance(x, Dual):
@@ -140,13 +186,13 @@ def body(x):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps, x.level)
-    return math.sin(x)
+    return _nodes(math.sin, x) if isinstance(x, Batch) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps, x.level)
-    return math.cos(x)
+    return _nodes(math.cos, x) if isinstance(x, Batch) else math.cos(x)
 
 
 def tan(x):
@@ -157,38 +203,38 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, e * x.eps, x.level)
-    return math.exp(x)
+    return _nodes(math.exp, x) if isinstance(x, Batch) else math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.eps / x.val, x.level)
-    return math.log(x)
+    return _nodes(math.log, x) if isinstance(x, Batch) else math.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.eps / (2.0 * s), x.level)
-    return math.sqrt(x)
+    return _nodes(math.sqrt, x) if isinstance(x, Batch) else math.sqrt(x)
 
 
 def asin(x):
     if isinstance(x, Dual):
         return Dual(asin(x.val), x.eps / sqrt(1.0 - x.val * x.val), x.level)
-    return math.asin(x)
+    return _nodes(math.asin, x) if isinstance(x, Batch) else math.asin(x)
 
 
 def acos(x):
     if isinstance(x, Dual):
         return Dual(acos(x.val), -x.eps / sqrt(1.0 - x.val * x.val), x.level)
-    return math.acos(x)
+    return _nodes(math.acos, x) if isinstance(x, Batch) else math.acos(x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.val), x.eps / (1.0 + x.val * x.val), x.level)
-    return math.atan(x)
+    return _nodes(math.atan, x) if isinstance(x, Batch) else math.atan(x)
 
 
 def atan2(y, x):
@@ -200,6 +246,8 @@ def atan2(y, x):
         xv, xe = (x.val, x.eps) if xlev == lev else (x, 0.0)
         denom = xv * xv + yv * yv
         return Dual(atan2(yv, xv), (xv * ye - yv * xe) / denom, lev)
+    if isinstance(y, Batch) or isinstance(x, Batch):
+        return _nodes(math.atan2, y, x)
     return math.atan2(y, x)
 
 
@@ -222,13 +270,24 @@ def _split(out, level):
     return vals, eps
 
 
-def tighten(arr):
-    """Return a float array when no duals remain, object array otherwise."""
+def nodes(point) -> int:
+    """Number of nodes of a batch point (Batch coordinates); 0 at a point."""
+    return point[0].v.size if isinstance(point[0], Batch) else 0
+
+
+def tighten(arr, size: int = 0):
+    """Return a float array when no duals remain, object array otherwise;
+    with ``size`` nodes, Batch (and float) entries stack on a last axis."""
     a = np.asarray(arr)
+    if size:
+        out = np.empty((a.size, size))
+        for i, e in enumerate(a.ravel().tolist()):
+            out[i] = e.v if isinstance(e, Batch) else e
+        return out.reshape(a.shape + (size,))
     try:
         return a.astype(float)
     except (TypeError, ValueError):
-        if a.dtype == object and any(isinstance(e, Dual)
+        if a.dtype == object and any(isinstance(e, (Dual, Batch))
                                      for e in a.ravel().tolist()):
             return a
         raise

@@ -64,10 +64,12 @@ class GeneralizedMetricContext:
         return self.H.name != _H_ZERO_NAME
 
     def metric_at(self, point) -> np.ndarray:
-        return dual.tighten(np.asarray(self.g(point), dtype=object))
+        return dual.tighten(np.asarray(self.g(point), dtype=object),
+                            dual.nodes(point))
 
     def flux_at(self, point) -> np.ndarray:
-        return dual.tighten(np.asarray(self.H(point), dtype=object))
+        return dual.tighten(np.asarray(self.H(point), dtype=object),
+                            dual.nodes(point))
 
     def closure_residual(self, point) -> float:
         """max |dH| component at a point."""
@@ -176,9 +178,9 @@ def nabla_flux(ctx: GeneralizedMetricContext, point) -> np.ndarray:
     h = jet.value
     dh = jet.d1
     out = dh.copy()
-    out -= np.einsum("mai,mjk->aijk", gam, h)
-    out -= np.einsum("maj,imk->aijk", gam, h)
-    out -= np.einsum("mak,ijm->aijk", gam, h)
+    out -= np.einsum("mai...,mjk...->aijk...", gam, h)
+    out -= np.einsum("maj...,imk...->aijk...", gam, h)
+    out -= np.einsum("mak...,ijm...->aijk...", gam, h)
     return out
 
 
@@ -203,11 +205,11 @@ def bismut_curvature(sign, ctx: GeneralizedMetricContext, point) -> np.ndarray:
     ginv = ch.metric_inverse(gmat)
     h = ctx.flux_at(point)
     nh = nabla_flux(ctx, point)
-    hup = np.einsum("ijm,mp->ijp", h, ginv)
-    term_dh = 0.5 * (np.einsum("ijkl->ijkl", nh)
-                     - np.einsum("jikl->ijkl", nh))
-    term_hh = 0.25 * (np.einsum("kip,jlp->ijkl", h, hup)
-                      - np.einsum("kjp,ilp->ijkl", h, hup))
+    hup = np.einsum("ijm...,mp...->ijp...", h, ginv)
+    term_dh = 0.5 * (np.einsum("ijkl...->ijkl...", nh)
+                     - np.einsum("jikl...->ijkl...", nh))
+    term_hh = 0.25 * (np.einsum("kip...,jlp...->ijkl...", h, hup)
+                      - np.einsum("kjp...,ilp...->ijkl...", h, hup))
     return r - s * term_dh + term_hh
 
 

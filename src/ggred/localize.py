@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chart as ch
+from . import dual
 from . import quotient as qt
 from . import submanifold as sm
 from .errors import (FrameMismatchError, OddDimensionError,
@@ -104,26 +105,28 @@ def euler_measure(m: int) -> list[int]:
     return order
 
 
-def euler_density(rarr: np.ndarray, gmat: np.ndarray) -> float:
+def euler_density(rarr: np.ndarray, gmat: np.ndarray):
     """Fermionic Gaussian density whose integral gives the Euler number.
 
     Contracts the curvature into a positively oriented orthonormal frame,
     exponentiates the quartic pairing, and Berezin-integrates against the
-    paired measure.  The result carries no volume factor.
+    paired measure.  The result carries no volume factor.  Trailing node
+    axes give one density per node; the Grassmann stage runs node by node.
     """
     n = gmat.shape[0]
     if n % 2:
         raise OddDimensionError("Euler density needs even dimension")
     try:
-        low = np.linalg.cholesky(gmat)
+        low = np.linalg.cholesky(ch._stack(gmat))
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(
             "Euler density needs a positive definite metric") from exc
-    frame = np.linalg.inv(low)            # rows: oriented orthonormal frame
+    frame = ch._stack(np.linalg.inv(low), low.ndim - 2)  # rows: the frame
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
-    quart = curvature_quartic(rfr, n)
-    dens = berezin_integral((0.5 * quart).exp(), euler_measure(n))
-    return dens.body
+    dens = [berezin_integral((0.5 * curvature_quartic(r, n)).exp(),
+                             euler_measure(n)).body
+            for r in np.moveaxis(rfr.reshape(rfr.shape[:4] + (-1,)), -1, 0)]
+    return dens[0] if rfr.ndim == 4 else np.array(dens)
 
 
 def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
@@ -134,6 +137,10 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     manifold once; the integrand is the fermionic density of the torsion
     curvature (or the plain curvature when ``use_flux`` is false) times the
     metric volume factor, normalized by (2 pi)^(dim/2).
+
+    Each slab of nodes along the last two axes is one batch point; terms
+    are summed in C order.  A ``TypeError`` on the first slab (a field that
+    compares a coordinate or calls ``math``) runs the grid node by node.
     """
     lo, hi = (np.asarray(domain[0], dtype=float),
               np.asarray(domain[1], dtype=float))
@@ -150,16 +157,29 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     nodes = [0.5 * (hi[a] + lo[a]) + 0.5 * (hi[a] - lo[a]) * x1
              for a in range(n)]
     weights = [0.5 * (hi[a] - lo[a]) * w1 for a in range(n)]
-    total = 0.0
-    for idx in np.ndindex(*([order] * n)):
-        p = [nodes[a][idx[a]] for a in range(n)]
-        w = 1.0
-        for a in range(n):
-            w *= weights[a][idx[a]]
+
+    def terms(p, w):
         gmat = ctx.metric_at(p)
         rarr = bismut_curvature(-1, ctx, p) if use_flux and ctx.has_flux \
             else ch.riemann(ctx.g, p)
-        total += w * euler_density(rarr, gmat) * np.sqrt(np.linalg.det(gmat))
+        return w * euler_density(rarr, gmat) * \
+            np.sqrt(np.linalg.det(ch._stack(gmat)))
+
+    tail = list(np.indices((order, order)).reshape(2, -1))
+    total, batch = 0.0, True
+    for k, head in enumerate(np.ndindex(*([order] * (n - 2)))):
+        idx = [np.full(order * order, i) for i in head] + tail
+        p = [nodes[a][idx[a]] for a in range(n)]
+        w = functools.reduce(np.multiply,
+                             [weights[a][idx[a]] for a in range(n)], 1.0)
+        try:
+            part = terms([dual.Batch(x) for x in p], w) if batch else None
+        except TypeError:
+            if k:
+                raise
+            batch = False
+        for t in part if batch else map(terms, map(list, zip(*p)), w):
+            total += t
     return total / (2.0 * np.pi) ** (n // 2)
 
 

@@ -85,10 +85,10 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     res = {k: 0.0 for k in ("isotropy", "flux_match", "invariance",
                             "independence")}
     for p in points:
-        vvals = [np.asarray(v(p), dtype=float) for v in ea.V]
-        xvals = [np.asarray(x(p), dtype=float) for x in ea.xi]
-        hval = ctx.flux_at(p)
-        gmat = ctx.metric_at(p)
+        # the values of the memoized jets that the Lie derivatives read
+        vvals, xvals = ([ch.differentiate(f, p).value for f in fields]
+                        for fields in (ea.V, ea.xi))
+        gmat, hval = (ch.differentiate(f, p).value for f in (ctx.g, ctx.H))
         for a in range(s):
             for b in range(s):
                 res["isotropy"] = max(
