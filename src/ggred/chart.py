@@ -23,6 +23,7 @@ Component conventions, used consistently across the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,10 +62,11 @@ class Chart:
             for x, l, u in zip(point, self.lower, self.upper))
 
     def require_inside(self, point):
-        if not self.contains(point):
-            raise DomainError(
-                f"point {tuple(float(dual.body(x)) for x in point)} outside "
-                f"chart {self.name!r}")
+        """Raise DomainError unless every node of the point is inside."""
+        size = dual.nodes(point)
+        for node in dual.tighten(list(point), size).T if size else [point]:
+            if not self.contains(node):
+                raise DomainError(f"{_at(node)} outside chart {self.name!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Seeded uniform draws strictly inside the domain."""
@@ -129,13 +131,23 @@ class PointJet:
     d2: np.ndarray | None = None
 
 
-def _eval_checked(fn, coords, size):
-    out = np.asarray(fn(coords), dtype=object)
-    bodies = dual.tighten(out, size) if size else \
-        [dual.body(v) for v in out.ravel().tolist()]
-    if not np.all(np.isfinite(bodies)):
-        raise EvaluationError("field evaluation produced non-finite output")
-    return bodies if size else dual.tighten(out)
+def _require_finite(point, *arrays):
+    """EvaluationError at the first non-finite node (or point) of arrays."""
+    size = dual.nodes(point)
+    ok = np.all([np.isfinite(a).reshape(-1, size).all(0) for a in arrays
+                 if a is not None], axis=0) if size else \
+        [all(map(math.isfinite, *arrays))]
+    if not all(ok):
+        raise EvaluationError("field evaluation produced non-finite output "
+                              f"at {_at(point, int(np.argmin(ok)))}")
+
+
+def _at(point, k=None) -> str:
+    """The point, or node ``k`` of a batch point, for an error message."""
+    if not dual.nodes(point):
+        return f"point {tuple(float(dual.body(x)) for x in point)}"
+    return "a batch point" if k is None else \
+        f"node {k} {tuple(float(x.v[k]) for x in point)}"
 
 
 JET_MEMO_SIZE = 64
@@ -168,8 +180,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     use_chart = chart or (f.chart if isinstance(f, ChartField) else None)
     size = dual.nodes(point)
     if use_chart is not None:
-        for node in dual.tighten(list(point), size).T if size else [point]:
-            use_chart.require_inside(node)
+        use_chart.require_inside(point)
     key = None
     if isinstance(f, ChartField) and not size and \
             not any(isinstance(x, dual.Dual) for x in point):
@@ -178,14 +189,11 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
         if hit is not None and (order == 1 or hit.d2 is not None):
             return PointJet(tuple(point), hit.value, hit.d1,
                             hit.d2 if order == 2 else None)
-    n = len(point)
-    value = _eval_checked(fn, list(point), size)
-    d1 = dual.gradient(fn, list(point))
-
-    d2 = None
-    if order == 2:
+    try:
+        value = np.asarray(fn(list(point)), dtype=object)
+        d1 = dual.gradient(fn, list(point))
         rows = []
-        for a in range(n):
+        for a in range(len(point)) if order == 2 else ():
             def da_fn(coords, _a=a):
                 lvl = dual.fresh_level()
                 c = list(coords)
@@ -193,9 +201,17 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
                 _, eps = dual._split(fn(c), lvl)
                 return eps
             rows.append(dual.gradient(da_fn, list(point)))
-        d2 = np.array(rows)
+        d2 = np.array(rows) if rows else None
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EvaluationError(
+            f"field evaluation failed at {_at(point)}: {exc}") from exc
     if size:
-        d1, d2 = (d if d is None else dual.tighten(d, size) for d in (d1, d2))
+        value, d1, d2 = (d if d is None else dual.tighten(d, size)
+                         for d in (value, d1, d2))
+        _require_finite(point, value, d1, d2)
+    else:
+        _require_finite(point, [dual.body(v) for v in value.ravel().tolist()])
+        value = dual.tighten(value)
     jet = PointJet(tuple(point), value, d1, d2)
     if key is not None:
         for arr in (value, d1, d2):
@@ -453,11 +469,11 @@ def form_calculus(omega: ChartField, op: str, point, other=None):
 
 
 def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i at a point."""
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i at a point (or a batch point)."""
     jx = differentiate(x, point, order=1)
     jy = differentiate(y, point, order=1)
-    return (np.einsum("j,ji->i", jx.value, jy.d1)
-            - np.einsum("j,ji->i", jy.value, jx.d1))
+    return (np.einsum("j...,ji...->i...", jx.value, jy.d1)
+            - np.einsum("j...,ji...->i...", jy.value, jx.d1))
 
 
 def lie_derivative(v: ChartField, t: ChartField, point) -> np.ndarray:
@@ -465,13 +481,15 @@ def lie_derivative(v: ChartField, t: ChartField, point) -> np.ndarray:
 
     The coordinate formula for a covariant tensor field T of any rank, with
     m in slot s of the s-th term; built from the memoized jets of V and T.
+    A batch point gives a trailing node axis.
     """
     jv = differentiate(v, point, order=1)
     jt = differentiate(t, point, order=1)
-    out = np.tensordot(jv.value, jt.d1, axes=(0, 0))
-    for slot in range(jt.value.ndim):
-        out = out + np.moveaxis(
-            np.tensordot(jt.value, jv.d1, axes=(slot, 1)), -1, slot)
+    idx = "abcdefgh"[:t.valence.rank]
+    out = np.einsum(f"m...,m{idx}...->{idx}...", jv.value, jt.d1)
+    for slot, i in enumerate(idx):
+        out = out + np.einsum(f"{idx[:slot]}m{idx[slot + 1:]}...,{i}m...->"
+                              f"{idx}...", jt.value, jv.d1)
     return out
 
 

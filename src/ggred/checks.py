@@ -17,12 +17,14 @@ from . import gk as gkmod
 from . import localize as lz
 from . import quotient as qt
 from . import submanifold as sm
-from .dual import sin
+from .dual import Batch, batched, sin
 from .errors import ScenarioError
 from .genmetric import (bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
+
+BATCH = 64   # sample points per batch point: one Euler slab at order 8
 
 
 @dataclass
@@ -46,16 +48,33 @@ def _result(cid, points, residual, tol, exploratory=False) -> CheckResult:
     return CheckResult(cid, points, float(residual), float(tol), status)
 
 
-def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
-    """A smooth seeded vector field: affine plus sine terms per axis."""
+def random_field_coeffs(n: int, rng):
+    """The seeded coefficients of :func:`random_vector_field`."""
+    return rng.normal(size=n) * 0.5, rng.normal(size=(n, n)) * 0.3
+
+
+def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
+    """The field c0^i + sum_j c1^i_j sin(c^j); coefficients with a trailing
+    node axis give one field with ``dual.Batch`` coefficients."""
     n = chart.dim
-    c0 = (rng.normal(size=n) * 0.5).tolist()
-    c1 = (rng.normal(size=(n, n)) * 0.3).tolist()
+    c0, c1 = ((c0.tolist(), c1.tolist()) if np.ndim(c0) == 1 else
+              ([Batch(v) for v in c0], [[Batch(v) for v in r] for r in c1]))
 
     def fn(c):
         return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
                 for i in range(n)]
     return ch.ChartField(chart, ch.VECTOR, fn, name="random")
+
+
+def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
+    """A smooth seeded vector field: affine plus sine terms per axis."""
+    return vector_field(chart, *random_field_coeffs(chart.dim, rng))
+
+
+def _chunks(arrays, *groups):
+    """Rows of ``arrays``, each group of row indices in runs of <= BATCH."""
+    return [tuple(a[g[k:k + BATCH]] for a in arrays)
+            for g in groups for k in range(0, len(g), BATCH)]
 
 
 def _npoints(s: Scenario, default, override=None):
@@ -70,31 +89,39 @@ def _npoints(s: Scenario, default, override=None):
 def check_bismut_courant(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Bracket route vs direct torsion covariant derivative."""
     npairs = _npoints(s, 100, points)
-    worst = 0.0
     pts = s.chart.sample(rng, npairs)
-    for p in pts:
-        x = random_vector_field(s.chart, rng)
-        y = random_vector_field(s.chart, rng)
-        sign = 1 if rng.random() < 0.5 else -1
-        d1 = bismut_derivative(x, y, sign, s.ctx, p)
-        d2 = bismut_via_courant(x, y, sign, s.ctx, p)
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
+    draws = [random_field_coeffs(s.chart.dim, rng)
+             + random_field_coeffs(s.chart.dim, rng)
+             + (1 if rng.random() < 0.5 else -1,) for _ in range(npairs)]
+    *coeffs, signs = (np.array(c) for c in zip(*draws))
+
+    def residual(p, sign, c0x, c1x, c0y, c1y):
+        sign = int(np.ravel(sign)[0])   # a chunk holds one sign
+        x, y = vector_field(s.chart, c0x, c1x), vector_field(s.chart, c0y, c1y)
+        d = bismut_derivative(x, y, sign, s.ctx, p) \
+            - bismut_via_courant(x, y, sign, s.ctx, p)
+        return np.abs(d).max(axis=0)
+
+    chunks = _chunks((pts, signs, *coeffs), np.flatnonzero(signs > 0),
+                     np.flatnonzero(signs < 0))
+    worst = np.max(list(batched(residual, chunks)))
     return _result("bismut_courant", npairs, worst, tol)
 
 
 def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
     """R^-[ijkl] = R^+[klij] plus the antisymmetries of both arrays."""
     n = _npoints(s, 100, points)
-    worst = 0.0
-    for p in s.chart.sample(rng, n):
+
+    def residual(p):
         rm = bismut_curvature(-1, s.ctx, p)
         rp = bismut_curvature(+1, s.ctx, p)
-        worst = max(worst, float(np.max(np.abs(rm - np.einsum("ijkl->klij",
-                                                              rp)))))
-        worst = max(worst, float(np.max(np.abs(rm + np.einsum("ijkl->jikl",
-                                                              rm)))))
-        worst = max(worst, float(np.max(np.abs(rp + np.einsum("ijkl->ijlk",
-                                                              rp)))))
+        return np.max([np.abs(d).max(axis=(0, 1, 2, 3)) for d in (
+            rm - np.einsum("ijkl...->klij...", rp),
+            rm + np.einsum("ijkl...->jikl...", rm),
+            rp + np.einsum("ijkl...->ijlk...", rp))], axis=0)
+
+    chunks = _chunks((s.chart.sample(rng, n),), np.arange(n))
+    worst = np.max(list(batched(residual, chunks)))
     return _result("pair_symmetry", n, worst, tol)
 
 

@@ -70,12 +70,14 @@ def load_config(data: dict) -> dict:
         if not isinstance(checks, list) or \
                 not all(isinstance(c, str) for c in checks):
             raise ConfigError("'checks' must be a list of check ids")
+        if not checks:
+            raise ConfigError("'checks' names no check")
         bad = [c for c in checks if c not in ck.REGISTRY]
         if bad:
             raise ConfigError(f"unknown check id(s): {bad}")
     seed = data.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
     factory = data.get("factory")
     if factory is not None and name != "custom":
         raise ConfigError("'factory' is only valid for the custom scenario")
@@ -228,16 +230,12 @@ def _config_from_args(args) -> dict:
         raw = {"scenario": args.scenario, "parameters": _parse_set(args.set)}
     else:
         raise ConfigError("run needs a config path or --scenario")
-    cfg = load_config(raw)
-    if getattr(args, "checks", None):
-        ids = [c.strip() for c in args.checks.split(",") if c.strip()]
-        bad = [c for c in ids if c not in ck.REGISTRY]
-        if bad:
-            raise ConfigError(f"unknown check id(s): {bad}")
-        cfg["checks"] = ids
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    return cfg
+    if isinstance(raw, dict) and args.checks is not None:
+        raw = {**raw, "checks": [c.strip() for c in args.checks.split(",")
+                                 if c.strip()]}
+    if isinstance(raw, dict) and args.seed is not None:
+        raw = {**raw, "seed": args.seed}
+    return load_config(raw)
 
 
 def main(argv=None) -> int:

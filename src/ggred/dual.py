@@ -176,6 +176,26 @@ def _nodes(f, *args):
                                else itertools.repeat(a) for a in args))))
 
 
+def batched(fn, chunks):
+    """Yield, node by node, ``fn``'s (N,) values on chunks ``(points, *args)``
+    (node axis first), each as one batch point (``args`` node axis last).
+    A ``TypeError`` on the first chunk (a field that compares a coordinate or
+    calls ``math``) runs every node alone; on a later chunk it propagates."""
+    batch = True
+    for k, (points, *args) in enumerate(chunks):
+        if batch:
+            try:
+                yield from fn([Batch(x) for x in points.T],
+                              *(np.moveaxis(a, 0, -1) for a in args))
+                continue
+            except TypeError:
+                if k:
+                    raise
+                batch = False
+        for node, *node_args in zip(points, *args):
+            yield fn(list(node), *node_args)
+
+
 def body(x):
     """Strip all dual layers, returning the underlying float."""
     while isinstance(x, Dual):

@@ -38,6 +38,12 @@ class GeneralizedVector:
         return float(self.xi @ other.X + other.xi @ self.X)
 
 
+def _values(field: ch.ChartField, point) -> np.ndarray:
+    """Float components of a field at a point (node axis last at a batch)."""
+    return dual.tighten(np.asarray(field(point), dtype=object),
+                        dual.nodes(point))
+
+
 def zero_flux(chart: ch.Chart) -> ch.ChartField:
     n = chart.dim
     return ch.ChartField(chart, ch.form_valence(3),
@@ -64,12 +70,10 @@ class GeneralizedMetricContext:
         return self.H.name != _H_ZERO_NAME
 
     def metric_at(self, point) -> np.ndarray:
-        return dual.tighten(np.asarray(self.g(point), dtype=object),
-                            dual.nodes(point))
+        return _values(self.g, point)
 
     def flux_at(self, point) -> np.ndarray:
-        return dual.tighten(np.asarray(self.H(point), dtype=object),
-                            dual.nodes(point))
+        return _values(self.H, point)
 
     def closure_residual(self, point) -> float:
         """max |dH| component at a point."""
@@ -78,12 +82,13 @@ class GeneralizedMetricContext:
         return float(np.max(np.abs(dh)))
 
 
-def flat_covector(ctx: GeneralizedMetricContext, x: ch.ChartField) -> ch.ChartField:
-    """The 1-form field g(X) for a vector field X."""
+def flat_covector(ctx: GeneralizedMetricContext, x: ch.ChartField,
+                  sign=1) -> ch.ChartField:
+    """The 1-form field g(X) for a vector field X (-g(X) if sign < 0)."""
     def fn(coords):
-        gmat = np.asarray(ctx.g(coords), dtype=object)
-        xv = np.asarray(x(coords), dtype=object)
-        return gmat @ xv
+        gx = np.asarray(ctx.g(coords), dtype=object) @ \
+            np.asarray(x(coords), dtype=object)
+        return gx if sign > 0 else -gx
     return ch.ChartField(ctx.chart, ch.COVECTOR, fn, name=f"flat({x.name})")
 
 
@@ -93,6 +98,7 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     """Flux-twisted Courant bracket of A = X + xi and B = Y + eta at a point.
 
     Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H.
+    A batch point gives a trailing node axis.
     """
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
@@ -100,12 +106,12 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     cov = ch.lie_derivative(a_vec, b_cov, point)
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
-    yval = dual.tighten(np.asarray(b_vec(point), dtype=object))
-    cov = cov - np.tensordot(yval, dxi, axes=(0, 0))
+    yval = _values(b_vec, point)
+    cov = cov - np.einsum("j...,jk...->k...", yval, dxi)
 
     hval = ctx.flux_at(point)
-    xval = dual.tighten(np.asarray(a_vec(point), dtype=object))
-    cov = cov + np.einsum("i,j,ijk->k", xval, yval, hval)
+    xval = _values(a_vec, point)
+    cov = cov + np.einsum("i...,j...,ijk...->k...", xval, yval, hval)
     return GeneralizedVector(np.asarray(vec, dtype=float),
                              np.asarray(cov, dtype=float), tuple(point))
 
@@ -117,7 +123,7 @@ def split_pm(a: GeneralizedVector, ctx: GeneralizedMetricContext):
     """
     gmat = ctx.metric_at(a.at)
     ginv = ch.metric_inverse(gmat)
-    gxi = ginv @ a.xi
+    gxi = np.einsum("ij...,j...->i...", ginv, a.xi)
     return 0.5 * (a.X + gxi), 0.5 * (a.X - gxi)
 
 
@@ -135,9 +141,9 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
     +/- (1/2) g^{il} H_{ljk} X^j Y^k."""
     jy = ch.differentiate(y, point, order=1)
     coeffs = bismut_connection_coeffs(sign, ctx, point)
-    xval = dual.tighten(np.asarray(x(point), dtype=object))
-    return (np.einsum("j,ji->i", xval, jy.d1)
-            + np.einsum("ijk,j,k->i", coeffs, xval, jy.value))
+    xval = _values(x, point)
+    return (np.einsum("j...,ji...->i...", xval, jy.d1)
+            + np.einsum("ijk...,j...,k...->i...", coeffs, xval, jy.value))
 
 
 def bismut_connection_coeffs(sign, ctx: GeneralizedMetricContext, point):
@@ -146,7 +152,7 @@ def bismut_connection_coeffs(sign, ctx: GeneralizedMetricContext, point):
     gam = ch.christoffel(ctx.g, point)
     ginv = ch.metric_inverse(ctx.metric_at(point))
     hval = ctx.flux_at(point)
-    return gam + 0.5 * s * np.einsum("il,ljk->ijk", ginv, hval)
+    return gam + 0.5 * s * np.einsum("il...,ljk...->ijk...", ginv, hval)
 
 
 def bismut_via_courant(x: ch.ChartField, y: ch.ChartField, sign,
@@ -158,15 +164,8 @@ def bismut_via_courant(x: ch.ChartField, y: ch.ChartField, sign,
     which agrees with :func:`bismut_derivative` to tight tolerance.
     """
     s = _sgn(sign)
-    gx = flat_covector(ctx, x)
-    gy = flat_covector(ctx, y)
-    neg_gx = ch.ChartField(ctx.chart, ch.COVECTOR,
-                           lambda c: -np.asarray(gx(c), dtype=object))
-    neg_gy = ch.ChartField(ctx.chart, ch.COVECTOR,
-                           lambda c: -np.asarray(gy(c), dtype=object))
-    a_cov = neg_gx if s > 0 else gx
-    b_cov = gy if s > 0 else neg_gy
-    br = courant_bracket(x, a_cov, y, b_cov, ctx, point)
+    br = courant_bracket(x, flat_covector(ctx, x, -s), y,
+                         flat_covector(ctx, y, s), ctx, point)
     plus, minus = split_pm(br, ctx)
     return plus if s > 0 else minus
 

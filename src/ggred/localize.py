@@ -138,9 +138,9 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     curvature (or the plain curvature when ``use_flux`` is false) times the
     metric volume factor, normalized by (2 pi)^(dim/2).
 
-    Each slab of nodes along the last two axes is one batch point; terms
-    are summed in C order.  A ``TypeError`` on the first slab (a field that
-    compares a coordinate or calls ``math``) runs the grid node by node.
+    Each slab of nodes along the last two axes is one batch point
+    (:func:`ggred.dual.batched`, which runs a field with no batch form node
+    by node); terms are summed in C order.
     """
     lo, hi = (np.asarray(domain[0], dtype=float),
               np.asarray(domain[1], dtype=float))
@@ -166,20 +166,15 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
             np.sqrt(np.linalg.det(ch._stack(gmat)))
 
     tail = list(np.indices((order, order)).reshape(2, -1))
-    total, batch = 0.0, True
-    for k, head in enumerate(np.ndindex(*([order] * (n - 2)))):
-        idx = [np.full(order * order, i) for i in head] + tail
-        p = [nodes[a][idx[a]] for a in range(n)]
-        w = functools.reduce(np.multiply,
-                             [weights[a][idx[a]] for a in range(n)], 1.0)
-        try:
-            part = terms([dual.Batch(x) for x in p], w) if batch else None
-        except TypeError:
-            if k:
-                raise
-            batch = False
-        for t in part if batch else map(terms, map(list, zip(*p)), w):
-            total += t
+    idx = ([np.full(order * order, i) for i in head] + tail
+           for head in np.ndindex(*([order] * (n - 2))))
+    slabs = ((np.stack([nodes[a][i[a]] for a in range(n)], axis=1),
+              functools.reduce(np.multiply,
+                               [weights[a][i[a]] for a in range(n)], 1.0))
+             for i in idx)
+    total = 0.0
+    for t in dual.batched(terms, slabs):
+        total += t
     return total / (2.0 * np.pi) ** (n // 2)
 
 
