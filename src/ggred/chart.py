@@ -33,7 +33,6 @@ from . import dual
 from .errors import DegreeError, DomainError, EvaluationError, SingularMetricError
 
 EPS_ID = 1e-8          # tolerance for pointwise algebraic identities
-EPS_CROSS = 1e-6       # tolerance for checks routed through a chart map
 DOMAIN_MARGIN = 1e-3   # sampled points stay this fraction of each axis inside
 PIVOT_RTOL = 1e-12     # a pivot <= this share of max |entry| is singular
 
@@ -350,39 +349,27 @@ def riemann_from_jet(jet: PointJet) -> np.ndarray:
     return rlow
 
 
-def frame_contract(arr, f1, f2, f3, f4) -> np.ndarray:
-    """Contract a 4-index array into frames, keeping the raw slot order.
+def frame_contract(arr, *frames) -> np.ndarray:
+    """Contract the leading slots of an array into frames, in slot order.
 
-    ``out[a, b, c, d] = arr[i, j, k, l] f1[a, i] f2[b, j] f3[c, k]
-    f4[d, l]``; each frame is an (m, n) array whose rows are the frame
-    vectors' components.  Staged as four pairwise contractions: each one
-    contracts the leading axis with a frame (a reshape and one matrix
-    product) and appends the frame index, so no 5-operand product is formed.
-    Trailing node axes on ``arr`` and the frames give one product per node.
+    ``out[a, b, ...] = arr[i, j, ...] f1[a, i] f2[b, j] ...``, one frame
+    per leading slot; each frame is an (m, n) array whose rows are the
+    frame vectors' components, and entries may be duals.  Staged as one
+    pairwise contraction per frame: each contracts the leading axis with
+    the frame (a reshape and one matrix product) and appends the frame
+    index, so no many-operand product is formed.  Trailing node axes on
+    ``arr`` and the frames give one product per node.
     """
-    out = _stack(np.asarray(arr), 4)
-    lead = out.ndim - 4
-    for frame in (f1, f2, f3, f4):
+    k = len(frames)
+    out = _stack(np.asarray(arr), k)
+    lead = out.ndim - k
+    for frame in frames:
         frame = _stack(frame)
         shape = out.shape
         out = (out.reshape(shape[:lead + 1] + (-1,)).swapaxes(-1, -2)
                @ frame.swapaxes(-1, -2)).reshape(
             shape[:lead] + shape[lead + 1:] + frame.shape[-2:-1])
-    return _stack(out, out.ndim - 4)
-
-
-def pullback(arr, frame) -> np.ndarray:
-    """Pull a k-index array back through one frame in every slot.
-
-    ``out[a, b, ...] = arr[i, j, ...] frame[a, i] frame[b, j] ...``; the
-    (m, n) frame holds one vector's components per row and may carry
-    dual entries.  Staged as k tensordots over the leading axis, so a
-    3-form costs n^3 m + n^2 m^2 + n m^3 products instead of n^3 m^3.
-    """
-    out = np.asarray(arr)
-    for _ in range(out.ndim):
-        out = np.tensordot(out, frame, axes=(0, 1))
-    return out
+    return _stack(out, out.ndim - k)
 
 
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` executes checks against a scenario and emits a JSON or
 aligned-text report; ``list`` prints the scenario/check registry; ``validate``
-performs schema validation plus a light scenario dry run.
+performs schema validation, a light scenario dry run and the applicability
+test of the listed checks.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 malformed
 configuration, 3 scenario setup violated an invariant.
@@ -87,7 +88,8 @@ def load_config(data: dict) -> dict:
 
 
 def setup_scenario(cfg: dict) -> sc.Scenario:
-    """Instantiate and dry-run the scenario's structural invariants."""
+    """Instantiate the scenario, dry-run its structural invariants and
+    test that every listed check applies to it."""
     scenario = sc.build(cfg["scenario"], cfg["parameters"],
                         factory=cfg.get("factory"))
     rng = np.random.default_rng(cfg["seed"])
@@ -104,6 +106,11 @@ def setup_scenario(cfg: dict) -> sc.Scenario:
         scenario.quotient.check_maps(rng)
     if scenario.section is not None:
         scenario.section.check_maps(rng)
+    for cid in cfg["checks"] or ():
+        if not ck.applicable(scenario, cid):
+            raise ScenarioError(
+                f"check {cid!r} is not applicable to scenario "
+                f"{scenario.name!r}")
     return scenario
 
 
@@ -112,11 +119,6 @@ def run_scenario(cfg: dict) -> dict:
     requested = cfg["checks"]
     if requested is None:
         requested = ck.default_checks(scenario)
-    for cid in requested:
-        if not ck.applicable(scenario, cid):
-            raise ScenarioError(
-                f"check {cid!r} is not applicable to scenario "
-                f"{scenario.name!r}")
     tol_over = cfg["tolerances"].get("cross")
 
     def one(cid):
@@ -215,17 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path):
+    """The raw JSON of a config file; ConfigError if missing or invalid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def _config_from_args(args) -> dict:
     if args.config and args.scenario:
         raise ConfigError("give either a config file or --scenario")
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = _read_config(args.config)
     elif args.scenario:
         raw = {"scenario": args.scenario, "parameters": _parse_set(args.set)}
     else:
@@ -245,18 +252,18 @@ def main(argv=None) -> int:
             sys.stdout.write(list_text())
             return 0
         if args.command == "validate":
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            cfg = load_config(raw)
-            setup_scenario(cfg)
+            setup_scenario(load_config(_read_config(args.config)))
             sys.stdout.write("ok\n")
             return 0
         cfg = _config_from_args(args)
         report = run_scenario(cfg)
         text = format_report(report, args.format)
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(format_report(report, "json"))
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(format_report(report, "json"))
+            except OSError as exc:
+                raise ConfigError(f"cannot write the report: {exc}") from exc
         sys.stdout.write(text)
         return 0 if report["status"] == "pass" else 1
     except ConfigError as exc:
@@ -265,12 +272,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"config error: invalid JSON ({exc})\n")
-        return 2
     except GgredError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 3

@@ -128,10 +128,8 @@ def split_pm(a: GeneralizedVector, ctx: GeneralizedMetricContext):
 
 
 def _sgn(sign) -> float:
-    if sign in (1, +1.0, "+", "plus"):
-        return 1.0
-    if sign in (-1, -1.0, "-", "minus"):
-        return -1.0
+    if sign in (1, -1):
+        return float(sign)
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 

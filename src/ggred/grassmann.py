@@ -20,7 +20,6 @@ from scipy.linalg import schur
 from .errors import AsymmetryError, OddDimensionError, UnknownGeneratorError
 
 MAX_GENERATORS = 16
-_COEFF_TOL = 0.0  # exact storage; pruning only of exact zeros
 
 
 def _parity_above(mask: int) -> int:

@@ -395,10 +395,8 @@ def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
     p = scn.lift(qpoint)
     ea, ctx = scn.ea, scn.ctx
     gmat, ginv, hval, gamma, rmin = _common_frame_data(ctx, p)
-    plus = np.array([np.asarray(v, dtype=float)
-                     for v in qt.horizontal_lift(scn, p, +1, basis)])
-    minus = np.array([np.asarray(v, dtype=float)
-                      for v in qt.horizontal_lift(scn, p, -1, basis)])
+    plus = qt.horizontal_lift(scn, p, +1, basis)
+    minus = qt.horizontal_lift(scn, p, -1, basis)
     s = ea.s
     # one jet of the stacked rows: [0, a] = V_a, [1, a] = xi_a
     jet = ch.differentiate(

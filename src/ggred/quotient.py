@@ -132,10 +132,8 @@ def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                        point) -> ReductionMatrices:
     """G_ab = g(V_a, V_b); K_ab = G_ab - xi_a(V_b);
     T_ab = G_ab + g^{-1}(xi_a, xi_b)."""
-    gmat = ctx.metric_at(point)
+    gmat, v, x = (dual.tighten(a) for a in _action_rows(ea, ctx, point))
     ginv = ch.metric_inverse(gmat)
-    v = np.array([np.asarray(f(point), dtype=float) for f in ea.V])
-    x = np.array([np.asarray(f(point), dtype=float) for f in ea.xi])
     G = v @ gmat @ v.T
     K = G - x @ v.T
     T = G + x @ ginv @ x.T
@@ -148,17 +146,20 @@ def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     return ReductionMatrices(G, K, T, Kinv, Tinv)
 
 
-def v_pm_values(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
-                sign: int):
-    """Rows V_a +/- g^{-1} xi_a at a point (dual-safe)."""
+def _action_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
+    """(g, V, xi) at a point as object arrays: g is n x n, and row a of the
+    s x n arrays V and xi holds V_a and xi_a (dual-safe)."""
     gmat = np.asarray(ctx.g(point), dtype=object)
-    ginv = ch.invert_matrix(gmat)
-    out = []
-    for vf, xf in zip(ea.V, ea.xi):
-        v = np.asarray(vf(point), dtype=object)
-        x = np.asarray(xf(point), dtype=object)
-        out.append(v + sign * (ginv @ x))
-    return out
+    v, x = (np.array([np.asarray(f(point), dtype=object) for f in fields])
+            for fields in (ea.V, ea.xi))
+    return gmat, v, x
+
+
+def v_pm_values(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
+                sign: int) -> np.ndarray:
+    """The s x n rows V_a +/- g^{-1} xi_a at a point (dual-safe)."""
+    gmat, v, x = _action_rows(ea, ctx, point)
+    return v + sign * (ch.invert_matrix(gmat) @ x.T).T
 
 
 def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
@@ -171,15 +172,11 @@ def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
 
 
 def constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
-                    sign: int):
-    """Rows (g(V_a) + sign * xi_a)_j; tau_sign is their joint kernel."""
-    gmat = np.asarray(ctx.g(point), dtype=object)
-    rows = []
-    for vf, xf in zip(ea.V, ea.xi):
-        v = np.asarray(vf(point), dtype=object)
-        x = np.asarray(xf(point), dtype=object)
-        rows.append(gmat @ v + sign * x)
-    return rows
+                    sign: int) -> np.ndarray:
+    """The s x n rows (g(V_a) + sign * xi_a)_j; tau_sign is their joint
+    kernel (dual-safe)."""
+    gmat, v, x = _action_rows(ea, ctx, point)
+    return (gmat @ v.T).T + sign * x
 
 
 def d_constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext,
@@ -191,9 +188,8 @@ def d_constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     stack equals the exterior derivative of that sign's own row jet.
     """
     def rows(coords):
-        gmat = np.asarray(ctx.g(coords), dtype=object)
-        return [[gmat @ np.asarray(f(coords), dtype=object) for f in ea.V],
-                [np.asarray(f(coords), dtype=object) for f in ea.xi]]
+        gmat, v, x = _action_rows(ea, ctx, coords)
+        return [(gmat @ v.T).T, x]
 
     d1 = ch.differentiate(rows, point, order=1, chart=ctx.chart).d1
     out = []
@@ -208,8 +204,7 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
     """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
     with V the rows V_a^sign and T = V g V^T."""
     gmat = ctx.metric_at(point)
-    vpm = np.array([np.asarray(v, dtype=float)
-                    for v in v_pm_values(ea, ctx, point, sign)])
+    vpm = np.asarray(v_pm_values(ea, ctx, point, sign), dtype=float)
     t = vpm @ gmat @ vpm.T
     try:
         tinv = np.linalg.inv(t)
@@ -243,9 +238,7 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
 
 def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
     """K^{-1} for K_ab = g(V_a, V_b) - xi_a(V_b) at a point (dual-safe)."""
-    gmat = np.asarray(ctx.g(point), dtype=object)
-    v = np.array([np.asarray(f(point), dtype=object) for f in ea.V])
-    x = np.array([np.asarray(f(point), dtype=object) for f in ea.xi])
+    gmat, v, x = _action_rows(ea, ctx, point)
     return ch.invert_matrix(v @ gmat @ v.T - x @ v.T)
 
 
@@ -271,7 +264,7 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     def theta_fn(coords):
         # theta^a = K^{ba} g(V_b^+) on tau_+, K^{ab} g(V_b^-) on tau_-
         kinv = _k_inverse(ea, ctx, coords)
-        rows = np.array(constraint_rows(ea, ctx, coords, sign))
+        rows = constraint_rows(ea, ctx, coords, sign)
         return (kinv.T if sign > 0 else kinv) @ rows
 
     jet = ch.differentiate(theta_fn, point, order=1)
@@ -323,7 +316,8 @@ def project_jacobian(scn: QuotientScenario, point):
 
 
 def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
-    """tau_sign lifts of quotient vectors at an ambient point.
+    """tau_sign lifts of quotient vectors at an ambient point, one row per
+    vector (a float array at a float point).
 
     Solves the square system stacking the s constraint rows of tau_sign on
     d(project), one factorization for all vectors; raises LiftError when
@@ -331,14 +325,11 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
     """
     if len(qvecs) == 0:
         return []
-    rows = constraint_rows(scn.ea, scn.ctx, point, sign)
-    dproj = project_jacobian(scn, point)
     n = scn.ambient_dim
     s = scn.ea.s
     mat = np.empty((n, n), dtype=object)
-    for a in range(s):
-        mat[a, :] = rows[a]
-    mat[s:, :] = dproj
+    mat[:s] = constraint_rows(scn.ea, scn.ctx, point, sign)
+    mat[s:] = project_jacobian(scn, point)
     rhs = np.empty((n, len(qvecs)), dtype=object)
     rhs[:s] = 0.0
     rhs[s:] = np.asarray(qvecs, dtype=object).T
@@ -346,7 +337,8 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
         sol = ch.solve_linear(mat, rhs)
     except SingularMetricError as exc:
         raise LiftError(f"horizontal lift degenerate: {exc}") from exc
-    return [dual.tighten(x) for x in sol.T]
+    # C order, as the rows were: BLAS may round strided rows differently
+    return dual.tighten(sol.T.copy())
 
 
 def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
@@ -373,10 +365,8 @@ def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):
     at lift(qpoint); raises LiftError unless the metric is positive."""
     m = scn.reduced_dim
     p = scn.lift(qpoint)
-    lifts = np.array([np.asarray(v, dtype=float)
-                      for v in horizontal_lift(scn, p, sign, np.eye(m))])
-    gmat = scn.ctx.metric_at(p)
-    gred = np.array([[la @ gmat @ lb for lb in lifts] for la in lifts])
+    lifts = horizontal_lift(scn, p, sign, np.eye(m))
+    gred = ch.frame_contract(scn.ctx.metric_at(p), lifts, lifts)
     try:
         np.linalg.cholesky(0.5 * (gred + gred.T))
     except np.linalg.LinAlgError as exc:
@@ -407,7 +397,8 @@ def _reduced_flux(scn: QuotientScenario, point, lifts):
     array L Omega^a L^T and the vector xi_a L^T of the lift rows L.
     """
     lifts = np.array(lifts, dtype=object)
-    out = ch.pullback(np.asarray(scn.ctx.H(point), dtype=object), lifts)
+    out = ch.frame_contract(np.asarray(scn.ctx.H(point), dtype=object),
+                            lifts, lifts, lifts)
     om = omega_two_form(scn, point)
     for a, xf in enumerate(scn.ea.xi):
         o = lifts @ om[a] @ lifts.T
@@ -434,10 +425,9 @@ def reduced_metric_field(scn: QuotientScenario) -> ch.ChartField:
 
     def fn(coords):
         p = scn.lift(coords)
-        lifts = np.array(horizontal_lift(scn, p, +1, np.eye(m)),
-                         dtype=object)
-        gmat = np.asarray(scn.ctx.g(p), dtype=object)
-        return lifts @ gmat @ lifts.T
+        lifts = horizontal_lift(scn, p, +1, np.eye(m))
+        return ch.frame_contract(np.asarray(scn.ctx.g(p), dtype=object),
+                                 lifts, lifts)
     return ch.ChartField(scn.quotient, ch.METRIC, fn, name="g_red")
 
 
@@ -467,11 +457,11 @@ def reduced_bismut(scn: QuotientScenario, xq: ch.ChartField,
     :func:`reduced_bismut_direct`.
     """
     p = scn.lift(qpoint)
-    xplus = np.asarray(horizontal_lift(
-        scn, p, +1, [np.asarray(xq(qpoint), dtype=float)])[0], dtype=float)
+    xplus = horizontal_lift(scn, p, +1,
+                            [np.asarray(xq(qpoint), dtype=float)])[0]
     yfield = lifted_field(scn, yq, -1)
-    zminus = np.asarray(horizontal_lift(
-        scn, p, -1, [np.asarray(zq(qpoint), dtype=float)])[0], dtype=float)
+    zminus = horizontal_lift(scn, p, -1,
+                             [np.asarray(zq(qpoint), dtype=float)])[0]
     jy = ch.differentiate(yfield, p, order=1, chart=scn.ctx.chart)
     coeffs = bismut_connection_coeffs(-1, scn.ctx, p)
     nab = np.einsum("j,ji->i", xplus, jy.d1) \
@@ -529,10 +519,8 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
         basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
     p = scn.lift(qpoint)
-    plus = np.array([np.asarray(v, dtype=float)
-                     for v in horizontal_lift(scn, p, +1, basis)])
-    minus = np.array([np.asarray(v, dtype=float)
-                      for v in horizontal_lift(scn, p, -1, basis)])
+    plus = horizontal_lift(scn, p, +1, basis)
+    minus = horizontal_lift(scn, p, -1, basis)
     gmat = ctx.metric_at(p)
     rm = reduction_matrices(ea, ctx, p)
     rmin = bismut_curvature(-1, ctx, p)
@@ -583,8 +571,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
     m = basis.shape[0]
     p = scn.lift(qpoint)
     gmat = ctx.metric_at(p)
-    lifts = np.array([np.asarray(v, dtype=float)
-                      for v in horizontal_lift(scn, p, +1, basis)])
+    lifts = horizontal_lift(scn, p, +1, basis)
 
     qfields = [ch.ChartField(scn.quotient, ch.VECTOR,
                              lambda c, w=basis[i]: np.array(w), name=f"E{i}")

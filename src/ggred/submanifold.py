@@ -50,9 +50,9 @@ class SectionData:
                        for s in self.sigma],
             point, order=order, chart=self.sigma[0].chart)
 
-    def gradients(self, point):
-        """d sigma rows (dual-safe)."""
-        return list(np.asarray(self.jet(point).d1, dtype=object).T)
+    def gradients(self, point) -> np.ndarray:
+        """The r x n rows d sigma^alpha in C order (dual-safe)."""
+        return np.ascontiguousarray(self.jet(point).d1.T)
 
     def on_locus(self, point, tol: float = EPS_LOCUS) -> bool:
         return bool(np.max(np.abs(self.values(point))) <= tol)
@@ -64,7 +64,7 @@ def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
     if not sd.on_locus(point):
         raise TangencyError("t_matrix needs a point on the zero locus")
     ginv = ch.metric_inverse(ctx.metric_at(point))
-    grads = np.array([np.asarray(g, dtype=float) for g in sd.gradients(point)])
+    grads = sd.gradients(point)
     tup = grads @ ginv @ grads.T
     try:
         np.linalg.cholesky(0.5 * (tup + tup.T))
@@ -126,14 +126,9 @@ def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
 def induced_metric_field(scn: SubmanifoldScenario) -> ch.ChartField:
     def fn(u):
         p = scn.embed(u)
-        gmat = np.asarray(scn.ctx.g(p), dtype=object)
-        demb = embed_jacobian(scn, u)
-        m = scn.locus_dim
-        out = np.empty((m, m), dtype=object)
-        for a in range(m):
-            for b in range(m):
-                out[a, b] = demb[:, a] @ gmat @ demb[:, b]
-        return out
+        frame = embed_jacobian(scn, u).T
+        return ch.frame_contract(np.asarray(scn.ctx.g(p), dtype=object),
+                                 frame, frame)
     return ch.ChartField(scn.nchart, ch.METRIC, fn, name="induced g")
 
 
@@ -144,7 +139,8 @@ def induced_flux_field(scn: SubmanifoldScenario) -> ch.ChartField:
 
     def fn(u):
         hval = np.asarray(scn.ctx.H(scn.embed(u)), dtype=object)
-        return ch.pullback(hval, embed_jacobian(scn, u).T)
+        frame = embed_jacobian(scn, u).T
+        return ch.frame_contract(hval, frame, frame, frame)
     return ch.ChartField(scn.nchart, ch.form_valence(3), fn, name="induced H")
 
 
@@ -163,7 +159,7 @@ def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int, point) -> np.ndarray:
 
 
 def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):
-    grads = [np.asarray(g, dtype=float) for g in scn.sd.gradients(point)]
+    grads = scn.sd.gradients(point)
     for v in vecs:
         for gr in grads:
             if abs(float(gr @ v)) > tol:
@@ -230,8 +226,7 @@ def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
 
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     ginv = ch.metric_inverse(scn.ctx.metric_at(p))
-    grads = np.array([np.asarray(g, dtype=float)
-                      for g in scn.sd.gradients(p)])
+    grads = scn.sd.gradients(p)
     mm = nabla_pm_dsigma(scn, -1, p)   # [a, i, j]
     corr = np.einsum("ab,bjk,j,k,ai->i", tlow, mm, xv, yv, grads @ ginv)
     corrected = nab + corr
@@ -305,8 +300,7 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     term1 = np.swapaxes(ch.frame_contract(rarr, basis, basis, basis, basis),
                         2, 3)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
-    grads = np.array([np.asarray(g, dtype=float)
-                      for g in scn.sd.gradients(p)])
+    grads = scn.sd.gradients(p)
     coeffs = ch.christoffel(scn.ctx.g, p)
     hess = []
     for s in scn.sd.sigma:

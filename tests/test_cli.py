@@ -217,3 +217,36 @@ def test_set_fractional_integer_parameter_is_config_error(
     assert rc == 2
     err = capsys.readouterr().err
     assert param in err and "2.5" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"scenario": "flat_torus", "checks": ["thm65"]},
+    {"scenario": "hopf", "parameters": {"flux": 1.0}, "checks": ["oneill"]},
+], ids=["thm65_on_flat_torus", "oneill_with_flux"])
+def test_validate_rejects_an_inapplicable_check_as_run_does(tmp_path, capsys,
+                                                             payload):
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["validate", cfg]) == 3
+    assert "not applicable" in capsys.readouterr().err
+    assert cli.main(["run", cfg]) == 3
+    assert "not applicable" in capsys.readouterr().err
+
+
+def test_validate_missing_config_file(capsys):
+    assert cli.main(["validate", "/nonexistent/cfg.json"]) == 2
+    assert "config not found" in capsys.readouterr().err
+
+
+def test_validate_invalid_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json", encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_is_config_error(tmp_path, capsys):
+    rc = cli.main(["run", "--scenario", "flat_torus", "--checks",
+                   "pair_symmetry", "--set", "points=2",
+                   "--report", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    assert "cannot write the report" in capsys.readouterr().err

@@ -1,0 +1,362 @@
+"""The one frame contraction and the one reader of the action rows.
+
+``chart.frame_contract`` restricts the metric and pulls back the flux
+through any number of frames; ``quotient._action_rows`` reads g, V_a and
+xi_a for every routine built on the action, and the reduction steps pass
+stacked (k, n) arrays.  Each is compared bit for bit with the plain loop it
+replaced, written out here, at float points and at points that carry a dual
+coordinate.  Different frames go into different slots, so a swapped slot
+shows, and one action sits on a metric matrix that is not symmetric, so a
+transposed g shows.
+"""
+
+import numpy as np
+import pytest
+
+from ggred import chart as ch
+from ggred import dual
+from ggred import genmetric as gm
+from ggred import quotient as qt
+from ggred import submanifold as sm
+from ggred.chart import COVECTOR, METRIC, SCALAR, VECTOR, Chart, ChartField
+from ggred.dual import Dual, cos, sin
+from ggred.genmetric import GeneralizedMetricContext
+from ggred.scenarios import hopf, product_qg, s3xt2, sphere_in_flat
+
+
+def _bits(x):
+    """Exact structure of a float or nested dual, for bitwise comparison."""
+    if isinstance(x, Dual):
+        return (x.level, _bits(x.val), _bits(x.eps))
+    return float(x).hex()
+
+
+def _all_bits(arr):
+    return [_bits(v) for v in np.asarray(arr, dtype=object).ravel().tolist()]
+
+
+def _assert_same(new, old, float_point):
+    """``new`` is the stacked ndarray of the rows ``old``, bit for bit."""
+    old = np.asarray(old, dtype=object)
+    assert isinstance(new, np.ndarray)
+    assert new.shape == old.shape
+    if float_point:
+        assert new.dtype == float and new.flags.c_contiguous
+        assert np.array_equal(new, old.astype(float))
+    assert _all_bits(new) == _all_bits(old)
+
+
+# -- frame_contract against the contractions it replaced ----------------------
+
+def _loop_pullback(arr, *frames):
+    """The staged tensordot pull-back, one frame per slot."""
+    out = np.asarray(arr)
+    for frame in frames:
+        out = np.tensordot(out, frame, axes=(0, 1))
+    return out
+
+
+def _loop_restriction(gmat, f1, f2):
+    """g on pairs of frame rows, as the lifted metric was formed."""
+    return np.array([[la @ gmat @ lb for lb in f2] for la in f1])
+
+
+def _loop_induced(gmat, demb1, demb2):
+    """g on pairs of jacobian columns, entry by entry, as the induced
+    metric was formed."""
+    out = np.empty((demb1.shape[1], demb2.shape[1]), dtype=object)
+    for a in range(demb1.shape[1]):
+        for b in range(demb2.shape[1]):
+            out[a, b] = demb1[:, a] @ gmat @ demb2[:, b]
+    return out
+
+
+def _float_array(rng, shape):
+    return rng.normal(size=shape)
+
+
+def _dual_array(rng, shape):
+    """Nested duals of two levels, with some plain float entries."""
+    s = Dual(0.3, 1.0, dual.fresh_level())
+    t = Dual(0.7, 1.0, dual.fresh_level())
+    c = rng.normal(size=shape + (3,))
+    out = np.empty(shape, dtype=object)
+    for k, idx in enumerate(np.ndindex(*shape)):
+        a, b, e = c[idx]
+        out[idx] = a if k % 3 == 0 else a + b * sin(s * e) + e * t
+    return out
+
+
+MAKERS = [_float_array, _dual_array]
+MAKER_IDS = ["float", "dual"]
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_frame_is_the_pullback(make, seed):
+    rng = np.random.default_rng(seed)
+    arr, frame = make(rng, (5,)), make(rng, (3, 5))
+    got = ch.frame_contract(arr, frame)
+    assert got.shape == (3,)
+    assert _all_bits(got) == _all_bits(_loop_pullback(arr, frame))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_two_frames_are_the_metric_restrictions(make, seed):
+    # object entries (duals, or floats in the dual-safe fields) keep the
+    # loops' products and sums; float arrays go through BLAS, where matrix
+    # products and the tensordot agree, but vector-matrix products may
+    # round differently, so the float comprehension gets a bound instead
+    rng = np.random.default_rng(seed)
+    gmat, f1, f2 = make(rng, (5, 5)), make(rng, (3, 5)), make(rng, (4, 5))
+    got = ch.frame_contract(gmat, f1, f2)
+    assert got.shape == (3, 4)
+    assert _all_bits(got) == _all_bits(_loop_pullback(gmat, f1, f2))
+    obj = [np.asarray(a, dtype=object) for a in (gmat, f1, f2)]
+    got_obj = ch.frame_contract(*obj)
+    assert _all_bits(got_obj) == _all_bits(_loop_restriction(*obj))
+    assert _all_bits(got_obj) == \
+        _all_bits(_loop_induced(obj[0], obj[1].T, obj[2].T))
+    if make is _float_array:
+        bound = 10 * np.finfo(float).eps * (abs(f1) @ abs(gmat) @ abs(f2).T)
+        assert np.all(np.abs(got - _loop_restriction(gmat, f1, f2)) <= bound)
+
+
+@pytest.mark.parametrize("scn", [s3xt2({}).quotient, product_qg({}).quotient,
+                                 hopf({"flux": 1.0}).quotient],
+                         ids=["s3xt2", "product_qg", "hopf_flux"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_lifted_metric_keeps_the_comprehension_bits(scn, sign):
+    # the float restriction of the built-in quotients' lifts: the reports
+    # rest on these bits
+    for q in scn.quotient.sample(np.random.default_rng(12), 20):
+        p, lifts, gred = qt._lifted_metric(scn, q, sign)
+        gmat = scn.ctx.metric_at(p)
+        assert np.array_equal(gred, _loop_restriction(gmat, lifts, lifts))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_three_frames_are_the_flux_pullback(make, seed):
+    rng = np.random.default_rng(seed)
+    h = make(rng, (5, 5, 5))
+    frames = [make(rng, (m, 5)) for m in (3, 4, 2)]
+    got = ch.frame_contract(h, *frames)
+    assert got.shape == (3, 4, 2)
+    assert _all_bits(got) == _all_bits(_loop_pullback(h, *frames))
+
+
+def test_frame_contract_mixes_float_frames_and_dual_entries():
+    rng = np.random.default_rng(4)
+    h = _dual_array(rng, (4, 4, 4))
+    frames = [_float_array(rng, (m, 4)) for m in (2, 3, 3)]
+    got = ch.frame_contract(h, *frames)
+    assert got.dtype == object
+    assert _all_bits(got) == _all_bits(_loop_pullback(h, *frames))
+
+
+# -- the action rows: four actions, float and dual points ---------------------
+
+def _two_generator_action():
+    """s3xt2 with a second generator and 1-form, so that K_ab is far from
+    symmetric, over a 3-dimensional quotient chart so that the lift system
+    is square.  Only the algebra is exercised."""
+    s = s3xt2({}).quotient
+    box = s.ctx.chart
+    v2 = ChartField(box, VECTOR,
+                    lambda c: [0.0, 0.2 * sin(c[1]), 0.0, 1.0, 0.3],
+                    name="w")
+    x2 = ChartField(box, COVECTOR,
+                    lambda c: [0.6 * cos(c[0]), 0.0, 0.4, 0.0, 0.0],
+                    name="eta")
+    ea = qt.ExtendedAction((s.ea.V[0], v2), (s.ea.xi[0], x2))
+    qchart = Chart("s2xS1", (box.lower[0], box.lower[1], box.lower[4]),
+                   (box.upper[0], box.upper[1], box.upper[4]))
+    return qt.QuotientScenario(
+        s.ctx, ea, qchart, lambda c: [c[0], c[1], c[4]],
+        lambda q: [q[0], q[1], 2.0, 1.0, q[2]])
+
+
+def _asymmetric_metric_action():
+    """The two-generator action over a metric matrix with g_01 != g_10,
+    so that g and its transpose give different rows."""
+    scn = _two_generator_action()
+    g0 = scn.ctx.g
+
+    def gfn(c):
+        g = np.array(g0(c), dtype=object)
+        g[0, 1] = g[0, 1] + 0.1 * sin(c[0])
+        return g
+    ctx = GeneralizedMetricContext(
+        ChartField(g0.chart, METRIC, gfn, name="asymmetric"), scn.ctx.H)
+    return qt.QuotientScenario(ctx, scn.ea, scn.quotient, scn.project,
+                               scn.lift)
+
+
+QUOTIENTS = [s3xt2({}).quotient, product_qg({}).quotient,
+             _two_generator_action(), _asymmetric_metric_action()]
+QUOTIENT_IDS = ["s3xt2", "product_qg", "two_generators", "asymmetric_g"]
+
+
+def _point(scn, with_dual):
+    p = list(scn.lift(scn.quotient.sample(np.random.default_rng(6), 1)[0]))
+    if with_dual:
+        p[0] = Dual(p[0], 1.0, dual.fresh_level())
+    return p
+
+
+def _old_constraint_rows(ea, ctx, point, sign):
+    gmat = np.asarray(ctx.g(point), dtype=object)
+    rows = []
+    for vf, xf in zip(ea.V, ea.xi):
+        v = np.asarray(vf(point), dtype=object)
+        x = np.asarray(xf(point), dtype=object)
+        rows.append(gmat @ v + sign * x)
+    return rows
+
+
+def _old_v_pm_values(ea, ctx, point, sign):
+    gmat = np.asarray(ctx.g(point), dtype=object)
+    ginv = ch.invert_matrix(gmat)
+    out = []
+    for vf, xf in zip(ea.V, ea.xi):
+        v = np.asarray(vf(point), dtype=object)
+        x = np.asarray(xf(point), dtype=object)
+        out.append(v + sign * (ginv @ x))
+    return out
+
+
+def _old_horizontal_lift(scn, point, sign, qvecs):
+    rows = _old_constraint_rows(scn.ea, scn.ctx, point, sign)
+    n, s = scn.ambient_dim, scn.ea.s
+    mat = np.empty((n, n), dtype=object)
+    for a in range(s):
+        mat[a, :] = rows[a]
+    mat[s:, :] = qt.project_jacobian(scn, point)
+    rhs = np.empty((n, len(qvecs)), dtype=object)
+    rhs[:s] = 0.0
+    rhs[s:] = np.asarray(qvecs, dtype=object).T
+    return [dual.tighten(x) for x in ch.solve_linear(mat, rhs).T]
+
+
+def _old_reduction_matrices(ea, ctx, point):
+    gmat = ctx.metric_at(point)
+    ginv = ch.metric_inverse(gmat)
+    v = np.array([np.asarray(f(point), dtype=float) for f in ea.V])
+    x = np.array([np.asarray(f(point), dtype=float) for f in ea.xi])
+    G = v @ gmat @ v.T
+    K = G - x @ v.T
+    T = G + x @ ginv @ x.T
+    return G, K, T, np.linalg.inv(K), np.linalg.inv(T)
+
+
+def _old_k_inverse(ea, ctx, point):
+    gmat = np.asarray(ctx.g(point), dtype=object)
+    v = np.array([np.asarray(f(point), dtype=object) for f in ea.V])
+    x = np.array([np.asarray(f(point), dtype=object) for f in ea.xi])
+    return ch.invert_matrix(v @ gmat @ v.T - x @ v.T)
+
+
+def _old_d_constraint_rows(ea, ctx, point):
+    def rows(coords):
+        gmat = np.asarray(ctx.g(coords), dtype=object)
+        return [[gmat @ np.asarray(f(coords), dtype=object) for f in ea.V],
+                [np.asarray(f(coords), dtype=object) for f in ea.xi]]
+
+    d1 = ch.differentiate(rows, point, order=1, chart=ctx.chart).d1
+    out = []
+    for sign in (+1, -1):
+        d = d1[:, 0] + sign * d1[:, 1]
+        out.append(d.transpose(1, 0, 2) - d.transpose(1, 2, 0))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
+@pytest.mark.parametrize("with_dual", [False, True], ids=["float", "dual"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_rows_are_stacked_per_generator_rows(scn, with_dual, sign):
+    ea, ctx = scn.ea, scn.ctx
+    p = _point(scn, with_dual)
+    rows = qt.constraint_rows(ea, ctx, p, sign)
+    assert rows.shape == (ea.s, scn.ambient_dim)
+    _assert_same(dual.tighten(rows), _old_constraint_rows(ea, ctx, p, sign),
+                 not with_dual)
+    _assert_same(dual.tighten(qt.v_pm_values(ea, ctx, p, sign)),
+                 _old_v_pm_values(ea, ctx, p, sign), not with_dual)
+    for a in range(ea.s):
+        assert _all_bits(qt.xi_pm_field(ea, ctx, a, sign)(p)) == \
+            _all_bits(rows[a])
+
+
+@pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
+@pytest.mark.parametrize("with_dual", [False, True], ids=["float", "dual"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_lift_is_one_row_per_vector(scn, with_dual, sign):
+    p = _point(scn, with_dual)
+    m = scn.reduced_dim
+    qvecs = list(np.random.default_rng(3).normal(size=(2, m))) + \
+        list(np.eye(m))
+    lifts = qt.horizontal_lift(scn, p, sign, qvecs)
+    assert lifts.shape == (m + 2, scn.ambient_dim)
+    _assert_same(lifts, _old_horizontal_lift(scn, p, sign, qvecs),
+                 not with_dual)
+
+
+@pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
+def test_reduction_matrices_equal_the_row_loop(scn):
+    p = _point(scn, False)
+    rm = qt.reduction_matrices(scn.ea, scn.ctx, p)
+    got = (rm.G, rm.K, rm.T, rm.Kinv, rm.Tinv)
+    for new, old in zip(got, _old_reduction_matrices(scn.ea, scn.ctx, p)):
+        assert new.dtype == float
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
+@pytest.mark.parametrize("with_dual", [False, True], ids=["float", "dual"])
+def test_k_inverse_and_row_derivatives_equal_the_row_loops(scn, with_dual):
+    ea, ctx = scn.ea, scn.ctx
+    p = _point(scn, with_dual)
+    assert _all_bits(qt._k_inverse(ea, ctx, p)) == \
+        _all_bits(_old_k_inverse(ea, ctx, p))
+    for new, old in zip(qt.d_constraint_rows(ea, ctx, p),
+                        _old_d_constraint_rows(ea, ctx, p)):
+        assert new.shape == (ea.s,) + (scn.ambient_dim,) * 2
+        assert _all_bits(new) == _all_bits(old)
+
+
+# -- SectionData.gradients ----------------------------------------------------
+
+def _two_constraint_section():
+    box = Chart("r3", (-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))
+    return sm.SectionData((
+        ChartField(box, SCALAR,
+                   lambda c: [c[0] ** 2 + c[1] ** 2 + c[2] ** 2 - 1.0]),
+        ChartField(box, SCALAR, lambda c: [c[0] * sin(c[2])])))
+
+
+@pytest.mark.parametrize("sd", [sphere_in_flat({}).section.sd,
+                                _two_constraint_section()],
+                         ids=["sphere_in_flat", "two_constraints"])
+@pytest.mark.parametrize("with_dual", [False, True], ids=["float", "dual"])
+def test_gradients_are_the_stacked_rows(sd, with_dual):
+    p = [0.3, -0.5, 0.7]
+    if with_dual:
+        p[2] = Dual(p[2], 1.0, dual.fresh_level())
+    grads = sd.gradients(p)
+    old = list(np.asarray(sd.jet(p).d1, dtype=object).T)
+    assert grads.shape == (sd.r, 3)
+    _assert_same(grads, old, not with_dual)
+
+
+# -- the sign of a torsion connection -----------------------------------------
+
+@pytest.mark.parametrize("sign", ["+", "plus", "-", "minus", 0, 2])
+def test_sign_other_than_plus_or_minus_one_is_rejected(sign):
+    with pytest.raises(ValueError):
+        gm._sgn(sign)
+
+
+def test_sign_plus_or_minus_one_is_kept():
+    assert [gm._sgn(s) for s in (1, -1, 1.0, -1.0)] == [1.0, -1.0, 1.0, -1.0]
