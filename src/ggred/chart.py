@@ -480,18 +480,24 @@ def lie_derivative(v: ChartField, t: ChartField, point) -> np.ndarray:
     return out
 
 
+def max_abs(residuals) -> float:
+    """The largest |entry| over samples, each an array or a number.
+
+    The one reduction from per-sample residuals to a check's residual: no
+    samples (or an empty array) give 0.0, and a NaN anywhere gives NaN, so
+    a tolerance test ``residual <= tol`` fails on it.
+    """
+    return float(np.max([np.max(np.abs(r), initial=0.0) for r in residuals],
+                        initial=0.0))
+
+
 def antisymmetry_residual(field: ChartField, points) -> float:
     """Worst violation of slot antisymmetry for a form-valued field."""
     if not field.valence.form or field.valence.cov < 2:
         return 0.0
-    k = field.valence.cov
-    worst = 0.0
-    for p in points:
-        arr = dual.tighten(np.asarray(field(p), dtype=object))
-        for a in range(k - 1):
-            swapped = np.swapaxes(arr, a, a + 1)
-            worst = max(worst, float(np.max(np.abs(arr + swapped))))
-    return worst
+    arrs = (dual.tighten(np.asarray(field(p), dtype=object)) for p in points)
+    return max_abs(arr + np.swapaxes(arr, a, a + 1) for arr in arrs
+                   for a in range(field.valence.cov - 1))
 
 
 def mgs_orthonormalize(vectors, gmat, tol: float = 1e-10):

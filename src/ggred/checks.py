@@ -2,7 +2,8 @@
 
 Each check draws its own deterministic random stream (derived from the run
 seed and the check's registry index), samples the relevant charts, and
-reports the worst residual over all samples together with its tolerance.
+reports the worst residual over all samples (``chart.max_abs``, so a NaN
+sample fails) together with its tolerance.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from . import localize as lz
 from . import quotient as qt
 from . import submanifold as sm
 from .dual import Batch, batched, sin
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .genmetric import (bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
 BATCH = 64   # sample points per batch point: one Euler slab at order 8
+MAX_ORDER = 32   # Euler quadrature nodes per axis
 
 
 @dataclass
@@ -104,8 +106,8 @@ def check_bismut_courant(s: Scenario, rng, tol, points=None) -> CheckResult:
 
     chunks = _chunks((pts, signs, *coeffs), np.flatnonzero(signs > 0),
                      np.flatnonzero(signs < 0))
-    worst = np.max(list(batched(residual, chunks)))
-    return _result("bismut_courant", npairs, worst, tol)
+    return _result("bismut_courant", npairs,
+                   ch.max_abs(batched(residual, chunks)), tol)
 
 
 def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -121,115 +123,118 @@ def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
             rp + np.einsum("ijkl...->ijlk...", rp))], axis=0)
 
     chunks = _chunks((s.chart.sample(rng, n),), np.arange(n))
-    worst = np.max(list(batched(residual, chunks)))
-    return _result("pair_symmetry", n, worst, tol)
+    return _result("pair_symmetry", n, ch.max_abs(batched(residual, chunks)),
+                   tol)
 
 
 def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Connection curvature of tau_pm: matrix-weighted d xi vs direct d theta."""
     n = _npoints(s, 25, points)
-    worst = 0.0
-    for p in s.chart.sample(rng, n):
-        tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
-        for sign, fr in ((+1, tp), (-1, tm)):
-            a, b = qt.omega_curvature(s.ea, s.ctx, sign, p, fr)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return _result("lemma62", n, worst, tol)
+
+    def residuals(p):
+        frames = zip((+1, -1), qt.horizontal_frames(s.ea, s.ctx, p))
+        return [np.subtract(*qt.omega_curvature(s.ea, s.ctx, sign, p, fr))
+                for sign, fr in frames]
+    return _result("lemma62", n, ch.max_abs(
+        r for p in s.chart.sample(rng, n) for r in residuals(p)), tol)
+
+
+def _quotient_pairs(s: Scenario, rng, n, oracle):
+    """The ambient-formula reduced curvature minus ``oracle`` at n quotient
+    samples, both on one quotient frame."""
+    scn = s.quotient
+    for q in scn.quotient.sample(rng, n):
+        basis = qt.quotient_frame(scn, q)
+        yield (qt.reduced_curvature_quotient(scn, q, basis)
+               - oracle(scn, q, basis))
 
 
 def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Ambient-formula reduced curvature vs direct quotient computation."""
     n = _npoints(s, 50, points)
-    scn = s.quotient
-    worst = 0.0
-    for q in scn.quotient.sample(rng, n):
-        basis = qt.quotient_frame(scn, q)
-        t = qt.reduced_curvature_quotient(scn, q, basis)
-        d = qt.reduced_curvature_direct(scn, q, basis)
-        worst = max(worst, float(np.max(np.abs(t - d))))
-    return _result("thm63", n, worst, tol)
+    return _result("thm63", n, ch.max_abs(_quotient_pairs(
+        s, rng, n, qt.reduced_curvature_direct)), tol)
+
+
+def _flux_free_action(s: Scenario, p) -> bool:
+    """No flux and every xi_a zero at p; a NaN xi is not flux-free."""
+    return not s.ctx.has_flux and ch.max_abs(
+        np.asarray(x(p), dtype=float) for x in s.ea.xi) == 0.0
 
 
 def check_oneill(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Flux-free degeneration vs the classical submersion formula."""
     scn = s.quotient
-    probe = scn.quotient.sample(rng, 1)[0]
-    p = scn.lift(probe)
-    if s.ctx.has_flux or max(float(np.max(np.abs(np.asarray(x(p),
-                                                            dtype=float))))
-                             for x in s.ea.xi) > 0:
+    if not _flux_free_action(s, scn.lift(scn.quotient.sample(rng, 1)[0])):
         raise ScenarioError("oneill check needs zero flux and zero xi")
     n = _npoints(s, 25, points)
-    worst = 0.0
-    for q in scn.quotient.sample(rng, n):
-        basis = qt.quotient_frame(scn, q)
-        t = qt.reduced_curvature_quotient(scn, q, basis)
-        o = qt.oneill_curvature(scn, q, basis)
-        worst = max(worst, float(np.max(np.abs(t - o))))
-    return _result("oneill", n, worst, tol)
+    return _result("oneill", n, ch.max_abs(_quotient_pairs(
+        s, rng, n, qt.oneill_curvature)), tol)
 
 
 def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Ambient-formula locus curvature vs direct induced-geometry value."""
     n = _npoints(s, 50, points)
     scn = s.section
-    worst = 0.0
-    for u in scn.nchart.sample(rng, n):
+
+    def residual(u):
         basis = sm.tangent_frame(scn, u)
-        t = sm.reduced_curvature_sub(scn, u, basis)
-        d = sm.reduced_curvature_sub_direct(scn, u, basis)
-        worst = max(worst, float(np.max(np.abs(t - d))))
-    return _result("thm65", n, worst, tol)
+        return (sm.reduced_curvature_sub(scn, u, basis)
+                - sm.reduced_curvature_sub_direct(scn, u, basis))
+    return _result("thm65", n,
+                   ch.max_abs(map(residual, scn.nchart.sample(rng, n))), tol)
+
+
+def _coeffs(e) -> np.ndarray:
+    """The coefficients of a Grassmann element, as an array for
+    ``chart.max_abs`` (``GrassmannElement.max_abs`` is Python's ``max``,
+    which passes over a NaN)."""
+    return np.array(list(e.coeffs.values()), dtype=float)
+
+
+def _chain_residual(point_frame, curvature, model, scn, x, basis):
+    """The chain exponent minus its curvature pairing, and the exponent's
+    terms of degree below 4, as one array of coefficients."""
+    pf = point_frame(scn, x, basis)
+    exponent, _ = lz.localize_model(pf, model)
+    target = lz.localized_exponent_target(pf, curvature(scn, x, basis))
+    low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
+    return np.concatenate([_coeffs(exponent - target), low])
 
 
 def check_localize2(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Gauged-model chain exponent vs reduced-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.quotient
-    worst = 0.0
-    for q in scn.quotient.sample(rng, n):
-        basis = qt.quotient_frame(scn, q)
-        pf = lz.point_frame_quotient(scn, q, basis)
-        exponent, _ = lz.localize_model(pf, "quotient")
-        thm = qt.reduced_curvature_quotient(scn, q, basis)
-        target = lz.localized_exponent_target(pf, thm)
-        worst = max(worst, (exponent - target).max_abs())
-        for k in (0, 1, 2, 3):
-            worst = max(worst, exponent.max_abs_degree(k))
-    return _result("localize2", n, worst, tol)
+    return _result("localize2", n, ch.max_abs(
+        _chain_residual(lz.point_frame_quotient, qt.reduced_curvature_quotient,
+                        "quotient", scn, q, qt.quotient_frame(scn, q))
+        for q in scn.quotient.sample(rng, n)), tol)
 
 
 def check_localize3(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Constrained-model chain exponent vs locus-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.section
-    worst = 0.0
-    for u in scn.nchart.sample(rng, n):
-        basis = sm.tangent_frame(scn, u)
-        pf = lz.point_frame_section(scn, u, basis)
-        exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(scn, u, basis)
-        target = lz.localized_exponent_target(pf, thm)
-        worst = max(worst, (exponent - target).max_abs())
-        for k in (0, 1, 2, 3):
-            worst = max(worst, exponent.max_abs_degree(k))
-    return _result("localize3", n, worst, tol)
+    return _result("localize3", n, ch.max_abs(
+        _chain_residual(lz.point_frame_section, sm.reduced_curvature_sub,
+                        "section", scn, u, sm.tangent_frame(scn, u))
+        for u in scn.nchart.sample(rng, n)), tol)
 
 
 def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Eliminated mixed multiplier vs its closed form."""
     n = _npoints(s, 25, points)
     scn = s.quotient
-    worst = 0.0
-    for q in scn.quotient.sample(rng, n):
-        basis = qt.quotient_frame(scn, q)
-        pf = lz.point_frame_quotient(scn, q, basis)
+
+    def residuals(q):
+        pf = lz.point_frame_quotient(scn, q, qt.quotient_frame(scn, q))
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
-        for a in range(pf.s):
-            diff = (closed[a] - details[f"pm{a}"][0]).max_abs()
-            worst = max(worst, diff)
-    return _result("phi_closed_form", n, worst, tol)
+        return [_coeffs(closed[a] - details[f"pm{a}"][0])
+                for a in range(pf.s)]
+    return _result("phi_closed_form", n, ch.max_abs(
+        r for q in scn.quotient.sample(rng, n) for r in residuals(q)), tol)
 
 
 def mixed_multiplier_closed_form(pf: lz.PointFrame):
@@ -275,8 +280,11 @@ def _euler_setup(s: Scenario):
         key = ("round_sphere", int(s.params.get("factors", 1)))
     else:
         key = None
-    order = min(int_param(s.params, "order", 16 if dim <= 2 else 8, s.name,
-                          positive=True), 32)
+    order = int_param(s.params, "order", 16 if dim <= 2 else 8, s.name,
+                      positive=True)
+    if order > MAX_ORDER:
+        raise ConfigError(f"parameter 'order' must be at most {MAX_ORDER}, "
+                          f"got {order}")
     return dim, key, order
 
 
@@ -308,17 +316,16 @@ def check_pfaffian(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Pf(A)^2 = det(A) on random antisymmetric matrices."""
     count = _npoints(s, 1000, points)
     sizes = (2, 4, 6, 8)
-    worst = 0.0
     per = max(count // len(sizes), 1)
-    for nn in sizes:
-        for _ in range(per):
-            a = rng.normal(size=(nn, nn))
-            a = a - a.T
-            pf = pfaffian(a)
-            det = np.linalg.det(a)
-            scale = max(abs(det), 1.0)
-            worst = max(worst, abs(pf * pf - det) / scale)
-    return _result("pfaffian", per * len(sizes), worst, tol)
+
+    def residual(nn):
+        a = rng.normal(size=(nn, nn))
+        a = a - a.T
+        pf = pfaffian(a)
+        det = np.linalg.det(a)
+        return (pf * pf - det) / max(abs(det), 1.0)
+    return _result("pfaffian", per * len(sizes), ch.max_abs(
+        residual(nn) for nn in sizes for _ in range(per)), tol)
 
 
 def check_gk_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -326,22 +333,20 @@ def check_gk_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 10, points)
     pts = s.chart.sample(rng, n)
     rep = gkmod.validate_bihermitian(s.gk, s.ctx, pts, rng=rng, tol=tol)
-    worst = max(c.residual for c in rep.conditions.values())
-    return _result("gk_validate", n, worst, tol)
+    return _result("gk_validate", n, rep.max_residual, tol)
 
 
 def check_gk_reduce(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Reduction of the structures to the quotient and re-validation."""
     n = _npoints(s, 10, points)
     scn = s.quotient
-    worst = 0.0
-    for q in scn.quotient.sample(rng, n):
-        p = scn.lift(q)
-        dp, dm = gkmod.check_tau_invariance(s.gk, scn, p)
-        worst = max(worst, dp, dm)
+
+    def residuals(q):
+        defects = gkmod.check_tau_invariance(s.gk, scn, scn.lift(q))
         _, _, rep = gkmod.reduce_gk(s.gk, scn, q, rng=rng, tol=tol)
-        worst = max(worst, max(c.residual for c in rep.conditions.values()))
-    return _result("gk_reduce", n, worst, tol)
+        return [*defects, rep.max_residual]
+    return _result("gk_reduce", n, ch.max_abs(
+        r for q in scn.quotient.sample(rng, n) for r in residuals(q)), tol)
 
 
 def check_ea_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -349,8 +354,7 @@ def check_ea_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 10, points)
     pts = s.chart.sample(rng, n)
     rep = qt.validate_extended_action(s.ea, s.ctx, pts, tol=tol)
-    worst = max(c.residual for c in rep.conditions.values())
-    return _result("ea_validate", n, worst, tol)
+    return _result("ea_validate", n, rep.max_residual, tol)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +366,7 @@ class CheckSpec:
     id: str
     fn: Callable
     tolerance: float
-    needs: str          # "ctx" | "quotient" | "section" | "gk" | ...
+    needs: str          # "any" | "quotient" | "section" | "gk" | ...
     description: str
     exploratory: bool = False
 
@@ -374,9 +378,9 @@ def _register(spec: CheckSpec):
     REGISTRY[spec.id] = spec
 
 
-_register(CheckSpec("bismut_courant", check_bismut_courant, 1e-8, "ctx",
+_register(CheckSpec("bismut_courant", check_bismut_courant, 1e-8, "any",
                     "bracket route equals the torsion covariant derivative"))
-_register(CheckSpec("pair_symmetry", check_pair_symmetry, 1e-8, "ctx",
+_register(CheckSpec("pair_symmetry", check_pair_symmetry, 1e-8, "any",
                     "chirality exchange symmetry of the two curvatures"))
 _register(CheckSpec("lemma62", check_lemma62, 1e-8, "quotient",
                     "horizontal curvature: weighted d(xi) vs direct d(theta)"))
@@ -415,16 +419,11 @@ def applicable(s: Scenario, cid: str) -> bool:
     need = spec.needs
     if need == "any":
         return True
-    if need == "ctx":
-        return True
     if need == "quotient":
         return s.quotient is not None
     if need == "quotient_plain":
-        if s.quotient is None or s.ctx.has_flux:
-            return False
-        p = s.chart.sample(np.random.default_rng(0), 1)[0]
-        return max(float(np.max(np.abs(np.asarray(x(p), dtype=float))))
-                   for x in s.ea.xi) == 0.0
+        return s.quotient is not None and _flux_free_action(
+            s, s.chart.sample(np.random.default_rng(0), 1)[0])
     if need == "section":
         return s.section is not None
     if need == "gk":
@@ -446,12 +445,10 @@ def default_checks(s: Scenario) -> list[str]:
         (["pfaffian"] if s.name == "flat_torus" else [])
 
 
-def run_check(s: Scenario, cid: str, seed: int, tol_override=None,
-              points=None) -> CheckResult:
+def run_check(s: Scenario, cid: str, seed: int, points=None) -> CheckResult:
     spec = REGISTRY[cid]
     if not applicable(s, cid):
         raise ScenarioError(f"check {cid!r} not applicable to {s.name!r}")
     ch.clear_jet_memo()
     rng = np.random.default_rng([seed, CHECK_ORDER.index(cid)])
-    tol = spec.tolerance if tol_override is None else float(tol_override)
-    return spec.fn(s, rng, tol, points)
+    return spec.fn(s, rng, spec.tolerance, points)

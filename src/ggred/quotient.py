@@ -66,6 +66,10 @@ class ValidationReport:
     def failing(self) -> list[str]:
         return [n for n, c in self.conditions.items() if not c.passed]
 
+    @property
+    def max_residual(self) -> float:
+        return ch.max_abs(c.residual for c in self.conditions.values())
+
     def __repr__(self):
         rows = ", ".join(f"{n}={c.residual:.2e}{'' if c.passed else '(FAIL)'}"
                          for n, c in self.conditions.items())
@@ -82,39 +86,32 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     * independence:  the V_a stay pointwise linearly independent
     """
     s = ea.s
-    res = {k: 0.0 for k in ("isotropy", "flux_match", "invariance",
-                            "independence")}
+    res = {k: [] for k in ("isotropy", "flux_match", "invariance",
+                           "independence")}
     for p in points:
         # the values of the memoized jets that the Lie derivatives read
         vvals, xvals = ([ch.differentiate(f, p).value for f in fields]
                         for fields in (ea.V, ea.xi))
         gmat, hval = (ch.differentiate(f, p).value for f in (ctx.g, ctx.H))
-        for a in range(s):
-            for b in range(s):
-                res["isotropy"] = max(
-                    res["isotropy"], abs(xvals[a] @ vvals[b]
-                                         + xvals[b] @ vvals[a]))
+        res["isotropy"] += [xvals[a] @ vvals[b] + xvals[b] @ vvals[a]
+                            for a in range(s) for b in range(s)]
         for a in range(s):
             jxi = ch.differentiate(ea.xi[a], p, order=1)
-            dxi = ch.exterior_derivative(jxi, 1)
             ivh = np.einsum("ijk,i->jk", hval, vvals[a])
-            res["flux_match"] = max(res["flux_match"],
-                                    float(np.max(np.abs(dxi - ivh))))
-            for t in (ctx.g, ctx.H):
-                lvt = ch.lie_derivative(ea.V[a], t, p)
-                res["invariance"] = max(res["invariance"],
-                                        float(np.max(np.abs(lvt))))
-            for b in range(s):
-                lvxi = ch.lie_derivative(ea.V[a], ea.xi[b], p)
-                res["flux_match"] = max(res["flux_match"],
-                                        float(np.max(np.abs(lvxi))))
+            res["flux_match"].append(ch.exterior_derivative(jxi, 1) - ivh)
+            res["invariance"] += [ch.lie_derivative(ea.V[a], t, p)
+                                  for t in (ctx.g, ctx.H)]
+            res["flux_match"] += [ch.lie_derivative(ea.V[a], ea.xi[b], p)
+                                  for b in range(s)]
         gram = np.array([[va @ gmat @ vb for vb in vvals] for va in vvals])
         ev = np.linalg.eigvalsh(gram)
-        if ev[0] <= 1e-9 * max(ev[-1], 1e-30):
-            res["independence"] = max(res["independence"], 1.0)
-    return ValidationReport({k: ConditionResult(k, v, tol if k != "independence"
-                                                else 0.5)
-                             for k, v in res.items()})
+        # 1.0 where the V_a are (nearly) dependent or the Gram matrix is NaN
+        res["independence"].append(
+            float(not ev[0] > 1e-9 * max(ev[-1], 1e-30)))
+    return ValidationReport({
+        k: ConditionResult(k, ch.max_abs(v),
+                           tol if k != "independence" else 0.5)
+        for k, v in res.items()})
 
 
 @dataclass
@@ -295,16 +292,15 @@ class QuotientScenario:
 
     def check_maps(self, rng, n: int = 5, tol: float = 1e-10):
         """project(lift(q)) = q and d(project)(V_a) = 0 on samples."""
-        worst = 0.0
+        residuals = []
         for q in self.quotient.sample(rng, n):
             p = self.lift(q)
-            back = np.asarray(self.project(p), dtype=float)
-            worst = max(worst, float(np.max(np.abs(back - q))))
+            residuals.append(np.asarray(self.project(p), dtype=float) - q)
             dproj = project_jacobian(self, p)
-            for vf in self.ea.V:
-                vv = np.asarray(vf(p), dtype=float)
-                worst = max(worst, float(np.max(np.abs(dproj @ vv))))
-        if worst > tol:
+            residuals += [dproj @ np.asarray(vf(p), dtype=float)
+                          for vf in self.ea.V]
+        worst = ch.max_abs(residuals)
+        if not worst <= tol:
             raise ScenarioError(
                 f"quotient maps inconsistent (residual {worst:.2e})")
         return worst

@@ -94,14 +94,14 @@ class SubmanifoldScenario:
 
     def check_maps(self, rng, n: int = 5, tol: float = 1e-10):
         """sigma(embed(u)) = 0 and d(embed) full rank on samples."""
-        worst = 0.0
+        residuals = []
         for u in self.nchart.sample(rng, n):
-            p = self.embed(u)
-            worst = max(worst, float(np.max(np.abs(self.sd.values(p)))))
+            residuals.append(self.sd.values(self.embed(u)))
             demb = embed_jacobian(self, u)
             if np.linalg.matrix_rank(demb, tol=1e-10) != self.locus_dim:
                 raise ScenarioError("embedding jacobian rank-deficient")
-        if worst > tol:
+        worst = ch.max_abs(residuals)
+        if not worst <= tol:
             raise ScenarioError(
                 f"embedding misses the zero locus by {worst:.2e}")
         return worst
