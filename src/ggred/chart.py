@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dual
-from .errors import DegreeError, DomainError, EvaluationError, SingularMetricError
+from .errors import (DegreeError, DomainError, EvaluationError, RankError,
+                     SingularMetricError)
 
 EPS_ID = 1e-8          # tolerance for pointwise algebraic identities
 DOMAIN_MARGIN = 1e-3   # sampled points stay this fraction of each axis inside
@@ -225,22 +226,37 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
 def metric_inverse(gmat):
     """Inverse of a metric component matrix; raises on singular input.
 
-    Both paths use the same scale-relative test: the float path on the
-    Cholesky pivots, the dual-aware path on its elimination pivots.  A
-    positive definite matrix has its largest |entry| on the diagonal.
+    Float matrices (and node stacks) go through :func:`inverse` with the
+    definiteness test; dual entries through the elimination pivots of
+    :func:`invert_matrix`.  Both tests are relative to the matrix scale.
     """
     g = np.asarray(gmat)
     if g.dtype == object:
         return invert_matrix(g)
-    g = _stack(g)
+    return inverse(g, SingularMetricError, "metric", definite=True)
+
+
+def inverse(m, error, what: str, definite: bool = False):
+    """The float inverse of a square matrix, one per node on trailing axes.
+
+    The one singularity rule: ``error`` is raised unless
+    max|m| max|m^-1| < 1 / PIVOT_RTOL, a comparison that a NaN or an
+    infinity fails; with ``definite``, also unless the symmetric part of
+    ``m`` has a Cholesky factor.  ``what`` names the matrix.
+    """
+    m = _stack(np.asarray(m, dtype=float))
     try:
-        chol = np.linalg.cholesky(0.5 * (g + g.swapaxes(-1, -2)))
+        if definite:
+            np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
+        inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric not positive definite") from exc
-    if (chol.diagonal(0, -2, -1).min(-1) ** 2 <=
-            PIVOT_RTOL * g.diagonal(0, -2, -1).max(-1)).any():
-        raise SingularMetricError("metric numerically singular")
-    return _stack(np.linalg.inv(g), g.ndim - 2)
+        raise error(f"{what} not positive definite" if definite else
+                    f"{what} singular") from exc
+    cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
+    if not (cond < 1.0 / PIVOT_RTOL).all():
+        raise error(f"{what} numerically singular: max|m| max|m^-1| = "
+                    f"{np.max(cond):.1e}")
+    return _stack(inv, inv.ndim - 2)
 
 
 def _stack(m, k: int = 2):
@@ -305,7 +321,7 @@ def christoffel(g: ChartField, point) -> np.ndarray:
 def christoffel_from_jet(jet: PointJet) -> np.ndarray:
     gmat = jet.value
     if np.asarray(gmat).dtype != object and \
-            np.max(np.abs(gmat - gmat.swapaxes(0, 1))) > EPS_ID:
+            not np.max(np.abs(gmat - gmat.swapaxes(0, 1))) <= EPS_ID:
         raise SingularMetricError("metric component matrix is not symmetric")
     ginv = metric_inverse(gmat)
     dg = jet.d1  # dg[a, i, j] = d_a g_{ij}
@@ -500,11 +516,12 @@ def antisymmetry_residual(field: ChartField, points) -> float:
                    for a in range(field.valence.cov - 1))
 
 
-def mgs_orthonormalize(vectors, gmat, tol: float = 1e-10):
-    """Modified Gram-Schmidt w.r.t. the metric, fixed input order.
+def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
+    """Modified Gram-Schmidt w.r.t. the metric, rows in fixed input order.
 
-    Near-dependent vectors are dropped; the result is deterministic for a
-    fixed input sequence.
+    A vector whose remainder has g-norm at most 1e-10 of the metric scale
+    is dropped, and a NaN one with it; RankError unless ``rank`` rows are
+    left.
     """
     basis = []
     scale = np.sqrt(np.trace(gmat) / gmat.shape[0])
@@ -513,6 +530,8 @@ def mgs_orthonormalize(vectors, gmat, tol: float = 1e-10):
         for b in basis:
             w = w - (b @ gmat @ w) * b
         nrm = float(np.sqrt(w @ gmat @ w))
-        if nrm > tol * scale:
+        if nrm > 1e-10 * scale:
             basis.append(w / nrm)
-    return basis
+    if len(basis) != rank:
+        raise RankError(f"{what} has rank {len(basis)}, expected {rank}")
+    return np.array(basis)

@@ -19,7 +19,7 @@ from . import localize as lz
 from . import quotient as qt
 from . import submanifold as sm
 from .dual import Batch, batched, sin
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, RankError, ScenarioError
 from .genmetric import (bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
@@ -185,21 +185,14 @@ def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
                    ch.max_abs(map(residual, scn.nchart.sample(rng, n))), tol)
 
 
-def _coeffs(e) -> np.ndarray:
-    """The coefficients of a Grassmann element, as an array for
-    ``chart.max_abs`` (``GrassmannElement.max_abs`` is Python's ``max``,
-    which passes over a NaN)."""
-    return np.array(list(e.coeffs.values()), dtype=float)
-
-
 def _chain_residual(point_frame, curvature, model, scn, x, basis):
-    """The chain exponent minus its curvature pairing, and the exponent's
-    terms of degree below 4, as one array of coefficients."""
+    """The largest coefficient of the chain exponent minus its curvature
+    pairing, and the exponent's terms of degree below 4."""
     pf = point_frame(scn, x, basis)
     exponent, _ = lz.localize_model(pf, model)
     target = lz.localized_exponent_target(pf, curvature(scn, x, basis))
     low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
-    return np.concatenate([_coeffs(exponent - target), low])
+    return [(exponent - target).max_abs()] + low
 
 
 def check_localize2(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -231,7 +224,7 @@ def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
         pf = lz.point_frame_quotient(scn, q, qt.quotient_frame(scn, q))
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
-        return [_coeffs(closed[a] - details[f"pm{a}"][0])
+        return [(closed[a] - details[f"pm{a}"][0]).max_abs()
                 for a in range(pf.s)]
     return _result("phi_closed_form", n, ch.max_abs(
         r for q in scn.quotient.sample(rng, n) for r in residuals(q)), tol)
@@ -243,7 +236,7 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
     m = pf.m
     ngen = 2 * m
     p_fr, m_fr = pf.plus_frame, pf.minus_frame
-    tinv = np.linalg.inv(pf.T_ab)
+    tinv = ch.inverse(pf.T_ab, RankError, "T_ab")
     dvm = pf.dv_cov_low - pf.dxi_cov
     dvp = pf.dv_cov_low + pf.dxi_cov
     hxi = np.einsum("ijm,mk,bk->bij", pf.H, pf.ginv, pf.xi)

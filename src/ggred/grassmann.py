@@ -12,6 +12,7 @@ innermost (last listed) measure outwards, so that for a single pair
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -179,17 +180,20 @@ class GrassmannElement:
         return all(m.bit_count() & 1 for m in self.coeffs)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        """The largest |coefficient|, 0.0 for none and NaN if any is NaN
+        (Python's ``max`` passes over a NaN that does not come first)."""
+        mags = list(map(abs, self.coeffs.values()))
+        return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
     def max_abs_degree(self, k: int) -> float:
-        return max((abs(c) for m, c in self.coeffs.items()
-                    if m.bit_count() == k), default=0.0)
+        return GrassmannElement(self.n, {
+            m: c for m, c in self.coeffs.items() if m.bit_count() == k
+        }).max_abs()
 
     def exp(self) -> "GrassmannElement":
         """exp of an even element (body handled exactly, soul nilpotent)."""
         if not self.is_even():
             raise ValueError("exp is defined here for even elements only")
-        import math
         nil = self.soul()
         out = GrassmannElement.scalar(self.n, 1.0)
         term = GrassmannElement.scalar(self.n, 1.0)
@@ -260,7 +264,7 @@ def pfaffian(a: np.ndarray) -> float:
     if n % 2 == 1:
         raise OddDimensionError("pfaffian needs even dimension")
     scale = np.max(np.abs(a)) or 1.0
-    if np.max(np.abs(a + a.T)) > 1e-8 * scale:
+    if not np.max(np.abs(a + a.T)) <= 1e-8 * scale:
         raise AsymmetryError("matrix is not antisymmetric")
     if n <= 8:
         return _pf_recursive(a.tolist(), list(range(n)))

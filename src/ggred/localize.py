@@ -252,11 +252,8 @@ class AuxiliaryPolynomial:
         qww = [[self.q_entry(a, b) for b in group] for a in group]
         body = np.array([[qww[i][j].body for j in range(nw)]
                          for i in range(nw)])
-        try:
-            body_inv = np.linalg.inv(body)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBodyError(
-                f"block body singular for group {group}") from exc
+        body_inv = ch.inverse(body, SingularBodyError,
+                              f"block body of group {group}")
         # (B + N)^{-1} = sum_k (-B^{-1} N)^k B^{-1}, exact because N is
         # nilpotent.
         nil = [[qww[i][j] - G.scalar(self.ngen, body[i, j])
@@ -424,11 +421,11 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
     if pf.s:
         for sign, fr in ((+1, pf.plus_frame), (-1, pf.minus_frame)):
             rows = pf.V @ pf.g + sign * pf.xi
-            if np.max(np.abs(rows @ fr.T)) > tol:
+            if not np.max(np.abs(rows @ fr.T)) <= tol:
                 raise FrameMismatchError(
                     "zero-mode frame violates its horizontality constraint")
     if pf.r:
-        if np.max(np.abs(pf.dsigma @ pf.plus_frame.T)) > tol:
+        if not np.max(np.abs(pf.dsigma @ pf.plus_frame.T)) <= tol:
             raise FrameMismatchError(
                 "zero-mode frame not tangent to the zero locus")
 

@@ -134,12 +134,8 @@ def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     G = v @ gmat @ v.T
     K = G - x @ v.T
     T = G + x @ ginv @ x.T
-    try:
-        Kinv = np.linalg.inv(K)
-        np.linalg.cholesky(0.5 * (T + T.T))
-        Tinv = np.linalg.inv(T)
-    except np.linalg.LinAlgError as exc:
-        raise RankError("K or T degenerate at point") from exc
+    Tinv = ch.inverse(T, RankError, "T_ab", definite=True)
+    Kinv = ch.inverse(K, RankError, "K_ab")
     return ReductionMatrices(G, K, T, Kinv, Tinv)
 
 
@@ -202,11 +198,9 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
     with V the rows V_a^sign and T = V g V^T."""
     gmat = ctx.metric_at(point)
     vpm = np.asarray(v_pm_values(ea, ctx, point, sign), dtype=float)
-    t = vpm @ gmat @ vpm.T
-    try:
-        tinv = np.linalg.inv(t)
-    except np.linalg.LinAlgError as exc:
-        raise RankError("V^pm degenerate; tau projector undefined") from exc
+    tinv = ch.inverse(vpm @ gmat @ vpm.T, RankError,
+                      f"T of the V^{'+' if sign > 0 else '-'} rows",
+                      definite=True)
     return np.eye(gmat.shape[0]) - vpm.T @ tinv @ vpm @ gmat
 
 
@@ -220,16 +214,12 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     """
     gmat = ctx.metric_at(point)
     n = gmat.shape[0]
-    s = ea.s
     frames = []
     for sign in (+1, -1):
         proj = tau_projector(ea, ctx, point, sign)
-        cand = [proj @ e for e in np.eye(n)]
-        basis = ch.mgs_orthonormalize(cand, gmat)
-        if len(basis) != n - s:
-            raise RankError(
-                f"tau frame has rank {len(basis)}, expected {n - s}")
-        frames.append(np.array(basis))
+        frames.append(ch.orthonormal_frame(
+            [proj @ e for e in np.eye(n)], gmat, n - ea.s,
+            f"tau_{'+' if sign > 0 else '-'} frame"))
     return frames[0], frames[1]
 
 
@@ -363,10 +353,7 @@ def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):
     p = scn.lift(qpoint)
     lifts = horizontal_lift(scn, p, sign, np.eye(m))
     gred = ch.frame_contract(scn.ctx.metric_at(p), lifts, lifts)
-    try:
-        np.linalg.cholesky(0.5 * (gred + gred.T))
-    except np.linalg.LinAlgError as exc:
-        raise LiftError("reduced metric not positive definite") from exc
+    ch.inverse(gred, LiftError, "reduced metric", definite=True)
     return p, lifts, gred
 
 
@@ -482,10 +469,8 @@ def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq, qpoint) -> float:
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
     """Deterministic g_red-orthonormal basis of the quotient tangent space."""
     gred = _lifted_metric(scn, qpoint, +1)[2]
-    basis = ch.mgs_orthonormalize(list(np.eye(scn.reduced_dim)), gred)
-    if len(basis) != scn.reduced_dim:
-        raise RankError("quotient frame degenerate")
-    return np.array(basis)
+    return ch.orthonormal_frame(np.eye(scn.reduced_dim), gred,
+                                scn.reduced_dim, "quotient frame")
 
 
 def _minus_derivative_matrix(scn: QuotientScenario, point):
@@ -567,16 +552,15 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
     m = basis.shape[0]
     p = scn.lift(qpoint)
     gmat = ctx.metric_at(p)
+    vvals = np.array([np.asarray(f(p), dtype=float) for f in ea.V])
+    gram = vvals @ gmat @ vvals.T
+    graminv = ch.inverse(gram, RankError, "Gram matrix of the V_a")
     lifts = horizontal_lift(scn, p, +1, basis)
 
     qfields = [ch.ChartField(scn.quotient, ch.VECTOR,
                              lambda c, w=basis[i]: np.array(w), name=f"E{i}")
                for i in range(m)]
     lfields = [lifted_field(scn, qf, +1) for qf in qfields]
-
-    vvals = np.array([np.asarray(f(p), dtype=float) for f in ea.V])
-    gram = vvals @ gmat @ vvals.T
-    graminv = np.linalg.inv(gram)
 
     def vert(w):
         return np.einsum("ai,ab,bj,j->i",

@@ -66,11 +66,8 @@ def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
     ginv = ch.metric_inverse(ctx.metric_at(point))
     grads = sd.gradients(point)
     tup = grads @ ginv @ grads.T
-    try:
-        np.linalg.cholesky(0.5 * (tup + tup.T))
-    except np.linalg.LinAlgError as exc:
-        raise RankError("d sigma degenerate on the zero locus") from exc
-    return tup, np.linalg.inv(tup)
+    return tup, ch.inverse(tup, RankError, "transverse Gram matrix of "
+                           "d sigma", definite=True)
 
 
 @dataclass(frozen=True)
@@ -117,10 +114,7 @@ def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
     p = scn.embed(u)
     gmat = scn.ctx.metric_at(p)
     demb = np.asarray(embed_jacobian(scn, u), dtype=float)
-    basis = ch.mgs_orthonormalize(list(demb.T), gmat)
-    if len(basis) != scn.locus_dim:
-        raise RankError("tangent frame degenerate")
-    return np.array(basis)
+    return ch.orthonormal_frame(demb.T, gmat, scn.locus_dim, "tangent frame")
 
 
 def induced_metric_field(scn: SubmanifoldScenario) -> ch.ChartField:
@@ -162,7 +156,7 @@ def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):
     grads = scn.sd.gradients(point)
     for v in vecs:
         for gr in grads:
-            if abs(float(gr @ v)) > tol:
+            if not abs(float(gr @ v)) <= tol:
                 raise TangencyError("field value not tangent to the locus")
 
 
