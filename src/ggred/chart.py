@@ -267,7 +267,7 @@ def _stack(m, k: int = 2):
 
 
 def _pivot_floor(m) -> float:
-    """Largest pivot treated as zero: PIVOT_RTOL times max |body| entry."""
+    """Largest pivot treated as zero, as is a NaN: PIVOT_RTOL max |body|."""
     return PIVOT_RTOL * max(abs(dual.body(v)) for v in m.ravel().tolist())
 
 
@@ -292,7 +292,7 @@ def solve_linear(m, rhs):
     b = rhs.reshape(n, -1).tolist()
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(dual.body(a[r][col])))
-        if abs(dual.body(a[piv][col])) <= floor:
+        if not abs(dual.body(a[piv][col])) > floor:
             raise SingularMetricError("singular linear system")
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]

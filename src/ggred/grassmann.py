@@ -16,7 +16,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import AsymmetryError, OddDimensionError, UnknownGeneratorError
 
@@ -250,15 +249,15 @@ def quadratic_form(n: int, a: np.ndarray) -> GrassmannElement:
 
 
 def pfaffian(a: np.ndarray) -> float:
-    """Pfaffian of an antisymmetric matrix.
-
-    Recursive expansion along the first row for n <= 8, Schur block
-    diagonalization beyond that.  Pf(A)^2 = det(A).
-    """
+    """Pf(A) of an antisymmetric A of at most ``MAX_GENERATORS`` rows by
+    first-row expansion, each sub-Pfaffian once per call, keyed by the
+    bitmask of its rows.  Pf(A)^2 = det(A)."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise AsymmetryError("pfaffian needs a square matrix")
+    if n > MAX_GENERATORS:
+        raise ValueError(f"pfaffian needs at most {MAX_GENERATORS} rows")
     if n == 0:
         return 1.0
     if n % 2 == 1:
@@ -266,23 +265,22 @@ def pfaffian(a: np.ndarray) -> float:
     scale = np.max(np.abs(a)) or 1.0
     if not np.max(np.abs(a + a.T)) <= 1e-8 * scale:
         raise AsymmetryError("matrix is not antisymmetric")
-    if n <= 8:
-        return _pf_recursive(a.tolist(), list(range(n)))
-    blocks, orth = schur(a)
-    return float(np.prod(np.diag(blocks, 1)[::2]) * np.linalg.det(orth))
+    rows = a.tolist()
+    memo: dict[int, float] = {}
 
-
-def _pf_recursive(a: list, idx: list) -> float:
-    """Expansion along the first row of the minor on rows/columns ``idx``."""
-    if len(idx) == 2:
-        return a[idx[0]][idx[1]]
-    first, rest = idx[0], idx[1:]
-    total = 0.0
-    for k, j in enumerate(rest):
-        sign = -1.0 if k % 2 else 1.0
-        total += sign * a[first][j] * _pf_recursive(
-            a, [i for i in rest if i != j])
-    return total
+    def minor(mask: int, idx: list) -> float:
+        """Expansion of the minor on rows ``idx`` (bitmask ``mask``)."""
+        first, rest = idx[0], idx[1:]
+        if len(rest) == 1:
+            return rows[first][rest[0]]
+        total = 0.0
+        for k, j in enumerate(rest):
+            sub = mask & ~(1 << first | 1 << j)
+            if sub not in memo:
+                memo[sub] = minor(sub, [i for i in rest if i != j])
+            total += (-1.0 if k % 2 else 1.0) * rows[first][j] * memo[sub]
+        return total
+    return minor((1 << n) - 1, list(range(n)))
 
 
 def fermionic_gaussian(a: np.ndarray) -> float:
