@@ -355,11 +355,13 @@ def riemann_from_jet(jet: PointJet) -> np.ndarray:
     dginv = -np.einsum("im...,amn...,nl...->ail...", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("ail...,ljk...->aijk...", dginv, t)
                     + np.einsum("il...,aljk...->aijk...", ginv, dt))
+    del dt, dginv
     # Operator components: R(e_a, e_b) e_c = Rop[m, c, a, b] e_m.
     rop = (np.einsum("ambc...->mcab...", dgamma)
            - np.einsum("bmac...->mcab...", dgamma)
            + np.einsum("mal...,lbc...->mcab...", gamma, gamma)
            - np.einsum("mbl...,lac...->mcab...", gamma, gamma))
+    del dgamma
     # Lower and flip the last operand into the pairing convention.
     rlow = np.einsum("km...,mlij...->ijkl...", gmat, rop)
     return rlow

@@ -240,16 +240,18 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
     dvm = pf.dv_cov_low - pf.dxi_cov
     dvp = pf.dv_cov_low + pf.dxi_cov
     hxi = np.einsum("ijm,mk,bk->bij", pf.H, pf.ginv, pf.xi)
+    lbs = []
+    for b in range(pf.s):
+        t1 = np.einsum("kj,mk,rj->mr", dvm[b], p_fr, m_fr)
+        t2 = np.einsum("kj,rk,mj->rm", dvp[b], m_fr, p_fr)
+        t3 = np.einsum("ij,ri,mj->rm", hxi[b], m_fr, p_fr)
+        lbs.append(lz._quad_sum(ngen, m, t1, 0, m)
+                   + lz._quad_sum(ngen, m, t2, m, 0)
+                   + lz._quad_sum(ngen, m, -t3, m, 0))
     out = []
     for a in range(pf.s):
         lam = lz.G(ngen)
-        for b in range(pf.s):
-            t1 = np.einsum("kj,mk,rj->mr", dvm[b], p_fr, m_fr)
-            t2 = np.einsum("kj,rk,mj->rm", dvp[b], m_fr, p_fr)
-            t3 = np.einsum("ij,ri,mj->rm", hxi[b], m_fr, p_fr)
-            lb = (lz._quad_sum(ngen, m, t1, 0, m)
-                  + lz._quad_sum(ngen, m, t2, m, 0)
-                  + lz._quad_sum(ngen, m, -t3, m, 0))
+        for b, lb in enumerate(lbs):
             lam = lam + tinv[a, b] * lb
         out.append(-0.5 * lam)
     return out

@@ -248,55 +248,41 @@ class AuxiliaryPolynomial:
         """
         group = list(group)
         keep = [v for v in self.variables if v not in group]
-        nw = len(group)
         qww = [[self.q_entry(a, b) for b in group] for a in group]
-        body = np.array([[qww[i][j].body for j in range(nw)]
-                         for i in range(nw)])
+        body = np.array([[e.body for e in row] for row in qww])
         body_inv = ch.inverse(body, SingularBodyError,
                               f"block body of group {group}")
         # (B + N)^{-1} = sum_k (-B^{-1} N)^k B^{-1}, exact because N is
         # nilpotent.
-        nil = [[qww[i][j] - G.scalar(self.ngen, body[i, j])
-                for j in range(nw)] for i in range(nw)]
-        binv = [[G.scalar(self.ngen, body_inv[i, j]) for j in range(nw)]
-                for i in range(nw)]
-        minus_binv_nil = _gm_mul(_gm_scale(binv, -1.0), nil)
-        inv = binv
-        term = binv
+        binv = [[G.scalar(self.ngen, b) for b in row] for row in body_inv]
+        nil = [[e - G.scalar(self.ngen, b) for e, b in zip(row, brow)]
+               for row, brow in zip(qww, body)]
+        step = [[-e for e in row] for row in _gm_mul(binv, nil)]
+        inv = term = binv
         for _ in range(self.ngen // 2 + 1):
-            term = _gm_mul(minus_binv_nil, term)
+            term = _gm_mul(step, term)
             if all(e.max_abs() == 0.0 for row in term for e in row):
                 break
-            inv = _gm_add(inv, term)
+            inv = [[a + b for a, b in zip(ra, rb)]
+                   for ra, rb in zip(inv, term)]
 
+        # X = inv [L_W | Q_WK]; the stationary point is v_W = -X [1; v_K],
+        # and substituting it leaves the Schur complement of the block.
         lw = [self.l_entry(a) for a in group]
-        qwk = [[self.q_entry(a, k) for k in keep] for a in group]
-        # stationary: v_W = -inv (L_W + Q_WK v_K)
-        sol_const = _gv_matvec(_gm_scale(inv, -1.0), lw)
-        sol_lin = _gm_mul(_gm_scale(inv, -1.0), qwk) if keep else \
-            [[] for _ in group]
-
+        x = _gm_mul(inv, [[la] + [self.q_entry(a, k) for k in keep]
+                          for la, a in zip(lw, group)])
+        corr = _gm_mul([[self.q_entry(k, w) for w in group] for k in keep], x)
         out = AuxiliaryPolynomial(self.ngen, keep)
-        out.const = self.const - 0.5 * _gv_dot(lw, _gv_matvec(inv, lw))
-        invl = _gv_matvec(inv, lw)
-        for ki, k in enumerate(keep):
-            lk = self.l_entry(k)
-            corr = _gv_dot([self.q_entry(k, w) for w in group], invl)
-            new_l = lk - corr
-            if new_l.max_abs():
-                out.lin[k] = new_l
-        qkw_inv_qwk = _gm_mul([[self.q_entry(k, w) for w in group]
-                               for k in keep],
-                              _gm_mul(inv, qwk)) if keep else []
+        out.const = self.const - 0.5 * _gv_dot(lw, [row[0] for row in x])
         for i, ka in enumerate(keep):
-            for j, kb in enumerate(keep):
-                val = self.q_entry(ka, kb)
-                if keep:
-                    val = val - qkw_inv_qwk[i][j]
+            new_l = self.l_entry(ka) - corr[i][0]
+            if new_l.max_abs():
+                out.lin[ka] = new_l
+            for j, kb in enumerate(keep, 1):
+                val = self.q_entry(ka, kb) - corr[i][j]
                 if val.max_abs():
                     out.quad[(ka, kb)] = val
-        solution = {w: (sol_const[i],
-                        {keep[j]: sol_lin[i][j] for j in range(len(keep))})
+        solution = {w: (-x[i][0], {k: -e for k, e in zip(keep, x[i][1:])})
                     for i, w in enumerate(group)}
         return out, solution
 
@@ -304,19 +290,6 @@ class AuxiliaryPolynomial:
 def _gm_mul(a, b):
     cols = list(zip(*b))
     return [[_gv_dot(row, col) for col in cols] for row in a]
-
-
-def _gm_add(a, b):
-    return [[a[i][j] + b[i][j] for j in range(len(a[0]))]
-            for i in range(len(a))]
-
-
-def _gm_scale(a, s):
-    return [[e * s for e in row] for row in a]
-
-
-def _gv_matvec(a, v):
-    return [_gv_dot(row, v) for row in a]
 
 
 def _gv_dot(u, v):
@@ -373,8 +346,9 @@ def _common_frame_data(ctx: GeneralizedMetricContext, point):
     gmat = ctx.metric_at(point)
     ginv = ch.metric_inverse(gmat)
     hval = ctx.flux_at(point)
-    gamma = ch.christoffel(ctx.g, point)
+    # the order-2 jet of g first: its memo entry also answers Gamma's order 1
     rmin = bismut_curvature(-1, ctx, point)
+    gamma = ch.christoffel(ctx.g, point)
     return gmat, ginv, hval, gamma, rmin
 
 
