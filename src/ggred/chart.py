@@ -390,6 +390,18 @@ def frame_contract(arr, *frames) -> np.ndarray:
     return _stack(out, out.ndim - k)
 
 
+def operator_slots(r, f1, f2, f3, f4) -> np.ndarray:
+    """A curvature array on frames, in operator slots.
+
+    Entry [mu, nu, rho, sigma] pairs the curvature operator on
+    (E_mu, E_nu) applied to E_rho against E_sigma, with E taken from the
+    rows of f1..f4.  For an array ``r`` in the :func:`riemann` component
+    convention this is :func:`frame_contract` with its last two slots
+    swapped; the reduction modules return curvatures in this convention.
+    """
+    return np.swapaxes(frame_contract(r, f1, f2, f3, f4), 2, 3)
+
+
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
     """(d omega) components from a first-order jet of a k-form.
 

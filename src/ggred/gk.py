@@ -99,11 +99,14 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
 
 def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
                          point):
-    """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm."""
+    """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm.
+
+    A non-finite entry of J_pm raises EvaluationError naming the point."""
     out = []
     for sign, j in bh.pair():
         proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
         jv = dual.tighten(np.asarray(j(point), dtype=object))
+        ch._require_finite(point, jv.ravel().tolist())
         defect = (np.eye(scn.ambient_dim) - proj) @ jv @ proj
         out.append(float(np.linalg.norm(defect, 2)))
     return tuple(out)
@@ -123,14 +126,7 @@ def reduced_j_field(bh: BiHermitianData, scn: qt.QuotientScenario,
         p = scn.lift(coords)
         lifts = qt.horizontal_lift(scn, p, sign, np.eye(m))
         jv = np.asarray(j(p), dtype=object)
-        dproj = qt.project_jacobian(scn, p)
-        out = np.empty((m, m), dtype=object)
-        for nu in range(m):
-            img = jv @ lifts[nu]
-            red = dproj @ img
-            for mu in range(m):
-                out[mu, nu] = red[mu]
-        return out
+        return qt.project_jacobian(scn, p) @ (jv @ lifts.T)
     return ch.ChartField(scn.quotient, ch.Valence(1, 1), fn,
                          name=f"J{'+' if sign > 0 else '-'}_red")
 

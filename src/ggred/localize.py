@@ -92,8 +92,9 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
 
 
 def operator_slots_to_raw(arr: np.ndarray) -> np.ndarray:
-    """Convert an operator-slot curvature array (the reduction modules'
-    convention) to raw component slots by swapping the last two axes."""
+    """Convert an operator-slot curvature array
+    (:func:`ggred.chart.operator_slots`) to raw component slots by swapping
+    the last two axes."""
     return np.swapaxes(arr, 2, 3)
 
 
@@ -368,22 +369,19 @@ def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
     gmat, ginv, hval, gamma, rmin = _common_frame_data(ctx, p)
     plus = qt.horizontal_lift(scn, p, +1, basis)
     minus = qt.horizontal_lift(scn, p, -1, basis)
-    s = ea.s
     # one jet of the stacked rows: [0, a] = V_a, [1, a] = xi_a
     jet = ch.differentiate(
         lambda c: [[f(c) for f in ea.V], [f(c) for f in ea.xi]], p,
         order=1, chart=ctx.chart)
     vv, xv = jet.value
-    dxi, dvl = [], []
-    for a in range(s):
-        dxi.append(jet.d1[:, 1, a] - np.einsum("mki,m->ki", gamma, xv[a]))
-        dv = jet.d1[:, 0, a] + np.einsum("ikm,m->ki", gamma, vv[a])
-        dvl.append(np.einsum("ki,im->km", dv, gmat))
+    d1 = jet.d1.transpose(1, 2, 0, 3)   # [0 or 1, a, k, i] = d_k row_ai
+    dxi = d1[1] - np.einsum("mki,am->aki", gamma, xv)
+    dv = d1[0] + np.einsum("ikm,am->aki", gamma, vv)
     rm = qt.reduction_matrices(ea, ctx, p)
     pf = PointFrame(
         point=tuple(p), n=ctx.chart.dim, g=gmat, ginv=ginv, H=hval,
-        gamma=gamma, r_minus=rmin, s=s, V=vv, xi=xv,
-        dxi_cov=np.array(dxi), dv_cov_low=np.array(dvl),
+        gamma=gamma, r_minus=rmin, s=ea.s, V=vv, xi=xv, dxi_cov=dxi,
+        dv_cov_low=np.einsum("aki,im->akm", dv, gmat),
         G_ab=rm.G, K_ab=rm.K, T_ab=rm.T,
         plus_frame=plus, minus_frame=minus)
     _check_zero_mode_frames(pf)

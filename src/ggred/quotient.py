@@ -11,6 +11,7 @@ the same object computed directly on the quotient chart.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -97,8 +98,8 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                             for a in range(s) for b in range(s)]
         for a in range(s):
             jxi = ch.differentiate(ea.xi[a], p, order=1)
-            ivh = np.einsum("ijk,i->jk", hval, vvals[a])
-            res["flux_match"].append(ch.exterior_derivative(jxi, 1) - ivh)
+            res["flux_match"].append(ch.exterior_derivative(jxi, 1)
+                                     - ch.interior(vvals[a], hval, 3))
             res["invariance"] += [ch.lie_derivative(ea.V[a], t, p)
                                   for t in (ctx.g, ctx.H)]
             res["flux_match"] += [ch.lie_derivative(ea.V[a], ea.xi[b], p)
@@ -213,12 +214,11 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     vectors in fixed order, so it is deterministic.
     """
     gmat = ctx.metric_at(point)
-    n = gmat.shape[0]
     frames = []
     for sign in (+1, -1):
         proj = tau_projector(ea, ctx, point, sign)
         frames.append(ch.orthonormal_frame(
-            [proj @ e for e in np.eye(n)], gmat, n - ea.s,
+            proj.T, gmat, gmat.shape[0] - ea.s,
             f"tau_{'+' if sign > 0 else '-'} frame"))
     return frames[0], frames[1]
 
@@ -242,10 +242,8 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     rm = reduction_matrices(ea, ctx, point)
     dxi_pm = d_constraint_rows(ea, ctx, point)[0 if sign > 0 else 1]
     # curvature of tau_+: K^{ba} d(g V_b^+); of tau_-: K^{ab} d(g V_b^-)
-    if sign > 0:
-        mix = np.einsum("ba,bij->aij", rm.Kinv, dxi_pm)
-    else:
-        mix = np.einsum("ab,bij->aij", rm.Kinv, dxi_pm)
+    mix = np.einsum("ab,bij->aij", rm.Kinv.T if sign > 0 else rm.Kinv,
+                    dxi_pm)
     from_xi = np.einsum("aij,pi,qj->apq", mix, frame, frame)
 
     def theta_fn(coords):
@@ -376,8 +374,8 @@ def reduce_metric_flux(scn: QuotientScenario, qpoint):
 def _reduced_flux(scn: QuotientScenario, point, lifts):
     """(H + Omega^a wedge xi_a) on the rows of ``lifts`` (dual-safe).
 
-    H is pulled back in stages; each wedge term comes from the m x m
-    array L Omega^a L^T and the vector xi_a L^T of the lift rows L.
+    H is pulled back in stages; each wedge term is the wedge of the m x m
+    array L Omega^a L^T with the vector xi_a L^T of the lift rows L.
     """
     lifts = np.array(lifts, dtype=object)
     out = ch.frame_contract(np.asarray(scn.ctx.H(point), dtype=object),
@@ -386,9 +384,7 @@ def _reduced_flux(scn: QuotientScenario, point, lifts):
     for a, xf in enumerate(scn.ea.xi):
         o = lifts @ om[a] @ lifts.T
         w = np.asarray(xf(point), dtype=object) @ lifts.T
-        out = out + (o[:, :, None] * w[None, None, :]
-                     - o[:, None, :] * w[None, :, None]
-                     + o[None, :, :] * w[:, None, None])
+        out = out + ch.wedge(o, w, 2, 1)
     return out
 
 
@@ -479,21 +475,19 @@ def _minus_derivative_matrix(scn: QuotientScenario, point):
     coeffs = bismut_connection_coeffs(-1, ctx, point)
     jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), point,
                            order=1, chart=ctx.chart)
-    return np.array([jet.d1[:, a] + np.einsum("ijk,k->ji", coeffs,
-                                              jet.value[a])
-                     for a in range(ea.s)])
+    return jet.d1.transpose(1, 0, 2) + np.einsum("ijk,ak->aji", coeffs,
+                                                 jet.value)
 
 
 def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
                                basis=None) -> np.ndarray:
     """Reduced curvature on aligned frames, from ambient data only.
 
-    Entry [mu, nu, rho, sigma] is the reduced-curvature pairing on the
-    quotient basis, assembled from three ambient ingredients: the ambient
-    torsion curvature on (tau_+, tau_+, tau_-, tau_-) lifts, a mixed term
-    quadratic in the tau_pm connection 2-forms, and a vertical-derivative
-    correction weighted by the inverse of T_ab.  Cross-check:
-    :func:`reduced_curvature_direct` with the same basis.
+    In operator slots on the quotient basis, assembled from three ambient
+    ingredients: the ambient torsion curvature on (tau_+, tau_+, tau_-,
+    tau_-) lifts, a mixed term quadratic in the tau_pm connection 2-forms,
+    and a vertical-derivative correction weighted by the inverse of T_ab.
+    Cross-check: :func:`reduced_curvature_direct` with the same basis.
     """
     ea, ctx = scn.ea, scn.ctx
     if basis is None:
@@ -505,11 +499,7 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     gmat = ctx.metric_at(p)
     rm = reduction_matrices(ea, ctx, p)
     rmin = bismut_curvature(-1, ctx, p)
-    # operator-slot pairing [mu,nu,rho,sigma] = pairing of the curvature on
-    # (E_mu, E_nu) applied to E_rho against E_sigma: last two slots swapped
-    # relative to the raw component contraction.
-    term1 = np.swapaxes(ch.frame_contract(rmin, plus, plus, minus, minus),
-                        2, 3)
+    term1 = ch.operator_slots(rmin, plus, plus, minus, minus)
 
     dxi_p, dxi_m = d_constraint_rows(ea, ctx, p)
     om_p = np.einsum("aij,bi,cj->abc", dxi_p, plus, plus)
@@ -532,8 +522,7 @@ def reduced_curvature_direct(scn: QuotientScenario, qpoint,
     basis = np.asarray(basis, dtype=float)
     ctxr = reduced_context(scn)
     rarr = bismut_curvature(-1, ctxr, qpoint)
-    return np.swapaxes(ch.frame_contract(rarr, basis, basis, basis, basis),
-                       2, 3)
+    return ch.operator_slots(rarr, basis, basis, basis, basis)
 
 
 def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
@@ -566,21 +555,14 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
         return np.einsum("ai,ab,bj,j->i",
                          vvals, graminv, vvals @ gmat, w)
 
-    avals = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            br = ch.lie_bracket(lfields[i], lfields[j], p) if i < j else None
-            avals[i, j] = br
     amat = np.zeros((m, m, scn.ambient_dim))
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = 0.5 * vert(np.asarray(avals[i, j], dtype=float))
-            amat[i, j] = a
-            amat[j, i] = -a
+    for i, j in itertools.combinations(range(m), 2):
+        br = ch.lie_bracket(lfields[i], lfields[j], p)
+        amat[i, j] = 0.5 * vert(np.asarray(br, dtype=float))
+        amat[j, i] = -amat[i, j]
 
     rarr = ch.riemann(ctx.g, p)
-    base = np.swapaxes(ch.frame_contract(rarr, lifts, lifts, lifts, lifts),
-                       2, 3)
+    base = ch.operator_slots(rarr, lifts, lifts, lifts, lifts)
     inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner
             + np.einsum("nrms->mnrs", inner)

@@ -29,6 +29,8 @@ PI = float(np.pi)
 
 
 _PERMS3 = [(p, ch._perm_sign(p)) for p in itertools.permutations((0, 1, 2))]
+_PERMS4 = [(p, float(ch._perm_sign(p)))
+           for p in itertools.permutations(range(4))]
 
 
 def antisym3(n, axes, value):
@@ -63,7 +65,6 @@ class Scenario:
     section: SubmanifoldScenario | None = None
     gk: BiHermitianData | None = None
     euler_domain: tuple | None = None  # (lower, upper) for quadrature
-    notes: str = ""
 
     @property
     def chart(self) -> Chart:
@@ -350,10 +351,6 @@ def sphere_in_flat(params) -> Scenario:
 # a fixed the scale at a = +2 for grad^+ J_left = 0 and grad^- J_right = 0.
 S3S1_FLUX_SCALE = 2.0
 
-_VOL4 = np.zeros((4, 4, 4, 4))
-for _p in itertools.permutations(range(4)):
-    _VOL4[_p] = ch._perm_sign(_p)
-
 _J_LEFT = np.array([[0., -1., 0., 0.],
                     [1., 0., 0., 0.],
                     [0., 0., 0., -1.],
@@ -384,16 +381,10 @@ def s3xs1_gk(params) -> Scenario:
     def hfn(c):
         scale = fluxscale / r2(c) ** 2
         out = np.empty((4, 4, 4), dtype=object)
-        out[:] = 0.0
+        out.fill(scale * 0.0)
         # radial contraction of the volume form: (i_E vol)_{jkl} = x^i vol_{ijkl}
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    acc = 0.0
-                    for i in range(4):
-                        if _VOL4[i, j, k, l]:
-                            acc = acc + _VOL4[i, j, k, l] * c[i]
-                    out[j, k, l] = scale * acc
+        for (i, j, k, l), sign in _PERMS4:
+            out[j, k, l] = scale * (0.0 + sign * c[i])
         return out
     h = ChartField(box, form_valence(3), hfn, name="conformal flux")
     ctx = GeneralizedMetricContext(g, h)

@@ -4,13 +4,8 @@ With sigma: ambient -> R^r cutting out N = sigma^{-1}(0), the torsion
 connection and curvature of the induced geometry on N are expressed through
 ambient data (the transverse Gram matrix of d sigma and second covariant
 derivatives of sigma) and cross-checked against direct computation on a
-parametrizing chart of N.
-
-Curvature arrays returned by the reduction functions use "operator slots":
-entry [mu, nu, rho, sigma] is the pairing of the curvature operator on
-(E_mu, E_nu) applied to E_rho against E_sigma.  In terms of the component
-arrays of :func:`ggred.chart.riemann` this is the contraction with the last
-two frame slots swapped.
+parametrizing chart of N.  Curvature arrays are returned in the operator
+slots of :func:`ggred.chart.operator_slots`.
 """
 
 from __future__ import annotations
@@ -148,17 +143,13 @@ def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int, point) -> np.ndarray:
     """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at an ambient point."""
     coeffs = bismut_connection_coeffs(sign, scn.ctx, point)
     jet = scn.sd.jet(point, order=2)
-    grads = np.ascontiguousarray(jet.d1.T)
-    return np.array([jet.d2[:, :, al] - np.einsum("lij,l->ij", coeffs, grad)
-                     for al, grad in enumerate(grads)])
+    return np.moveaxis(jet.d2, 2, 0) - np.einsum("lij,la->aij", coeffs,
+                                                  jet.d1)
 
 
 def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):
-    grads = scn.sd.gradients(point)
-    for v in vecs:
-        for gr in grads:
-            if not abs(float(gr @ v)) <= tol:
-                raise TangencyError("field value not tangent to the locus")
+    if not ch.max_abs([scn.sd.gradients(point) @ np.transpose(vecs)]) <= tol:
+        raise TangencyError("field value not tangent to the locus")
 
 
 def tangential_derivative(scn: SubmanifoldScenario, xbar: ch.ChartField,
@@ -237,11 +228,9 @@ def reduced_curvature_sub(scn: SubmanifoldScenario, u,
                           basis=None) -> np.ndarray:
     """Reduced curvature on a tangent frame, from ambient data only.
 
-    Entry [mu, nu, rho, sigma] pairs the curvature operator on
-    (E_mu, E_nu) applied to E_rho against E_sigma: the ambient torsion
-    curvature restricted to the frame plus a transverse correction
-    quadratic in grad^- d sigma.  Cross-check:
-    :func:`reduced_curvature_sub_direct` with the same basis.
+    In operator slots: the ambient torsion curvature restricted to the
+    frame plus a transverse correction quadratic in grad^- d sigma.
+    Cross-check: :func:`reduced_curvature_sub_direct` with the same basis.
     """
     if basis is None:
         basis = tangent_frame(scn, u)
@@ -249,10 +238,7 @@ def reduced_curvature_sub(scn: SubmanifoldScenario, u,
     p = scn.embed(u)
     _require_tangent(scn, p, list(basis))
     rmin = bismut_curvature(-1, scn.ctx, p)
-    # operator-slot pairing: swap the last two frame slots of the
-    # component-array contraction
-    term1 = np.swapaxes(ch.frame_contract(rmin, basis, basis, basis, basis),
-                        2, 3)
+    term1 = ch.operator_slots(rmin, basis, basis, basis, basis)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     mm = nabla_pm_dsigma(scn, -1, p)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
@@ -274,8 +260,7 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
     coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
     ctxn = induced_context(scn)
     rarr = bismut_curvature(-1, ctxn, u)
-    return np.swapaxes(
-        ch.frame_contract(rarr, coords, coords, coords, coords), 2, 3)
+    return ch.operator_slots(rarr, coords, coords, coords, coords)
 
 
 def gauss_equation_oracle(scn: SubmanifoldScenario, u,
@@ -292,8 +277,7 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     gmat = scn.ctx.metric_at(p)
     ginv = ch.metric_inverse(gmat)
     rarr = ch.riemann(scn.ctx.g, p)
-    term1 = np.swapaxes(ch.frame_contract(rarr, basis, basis, basis, basis),
-                        2, 3)
+    term1 = ch.operator_slots(rarr, basis, basis, basis, basis)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     grads = scn.sd.gradients(p)
     coeffs = ch.christoffel(scn.ctx.g, p)
