@@ -62,11 +62,14 @@ class Chart:
             for x, l, u in zip(point, self.lower, self.upper))
 
     def require_inside(self, point):
-        """Raise DomainError unless every node of the point is inside."""
-        size = dual.nodes(point)
-        for node in dual.tighten(list(point), size).T if size else [point]:
+        """Raise DomainError unless every node of the point is inside (a
+        batch point's coordinates may carry dual layers)."""
+        size = _nodes(point)
+        for k, node in enumerate(dual.tighten(list(map(dual.body, point)),
+                                              size).T if size else [point]):
             if not self.contains(node):
-                raise DomainError(f"{_at(node)} outside chart {self.name!r}")
+                raise DomainError(f"{_at(point, k)} outside chart "
+                                  f"{self.name!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Seeded uniform draws strictly inside the domain."""
@@ -131,9 +134,17 @@ class PointJet:
     d2: np.ndarray | None = None
 
 
-def _require_finite(point, *arrays):
-    """EvaluationError at the first non-finite node (or point) of arrays."""
-    size = dual.nodes(point)
+def _nodes(point) -> int:
+    """``dual.nodes`` of a point, through dual coordinates over a batch."""
+    if any(isinstance(x, dual.Dual) for x in point):
+        point = [dual.body(x) for x in point]
+    return dual.nodes(point)
+
+
+def _require_finite(point, *arrays, size=None):
+    """EvaluationError at the first non-finite node (or point) of arrays;
+    ``size`` is the point's node count, if known."""
+    size = _nodes(point) if size is None else size
     ok = np.all([np.isfinite(a).reshape(-1, size).all(0) for a in arrays
                  if a is not None], axis=0) if size else \
         [all(map(math.isfinite, *arrays))]
@@ -144,10 +155,13 @@ def _require_finite(point, *arrays):
 
 def _at(point, k=None) -> str:
     """The point, or node ``k`` of a batch point, for an error message."""
-    if not dual.nodes(point):
-        return f"point {tuple(float(dual.body(x)) for x in point)}"
-    return "a batch point" if k is None else \
-        f"node {k} {tuple(float(x.v[k]) for x in point)}"
+    bodies = [dual.body(x) for x in point]
+    if not dual.nodes(bodies):
+        return f"point {tuple(map(float, bodies))}"
+    if k is None:
+        return "a batch point"
+    node = (x.v[k] if isinstance(x, dual.Batch) else x for x in bodies)
+    return f"node {k} {tuple(map(float, node))}"
 
 
 JET_MEMO_SIZE = 64
@@ -173,17 +187,19 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
 
     A batch point (``dual.Batch`` coordinates) gives arrays with a trailing
     node axis from the same passes; every node is checked, none memoized.
+    Inside an enclosing jet (dual coordinates over a batch) the arrays keep
+    their ``Dual`` entries, as at a point.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     fn = f.fn if isinstance(f, ChartField) else f
     use_chart = chart or (f.chart if isinstance(f, ChartField) else None)
-    size = dual.nodes(point)
+    nested = any(isinstance(x, dual.Dual) for x in point)
+    size = dual.nodes(map(dual.body, point) if nested else point)
     if use_chart is not None:
         use_chart.require_inside(point)
     key = None
-    if isinstance(f, ChartField) and not size and \
-            not any(isinstance(x, dual.Dual) for x in point):
+    if isinstance(f, ChartField) and not size and not nested:
         key = (id(fn), tuple(float(x) for x in point))
         _, hit = _jet_memo.get(key, (None, None))
         if hit is not None and (order == 1 or hit.d2 is not None):
@@ -205,12 +221,14 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     except (ZeroDivisionError, OverflowError) as exc:
         raise EvaluationError(
             f"field evaluation failed at {_at(point)}: {exc}") from exc
-    if size:
+    if size and not nested:
         value, d1, d2 = (d if d is None else dual.tighten(d, size)
                          for d in (value, d1, d2))
-        _require_finite(point, value, d1, d2)
+        _require_finite(point, value, d1, d2, size=size)
     else:
-        _require_finite(point, [dual.body(v) for v in value.ravel().tolist()])
+        bodies = [dual.body(v) for v in value.ravel().tolist()]
+        _require_finite(point, dual.tighten(bodies, size) if size else bodies,
+                        size=size)
         value = dual.tighten(value)
     jet = PointJet(tuple(point), value, d1, d2)
     if key is not None:
@@ -266,11 +284,6 @@ def _stack(m, k: int = 2):
         m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
 
 
-def _pivot_floor(m) -> float:
-    """Largest pivot treated as zero, as is a NaN: PIVOT_RTOL max |body|."""
-    return PIVOT_RTOL * max(abs(dual.body(v)) for v in m.ravel().tolist())
-
-
 def invert_matrix(m):
     """Inverse that tolerates dual-number entries: solve_linear on I."""
     return solve_linear(m, np.eye(len(m)))
@@ -282,20 +295,33 @@ def solve_linear(m, rhs):
     ``rhs`` is an (n,) vector or an (n, k) block of k right-hand sides.
     The matrix is factored once; each column gets exactly the arithmetic of
     a solve with that column alone.  Rows are Python lists, since numpy's
-    per-call overhead dwarfs the work on a handful of objects.
+    per-call overhead dwarfs the work on a handful of objects.  A pivot at
+    most PIVOT_RTOL max |body| (a NaN one included) raises.
+
+    Entries over ``dual.Batch`` bodies solve every node at once: the floor
+    and the pivot are per node (:func:`_pivot_nodes`), so each node gets
+    the bits of its own solve.
     """
     m = np.asarray(m, dtype=object)
     rhs = np.asarray(rhs, dtype=object)
     n = m.shape[0]
-    floor = _pivot_floor(m)
+    bodies = [dual.body(v) for v in m.ravel().tolist()]
+    try:
+        floor, size = PIVOT_RTOL * max(map(abs, bodies)), 0
+    except TypeError:           # a Batch has no abs(): solve per node
+        size = dual.nodes(bodies)
+        floor = PIVOT_RTOL * np.abs(dual.tighten(bodies, size)).max(0)
     a = m.tolist()
     b = rhs.reshape(n, -1).tolist()
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(dual.body(a[r][col])))
-        if not abs(dual.body(a[piv][col])) > floor:
-            raise SingularMetricError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
+        if size:
+            _pivot_nodes(a, b, col, floor)
+        else:
+            piv = max(range(col, n), key=lambda r: abs(dual.body(a[r][col])))
+            if not abs(dual.body(a[piv][col])) > floor:
+                raise SingularMetricError("singular linear system")
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
         arow, brow = a[col], b[col]
         for r in range(col + 1, n):
             fac = a[r][col] / arow[col]
@@ -312,6 +338,34 @@ def solve_linear(m, rhs):
     return out.reshape(rhs.shape)
 
 
+def _pivot_nodes(a, b, col, floor):
+    """Bring each node's pivot row of column ``col`` to row ``col``.
+
+    ``argmax`` takes the first largest |body|, as ``max`` does at a point.
+    Where the nodes pick different rows, the rows are swapped by
+    ``dual.select``, which does no arithmetic.
+    """
+    mags = np.abs(dual.tighten([dual.body(row[col]) for row in a[col:]],
+                               floor.size))
+    piv = mags.argmax(0)
+    ok = mags[piv, np.arange(floor.size)] > floor
+    if not ok.all():
+        raise SingularMetricError("singular linear system at node "
+                                  f"{int(np.argmin(ok))}")
+    piv = piv + col
+    top_a, top_b = a[col], b[col]
+    for r in sorted(set(piv.tolist()) - {col}):
+        mask = piv == r
+        if mask.all():
+            a[col], a[r], b[col], b[r] = a[r], top_a, b[r], top_b
+            break
+        for rows, top in ((a, top_a), (b, top_b)):
+            rows[col], rows[r] = ([dual.select(mask, u, v)
+                                   for u, v in zip(rows[r], rows[col])],
+                                  [dual.select(mask, u, v)
+                                   for u, v in zip(top, rows[r])])
+
+
 def christoffel(g: ChartField, point) -> np.ndarray:
     """Levi-Civita Christoffel symbols Gamma^i_{jk} at a point."""
     jet = differentiate(g, point, order=1)
@@ -320,9 +374,15 @@ def christoffel(g: ChartField, point) -> np.ndarray:
 
 def christoffel_from_jet(jet: PointJet) -> np.ndarray:
     gmat = jet.value
-    if np.asarray(gmat).dtype != object and \
-            not np.max(np.abs(gmat - gmat.swapaxes(0, 1))) <= EPS_ID:
-        raise SingularMetricError("metric component matrix is not symmetric")
+    if np.asarray(gmat).dtype != object:
+        if not np.isfinite(gmat).all():     # before NaN - NaN fails below
+            finite = np.isfinite(gmat).reshape(gmat.shape[0] ** 2, -1).all(0)
+            raise SingularMetricError(
+                "metric component matrix is not finite at "
+                f"{_at(jet.point, int(np.argmin(finite)))}, so not symmetric")
+        if not np.max(np.abs(gmat - gmat.swapaxes(0, 1))) <= EPS_ID:
+            raise SingularMetricError(
+                "metric component matrix is not symmetric")
     ginv = metric_inverse(gmat)
     dg = jet.d1  # dg[a, i, j] = d_a g_{ij}
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})
@@ -383,6 +443,8 @@ def frame_contract(arr, *frames) -> np.ndarray:
     lead = out.ndim - k
     for frame in frames:
         frame = _stack(frame)
+        if frame.ndim > 2:      # C-order stacks: BLAS as at a point
+            frame = np.ascontiguousarray(frame)
         shape = out.shape
         out = (out.reshape(shape[:lead + 1] + (-1,)).swapaxes(-1, -2)
                @ frame.swapaxes(-1, -2)).reshape(
@@ -399,7 +461,34 @@ def operator_slots(r, f1, f2, f3, f4) -> np.ndarray:
     convention this is :func:`frame_contract` with its last two slots
     swapped; the reduction modules return curvatures in this convention.
     """
-    return np.swapaxes(frame_contract(r, f1, f2, f3, f4), 2, 3)
+    return swap_operator_slots(frame_contract(r, f1, f2, f3, f4))
+
+
+def node_einsum(spec: str, *ops) -> np.ndarray:
+    """``np.einsum(spec, *ops)`` where operands may carry a trailing node
+    axis (``spec`` names only their other axes); so does the result.
+
+    Each node keeps the bits of its own einsum: the node axis goes first
+    on C-order copies, so the inner loop sums over the same contiguous
+    axis as at a point.  With the node axis innermost, einsum would sum in
+    another order.
+    """
+    subs, out = spec.split("->")
+    subs = subs.split(",")
+    lead = [o.ndim > len(sub) for o, sub in zip(ops, subs)]
+    if not any(lead):
+        return np.einsum(spec, *ops)
+    ops = [np.ascontiguousarray(np.moveaxis(o, -1, 0)) if node else o
+           for o, node in zip(ops, lead)]
+    spec = ",".join("..." * node + sub for sub, node in zip(subs, lead))
+    return np.moveaxis(np.einsum(f"{spec}->...{out}", *ops), 0, -1)
+
+
+def swap_operator_slots(arr) -> np.ndarray:
+    """The swap of slots 2 and 3 between raw component slots and operator
+    slots; it is its own inverse, so it also takes an operator-slot array
+    back to raw slots.  Trailing node axes are kept."""
+    return np.swapaxes(arr, 2, 3)
 
 
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
@@ -535,8 +624,11 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
 
     A vector whose remainder has g-norm at most 1e-10 of the metric scale
     is dropped, and a NaN one with it; RankError unless ``rank`` rows are
-    left.
+    left.  A metric with a trailing node axis gives one frame per node,
+    (rank, n, nodes), from :func:`_node_frames`.
     """
+    if gmat.ndim == 3:
+        return _node_frames(vectors, gmat, rank, what)
     basis = []
     scale = np.sqrt(np.trace(gmat) / gmat.shape[0])
     for v in vectors:
@@ -549,3 +641,41 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
     if len(basis) != rank:
         raise RankError(f"{what} has rank {len(basis)}, expected {rank}")
     return np.array(basis)
+
+
+def _node_frames(vectors, gmat, rank: int, what: str) -> np.ndarray:
+    """:func:`orthonormal_frame` on a node stack, each node with the bits of
+    its own frame.  ``vectors`` are (k, n), shared, or (k, n, nodes).
+
+    A dropped vector leaves a zero row at its node, which later steps
+    subtract exactly; each node's kept rows are gathered at the end.
+    """
+    # C-order stacks: matmul then runs each node's product as at a point
+    g = np.ascontiguousarray(_stack(np.asarray(gmat, dtype=float)))
+    size, n = g.shape[0], g.shape[-1]
+    vecs = np.asarray(vectors, dtype=float)
+    vecs = np.ascontiguousarray(
+        np.moveaxis(vecs, 2, 1) if vecs.ndim == 3 else
+        np.broadcast_to(vecs[:, None, :], (len(vecs), size, n)))
+
+    def pair(u, w):                 # u @ g @ w per node
+        return ((u[:, None, :] @ g) @ w[:, :, None])[:, 0, 0]
+
+    scale = np.sqrt(np.trace(g, axis1=1, axis2=2) / n)
+    basis, kept = [], []
+    for w in vecs:
+        for b in basis:
+            w = w - pair(b, w)[:, None] * b
+        nrm = np.sqrt(pair(w, w))
+        keep = nrm > 1e-10 * scale
+        basis.append(np.divide(w, nrm[:, None], out=np.zeros_like(w),
+                               where=keep[:, None]))
+        kept.append(keep)
+    count = np.sum(kept, axis=0)
+    if (count != rank).any():
+        k = int(np.argmax(count != rank))
+        raise RankError(f"{what} has rank {count[k]} at node {k}, "
+                        f"expected {rank}")
+    rows = np.argsort(~np.array(kept), axis=0, kind="stable")[:rank]
+    frames = np.take_along_axis(np.array(basis), rows[..., None], axis=0)
+    return np.moveaxis(frames, 1, 2)

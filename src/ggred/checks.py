@@ -9,6 +9,7 @@ sample fails) together with its tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -149,11 +150,26 @@ def _quotient_pairs(s: Scenario, rng, n, oracle):
                - oracle(scn, q, basis))
 
 
+def _batched_pairs(ambient, direct, frame, chart, rng, n):
+    """Per sample, the largest |ambient - direct| on one frame, over n
+    samples of ``chart`` taken as batch points of at most BATCH nodes."""
+    def residual(x):
+        basis = frame(x)
+        return np.abs(ambient(x, basis) - direct(x, basis)).max(
+            axis=(0, 1, 2, 3))
+
+    return ch.max_abs(batched(residual, _chunks((chart.sample(rng, n),),
+                                                np.arange(n))))
+
+
 def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Ambient-formula reduced curvature vs direct quotient computation."""
     n = _npoints(s, 50, points)
-    return _result("thm63", n, ch.max_abs(_quotient_pairs(
-        s, rng, n, qt.reduced_curvature_direct)), tol)
+    scn = s.quotient
+    return _result("thm63", n, _batched_pairs(
+        partial(qt.reduced_curvature_quotient, scn),
+        partial(qt.reduced_curvature_direct, scn),
+        partial(qt.quotient_frame, scn), scn.quotient, rng, n), tol)
 
 
 def _flux_free_action(s: Scenario, p) -> bool:
@@ -176,13 +192,10 @@ def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Ambient-formula locus curvature vs direct induced-geometry value."""
     n = _npoints(s, 50, points)
     scn = s.section
-
-    def residual(u):
-        basis = sm.tangent_frame(scn, u)
-        return (sm.reduced_curvature_sub(scn, u, basis)
-                - sm.reduced_curvature_sub_direct(scn, u, basis))
-    return _result("thm65", n,
-                   ch.max_abs(map(residual, scn.nchart.sample(rng, n))), tol)
+    return _result("thm65", n, _batched_pairs(
+        partial(sm.reduced_curvature_sub, scn),
+        partial(sm.reduced_curvature_sub_direct, scn),
+        partial(sm.tangent_frame, scn), scn.nchart, rng, n), tol)
 
 
 def _chain_residual(point_frame, curvature, model, scn, x, basis):

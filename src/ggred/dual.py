@@ -291,8 +291,38 @@ def _split(out, level):
 
 
 def nodes(point) -> int:
-    """Number of nodes of a batch point (Batch coordinates); 0 at a point."""
-    return point[0].v.size if isinstance(point[0], Batch) else 0
+    """Number of nodes of a batch point (a Batch coordinate); 0 at a point."""
+    for x in point:
+        if isinstance(x, Batch):
+            return x.v.size
+    return 0
+
+
+def entries(arr):
+    """The Batch entries of a float array with a trailing node axis (the
+    inverse of ``tighten(., size)``), as an object array."""
+    arr = np.asarray(arr, dtype=float)
+    out = np.empty(arr.shape[:-1], dtype=object)
+    out.ravel()[:] = [Batch(v) for v in arr.reshape(-1, arr.shape[-1])]
+    return out
+
+
+def select(mask, a, b):
+    """``a`` at the nodes where ``mask`` holds and ``b`` elsewhere.
+
+    An exact selection through ``Dual`` trees, with no arithmetic; a value
+    opposite a ``Dual`` of a higher level is read as that level's constant.
+    """
+    if a is b:
+        return a
+    la, lb = (x.level if isinstance(x, Dual) else 0 for x in (a, b))
+    if la or lb:
+        lev = max(la, lb)
+        av, ae = (a.val, a.eps) if la == lev else (a, 0.0)
+        bv, be = (b.val, b.eps) if lb == lev else (b, 0.0)
+        return Dual(select(mask, av, bv), select(mask, ae, be), lev)
+    return Batch(np.where(mask, a.v if isinstance(a, Batch) else a,
+                          b.v if isinstance(b, Batch) else b))
 
 
 def tighten(arr, size: int = 0):

@@ -91,13 +91,6 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
                      ((mplus, 2), (0, 0), (mplus, 3), (0, 1)))
 
 
-def operator_slots_to_raw(arr: np.ndarray) -> np.ndarray:
-    """Convert an operator-slot curvature array
-    (:func:`ggred.chart.operator_slots`) to raw component slots by swapping
-    the last two axes."""
-    return np.swapaxes(arr, 2, 3)
-
-
 def euler_measure(m: int) -> list[int]:
     """Berezin measure order pairing each plus mode with its minus mode."""
     order = []
@@ -591,5 +584,5 @@ def localized_exponent_target(pf: PointFrame, reduced_paper_slots: np.ndarray
     same pairing convention the assembled actions use, so that
     ``localize_model`` output equals this element coefficientwise.
     """
-    raw = operator_slots_to_raw(reduced_paper_slots)
+    raw = ch.swap_operator_slots(reduced_paper_slots)
     return -0.5 * curvature_quartic(raw, pf.m)

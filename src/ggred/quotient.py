@@ -129,12 +129,18 @@ class ReductionMatrices:
 def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                        point) -> ReductionMatrices:
     """G_ab = g(V_a, V_b); K_ab = G_ab - xi_a(V_b);
-    T_ab = G_ab + g^{-1}(xi_a, xi_b)."""
-    gmat, v, x = (dual.tighten(a) for a in _action_rows(ea, ctx, point))
-    ginv = ch.metric_inverse(gmat)
-    G = v @ gmat @ v.T
-    K = G - x @ v.T
-    T = G + x @ ginv @ x.T
+    T_ab = G_ab + g^{-1}(xi_a, xi_b).  A batch point gives a trailing node
+    axis; the products run on C-order node stacks, one per node as at a
+    point."""
+    size = dual.nodes(point)
+    gmat, v, x = (np.ascontiguousarray(ch._stack(dual.tighten(a, size)))
+                  for a in _action_rows(ea, ctx, point))
+    ginv = ch._stack(ch.metric_inverse(ch._stack(gmat, gmat.ndim - 2)))
+    vt = v.swapaxes(-1, -2)
+    G = v @ gmat @ vt
+    K = G - x @ vt
+    T = G + x @ ginv @ x.swapaxes(-1, -2)
+    G, K, T = (ch._stack(a, a.ndim - 2) for a in (G, K, T))
     Tinv = ch.inverse(T, RankError, "T_ab", definite=True)
     Kinv = ch.inverse(K, RankError, "K_ab")
     return ReductionMatrices(G, K, T, Kinv, Tinv)
@@ -189,7 +195,7 @@ def d_constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     out = []
     for sign in (+1, -1):
         d = d1[:, 0] + sign * d1[:, 1]          # d[k, a, j] = d_k row_aj
-        out.append(d.transpose(1, 0, 2) - d.transpose(1, 2, 0))
+        out.append(d.swapaxes(0, 1) - d.transpose(1, 2, 0, *range(3, d.ndim)))
     return tuple(out)
 
 
@@ -305,7 +311,9 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
 
     Solves the square system stacking the s constraint rows of tau_sign on
     d(project), one factorization for all vectors; raises LiftError when
-    the system degenerates.
+    the system degenerates.  At a batch point the entries stay ``Batch``
+    values (``qvecs`` may hold them too), as a field body needs them;
+    callers outside a field tighten with ``dual.nodes(point)``.
     """
     if len(qvecs) == 0:
         return []
@@ -337,9 +345,12 @@ def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
 
 
 def omega_two_form(scn: QuotientScenario, point):
-    """tau_+ curvature 2-forms Omega^a as ambient component arrays."""
+    """tau_+ curvature 2-forms Omega^a as ambient component arrays (with
+    ``Batch`` entries at a batch point, as field bodies need)."""
     ea, ctx = scn.ea, scn.ctx
-    dxi = np.asarray(d_constraint_rows(ea, ctx, point)[0], dtype=object)
+    dxi = d_constraint_rows(ea, ctx, point)[0]
+    dxi = dual.entries(dxi) if dxi.ndim == 4 else \
+        np.asarray(dxi, dtype=object)
     # Omega^a = K^{ba} d(g(V_b^+))
     return np.tensordot(_k_inverse(ea, ctx, point), dxi, axes=(0, 0))
 
@@ -349,7 +360,8 @@ def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):
     at lift(qpoint); raises LiftError unless the metric is positive."""
     m = scn.reduced_dim
     p = scn.lift(qpoint)
-    lifts = horizontal_lift(scn, p, sign, np.eye(m))
+    lifts = dual.tighten(horizontal_lift(scn, p, sign, np.eye(m)),
+                         dual.nodes(p))
     gred = ch.frame_contract(scn.ctx.metric_at(p), lifts, lifts)
     ch.inverse(gred, LiftError, "reduced metric", definite=True)
     return p, lifts, gred
@@ -463,7 +475,8 @@ def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq, qpoint) -> float:
 
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
-    """Deterministic g_red-orthonormal basis of the quotient tangent space."""
+    """Deterministic g_red-orthonormal basis of the quotient tangent space
+    (one per node, on a trailing axis, at a batch point)."""
     gred = _lifted_metric(scn, qpoint, +1)[2]
     return ch.orthonormal_frame(np.eye(scn.reduced_dim), gred,
                                 scn.reduced_dim, "quotient frame")
@@ -475,8 +488,8 @@ def _minus_derivative_matrix(scn: QuotientScenario, point):
     coeffs = bismut_connection_coeffs(-1, ctx, point)
     jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), point,
                            order=1, chart=ctx.chart)
-    return jet.d1.transpose(1, 0, 2) + np.einsum("ijk,ak->aji", coeffs,
-                                                 jet.value)
+    return jet.d1.swapaxes(0, 1) + ch.node_einsum("ijk,ak->aji", coeffs,
+                                                  jet.value)
 
 
 def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
@@ -488,35 +501,40 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     tau_-) lifts, a mixed term quadratic in the tau_pm connection 2-forms,
     and a vertical-derivative correction weighted by the inverse of T_ab.
     Cross-check: :func:`reduced_curvature_direct` with the same basis.
+    A batch quotient point (and a basis with a trailing node axis) gives a
+    trailing node axis.
     """
     ea, ctx = scn.ea, scn.ctx
     if basis is None:
         basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
     p = scn.lift(qpoint)
-    plus = horizontal_lift(scn, p, +1, basis)
-    minus = horizontal_lift(scn, p, -1, basis)
+    size = dual.nodes(p)
+    qvecs = dual.entries(basis) if size else basis
+    plus, minus = (dual.tighten(horizontal_lift(scn, p, sign, qvecs), size)
+                   for sign in (+1, -1))
     gmat = ctx.metric_at(p)
     rm = reduction_matrices(ea, ctx, p)
     rmin = bismut_curvature(-1, ctx, p)
     term1 = ch.operator_slots(rmin, plus, plus, minus, minus)
 
     dxi_p, dxi_m = d_constraint_rows(ea, ctx, p)
-    om_p = np.einsum("aij,bi,cj->abc", dxi_p, plus, plus)
-    om_m = np.einsum("aij,ci,dj->acd", dxi_m, minus, minus)
-    term2 = -0.5 * np.einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)
+    om_p = ch.node_einsum("aij,bi,cj->abc", dxi_p, plus, plus)
+    om_m = ch.node_einsum("aij,ci,dj->acd", dxi_m, minus, minus)
+    term2 = -0.5 * ch.node_einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)
 
     dmat = _minus_derivative_matrix(scn, p)  # [a, j, i]
     # edge[a, mu, rho] = g(X^-_rho, grad^-_{X^+_mu} V_a^-)
-    edge = np.einsum("aji,mj,ik,rk->amr", dmat, plus, gmat, minus)
-    term3 = (np.einsum("ab,anz,bmw->mnzw", rm.Tinv, edge, edge)
-             - np.einsum("ab,amz,bnw->mnzw", rm.Tinv, edge, edge))
+    edge = ch.node_einsum("aji,mj,ik,rk->amr", dmat, plus, gmat, minus)
+    term3 = (ch.node_einsum("ab,anz,bmw->mnzw", rm.Tinv, edge, edge)
+             - ch.node_einsum("ab,amz,bnw->mnzw", rm.Tinv, edge, edge))
     return term1 + term2 + term3
 
 
 def reduced_curvature_direct(scn: QuotientScenario, qpoint,
                              basis=None) -> np.ndarray:
-    """Torsion curvature of (g_red, H_red) computed on the quotient chart."""
+    """Torsion curvature of (g_red, H_red) computed on the quotient chart
+    (with a trailing node axis at a batch quotient point)."""
     if basis is None:
         basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)

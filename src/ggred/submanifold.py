@@ -35,8 +35,10 @@ class SectionData:
         return len(self.sigma)
 
     def values(self, point):
-        return np.array([dual.body(np.asarray(s(point), dtype=object)
-                                   .ravel()[0]) for s in self.sigma])
+        """sigma^alpha at a point (node axis last at a batch point)."""
+        return dual.tighten([dual.body(np.asarray(s(point), dtype=object)
+                                       .ravel()[0]) for s in self.sigma],
+                            dual.nodes(point))
 
     def jet(self, point, order: int = 1) -> ch.PointJet:
         """One jet of all sigma^alpha: the last axis of every part is alpha."""
@@ -46,8 +48,9 @@ class SectionData:
             point, order=order, chart=self.sigma[0].chart)
 
     def gradients(self, point) -> np.ndarray:
-        """The r x n rows d sigma^alpha in C order (dual-safe)."""
-        return np.ascontiguousarray(self.jet(point).d1.T)
+        """The r x n rows d sigma^alpha in C order (dual-safe; node axis
+        last at a batch point)."""
+        return np.ascontiguousarray(self.jet(point).d1.swapaxes(0, 1))
 
     def on_locus(self, point, tol: float = EPS_LOCUS) -> bool:
         return bool(np.max(np.abs(self.values(point))) <= tol)
@@ -58,9 +61,10 @@ def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
     inverse at a zero-locus point."""
     if not sd.on_locus(point):
         raise TangencyError("t_matrix needs a point on the zero locus")
-    ginv = ch.metric_inverse(ctx.metric_at(point))
-    grads = sd.gradients(point)
-    tup = grads @ ginv @ grads.T
+    ginv = ch._stack(ch.metric_inverse(ctx.metric_at(point)))
+    grads = np.ascontiguousarray(ch._stack(sd.gradients(point)))
+    tup = grads @ ginv @ grads.swapaxes(-1, -2)
+    tup = ch._stack(tup, tup.ndim - 2)
     return tup, ch.inverse(tup, RankError, "transverse Gram matrix of "
                            "d sigma", definite=True)
 
@@ -106,11 +110,13 @@ def embed_jacobian(scn: SubmanifoldScenario, u):
 
 
 def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
-    """Deterministic g-orthonormal frame of TN at embed(u), ambient rows."""
+    """Deterministic g-orthonormal frame of TN at embed(u), ambient rows
+    (one per node, on a trailing axis, at a batch point)."""
     p = scn.embed(u)
     gmat = scn.ctx.metric_at(p)
-    demb = np.asarray(embed_jacobian(scn, u), dtype=float)
-    return ch.orthonormal_frame(demb.T, gmat, scn.locus_dim, "tangent frame")
+    demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
+    return ch.orthonormal_frame(demb.swapaxes(0, 1), gmat,
+                                scn.locus_dim, "tangent frame")
 
 
 def induced_metric_field(scn: SubmanifoldScenario) -> ch.ChartField:
@@ -143,12 +149,14 @@ def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int, point) -> np.ndarray:
     """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at an ambient point."""
     coeffs = bismut_connection_coeffs(sign, scn.ctx, point)
     jet = scn.sd.jet(point, order=2)
-    return np.moveaxis(jet.d2, 2, 0) - np.einsum("lij,la->aij", coeffs,
-                                                  jet.d1)
+    return np.moveaxis(jet.d2, 2, 0) - ch.node_einsum("lij,la->aij", coeffs,
+                                                       jet.d1)
 
 
 def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):
-    if not ch.max_abs([scn.sd.gradients(point) @ np.transpose(vecs)]) <= tol:
+    grads = ch._stack(scn.sd.gradients(point))
+    vecs = ch._stack(np.asarray(vecs))
+    if not ch.max_abs([grads @ vecs.swapaxes(-1, -2)]) <= tol:
         raise TangencyError("field value not tangent to the locus")
 
 
@@ -231,6 +239,8 @@ def reduced_curvature_sub(scn: SubmanifoldScenario, u,
     In operator slots: the ambient torsion curvature restricted to the
     frame plus a transverse correction quadratic in grad^- d sigma.
     Cross-check: :func:`reduced_curvature_sub_direct` with the same basis.
+    A batch point (and a basis with a trailing node axis) gives a trailing
+    node axis.
     """
     if basis is None:
         basis = tangent_frame(scn, u)
@@ -242,22 +252,29 @@ def reduced_curvature_sub(scn: SubmanifoldScenario, u,
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     mm = nabla_pm_dsigma(scn, -1, p)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
-    nb = np.einsum("aij,mi,rj->amr", mm, basis, basis)
-    term2 = (np.einsum("ab,bnr,ams->mnrs", tlow, nb, nb)
-             - np.einsum("ab,bmr,ans->mnrs", tlow, nb, nb))
+    nb = ch.node_einsum("aij,mi,rj->amr", mm, basis, basis)
+    term2 = (ch.node_einsum("ab,bnr,ams->mnrs", tlow, nb, nb)
+             - ch.node_einsum("ab,bmr,ans->mnrs", tlow, nb, nb))
     return term1 + term2
 
 
 def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
                                  basis=None) -> np.ndarray:
     """Torsion curvature of the induced geometry, computed on the locus
-    chart and expressed on the same ambient frame."""
+    chart and expressed on the same ambient frame (with a trailing node
+    axis at a batch point)."""
     if basis is None:
         basis = tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
-    demb = np.asarray(embed_jacobian(scn, u), dtype=float)
-    # chart components of the frame vectors: solve demb @ e = basis row
-    coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
+    demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
+    # chart components of the frame vectors: solve demb @ e = basis row;
+    # lstsq has no stacked form, so one solve per node
+    if demb.ndim == 3:
+        coords = np.stack([np.linalg.lstsq(demb[..., k], basis[..., k].T,
+                                           rcond=None)[0].T
+                           for k in range(demb.shape[-1])], axis=-1)
+    else:
+        coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
     ctxn = induced_context(scn)
     rarr = bismut_curvature(-1, ctxn, u)
     return ch.operator_slots(rarr, coords, coords, coords, coords)

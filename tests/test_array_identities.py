@@ -6,9 +6,9 @@ copied here as the bit oracle, and the two are compared with
 ``np.array_equal`` (object arrays read through ``dual.tighten``).
 
 The built-in scenarios have s = 1 wherever xi is nonzero, and r = 1, so a
-transposed stacking axis cannot show on them.  The cases here add a second
-generator with a nonzero 1-form (s = 2) and two nonlinear constraints
-(r = 2), and the s3xs1_gk flux is read at float, ``Dual`` and ``Batch``
+transposed stacking axis cannot show on them.  The cases of
+``reduction_cases`` add a second generator with a nonzero 1-form (s = 2)
+and two nonlinear constraints (r = 2), and the s3xs1_gk flux is read at float, ``Dual`` and ``Batch``
 coordinates.
 """
 
@@ -28,48 +28,14 @@ from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred import submanifold as sm
-from ggred.chart import COVECTOR, SCALAR, VECTOR, Chart, ChartField
-from ggred.dual import cos, sin
+from ggred.chart import VECTOR, ChartField
+from ggred.dual import sin
 from ggred.errors import EvaluationError, TangencyError
-from ggred.genmetric import GeneralizedMetricContext, bismut_connection_coeffs
+from ggred.genmetric import bismut_connection_coeffs
+from reduction_cases import two_constraint_section, two_generator_action
 
 
-def _two_generator_action():
-    """s3xt2 with a second generator and 1-form over a 3-dimensional
-    quotient chart (theta, phi, t2); only the algebra is exercised."""
-    s = sc.s3xt2({}).quotient
-    box = s.ctx.chart
-    v2 = ChartField(box, VECTOR,
-                    lambda c: [0.0, 0.2 * sin(c[1]), 0.0, 1.0, 0.3],
-                    name="w")
-    x2 = ChartField(box, COVECTOR,
-                    lambda c: [0.6 * cos(c[0]), 0.0, 0.4, 0.0, 0.0],
-                    name="eta")
-    ea = qt.ExtendedAction((s.ea.V[0], v2), (s.ea.xi[0], x2))
-    qchart = Chart("s2xS1", (box.lower[0], box.lower[1], box.lower[4]),
-                   (box.upper[0], box.upper[1], box.upper[4]))
-    return qt.QuotientScenario(
-        s.ctx, ea, qchart, lambda c: [c[0], c[1], c[4]],
-        lambda q: [q[0], q[1], 2.0, 1.0, q[2]])
-
-
-def _two_constraint_section():
-    """|x|^2 - 1 and x z in flat R^3 with constant flux, on the circle
-    x = 0 of the zero locus."""
-    box = Chart("r3", (-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))
-    g = ChartField(box, ch.METRIC, lambda c: np.eye(3), name="flat")
-    h = ChartField(box, ch.form_valence(3),
-                   lambda c: sc.antisym3(3, (0, 1, 2), 0.5), name="const3")
-    sd = sm.SectionData((
-        ChartField(box, SCALAR,
-                   lambda c: [c[0] ** 2 + c[1] ** 2 + c[2] ** 2 - 1.0]),
-        ChartField(box, SCALAR, lambda c: [c[0] * c[2]])))
-    return sm.SubmanifoldScenario(
-        GeneralizedMetricContext(g, h), sd, Chart("circle", (0.3,), (2.8,)),
-        lambda u: [0.0, cos(u[0]), sin(u[0])])
-
-
-QUOTIENTS = [sc.s3xt2({}).quotient, _two_generator_action()]
+QUOTIENTS = [sc.s3xt2({}).quotient, two_generator_action()]
 QUOTIENT_IDS = ["s3xt2", "two_generators"]
 
 
@@ -119,7 +85,7 @@ def test_minus_derivative_matrix_keeps_the_per_generator_loop(scn):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_nabla_pm_dsigma_keeps_the_per_constraint_loop(sign):
-    scn = _two_constraint_section()
+    scn = two_constraint_section()
     p = [0.3, -0.5, 0.7]
     coeffs = bismut_connection_coeffs(sign, scn.ctx, p)
     jet = scn.sd.jet(p, order=2)
@@ -288,7 +254,7 @@ def _raises(fn, *args):
 
 
 def test_require_tangent_keeps_the_pair_loop():
-    scn = _two_constraint_section()
+    scn = two_constraint_section()
     u = [1.1]
     p = scn.embed(u)
     frame = list(sm.tangent_frame(scn, u))
@@ -304,7 +270,7 @@ def test_require_tangent_keeps_the_pair_loop():
 
 def test_require_tangent_raises_on_a_nan_vector_and_a_nan_gradient(
         monkeypatch):
-    scn = _two_constraint_section()
+    scn = two_constraint_section()
     u = [1.1]
     p = scn.embed(u)
     frame = list(sm.tangent_frame(scn, u))

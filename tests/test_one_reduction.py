@@ -108,10 +108,10 @@ SAMPLED = [
     ("bismut_courant", "hopf", {}, ck, "bismut_via_courant", 1),
     ("pair_symmetry", "hopf_flux", {}, ck, "bismut_curvature", 2),
     ("lemma62", "hopf_flux", {}, qt, "omega_curvature", 3),
-    ("thm63", "hopf_flux", {}, qt, "reduced_curvature_direct", 2),
+    ("thm63", "hopf_flux", {}, qt, "reduced_curvature_direct", 1),
     ("oneill", "hopf", {}, qt, "oneill_curvature", 2),
     ("thm65", "sphere_in_flat", {"c": 0.5}, sm,
-     "reduced_curvature_sub_direct", 2),
+     "reduced_curvature_sub_direct", 1),
     ("localize2", "hopf_flux", {}, qt, "reduced_curvature_quotient", 2),
     ("localize3", "sphere_in_flat", {"c": 0.5}, sm,
      "reduced_curvature_sub", 2),

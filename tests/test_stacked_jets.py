@@ -4,8 +4,8 @@ The quotient and zero-locus reductions differentiate every generator,
 sign and constraint through one jet of the stacked rows.  Each stacked
 result is compared bit for bit with a jet taken per row, written out here.
 The built-in scenarios have s = 1 whenever xi is nonzero and r = 1, where a
-swapped stacking axis cannot show, so the cases below carry two generators
-with nonzero 1-forms and two nonlinear constraints.
+swapped stacking axis cannot show, so the cases of ``reduction_cases`` carry
+two generators with nonzero 1-forms and two nonlinear constraints.
 """
 
 import numpy as np
@@ -15,34 +15,14 @@ from ggred import chart as ch
 from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import submanifold as sm
-from ggred.chart import COVECTOR, SCALAR, VECTOR, Chart, ChartField
-from ggred.dual import cos, sin
+from ggred.chart import VECTOR, ChartField
 from ggred.errors import DomainError
-from ggred.genmetric import GeneralizedMetricContext, bismut_connection_coeffs
-from ggred.scenarios import antisym3, s3xt2
+from ggred.genmetric import bismut_connection_coeffs
+from ggred.scenarios import s3xt2
+from reduction_cases import two_constraint_section, two_generator_action
 
 
-def _two_generator_action():
-    """s3xt2 with a second generator and 1-form over a 3-dimensional
-    quotient chart (theta, phi, t2), so that the tau lifts are square.
-    Only the algebra is exercised; the action need not be valid."""
-    s = s3xt2({}).quotient
-    box = s.ctx.chart
-    v2 = ChartField(box, VECTOR,
-                    lambda c: [0.0, 0.2 * sin(c[1]), 0.0, 1.0, 0.3],
-                    name="w")
-    x2 = ChartField(box, COVECTOR,
-                    lambda c: [0.6 * cos(c[0]), 0.0, 0.4, 0.0, 0.0],
-                    name="eta")
-    ea = qt.ExtendedAction((s.ea.V[0], v2), (s.ea.xi[0], x2))
-    qchart = Chart("s2xS1", (box.lower[0], box.lower[1], box.lower[4]),
-                   (box.upper[0], box.upper[1], box.upper[4]))
-    return qt.QuotientScenario(
-        s.ctx, ea, qchart, lambda c: [c[0], c[1], c[4]],
-        lambda q: [q[0], q[1], 2.0, 1.0, q[2]])
-
-
-QUOTIENTS = [s3xt2({}).quotient, _two_generator_action()]
+QUOTIENTS = [s3xt2({}).quotient, two_generator_action()]
 QUOTIENT_IDS = ["s3xt2", "two_generators"]
 
 
@@ -108,28 +88,12 @@ def test_stacked_quotient_rows_keep_the_chart_bounds():
         qt.d_constraint_rows(scn.ea, scn.ctx, p)
 
 
-def _two_constraint_section():
-    """|x|^2 - 1 and x z in flat R^3 with constant flux; the zero locus
-    contains the circle x = 0, which the locus chart parametrizes."""
-    box = Chart("r3", (-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))
-    g = ChartField(box, ch.METRIC, lambda c: np.eye(3), name="flat")
-    h = ChartField(box, ch.form_valence(3),
-                   lambda c: antisym3(3, (0, 1, 2), 0.5), name="const3")
-    sd = sm.SectionData((
-        ChartField(box, SCALAR,
-                   lambda c: [c[0] ** 2 + c[1] ** 2 + c[2] ** 2 - 1.0]),
-        ChartField(box, SCALAR, lambda c: [c[0] * c[2]])))
-    return sm.SubmanifoldScenario(
-        GeneralizedMetricContext(g, h), sd, Chart("circle", (0.3,), (2.8,)),
-        lambda u: [0.0, cos(u[0]), sin(u[0])])
-
-
 def _per_constraint_jets(sd, p, order):
     return [ch.differentiate(s, p, order=order) for s in sd.sigma]
 
 
 def test_section_gradients_match_per_constraint_jets():
-    sd = _two_constraint_section().sd
+    sd = two_constraint_section().sd
     p = [0.3, -0.5, 0.7]
     per_row = [j.d1.reshape(-1) for j in _per_constraint_jets(sd, p, 1)]
     stacked = sd.gradients(p)
@@ -140,7 +104,7 @@ def test_section_gradients_match_per_constraint_jets():
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
-    scn = _two_constraint_section()
+    scn = two_constraint_section()
     p = [0.3, -0.5, 0.7]
     coeffs = bismut_connection_coeffs(sign, scn.ctx, p)
     per_row = np.array([
@@ -152,7 +116,7 @@ def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
 
 
 def test_point_frame_section_matches_per_constraint_jets():
-    scn = _two_constraint_section()
+    scn = two_constraint_section()
     u = [1.1]
     basis = sm.tangent_frame(scn, u)
     pf = lz.point_frame_section(scn, u, basis)
@@ -163,4 +127,4 @@ def test_point_frame_section_matches_per_constraint_jets():
 
 def test_section_jet_keeps_the_chart_bounds():
     with pytest.raises(DomainError):
-        _two_constraint_section().sd.jet([2.0, 0.0, 0.0])
+        two_constraint_section().sd.jet([2.0, 0.0, 0.0])
