@@ -164,31 +164,18 @@ def _at(point, k=None) -> str:
     return f"node {k} {tuple(map(float, node))}"
 
 
-JET_MEMO_SIZE = 64
-_jet_memo: dict = {}   # (id(fn), float point) -> (fn, read-only PointJet)
-
-
-def clear_jet_memo():
-    """Forget every memoized jet; ``checks.run_check`` calls this first."""
-    _jet_memo.clear()
-
-
 def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> PointJet:
     """Exact partial derivatives of ``f`` at ``point`` via dual numbers.
 
     ``f`` may be a ChartField (its chart bounds are then enforced) or any
     pure callable on coordinates.  ``order`` is 1 or 2; second derivatives
-    use nested duals with independent level tags.
-
-    Jets of a ChartField at a point free of duals are memoized, keyed by
-    the identity of the field's ``fn`` and the point, with read-only
-    arrays; an order-2 entry also answers order-1 requests.  The memo holds
-    at most ``JET_MEMO_SIZE`` entries and is emptied when full.
+    use nested duals with independent level tags.  Every call takes its
+    jet afresh: callers that reuse a jet keep it (``genmetric.Geometry``).
 
     A batch point (``dual.Batch`` coordinates) gives arrays with a trailing
-    node axis from the same passes; every node is checked, none memoized.
-    Inside an enclosing jet (dual coordinates over a batch) the arrays keep
-    their ``Dual`` entries, as at a point.
+    node axis from the same passes, every node checked.  Inside an enclosing
+    jet (dual coordinates over a batch) the arrays keep their ``Dual``
+    entries, as at a point.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -198,13 +185,6 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     size = dual.nodes(map(dual.body, point) if nested else point)
     if use_chart is not None:
         use_chart.require_inside(point)
-    key = None
-    if isinstance(f, ChartField) and not size and not nested:
-        key = (id(fn), tuple(float(x) for x in point))
-        _, hit = _jet_memo.get(key, (None, None))
-        if hit is not None and (order == 1 or hit.d2 is not None):
-            return PointJet(tuple(point), hit.value, hit.d1,
-                            hit.d2 if order == 2 else None)
     try:
         value = np.asarray(fn(list(point)), dtype=object)
         d1 = dual.gradient(fn, list(point))
@@ -230,15 +210,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
         _require_finite(point, dual.tighten(bodies, size) if size else bodies,
                         size=size)
         value = dual.tighten(value)
-    jet = PointJet(tuple(point), value, d1, d2)
-    if key is not None:
-        for arr in (value, d1, d2):
-            if arr is not None:
-                arr.flags.writeable = False
-        if len(_jet_memo) >= JET_MEMO_SIZE:
-            _jet_memo.clear()
-        _jet_memo[key] = (fn, jet)   # fn held so its id is not reused
-    return jet
+    return PointJet(tuple(point), value, d1, d2)
 
 
 def metric_inverse(gmat):
@@ -366,13 +338,8 @@ def _pivot_nodes(a, b, col, floor):
                                    for u, v in zip(top, rows[r])])
 
 
-def christoffel(g: ChartField, point) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma^i_{jk} at a point."""
-    jet = differentiate(g, point, order=1)
-    return christoffel_from_jet(jet)
-
-
-def christoffel_from_jet(jet: PointJet) -> np.ndarray:
+def christoffel(jet: PointJet) -> np.ndarray:
+    """Levi-Civita Christoffel symbols Gamma^i_{jk} from a jet of g."""
     gmat = jet.value
     if np.asarray(gmat).dtype != object:
         if not np.isfinite(gmat).all():     # before NaN - NaN fails below
@@ -391,21 +358,17 @@ def christoffel_from_jet(jet: PointJet) -> np.ndarray:
     return 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
 
 
-def riemann(g: ChartField, point) -> np.ndarray:
-    """Fully lowered curvature R[i,j,k,l] = g(R(e_i,e_j) e_l, e_k).
+def riemann(jet: PointJet) -> np.ndarray:
+    """Fully lowered curvature R[i,j,k,l] = g(R(e_i,e_j) e_l, e_k) from an
+    order-2 jet of g.
 
     Antisymmetric in (i,j) and in (k,l), pair symmetric, and positive on
     sphere diagonals: on the unit round 2-sphere R[0,1,0,1] = sin(theta)^2.
+    Gamma is assembled here, not by :func:`christoffel`, so the analytic
+    curvature shares no code with the commutator oracle built on it.
     """
-    jet = differentiate(g, point, order=2)
-    return riemann_from_jet(jet)
-
-
-def riemann_from_jet(jet: PointJet) -> np.ndarray:
-    gmat = jet.value
+    gmat, dg, d2g = jet.value, jet.d1, jet.d2
     ginv = metric_inverse(gmat)
-    dg = jet.d1
-    d2g = jet.d2
     t = np.einsum("jlk...->ljk...", dg) + np.einsum("klj...->ljk...", dg) \
         - np.einsum("ljk...->ljk...", dg)
     gamma = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
@@ -423,8 +386,7 @@ def riemann_from_jet(jet: PointJet) -> np.ndarray:
            - np.einsum("mbl...,lac...->mcab...", gamma, gamma))
     del dgamma
     # Lower and flip the last operand into the pairing convention.
-    rlow = np.einsum("km...,mlij...->ijkl...", gmat, rop)
-    return rlow
+    return np.einsum("km...,mlij...->ijkl...", gmat, rop)
 
 
 def frame_contract(arr, *frames) -> np.ndarray:
@@ -582,16 +544,14 @@ def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
             - np.einsum("j...,ji...->i...", jy.value, jx.d1))
 
 
-def lie_derivative(v: ChartField, t: ChartField, point) -> np.ndarray:
+def lie_derivative(jv: PointJet, jt: PointJet) -> np.ndarray:
     """(L_V T)_{i..} = V^m d_m T_{i..} + sum_s T_{..m..} d_{i_s} V^m.
 
     The coordinate formula for a covariant tensor field T of any rank, with
-    m in slot s of the s-th term; built from the memoized jets of V and T.
-    A batch point gives a trailing node axis.
+    m in slot s of the s-th term; built from order-1 jets of V and T at one
+    point.  A batch point gives a trailing node axis.
     """
-    jv = differentiate(v, point, order=1)
-    jt = differentiate(t, point, order=1)
-    idx = "abcdefgh"[:t.valence.rank]
+    idx = "abcdefgh"[:jt.value.ndim - jv.value.ndim + 1]
     out = np.einsum(f"m...,m{idx}...->{idx}...", jv.value, jt.d1)
     for slot, i in enumerate(idx):
         out = out + np.einsum(f"{idx[:slot]}m{idx[slot + 1:]}...,{i}m...->"

@@ -21,7 +21,7 @@ from . import quotient as qt
 from . import submanifold as sm
 from .dual import Batch, batched, sin
 from .errors import ConfigError, RankError, ScenarioError
-from .genmetric import (bismut_curvature, bismut_derivative,
+from .genmetric import (Geometry, bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
@@ -116,8 +116,9 @@ def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 100, points)
 
     def residual(p):
-        rm = bismut_curvature(-1, s.ctx, p)
-        rp = bismut_curvature(+1, s.ctx, p)
+        geo = Geometry(s.ctx, p)
+        rm = bismut_curvature(-1, geo)
+        rp = bismut_curvature(+1, geo)
         return np.max([np.abs(d).max(axis=(0, 1, 2, 3)) for d in (
             rm - np.einsum("ijkl...->klij...", rp),
             rm + np.einsum("ijkl...->jikl...", rm),
@@ -203,7 +204,8 @@ def _chain_residual(point_frame, curvature, model, scn, x, basis):
     pairing, and the exponent's terms of degree below 4."""
     pf = point_frame(scn, x, basis)
     exponent, _ = lz.localize_model(pf, model)
-    target = lz.localized_exponent_target(pf, curvature(scn, x, basis))
+    target = lz.localized_exponent_target(pf, curvature(scn, x, basis,
+                                                        pf.geo))
     low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
     return [(exponent - target).max_abs()] + low
 
@@ -457,6 +459,5 @@ def run_check(s: Scenario, cid: str, seed: int, points=None) -> CheckResult:
     spec = REGISTRY[cid]
     if not applicable(s, cid):
         raise ScenarioError(f"check {cid!r} not applicable to {s.name!r}")
-    ch.clear_jet_memo()
     rng = np.random.default_rng([seed, CHECK_ORDER.index(cid)])
     return spec.fn(s, rng, spec.tolerance, points)

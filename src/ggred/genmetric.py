@@ -16,6 +16,7 @@ Index conventions (fixed package-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,55 @@ class GeneralizedMetricContext:
         return float(np.max(np.abs(dh)))
 
 
+class Geometry:
+    """g, g^-1, H, the jet of g, Gamma, R and the torsion terms of R^pm of a
+    context at a point or a batch point, each computed once, on first use.
+    The jet of g is of order 2 once curvature is asked for, and then also
+    serves Gamma.  Code under test shares one Geometry per sample; each
+    oracle builds its own."""
+
+    def __init__(self, ctx: GeneralizedMetricContext, point):
+        self.ctx, self.point = ctx, point
+        self._jet = None
+
+    def jet(self, order: int = 1) -> ch.PointJet:
+        """The jet of g, of order ``order`` at least."""
+        if self._jet is None or (order == 2 and self._jet.d2 is None):
+            self._jet = ch.differentiate(self.ctx.g, self.point, order=order)
+        return self._jet
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.ctx.metric_at(self.point)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return ch.metric_inverse(self.g)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self.ctx.flux_at(self.point)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return ch.christoffel(self.jet())
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return ch.riemann(self.jet(order=2))
+
+    @cached_property
+    def torsion_terms(self):
+        """The nabla-H and H-H terms of R^pm (see bismut_curvature)."""
+        nh = nabla_flux(self)
+        hup = np.einsum("ijm...,mp...->ijp...", self.H, self.ginv)
+        term_dh = 0.5 * (np.einsum("ijkl...->ijkl...", nh)
+                         - np.einsum("jikl...->ijkl...", nh))
+        term_hh = 0.25 * (np.einsum("kip...,jlp...->ijkl...", self.H, hup)
+                          - np.einsum("kjp...,ilp...->ijkl...", self.H, hup))
+        return term_dh, term_hh
+
+
 def flat_covector(ctx: GeneralizedMetricContext, x: ch.ChartField,
                   sign=1) -> ch.ChartField:
     """The 1-form field g(X) for a vector field X (-g(X) if sign < 0)."""
@@ -103,7 +153,8 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
 
-    cov = ch.lie_derivative(a_vec, b_cov, point)
+    cov = ch.lie_derivative(ch.differentiate(a_vec, point),
+                            ch.differentiate(b_cov, point))
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
     yval = _values(b_vec, point)
@@ -138,19 +189,17 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
     """(nabla^pm_X Y)^i = X^j d_j Y^i + Gamma^i_jk X^j Y^k
     +/- (1/2) g^{il} H_{ljk} X^j Y^k."""
     jy = ch.differentiate(y, point, order=1)
-    coeffs = bismut_connection_coeffs(sign, ctx, point)
+    coeffs = bismut_connection_coeffs(sign, Geometry(ctx, point))
     xval = _values(x, point)
     return (np.einsum("j...,ji...->i...", xval, jy.d1)
             + np.einsum("ijk...,j...,k...->i...", coeffs, xval, jy.value))
 
 
-def bismut_connection_coeffs(sign, ctx: GeneralizedMetricContext, point):
+def bismut_connection_coeffs(sign, geo: Geometry):
     """Connection coefficients Gamma^(pm)i_{jk} (j = direction, k = argument)."""
     s = _sgn(sign)
-    gam = ch.christoffel(ctx.g, point)
-    ginv = ch.metric_inverse(ctx.metric_at(point))
-    hval = ctx.flux_at(point)
-    return gam + 0.5 * s * np.einsum("il...,ljk...->ijk...", ginv, hval)
+    return geo.gamma + 0.5 * s * np.einsum("il...,ljk...->ijk...", geo.ginv,
+                                           geo.H)
 
 
 def bismut_via_courant(x: ch.ChartField, y: ch.ChartField, sign,
@@ -168,20 +217,18 @@ def bismut_via_courant(x: ch.ChartField, y: ch.ChartField, sign,
     return plus if s > 0 else minus
 
 
-def nabla_flux(ctx: GeneralizedMetricContext, point) -> np.ndarray:
+def nabla_flux(geo: Geometry) -> np.ndarray:
     """Levi-Civita covariant derivative (nabla_a H)_{ijk}."""
-    jet = ch.differentiate(ctx.H, point, order=1)
-    gam = ch.christoffel(ctx.g, point)
+    jet, gam = ch.differentiate(geo.ctx.H, geo.point), geo.gamma
     h = jet.value
-    dh = jet.d1
-    out = dh.copy()
+    out = jet.d1.copy()
     out -= np.einsum("mai...,mjk...->aijk...", gam, h)
     out -= np.einsum("maj...,imk...->aijk...", gam, h)
     out -= np.einsum("mak...,ijm...->aijk...", gam, h)
     return out
 
 
-def bismut_curvature(sign, ctx: GeneralizedMetricContext, point) -> np.ndarray:
+def bismut_curvature(sign, geo: Geometry) -> np.ndarray:
     """Curvature of the +/- connection in the package array convention.
 
     For the - connection:
@@ -192,21 +239,14 @@ def bismut_curvature(sign, ctx: GeneralizedMetricContext, point) -> np.ndarray:
     convention of :func:`ggred.chart.riemann`; it agrees with the commutator
     curvature assembled from the connection coefficients, satisfies
     R^-[ijkl] = R^+[klij], and vanishes on the bi-invariant round 3-sphere
-    at flux twice the unit volume form.
+    at flux twice the unit volume form.  Both signs share the Geometry's
+    R and torsion terms.
     """
     s = _sgn(sign)
-    r = ch.riemann(ctx.g, point)
-    if not ctx.has_flux:
+    r = geo.R
+    if not geo.ctx.has_flux:
         return r
-    gmat = ctx.metric_at(point)
-    ginv = ch.metric_inverse(gmat)
-    h = ctx.flux_at(point)
-    nh = nabla_flux(ctx, point)
-    hup = np.einsum("ijm...,mp...->ijp...", h, ginv)
-    term_dh = 0.5 * (np.einsum("ijkl...->ijkl...", nh)
-                     - np.einsum("jikl...->ijkl...", nh))
-    term_hh = 0.25 * (np.einsum("kip...,jlp...->ijkl...", h, hup)
-                      - np.einsum("kjp...,ilp...->ijkl...", h, hup))
+    term_dh, term_hh = geo.torsion_terms
     return r - s * term_dh + term_hh
 
 
@@ -221,8 +261,8 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
     s = _sgn(sign)
 
     def coeffs(coords):
-        gam = ch.christoffel_from_jet(
-            ch.differentiate(ctx.g, coords, order=1, chart=None))
+        gam = ch.christoffel(ch.differentiate(ctx.g, coords, order=1,
+                                              chart=None))
         hval = np.asarray(ctx.H(coords), dtype=object)
         gmat = np.asarray(ctx.g(coords), dtype=object)
         ginv = ch.invert_matrix(gmat)

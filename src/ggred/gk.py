@@ -18,7 +18,8 @@ from . import chart as ch
 from . import dual
 from . import quotient as qt
 from .errors import ReductionConditionError
-from .genmetric import GeneralizedMetricContext, bismut_connection_coeffs
+from .genmetric import (GeneralizedMetricContext, Geometry,
+                        bismut_connection_coeffs)
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,9 @@ def nijenhuis(jet: ch.PointJet) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def nabla_j(sign, jet: ch.PointJet,
-            ctx: GeneralizedMetricContext) -> np.ndarray:
-    """(grad^sign_k J)^i_j from an order-1 jet of J."""
-    coeffs = bismut_connection_coeffs(sign, ctx, jet.point)
+def nabla_j(sign, jet: ch.PointJet, geo: Geometry) -> np.ndarray:
+    """(grad^sign_k J)^i_j from an order-1 jet of J at the point of ``geo``."""
+    coeffs = bismut_connection_coeffs(sign, geo)
     return (jet.d1
             + np.einsum("ikl,lj->kij", coeffs, jet.value)
             - np.einsum("lkj,il->kij", coeffs, jet.value))
@@ -83,14 +83,14 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
                            "parallel", "flux_type")}
     n = ctx.chart.dim
     for p in points:
-        gmat = ctx.metric_at(p)
+        geo = Geometry(ctx, p)
         for sign, j in bh.pair():
             jet = ch.differentiate(j, p, order=1)
             jv = jet.value
             res["square"].append(jv @ jv + np.eye(n))
-            res["compatibility"].append(jv.T @ gmat @ jv - gmat)
+            res["compatibility"].append(jv.T @ geo.g @ jv - geo.g)
             res["integrability"].append(nijenhuis(jet))
-            res["parallel"].append(nabla_j(sign, jet, ctx))
+            res["parallel"].append(nabla_j(sign, jet, geo))
             vecs = [tuple(rng.normal(size=(3, n))) for _ in range(4)]
             res["flux_type"].append(flux_type_residual(j, ctx, p, vecs))
     return qt.ValidationReport(

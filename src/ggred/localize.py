@@ -25,7 +25,7 @@ from . import quotient as qt
 from . import submanifold as sm
 from .errors import (FrameMismatchError, OddDimensionError,
                      SingularBodyError, SingularMetricError)
-from .genmetric import GeneralizedMetricContext, bismut_curvature
+from .genmetric import GeneralizedMetricContext, Geometry, bismut_curvature
 from .grassmann import GrassmannElement, berezin_integral
 
 G = GrassmannElement
@@ -153,11 +153,11 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     weights = [0.5 * (hi[a] - lo[a]) * w1 for a in range(n)]
 
     def terms(p, w):
-        gmat = ctx.metric_at(p)
-        rarr = bismut_curvature(-1, ctx, p) if use_flux and ctx.has_flux \
-            else ch.riemann(ctx.g, p)
-        return w * euler_density(rarr, gmat) * \
-            np.sqrt(np.linalg.det(ch._stack(gmat)))
+        geo = Geometry(ctx, p)
+        rarr = bismut_curvature(-1, geo) if use_flux and ctx.has_flux \
+            else geo.R
+        return w * euler_density(rarr, geo.g) * \
+            np.sqrt(np.linalg.det(ch._stack(geo.g)))
 
     tail = list(np.indices((order, order)).reshape(2, -1))
     idx = ([np.full(order * order, i) for i in head] + tail
@@ -305,8 +305,10 @@ def _gv_dot(u, v):
 
 @dataclass
 class PointFrame:
-    """Every tensor value the component actions consume at one point."""
+    """Every tensor value the component actions consume at one point, and
+    the ambient Geometry they were read from."""
 
+    geo: Geometry
     point: tuple
     n: int
     g: np.ndarray
@@ -336,16 +338,6 @@ class PointFrame:
         return self.plus_frame.shape[0]
 
 
-def _common_frame_data(ctx: GeneralizedMetricContext, point):
-    gmat = ctx.metric_at(point)
-    ginv = ch.metric_inverse(gmat)
-    hval = ctx.flux_at(point)
-    # the order-2 jet of g first: its memo entry also answers Gamma's order 1
-    rmin = bismut_curvature(-1, ctx, point)
-    gamma = ch.christoffel(ctx.g, point)
-    return gmat, ginv, hval, gamma, rmin
-
-
 def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
                          basis=None) -> PointFrame:
     """Assemble the gauged-model data at lift(qpoint) with aligned frames.
@@ -359,7 +351,8 @@ def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
     basis = np.asarray(basis, dtype=float)
     p = scn.lift(qpoint)
     ea, ctx = scn.ea, scn.ctx
-    gmat, ginv, hval, gamma, rmin = _common_frame_data(ctx, p)
+    geo = Geometry(ctx, p)
+    rmin = bismut_curvature(-1, geo)
     plus = qt.horizontal_lift(scn, p, +1, basis)
     minus = qt.horizontal_lift(scn, p, -1, basis)
     # one jet of the stacked rows: [0, a] = V_a, [1, a] = xi_a
@@ -368,13 +361,13 @@ def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
         order=1, chart=ctx.chart)
     vv, xv = jet.value
     d1 = jet.d1.transpose(1, 2, 0, 3)   # [0 or 1, a, k, i] = d_k row_ai
-    dxi = d1[1] - np.einsum("mki,am->aki", gamma, xv)
-    dv = d1[0] + np.einsum("ikm,am->aki", gamma, vv)
+    dxi = d1[1] - np.einsum("mki,am->aki", geo.gamma, xv)
+    dv = d1[0] + np.einsum("ikm,am->aki", geo.gamma, vv)
     rm = qt.reduction_matrices(ea, ctx, p)
     pf = PointFrame(
-        point=tuple(p), n=ctx.chart.dim, g=gmat, ginv=ginv, H=hval,
-        gamma=gamma, r_minus=rmin, s=ea.s, V=vv, xi=xv, dxi_cov=dxi,
-        dv_cov_low=np.einsum("aki,im->akm", dv, gmat),
+        geo=geo, point=tuple(p), n=ctx.chart.dim, g=geo.g, ginv=geo.ginv,
+        H=geo.H, gamma=geo.gamma, r_minus=rmin, s=ea.s, V=vv, xi=xv,
+        dxi_cov=dxi, dv_cov_low=np.einsum("aki,im->akm", dv, geo.g),
         G_ab=rm.G, K_ab=rm.K, T_ab=rm.T,
         plus_frame=plus, minus_frame=minus)
     _check_zero_mode_frames(pf)
@@ -402,12 +395,12 @@ def point_frame_section(scn: sm.SubmanifoldScenario, u,
         basis = sm.tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
     p = scn.embed(u)
-    ctx = scn.ctx
-    gmat, ginv, hval, gamma, rmin = _common_frame_data(ctx, p)
+    geo = Geometry(scn.ctx, p)
+    rmin = bismut_curvature(-1, geo)
     jet = scn.sd.jet(p, order=2)
     pf = PointFrame(
-        point=tuple(p), n=ctx.chart.dim, g=gmat, ginv=ginv, H=hval,
-        gamma=gamma, r_minus=rmin, r=scn.sd.r,
+        geo=geo, point=tuple(p), n=scn.ctx.chart.dim, g=geo.g, ginv=geo.ginv,
+        H=geo.H, gamma=geo.gamma, r_minus=rmin, r=scn.sd.r,
         dsigma=np.ascontiguousarray(jet.d1.T),
         hess_sigma=np.ascontiguousarray(np.moveaxis(jet.d2, 2, 0)),
         plus_frame=basis, minus_frame=basis)

@@ -20,8 +20,8 @@ import numpy as np
 from . import chart as ch
 from . import dual
 from .errors import LiftError, RankError, ScenarioError, SingularMetricError
-from .genmetric import (GeneralizedMetricContext, bismut_connection_coeffs,
-                        bismut_curvature, zero_flux)
+from .genmetric import (GeneralizedMetricContext, Geometry,
+                        bismut_connection_coeffs, bismut_curvature, zero_flux)
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,20 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     res = {k: [] for k in ("isotropy", "flux_match", "invariance",
                            "independence")}
     for p in points:
-        # the values of the memoized jets that the Lie derivatives read
-        vvals, xvals = ([ch.differentiate(f, p).value for f in fields]
-                        for fields in (ea.V, ea.xi))
-        gmat, hval = (ch.differentiate(f, p).value for f in (ctx.g, ctx.H))
+        # one order-1 jet of each field, read by the Lie derivatives
+        jv, jx = ([ch.differentiate(f, p) for f in fields]
+                  for fields in (ea.V, ea.xi))
+        jg, jh = (ch.differentiate(f, p) for f in (ctx.g, ctx.H))
+        vvals, xvals = [j.value for j in jv], [j.value for j in jx]
+        gmat = jg.value
         res["isotropy"] += [xvals[a] @ vvals[b] + xvals[b] @ vvals[a]
                             for a in range(s) for b in range(s)]
         for a in range(s):
-            jxi = ch.differentiate(ea.xi[a], p, order=1)
-            res["flux_match"].append(ch.exterior_derivative(jxi, 1)
-                                     - ch.interior(vvals[a], hval, 3))
-            res["invariance"] += [ch.lie_derivative(ea.V[a], t, p)
-                                  for t in (ctx.g, ctx.H)]
-            res["flux_match"] += [ch.lie_derivative(ea.V[a], ea.xi[b], p)
+            res["flux_match"].append(ch.exterior_derivative(jx[a], 1)
+                                     - ch.interior(vvals[a], jh.value, 3))
+            res["invariance"] += [ch.lie_derivative(jv[a], jt)
+                                  for jt in (jg, jh)]
+            res["flux_match"] += [ch.lie_derivative(jv[a], jx[b])
                                   for b in range(s)]
         gram = np.array([[va @ gmat @ vb for vb in vvals] for va in vvals])
         ev = np.linalg.eigvalsh(gram)
@@ -454,24 +455,23 @@ def reduced_bismut(scn: QuotientScenario, xq: ch.ChartField,
     zminus = horizontal_lift(scn, p, -1,
                              [np.asarray(zq(qpoint), dtype=float)])[0]
     jy = ch.differentiate(yfield, p, order=1, chart=scn.ctx.chart)
-    coeffs = bismut_connection_coeffs(-1, scn.ctx, p)
+    geo = Geometry(scn.ctx, p)
+    coeffs = bismut_connection_coeffs(-1, geo)
     nab = np.einsum("j,ji->i", xplus, jy.d1) \
         + np.einsum("ijk,j,k->i", coeffs, xplus, jy.value)
-    gmat = scn.ctx.metric_at(p)
-    return float(nab @ gmat @ zminus)
+    return float(nab @ geo.g @ zminus)
 
 
 def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq, qpoint) -> float:
     """Same pairing computed on the quotient chart from (g_red, H_red)."""
-    ctxr = reduced_context(scn)
+    geo = Geometry(reduced_context(scn), qpoint)
     jy = ch.differentiate(yq, qpoint, order=1)
-    coeffs = bismut_connection_coeffs(-1, ctxr, qpoint)
+    coeffs = bismut_connection_coeffs(-1, geo)
     xv = np.asarray(xq(qpoint), dtype=float)
     nab = np.einsum("j,ji->i", xv, jy.d1) \
         + np.einsum("ijk,j,k->i", coeffs, xv, jy.value)
-    gmat = ctxr.metric_at(qpoint)
     zv = np.asarray(zq(qpoint), dtype=float)
-    return float(nab @ gmat @ zv)
+    return float(nab @ geo.g @ zv)
 
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
@@ -482,18 +482,19 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
                                 scn.reduced_dim, "quotient frame")
 
 
-def _minus_derivative_matrix(scn: QuotientScenario, point):
-    """D[a, j, i] = (grad^-_j V_a^-)^i at a point."""
+def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
+    """D[a, j, i] = (grad^-_j V_a^-)^i at the Geometry's point."""
     ea, ctx = scn.ea, scn.ctx
-    coeffs = bismut_connection_coeffs(-1, ctx, point)
-    jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), point,
+    coeffs = bismut_connection_coeffs(-1, geo)
+    jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), geo.point,
                            order=1, chart=ctx.chart)
     return jet.d1.swapaxes(0, 1) + ch.node_einsum("ijk,ak->aji", coeffs,
                                                   jet.value)
 
 
 def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
-                               basis=None) -> np.ndarray:
+                               basis=None, geo: Geometry | None = None
+                               ) -> np.ndarray:
     """Reduced curvature on aligned frames, from ambient data only.
 
     In operator slots on the quotient basis, assembled from three ambient
@@ -502,20 +503,21 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     and a vertical-derivative correction weighted by the inverse of T_ab.
     Cross-check: :func:`reduced_curvature_direct` with the same basis.
     A batch quotient point (and a basis with a trailing node axis) gives a
-    trailing node axis.
+    trailing node axis.  ``geo`` is the ambient Geometry at lift(qpoint),
+    if one is at hand.
     """
     ea, ctx = scn.ea, scn.ctx
     if basis is None:
         basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
     p = scn.lift(qpoint)
+    geo = geo or Geometry(ctx, p)
     size = dual.nodes(p)
     qvecs = dual.entries(basis) if size else basis
     plus, minus = (dual.tighten(horizontal_lift(scn, p, sign, qvecs), size)
                    for sign in (+1, -1))
-    gmat = ctx.metric_at(p)
     rm = reduction_matrices(ea, ctx, p)
-    rmin = bismut_curvature(-1, ctx, p)
+    rmin = bismut_curvature(-1, geo)
     term1 = ch.operator_slots(rmin, plus, plus, minus, minus)
 
     dxi_p, dxi_m = d_constraint_rows(ea, ctx, p)
@@ -523,9 +525,9 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
     om_m = ch.node_einsum("aij,ci,dj->acd", dxi_m, minus, minus)
     term2 = -0.5 * ch.node_einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)
 
-    dmat = _minus_derivative_matrix(scn, p)  # [a, j, i]
+    dmat = _minus_derivative_matrix(scn, geo)  # [a, j, i]
     # edge[a, mu, rho] = g(X^-_rho, grad^-_{X^+_mu} V_a^-)
-    edge = ch.node_einsum("aji,mj,ik,rk->amr", dmat, plus, gmat, minus)
+    edge = ch.node_einsum("aji,mj,ik,rk->amr", dmat, plus, geo.g, minus)
     term3 = (ch.node_einsum("ab,anz,bmw->mnzw", rm.Tinv, edge, edge)
              - ch.node_einsum("ab,amz,bnw->mnzw", rm.Tinv, edge, edge))
     return term1 + term2 + term3
@@ -538,8 +540,7 @@ def reduced_curvature_direct(scn: QuotientScenario, qpoint,
     if basis is None:
         basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
-    ctxr = reduced_context(scn)
-    rarr = bismut_curvature(-1, ctxr, qpoint)
+    rarr = bismut_curvature(-1, Geometry(reduced_context(scn), qpoint))
     return ch.operator_slots(rarr, basis, basis, basis, basis)
 
 
@@ -550,7 +551,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
     ambient curvature on horizontal lifts plus terms quadratic in
     A_XY = (1/2) vert([X_lift, Y_lift]).  Only valid when all xi vanish and
     there is no flux, where tau_+ = tau_- is the orthogonal horizontal
-    space.
+    space.  It takes its own order-2 jet of g at lift(qpoint).
     """
     ea, ctx = scn.ea, scn.ctx
     if basis is None:
@@ -579,7 +580,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
         amat[i, j] = 0.5 * vert(np.asarray(br, dtype=float))
         amat[j, i] = -amat[i, j]
 
-    rarr = ch.riemann(ctx.g, p)
+    rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))
     base = ch.operator_slots(rarr, lifts, lifts, lifts, lifts)
     inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner

@@ -18,8 +18,8 @@ import numpy as np
 from . import chart as ch
 from . import dual
 from .errors import RankError, ScenarioError, TangencyError
-from .genmetric import (GeneralizedMetricContext, bismut_connection_coeffs,
-                        bismut_curvature, zero_flux)
+from .genmetric import (GeneralizedMetricContext, Geometry,
+                        bismut_connection_coeffs, bismut_curvature, zero_flux)
 
 EPS_LOCUS = 1e-8
 
@@ -145,10 +145,12 @@ def induced_context(scn: SubmanifoldScenario) -> GeneralizedMetricContext:
                                     induced_flux_field(scn))
 
 
-def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int, point) -> np.ndarray:
-    """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at an ambient point."""
-    coeffs = bismut_connection_coeffs(sign, scn.ctx, point)
-    jet = scn.sd.jet(point, order=2)
+def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int,
+                    geo: Geometry) -> np.ndarray:
+    """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at the ambient point
+    of ``geo``."""
+    coeffs = bismut_connection_coeffs(sign, geo)
+    jet = scn.sd.jet(geo.point, order=2)
     return np.moveaxis(jet.d2, 2, 0) - ch.node_einsum("lij,la->aij", coeffs,
                                                        jet.d1)
 
@@ -194,10 +196,10 @@ def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
     zv = demb @ np.asarray(zbar(u), dtype=float)
     yv = np.asarray(yval, dtype=float)
     _require_tangent(scn, p, [xv, zv, yv])
-    coeffs = bismut_connection_coeffs(-1, scn.ctx, p)
+    geo = Geometry(scn.ctx, p)
+    coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
-    gmat = scn.ctx.metric_at(p)
-    return float(nab @ gmat @ zv)
+    return float(nab @ geo.g @ zv)
 
 
 def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
@@ -215,42 +217,44 @@ def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
     dy, yval = tangential_derivative(scn, xbar, ybar, u)
     xv = demb @ np.asarray(xbar(u), dtype=float)
     yv = np.asarray(yval, dtype=float)
-    coeffs = bismut_connection_coeffs(-1, scn.ctx, p)
+    geo = Geometry(scn.ctx, p)
+    coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
 
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
-    ginv = ch.metric_inverse(scn.ctx.metric_at(p))
     grads = scn.sd.gradients(p)
-    mm = nabla_pm_dsigma(scn, -1, p)   # [a, i, j]
-    corr = np.einsum("ab,bjk,j,k,ai->i", tlow, mm, xv, yv, grads @ ginv)
+    mm = nabla_pm_dsigma(scn, -1, geo)   # [a, i, j]
+    corr = np.einsum("ab,bjk,j,k,ai->i", tlow, mm, xv, yv, grads @ geo.ginv)
     corrected = nab + corr
 
-    mp = nabla_pm_dsigma(scn, +1, p)
+    mp = nabla_pm_dsigma(scn, +1, geo)
     gamma_tilde = coeffs + np.einsum("ab,il,al,bjk->ikj", tlow,
-                                     ginv, grads, mp)
+                                     geo.ginv, grads, mp)
     coeff_form = dy + np.einsum("ikj,k,j->i", gamma_tilde, xv, yv)
     return corrected, coeff_form
 
 
-def reduced_curvature_sub(scn: SubmanifoldScenario, u,
-                          basis=None) -> np.ndarray:
+def reduced_curvature_sub(scn: SubmanifoldScenario, u, basis=None,
+                          geo: Geometry | None = None) -> np.ndarray:
     """Reduced curvature on a tangent frame, from ambient data only.
 
     In operator slots: the ambient torsion curvature restricted to the
     frame plus a transverse correction quadratic in grad^- d sigma.
     Cross-check: :func:`reduced_curvature_sub_direct` with the same basis.
     A batch point (and a basis with a trailing node axis) gives a trailing
-    node axis.
+    node axis.  ``geo`` is the ambient Geometry at embed(u), if one is at
+    hand.
     """
     if basis is None:
         basis = tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
     p = scn.embed(u)
+    geo = geo or Geometry(scn.ctx, p)
     _require_tangent(scn, p, list(basis))
-    rmin = bismut_curvature(-1, scn.ctx, p)
+    rmin = bismut_curvature(-1, geo)
     term1 = ch.operator_slots(rmin, basis, basis, basis, basis)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
-    mm = nabla_pm_dsigma(scn, -1, p)
+    mm = nabla_pm_dsigma(scn, -1, geo)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
     nb = ch.node_einsum("aij,mi,rj->amr", mm, basis, basis)
     term2 = (ch.node_einsum("ab,bnr,ams->mnrs", tlow, nb, nb)
@@ -275,8 +279,7 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
                            for k in range(demb.shape[-1])], axis=-1)
     else:
         coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
-    ctxn = induced_context(scn)
-    rarr = bismut_curvature(-1, ctxn, u)
+    rarr = bismut_curvature(-1, Geometry(induced_context(scn), u))
     return ch.operator_slots(rarr, coords, coords, coords, coords)
 
 
@@ -291,13 +294,12 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
         basis = tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
     p = scn.embed(u)
-    gmat = scn.ctx.metric_at(p)
-    ginv = ch.metric_inverse(gmat)
-    rarr = ch.riemann(scn.ctx.g, p)
-    term1 = ch.operator_slots(rarr, basis, basis, basis, basis)
+    geo = Geometry(scn.ctx, p)      # its own, not the formula's
+    gmat, ginv = geo.g, geo.ginv
+    term1 = ch.operator_slots(geo.R, basis, basis, basis, basis)
     tup, tlow = t_matrix(scn.sd, scn.ctx, p)
     grads = scn.sd.gradients(p)
-    coeffs = ch.christoffel(scn.ctx.g, p)
+    coeffs = geo.gamma
     hess = []
     for s in scn.sd.sigma:
         jet = ch.differentiate(s, p, order=2, chart=None)

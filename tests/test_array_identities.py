@@ -31,7 +31,7 @@ from ggred import submanifold as sm
 from ggred.chart import VECTOR, ChartField
 from ggred.dual import sin
 from ggred.errors import EvaluationError, TangencyError
-from ggred.genmetric import bismut_connection_coeffs
+from ggred.genmetric import Geometry, bismut_connection_coeffs
 from reduction_cases import two_constraint_section, two_generator_action
 
 
@@ -73,27 +73,27 @@ def test_point_frame_quotient_keeps_the_per_generator_loop(scn):
 def test_minus_derivative_matrix_keeps_the_per_generator_loop(scn):
     p = scn.lift(_qpoint(scn, 4))
     ea, ctx = scn.ea, scn.ctx
-    coeffs = bismut_connection_coeffs(-1, ctx, p)
+    coeffs = bismut_connection_coeffs(-1, Geometry(ctx, p))
     jet = ch.differentiate(lambda c: qt.v_pm_values(ea, ctx, c, -1), p,
                            order=1, chart=ctx.chart)
     old = np.array([jet.d1[:, a] + np.einsum("ijk,k->ji", coeffs,
                                              jet.value[a])
                     for a in range(ea.s)])
     assert np.max(np.abs(old[-1])) > 0.05
-    assert _same(qt._minus_derivative_matrix(scn, p), old)
+    assert _same(qt._minus_derivative_matrix(scn, Geometry(scn.ctx, p)), old)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_nabla_pm_dsigma_keeps_the_per_constraint_loop(sign):
     scn = two_constraint_section()
     p = [0.3, -0.5, 0.7]
-    coeffs = bismut_connection_coeffs(sign, scn.ctx, p)
+    coeffs = bismut_connection_coeffs(sign, Geometry(scn.ctx, p))
     jet = scn.sd.jet(p, order=2)
     grads = np.ascontiguousarray(jet.d1.T)
     old = np.array([jet.d2[:, :, al] - np.einsum("lij,l->ij", coeffs, grad)
                     for al, grad in enumerate(grads)])
     assert np.max(np.abs(old[1] - old[0])) > 0.05
-    assert _same(sm.nabla_pm_dsigma(scn, sign, p), old)
+    assert _same(sm.nabla_pm_dsigma(scn, sign, Geometry(scn.ctx, p)), old)
 
 
 # -- loops that went ------------------------------------------------------------
@@ -156,7 +156,7 @@ def _old_oneill(scn, qpoint):
             a = 0.5 * vert(np.asarray(avals[i, j], dtype=float))
             amat[i, j] = a
             amat[j, i] = -a
-    rarr = ch.riemann(ctx.g, p)
+    rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))
     base = np.swapaxes(ch.frame_contract(rarr, lifts, lifts, lifts, lifts),
                        2, 3)
     inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
@@ -400,10 +400,13 @@ def _old_validate(ea, ctx, points, tol=ch.EPS_ID):
             jxi = ch.differentiate(ea.xi[a], p, order=1)
             ivh = np.einsum("ijk,i->jk", hval, vvals[a])
             res["flux_match"].append(ch.exterior_derivative(jxi, 1) - ivh)
-            res["invariance"] += [ch.lie_derivative(ea.V[a], t, p)
-                                  for t in (ctx.g, ctx.H)]
-            res["flux_match"] += [ch.lie_derivative(ea.V[a], ea.xi[b], p)
-                                  for b in range(s)]
+            jva = ch.differentiate(ea.V[a], p)
+            res["invariance"] += [
+                ch.lie_derivative(jva, ch.differentiate(t, p))
+                for t in (ctx.g, ctx.H)]
+            res["flux_match"] += [
+                ch.lie_derivative(jva, ch.differentiate(xb, p))
+                for xb in ea.xi]
         gram = np.array([[va @ gmat @ vb for vb in vvals] for va in vvals])
         ev = np.linalg.eigvalsh(gram)
         res["independence"].append(
@@ -440,7 +443,8 @@ def test_operator_slots_pair_the_sphere_curvature_operator():
     s = sc.round_sphere({})
     p = [1.0, 2.0]
     frame = np.diag([1.0, 1.0 / np.sin(1.0)])
-    got = ch.operator_slots(ch.riemann(s.ctx.g, p), *[frame] * 4)
+    got = ch.operator_slots(ch.riemann(ch.differentiate(s.ctx.g, p, order=2)),
+                            *[frame] * 4)
     assert got[0, 1, 0, 1] == pytest.approx(-1.0, abs=1e-12)
     assert got[0, 1, 1, 0] == pytest.approx(1.0, abs=1e-12)
 

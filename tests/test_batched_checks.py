@@ -34,13 +34,6 @@ NODES = 64
 NAMES = sorted(sc.BUILTIN) + ["s3xt2"]
 
 
-@pytest.fixture(autouse=True)
-def empty_memo():
-    ch.clear_jet_memo()
-    yield
-    ch.clear_jet_memo()
-
-
 def build(name):
     return sc.s3xt2({}) if name == "s3xt2" else sc.build(name, {})
 
@@ -67,8 +60,8 @@ def loop_pair_symmetry(s, seed, points=100):
     rng = check_rng("pair_symmetry", seed)
     worst = 0.0
     for p in s.chart.sample(rng, points):
-        rm = gm.bismut_curvature(-1, s.ctx, p)
-        rp = gm.bismut_curvature(+1, s.ctx, p)
+        rm = gm.bismut_curvature(-1, gm.Geometry(s.ctx, p))
+        rp = gm.bismut_curvature(+1, gm.Geometry(s.ctx, p))
         worst = max(worst, float(np.max(np.abs(rm - np.einsum("ijkl->klij",
                                                               rp)))))
         worst = max(worst, float(np.max(np.abs(rm + np.einsum("ijkl->jikl",
@@ -94,7 +87,6 @@ def loop_bismut_courant(s, seed, points=100):
 
 
 def run(s, cid, seed, points=None):
-    ch.clear_jet_memo()
     return ck.REGISTRY[cid].fn(s, check_rng(cid, seed),
                                ck.REGISTRY[cid].tolerance, points)
 
@@ -123,11 +115,12 @@ def test_connection_and_bracket_routines_keep_every_nodes_bits(name):
     by, ys = field_pair(s.chart, rng)
     bracket = ch.lie_bracket(bx, by, p)
     for sign in (1, -1):
-        coeffs = gm.bismut_connection_coeffs(sign, s.ctx, p)
+        coeffs = gm.bismut_connection_coeffs(sign, gm.Geometry(s.ctx, p))
         deriv = gm.bismut_derivative(bx, by, sign, s.ctx, p)
         for k, q in enumerate(pts):
             assert np.array_equal(
-                coeffs[..., k], gm.bismut_connection_coeffs(sign, s.ctx, q))
+                coeffs[..., k],
+                gm.bismut_connection_coeffs(sign, gm.Geometry(s.ctx, q)))
             assert np.array_equal(
                 deriv[..., k], gm.bismut_derivative(xs[k], ys[k], sign,
                                                     s.ctx, q))
@@ -154,8 +147,10 @@ def test_courant_route_matches_per_point_calls_within_its_bound(name):
     by, ys = field_pair(s.chart, rng)
     n = s.chart.dim
     gy = gm.flat_covector(s.ctx, by)
-    lie = ch.lie_derivative(bx, gy, p)
-    lie_g = ch.lie_derivative(bx, s.ctx.g, p)
+    lie = ch.lie_derivative(ch.differentiate(bx, p),
+                            ch.differentiate(gy, p))
+    lie_g = ch.lie_derivative(ch.differentiate(bx, p),
+                              ch.differentiate(s.ctx.g, p))
     br = gm.courant_bracket(bx, gm.flat_covector(s.ctx, bx), by, gy, s.ctx, p)
     via = {sign: gm.bismut_via_courant(bx, by, sign, s.ctx, p)
            for sign in (1, -1)}
@@ -167,12 +162,12 @@ def test_courant_route_matches_per_point_calls_within_its_bound(name):
         jv, jt, jg = (ch.differentiate(f, q) for f in (x, fy, s.ctx.g))
         scale = np.abs(jv.value) @ np.abs(jt.d1) \
             + np.abs(jv.d1) @ np.abs(jt.value)
-        assert np.all(np.abs(lie[:, k] - ch.lie_derivative(x, fy, q))
+        assert np.all(np.abs(lie[:, k] - ch.lie_derivative(jv, jt))
                       <= n * EPS * scale)
         scale_g = np.einsum("m,mab->ab", np.abs(jv.value), np.abs(jg.d1)) \
             + np.abs(jg.value) @ np.abs(jv.d1).T \
             + np.abs(jv.d1) @ np.abs(jg.value)
-        assert np.all(np.abs(lie_g[..., k] - ch.lie_derivative(x, s.ctx.g, q))
+        assert np.all(np.abs(lie_g[..., k] - ch.lie_derivative(jv, jg))
                       <= n * EPS * scale_g)
         # the bracket: X bit for bit; xi within 8 ulps of max |xi|
         # (measured: 3.1)
@@ -201,7 +196,7 @@ def test_pair_symmetry_equals_the_point_loop(monkeypatch, name, seed):
     s = build(name)
     curv = record(monkeypatch, "bismut_curvature")
     got = run(s, "pair_symmetry", seed)
-    assert [dual.nodes(c[2]) for c in curv] == [64, 64, 36, 36]
+    assert [dual.nodes(c[1].point) for c in curv] == [64, 64, 36, 36]
     assert got.max_residual == loop_pair_symmetry(s, seed)
     assert got.status == "pass"
 
@@ -241,7 +236,7 @@ def test_150_points_take_three_batches_and_the_loops_result(monkeypatch):
     s = build("hopf_flux")
     curv = record(monkeypatch, "bismut_curvature")
     got = run(s, "pair_symmetry", 42, points=150)
-    assert [dual.nodes(c[2]) for c in curv] == [64, 64, 64, 64, 22, 22]
+    assert [dual.nodes(c[1].point) for c in curv] == [64, 64, 64, 64, 22, 22]
     assert got.points == 150
     assert got.max_residual == loop_pair_symmetry(s, 42, points=150)
 
@@ -357,7 +352,7 @@ def test_batch_node_outside_the_chart_raises_domain_error():
         gm.courant_bracket(bx, gm.flat_covector(s.ctx, bx), bx,
                            gm.flat_covector(s.ctx, bx), s.ctx, p)
     with pytest.raises(DomainError, match="outside"):
-        gm.bismut_curvature(+1, s.ctx, p)
+        gm.bismut_curvature(+1, gm.Geometry(s.ctx, p))
 
 
 def test_singular_metric_at_a_batch_node_raises():
@@ -366,7 +361,7 @@ def test_singular_metric_at_a_batch_node_raises():
     s = sc.Scenario("custom", gm.GeneralizedMetricContext.create(g), {})
     p = batch_of(BOX.sample(None, NODES))
     bx, _ = field_pair(BOX, np.random.default_rng(2))
-    for call in (lambda: gm.bismut_curvature(-1, s.ctx, p),
+    for call in (lambda: gm.bismut_curvature(-1, gm.Geometry(s.ctx, p)),
                  lambda: gm.bismut_derivative(bx, bx, 1, s.ctx, p),
                  lambda: gm.bismut_via_courant(bx, bx, -1, s.ctx, p)):
         with pytest.raises(SingularMetricError):

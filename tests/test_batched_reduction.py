@@ -29,13 +29,6 @@ NODES = 64
 NAN = float("nan")
 
 
-@pytest.fixture(autouse=True)
-def empty_memo():
-    ch.clear_jet_memo()
-    yield
-    ch.clear_jet_memo()
-
-
 def _bits(x):
     """Exact structure of a float, Batch node or nested dual."""
     if isinstance(x, Dual):
@@ -301,7 +294,6 @@ def scenario_of(scn):
 
 
 def run(s, cid, seed, points=None):
-    ch.clear_jet_memo()
     return ck.REGISTRY[cid].fn(s, check_rng(cid, seed),
                                ck.REGISTRY[cid].tolerance, points)
 
@@ -442,7 +434,7 @@ def test_a_non_finite_metric_is_named_as_such(g):
     jet = ch.PointJet((0.25, 0.5), np.array(g), np.zeros((2, 2, 2)))
     with pytest.raises(SingularMetricError,
                        match=r"not finite at point \(0\.25, 0\.5\)"):
-        ch.christoffel_from_jet(jet)
+        ch.christoffel(jet)
 
 
 def test_a_non_finite_metric_names_its_batch_node():
@@ -451,7 +443,7 @@ def test_a_non_finite_metric_names_its_batch_node():
     point = batch_of(np.linspace(0.1, 0.8, 16).reshape(8, 2))
     jet = ch.PointJet(tuple(point), gmat, np.zeros((2, 2, 2, 8)))
     with pytest.raises(SingularMetricError, match=r"not finite at node 3"):
-        ch.christoffel_from_jet(jet)
+        ch.christoffel(jet)
 
 
 # -- one owner of the operator slots -------------------------------------------

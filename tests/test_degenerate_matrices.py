@@ -113,7 +113,7 @@ def test_metric_inverse_rejects_a_nan_stack():
 def test_christoffel_rejects_a_nan_metric(g):
     jet = ch.PointJet((0.0, 0.0), np.array(g), np.zeros((2, 2, 2)))
     with pytest.raises(SingularMetricError, match="not symmetric"):
-        ch.christoffel_from_jet(jet)
+        ch.christoffel(jet)
 
 
 # -- K_ab and T_ab of the extended action -------------------------------------

@@ -8,7 +8,8 @@ from ggred.chart import Chart, ChartField, METRIC, VECTOR, form_valence
 from ggred.dual import cos, sin
 from ggred.errors import SingularMetricError
 from ggred.genmetric import (GeneralizedMetricContext, GeneralizedVector,
-                             bismut_curvature, bismut_curvature_commutator,
+                             Geometry, bismut_curvature,
+                             bismut_curvature_commutator,
                              bismut_derivative, bismut_via_courant,
                              courant_bracket, split_pm)
 from ggred.scenarios import antisym3
@@ -159,7 +160,7 @@ def test_bismut_reduces_to_levi_civita():
     ctx0 = GeneralizedMetricContext.create(GS3)
     p = S3.sample(rng, 1)[0]
     jy = ch.differentiate(y, p, order=1)
-    gam = ch.christoffel(GS3, p)
+    gam = ch.christoffel(ch.differentiate(GS3, p))
     lc = (np.einsum("j,ji->i", np.asarray(x(p), float), jy.d1)
           + np.einsum("ijk,j,k->i", gam, np.asarray(x(p), float), jy.value))
     for sign in (+1, -1):
@@ -239,9 +240,9 @@ def test_bracket_route_equals_derivative(ctx_fn):
 def test_curvature_reduces_to_riemann():
     ctx0 = GeneralizedMetricContext.create(GS3)
     p = (1.2, 0.5, 2.0)
-    r = ch.riemann(GS3, p)
+    r = ch.riemann(ch.differentiate(GS3, p, order=2))
     for sign in (+1, -1):
-        assert np.allclose(bismut_curvature(sign, ctx0, p), r)
+        assert np.allclose(bismut_curvature(sign, Geometry(ctx0, p)), r)
 
 
 @pytest.mark.parametrize("lam", [0.8, 2.0])
@@ -249,7 +250,7 @@ def test_curvature_formula_vs_commutator(lam):
     ctx = s3_ctx(lam)
     p = (1.1, 0.4, 2.0)
     for sign in (+1, -1):
-        formula = bismut_curvature(sign, ctx, p)
+        formula = bismut_curvature(sign, Geometry(ctx, p))
         oracle = bismut_curvature_commutator(sign, ctx, p)
         assert np.max(np.abs(formula - oracle)) < ch.EPS_ID
 
@@ -258,8 +259,8 @@ def test_pair_exchange_symmetry_and_antisymmetries():
     rng = np.random.default_rng(7)
     ctx = s3_ctx(1.3)
     for p in S3.sample(rng, 4):
-        rm = bismut_curvature(-1, ctx, p)
-        rp = bismut_curvature(+1, ctx, p)
+        rm = bismut_curvature(-1, Geometry(ctx, p))
+        rp = bismut_curvature(+1, Geometry(ctx, p))
         assert np.max(np.abs(rm - np.einsum("ijkl->klij", rp))) < ch.EPS_ID
         for r in (rm, rp):
             assert np.max(np.abs(r + np.einsum("ijkl->jikl", r))) < ch.EPS_ID
@@ -271,9 +272,11 @@ def test_round_s3_flat_at_twice_volume():
     # numeric sweep and frozen: twice the unit volume form
     ctx = s3_ctx(2.0)
     for p in S3.sample(np.random.default_rng(8), 3):
-        assert np.max(np.abs(bismut_curvature(-1, ctx, p))) < ch.EPS_ID
+        assert np.max(np.abs(bismut_curvature(-1, Geometry(ctx, p)))) \
+            < ch.EPS_ID
     ctx = s3_ctx(1.0)
-    assert np.max(np.abs(bismut_curvature(-1, ctx, (1.1, 0.4, 2.0)))) > 1e-2
+    r = bismut_curvature(-1, Geometry(ctx, (1.1, 0.4, 2.0)))
+    assert np.max(np.abs(r)) > 1e-2
 
 
 def test_flux_closure_validated():

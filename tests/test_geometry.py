@@ -1,0 +1,265 @@
+"""One ``genmetric.Geometry`` per point or batch point, and no jet memo.
+
+A Geometry computes g, g^-1, H, the jet of g, Gamma, R and the torsion
+terms of R^pm once each, on first use.  The code under test shares one per
+sample (the point frames hand theirs to the ambient-formula reduced
+curvature; ``pair_symmetry`` takes both signs from one per batch), while
+each oracle builds its own.  Every ``chart.differentiate`` call takes a jet
+afresh, so running a check twice repeats its results and its jet passes.
+The batch route is exercised with the point-by-point fallback of
+``dual.batched`` switched off.
+"""
+
+import numpy as np
+import pytest
+
+from ggred import chart as ch
+from ggred import checks as ck
+from ggred import dual
+from ggred import genmetric as gm
+from ggred import localize as lz
+from ggred import quotient as qt
+from ggred import scenarios as sc
+from ggred import submanifold as sm
+from ggred.dual import Batch
+
+NAMES = sorted(sc.BUILTIN) + ["s3xt2"]
+
+
+def build(name, params=None):
+    params = params or {}
+    return sc.s3xt2(params) if name == "s3xt2" else sc.build(name, params)
+
+
+def count(monkeypatch, owner, name):
+    """Wrap ``owner.<name>``; returns the list of its argument tuples."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def jets_of(monkeypatch, *fields):
+    """Record every jet of the fields: (field index, order, point) each."""
+    jets, differentiate = [], ch.differentiate
+    fns = [f.fn for f in fields]
+
+    def recorded(f, point, order=1, chart=None):
+        fn = getattr(f, "fn", None)
+        if any(fn is g for g in fns):
+            jets.append(([fn is g for g in fns].index(True), order, point))
+        return differentiate(f, point, order=order, chart=chart)
+    monkeypatch.setattr(ch, "differentiate", recorded)
+    return jets
+
+
+# -- each array once per object --------------------------------------------
+
+@pytest.mark.parametrize("name", ["hopf_flux", "s3xt2", "s3xs1_gk"])
+def test_each_array_is_computed_once_per_object(monkeypatch, name):
+    s = build(name)
+    p = s.chart.sample(np.random.default_rng(4), 1)[0]
+    riemann = count(monkeypatch, ch, "riemann")
+    christoffel = count(monkeypatch, ch, "christoffel")
+    nabla = count(monkeypatch, gm, "nabla_flux")
+    jets = jets_of(monkeypatch, s.ctx.g, s.ctx.H)
+    geo = gm.Geometry(s.ctx, p)
+    for _ in range(2):
+        for sign in (-1, 1):
+            gm.bismut_curvature(sign, geo)
+            gm.bismut_connection_coeffs(sign, geo)
+        assert geo.R is geo.R and geo.gamma is geo.gamma
+    assert (len(riemann), len(christoffel), len(nabla)) == (1, 1, 1)
+    assert [(k, order) for k, order, _ in jets] == [(0, 2), (1, 1)]
+
+
+def test_gamma_alone_takes_an_order1_jet_that_curvature_then_raises():
+    s = build("hopf_flux")
+    p = s.chart.sample(np.random.default_rng(5), 1)[0]
+    geo = gm.Geometry(s.ctx, p)
+    gamma = geo.gamma
+    assert geo.jet().d2 is None
+    r = geo.R
+    assert geo.jet().d2 is not None and geo.jet(order=1) is geo.jet(order=2)
+    fresh = gm.Geometry(s.ctx, p)
+    assert np.array_equal(r, fresh.R)
+    assert np.array_equal(gamma, fresh.gamma)
+
+
+def test_both_signs_share_the_torsion_terms(monkeypatch):
+    s = build("s3xt2")
+    p = s.chart.sample(np.random.default_rng(6), 1)[0]
+    geo = gm.Geometry(s.ctx, p)
+    rm = gm.bismut_curvature(-1, geo)
+    terms = geo.torsion_terms
+    rp = gm.bismut_curvature(+1, geo)
+    assert geo.torsion_terms is terms
+    assert np.array_equal(rm, geo.R + terms[0] + terms[1])
+    assert np.array_equal(rp, geo.R - terms[0] + terms[1])
+
+
+# -- batch points ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["hopf_flux", "s3xt2", "s3xs1_gk",
+                                  "round_sphere"])
+def test_batch_geometry_equals_the_per_node_geometries(name):
+    s = build(name)
+    nodes = s.chart.sample(np.random.default_rng(7), 5)
+    geo = gm.Geometry(s.ctx, [Batch(c) for c in nodes.T])
+    arrays = {"gamma": geo.gamma, "R": geo.R,
+              "R-": gm.bismut_curvature(-1, geo),
+              "R+": gm.bismut_curvature(+1, geo)}
+    for k, node in enumerate(nodes):
+        one = gm.Geometry(s.ctx, list(node))
+        want = {"gamma": one.gamma, "R": one.R,
+                "R-": gm.bismut_curvature(-1, one),
+                "R+": gm.bismut_curvature(+1, one)}
+        for key, arr in arrays.items():
+            assert np.array_equal(arr[..., k], want[key]), (key, k)
+
+
+@pytest.mark.parametrize("name", ["hopf_flux", "s3xs1_gk"])
+def test_pair_symmetry_takes_one_order2_jet_of_g_per_batch(monkeypatch,
+                                                             name):
+    s = build(name)
+    jets = jets_of(monkeypatch, s.ctx.g, s.ctx.H)
+    ck.run_check(s, "pair_symmetry", 42, points=70)
+    assert [(k, order, dual.nodes(p)) for k, order, p in jets] == \
+        [(0, 2, 64), (1, 1, 64), (0, 2, 6), (1, 1, 6)]
+
+
+# -- the chain checks and the oracles --------------------------------------
+
+def test_localize2_sample_takes_one_jet_of_g_and_one_of_h(monkeypatch):
+    s = build("s3xt2")
+    scn = s.quotient
+    q = scn.quotient.sample(np.random.default_rng(
+        [42, ck.CHECK_ORDER.index("localize2")]), 1)[0]
+    jets = jets_of(monkeypatch, s.ctx.g, s.ctx.H)
+    ck.run_check(s, "localize2", 42, points=1)
+    assert [(k, order) for k, order, _ in jets] == [(0, 2), (1, 1)]
+    lifted = np.asarray(scn.lift(q), dtype=float)
+    for _, _, p in jets:
+        assert np.array_equal(np.asarray(p, dtype=float), lifted)
+
+
+def test_chain_checks_hand_the_point_frame_geometry_on(monkeypatch):
+    s = build("hopf_flux")
+    frames = count(monkeypatch, lz, "point_frame_quotient")
+    curvature = count(monkeypatch, qt, "reduced_curvature_quotient")
+    frames_result = []
+    original = lz.localize_model
+
+    def model(pf, kind):
+        frames_result.append(pf)
+        return original(pf, kind)
+    monkeypatch.setattr(lz, "localize_model", model)
+    ck.run_check(s, "localize2", 42, points=2)
+    assert len(frames) == len(curvature) == 2
+    for pf, args in zip(frames_result, curvature):
+        assert args[3] is pf.geo
+
+
+def test_oneill_takes_its_own_jet_and_no_shared_geometry(monkeypatch):
+    s = build("hopf")
+    jets = jets_of(monkeypatch, s.ctx.g)
+    inside, original = [], qt.oneill_curvature
+
+    def oneill(*args, **kwargs):
+        assert not any(isinstance(a, gm.Geometry)
+                       for a in (*args, *kwargs.values()))
+        before = len(jets)
+        out = original(*args, **kwargs)
+        inside.append([order for _, order, _ in jets[before:]])
+        return out
+    monkeypatch.setattr(qt, "oneill_curvature", oneill)
+    result = ck.run_check(s, "oneill", 42, points=3)
+    assert result.status == "pass"
+    assert inside == [[2]] * 3
+    # the ambient formula's Geometry and oneill's own: two per sample
+    assert [order for _, order, _ in jets] == [2] * 6
+
+
+def test_gauss_oracle_builds_its_own_geometry(monkeypatch):
+    scn = sc.build("sphere_in_flat", {"c": 0.0}).section
+    u = scn.nchart.sample(np.random.default_rng(3), 1)[0]
+    basis = sm.tangent_frame(scn, u)
+    built = count(monkeypatch, sm, "Geometry")
+    jets = jets_of(monkeypatch, scn.ctx.g)
+    formula = sm.reduced_curvature_sub(scn, u, basis)
+    oracle = sm.gauss_equation_oracle(scn, u, basis)
+    assert len(built) == 2 and [order for _, order, _ in jets] == [2, 2]
+    assert np.max(np.abs(formula - oracle)) < 1e-9
+
+
+# -- no memo: a rerun repeats the results and the jet passes ---------------
+
+@pytest.mark.parametrize("name, cid", [("hopf_flux", "pair_symmetry"),
+                                       ("s3xt2", "bismut_courant"),
+                                       ("product_qg", "lemma62")])
+def test_rerun_check_repeats_results_and_jet_passes(monkeypatch, name, cid):
+    s = build(name)
+    calls = [0]
+    original = dual.partial
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(dual, "partial", counted)
+    runs = []
+    for _ in range(2):
+        calls[0] = 0
+        result = ck.run_check(s, cid, 42, points=4)
+        runs.append((result, calls[0]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0
+
+
+def test_chart_keeps_no_jet_cache():
+    assert not any(isinstance(v, dict) for k, v in vars(ch).items()
+                   if not k.startswith("__"))
+    s = build("hopf_flux")
+    p = s.chart.sample(np.random.default_rng(1), 1)[0]
+    first = ch.differentiate(s.ctx.g, p, order=2)
+    again = ch.differentiate(s.ctx.g, p, order=2)
+    assert first.value is not again.value and first.d1 is not again.d1
+    assert np.array_equal(first.d2, again.d2)
+
+
+# -- the batch route without its point-by-point fallback -------------------
+
+def strict_batched(fn, chunks):
+    """``dual.batched`` with no fallback: a ``TypeError`` propagates."""
+    for points, *args in chunks:
+        yield from fn([Batch(x) for x in points.T],
+                      *(np.moveaxis(a, 0, -1) for a in args))
+
+
+STRICT = [(name, cid) for name, s in ((n, build(n)) for n in NAMES)
+          for cid in ("bismut_courant", "pair_symmetry", "thm63", "thm65",
+                      "euler", "euler_flux")
+          if ck.applicable(s, cid)]
+
+
+def test_strict_cases_cover_every_batched_check():
+    assert len(STRICT) == 24
+    assert {cid for _, cid in STRICT} == {"bismut_courant", "pair_symmetry",
+                                          "thm63", "thm65", "euler",
+                                          "euler_flux"}
+
+
+@pytest.mark.parametrize("name, cid", STRICT)
+def test_batch_route_runs_without_the_fallback(monkeypatch, name, cid):
+    # order 4 where the scenario takes it (flat_torus keeps 16)
+    euler = cid.startswith("euler") and "order" in sc.ALLOWED_PARAMS[name]
+    s = build(name, {"order": 4} if euler else {})
+    want = ck.run_check(s, cid, 42, points=70)
+    monkeypatch.setattr(ck, "batched", strict_batched)
+    monkeypatch.setattr(dual, "batched", strict_batched)
+    got = ck.run_check(s, cid, 42, points=70)
+    assert got == want
+    assert got.passed

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from ggred import chart as ch
 from ggred import checks as ck
-from ggred import dual
 from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import submanifold as sm
@@ -245,52 +244,37 @@ def test_chain_makes_fewer_products(monkeypatch, name):
     assert now["scalar"] < before["scalar"]
 
 
-# -- frame data: the order-2 jet of g answers the Christoffel symbols ---------------
+# -- frame data: one order-2 jet of g answers the Christoffel symbols --------
 
-def order1_passes_of_g(monkeypatch, build, g):
-    """Run ``build`` on an empty jet memo; return the first-derivative
-    passes over g made by each order-1 request for a jet of g."""
-    passes, order1 = [0], []
-    gradient, differentiate = dual.gradient, ch.differentiate
-
-    def counted_gradient(fn, point):
-        passes[0] += fn is g.fn
-        return gradient(fn, point)
+def jets_of_g(monkeypatch, build, g):
+    """Run ``build``; return the order of each jet of g it takes."""
+    orders, differentiate = [], ch.differentiate
 
     def recorded(f, point, order=1, chart=None):
-        before = passes[0]
-        jet = differentiate(f, point, order=order, chart=chart)
-        if order == 1 and getattr(f, "fn", None) is g.fn:
-            order1.append(passes[0] - before)
-        return jet
-    ch.clear_jet_memo()
-    monkeypatch.setattr(dual, "gradient", counted_gradient)
+        if getattr(f, "fn", None) is g.fn:
+            orders.append(order)
+        return differentiate(f, point, order=order, chart=chart)
     monkeypatch.setattr(ch, "differentiate", recorded)
-    try:
-        build()
-    finally:
-        ch.clear_jet_memo()
-    return order1
+    build()
+    return orders
 
 
 def test_point_frame_quotient_takes_no_order1_jet_of_g(monkeypatch):
     scn = s3xt2({}).quotient
     q = scn.quotient.sample(np.random.default_rng(5), 1)[0]
     basis = qt.quotient_frame(scn, q)
-    order1 = order1_passes_of_g(
-        monkeypatch, lambda: lz.point_frame_quotient(scn, q, basis),
-        scn.ctx.g)
-    assert order1 and not any(order1)
+    assert jets_of_g(monkeypatch,
+                     lambda: lz.point_frame_quotient(scn, q, basis),
+                     scn.ctx.g) == [2]
 
 
 def test_point_frame_section_takes_no_order1_jet_of_g(monkeypatch):
     scn = sphere_in_flat({"c": 0.5}).section
     u = scn.nchart.sample(np.random.default_rng(5), 1)[0]
     basis = sm.tangent_frame(scn, u)
-    order1 = order1_passes_of_g(
-        monkeypatch, lambda: lz.point_frame_section(scn, u, basis),
-        scn.ctx.g)
-    assert order1 and not any(order1)
+    assert jets_of_g(monkeypatch,
+                     lambda: lz.point_frame_section(scn, u, basis),
+                     scn.ctx.g) == [2]
 
 
 # -- the closed form builds each b's row once -------------------------------------

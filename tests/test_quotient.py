@@ -8,7 +8,7 @@ from ggred import quotient as qt
 from ggred.chart import ChartField, VECTOR
 from ggred.dual import cos, sin
 from ggred.errors import LiftError
-from ggred.genmetric import bismut_connection_coeffs
+from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import hopf, hopf_flux, product_qg, s3xt2
 
 RNG = np.random.default_rng(42)
@@ -242,7 +242,7 @@ def test_hopf_reduced_connection_is_levi_civita_of_quotient():
     from ggred.genmetric import GeneralizedMetricContext
     ctxq = GeneralizedMetricContext.create(half)
     jy = ch.differentiate(y, q, order=1)
-    gam = ch.christoffel(half, q)
+    gam = ch.christoffel(ch.differentiate(half, q))
     xv = np.asarray(x(q), float)
     nab = np.einsum("j,ji->i", xv, jy.d1) \
         + np.einsum("ijk,j,k->i", gam, xv, jy.value)
@@ -259,7 +259,7 @@ def test_vertical_derivative_identity():
     q = scn.quotient.sample(rng, 1)[0]
     p = scn.lift(q)
     gmat = s.ctx.metric_at(p)
-    coeffs = bismut_connection_coeffs(-1, s.ctx, p)
+    coeffs = bismut_connection_coeffs(-1, Geometry(s.ctx, p))
     jxm = ch.differentiate(qt.xi_pm_field(s.ea, s.ctx, 0, -1), p, order=1)
     dxm = ch.exterior_derivative(jxm, 1)
     vval = np.asarray(s.ea.V[0](p), float)

@@ -27,16 +27,10 @@ from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred.dual import Batch, Dual
 from ggred.errors import DomainError, EvaluationError
-from ggred.genmetric import GeneralizedMetricContext, bismut_curvature
+from ggred.genmetric import (GeneralizedMetricContext, Geometry,
+                             bismut_curvature)
 
 NODES = 64
-
-
-@pytest.fixture(autouse=True)
-def empty_memo():
-    ch.clear_jet_memo()
-    yield
-    ch.clear_jet_memo()
 
 
 def count_partials(monkeypatch):
@@ -76,8 +70,9 @@ def node_loop_euler(ctx, domain, order, use_flux=True):
         for a in range(n):
             w *= weights[a][idx[a]]
         gmat = ctx.metric_at(p)
-        rarr = bismut_curvature(-1, ctx, p) if use_flux and ctx.has_flux \
-            else ch.riemann(ctx.g, p)
+        rarr = bismut_curvature(-1, Geometry(ctx, p)) \
+            if use_flux and ctx.has_flux \
+            else ch.riemann(ch.differentiate(ctx.g, p, order=2))
         term = w * lz.euler_density(rarr, gmat) * np.sqrt(np.linalg.det(gmat))
         total += term
         scale += abs(term)
@@ -206,15 +201,16 @@ def test_batched_geometry_equals_per_node_geometry(name, params):
     nodes = s.chart.sample(np.random.default_rng(8), NODES)
     p = batch_of(nodes)
     gmat = s.ctx.metric_at(p)
-    riem = ch.riemann_from_jet(ch.differentiate(s.ctx.g, p, order=2))
-    rmin = bismut_curvature(-1, s.ctx, p)
+    riem = ch.riemann(ch.differentiate(s.ctx.g, p, order=2))
+    rmin = bismut_curvature(-1, Geometry(s.ctx, p))
     dens = lz.euler_density(rmin, gmat)
     assert dens.shape == (NODES,)
     for k, node in enumerate(nodes):
         node = list(node)
         assert np.array_equal(gmat[..., k], s.ctx.metric_at(node))
-        assert np.array_equal(riem[..., k], ch.riemann(s.ctx.g, node))
-        r_k = bismut_curvature(-1, s.ctx, node)
+        assert np.array_equal(riem[..., k], ch.riemann(
+            ch.differentiate(s.ctx.g, node, order=2)))
+        r_k = bismut_curvature(-1, Geometry(s.ctx, node))
         assert np.array_equal(rmin[..., k], r_k)
         assert dens[k] == lz.euler_density(r_k, s.ctx.metric_at(node))
 
@@ -263,10 +259,11 @@ def test_dense_metric_geometry_and_quadrature_equal_the_node_loop():
     ctx = GeneralizedMetricContext.create(WARPED)
     nodes = WARPED.chart.sample(np.random.default_rng(9), NODES)
     p = batch_of(nodes)
-    riem, gmat = ch.riemann(WARPED, p), ctx.metric_at(p)
+    riem = ch.riemann(ch.differentiate(WARPED, p, order=2))
+    gmat = ctx.metric_at(p)
     dens = lz.euler_density(riem, gmat)
     for k, node in enumerate(nodes):
-        r_k = ch.riemann(WARPED, list(node))
+        r_k = ch.riemann(ch.differentiate(WARPED, list(node), order=2))
         assert np.array_equal(riem[..., k], r_k)
         assert dens[k] == lz.euler_density(r_k, ctx.metric_at(list(node)))
     domain = (WARPED.chart.lower, WARPED.chart.upper)

@@ -17,7 +17,7 @@ from ggred import quotient as qt
 from ggred import submanifold as sm
 from ggred.chart import VECTOR, ChartField
 from ggred.errors import DomainError
-from ggred.genmetric import bismut_connection_coeffs
+from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import s3xt2
 from reduction_cases import two_constraint_section, two_generator_action
 
@@ -47,7 +47,7 @@ def test_d_constraint_rows_match_per_row_jets(scn, sign):
 def test_minus_derivative_matrix_matches_per_generator_jets(scn):
     p = _ambient_point(scn, 4)
     ea, ctx = scn.ea, scn.ctx
-    coeffs = bismut_connection_coeffs(-1, ctx, p)
+    coeffs = bismut_connection_coeffs(-1, Geometry(ctx, p))
     per_row = []
     for a in range(ea.s):
         field = ChartField(ctx.chart, VECTOR,
@@ -55,7 +55,7 @@ def test_minus_derivative_matrix_matches_per_generator_jets(scn):
         jet = ch.differentiate(field, p, order=1)
         per_row.append(jet.d1 + np.einsum("ijk,k->ji", coeffs, jet.value))
     per_row = np.array(per_row)
-    stacked = qt._minus_derivative_matrix(scn, p)
+    stacked = qt._minus_derivative_matrix(scn, Geometry(scn.ctx, p))
     assert np.max(np.abs(per_row)) > 0.05
     assert np.array_equal(stacked, per_row)
 
@@ -65,7 +65,7 @@ def test_point_frame_quotient_matches_per_generator_jets(scn):
     q = scn.quotient.sample(np.random.default_rng(5), 1)[0]
     pf = lz.point_frame_quotient(scn, q)
     p = list(pf.point)
-    gamma = ch.christoffel(scn.ctx.g, p)
+    gamma = ch.christoffel(ch.differentiate(scn.ctx.g, p))
     dxi, dvl = [], []
     for vf, xf in zip(scn.ea.V, scn.ea.xi):
         jx = ch.differentiate(xf, p, order=1)
@@ -106,11 +106,11 @@ def test_section_gradients_match_per_constraint_jets():
 def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
     scn = two_constraint_section()
     p = [0.3, -0.5, 0.7]
-    coeffs = bismut_connection_coeffs(sign, scn.ctx, p)
+    coeffs = bismut_connection_coeffs(sign, Geometry(scn.ctx, p))
     per_row = np.array([
         j.d2.reshape(3, 3) - np.einsum("lij,l->ij", coeffs, j.d1.reshape(3))
         for j in _per_constraint_jets(scn.sd, p, 2)])
-    stacked = sm.nabla_pm_dsigma(scn, sign, p)
+    stacked = sm.nabla_pm_dsigma(scn, sign, Geometry(scn.ctx, p))
     assert np.max(np.abs(per_row[1])) > 0.05
     assert np.array_equal(stacked, per_row)
 

@@ -8,7 +8,8 @@ from ggred import submanifold as sm
 from ggred.chart import Chart, ChartField, METRIC, SCALAR, VECTOR
 from ggred.dual import sin
 from ggred.errors import RankError, TangencyError
-from ggred.genmetric import GeneralizedMetricContext, bismut_connection_coeffs
+from ggred.genmetric import (GeneralizedMetricContext, Geometry,
+                             bismut_connection_coeffs)
 from ggred.scenarios import sphere_in_flat
 
 RNG = np.random.default_rng(42)
@@ -117,7 +118,7 @@ def test_connection_three_routes_agree(cval):
         x, y, z = (rand_tfield(scn.nchart, rng) for _ in range(3))
         ambient = sm.reduced_connection_sub(scn, x, y, z, u)
         jy = ch.differentiate(y, u, order=1)
-        co = bismut_connection_coeffs(-1, ctxn, u)
+        co = bismut_connection_coeffs(-1, Geometry(ctxn, u))
         xv = np.asarray(x(u), float)
         nab = np.einsum("j,ji->i", xv, jy.d1) \
             + np.einsum("ijk,j,k->i", co, xv, jy.value)
@@ -161,7 +162,7 @@ def test_extension_independence():
     demb = np.asarray(sm.embed_jacobian(scn, u), dtype=float)
     xv = demb @ np.asarray(x(u), float)
     zv = demb @ np.asarray(z(u), float)
-    co = bismut_connection_coeffs(-1, s.ctx, p)
+    co = bismut_connection_coeffs(-1, Geometry(s.ctx, p))
     nab = np.einsum("j,ji->i", xv, jy.d1) \
         + np.einsum("ijk,j,k->i", co, xv, jy.value)
     route_b = float(nab @ s.ctx.metric_at(p) @ zv)
@@ -250,8 +251,8 @@ def test_swap_identity_bridges_connections():
     for u in scn.nchart.sample(rng, 3):
         p = scn.embed(u)
         fr = sm.tangent_frame(scn, u)
-        mm = sm.nabla_pm_dsigma(scn, -1, p)
-        mp = sm.nabla_pm_dsigma(scn, +1, p)
+        mm = sm.nabla_pm_dsigma(scn, -1, Geometry(scn.ctx, p))
+        mp = sm.nabla_pm_dsigma(scn, +1, Geometry(scn.ctx, p))
         for a in range(scn.sd.r):
             nbm = np.einsum("ij,mi,rj->mr", mm[a], fr, fr)
             nbp = np.einsum("ij,mi,rj->mr", mp[a], fr, fr)
