@@ -141,22 +141,13 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
         r for p in s.chart.sample(rng, n) for r in residuals(p)), tol)
 
 
-def _quotient_pairs(s: Scenario, rng, n, oracle):
-    """The ambient-formula reduced curvature minus ``oracle`` at n quotient
-    samples, both on one quotient frame."""
-    scn = s.quotient
-    for q in scn.quotient.sample(rng, n):
-        basis = qt.quotient_frame(scn, q)
-        yield (qt.reduced_curvature_quotient(scn, q, basis)
-               - oracle(scn, q, basis))
-
-
-def _batched_pairs(ambient, direct, frame, chart, rng, n):
-    """Per sample, the largest |ambient - direct| on one frame, over n
-    samples of ``chart`` taken as batch points of at most BATCH nodes."""
+def _batched_pairs(sample, ambient, direct, chart, rng, n):
+    """Per sample, the largest |ambient - direct| on the sample's frame, over
+    n samples of ``chart`` taken as batch points of at most BATCH nodes:
+    ``ambient`` reads the sample object, ``direct`` only (x, basis)."""
     def residual(x):
-        basis = frame(x)
-        return np.abs(ambient(x, basis) - direct(x, basis)).max(
+        lp = sample(x)
+        return np.abs(ambient(lp) - direct(x, lp.basis)).max(
             axis=(0, 1, 2, 3))
 
     return ch.max_abs(batched(residual, _chunks((chart.sample(rng, n),),
@@ -168,9 +159,8 @@ def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 50, points)
     scn = s.quotient
     return _result("thm63", n, _batched_pairs(
-        partial(qt.reduced_curvature_quotient, scn),
-        partial(qt.reduced_curvature_direct, scn),
-        partial(qt.quotient_frame, scn), scn.quotient, rng, n), tol)
+        partial(qt.LiftedPoint, scn), qt.reduced_curvature_quotient,
+        partial(qt.reduced_curvature_direct, scn), scn.quotient, rng, n), tol)
 
 
 def _flux_free_action(s: Scenario, p) -> bool:
@@ -185,8 +175,10 @@ def check_oneill(s: Scenario, rng, tol, points=None) -> CheckResult:
     if not _flux_free_action(s, scn.lift(scn.quotient.sample(rng, 1)[0])):
         raise ScenarioError("oneill check needs zero flux and zero xi")
     n = _npoints(s, 25, points)
-    return _result("oneill", n, ch.max_abs(_quotient_pairs(
-        s, rng, n, qt.oneill_curvature)), tol)
+    lps = (qt.LiftedPoint(scn, q) for q in scn.quotient.sample(rng, n))
+    return _result("oneill", n, ch.max_abs(
+        qt.reduced_curvature_quotient(lp)
+        - qt.oneill_curvature(scn, lp.q, lp.basis) for lp in lps), tol)
 
 
 def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -194,18 +186,17 @@ def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 50, points)
     scn = s.section
     return _result("thm65", n, _batched_pairs(
-        partial(sm.reduced_curvature_sub, scn),
-        partial(sm.reduced_curvature_sub_direct, scn),
-        partial(sm.tangent_frame, scn), scn.nchart, rng, n), tol)
+        partial(sm.LocusPoint, scn), sm.reduced_curvature_sub,
+        partial(sm.reduced_curvature_sub_direct, scn), scn.nchart, rng, n),
+        tol)
 
 
-def _chain_residual(point_frame, curvature, model, scn, x, basis):
+def _chain_residual(point_frame, curvature, model, lp):
     """The largest coefficient of the chain exponent minus its curvature
-    pairing, and the exponent's terms of degree below 4."""
-    pf = point_frame(scn, x, basis)
+    pairing at one sample, and the exponent's terms of degree below 4."""
+    pf = point_frame(lp)
     exponent, _ = lz.localize_model(pf, model)
-    target = lz.localized_exponent_target(pf, curvature(scn, x, basis,
-                                                        pf.geo))
+    target = lz.localized_exponent_target(pf, curvature(lp))
     low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
     return [(exponent - target).max_abs()] + low
 
@@ -216,7 +207,7 @@ def check_localize2(s: Scenario, rng, tol, points=None) -> CheckResult:
     scn = s.quotient
     return _result("localize2", n, ch.max_abs(
         _chain_residual(lz.point_frame_quotient, qt.reduced_curvature_quotient,
-                        "quotient", scn, q, qt.quotient_frame(scn, q))
+                        "quotient", qt.LiftedPoint(scn, q))
         for q in scn.quotient.sample(rng, n)), tol)
 
 
@@ -226,7 +217,7 @@ def check_localize3(s: Scenario, rng, tol, points=None) -> CheckResult:
     scn = s.section
     return _result("localize3", n, ch.max_abs(
         _chain_residual(lz.point_frame_section, sm.reduced_curvature_sub,
-                        "section", scn, u, sm.tangent_frame(scn, u))
+                        "section", sm.LocusPoint(scn, u))
         for u in scn.nchart.sample(rng, n)), tol)
 
 
@@ -236,7 +227,7 @@ def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
     scn = s.quotient
 
     def residuals(q):
-        pf = lz.point_frame_quotient(scn, q, qt.quotient_frame(scn, q))
+        pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
         return [(closed[a] - details[f"pm{a}"][0]).max_abs()

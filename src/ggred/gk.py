@@ -85,7 +85,9 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
     for p in points:
         geo = Geometry(ctx, p)
         for sign, j in bh.pair():
-            jet = ch.differentiate(j, p, order=1)
+            # one jet per distinct field: J_- may be J_+ itself
+            jet = jet if sign < 0 and j is bh.Jplus else \
+                ch.differentiate(j, p, order=1)
             jv = jet.value
             res["square"].append(jv @ jv + np.eye(n))
             res["compatibility"].append(jv.T @ geo.g @ jv - geo.g)

@@ -305,10 +305,8 @@ def _gv_dot(u, v):
 
 @dataclass
 class PointFrame:
-    """Every tensor value the component actions consume at one point, and
-    the ambient Geometry they were read from."""
+    """Every tensor value the component actions consume at one point."""
 
-    geo: Geometry
     point: tuple
     n: int
     g: np.ndarray
@@ -338,38 +336,25 @@ class PointFrame:
         return self.plus_frame.shape[0]
 
 
-def point_frame_quotient(scn: qt.QuotientScenario, qpoint,
-                         basis=None) -> PointFrame:
-    """Assemble the gauged-model data at lift(qpoint) with aligned frames.
+def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
+    """Assemble the gauged-model data of a lifted sample.
 
-    The plus and minus zero-mode frames are the tau_pm lifts of one
+    The plus and minus zero-mode frames are the sample's tau_pm lifts of its
     quotient basis, so the localized exponent and the reduced-curvature
     contraction live on identical frames.
     """
-    if basis is None:
-        basis = qt.quotient_frame(scn, qpoint)
-    basis = np.asarray(basis, dtype=float)
-    p = scn.lift(qpoint)
-    ea, ctx = scn.ea, scn.ctx
-    geo = Geometry(ctx, p)
-    rmin = bismut_curvature(-1, geo)
-    plus = qt.horizontal_lift(scn, p, +1, basis)
-    minus = qt.horizontal_lift(scn, p, -1, basis)
-    # one jet of the stacked rows: [0, a] = V_a, [1, a] = xi_a
-    jet = ch.differentiate(
-        lambda c: [[f(c) for f in ea.V], [f(c) for f in ea.xi]], p,
-        order=1, chart=ctx.chart)
-    vv, xv = jet.value
-    d1 = jet.d1.transpose(1, 2, 0, 3)   # [0 or 1, a, k, i] = d_k row_ai
+    geo, rm = lp.geo, lp.rm
+    rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
+    vv, xv, _ = lp.jet.value
+    d1 = lp.jet.d1.transpose(1, 2, 0, 3)   # [row, a, k, i] = d_k row_ai
     dxi = d1[1] - np.einsum("mki,am->aki", geo.gamma, xv)
     dv = d1[0] + np.einsum("ikm,am->aki", geo.gamma, vv)
-    rm = qt.reduction_matrices(ea, ctx, p)
     pf = PointFrame(
-        geo=geo, point=tuple(p), n=ctx.chart.dim, g=geo.g, ginv=geo.ginv,
-        H=geo.H, gamma=geo.gamma, r_minus=rmin, s=ea.s, V=vv, xi=xv,
+        point=tuple(lp.p), n=lp.scn.ambient_dim, g=geo.g, ginv=geo.ginv,
+        H=geo.H, gamma=geo.gamma, r_minus=rmin, s=lp.scn.ea.s, V=vv, xi=xv,
         dxi_cov=dxi, dv_cov_low=np.einsum("aki,im->akm", dv, geo.g),
         G_ab=rm.G, K_ab=rm.K, T_ab=rm.T,
-        plus_frame=plus, minus_frame=minus)
+        plus_frame=lp.plus, minus_frame=lp.minus)
     _check_zero_mode_frames(pf)
     return pf
 
@@ -388,22 +373,16 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
                 "zero-mode frame not tangent to the zero locus")
 
 
-def point_frame_section(scn: sm.SubmanifoldScenario, u,
-                        basis=None) -> PointFrame:
-    """Assemble the constrained-model data at embed(u) on a tangent frame."""
-    if basis is None:
-        basis = sm.tangent_frame(scn, u)
-    basis = np.asarray(basis, dtype=float)
-    p = scn.embed(u)
-    geo = Geometry(scn.ctx, p)
-    rmin = bismut_curvature(-1, geo)
-    jet = scn.sd.jet(p, order=2)
+def point_frame_section(lp: sm.LocusPoint) -> PointFrame:
+    """Assemble the constrained-model data of a locus sample on its frame."""
+    geo = lp.geo
+    rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
     pf = PointFrame(
-        geo=geo, point=tuple(p), n=scn.ctx.chart.dim, g=geo.g, ginv=geo.ginv,
-        H=geo.H, gamma=geo.gamma, r_minus=rmin, r=scn.sd.r,
-        dsigma=np.ascontiguousarray(jet.d1.T),
-        hess_sigma=np.ascontiguousarray(np.moveaxis(jet.d2, 2, 0)),
-        plus_frame=basis, minus_frame=basis)
+        point=tuple(lp.p), n=lp.scn.ambient_dim, g=geo.g, ginv=geo.ginv,
+        H=geo.H, gamma=geo.gamma, r_minus=rmin, r=lp.scn.sd.r,
+        dsigma=lp.grads,
+        hess_sigma=np.ascontiguousarray(np.moveaxis(lp.jet.d2, 2, 0)),
+        plus_frame=lp.basis, minus_frame=lp.basis)
     _check_zero_mode_frames(pf)
     return pf
 

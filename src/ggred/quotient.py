@@ -180,22 +180,26 @@ def constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
     return (gmat @ v.T).T + sign * x
 
 
-def d_constraint_rows(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                      point):
+def action_jet(ea: ExtendedAction, ctx: GeneralizedMetricContext, point
+               ) -> ch.PointJet:
+    """One order-1 jet of the stacked rows [V_a, xi_a, g V_a]: index 0, 1 or
+    2 on the axis after the derivative axis (dual-safe)."""
+    def rows(coords):
+        gmat, v, x = _action_rows(ea, ctx, coords)
+        return [v, x, (gmat @ v.T).T]
+    return ch.differentiate(rows, point, order=1, chart=ctx.chart)
+
+
+def d_constraint_rows(jet: ch.PointJet):
     """(d(g V_a^+), d(g V_a^-)): two s x n x n stacks of the 2-forms
-    d(g(V_a) +/- xi_a), from one order-1 jet of the rows g V_a and xi_a.
+    d(g(V_a) +/- xi_a), from an :func:`action_jet`.
 
     The sign is applied to the jet before it is antisymmetrized, so each
     stack equals the exterior derivative of that sign's own row jet.
     """
-    def rows(coords):
-        gmat, v, x = _action_rows(ea, ctx, coords)
-        return [(gmat @ v.T).T, x]
-
-    d1 = ch.differentiate(rows, point, order=1, chart=ctx.chart).d1
     out = []
     for sign in (+1, -1):
-        d = d1[:, 0] + sign * d1[:, 1]          # d[k, a, j] = d_k row_aj
+        d = jet.d1[:, 2] + sign * jet.d1[:, 1]  # d[k, a, j] = d_k row_aj
         out.append(d.swapaxes(0, 1) - d.transpose(1, 2, 0, *range(3, d.ndim)))
     return tuple(out)
 
@@ -247,7 +251,8 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     """
     frame = np.asarray(frame, dtype=float)
     rm = reduction_matrices(ea, ctx, point)
-    dxi_pm = d_constraint_rows(ea, ctx, point)[0 if sign > 0 else 1]
+    jet = action_jet(ea, ctx, point)
+    dxi_pm = d_constraint_rows(jet)[0 if sign > 0 else 1]
     # curvature of tau_+: K^{ba} d(g V_b^+); of tau_-: K^{ab} d(g V_b^-)
     mix = np.einsum("ab,bij->aij", rm.Kinv.T if sign > 0 else rm.Kinv,
                     dxi_pm)
@@ -349,7 +354,7 @@ def omega_two_form(scn: QuotientScenario, point):
     """tau_+ curvature 2-forms Omega^a as ambient component arrays (with
     ``Batch`` entries at a batch point, as field bodies need)."""
     ea, ctx = scn.ea, scn.ctx
-    dxi = d_constraint_rows(ea, ctx, point)[0]
+    dxi = d_constraint_rows(action_jet(ea, ctx, point))[0]
     dxi = dual.entries(dxi) if dxi.ndim == 4 else \
         np.asarray(dxi, dtype=object)
     # Omega^a = K^{ba} d(g(V_b^+))
@@ -482,6 +487,26 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
                                 scn.reduced_dim, "quotient frame")
 
 
+class LiftedPoint:
+    """One quotient sample: q, p = lift(q), the ambient Geometry at p, the
+    quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, the
+    reduction matrices ``rm`` and one :func:`action_jet`, at a point or a
+    batch point (trailing node axes).  The code under test shares one per
+    sample; each oracle builds its own data from (scn, q, basis)."""
+
+    def __init__(self, scn: QuotientScenario, q):
+        self.scn, self.q, self.p = scn, q, scn.lift(q)
+        self.geo = Geometry(scn.ctx, self.p)
+        self.basis = quotient_frame(scn, q)
+        size = dual.nodes(self.p)
+        qvecs = dual.entries(self.basis) if size else self.basis
+        self.plus, self.minus = (
+            dual.tighten(horizontal_lift(scn, self.p, sign, qvecs), size)
+            for sign in (+1, -1))
+        self.jet = action_jet(scn.ea, scn.ctx, self.p)
+        self.rm = reduction_matrices(scn.ea, scn.ctx, self.p)
+
+
 def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
     """D[a, j, i] = (grad^-_j V_a^-)^i at the Geometry's point."""
     ea, ctx = scn.ea, scn.ctx
@@ -492,40 +517,26 @@ def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
                                                   jet.value)
 
 
-def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
-                               basis=None, geo: Geometry | None = None
-                               ) -> np.ndarray:
+def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
     """Reduced curvature on aligned frames, from ambient data only.
 
-    In operator slots on the quotient basis, assembled from three ambient
-    ingredients: the ambient torsion curvature on (tau_+, tau_+, tau_-,
-    tau_-) lifts, a mixed term quadratic in the tau_pm connection 2-forms,
-    and a vertical-derivative correction weighted by the inverse of T_ab.
-    Cross-check: :func:`reduced_curvature_direct` with the same basis.
-    A batch quotient point (and a basis with a trailing node axis) gives a
-    trailing node axis.  ``geo`` is the ambient Geometry at lift(qpoint),
-    if one is at hand.
+    In operator slots on the sample's quotient basis, assembled from three
+    ambient ingredients: the ambient torsion curvature on (tau_+, tau_+,
+    tau_-, tau_-) lifts, a mixed term quadratic in the tau_pm connection
+    2-forms, and a vertical-derivative correction weighted by the inverse
+    of T_ab.  Cross-check: :func:`reduced_curvature_direct` with the same
+    basis.  A batch sample gives a trailing node axis.
     """
-    ea, ctx = scn.ea, scn.ctx
-    if basis is None:
-        basis = quotient_frame(scn, qpoint)
-    basis = np.asarray(basis, dtype=float)
-    p = scn.lift(qpoint)
-    geo = geo or Geometry(ctx, p)
-    size = dual.nodes(p)
-    qvecs = dual.entries(basis) if size else basis
-    plus, minus = (dual.tighten(horizontal_lift(scn, p, sign, qvecs), size)
-                   for sign in (+1, -1))
-    rm = reduction_matrices(ea, ctx, p)
+    geo, plus, minus, rm = lp.geo, lp.plus, lp.minus, lp.rm
     rmin = bismut_curvature(-1, geo)
     term1 = ch.operator_slots(rmin, plus, plus, minus, minus)
 
-    dxi_p, dxi_m = d_constraint_rows(ea, ctx, p)
+    dxi_p, dxi_m = d_constraint_rows(lp.jet)
     om_p = ch.node_einsum("aij,bi,cj->abc", dxi_p, plus, plus)
     om_m = ch.node_einsum("aij,ci,dj->acd", dxi_m, minus, minus)
     term2 = -0.5 * ch.node_einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)
 
-    dmat = _minus_derivative_matrix(scn, geo)  # [a, j, i]
+    dmat = _minus_derivative_matrix(lp.scn, geo)  # [a, j, i]
     # edge[a, mu, rho] = g(X^-_rho, grad^-_{X^+_mu} V_a^-)
     edge = ch.node_einsum("aji,mj,ik,rk->amr", dmat, plus, geo.g, minus)
     term3 = (ch.node_einsum("ab,anz,bmw->mnzw", rm.Tinv, edge, edge)
@@ -534,17 +545,15 @@ def reduced_curvature_quotient(scn: QuotientScenario, qpoint,
 
 
 def reduced_curvature_direct(scn: QuotientScenario, qpoint,
-                             basis=None) -> np.ndarray:
+                             basis) -> np.ndarray:
     """Torsion curvature of (g_red, H_red) computed on the quotient chart
     (with a trailing node axis at a batch quotient point)."""
-    if basis is None:
-        basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
     rarr = bismut_curvature(-1, Geometry(reduced_context(scn), qpoint))
     return ch.operator_slots(rarr, basis, basis, basis, basis)
 
 
-def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
+def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     """Independent submersion-curvature oracle for the flux-free case.
 
     Uses the classical fundamental-tensor formula: base curvature equals
@@ -554,8 +563,6 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis=None) -> np.ndarray:
     space.  It takes its own order-2 jet of g at lift(qpoint).
     """
     ea, ctx = scn.ea, scn.ctx
-    if basis is None:
-        basis = quotient_frame(scn, qpoint)
     basis = np.asarray(basis, dtype=float)
     m = basis.shape[0]
     p = scn.lift(qpoint)

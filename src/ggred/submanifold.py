@@ -50,20 +50,26 @@ class SectionData:
     def gradients(self, point) -> np.ndarray:
         """The r x n rows d sigma^alpha in C order (dual-safe; node axis
         last at a batch point)."""
-        return np.ascontiguousarray(self.jet(point).d1.swapaxes(0, 1))
+        return _gradients(self.jet(point))
 
-    def on_locus(self, point, tol: float = EPS_LOCUS) -> bool:
-        return bool(np.max(np.abs(self.values(point))) <= tol)
+
+def _gradients(jet: ch.PointJet) -> np.ndarray:
+    """The r x n rows d sigma^alpha of a jet of all sigma^alpha, C order."""
+    return np.ascontiguousarray(jet.d1.swapaxes(0, 1))
 
 
 def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
     """Transverse Gram matrix T^{ab} = dsigma^a . g^{-1} . dsigma^b and its
     inverse at a zero-locus point."""
-    if not sd.on_locus(point):
+    return _t_matrix(sd.jet(point), ch.metric_inverse(ctx.metric_at(point)))
+
+
+def _t_matrix(jet: ch.PointJet, ginv):
+    """:func:`t_matrix` from a jet of all sigma^alpha and g^{-1} there."""
+    if not np.max(np.abs(jet.value)) <= EPS_LOCUS:
         raise TangencyError("t_matrix needs a point on the zero locus")
-    ginv = ch._stack(ch.metric_inverse(ctx.metric_at(point)))
-    grads = np.ascontiguousarray(ch._stack(sd.gradients(point)))
-    tup = grads @ ginv @ grads.swapaxes(-1, -2)
+    grads = np.ascontiguousarray(ch._stack(_gradients(jet)))
+    tup = grads @ ch._stack(ginv) @ grads.swapaxes(-1, -2)
     tup = ch._stack(tup, tup.ndim - 2)
     return tup, ch.inverse(tup, RankError, "transverse Gram matrix of "
                            "d sigma", definite=True)
@@ -102,6 +108,23 @@ class SubmanifoldScenario:
             raise ScenarioError(
                 f"embedding misses the zero locus by {worst:.2e}")
         return worst
+
+
+class LocusPoint:
+    """One zero-locus sample: u, p = embed(u), the ambient Geometry at p,
+    the tangent frame ``basis``, one order-2 jet of all sigma^alpha with its
+    gradient rows ``grads``, and the inverse ``tlow`` of the transverse Gram
+    matrix, at a point or a batch point (trailing node axes).  The code
+    under test shares one per sample; each oracle builds its own data from
+    (scn, u, basis)."""
+
+    def __init__(self, scn: SubmanifoldScenario, u):
+        self.scn, self.u, self.p = scn, u, scn.embed(u)
+        self.geo = Geometry(scn.ctx, self.p)
+        self.basis = tangent_frame(scn, u)
+        self.jet = scn.sd.jet(self.p, order=2)
+        self.grads = _gradients(self.jet)
+        _, self.tlow = _t_matrix(self.jet, self.geo.ginv)
 
 
 def embed_jacobian(scn: SubmanifoldScenario, u):
@@ -145,18 +168,19 @@ def induced_context(scn: SubmanifoldScenario) -> GeneralizedMetricContext:
                                     induced_flux_field(scn))
 
 
-def nabla_pm_dsigma(scn: SubmanifoldScenario, sign: int,
+def nabla_pm_dsigma(jet: ch.PointJet, sign: int,
                     geo: Geometry) -> np.ndarray:
-    """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j at the ambient point
-    of ``geo``."""
+    """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j from an order-2 jet of
+    all sigma^alpha at the ambient point of ``geo``."""
     coeffs = bismut_connection_coeffs(sign, geo)
-    jet = scn.sd.jet(geo.point, order=2)
     return np.moveaxis(jet.d2, 2, 0) - ch.node_einsum("lij,la->aij", coeffs,
                                                        jet.d1)
 
 
-def _require_tangent(scn, point, vecs, tol=ch.EPS_ID):
-    grads = ch._stack(scn.sd.gradients(point))
+def _require_tangent(grads, vecs, tol=ch.EPS_ID):
+    """TangencyError unless the rows d sigma^alpha ``grads`` annihilate
+    every vector."""
+    grads = ch._stack(grads)
     vecs = ch._stack(np.asarray(vecs))
     if not ch.max_abs([grads @ vecs.swapaxes(-1, -2)]) <= tol:
         raise TangencyError("field value not tangent to the locus")
@@ -195,7 +219,7 @@ def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
     xv = demb @ np.asarray(xbar(u), dtype=float)
     zv = demb @ np.asarray(zbar(u), dtype=float)
     yv = np.asarray(yval, dtype=float)
-    _require_tangent(scn, p, [xv, zv, yv])
+    _require_tangent(scn.sd.gradients(p), [xv, zv, yv])
     geo = Geometry(scn.ctx, p)
     coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
@@ -212,63 +236,52 @@ def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
     array Gamma^- + T g^{-1} dsigma grad^+ dsigma.  Both are tangent to N
     and equal to tight tolerance.
     """
-    p = scn.embed(u)
+    lp = LocusPoint(scn, u)
     demb = np.asarray(embed_jacobian(scn, u), dtype=float)
     dy, yval = tangential_derivative(scn, xbar, ybar, u)
     xv = demb @ np.asarray(xbar(u), dtype=float)
     yv = np.asarray(yval, dtype=float)
-    geo = Geometry(scn.ctx, p)
+    geo = lp.geo
     coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
 
-    tup, tlow = t_matrix(scn.sd, scn.ctx, p)
-    grads = scn.sd.gradients(p)
-    mm = nabla_pm_dsigma(scn, -1, geo)   # [a, i, j]
-    corr = np.einsum("ab,bjk,j,k,ai->i", tlow, mm, xv, yv, grads @ geo.ginv)
+    mm = nabla_pm_dsigma(lp.jet, -1, geo)   # [a, i, j]
+    corr = np.einsum("ab,bjk,j,k,ai->i", lp.tlow, mm, xv, yv,
+                     lp.grads @ geo.ginv)
     corrected = nab + corr
 
-    mp = nabla_pm_dsigma(scn, +1, geo)
-    gamma_tilde = coeffs + np.einsum("ab,il,al,bjk->ikj", tlow,
-                                     geo.ginv, grads, mp)
+    mp = nabla_pm_dsigma(lp.jet, +1, geo)
+    gamma_tilde = coeffs + np.einsum("ab,il,al,bjk->ikj", lp.tlow,
+                                     geo.ginv, lp.grads, mp)
     coeff_form = dy + np.einsum("ikj,k,j->i", gamma_tilde, xv, yv)
     return corrected, coeff_form
 
 
-def reduced_curvature_sub(scn: SubmanifoldScenario, u, basis=None,
-                          geo: Geometry | None = None) -> np.ndarray:
-    """Reduced curvature on a tangent frame, from ambient data only.
+def reduced_curvature_sub(lp: LocusPoint) -> np.ndarray:
+    """Reduced curvature on the sample's tangent frame, from ambient data.
 
     In operator slots: the ambient torsion curvature restricted to the
     frame plus a transverse correction quadratic in grad^- d sigma.
     Cross-check: :func:`reduced_curvature_sub_direct` with the same basis.
-    A batch point (and a basis with a trailing node axis) gives a trailing
-    node axis.  ``geo`` is the ambient Geometry at embed(u), if one is at
-    hand.
+    A batch sample gives a trailing node axis.
     """
-    if basis is None:
-        basis = tangent_frame(scn, u)
-    basis = np.asarray(basis, dtype=float)
-    p = scn.embed(u)
-    geo = geo or Geometry(scn.ctx, p)
-    _require_tangent(scn, p, list(basis))
+    basis, geo = lp.basis, lp.geo
+    _require_tangent(lp.grads, list(basis))
     rmin = bismut_curvature(-1, geo)
     term1 = ch.operator_slots(rmin, basis, basis, basis, basis)
-    tup, tlow = t_matrix(scn.sd, scn.ctx, p)
-    mm = nabla_pm_dsigma(scn, -1, geo)
+    mm = nabla_pm_dsigma(lp.jet, -1, geo)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
     nb = ch.node_einsum("aij,mi,rj->amr", mm, basis, basis)
-    term2 = (ch.node_einsum("ab,bnr,ams->mnrs", tlow, nb, nb)
-             - ch.node_einsum("ab,bmr,ans->mnrs", tlow, nb, nb))
+    term2 = (ch.node_einsum("ab,bnr,ams->mnrs", lp.tlow, nb, nb)
+             - ch.node_einsum("ab,bmr,ans->mnrs", lp.tlow, nb, nb))
     return term1 + term2
 
 
 def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
-                                 basis=None) -> np.ndarray:
+                                 basis) -> np.ndarray:
     """Torsion curvature of the induced geometry, computed on the locus
     chart and expressed on the same ambient frame (with a trailing node
     axis at a batch point)."""
-    if basis is None:
-        basis = tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
     # chart components of the frame vectors: solve demb @ e = basis row;
@@ -284,14 +297,12 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
 
 
 def gauss_equation_oracle(scn: SubmanifoldScenario, u,
-                          basis=None) -> np.ndarray:
+                          basis) -> np.ndarray:
     """Independent flux-free oracle: the Gauss equation with the second
     fundamental form II(X, Y) = -T_{ab} (Y, grad_X dsigma^b) g^{-1}
     dsigma^a."""
     if scn.ctx.has_flux:
         raise ScenarioError("the Gauss oracle applies to flux-free data")
-    if basis is None:
-        basis = tangent_frame(scn, u)
     basis = np.asarray(basis, dtype=float)
     p = scn.embed(u)
     geo = Geometry(scn.ctx, p)      # its own, not the formula's

@@ -76,7 +76,7 @@ def test_criterion_04_quotient_curvature():
     rng = np.random.default_rng(1)
     sec_err = 0.0
     for q in s0.quotient.quotient.sample(rng, 5):
-        t = qt.reduced_curvature_quotient(s0.quotient, q)
+        t = qt.reduced_curvature_quotient(qt.LiftedPoint(s0.quotient, q))
         sec_err = max(sec_err, abs(t[0, 1, 1, 0] - 4.0))
     dt = time.perf_counter() - t0
     report("criterion 4 (quotient curvature cross-check)",
@@ -104,7 +104,7 @@ def test_criterion_06_locus_curvature():
         res = ck.run_check(s, "thm65", seed=42, points=50)
         worst = max(worst, res.max_residual)
         for u in s.section.nchart.sample(rng, 3):
-            t = sm.reduced_curvature_sub(s.section, u)
+            t = sm.reduced_curvature_sub(sm.LocusPoint(s.section, u))
             gauss_err = max(gauss_err, abs(t[0, 1, 1, 0] - 1.0))
     report("criterion 6 (zero-locus curvature cross-check)",
            worst <= 1e-6 and gauss_err <= 1e-6,

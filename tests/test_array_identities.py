@@ -52,7 +52,7 @@ def _same(a, b):
 
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
 def test_point_frame_quotient_keeps_the_per_generator_loop(scn):
-    pf = lz.point_frame_quotient(scn, _qpoint(scn, 5))
+    pf = lz.point_frame_quotient(qt.LiftedPoint(scn, _qpoint(scn, 5)))
     p, ea = list(pf.point), scn.ea
     jet = ch.differentiate(
         lambda c: [[f(c) for f in ea.V], [f(c) for f in ea.xi]], p,
@@ -93,7 +93,8 @@ def test_nabla_pm_dsigma_keeps_the_per_constraint_loop(sign):
     old = np.array([jet.d2[:, :, al] - np.einsum("lij,l->ij", coeffs, grad)
                     for al, grad in enumerate(grads)])
     assert np.max(np.abs(old[1] - old[0])) > 0.05
-    assert _same(sm.nabla_pm_dsigma(scn, sign, Geometry(scn.ctx, p)), old)
+    assert _same(sm.nabla_pm_dsigma(scn.sd.jet(p, order=2), sign,
+                                   Geometry(scn.ctx, p)), old)
 
 
 # -- loops that went ------------------------------------------------------------
@@ -101,7 +102,8 @@ def test_nabla_pm_dsigma_keeps_the_per_constraint_loop(sign):
 def _old_omega_curvature(ea, ctx, sign, point, frame):
     frame = np.asarray(frame, dtype=float)
     rm = qt.reduction_matrices(ea, ctx, point)
-    dxi_pm = qt.d_constraint_rows(ea, ctx, point)[0 if sign > 0 else 1]
+    dxi_pm = qt.d_constraint_rows(qt.action_jet(ea, ctx, point))[
+        0 if sign > 0 else 1]
     if sign > 0:
         mix = np.einsum("ba,bij->aij", rm.Kinv, dxi_pm)
     else:
@@ -170,7 +172,8 @@ def _old_oneill(scn, qpoint):
                          ids=["hopf", "product_qg", "two_generators_m3"])
 def test_oneill_keeps_the_bracket_table(scn):
     q = _qpoint(scn, 8)
-    assert _same(qt.oneill_curvature(scn, q), _old_oneill(scn, q))
+    assert _same(qt.oneill_curvature(scn, q, qt.quotient_frame(scn, q)),
+                 _old_oneill(scn, q))
 
 
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
@@ -259,13 +262,14 @@ def test_require_tangent_keeps_the_pair_loop():
     p = scn.embed(u)
     frame = list(sm.tangent_frame(scn, u))
     normal = np.array([1.0, 0.0, 0.0])     # d(x z) = z dx is not zero here
+    grads = scn.sd.gradients(p)
     for vecs in (frame, frame + [normal], [normal] + frame,
                  frame + [frame[0] + 1e-7 * normal],
                  frame + [frame[0] + 1e-9 * normal]):
-        assert _raises(sm._require_tangent, scn, p, vecs) == \
+        assert _raises(sm._require_tangent, grads, vecs) == \
             _raises(_old_require_tangent, scn, p, vecs)
-    assert not _raises(sm._require_tangent, scn, p, frame)
-    assert _raises(sm._require_tangent, scn, p, frame + [normal])
+    assert not _raises(sm._require_tangent, grads, frame)
+    assert _raises(sm._require_tangent, grads, frame + [normal])
 
 
 def test_require_tangent_raises_on_a_nan_vector_and_a_nan_gradient(
@@ -275,12 +279,13 @@ def test_require_tangent_raises_on_a_nan_vector_and_a_nan_gradient(
     p = scn.embed(u)
     frame = list(sm.tangent_frame(scn, u))
     with pytest.raises(TangencyError):
-        sm._require_tangent(scn, p, frame + [np.array([0.0, np.nan, 0.0])])
+        sm._require_tangent(scn.sd.gradients(p),
+                            frame + [np.array([0.0, np.nan, 0.0])])
     grads = scn.sd.gradients(p)
     grads[1, 2] = np.nan
     monkeypatch.setattr(sm.SectionData, "gradients", lambda self, pt: grads)
     with pytest.raises(TangencyError):
-        sm._require_tangent(scn, p, frame)
+        sm._require_tangent(scn.sd.gradients(p), frame)
     with pytest.raises(TangencyError):
         _old_require_tangent(scn, p, frame)
 

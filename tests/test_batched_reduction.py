@@ -218,17 +218,19 @@ def test_quotient_curvatures_keep_every_nodes_bits(name):
     scn = QUOTIENTS[name]()
     nodes = scn.quotient.sample(np.random.default_rng(14), 9)
     q = batch_of(nodes)
-    basis = qt.quotient_frame(scn, q)
-    amb = qt.reduced_curvature_quotient(scn, q, basis)
+    lp = qt.LiftedPoint(scn, q)
+    basis = lp.basis
+    amb = qt.reduced_curvature_quotient(lp)
     direct = qt.reduced_curvature_direct(scn, q, basis)
     m = scn.reduced_dim
     assert basis.shape == (m, m, 9) and amb.shape == direct.shape == \
         (m, m, m, m, 9)
     for k, node in enumerate(nodes):
-        b = qt.quotient_frame(scn, node)
+        one = qt.LiftedPoint(scn, node)
+        b = one.basis
         assert np.array_equal(basis[..., k], b)
         assert np.array_equal(amb[..., k],
-                              qt.reduced_curvature_quotient(scn, node, b))
+                              qt.reduced_curvature_quotient(one))
         assert np.array_equal(direct[..., k],
                               qt.reduced_curvature_direct(scn, node, b))
 
@@ -238,14 +240,15 @@ def test_section_curvatures_keep_every_nodes_bits(name):
     scn = SECTIONS[name]()
     nodes = scn.nchart.sample(np.random.default_rng(15), 9)
     u = batch_of(nodes)
-    basis = sm.tangent_frame(scn, u)
-    amb = sm.reduced_curvature_sub(scn, u, basis)
+    lp = sm.LocusPoint(scn, u)
+    basis = lp.basis
+    amb = sm.reduced_curvature_sub(lp)
     direct = sm.reduced_curvature_sub_direct(scn, u, basis)
     for k, node in enumerate(nodes):
-        b = sm.tangent_frame(scn, node)
+        one = sm.LocusPoint(scn, node)
+        b = one.basis
         assert np.array_equal(basis[..., k], b)
-        assert np.array_equal(amb[..., k],
-                              sm.reduced_curvature_sub(scn, node, b))
+        assert np.array_equal(amb[..., k], sm.reduced_curvature_sub(one))
         assert np.array_equal(direct[..., k],
                               sm.reduced_curvature_sub_direct(scn, node, b))
 
@@ -271,9 +274,9 @@ def loop_thm63(scn, seed, points=50):
     rng = check_rng("thm63", seed)
     worst = 0.0
     for q in scn.quotient.sample(rng, points):
-        basis = qt.quotient_frame(scn, q)
-        d = qt.reduced_curvature_quotient(scn, q, basis) \
-            - qt.reduced_curvature_direct(scn, q, basis)
+        lp = qt.LiftedPoint(scn, q)
+        d = qt.reduced_curvature_quotient(lp) \
+            - qt.reduced_curvature_direct(scn, q, lp.basis)
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
@@ -282,9 +285,9 @@ def loop_thm65(scn, seed, points=50):
     rng = check_rng("thm65", seed)
     worst = 0.0
     for u in scn.nchart.sample(rng, points):
-        basis = sm.tangent_frame(scn, u)
-        d = sm.reduced_curvature_sub(scn, u, basis) \
-            - sm.reduced_curvature_sub_direct(scn, u, basis)
+        lp = sm.LocusPoint(scn, u)
+        d = sm.reduced_curvature_sub(lp) \
+            - sm.reduced_curvature_sub_direct(scn, u, lp.basis)
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
@@ -407,7 +410,7 @@ def test_a_batch_node_outside_the_chart_raises_domain_error():
     p = [Dual(x, 1.0, dual.fresh_level()) if i == 0 else x
          for i, x in enumerate(batch_of([scn.lift(q) for q in nodes]))]
     with pytest.raises(DomainError, match="node 6"):
-        qt.d_constraint_rows(scn.ea, scn.ctx, p)
+        qt.d_constraint_rows(qt.action_jet(scn.ea, scn.ctx, p))
 
 
 def test_a_jet_at_dual_batch_coordinates_keeps_dual_entries():

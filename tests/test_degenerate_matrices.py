@@ -294,8 +294,7 @@ def test_eliminate_keeps_a_regular_body():
 @pytest.fixture(scope="module")
 def quotient_frame_data():
     scn = product_qg({}).quotient
-    return lz.point_frame_quotient(scn, (1.0, 1.0),
-                                   qt.quotient_frame(scn, (1.0, 1.0)))
+    return lz.point_frame_quotient(qt.LiftedPoint(scn, (1.0, 1.0)))
 
 
 @pytest.mark.parametrize("tab", [TILTED_GRAM, [[1.0, NAN], [NAN, 1.0]]])
@@ -357,7 +356,8 @@ def test_require_tangent_rejects_a_nan_vector():
     scn = sphere_in_flat({}).section
     p = scn.embed((1.0, 0.5))
     with pytest.raises(TangencyError):
-        sm._require_tangent(scn, p, [np.array([0.0, NAN, 0.0])])
+        sm._require_tangent(scn.sd.gradients(p),
+                            [np.array([0.0, NAN, 0.0])])
 
 
 # -- GrassmannElement.max_abs propagates a NaN --------------------------------

@@ -2,8 +2,9 @@
 
 A Geometry computes g, g^-1, H, the jet of g, Gamma, R and the torsion
 terms of R^pm once each, on first use.  The code under test shares one per
-sample (the point frames hand theirs to the ambient-formula reduced
-curvature; ``pair_symmetry`` takes both signs from one per batch), while
+sample (a point frame and the ambient-formula reduced curvature read the
+one of the same sample object; ``pair_symmetry`` takes both signs from one
+per batch), while
 each oracle builds its own.  Every ``chart.differentiate`` call takes a jet
 afresh, so running a check twice repeats its results and its jet passes.
 The batch route is exercised with the point-by-point fallback of
@@ -150,17 +151,11 @@ def test_chain_checks_hand_the_point_frame_geometry_on(monkeypatch):
     s = build("hopf_flux")
     frames = count(monkeypatch, lz, "point_frame_quotient")
     curvature = count(monkeypatch, qt, "reduced_curvature_quotient")
-    frames_result = []
-    original = lz.localize_model
-
-    def model(pf, kind):
-        frames_result.append(pf)
-        return original(pf, kind)
-    monkeypatch.setattr(lz, "localize_model", model)
     ck.run_check(s, "localize2", 42, points=2)
     assert len(frames) == len(curvature) == 2
-    for pf, args in zip(frames_result, curvature):
-        assert args[3] is pf.geo
+    for (frame_sample,), (curvature_sample,) in zip(frames, curvature):
+        assert isinstance(frame_sample, qt.LiftedPoint)
+        assert curvature_sample is frame_sample
 
 
 def test_oneill_takes_its_own_jet_and_no_shared_geometry(monkeypatch):
@@ -186,11 +181,11 @@ def test_oneill_takes_its_own_jet_and_no_shared_geometry(monkeypatch):
 def test_gauss_oracle_builds_its_own_geometry(monkeypatch):
     scn = sc.build("sphere_in_flat", {"c": 0.0}).section
     u = scn.nchart.sample(np.random.default_rng(3), 1)[0]
-    basis = sm.tangent_frame(scn, u)
     built = count(monkeypatch, sm, "Geometry")
     jets = jets_of(monkeypatch, scn.ctx.g)
-    formula = sm.reduced_curvature_sub(scn, u, basis)
-    oracle = sm.gauss_equation_oracle(scn, u, basis)
+    lp = sm.LocusPoint(scn, u)
+    formula = sm.reduced_curvature_sub(lp)
+    oracle = sm.gauss_equation_oracle(scn, u, lp.basis)
     assert len(built) == 2 and [order for _, order, _ in jets] == [2, 2]
     assert np.max(np.abs(formula - oracle)) < 1e-9
 

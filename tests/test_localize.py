@@ -79,7 +79,7 @@ def test_flux_free_multiplier_decouples():
     # curvature constant: eliminating them changes nothing quartic
     s = hopf({"flux": 0.0})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(s.quotient, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     const_before = poly.const
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -89,7 +89,7 @@ def test_flux_free_multiplier_decouples():
 def test_elimination_order_robust():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(s.quotient, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     delta, _ = poly.eliminate([f"pp{a}" for a in range(pf.s)]
                               + [f"mm{a}" for a in range(pf.s)])
@@ -117,10 +117,10 @@ def test_quotient_chain_equals_reduced_curvature(maker):
     scn = s.quotient
     rng = np.random.default_rng(3)
     for q in scn.quotient.sample(rng, 3):
-        basis = qt.quotient_frame(scn, q)
-        pf = lz.point_frame_quotient(scn, q, basis)
+        lp = qt.LiftedPoint(scn, q)
+        pf = lz.point_frame_quotient(lp)
         exponent, _ = lz.localize_model(pf, "quotient")
-        thm = qt.reduced_curvature_quotient(scn, q, basis)
+        thm = qt.reduced_curvature_quotient(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -131,10 +131,10 @@ def test_section_chain_equals_reduced_curvature(cval):
     scn = s.section
     rng = np.random.default_rng(4)
     for u in scn.nchart.sample(rng, 3):
-        basis = sm.tangent_frame(scn, u)
-        pf = lz.point_frame_section(scn, u, basis)
+        lp = sm.LocusPoint(scn, u)
+        pf = lz.point_frame_section(lp)
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(scn, u, basis)
+        thm = sm.reduced_curvature_sub(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -142,7 +142,7 @@ def test_section_chain_equals_reduced_curvature(cval):
 def test_chain_output_is_pure_quartic():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(s.quotient, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     exponent, _ = lz.localize_model(pf, "quotient")
     assert exponent.degrees() <= {4}
     for k in (0, 1, 2, 3, 5, 6):
@@ -153,7 +153,7 @@ def test_eliminated_multiplier_matches_closed_form():
     for maker in (lambda: hopf_flux({"flux": 1.1}), lambda: s3xt2({})):
         s = maker()
         q = s.quotient.quotient.sample(RNG, 1)[0]
-        pf = lz.point_frame_quotient(s.quotient, q)
+        pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
         for a in range(pf.s):
@@ -165,7 +165,7 @@ def test_point_frame_consistency_with_chart_calculus():
     from ggred.genmetric import Geometry, bismut_curvature
     s = hopf_flux({"flux": 0.9})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(s.quotient, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     p = list(pf.point)
     assert np.max(np.abs(pf.g - s.ctx.metric_at(p))) < 1e-14
     assert np.max(np.abs(pf.ginv @ pf.g - np.eye(pf.n))) < 1e-12
@@ -230,7 +230,7 @@ def test_field_elimination_matches_hand_derived_terms():
     # against independently hand-built coefficients at one point
     s = hopf_flux({"flux": 1.2})
     q = s.quotient.quotient.sample(np.random.default_rng(0), 1)[0]
-    pf = lz.point_frame_quotient(s.quotient, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     lin_before = {a: poly.l_entry(f"pm{a}") for a in range(pf.s)}
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -252,9 +252,10 @@ def test_inconsistent_zero_mode_frame_rejected():
     s = sphere_in_flat({})
     scn = s.section
     u = scn.nchart.sample(np.random.default_rng(1), 1)[0]
-    bad = np.eye(3)[:2]   # coordinate plane, not tangent to the sphere
+    lp = sm.LocusPoint(scn, u)
+    lp.basis = np.eye(3)[:2]   # coordinate plane, not tangent to the sphere
     with pytest.raises(FrameMismatchError):
-        lz.point_frame_section(scn, u, bad)
+        lz.point_frame_section(lp)
 
 
 # -- composition: zero locus first, then the circle quotient -------------------
@@ -299,10 +300,10 @@ def test_composed_reduction_endpoints():
                         for row in np.asarray(induced(u), dtype=object)])
         expect = np.asarray(s_bundle.ctx.g(u), dtype=float)
         assert np.max(np.abs(got - expect)) < 1e-12
-        basis = sm.tangent_frame(scn3, u)
-        pf = lz.point_frame_section(scn3, u, basis)
+        lp = sm.LocusPoint(scn3, u)
+        pf = lz.point_frame_section(lp)
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(scn3, u, basis)
+        thm = sm.reduced_curvature_sub(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
         # round 3-sphere of unit radius: all sectional values are 1
@@ -310,10 +311,10 @@ def test_composed_reduction_endpoints():
         assert np.isclose(thm[0, 2, 2, 0], 1.0, atol=1e-9)
     # second stage endpoint, on the same ambient geometry
     q = s_bundle.quotient.quotient.sample(rng, 1)[0]
-    basis = qt.quotient_frame(s_bundle.quotient, q)
-    pf2 = lz.point_frame_quotient(s_bundle.quotient, q, basis)
+    lp = qt.LiftedPoint(s_bundle.quotient, q)
+    pf2 = lz.point_frame_quotient(lp)
     exponent, _ = lz.localize_model(pf2, "quotient")
-    thm2 = qt.reduced_curvature_quotient(s_bundle.quotient, q, basis)
+    thm2 = qt.reduced_curvature_quotient(lp)
     assert (exponent - lz.localized_exponent_target(pf2, thm2)).max_abs() \
         < 1e-8
     assert np.isclose(thm2[0, 1, 1, 0], 4.0, atol=1e-9)

@@ -1,0 +1,152 @@
+"""One sample object per reduction point, and oracles that never share it.
+
+``quotient.LiftedPoint`` and ``submanifold.LocusPoint`` build the lifts,
+the reduction matrices and the jets of the action rows and of sigma once
+per sample (or batch point); the point frames, the ambient-formula reduced
+curvatures and the chain checks read them from it.  The counts below pin
+that work per sample.  Every oracle keeps (scn, point, basis) and builds its
+own data, so none of them may receive a sample object or a Geometry.
+"""
+
+import numpy as np
+import pytest
+
+from ggred import chart as ch
+from ggred import checks as ck
+from ggred import genmetric as gm
+from ggred import gk as gkmod
+from ggred import quotient as qt
+from ggred import scenarios as sc
+from ggred import submanifold as sm
+from ggred.chart import ChartField
+from ggred.dual import Batch
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.<name>``; returns the list of its argument tuples."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def record_jets(monkeypatch):
+    """Record every ``chart.differentiate`` call: (f, point, order) each."""
+    jets, differentiate = [], ch.differentiate
+
+    def recorded(f, point, order=1, chart=None):
+        jets.append((f, point, order))
+        return differentiate(f, point, order=order, chart=chart)
+    monkeypatch.setattr(ch, "differentiate", recorded)
+    return jets
+
+
+def record_sigma_jets(monkeypatch):
+    """The order of every ``SectionData.jet`` taken."""
+    orders, jet = [], sm.SectionData.jet
+
+    def recorded(self, point, order=1):
+        orders.append(order)
+        return jet(self, point, order=order)
+    monkeypatch.setattr(sm.SectionData, "jet", recorded)
+    return orders
+
+
+# -- the work of one sample -------------------------------------------------------
+
+def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
+        monkeypatch):
+    s = sc.s3xt2({})
+    lifts = count_calls(monkeypatch, qt, "horizontal_lift")
+    matrices = count_calls(monkeypatch, qt, "reduction_matrices")
+    jets = record_jets(monkeypatch)
+    assert ck.run_check(s, "localize2", 42, points=2).status == "pass"
+    # per sample: the quotient frame's lift of the coordinate frame and
+    # the tau_+ and tau_- lifts of that frame
+    assert len(lifts) == 3 * 2
+    assert len(matrices) == 2
+    # the jets that are not of a field: the stacked action rows [V, xi, gV]
+    # and the V^- rows of the vertical-derivative term
+    rows = [order for f, _, order in jets if not isinstance(f, ChartField)]
+    assert rows == [1, 1] * 2
+
+
+def test_localize3_sample_takes_one_order2_jet_of_sigma(monkeypatch):
+    s = sc.build("sphere_in_flat", {"c": 0.5})
+    orders = record_sigma_jets(monkeypatch)
+    assert ck.run_check(s, "localize3", 42, points=3).status == "pass"
+    assert orders == [2] * 3
+
+
+def test_thm65_batch_takes_one_jet_of_sigma(monkeypatch):
+    s = sc.build("sphere_in_flat", {"c": 0.5})
+    orders = record_sigma_jets(monkeypatch)
+    assert ck.run_check(s, "thm65", 42).status == "pass"   # one batch
+    assert orders == [2]
+
+
+def test_a_batch_sample_holds_the_node_samples():
+    scn = sc.s3xt2({}).quotient
+    nodes = scn.quotient.sample(np.random.default_rng(19), 5)
+    batch = qt.LiftedPoint(scn, [Batch(c) for c in nodes.T])
+    for k, node in enumerate(nodes):
+        one = qt.LiftedPoint(scn, node)
+        for name in ("basis", "plus", "minus"):
+            assert np.array_equal(getattr(batch, name)[..., k],
+                                  getattr(one, name))
+        for name in ("G", "K", "T", "Kinv", "Tinv"):
+            assert np.array_equal(getattr(batch.rm, name)[..., k],
+                                  getattr(one.rm, name))
+        assert np.array_equal(batch.jet.d1[..., k], one.jet.d1)
+
+
+# -- the oracles build their own data ---------------------------------------------
+
+ORACLES = [(qt, "reduced_curvature_direct"),
+           (sm, "reduced_curvature_sub_direct"),
+           (qt, "oneill_curvature"),
+           (sm, "gauss_equation_oracle")]
+SHARED = (qt.LiftedPoint, sm.LocusPoint, gm.Geometry)
+
+
+@pytest.mark.parametrize("name, cid", [("hopf_flux", "thm63"),
+                                       ("sphere_in_flat", "thm65"),
+                                       ("hopf", "oneill"),
+                                       ("sphere_in_flat", "localize3")])
+def test_no_oracle_receives_a_sample_or_a_geometry(monkeypatch, name, cid):
+    s = sc.build(name, {"c": 0.5} if name == "sphere_in_flat" else {})
+    seen = []
+    for owner, routine in ORACLES:
+        original = getattr(owner, routine)
+
+        def oracle(*args, _original=original, _routine=routine, **kwargs):
+            assert not any(isinstance(a, SHARED)
+                           for a in (*args, *kwargs.values()))
+            seen.append(_routine)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, routine, oracle)
+    assert ck.run_check(s, cid, 42, points=3).status == "pass"
+    expected = {"thm63": {"reduced_curvature_direct"},
+                "thm65": {"reduced_curvature_sub_direct"},
+                "oneill": {"oneill_curvature"}, "localize3": set()}[cid]
+    assert set(seen) == expected
+
+
+# -- one jet per distinct structure field -----------------------------------------
+
+@pytest.mark.parametrize("name, per_point", [("product_qg", 1),
+                                             ("s3xs1_gk", 2)])
+def test_validate_bihermitian_takes_one_jet_per_distinct_field(
+        monkeypatch, name, per_point):
+    s = sc.build(name, {})
+    assert (s.gk.Jplus is s.gk.Jminus) == (per_point == 1)
+    points = s.chart.sample(np.random.default_rng(20), 3)
+    jets = record_jets(monkeypatch)
+    rep = gkmod.validate_bihermitian(s.gk, s.ctx, points)
+    assert rep.passed
+    structures = [f for f, _, _ in jets if f is s.gk.Jplus
+                  or f is s.gk.Jminus]
+    assert len(structures) == per_point * len(points)

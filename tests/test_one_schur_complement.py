@@ -184,13 +184,13 @@ QUOTIENTS = {"hopf_flux": lambda: hopf_flux({}),
 def quotient_frame_at(name, seed=5):
     scn = QUOTIENTS[name]().quotient
     q = scn.quotient.sample(np.random.default_rng(seed), 1)[0]
-    return lz.point_frame_quotient(scn, q, qt.quotient_frame(scn, q))
+    return lz.point_frame_quotient(qt.LiftedPoint(scn, q))
 
 
 def section_frame_at(seed=5):
     scn = sphere_in_flat({"c": 0.5}).section
     u = scn.nchart.sample(np.random.default_rng(seed), 1)[0]
-    return lz.point_frame_section(scn, u, sm.tangent_frame(scn, u))
+    return lz.point_frame_section(sm.LocusPoint(scn, u))
 
 
 def chain(pf, model):
@@ -262,18 +262,16 @@ def jets_of_g(monkeypatch, build, g):
 def test_point_frame_quotient_takes_no_order1_jet_of_g(monkeypatch):
     scn = s3xt2({}).quotient
     q = scn.quotient.sample(np.random.default_rng(5), 1)[0]
-    basis = qt.quotient_frame(scn, q)
     assert jets_of_g(monkeypatch,
-                     lambda: lz.point_frame_quotient(scn, q, basis),
+                     lambda: lz.point_frame_quotient(qt.LiftedPoint(scn, q)),
                      scn.ctx.g) == [2]
 
 
 def test_point_frame_section_takes_no_order1_jet_of_g(monkeypatch):
     scn = sphere_in_flat({"c": 0.5}).section
     u = scn.nchart.sample(np.random.default_rng(5), 1)[0]
-    basis = sm.tangent_frame(scn, u)
     assert jets_of_g(monkeypatch,
-                     lambda: lz.point_frame_section(scn, u, basis),
+                     lambda: lz.point_frame_section(sm.LocusPoint(scn, u)),
                      scn.ctx.g) == [2]
 
 

@@ -289,9 +289,9 @@ def test_reduced_curvature_ambient_vs_direct(maker):
     scn = s.quotient
     rng = np.random.default_rng(8)
     for q in scn.quotient.sample(rng, 3):
-        basis = qt.quotient_frame(scn, q)
-        t = qt.reduced_curvature_quotient(scn, q, basis)
-        d = qt.reduced_curvature_direct(scn, q, basis)
+        lp = qt.LiftedPoint(scn, q)
+        t = qt.reduced_curvature_quotient(lp)
+        d = qt.reduced_curvature_direct(scn, q, lp.basis)
         assert np.max(np.abs(t - d)) < 1e-6
 
 
@@ -299,7 +299,7 @@ def test_hopf_sectional_curvature_value():
     s = hopf({"flux": 0.0})
     scn = s.quotient
     for q in scn.quotient.sample(RNG, 3):
-        t = qt.reduced_curvature_quotient(scn, q)
+        t = qt.reduced_curvature_quotient(qt.LiftedPoint(scn, q))
         assert np.isclose(t[0, 1, 1, 0], 4.0, atol=1e-9)
 
 
@@ -308,9 +308,9 @@ def test_oneill_oracle_matches():
     for s in (hopf({"flux": 0.0}), product_qg({})):
         scn = s.quotient
         for q in scn.quotient.sample(rng, 3):
-            basis = qt.quotient_frame(scn, q)
-            t = qt.reduced_curvature_quotient(scn, q, basis)
-            o = qt.oneill_curvature(scn, q, basis)
+            lp = qt.LiftedPoint(scn, q)
+            t = qt.reduced_curvature_quotient(lp)
+            o = qt.oneill_curvature(scn, q, lp.basis)
             assert np.max(np.abs(t - o)) < 1e-6
 
 
@@ -321,5 +321,5 @@ def test_product_scenario_reduces_to_factor():
     gred, hred = qt.reduce_metric_flux(scn, q)
     expect = np.diag([1.0, np.sin(q[0]) ** 2])
     assert np.max(np.abs(gred - expect)) < 1e-12
-    t = qt.reduced_curvature_quotient(scn, q)
+    t = qt.reduced_curvature_quotient(qt.LiftedPoint(scn, q))
     assert np.isclose(t[0, 1, 1, 0], 1.0, atol=1e-10)

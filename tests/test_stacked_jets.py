@@ -37,7 +37,8 @@ def test_d_constraint_rows_match_per_row_jets(scn, sign):
     per_row = np.array([ch.exterior_derivative(ch.differentiate(
         qt.xi_pm_field(scn.ea, scn.ctx, a, sign), p, order=1), 1)
         for a in range(scn.ea.s)])
-    stacked = qt.d_constraint_rows(scn.ea, scn.ctx, p)[0 if sign > 0 else 1]
+    stacked = qt.d_constraint_rows(qt.action_jet(scn.ea, scn.ctx, p))[
+        0 if sign > 0 else 1]
     assert stacked.shape == per_row.shape
     assert np.max(np.abs(per_row)) > 0.05
     assert np.array_equal(stacked, per_row)
@@ -63,7 +64,7 @@ def test_minus_derivative_matrix_matches_per_generator_jets(scn):
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
 def test_point_frame_quotient_matches_per_generator_jets(scn):
     q = scn.quotient.sample(np.random.default_rng(5), 1)[0]
-    pf = lz.point_frame_quotient(scn, q)
+    pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
     p = list(pf.point)
     gamma = ch.christoffel(ch.differentiate(scn.ctx.g, p))
     dxi, dvl = [], []
@@ -85,7 +86,7 @@ def test_stacked_quotient_rows_keep_the_chart_bounds():
     scn = QUOTIENTS[1]
     p = list(scn.ctx.chart.upper)
     with pytest.raises(DomainError):
-        qt.d_constraint_rows(scn.ea, scn.ctx, p)
+        qt.d_constraint_rows(qt.action_jet(scn.ea, scn.ctx, p))
 
 
 def _per_constraint_jets(sd, p, order):
@@ -110,7 +111,8 @@ def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
     per_row = np.array([
         j.d2.reshape(3, 3) - np.einsum("lij,l->ij", coeffs, j.d1.reshape(3))
         for j in _per_constraint_jets(scn.sd, p, 2)])
-    stacked = sm.nabla_pm_dsigma(scn, sign, Geometry(scn.ctx, p))
+    stacked = sm.nabla_pm_dsigma(scn.sd.jet(p, order=2), sign,
+                                 Geometry(scn.ctx, p))
     assert np.max(np.abs(per_row[1])) > 0.05
     assert np.array_equal(stacked, per_row)
 
@@ -118,8 +120,7 @@ def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
 def test_point_frame_section_matches_per_constraint_jets():
     scn = two_constraint_section()
     u = [1.1]
-    basis = sm.tangent_frame(scn, u)
-    pf = lz.point_frame_section(scn, u, basis)
+    pf = lz.point_frame_section(sm.LocusPoint(scn, u))
     jets = _per_constraint_jets(scn.sd, list(pf.point), 2)
     assert np.array_equal(pf.dsigma, [j.d1.reshape(3) for j in jets])
     assert np.array_equal(pf.hess_sigma, [j.d2.reshape(3, 3) for j in jets])

@@ -216,7 +216,8 @@ def test_flat_section_curvature_zero():
                                  lambda u: [u[0], u[1], 0.0],
                                  lambda p: [p[0], p[1]])
     u = nchart.sample(RNG, 1)[0]
-    assert np.max(np.abs(sm.reduced_curvature_sub(scn, u))) < 1e-12
+    assert np.max(np.abs(sm.reduced_curvature_sub(sm.LocusPoint(scn, u)))) \
+        < 1e-12
 
 
 @pytest.mark.parametrize("cval", [0.0, 0.5, 2.0])
@@ -225,9 +226,9 @@ def test_curvature_ambient_vs_direct(cval):
     scn = s.section
     rng = np.random.default_rng(7)
     for u in scn.nchart.sample(rng, 3):
-        basis = sm.tangent_frame(scn, u)
-        t = sm.reduced_curvature_sub(scn, u, basis)
-        d = sm.reduced_curvature_sub_direct(scn, u, basis)
+        lp = sm.LocusPoint(scn, u)
+        t = sm.reduced_curvature_sub(lp)
+        d = sm.reduced_curvature_sub_direct(scn, u, lp.basis)
         assert np.max(np.abs(t - d)) < 1e-6
         # unit-sphere sectional value, independent of the ambient 3-form
         assert np.isclose(t[0, 1, 1, 0], 1.0, atol=1e-9)
@@ -238,9 +239,9 @@ def test_gauss_equation_oracle():
     scn = s.section
     rng = np.random.default_rng(8)
     for u in scn.nchart.sample(rng, 3):
-        basis = sm.tangent_frame(scn, u)
-        t = sm.reduced_curvature_sub(scn, u, basis)
-        g = sm.gauss_equation_oracle(scn, u, basis)
+        lp = sm.LocusPoint(scn, u)
+        t = sm.reduced_curvature_sub(lp)
+        g = sm.gauss_equation_oracle(scn, u, lp.basis)
         assert np.max(np.abs(t - g)) < 1e-9
 
 
@@ -251,8 +252,9 @@ def test_swap_identity_bridges_connections():
     for u in scn.nchart.sample(rng, 3):
         p = scn.embed(u)
         fr = sm.tangent_frame(scn, u)
-        mm = sm.nabla_pm_dsigma(scn, -1, Geometry(scn.ctx, p))
-        mp = sm.nabla_pm_dsigma(scn, +1, Geometry(scn.ctx, p))
+        jet = scn.sd.jet(p, order=2)
+        mm = sm.nabla_pm_dsigma(jet, -1, Geometry(scn.ctx, p))
+        mp = sm.nabla_pm_dsigma(jet, +1, Geometry(scn.ctx, p))
         for a in range(scn.sd.r):
             nbm = np.einsum("ij,mi,rj->mr", mm[a], fr, fr)
             nbp = np.einsum("ij,mi,rj->mr", mp[a], fr, fr)
@@ -274,7 +276,8 @@ def test_flat_section_with_transverse_flux_stays_flat():
                                  lambda u: [u[0], u[1], 0.0],
                                  lambda p: [p[0], p[1]])
     u = nchart.sample(RNG, 1)[0]
-    t = sm.reduced_curvature_sub(scn, u)
+    lp = sm.LocusPoint(scn, u)
+    t = sm.reduced_curvature_sub(lp)
     assert np.max(np.abs(t)) < 1e-12
-    d = sm.reduced_curvature_sub_direct(scn, u)
+    d = sm.reduced_curvature_sub_direct(scn, u, lp.basis)
     assert np.max(np.abs(d)) < 1e-12
