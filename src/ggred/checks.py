@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import chart as ch
+from . import dual
 from . import gk as gkmod
 from . import localize as lz
 from . import quotient as qt
@@ -27,6 +28,10 @@ from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
 BATCH = 64   # sample points per batch point: one Euler slab at order 8
+# The chain checks batch a chunk of at least this many samples: their
+# Grassmann stage runs per node anyway, and a batch sample's geometry costs
+# about three samples' (on s3xt2 a batch of 4 breaks even with 4 points).
+CHAIN_BATCH_MIN = 4
 MAX_ORDER = 32   # Euler quadrature nodes per axis
 
 
@@ -124,9 +129,8 @@ def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
             rm + np.einsum("ijkl...->jikl...", rm),
             rp + np.einsum("ijkl...->ijlk...", rp))], axis=0)
 
-    chunks = _chunks((s.chart.sample(rng, n),), np.arange(n))
-    return _result("pair_symmetry", n, ch.max_abs(batched(residual, chunks)),
-                   tol)
+    return _result("pair_symmetry", n, ch.max_abs(
+        batched(residual, _sample_chunks(s.chart, rng, n))), tol)
 
 
 def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -141,17 +145,33 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
         r for p in s.chart.sample(rng, n) for r in residuals(p)), tol)
 
 
+def _sample_chunks(chart, rng, n):
+    """n samples of ``chart`` in chunks of at most BATCH."""
+    return _chunks((chart.sample(rng, n),), np.arange(n))
+
+
 def _batched_pairs(sample, ambient, direct, chart, rng, n):
     """Per sample, the largest |ambient - direct| on the sample's frame, over
-    n samples of ``chart`` taken as batch points of at most BATCH nodes:
-    ``ambient`` reads the sample object, ``direct`` only (x, basis)."""
+    n samples of ``chart``: ``ambient`` reads the sample object, ``direct``
+    only (x, basis)."""
     def residual(x):
         lp = sample(x)
         return np.abs(ambient(lp) - direct(x, lp.basis)).max(
             axis=(0, 1, 2, 3))
 
-    return ch.max_abs(batched(residual, _chunks((chart.sample(rng, n),),
-                                                np.arange(n))))
+    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n)))
+
+
+def _node_rows(rows, chart, rng, n):
+    """The largest |entry| of ``rows(x)`` over n samples x of ``chart``, in
+    chunks of at least CHAIN_BATCH_MIN; ``rows`` gives one row of residuals
+    per node of x (one row at a point)."""
+    def residual(x):
+        out = rows(x)
+        return out if dual.nodes(x) else out[0]
+
+    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n),
+                              least=CHAIN_BATCH_MIN))
 
 
 def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -191,34 +211,42 @@ def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
         tol)
 
 
-def _chain_residual(point_frame, curvature, model, lp):
-    """The largest coefficient of the chain exponent minus its curvature
-    pairing at one sample, and the exponent's terms of degree below 4."""
+def _chain_residual(sample, point_frame, curvature, model, x):
+    """Per node of the sample at x: the largest coefficient of the chain
+    exponent minus its curvature pairing, and the exponent's terms of
+    degree below 4.  The point frame and the curvature are evaluated once
+    per sample; the Grassmann stage runs node by node, on C-order slices."""
+    lp = sample(x)
+    # the curvature first: its memory peak comes before the frame is held
+    reduced = curvature(lp)
     pf = point_frame(lp)
-    exponent, _ = lz.localize_model(pf, model)
-    target = lz.localized_exponent_target(pf, curvature(lp))
-    low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
-    return [(exponent - target).max_abs()] + low
+    rows = []
+    for pfk, rk in zip(pf.nodes(), ch.node_slices(reduced, dual.nodes(x))):
+        exponent, _ = lz.localize_model(pfk, model)
+        target = lz.localized_exponent_target(pfk, rk)
+        low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
+        rows.append([(exponent - target).max_abs()] + low)
+    return rows
 
 
 def check_localize2(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Gauged-model chain exponent vs reduced-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.quotient
-    return _result("localize2", n, ch.max_abs(
-        _chain_residual(lz.point_frame_quotient, qt.reduced_curvature_quotient,
-                        "quotient", qt.LiftedPoint(scn, q))
-        for q in scn.quotient.sample(rng, n)), tol)
+    return _result("localize2", n, _node_rows(
+        partial(_chain_residual, partial(qt.LiftedPoint, scn),
+                lz.point_frame_quotient, qt.reduced_curvature_quotient,
+                "quotient"), scn.quotient, rng, n), tol)
 
 
 def check_localize3(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Constrained-model chain exponent vs locus-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.section
-    return _result("localize3", n, ch.max_abs(
-        _chain_residual(lz.point_frame_section, sm.reduced_curvature_sub,
-                        "section", sm.LocusPoint(scn, u))
-        for u in scn.nchart.sample(rng, n)), tol)
+    return _result("localize3", n, _node_rows(
+        partial(_chain_residual, partial(sm.LocusPoint, scn),
+                lz.point_frame_section, sm.reduced_curvature_sub, "section"),
+        scn.nchart, rng, n), tol)
 
 
 def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -227,13 +255,15 @@ def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
     scn = s.quotient
 
     def residuals(q):
-        pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
-        _, details = lz.localize_model(pf, "quotient")
-        closed = mixed_multiplier_closed_form(pf)
-        return [(closed[a] - details[f"pm{a}"][0]).max_abs()
-                for a in range(pf.s)]
-    return _result("phi_closed_form", n, ch.max_abs(
-        r for q in scn.quotient.sample(rng, n) for r in residuals(q)), tol)
+        rows = []
+        for pf in lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes():
+            _, details = lz.localize_model(pf, "quotient")
+            closed = mixed_multiplier_closed_form(pf)
+            rows.append([(closed[a] - details[f"pm{a}"][0]).max_abs()
+                         for a in range(pf.s)])
+        return rows
+    return _result("phi_closed_form", n, _node_rows(
+        residuals, scn.quotient, rng, n), tol)
 
 
 def mixed_multiplier_closed_form(pf: lz.PointFrame):

@@ -91,11 +91,13 @@ def setup_scenario(cfg: dict) -> sc.Scenario:
                         factory=cfg.get("factory"))
     rng = np.random.default_rng(cfg["seed"])
     probes = scenario.chart.sample(rng, 3)
-    residual = ch.max_abs(scenario.ctx.closure_residual(p) for p in probes)
+    h_jets = [ch.differentiate(scenario.ctx.H, p) for p in probes]
+    residual = ch.max_abs(scenario.ctx.closure_residual(j) for j in h_jets)
     if not residual <= 1e-8:
         raise ScenarioError(f"flux not closed (|dH| = {residual:.2e})")
     if scenario.quotient is not None:
-        rep = qt.validate_extended_action(scenario.ea, scenario.ctx, probes)
+        rep = qt.validate_extended_action(scenario.ea, scenario.ctx, probes,
+                                          h_jets=h_jets)
         if not rep.passed:
             raise ScenarioError(
                 "extended action invalid; failed condition(s): "

@@ -76,9 +76,11 @@ class GeneralizedMetricContext:
     def flux_at(self, point) -> np.ndarray:
         return _values(self.H, point)
 
-    def closure_residual(self, point) -> float:
-        """max |dH| component at a point."""
-        jet = ch.differentiate(self.H, point, order=1)
+    def closure_residual(self, at) -> float:
+        """max |dH| component at a point, or from an order-1 jet of H there
+        (a ``PointJet`` the caller already took)."""
+        jet = at if isinstance(at, ch.PointJet) else \
+            ch.differentiate(self.H, at, order=1)
         dh = ch.exterior_derivative(jet, 3)
         return float(np.max(np.abs(dh)))
 

@@ -15,7 +15,7 @@ Grassmann generator layout with m zero modes per chirality: generators
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -305,7 +305,8 @@ def _gv_dot(u, v):
 
 @dataclass
 class PointFrame:
-    """Every tensor value the component actions consume at one point."""
+    """Every tensor value the component actions consume at one point, or at
+    a batch point (every array with a trailing node axis)."""
 
     point: tuple
     n: int
@@ -335,24 +336,40 @@ class PointFrame:
     def m(self) -> int:
         return self.plus_frame.shape[0]
 
+    def nodes(self):
+        """The frame of each node of a batch point, one at a time, every
+        array its C-order slice (:func:`ggred.chart.node_slices`); ``[self]``
+        at a point."""
+        size = dual.nodes(self.point)
+        if not size:
+            return [self]
+        names = [f.name for f in fields(self)
+                 if isinstance(getattr(self, f.name), np.ndarray)]
+        slices = zip(*(ch.node_slices(getattr(self, name), size)
+                       for name in names))
+        points = dual.tighten(list(self.point), size).T
+        return (replace(self, point=tuple(p), **dict(zip(names, sl)))
+                for p, sl in zip(points, slices))
+
 
 def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
     """Assemble the gauged-model data of a lifted sample.
 
     The plus and minus zero-mode frames are the sample's tau_pm lifts of its
     quotient basis, so the localized exponent and the reduced-curvature
-    contraction live on identical frames.
+    contraction live on identical frames.  A batch sample gives a batch
+    frame, each node with the bits of its own.
     """
     geo, rm = lp.geo, lp.rm
     rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
     vv, xv, _ = lp.jet.value
-    d1 = lp.jet.d1.transpose(1, 2, 0, 3)   # [row, a, k, i] = d_k row_ai
-    dxi = d1[1] - np.einsum("mki,am->aki", geo.gamma, xv)
-    dv = d1[0] + np.einsum("ikm,am->aki", geo.gamma, vv)
+    d1 = np.moveaxis(lp.jet.d1, 0, 2)   # [row, a, k, i] = d_k row_ai
+    dxi = d1[1] - ch.node_einsum("mki,am->aki", geo.gamma, xv)
+    dv = d1[0] + ch.node_einsum("ikm,am->aki", geo.gamma, vv)
     pf = PointFrame(
         point=tuple(lp.p), n=lp.scn.ambient_dim, g=geo.g, ginv=geo.ginv,
         H=geo.H, gamma=geo.gamma, r_minus=rmin, s=lp.scn.ea.s, V=vv, xi=xv,
-        dxi_cov=dxi, dv_cov_low=np.einsum("aki,im->akm", dv, geo.g),
+        dxi_cov=dxi, dv_cov_low=ch.node_einsum("aki,im->akm", dv, geo.g),
         G_ab=rm.G, K_ab=rm.K, T_ab=rm.T,
         plus_frame=lp.plus, minus_frame=lp.minus)
     _check_zero_mode_frames(pf)
@@ -360,21 +377,31 @@ def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
 
 
 def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
-    """Zero modes must satisfy their defining linear constraints."""
+    """Zero modes must satisfy their defining linear constraints, at every
+    node of a batch frame; the error names the first node that fails."""
+    defects = []
     if pf.s:
         for sign, fr in ((+1, pf.plus_frame), (-1, pf.minus_frame)):
-            rows = pf.V @ pf.g + sign * pf.xi
-            if not np.max(np.abs(rows @ fr.T)) <= tol:
-                raise FrameMismatchError(
-                    "zero-mode frame violates its horizontality constraint")
+            rows = ch.node_einsum("am,mi->ai", pf.V, pf.g) + sign * pf.xi
+            defects.append(("violates its horizontality constraint",
+                            ch.node_einsum("ai,ri->ar", rows, fr)))
     if pf.r:
-        if not np.max(np.abs(pf.dsigma @ pf.plus_frame.T)) <= tol:
+        defects.append(("not tangent to the zero locus", ch.node_einsum(
+            "ai,ri->ar", pf.dsigma, pf.plus_frame)))
+    size = dual.nodes(pf.point)
+    for what, defect in defects:
+        # a NaN defect fails the test, as does a NaN max
+        ok = np.abs(defect).reshape(-1, size).max(0) <= tol if size else \
+            [np.max(np.abs(defect)) <= tol]
+        if not all(ok):
+            k = int(np.argmin(ok)) if size else None
             raise FrameMismatchError(
-                "zero-mode frame not tangent to the zero locus")
+                f"zero-mode frame {what} at {ch._at(pf.point, k)}")
 
 
 def point_frame_section(lp: sm.LocusPoint) -> PointFrame:
-    """Assemble the constrained-model data of a locus sample on its frame."""
+    """Assemble the constrained-model data of a locus sample on its frame
+    (a batch frame at a batch sample)."""
     geo = lp.geo
     rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
     pf = PointFrame(

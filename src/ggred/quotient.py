@@ -78,22 +78,26 @@ class ValidationReport:
 
 
 def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                             points, tol: float = ch.EPS_ID) -> ValidationReport:
+                             points, tol: float = ch.EPS_ID,
+                             h_jets=None) -> ValidationReport:
     """Evaluate the four validity conditions at each point.
 
     * isotropy:      xi_a(V_b) + xi_b(V_a) = 0
     * flux_match:    d xi_a = i_{V_a} H   and   L_{V_a} xi_b = 0
     * invariance:    L_{V_a} g = 0  and  L_{V_a} H = 0
     * independence:  the V_a stay pointwise linearly independent
+
+    ``h_jets`` are order-1 jets of H at the points, if the caller has them.
     """
     s = ea.s
     res = {k: [] for k in ("isotropy", "flux_match", "invariance",
                            "independence")}
-    for p in points:
+    for i, p in enumerate(points):
         # one order-1 jet of each field, read by the Lie derivatives
         jv, jx = ([ch.differentiate(f, p) for f in fields]
                   for fields in (ea.V, ea.xi))
-        jg, jh = (ch.differentiate(f, p) for f in (ctx.g, ctx.H))
+        jg = ch.differentiate(ctx.g, p)
+        jh = ch.differentiate(ctx.H, p) if h_jets is None else h_jets[i]
         vvals, xvals = [j.value for j in jv], [j.value for j in jx]
         gmat = jg.value
         res["isotropy"] += [xvals[a] @ vvals[b] + xvals[b] @ vvals[a]
@@ -528,8 +532,8 @@ def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
     basis.  A batch sample gives a trailing node axis.
     """
     geo, plus, minus, rm = lp.geo, lp.plus, lp.minus, lp.rm
-    rmin = bismut_curvature(-1, geo)
-    term1 = ch.operator_slots(rmin, plus, plus, minus, minus)
+    term1 = ch.operator_slots(bismut_curvature(-1, geo), plus, plus, minus,
+                              minus)
 
     dxi_p, dxi_m = d_constraint_rows(lp.jet)
     om_p = ch.node_einsum("aij,bi,cj->abc", dxi_p, plus, plus)

@@ -267,8 +267,8 @@ def reduced_curvature_sub(lp: LocusPoint) -> np.ndarray:
     """
     basis, geo = lp.basis, lp.geo
     _require_tangent(lp.grads, list(basis))
-    rmin = bismut_curvature(-1, geo)
-    term1 = ch.operator_slots(rmin, basis, basis, basis, basis)
+    term1 = ch.operator_slots(bismut_curvature(-1, geo), basis, basis, basis,
+                              basis)
     mm = nabla_pm_dsigma(lp.jet, -1, geo)
     # nb[a, m, r] = (E_r, grad^-_{E_m} d sigma^a)
     nb = ch.node_einsum("aij,mi,rj->amr", mm, basis, basis)
