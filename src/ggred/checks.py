@@ -28,9 +28,8 @@ from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
 BATCH = 64   # sample points per batch point: one Euler slab at order 8
-# The chain checks batch a chunk of at least this many samples: their
-# Grassmann stage runs per node anyway, and a batch sample's geometry costs
-# about three samples' (on s3xt2 a batch of 4 breaks even with 4 points).
+# A chain check of fewer samples evaluates each at its point: the tests
+# that count a chain check's work per sample run 1-3 points.
 CHAIN_BATCH_MIN = 4
 MAX_ORDER = 32   # Euler quadrature nodes per axis
 
@@ -164,14 +163,16 @@ def _batched_pairs(sample, ambient, direct, chart, rng, n):
 
 def _node_rows(rows, chart, rng, n):
     """The largest |entry| of ``rows(x)`` over n samples x of ``chart``, in
-    chunks of at least CHAIN_BATCH_MIN; ``rows`` gives one row of residuals
+    batches unless n < CHAIN_BATCH_MIN; ``rows`` gives one row of residuals
     per node of x (one row at a point)."""
+    if n < CHAIN_BATCH_MIN:
+        return ch.max_abs(rows(x)[0] for x in chart.sample(rng, n))
+
     def residual(x):
         out = rows(x)
         return out if dual.nodes(x) else out[0]
 
-    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n),
-                              least=CHAIN_BATCH_MIN))
+    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n)))
 
 
 def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:

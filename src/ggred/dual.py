@@ -176,23 +176,20 @@ def _nodes(f, *args):
                                else itertools.repeat(a) for a in args))))
 
 
-def batched(fn, chunks, least: int = 1):
+def batched(fn, chunks):
     """Yield, node by node, ``fn``'s (N,) values on chunks ``(points, *args)``
     (node axis first), each as one batch point (``args`` node axis last).
-    A chunk of fewer than ``least`` points runs node by node.  A
-    ``TypeError`` on the first batch point (a field that compares a
-    coordinate or calls ``math``) runs every node alone; on a later batch
-    point it propagates."""
-    batch, tried = True, False
-    for points, *args in chunks:
-        if batch and len(points) >= least:
+    A ``TypeError`` on the first chunk (a field that compares a coordinate or
+    calls ``math``) runs every node alone; on a later chunk it propagates."""
+    batch = True
+    for k, (points, *args) in enumerate(chunks):
+        if batch:
             try:
                 yield from fn([Batch(x) for x in points.T],
                               *(np.moveaxis(a, 0, -1) for a in args))
-                tried = True
                 continue
             except TypeError:
-                if tried:
+                if k:
                     raise
                 batch = False
         for node, *node_args in zip(points, *args):

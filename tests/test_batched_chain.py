@@ -6,7 +6,7 @@ one point frame and one reduced curvature per chunk.  The Grassmann stage
 (the elimination chain, its target and the closed-form multiplier) still
 runs node by node, on C-order slices of the batch frame and curvature.
 Every node must keep the bits of its own point-by-point evaluation, so each
-report must equal the point loop it replaced, copied here, exactly.  A chunk
+report must equal the point loop it replaced, copied here, exactly.  A run
 of fewer than ``checks.CHAIN_BATCH_MIN`` samples runs point by point.
 """
 
@@ -197,14 +197,15 @@ def test_fewer_than_the_chain_minimum_run_point_by_point(monkeypatch,
                                                 points).hex()
 
 
-def test_a_short_tail_chunk_runs_point_by_point(monkeypatch):
+@pytest.mark.parametrize("points", [65, 67])
+def test_a_short_tail_chunk_is_a_batch(monkeypatch, points):
     scn = QUOTIENTS["hopf_flux"]()
     frames = record(monkeypatch, lz, "point_frame_quotient")
-    got = run(scenario_of(scn), "localize2", 42, points=66)
-    assert [dual.nodes(lp.p) for lp, in frames] == [64, 0, 0]
+    got = run(scenario_of(scn), "localize2", 42, points=points)
+    assert [dual.nodes(lp.p) for lp, in frames] == [64, points - 64]
     monkeypatch.undo()
     assert got.max_residual.hex() == loop_chain("localize2", scn, 42,
-                                                66).hex()
+                                                points).hex()
 
 
 # -- a field with no batch form -----------------------------------------------
