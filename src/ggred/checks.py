@@ -28,9 +28,6 @@ from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
 BATCH = 64   # sample points per batch point: one Euler slab at order 8
-# A chain check of fewer samples evaluates each at its point: the tests
-# that count a chain check's work per sample run 1-3 points.
-CHAIN_BATCH_MIN = 4
 MAX_ORDER = 32   # Euler quadrature nodes per axis
 
 
@@ -84,6 +81,13 @@ def _chunks(arrays, *groups):
             for g in groups for k in range(0, len(g), BATCH)]
 
 
+def _sampled(residual, chart, rng, n):
+    """The largest |entry| of ``residual`` over n samples of ``chart``, in
+    chunks of at most BATCH, each one batch point."""
+    return ch.max_abs(batched(residual, _chunks((chart.sample(rng, n),),
+                                                np.arange(n))))
+
+
 def _npoints(s: Scenario, default, override=None):
     params = s.params if override is None else {"points": override}
     return int_param(params, "points", default, s.name, positive=True)
@@ -128,8 +132,8 @@ def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
             rm + np.einsum("ijkl...->jikl...", rm),
             rp + np.einsum("ijkl...->ijlk...", rp))], axis=0)
 
-    return _result("pair_symmetry", n, ch.max_abs(
-        batched(residual, _sample_chunks(s.chart, rng, n))), tol)
+    return _result("pair_symmetry", n, _sampled(residual, s.chart, rng, n),
+                   tol)
 
 
 def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -144,11 +148,6 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
         r for p in s.chart.sample(rng, n) for r in residuals(p)), tol)
 
 
-def _sample_chunks(chart, rng, n):
-    """n samples of ``chart`` in chunks of at most BATCH."""
-    return _chunks((chart.sample(rng, n),), np.arange(n))
-
-
 def _batched_pairs(sample, ambient, direct, chart, rng, n):
     """Per sample, the largest |ambient - direct| on the sample's frame, over
     n samples of ``chart``: ``ambient`` reads the sample object, ``direct``
@@ -158,21 +157,7 @@ def _batched_pairs(sample, ambient, direct, chart, rng, n):
         return np.abs(ambient(lp) - direct(x, lp.basis)).max(
             axis=(0, 1, 2, 3))
 
-    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n)))
-
-
-def _node_rows(rows, chart, rng, n):
-    """The largest |entry| of ``rows(x)`` over n samples x of ``chart``, in
-    batches unless n < CHAIN_BATCH_MIN; ``rows`` gives one row of residuals
-    per node of x (one row at a point)."""
-    if n < CHAIN_BATCH_MIN:
-        return ch.max_abs(rows(x)[0] for x in chart.sample(rng, n))
-
-    def residual(x):
-        out = rows(x)
-        return out if dual.nodes(x) else out[0]
-
-    return ch.max_abs(batched(residual, _sample_chunks(chart, rng, n)))
+    return _sampled(residual, chart, rng, n)
 
 
 def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -234,7 +219,7 @@ def check_localize2(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Gauged-model chain exponent vs reduced-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.quotient
-    return _result("localize2", n, _node_rows(
+    return _result("localize2", n, _sampled(
         partial(_chain_residual, partial(qt.LiftedPoint, scn),
                 lz.point_frame_quotient, qt.reduced_curvature_quotient,
                 "quotient"), scn.quotient, rng, n), tol)
@@ -244,7 +229,7 @@ def check_localize3(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Constrained-model chain exponent vs locus-curvature pairing."""
     n = _npoints(s, 100, points)
     scn = s.section
-    return _result("localize3", n, _node_rows(
+    return _result("localize3", n, _sampled(
         partial(_chain_residual, partial(sm.LocusPoint, scn),
                 lz.point_frame_section, sm.reduced_curvature_sub, "section"),
         scn.nchart, rng, n), tol)
@@ -263,7 +248,7 @@ def check_phi_closed_form(s: Scenario, rng, tol, points=None) -> CheckResult:
             rows.append([(closed[a] - details[f"pm{a}"][0]).max_abs()
                          for a in range(pf.s)])
         return rows
-    return _result("phi_closed_form", n, _node_rows(
+    return _result("phi_closed_form", n, _sampled(
         residuals, scn.quotient, rng, n), tol)
 
 

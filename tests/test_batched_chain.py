@@ -7,7 +7,8 @@ one point frame and one reduced curvature per chunk.  The Grassmann stage
 runs node by node, on C-order slices of the batch frame and curvature.
 Every node must keep the bits of its own point-by-point evaluation, so each
 report must equal the point loop it replaced, copied here, exactly.  A run
-of fewer than ``checks.CHAIN_BATCH_MIN`` samples runs point by point.
+of any size is batched; a scenario whose fields have no batch form runs
+point by point.
 """
 
 import dataclasses
@@ -185,13 +186,11 @@ def test_the_point_frame_runs_once_per_chunk(monkeypatch, name, cid, frame,
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])
-def test_fewer_than_the_chain_minimum_run_point_by_point(monkeypatch,
-                                                         points):
-    assert points < ck.CHAIN_BATCH_MIN
+def test_a_short_run_is_one_batch_of_that_many_nodes(monkeypatch, points):
     scn = QUOTIENTS["hopf_flux"]()
     frames = record(monkeypatch, lz, "point_frame_quotient")
     got = run(scenario_of(scn), "localize2", 42, points=points)
-    assert [dual.nodes(lp.p) for lp, in frames] == [0] * points
+    assert [dual.nodes(lp.p) for lp, in frames] == [points]
     monkeypatch.undo()
     assert got.max_residual.hex() == loop_chain("localize2", scn, 42,
                                                 points).hex()

@@ -11,6 +11,8 @@ The batch route is exercised with the point-by-point fallback of
 ``dual.batched`` switched off.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -134,13 +136,20 @@ def test_pair_symmetry_takes_one_order2_jet_of_g_per_batch(monkeypatch,
 
 # -- the chain checks and the oracles --------------------------------------
 
+def chain_residual(scn, q):
+    """The localize2 rows of one float sample q of ``scn``'s quotient."""
+    return ck._chain_residual(partial(qt.LiftedPoint, scn),
+                              lz.point_frame_quotient,
+                              qt.reduced_curvature_quotient, "quotient", q)
+
+
 def test_localize2_sample_takes_one_jet_of_g_and_one_of_h(monkeypatch):
     s = build("s3xt2")
     scn = s.quotient
     q = scn.quotient.sample(np.random.default_rng(
         [42, ck.CHECK_ORDER.index("localize2")]), 1)[0]
     jets = jets_of(monkeypatch, s.ctx.g, s.ctx.H)
-    ck.run_check(s, "localize2", 42, points=1)
+    chain_residual(scn, q)
     assert [(k, order) for k, order, _ in jets] == [(0, 2), (1, 1)]
     lifted = np.asarray(scn.lift(q), dtype=float)
     for _, _, p in jets:
@@ -148,10 +157,13 @@ def test_localize2_sample_takes_one_jet_of_g_and_one_of_h(monkeypatch):
 
 
 def test_chain_checks_hand_the_point_frame_geometry_on(monkeypatch):
-    s = build("hopf_flux")
+    scn = build("hopf_flux").quotient
+    qs = scn.quotient.sample(np.random.default_rng(
+        [42, ck.CHECK_ORDER.index("localize2")]), 2)
     frames = count(monkeypatch, lz, "point_frame_quotient")
     curvature = count(monkeypatch, qt, "reduced_curvature_quotient")
-    ck.run_check(s, "localize2", 42, points=2)
+    for q in qs:
+        chain_residual(scn, q)
     assert len(frames) == len(curvature) == 2
     for (frame_sample,), (curvature_sample,) in zip(frames, curvature):
         assert isinstance(frame_sample, qt.LiftedPoint)
@@ -236,15 +248,17 @@ def strict_batched(fn, chunks):
 
 STRICT = [(name, cid) for name, s in ((n, build(n)) for n in NAMES)
           for cid in ("bismut_courant", "pair_symmetry", "thm63", "thm65",
-                      "euler", "euler_flux")
+                      "localize2", "localize3", "phi_closed_form", "euler",
+                      "euler_flux")
           if ck.applicable(s, cid)]
 
 
 def test_strict_cases_cover_every_batched_check():
-    assert len(STRICT) == 24
+    assert len(STRICT) == 33
     assert {cid for _, cid in STRICT} == {"bismut_courant", "pair_symmetry",
-                                          "thm63", "thm65", "euler",
-                                          "euler_flux"}
+                                          "thm63", "thm65", "localize2",
+                                          "localize3", "phi_closed_form",
+                                          "euler", "euler_flux"}
 
 
 @pytest.mark.parametrize("name, cid", STRICT)

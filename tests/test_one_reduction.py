@@ -112,9 +112,9 @@ SAMPLED = [
     ("oneill", "hopf", {}, qt, "oneill_curvature", 2),
     ("thm65", "sphere_in_flat", {"c": 0.5}, sm,
      "reduced_curvature_sub_direct", 1),
-    ("localize2", "hopf_flux", {}, qt, "reduced_curvature_quotient", 2),
+    ("localize2", "hopf_flux", {}, qt, "reduced_curvature_quotient", 1),
     ("localize3", "sphere_in_flat", {"c": 0.5}, sm,
-     "reduced_curvature_sub", 2),
+     "reduced_curvature_sub", 1),
     ("phi_closed_form", "hopf_flux", {}, ck, "mixed_multiplier_closed_form",
      2),
     ("pfaffian", "flat_torus", {}, ck, "pfaffian", 3),

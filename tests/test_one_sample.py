@@ -8,6 +8,8 @@ that work per sample.  Every oracle keeps (scn, point, basis) and builds its
 own data, so none of them may receive a sample object or a Geometry.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ggred import chart as ch
 from ggred import checks as ck
 from ggred import genmetric as gm
 from ggred import gk as gkmod
+from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred import submanifold as sm
@@ -59,11 +62,17 @@ def record_sigma_jets(monkeypatch):
 
 def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
         monkeypatch):
-    s = sc.s3xt2({})
+    scn = sc.s3xt2({}).quotient
+    qs = scn.quotient.sample(np.random.default_rng(
+        [42, ck.CHECK_ORDER.index("localize2")]), 2)
     lifts = count_calls(monkeypatch, qt, "horizontal_lift")
     matrices = count_calls(monkeypatch, qt, "reduction_matrices")
     jets = record_jets(monkeypatch)
-    assert ck.run_check(s, "localize2", 42, points=2).status == "pass"
+    for q in qs:
+        residuals = ck._chain_residual(
+            partial(qt.LiftedPoint, scn), lz.point_frame_quotient,
+            qt.reduced_curvature_quotient, "quotient", q)
+        assert ch.max_abs(residuals) <= ck.REGISTRY["localize2"].tolerance
     # per sample: the quotient frame's lift of the coordinate frame and
     # the tau_+ and tau_- lifts of that frame
     assert len(lifts) == 3 * 2
@@ -75,9 +84,15 @@ def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
 
 
 def test_localize3_sample_takes_one_order2_jet_of_sigma(monkeypatch):
-    s = sc.build("sphere_in_flat", {"c": 0.5})
+    scn = sc.build("sphere_in_flat", {"c": 0.5}).section
+    us = scn.nchart.sample(np.random.default_rng(
+        [42, ck.CHECK_ORDER.index("localize3")]), 3)
     orders = record_sigma_jets(monkeypatch)
-    assert ck.run_check(s, "localize3", 42, points=3).status == "pass"
+    for u in us:
+        residuals = ck._chain_residual(
+            partial(sm.LocusPoint, scn), lz.point_frame_section,
+            sm.reduced_curvature_sub, "section", u)
+        assert ch.max_abs(residuals) <= ck.REGISTRY["localize3"].tolerance
     assert orders == [2] * 3
 
 
