@@ -272,6 +272,12 @@ def _stack(m, k: int = 2):
         m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
 
 
+def node_stack(m):
+    """:func:`_stack` as a C-order copy, so that matmul runs each node's
+    product as at a point (BLAS may round strided operands differently)."""
+    return np.ascontiguousarray(_stack(np.asarray(m)))
+
+
 def invert_matrix(m):
     """Inverse that tolerates dual-number entries: solve_linear on I."""
     return solve_linear(m, np.eye(len(m)))
@@ -514,19 +520,8 @@ def wedge(omega: np.ndarray, eta: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the inversions of ``perm``."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def interior(vector, omega: np.ndarray, degree: int) -> np.ndarray:
@@ -575,13 +570,14 @@ def lie_derivative(jv: PointJet, jt: PointJet) -> np.ndarray:
 
     The coordinate formula for a covariant tensor field T of any rank, with
     m in slot s of the s-th term; built from order-1 jets of V and T at one
-    point.  A batch point gives a trailing node axis.
+    point.  A batch point gives a trailing node axis, each node with the
+    bits of its point (:func:`node_einsum`).
     """
     idx = "abcdefgh"[:jt.value.ndim - jv.value.ndim + 1]
-    out = np.einsum(f"m...,m{idx}...->{idx}...", jv.value, jt.d1)
+    out = node_einsum(f"m,m{idx}->{idx}", jv.value, jt.d1)
     for slot, i in enumerate(idx):
-        out = out + np.einsum(f"{idx[:slot]}m{idx[slot + 1:]}...,{i}m...->"
-                              f"{idx}...", jt.value, jv.d1)
+        out = out + node_einsum(f"{idx[:slot]}m{idx[slot + 1:]},{i}m->{idx}",
+                                jt.value, jv.d1)
     return out
 
 
@@ -610,42 +606,29 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
 
     A vector whose remainder has g-norm at most 1e-10 of the metric scale
     is dropped, and a NaN one with it; RankError unless ``rank`` rows are
-    left.  A metric with a trailing node axis gives one frame per node,
-    (rank, n, nodes), from :func:`_node_frames`.
-    """
-    if gmat.ndim == 3:
-        return _node_frames(vectors, gmat, rank, what)
-    basis = []
-    scale = np.sqrt(np.trace(gmat) / gmat.shape[0])
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        for b in basis:
-            w = w - (b @ gmat @ w) * b
-        nrm = float(np.sqrt(w @ gmat @ w))
-        if nrm > 1e-10 * scale:
-            basis.append(w / nrm)
-    if len(basis) != rank:
-        raise RankError(f"{what} has rank {len(basis)}, expected {rank}")
-    return np.array(basis)
-
-
-def _node_frames(vectors, gmat, rank: int, what: str) -> np.ndarray:
-    """:func:`orthonormal_frame` on a node stack, each node with the bits of
-    its own frame.  ``vectors`` are (k, n), shared, or (k, n, nodes).
+    left.  ``vectors`` are (k, n), shared, or (k, n, nodes).  A metric with
+    a trailing node axis gives one frame per node, (rank, n, nodes), each
+    with the bits of its own frame; a point's metric is a one-node stack.
 
     A dropped vector leaves a zero row at its node, which later steps
     subtract exactly; each node's kept rows are gathered at the end.
     """
+    point = np.ndim(gmat) == 2
+    g = np.asarray(gmat, dtype=float)
     # C-order stacks: matmul then runs each node's product as at a point
-    g = np.ascontiguousarray(_stack(np.asarray(gmat, dtype=float)))
+    g = np.ascontiguousarray(g[None] if point else _stack(g))
     size, n = g.shape[0], g.shape[-1]
     vecs = np.asarray(vectors, dtype=float)
     vecs = np.ascontiguousarray(
         np.moveaxis(vecs, 2, 1) if vecs.ndim == 3 else
         np.broadcast_to(vecs[:, None, :], (len(vecs), size, n)))
 
-    def pair(u, w):                 # u @ g @ w per node
-        return ((u[:, None, :] @ g) @ w[:, :, None])[:, 0, 0]
+    def pair(u, w):
+        # u @ g @ w per node; the dot's rows start on 16-byte boundaries, as
+        # fresh vectors do (OpenBLAS's Prescott ddot rounds by alignment)
+        rows = np.empty((2, size, n + n % 2))[..., :n]
+        rows[0], rows[1] = (u[:, None, :] @ g)[:, 0], w
+        return (rows[0][:, None, :] @ rows[1][:, :, None])[:, 0, 0]
 
     scale = np.sqrt(np.trace(g, axis1=1, axis2=2) / n)
     basis, kept = [], []
@@ -660,8 +643,9 @@ def _node_frames(vectors, gmat, rank: int, what: str) -> np.ndarray:
     count = np.sum(kept, axis=0)
     if (count != rank).any():
         k = int(np.argmax(count != rank))
-        raise RankError(f"{what} has rank {count[k]} at node {k}, "
+        raise RankError(f"{what} has rank {count[k]}"
+                        f"{'' if point else f' at node {k}'}, "
                         f"expected {rank}")
     rows = np.argsort(~np.array(kept), axis=0, kind="stable")[:rank]
     frames = np.take_along_axis(np.array(basis), rows[..., None], axis=0)
-    return np.moveaxis(frames, 1, 2)
+    return frames[:, 0] if point else np.moveaxis(frames, 1, 2)

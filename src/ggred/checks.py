@@ -20,14 +20,13 @@ from . import gk as gkmod
 from . import localize as lz
 from . import quotient as qt
 from . import submanifold as sm
-from .dual import Batch, batched, sin
+from .dual import BATCH, Batch, batched, chunks, sin
 from .errors import ConfigError, RankError, ScenarioError
 from .genmetric import (Geometry, bismut_curvature, bismut_derivative,
                         bismut_via_courant)
 from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
-BATCH = 64   # sample points per batch point: one Euler slab at order 8
 MAX_ORDER = 32   # Euler quadrature nodes per axis
 
 
@@ -45,10 +44,8 @@ class CheckResult:
 
 
 def _result(cid, points, residual, tol, exploratory=False) -> CheckResult:
-    if exploratory:
-        status = "exploratory"
-    else:
-        status = "pass" if residual <= tol else "fail"
+    status = "exploratory" if exploratory else \
+        "pass" if residual <= tol else "fail"
     return CheckResult(cid, points, float(residual), float(tol), status)
 
 
@@ -75,17 +72,10 @@ def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
     return vector_field(chart, *random_field_coeffs(chart.dim, rng))
 
 
-def _chunks(arrays, *groups):
-    """Rows of ``arrays``, each group of row indices in runs of <= BATCH."""
-    return [tuple(a[g[k:k + BATCH]] for a in arrays)
-            for g in groups for k in range(0, len(g), BATCH)]
-
-
 def _sampled(residual, chart, rng, n):
     """The largest |entry| of ``residual`` over n samples of ``chart``, in
     chunks of at most BATCH, each one batch point."""
-    return ch.max_abs(batched(residual, _chunks((chart.sample(rng, n),),
-                                                np.arange(n))))
+    return ch.max_abs(batched(residual, chunks((chart.sample(rng, n),))))
 
 
 def _npoints(s: Scenario, default, override=None):
@@ -113,10 +103,10 @@ def check_bismut_courant(s: Scenario, rng, tol, points=None) -> CheckResult:
             - bismut_via_courant(x, y, sign, s.ctx, p)
         return np.abs(d).max(axis=0)
 
-    chunks = _chunks((pts, signs, *coeffs), np.flatnonzero(signs > 0),
-                     np.flatnonzero(signs < 0))
+    runs = chunks((pts, signs, *coeffs), np.flatnonzero(signs > 0),
+                  np.flatnonzero(signs < 0))
     return _result("bismut_courant", npairs,
-                   ch.max_abs(batched(residual, chunks)), tol)
+                   ch.max_abs(batched(residual, runs)), tol)
 
 
 def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -140,12 +130,12 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Connection curvature of tau_pm: matrix-weighted d xi vs direct d theta."""
     n = _npoints(s, 25, points)
 
-    def residuals(p):
+    def residual(p):
         frames = zip((+1, -1), qt.horizontal_frames(s.ea, s.ctx, p))
-        return [np.subtract(*qt.omega_curvature(s.ea, s.ctx, sign, p, fr))
-                for sign, fr in frames]
-    return _result("lemma62", n, ch.max_abs(
-        r for p in s.chart.sample(rng, n) for r in residuals(p)), tol)
+        return np.max([np.abs(np.subtract(*qt.omega_curvature(
+            s.ea, s.ctx, sign, p, fr))).max(axis=(0, 1, 2))
+            for sign, fr in frames], axis=0)
+    return _result("lemma62", n, _sampled(residual, s.chart, rng, n), tol)
 
 
 def _batched_pairs(sample, ambient, direct, chart, rng, n):
@@ -170,9 +160,9 @@ def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
 
 
 def _flux_free_action(s: Scenario, p) -> bool:
-    """No flux and every xi_a zero at p; a NaN xi is not flux-free."""
-    return not s.ctx.has_flux and ch.max_abs(
-        np.asarray(x(p), dtype=float) for x in s.ea.xi) == 0.0
+    """H and every xi_a zero at p; a NaN H or xi is not flux-free."""
+    return ch.max_abs([s.ctx.flux_at(p)] + [
+        np.asarray(x(p), dtype=float) for x in s.ea.xi]) == 0.0
 
 
 def check_oneill(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -181,10 +171,9 @@ def check_oneill(s: Scenario, rng, tol, points=None) -> CheckResult:
     if not _flux_free_action(s, scn.lift(scn.quotient.sample(rng, 1)[0])):
         raise ScenarioError("oneill check needs zero flux and zero xi")
     n = _npoints(s, 25, points)
-    lps = (qt.LiftedPoint(scn, q) for q in scn.quotient.sample(rng, n))
-    return _result("oneill", n, ch.max_abs(
-        qt.reduced_curvature_quotient(lp)
-        - qt.oneill_curvature(scn, lp.q, lp.basis) for lp in lps), tol)
+    return _result("oneill", n, _batched_pairs(
+        partial(qt.LiftedPoint, scn), qt.reduced_curvature_quotient,
+        partial(qt.oneill_curvature, scn), scn.quotient, rng, n), tol)
 
 
 def check_thm65(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -270,13 +259,8 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
         lbs.append(lz._quad_sum(ngen, m, t1, 0, m)
                    + lz._quad_sum(ngen, m, t2, m, 0)
                    + lz._quad_sum(ngen, m, -t3, m, 0))
-    out = []
-    for a in range(pf.s):
-        lam = lz.G(ngen)
-        for b, lb in enumerate(lbs):
-            lam = lam + tinv[a, b] * lb
-        out.append(-0.5 * lam)
-    return out
+    return [-0.5 * sum((tinv[a, b] * lb for b, lb in enumerate(lbs)),
+                       lz.G(ngen)) for a in range(pf.s)]
 
 
 _EULER_EXPECTED = {
@@ -348,8 +332,8 @@ def check_pfaffian(s: Scenario, rng, tol, points=None) -> CheckResult:
 def check_gk_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
     """All structure conditions for the almost complex pair."""
     n = _npoints(s, 10, points)
-    pts = s.chart.sample(rng, n)
-    rep = gkmod.validate_bihermitian(s.gk, s.ctx, pts, rng=rng, tol=tol)
+    rep = gkmod.validate_bihermitian(s.gk, s.ctx, s.chart.sample(rng, n),
+                                     rng=rng, tol=tol)
     return _result("gk_validate", n, rep.max_residual, tol)
 
 
@@ -358,12 +342,12 @@ def check_gk_reduce(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 10, points)
     scn = s.quotient
 
-    def residuals(q):
-        defects = gkmod.check_tau_invariance(s.gk, scn, scn.lift(q))
+    def residual(q):
+        dplus, dminus = gkmod.check_tau_invariance(s.gk, scn, scn.lift(q))
         _, _, rep = gkmod.reduce_gk(s.gk, scn, q, rng=rng, tol=tol)
-        return [*defects, rep.max_residual]
-    return _result("gk_reduce", n, ch.max_abs(
-        r for q in scn.quotient.sample(rng, n) for r in residuals(q)), tol)
+        return np.maximum(np.maximum(dplus, dminus), rep.max_residual)
+    return _result("gk_reduce", n, _sampled(residual, scn.quotient, rng, n),
+                   tol)
 
 
 def check_ea_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
@@ -431,29 +415,25 @@ _register(CheckSpec("ea_validate", check_ea_validate, 1e-8, "quotient",
 CHECK_ORDER = list(REGISTRY)
 
 
+def _even_cover(s: Scenario) -> bool:
+    return s.euler_domain is not None and len(s.euler_domain[0]) % 2 == 0
+
+
+_NEEDS = {
+    "any": lambda s: True,
+    "quotient": lambda s: s.quotient is not None,
+    "quotient_plain": lambda s: s.quotient is not None and _flux_free_action(
+        s, s.chart.sample(np.random.default_rng(0), 1)[0]),
+    "section": lambda s: s.section is not None,
+    "gk": lambda s: s.gk is not None,
+    "gk_quotient": lambda s: s.gk is not None and s.quotient is not None,
+    "euler": lambda s: _even_cover(s) and not s.ctx.has_flux,
+    "euler_flux": lambda s: _even_cover(s) and s.ctx.has_flux,
+}
+
+
 def applicable(s: Scenario, cid: str) -> bool:
-    spec = REGISTRY[cid]
-    need = spec.needs
-    if need == "any":
-        return True
-    if need == "quotient":
-        return s.quotient is not None
-    if need == "quotient_plain":
-        return s.quotient is not None and _flux_free_action(
-            s, s.chart.sample(np.random.default_rng(0), 1)[0])
-    if need == "section":
-        return s.section is not None
-    if need == "gk":
-        return s.gk is not None
-    if need == "gk_quotient":
-        return s.gk is not None and s.quotient is not None
-    if need == "euler":
-        return s.euler_domain is not None and \
-            len(s.euler_domain[0]) % 2 == 0 and not s.ctx.has_flux
-    if need == "euler_flux":
-        return s.euler_domain is not None and \
-            len(s.euler_domain[0]) % 2 == 0 and s.ctx.has_flux
-    return False
+    return _NEEDS[REGISTRY[cid].needs](s)
 
 
 def default_checks(s: Scenario) -> list[str]:

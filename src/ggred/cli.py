@@ -20,6 +20,7 @@ import numpy as np
 
 from . import chart as ch
 from . import checks as ck
+from . import dual
 from . import quotient as qt
 from . import scenarios as sc
 from .errors import ConfigError, GgredError, ScenarioError
@@ -90,14 +91,13 @@ def setup_scenario(cfg: dict) -> sc.Scenario:
     scenario = sc.build(cfg["scenario"], cfg["parameters"],
                         factory=cfg.get("factory"))
     rng = np.random.default_rng(cfg["seed"])
-    probes = scenario.chart.sample(rng, 3)
-    h_jets = [ch.differentiate(scenario.ctx.H, p) for p in probes]
-    residual = ch.max_abs(scenario.ctx.closure_residual(j) for j in h_jets)
+    probes = scenario.chart.sample(rng, 3)     # one batch point
+    residual = ch.max_abs(dual.batched(scenario.ctx.closure_residual,
+                                       dual.chunks((probes,))))
     if not residual <= 1e-8:
         raise ScenarioError(f"flux not closed (|dH| = {residual:.2e})")
     if scenario.quotient is not None:
-        rep = qt.validate_extended_action(scenario.ea, scenario.ctx, probes,
-                                          h_jets=h_jets)
+        rep = qt.validate_extended_action(scenario.ea, scenario.ctx, probes)
         if not rep.passed:
             raise ScenarioError(
                 "extended action invalid; failed condition(s): "

@@ -176,6 +176,17 @@ def _nodes(f, *args):
                                else itertools.repeat(a) for a in args))))
 
 
+BATCH = 64   # nodes per batch point: one Euler slab at order 8
+
+
+def chunks(arrays, *groups):
+    """Rows of ``arrays``, each group of row indices (all rows if none) in
+    runs of at most BATCH."""
+    groups = groups or (np.arange(len(arrays[0])),)
+    return [tuple(a[g[k:k + BATCH]] for a in arrays)
+            for g in groups for k in range(0, len(g), BATCH)]
+
+
 def batched(fn, chunks):
     """Yield, node by node, ``fn``'s (N,) values on chunks ``(points, *args)``
     (node axis first), each as one batch point (``args`` node axis last).
@@ -298,9 +309,12 @@ def nodes(point) -> int:
     return 0
 
 
-def entries(arr):
-    """The Batch entries of a float array with a trailing node axis (the
-    inverse of ``tighten(., size)``), as an object array."""
+def entries(arr, size: int | None = None):
+    """The inverse of ``tighten(., size)``: the Batch entries of a float
+    array with a trailing node axis, or at a point (``size`` 0) the entries
+    of ``arr``.  An object array either way."""
+    if size == 0:
+        return np.asarray(arr, dtype=object)
     arr = np.asarray(arr, dtype=float)
     out = np.empty(arr.shape[:-1], dtype=object)
     out.ravel()[:] = [Batch(v) for v in arr.reshape(-1, arr.shape[-1])]

@@ -39,7 +39,7 @@ class GeneralizedVector:
         return float(self.xi @ other.X + other.xi @ self.X)
 
 
-def _values(field: ch.ChartField, point) -> np.ndarray:
+def field_values(field: ch.ChartField, point) -> np.ndarray:
     """Float components of a field at a point (node axis last at a batch)."""
     return dual.tighten(np.asarray(field(point), dtype=object),
                         dual.nodes(point))
@@ -71,18 +71,15 @@ class GeneralizedMetricContext:
         return self.H.name != _H_ZERO_NAME
 
     def metric_at(self, point) -> np.ndarray:
-        return _values(self.g, point)
+        return field_values(self.g, point)
 
     def flux_at(self, point) -> np.ndarray:
-        return _values(self.H, point)
+        return field_values(self.H, point)
 
-    def closure_residual(self, at) -> float:
-        """max |dH| component at a point, or from an order-1 jet of H there
-        (a ``PointJet`` the caller already took)."""
-        jet = at if isinstance(at, ch.PointJet) else \
-            ch.differentiate(self.H, at, order=1)
-        dh = ch.exterior_derivative(jet, 3)
-        return float(np.max(np.abs(dh)))
+    def closure_residual(self, point):
+        """max |dH| component at a point; one per node at a batch point."""
+        dh = ch.exterior_derivative(ch.differentiate(self.H, point), 3)
+        return np.abs(dh).max(axis=(0, 1, 2, 3))
 
 
 class Geometry:
@@ -155,15 +152,18 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
 
-    cov = ch.lie_derivative(ch.differentiate(a_vec, point),
-                            ch.differentiate(b_cov, point))
+    # L_X eta, with the node axis innermost: the sum order this route has
+    # always had (ch.lie_derivative sums each node as at a point)
+    jx, jeta = ch.differentiate(a_vec, point), ch.differentiate(b_cov, point)
+    cov = np.einsum("m...,mk...->k...", jx.value, jeta.d1) \
+        + np.einsum("m...,km...->k...", jeta.value, jx.d1)
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
-    yval = _values(b_vec, point)
+    yval = field_values(b_vec, point)
     cov = cov - np.einsum("j...,jk...->k...", yval, dxi)
 
     hval = ctx.flux_at(point)
-    xval = _values(a_vec, point)
+    xval = field_values(a_vec, point)
     cov = cov + np.einsum("i...,j...,ijk...->k...", xval, yval, hval)
     return GeneralizedVector(np.asarray(vec, dtype=float),
                              np.asarray(cov, dtype=float), tuple(point))
@@ -192,7 +192,7 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
     +/- (1/2) g^{il} H_{ljk} X^j Y^k."""
     jy = ch.differentiate(y, point, order=1)
     coeffs = bismut_connection_coeffs(sign, Geometry(ctx, point))
-    xval = _values(x, point)
+    xval = field_values(x, point)
     return (np.einsum("j...,ji...->i...", xval, jy.d1)
             + np.einsum("ijk...,j...,k...->i...", coeffs, xval, jy.value))
 

@@ -19,7 +19,7 @@ from . import dual
 from . import quotient as qt
 from .errors import ReductionConditionError
 from .genmetric import (GeneralizedMetricContext, Geometry,
-                        bismut_connection_coeffs)
+                        bismut_connection_coeffs, field_values)
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,14 @@ class BiHermitianData:
 
 
 def nijenhuis(jet: ch.PointJet) -> np.ndarray:
-    """N[i, a, b] of the Nijenhuis tensor, from an order-1 jet of J."""
+    """N[i, a, b] of the Nijenhuis tensor, from an order-1 jet of J (with a
+    trailing node axis at a batch point)."""
     jv = jet.value        # J^i_j
     dj = jet.d1           # dj[k, i, j] = d_k J^i_j
-    t1 = np.einsum("la,lib->iab", jv, dj)
-    t2 = np.einsum("lb,lia->iab", jv, dj)
-    t3 = np.einsum("il,alb->iab", jv, dj)
-    t4 = np.einsum("il,bla->iab", jv, dj)
+    t1 = ch.node_einsum("la,lib->iab", jv, dj)
+    t2 = ch.node_einsum("lb,lia->iab", jv, dj)
+    t3 = ch.node_einsum("il,alb->iab", jv, dj)
+    t4 = ch.node_einsum("il,bla->iab", jv, dj)
     return t1 - t2 - t3 + t4
 
 
@@ -48,24 +49,25 @@ def nabla_j(sign, jet: ch.PointJet, geo: Geometry) -> np.ndarray:
     """(grad^sign_k J)^i_j from an order-1 jet of J at the point of ``geo``."""
     coeffs = bismut_connection_coeffs(sign, geo)
     return (jet.d1
-            + np.einsum("ikl,lj->kij", coeffs, jet.value)
-            - np.einsum("lkj,il->kij", coeffs, jet.value))
+            + ch.node_einsum("ikl,lj->kij", coeffs, jet.value)
+            - ch.node_einsum("lkj,il->kij", coeffs, jet.value))
 
 
 def flux_type_residual(j: ch.ChartField, ctx: GeneralizedMetricContext,
-                       point, vecs) -> float:
+                       point, vecs):
     """Reality form of the (2,1)+(1,2) condition on given vector triples:
-    H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z)."""
-    h = ctx.flux_at(point)
-    jv = dual.tighten(np.asarray(j(point), dtype=object))
+    H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z).  The largest |residual|
+    over the triples; per node at a batch point, where each vector has a
+    trailing node axis."""
+    h, jv = ctx.flux_at(point), field_values(j, point)
 
     def residual(x, y, z):
-        jx, jy, jz = jv @ x, jv @ y, jv @ z
-        return float(np.einsum("ijk,i,j,k->", h, jx, jy, z)
-                     + np.einsum("ijk,i,j,k->", h, jx, y, jz)
-                     + np.einsum("ijk,i,j,k->", h, x, jy, jz)
-                     - np.einsum("ijk,i,j,k->", h, x, y, z))
-    return ch.max_abs(residual(*v) for v in vecs)
+        jx, jy, jz = (ch.node_einsum("ij,j->i", jv, v) for v in (x, y, z))
+        return (ch.node_einsum("ijk,i,j,k->", h, jx, jy, z)
+                + ch.node_einsum("ijk,i,j,k->", h, jx, y, jz)
+                + ch.node_einsum("ijk,i,j,k->", h, x, jy, jz)
+                - ch.node_einsum("ijk,i,j,k->", h, x, y, z))
+    return np.max(np.abs([residual(*v) for v in vecs]), axis=0, initial=0.0)
 
 
 def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
@@ -75,42 +77,49 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
 
     Conditions reported: square (J^2 = -1), compatibility (g(JX,JY) =
     g(X,Y)), integrability (Nijenhuis), parallel (grad^pm J_pm = 0), and
-    flux_type (the reality identity on random triples).
+    flux_type (the reality identity on 4 random triples per structure and
+    point, drawn from ``rng`` before any point is evaluated).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    res = {k: [] for k in ("square", "compatibility", "integrability",
-                           "parallel", "flux_type")}
     n = ctx.chart.dim
-    for p in points:
+
+    def residuals(p, vecs):
         geo = Geometry(ctx, p)
-        for sign, j in bh.pair():
+        g = ch.node_stack(geo.g)
+        res = [[], [], [], [], []]
+        for (sign, j), triples in zip(bh.pair(), vecs):
             # one jet per distinct field: J_- may be J_+ itself
             jet = jet if sign < 0 and j is bh.Jplus else \
                 ch.differentiate(j, p, order=1)
-            jv = jet.value
-            res["square"].append(jv @ jv + np.eye(n))
-            res["compatibility"].append(jv.T @ geo.g @ jv - geo.g)
-            res["integrability"].append(nijenhuis(jet))
-            res["parallel"].append(nabla_j(sign, jet, geo))
-            vecs = [tuple(rng.normal(size=(3, n))) for _ in range(4)]
-            res["flux_type"].append(flux_type_residual(j, ctx, p, vecs))
-    return qt.ValidationReport(
-        {k: qt.ConditionResult(k, ch.max_abs(v), tol) for k, v in res.items()})
+            jv = ch.node_stack(jet.value)
+            sq, comp = jv @ jv + np.eye(n), jv.swapaxes(-1, -2) @ g @ jv - g
+            res[0].append(ch._stack(sq, sq.ndim - 2))
+            res[1].append(ch._stack(comp, comp.ndim - 2))
+            res[2].append(nijenhuis(jet))
+            res[3].append(nabla_j(sign, jet, geo))
+            res[4].append(flux_type_residual(j, ctx, p, triples))
+        return res
+
+    return qt.ValidationReport.sampled(
+        residuals, dict.fromkeys(("square", "compatibility", "integrability",
+                                  "parallel", "flux_type"), tol),
+        points, rng.normal(size=(len(points), 2, 4, 3, n)))
 
 
 def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
                          point):
     """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm.
+    One per node at a batch point.
 
     A non-finite entry of J_pm raises EvaluationError naming the point."""
     out = []
     for sign, j in bh.pair():
-        proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
-        jv = dual.tighten(np.asarray(j(point), dtype=object))
+        proj = ch.node_stack(qt.tau_projector(scn.ea, scn.ctx, point, sign))
+        jv = field_values(j, point)
         ch._require_finite(point, jv.ravel().tolist())
-        defect = (np.eye(scn.ambient_dim) - proj) @ jv @ proj
-        out.append(float(np.linalg.norm(defect, 2)))
+        defect = (np.eye(scn.ambient_dim) - proj) @ ch.node_stack(jv) @ proj
+        out.append(np.linalg.norm(defect, 2, axis=(-2, -1)))
     return tuple(out)
 
 
@@ -140,18 +149,20 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
     Requires the invariance defects to vanish at the lifted point; returns
     (J_red_plus, J_red_minus, report) where the report validates the
     reduced pair against the reduced metric and flux on the quotient chart.
+    At a batch quotient point the structures carry a trailing node axis
+    and the report covers every node.
     """
-    p = scn.lift(qpoint)
-    dplus, dminus = check_tau_invariance(bh, scn, p)
+    dplus, dminus = check_tau_invariance(bh, scn, scn.lift(qpoint))
     if not ch.max_abs((dplus, dminus)) <= tol:
         raise ReductionConditionError(
             f"structure does not preserve the horizontal spaces "
-            f"(defects {dplus:.2e}, {dminus:.2e})")
-    jr_plus = reduced_j_field(bh, scn, +1)
-    jr_minus = reduced_j_field(bh, scn, -1)
-    ctxr = qt.reduced_context(scn)
-    report = validate_bihermitian(BiHermitianData(jr_plus, jr_minus), ctxr,
-                                  [qpoint], rng=rng, tol=max(tol, 1e-6))
-    jp = dual.tighten(np.asarray(jr_plus(qpoint), dtype=object))
-    jm = dual.tighten(np.asarray(jr_minus(qpoint), dtype=object))
-    return jp, jm, report
+            f"(defects {np.max(dplus):.2e}, {np.max(dminus):.2e})")
+    reduced = BiHermitianData(reduced_j_field(bh, scn, +1),
+                              reduced_j_field(bh, scn, -1))
+    # the nodes of qpoint, one point each
+    nodes = np.reshape(dual.tighten(list(qpoint), dual.nodes(qpoint)),
+                       (len(qpoint), -1)).T
+    report = validate_bihermitian(reduced, qt.reduced_context(scn), nodes,
+                                  rng=rng, tol=max(tol, 1e-6))
+    return (field_values(reduced.Jplus, qpoint),
+            field_values(reduced.Jminus, qpoint), report)

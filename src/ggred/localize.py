@@ -93,10 +93,7 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
 
 def euler_measure(m: int) -> list[int]:
     """Berezin measure order pairing each plus mode with its minus mode."""
-    order = []
-    for mu in range(m):
-        order.extend([mu, m + mu])
-    return order
+    return [g for mu in range(m) for g in (mu, m + mu)]
 
 
 def euler_density(rarr: np.ndarray, gmat: np.ndarray):
@@ -166,10 +163,7 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
               functools.reduce(np.multiply,
                                [weights[a][i[a]] for a in range(n)], 1.0))
              for i in idx)
-    total = 0.0
-    for t in dual.batched(terms, slabs):
-        total += t
-    return total / (2.0 * np.pi) ** (n // 2)
+    return sum(dual.batched(terms, slabs), 0.0) / (2.0 * np.pi) ** (n // 2)
 
 
 # ----------------------------------------------------------------------

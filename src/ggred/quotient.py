@@ -71,6 +71,22 @@ class ValidationReport:
     def max_residual(self) -> float:
         return ch.max_abs(c.residual for c in self.conditions.values())
 
+    @classmethod
+    def sampled(cls, residuals, tols: dict, points, *args):
+        """The report over ``points``, which go through ``dual.batched`` in
+        chunks of at most ``dual.BATCH``, with the rows of ``args``: at a
+        batch point p, ``residuals(p, *args)`` lists the residual arrays of
+        each condition of ``tols`` (name -> tolerance), node axis last."""
+        def rows(p, *a):        # per node, each condition's largest |entry|
+            shape = (-1,) + (dual.nodes(p),) * bool(dual.nodes(p))
+            return np.stack([np.max([np.abs(r).reshape(shape).max(0)
+                                     for r in rs], axis=0)
+                             for rs in residuals(p, *a)], axis=-1)
+        rows = np.reshape(list(dual.batched(rows, dual.chunks(
+            (np.asarray(points, dtype=float),) + args))), (-1, len(tols)))
+        return cls({k: ConditionResult(k, ch.max_abs([rows[:, i]]), t)
+                    for i, (k, t) in enumerate(tols.items())})
+
     def __repr__(self):
         rows = ", ".join(f"{n}={c.residual:.2e}{'' if c.passed else '(FAIL)'}"
                          for n, c in self.conditions.items())
@@ -78,46 +94,36 @@ class ValidationReport:
 
 
 def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                             points, tol: float = ch.EPS_ID,
-                             h_jets=None) -> ValidationReport:
-    """Evaluate the four validity conditions at each point.
+                             points, tol: float = ch.EPS_ID
+                             ) -> ValidationReport:
+    """Evaluate the four validity conditions at the points.
 
     * isotropy:      xi_a(V_b) + xi_b(V_a) = 0
     * flux_match:    d xi_a = i_{V_a} H   and   L_{V_a} xi_b = 0
     * invariance:    L_{V_a} g = 0  and  L_{V_a} H = 0
     * independence:  the V_a stay pointwise linearly independent
-
-    ``h_jets`` are order-1 jets of H at the points, if the caller has them.
     """
-    s = ea.s
-    res = {k: [] for k in ("isotropy", "flux_match", "invariance",
-                           "independence")}
-    for i, p in enumerate(points):
+    def residuals(p):
         # one order-1 jet of each field, read by the Lie derivatives
         jv, jx = ([ch.differentiate(f, p) for f in fields]
                   for fields in (ea.V, ea.xi))
-        jg = ch.differentiate(ctx.g, p)
-        jh = ch.differentiate(ctx.H, p) if h_jets is None else h_jets[i]
-        vvals, xvals = [j.value for j in jv], [j.value for j in jx]
-        gmat = jg.value
-        res["isotropy"] += [xvals[a] @ vvals[b] + xvals[b] @ vvals[a]
-                            for a in range(s) for b in range(s)]
-        for a in range(s):
-            res["flux_match"].append(ch.exterior_derivative(jx[a], 1)
-                                     - ch.interior(vvals[a], jh.value, 3))
-            res["invariance"] += [ch.lie_derivative(jv[a], jt)
-                                  for jt in (jg, jh)]
-            res["flux_match"] += [ch.lie_derivative(jv[a], jx[b])
-                                  for b in range(s)]
-        gram = np.array([[va @ gmat @ vb for vb in vvals] for va in vvals])
-        ev = np.linalg.eigvalsh(gram)
+        jg, jh = (ch.differentiate(f, p) for f in (ctx.g, ctx.H))
+        v, x = (np.array([j.value for j in js]) for js in (jv, jx))
+        iso = ch.node_einsum("ai,bi->ab", x, v)        # xi_a(V_b)
+        inv = [ch.lie_derivative(va, jt) for va in jv for jt in (jg, jh)]
+        flux = [ch.exterior_derivative(ja, 1)
+                - ch.node_einsum("ijk,i->jk", jh.value, va.value)
+                for ja, va in zip(jx, jv)]
+        flux += [ch.lie_derivative(va, jb) for va in jv for jb in jx]
+        ev = np.linalg.eigvalsh(ch._stack(
+            ch.node_einsum("ai,ij,bj->ab", v, jg.value, v)))
         # 1.0 where the V_a are (nearly) dependent or the Gram matrix is NaN
-        res["independence"].append(
-            float(not ev[0] > 1e-9 * max(ev[-1], 1e-30)))
-    return ValidationReport({
-        k: ConditionResult(k, ch.max_abs(v),
-                           tol if k != "independence" else 0.5)
-        for k, v in res.items()})
+        dep = ~(ev[..., 0] > 1e-9 * np.maximum(ev[..., -1], 1e-30))
+        return [iso + iso.swapaxes(0, 1)], flux, inv, [dep.astype(float)]
+
+    return ValidationReport.sampled(residuals, {
+        "isotropy": tol, "flux_match": tol, "invariance": tol,
+        "independence": 0.5}, points)
 
 
 @dataclass
@@ -138,7 +144,7 @@ def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     axis; the products run on C-order node stacks, one per node as at a
     point."""
     size = dual.nodes(point)
-    gmat, v, x = (np.ascontiguousarray(ch._stack(dual.tighten(a, size)))
+    gmat, v, x = (ch.node_stack(dual.tighten(a, size))
                   for a in _action_rows(ea, ctx, point))
     ginv = ch._stack(ch.metric_inverse(ch._stack(gmat, gmat.ndim - 2)))
     vt = v.swapaxes(-1, -2)
@@ -211,31 +217,35 @@ def d_constraint_rows(jet: ch.PointJet):
 def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
                   sign: int) -> np.ndarray:
     """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
-    with V the rows V_a^sign and T = V g V^T."""
-    gmat = ctx.metric_at(point)
-    vpm = np.asarray(v_pm_values(ea, ctx, point, sign), dtype=float)
-    tinv = ch.inverse(vpm @ gmat @ vpm.T, RankError,
-                      f"T of the V^{'+' if sign > 0 else '-'} rows",
-                      definite=True)
-    return np.eye(gmat.shape[0]) - vpm.T @ tinv @ vpm @ gmat
+    with V the rows V_a^sign and T = V g V^T.  A batch point gives a
+    trailing node axis; the products run on C-order node stacks."""
+    size = dual.nodes(point)
+    gmat, vpm = (ch.node_stack(a) for a in (
+        ctx.metric_at(point),
+        dual.tighten(v_pm_values(ea, ctx, point, sign), size)))
+    vt = vpm.swapaxes(-1, -2)
+    t = vpm @ gmat @ vt
+    tinv = ch._stack(ch.inverse(ch._stack(t, t.ndim - 2), RankError,
+                                f"T of the V^{'+' if sign > 0 else '-'} rows",
+                                definite=True))
+    proj = np.eye(gmat.shape[-1]) - vt @ tinv @ vpm @ gmat
+    return ch._stack(proj, proj.ndim - 2)
 
 
 def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                       point):
-    """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point.
+    """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point (one per
+    node, on a trailing axis, at a batch point).
 
     Each tau_sign is the g-orthogonal complement of span{V_a^sign}; the
     basis comes from modified Gram-Schmidt over projected coordinate
     vectors in fixed order, so it is deterministic.
     """
     gmat = ctx.metric_at(point)
-    frames = []
-    for sign in (+1, -1):
-        proj = tau_projector(ea, ctx, point, sign)
-        frames.append(ch.orthonormal_frame(
-            proj.T, gmat, gmat.shape[0] - ea.s,
-            f"tau_{'+' if sign > 0 else '-'} frame"))
-    return frames[0], frames[1]
+    return tuple(ch.orthonormal_frame(
+        np.swapaxes(tau_projector(ea, ctx, point, sign), 0, 1), gmat,
+        gmat.shape[0] - ea.s, f"tau_{'+' if sign > 0 else '-'} frame")
+        for sign in (+1, -1))
 
 
 def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
@@ -248,7 +258,8 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                     sign: int, point, frame):
     """Connection curvature of tau_sign on frame pairs, by both routes.
 
-    Returns (from_xi, from_theta): s x m x m arrays with
+    Returns (from_xi, from_theta): s x m x m arrays (with a trailing node
+    axis at a batch point, as on a frame from :func:`horizontal_frames`)
     from_xi[a, i, j]  the matrix-weighted d(g(V^sign)) evaluation and
     from_theta[a, i, j] the direct exterior derivative of the connection
     form theta^a; the two agree on tau_sign.
@@ -258,9 +269,9 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     jet = action_jet(ea, ctx, point)
     dxi_pm = d_constraint_rows(jet)[0 if sign > 0 else 1]
     # curvature of tau_+: K^{ba} d(g V_b^+); of tau_-: K^{ab} d(g V_b^-)
-    mix = np.einsum("ab,bij->aij", rm.Kinv.T if sign > 0 else rm.Kinv,
-                    dxi_pm)
-    from_xi = np.einsum("aij,pi,qj->apq", mix, frame, frame)
+    mix = ch.node_einsum("ba,bij->aij" if sign > 0 else "ab,bij->aij",
+                         rm.Kinv, dxi_pm)
+    from_xi = ch.node_einsum("aij,pi,qj->apq", mix, frame, frame)
 
     def theta_fn(coords):
         # theta^a = K^{ba} g(V_b^+) on tau_+, K^{ab} g(V_b^-) on tau_-
@@ -270,8 +281,9 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
 
     jet = ch.differentiate(theta_fn, point, order=1)
     # d(theta^a)_{ij} = d_i theta^a_j - d_j theta^a_i
-    dth = np.einsum("iaj->aij", jet.d1) - np.einsum("jai->aij", jet.d1)
-    from_theta = np.einsum("aij,pi,qj->apq", dth, frame, frame)
+    dth = np.einsum("iaj...->aij...", jet.d1) \
+        - np.einsum("jai...->aij...", jet.d1)
+    from_theta = ch.node_einsum("aij,pi,qj->apq", dth, frame, frame)
     return from_xi, from_theta
 
 
@@ -503,7 +515,7 @@ class LiftedPoint:
         self.geo = Geometry(scn.ctx, self.p)
         self.basis = quotient_frame(scn, q)
         size = dual.nodes(self.p)
-        qvecs = dual.entries(self.basis) if size else self.basis
+        qvecs = dual.entries(self.basis, size)
         self.plus, self.minus = (
             dual.tighten(horizontal_lift(scn, self.p, sign, qvecs), size)
             for sign in (+1, -1))
@@ -564,28 +576,32 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     ambient curvature on horizontal lifts plus terms quadratic in
     A_XY = (1/2) vert([X_lift, Y_lift]).  Only valid when all xi vanish and
     there is no flux, where tau_+ = tau_- is the orthogonal horizontal
-    space.  It takes its own order-2 jet of g at lift(qpoint).
+    space.  It takes its own order-2 jet of g at lift(qpoint).  A batch
+    quotient point (and a basis with a trailing node axis) gives a
+    trailing node axis.
     """
     ea, ctx = scn.ea, scn.ctx
     basis = np.asarray(basis, dtype=float)
     m = basis.shape[0]
     p = scn.lift(qpoint)
-    gmat = ctx.metric_at(p)
-    vvals = np.array([np.asarray(f(p), dtype=float) for f in ea.V])
-    gram = vvals @ gmat @ vvals.T
-    graminv = ch.inverse(gram, RankError, "Gram matrix of the V_a")
-    lifts = horizontal_lift(scn, p, +1, basis)
+    size = dual.nodes(p)
+    gmat, vvals = (dual.tighten(a, size) for a in _action_rows(ea, ctx, p)[:2])
+    v_s = ch.node_stack(vvals)
+    vg = v_s @ ch.node_stack(gmat)
+    graminv = ch.inverse(ch._stack(vg @ v_s.swapaxes(-1, -2), vg.ndim - 2),
+                         RankError, "Gram matrix of the V_a")
+    vg = ch._stack(vg, vg.ndim - 2)
+    qvecs = dual.entries(basis, size)
+    lifts = dual.tighten(horizontal_lift(scn, p, +1, qvecs), size)
 
-    qfields = [ch.ChartField(scn.quotient, ch.VECTOR,
-                             lambda c, w=basis[i]: np.array(w), name=f"E{i}")
-               for i in range(m)]
+    qfields = [ch.ChartField(scn.quotient, ch.VECTOR, lambda c, w=w: w,
+                             name=f"E{i}") for i, w in enumerate(qvecs)]
     lfields = [lifted_field(scn, qf, +1) for qf in qfields]
 
     def vert(w):
-        return np.einsum("ai,ab,bj,j->i",
-                         vvals, graminv, vvals @ gmat, w)
+        return ch.node_einsum("ai,ab,bj,j->i", vvals, graminv, vg, w)
 
-    amat = np.zeros((m, m, scn.ambient_dim))
+    amat = np.zeros((m, m) + vvals.shape[1:])
     for i, j in itertools.combinations(range(m), 2):
         br = ch.lie_bracket(lfields[i], lfields[j], p)
         amat[i, j] = 0.5 * vert(np.asarray(br, dtype=float))
@@ -593,7 +609,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
 
     rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))
     base = ch.operator_slots(rarr, lifts, lifts, lifts, lifts)
-    inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
+    inner = ch.node_einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner
-            + np.einsum("nrms->mnrs", inner)
-            - np.einsum("mrns->mnrs", inner))
+            + np.einsum("nrms...->mnrs...", inner)
+            - np.einsum("mrns...->mnrs...", inner))

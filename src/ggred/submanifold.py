@@ -68,7 +68,7 @@ def _t_matrix(jet: ch.PointJet, ginv):
     """:func:`t_matrix` from a jet of all sigma^alpha and g^{-1} there."""
     if not np.max(np.abs(jet.value)) <= EPS_LOCUS:
         raise TangencyError("t_matrix needs a point on the zero locus")
-    grads = np.ascontiguousarray(ch._stack(_gradients(jet)))
+    grads = ch.node_stack(_gradients(jet))
     tup = grads @ ch._stack(ginv) @ grads.swapaxes(-1, -2)
     tup = ch._stack(tup, tup.ndim - 2)
     return tup, ch.inverse(tup, RankError, "transverse Gram matrix of "

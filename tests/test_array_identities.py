@@ -471,7 +471,9 @@ def nan_jplus_product_qg(params):
 
 @pytest.mark.parametrize("cid", ["gk_reduce", "gk_validate"])
 def test_a_nan_structure_names_the_point(cid):
-    with pytest.raises(EvaluationError, match="non-finite output at point"):
+    # the samples are one batch point: the error names the node's point
+    with pytest.raises(EvaluationError,
+                       match=r"non-finite output at node 0 \("):
         ck.run_check(nan_jplus_product_qg({}), cid, 42)
 
 
@@ -504,7 +506,7 @@ def test_a_nan_structure_exits_3_from_the_cli(tmp_path, monkeypatch, capsys):
         "checks": ["gk_reduce"], "parameters": {"points": 2}}))
     assert cli.main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
-    assert "scenario error" in err and "non-finite output at point" in err
+    assert "scenario error" in err and "non-finite output at node 0 (" in err
 
 
 def test_finite_structures_keep_their_tau_defects():

@@ -185,9 +185,11 @@ def test_oneill_takes_its_own_jet_and_no_shared_geometry(monkeypatch):
     monkeypatch.setattr(qt, "oneill_curvature", oneill)
     result = ck.run_check(s, "oneill", 42, points=3)
     assert result.status == "pass"
-    assert inside == [[2]] * 3
-    # the ambient formula's Geometry and oneill's own: two per sample
-    assert [order for _, order, _ in jets] == [2] * 6
+    # the three samples are one batch point
+    assert inside == [[2]]
+    # the ambient formula's Geometry and oneill's own: two per batch point
+    assert [order for _, order, _ in jets] == [2] * 2
+    assert all(dual.nodes(point) == 3 for _, _, point in jets)
 
 
 def test_gauss_oracle_builds_its_own_geometry(monkeypatch):
@@ -246,19 +248,18 @@ def strict_batched(fn, chunks):
                       *(np.moveaxis(a, 0, -1) for a in args))
 
 
+BATCHED = ("bismut_courant", "pair_symmetry", "lemma62", "thm63", "oneill",
+           "thm65", "localize2", "localize3", "phi_closed_form", "euler",
+           "euler_flux", "gk_validate", "gk_reduce", "ea_validate")
 STRICT = [(name, cid) for name, s in ((n, build(n)) for n in NAMES)
-          for cid in ("bismut_courant", "pair_symmetry", "thm63", "thm65",
-                      "localize2", "localize3", "phi_closed_form", "euler",
-                      "euler_flux")
-          if ck.applicable(s, cid)]
+          for cid in BATCHED if ck.applicable(s, cid)]
 
 
 def test_strict_cases_cover_every_batched_check():
-    assert len(STRICT) == 33
-    assert {cid for _, cid in STRICT} == {"bismut_courant", "pair_symmetry",
-                                          "thm63", "thm65", "localize2",
-                                          "localize3", "phi_closed_form",
-                                          "euler", "euler_flux"}
+    assert len(STRICT) == 46
+    assert {cid for _, cid in STRICT} == set(BATCHED)
+    # every registered check but the random-matrix one samples batch points
+    assert set(ck.REGISTRY) - set(BATCHED) == {"pfaffian"}
 
 
 @pytest.mark.parametrize("name, cid", STRICT)

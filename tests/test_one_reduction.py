@@ -107,9 +107,9 @@ def nan_at(monkeypatch, owner, name, call):
 SAMPLED = [
     ("bismut_courant", "hopf", {}, ck, "bismut_via_courant", 1),
     ("pair_symmetry", "hopf_flux", {}, ck, "bismut_curvature", 2),
-    ("lemma62", "hopf_flux", {}, qt, "omega_curvature", 3),
+    ("lemma62", "hopf_flux", {}, qt, "omega_curvature", 2),
     ("thm63", "hopf_flux", {}, qt, "reduced_curvature_direct", 1),
-    ("oneill", "hopf", {}, qt, "oneill_curvature", 2),
+    ("oneill", "hopf", {}, qt, "oneill_curvature", 1),
     ("thm65", "sphere_in_flat", {"c": 0.5}, sm,
      "reduced_curvature_sub_direct", 1),
     ("localize2", "hopf_flux", {}, qt, "reduced_curvature_quotient", 1),
@@ -150,8 +150,8 @@ def test_extended_action_validator_names_the_nan_condition(monkeypatch):
     s = sc.build("hopf_flux", {})
     pts = s.chart.sample(np.random.default_rng(3), 3)
     assert qt.validate_extended_action(s.ea, s.ctx, pts).passed
-    # per point: L_V g, L_V H (invariance), then L_V xi (flux_match)
-    nan_at(monkeypatch, ch, "lie_derivative", 4)
+    # per batch point: L_V g, L_V H (invariance), then L_V xi (flux_match)
+    nan_at(monkeypatch, ch, "lie_derivative", 1)
     rep = qt.validate_extended_action(s.ea, s.ctx, pts)
     assert not rep.passed
     assert rep.failing() == ["invariance"]
@@ -162,7 +162,7 @@ def test_extended_action_validator_names_the_nan_condition(monkeypatch):
 def test_extended_action_validator_nan_one_form_derivative(monkeypatch):
     s = sc.build("hopf_flux", {})
     pts = s.chart.sample(np.random.default_rng(3), 3)
-    nan_at(monkeypatch, ch, "lie_derivative", 6)
+    nan_at(monkeypatch, ch, "lie_derivative", 3)
     rep = qt.validate_extended_action(s.ea, s.ctx, pts)
     assert rep.failing() == ["flux_match"]
 
@@ -171,7 +171,8 @@ def test_bihermitian_validator_names_the_nan_condition(monkeypatch):
     s = sc.build("product_qg", {})
     pts = s.chart.sample(np.random.default_rng(3), 3)
     assert gkmod.validate_bihermitian(s.gk, s.ctx, pts).passed
-    nan_at(monkeypatch, gkmod, "nijenhuis", 4)
+    # one call per structure of the batch point; the second is J_-
+    nan_at(monkeypatch, gkmod, "nijenhuis", 2)
     rep = gkmod.validate_bihermitian(s.gk, s.ctx, pts)
     assert not rep.passed
     assert rep.failing() == ["integrability"]
@@ -198,9 +199,10 @@ def test_nan_closure_residual_is_a_scenario_error(monkeypatch, capsys):
     calls = []
     original = gm.GeneralizedMetricContext.closure_residual
 
-    def closure(self, p):
+    def closure(self, p):       # the three probes are one batch point
         calls.append(1)
-        return NAN if len(calls) == 2 else original(self, p)
+        out = original(self, p)
+        return out * NAN if len(calls) == 1 else out
     monkeypatch.setattr(gm.GeneralizedMetricContext, "closure_residual",
                         closure)
     with pytest.raises(ScenarioError, match="flux not closed"):

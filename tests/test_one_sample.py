@@ -162,6 +162,8 @@ def test_validate_bihermitian_takes_one_jet_per_distinct_field(
     jets = record_jets(monkeypatch)
     rep = gkmod.validate_bihermitian(s.gk, s.ctx, points)
     assert rep.passed
-    structures = [f for f, _, _ in jets if f is s.gk.Jplus
+    structures = [p for f, p, _ in jets if f is s.gk.Jplus
                   or f is s.gk.Jminus]
-    assert len(structures) == per_point * len(points)
+    # the three points are one batch point
+    assert len(structures) == per_point
+    assert all(len(p[0].v) == len(points) for p in structures)

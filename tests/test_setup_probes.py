@@ -1,10 +1,10 @@
-"""One order-1 jet of H per set-up probe, and ``chart.inverse`` on one matrix.
+"""One batch point for the set-up probes, and ``chart.inverse`` on one matrix.
 
-``cli.setup_scenario`` takes one jet of H at each of its three probes and
-hands it to both gates that read it: the closure residual and, on a
-quotient, the extended-action validator.  Taken apart, the two gates
-differentiate H once each, so set-up makes 3 x dim fewer ``dual.partial``
-passes than its gates do separately.
+``cli.setup_scenario`` evaluates its three probes as one batch point: the
+closure residual takes one jet of H there and, on a quotient, the
+extended-action validator another, so set-up makes exactly the
+``dual.partial`` passes of its two gates run apart, and 2 x dim fewer than
+a closure test probe by probe.
 
 ``chart.inverse`` tests the scale of a single matrix with Python floats,
 not numpy reductions; the decision, the error and the inverse's bits must be
@@ -33,6 +33,10 @@ QUOTIENT_CONFIGS = {
 }
 
 
+def batch_of(points):
+    return [dual.Batch(x) for x in np.asarray(points).T]
+
+
 def count_partials(monkeypatch):
     calls, partial = [0], dual.partial
 
@@ -50,29 +54,38 @@ def test_setup_takes_one_jet_of_h_per_probe(monkeypatch, name):
     s = cli.setup_scenario(cfg)
     together = calls[0]
     # the same gates, in the same order and on the same draws, each
-    # taking its own jets
+    # taking its own jets: the closure test at the three probes' batch
+    # point, and the validator
     calls[0] = 0
     s = sc.build(cfg["scenario"], cfg["parameters"],
                  factory=cfg["factory"])
     rng = np.random.default_rng(cfg["seed"])
     probes = s.chart.sample(rng, 3)
-    assert all(s.ctx.closure_residual(p) <= 1e-8 for p in probes)
+    assert np.all(s.ctx.closure_residual(batch_of(probes)) <= 1e-8)
     assert qt.validate_extended_action(s.ea, s.ctx, probes).passed
     s.quotient.check_maps(rng)
-    assert together == calls[0] - 3 * s.chart.dim
+    assert together == calls[0]
+    # probe by probe, the closure test takes three jets of H
+    calls[0] = 0
+    assert all(s.ctx.closure_residual(p) <= 1e-8 for p in probes)
+    assert calls[0] == 3 * s.chart.dim
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENT_CONFIGS))
 def test_shared_jets_keep_the_validator_report(name):
+    # one jet of H at the probes' batch point gives each probe's residual,
+    # and the validator's report on the three is that of its probes
     cfg = cli.load_config(QUOTIENT_CONFIGS[name])
     s = sc.build(cfg["scenario"], cfg["parameters"],
                  factory=cfg["factory"])
     probes = s.chart.sample(np.random.default_rng(3), 3)
-    jets = [ch.differentiate(s.ctx.H, p) for p in probes]
-    assert [s.ctx.closure_residual(j) for j in jets] == \
-        [s.ctx.closure_residual(p) for p in probes]
-    shared = qt.validate_extended_action(s.ea, s.ctx, probes, h_jets=jets)
-    assert shared == qt.validate_extended_action(s.ea, s.ctx, probes)
+    assert s.ctx.closure_residual(batch_of(probes)).tolist() == \
+        [s.ctx.closure_residual(list(p)) for p in probes]
+    shared = qt.validate_extended_action(s.ea, s.ctx, probes)
+    alone = [qt.validate_extended_action(s.ea, s.ctx, [p]) for p in probes]
+    assert {k: c.residual for k, c in shared.conditions.items()} == \
+        {k: max(r.conditions[k].residual for r in alone)
+         for k in shared.conditions}
 
 
 # -- chart.inverse: the scale test of one matrix ------------------------------
