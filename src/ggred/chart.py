@@ -520,15 +520,29 @@ def wedge(omega: np.ndarray, eta: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def _perm_sign(perm) -> int:
-    """+1 or -1 by the parity of the inversions of ``perm``."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def interior(vector, omega: np.ndarray, degree: int) -> np.ndarray:
-    """Contraction of a k-form with a vector in the first slot."""
+    """Contraction of a k-form with a vector in the first slot; a trailing
+    node axis on either gives one per node (:func:`node_einsum`)."""
     if degree < 1:
         raise DegreeError("interior product needs a form of degree >= 1")
-    return np.tensordot(np.asarray(vector, dtype=object), omega, axes=(0, 0))
+    idx = "abcdefgh"[:degree - 1]
+    return node_einsum(f"m{idx},m->{idx}", np.asarray(omega),
+                       np.asarray(vector))
 
 
 def form_calculus(omega: ChartField, op: str, point, other=None):

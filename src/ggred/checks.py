@@ -20,7 +20,7 @@ from . import gk as gkmod
 from . import localize as lz
 from . import quotient as qt
 from . import submanifold as sm
-from .dual import BATCH, Batch, batched, chunks, sin
+from .dual import Batch, batched, chunks, sin
 from .errors import ConfigError, RankError, ScenarioError
 from .genmetric import (Geometry, bismut_curvature, bismut_derivative,
                         bismut_via_courant)
@@ -44,8 +44,10 @@ class CheckResult:
 
 
 def _result(cid, points, residual, tol, exploratory=False) -> CheckResult:
-    status = "exploratory" if exploratory else \
-        "pass" if residual <= tol else "fail"
+    if exploratory:
+        status = "exploratory"
+    else:
+        status = "pass" if residual <= tol else "fail"
     return CheckResult(cid, points, float(residual), float(tol), status)
 
 
@@ -74,7 +76,7 @@ def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
 
 def _sampled(residual, chart, rng, n):
     """The largest |entry| of ``residual`` over n samples of ``chart``, in
-    chunks of at most BATCH, each one batch point."""
+    chunks of at most dual.BATCH, each one batch point."""
     return ch.max_abs(batched(residual, chunks((chart.sample(rng, n),))))
 
 
@@ -259,8 +261,13 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
         lbs.append(lz._quad_sum(ngen, m, t1, 0, m)
                    + lz._quad_sum(ngen, m, t2, m, 0)
                    + lz._quad_sum(ngen, m, -t3, m, 0))
-    return [-0.5 * sum((tinv[a, b] * lb for b, lb in enumerate(lbs)),
-                       lz.G(ngen)) for a in range(pf.s)]
+    out = []
+    for a in range(pf.s):
+        lam = lz.G(ngen)
+        for b, lb in enumerate(lbs):
+            lam = lam + tinv[a, b] * lb
+        out.append(-0.5 * lam)
+    return out
 
 
 _EULER_EXPECTED = {
@@ -332,8 +339,8 @@ def check_pfaffian(s: Scenario, rng, tol, points=None) -> CheckResult:
 def check_gk_validate(s: Scenario, rng, tol, points=None) -> CheckResult:
     """All structure conditions for the almost complex pair."""
     n = _npoints(s, 10, points)
-    rep = gkmod.validate_bihermitian(s.gk, s.ctx, s.chart.sample(rng, n),
-                                     rng=rng, tol=tol)
+    pts = s.chart.sample(rng, n)
+    rep = gkmod.validate_bihermitian(s.gk, s.ctx, pts, rng=rng, tol=tol)
     return _result("gk_validate", n, rep.max_residual, tol)
 
 
@@ -415,25 +422,29 @@ _register(CheckSpec("ea_validate", check_ea_validate, 1e-8, "quotient",
 CHECK_ORDER = list(REGISTRY)
 
 
-def _even_cover(s: Scenario) -> bool:
-    return s.euler_domain is not None and len(s.euler_domain[0]) % 2 == 0
-
-
-_NEEDS = {
-    "any": lambda s: True,
-    "quotient": lambda s: s.quotient is not None,
-    "quotient_plain": lambda s: s.quotient is not None and _flux_free_action(
-        s, s.chart.sample(np.random.default_rng(0), 1)[0]),
-    "section": lambda s: s.section is not None,
-    "gk": lambda s: s.gk is not None,
-    "gk_quotient": lambda s: s.gk is not None and s.quotient is not None,
-    "euler": lambda s: _even_cover(s) and not s.ctx.has_flux,
-    "euler_flux": lambda s: _even_cover(s) and s.ctx.has_flux,
-}
-
-
 def applicable(s: Scenario, cid: str) -> bool:
-    return _NEEDS[REGISTRY[cid].needs](s)
+    spec = REGISTRY[cid]
+    need = spec.needs
+    if need == "any":
+        return True
+    if need == "quotient":
+        return s.quotient is not None
+    if need == "quotient_plain":
+        return s.quotient is not None and _flux_free_action(
+            s, s.chart.sample(np.random.default_rng(0), 1)[0])
+    if need == "section":
+        return s.section is not None
+    if need == "gk":
+        return s.gk is not None
+    if need == "gk_quotient":
+        return s.gk is not None and s.quotient is not None
+    if need == "euler":
+        return s.euler_domain is not None and \
+            len(s.euler_domain[0]) % 2 == 0 and not s.ctx.has_flux
+    if need == "euler_flux":
+        return s.euler_domain is not None and \
+            len(s.euler_domain[0]) % 2 == 0 and s.ctx.has_flux
+    return False
 
 
 def default_checks(s: Scenario) -> list[str]:

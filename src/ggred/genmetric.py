@@ -152,11 +152,8 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
 
-    # L_X eta, with the node axis innermost: the sum order this route has
-    # always had (ch.lie_derivative sums each node as at a point)
-    jx, jeta = ch.differentiate(a_vec, point), ch.differentiate(b_cov, point)
-    cov = np.einsum("m...,mk...->k...", jx.value, jeta.d1) \
-        + np.einsum("m...,km...->k...", jeta.value, jx.d1)
+    cov = ch.lie_derivative(ch.differentiate(a_vec, point),
+                            ch.differentiate(b_cov, point))
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
     yval = field_values(b_vec, point)

@@ -159,10 +159,12 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
             f"(defects {np.max(dplus):.2e}, {np.max(dminus):.2e})")
     reduced = BiHermitianData(reduced_j_field(bh, scn, +1),
                               reduced_j_field(bh, scn, -1))
+    # the structures before the report draws its triples, so that a map
+    # with no batch form raises (and dual.batched reruns) with rng unspent
+    jp, jm = (field_values(j, qpoint) for _, j in reduced.pair())
     # the nodes of qpoint, one point each
     nodes = np.reshape(dual.tighten(list(qpoint), dual.nodes(qpoint)),
                        (len(qpoint), -1)).T
     report = validate_bihermitian(reduced, qt.reduced_context(scn), nodes,
                                   rng=rng, tol=max(tol, 1e-6))
-    return (field_values(reduced.Jplus, qpoint),
-            field_values(reduced.Jminus, qpoint), report)
+    return jp, jm, report

@@ -93,7 +93,10 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
 
 def euler_measure(m: int) -> list[int]:
     """Berezin measure order pairing each plus mode with its minus mode."""
-    return [g for mu in range(m) for g in (mu, m + mu)]
+    order = []
+    for mu in range(m):
+        order.extend([mu, m + mu])
+    return order
 
 
 def euler_density(rarr: np.ndarray, gmat: np.ndarray):
@@ -163,7 +166,10 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
               functools.reduce(np.multiply,
                                [weights[a][i[a]] for a in range(n)], 1.0))
              for i in idx)
-    return sum(dual.batched(terms, slabs), 0.0) / (2.0 * np.pi) ** (n // 2)
+    total = 0.0
+    for t in dual.batched(terms, slabs):
+        total += t
+    return total / (2.0 * np.pi) ** (n // 2)
 
 
 # ----------------------------------------------------------------------

@@ -112,7 +112,7 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
         iso = ch.node_einsum("ai,bi->ab", x, v)        # xi_a(V_b)
         inv = [ch.lie_derivative(va, jt) for va in jv for jt in (jg, jh)]
         flux = [ch.exterior_derivative(ja, 1)
-                - ch.node_einsum("ijk,i->jk", jh.value, va.value)
+                - ch.interior(va.value, jh.value, 3)
                 for ja, va in zip(jx, jv)]
         flux += [ch.lie_derivative(va, jb) for va in jv for jb in jx]
         ev = np.linalg.eigvalsh(ch._stack(

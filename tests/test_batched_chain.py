@@ -1,6 +1,6 @@
 """``localize2``, ``localize3`` and ``phi_closed_form`` on batches of samples.
 
-The three chain checks take a chunk of at most ``checks.BATCH`` sample
+The three chain checks take a chunk of at most ``dual.BATCH`` sample
 points as one ``dual.Batch`` point: one ``LiftedPoint`` or ``LocusPoint``,
 one point frame and one reduced curvature per chunk.  The Grassmann stage
 (the elimination chain, its target and the closed-form multiplier) still

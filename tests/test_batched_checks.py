@@ -1,6 +1,6 @@
 """``pair_symmetry`` and ``bismut_courant`` on batches of sample points.
 
-Both checks evaluate at most ``checks.BATCH`` sample points as one
+Both checks evaluate at most ``dual.BATCH`` sample points as one
 ``dual.Batch`` point.  ``pair_symmetry`` only calls ``bismut_curvature``,
 whose batch form keeps every node's bits, so its report must equal the
 point-by-point loop it replaced exactly.  ``bismut_courant`` also runs the
@@ -214,7 +214,7 @@ def test_bismut_courant_keeps_its_status_and_the_loops_draws(
     # every sample evaluated once, with the loop's x, y and sign
     seen = {}
     for x, y, sign, _, p in calls:
-        assert dual.nodes(p) <= ck.BATCH
+        assert dual.nodes(p) <= dual.BATCH
         xv, yv = (dual.tighten(np.asarray(f(p), dtype=object), dual.nodes(p))
                   for f in (x, y))
         for k, node in enumerate(dual.tighten(p, dual.nodes(p)).T):

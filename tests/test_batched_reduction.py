@@ -1,6 +1,6 @@
 """``thm63`` and ``thm65`` on batches of sample points.
 
-Both checks evaluate at most ``checks.BATCH`` sample points as one
+Both checks evaluate at most ``dual.BATCH`` sample points as one
 ``dual.Batch`` point, as ``pair_symmetry`` does.  On that path
 ``solve_linear`` picks its pivots per node, ``orthonormal_frame`` takes
 node stacks, nested jets see ``Dual`` coordinates over ``Batch`` values, and

@@ -1,7 +1,7 @@
 """The last per-point checks on batch points: ``lemma62``, ``oneill``,
 ``ea_validate``, ``gk_validate`` and ``gk_reduce``.
 
-Each evaluates its samples in chunks of at most ``checks.BATCH`` as one
+Each evaluates its samples in chunks of at most ``dual.BATCH`` as one
 ``dual.Batch`` point, and the routines they call serve a point and a batch
 point with one body of code.  ``lemma62`` and ``ea_validate`` read exactly
 0.0 on every built-in scenario, so an equal report there shows nothing:
@@ -93,7 +93,7 @@ def test_lie_derivative_keeps_every_nodes_bits(name):
     rng = np.random.default_rng(36)
     ea = random_action(ctx.chart, rng, count=1)
     v = ea.V[0]
-    nodes = ctx.chart.sample(rng, ck.BATCH)
+    nodes = ctx.chart.sample(rng, dual.BATCH)
     jv = ch.differentiate(v, batch_of(nodes))
     for t in (ctx.g, ctx.H, ea.xi[0]):
         got = ch.lie_derivative(jv, ch.differentiate(t, batch_of(nodes)))
@@ -156,6 +156,28 @@ def test_bihermitian_report_is_the_max_of_its_points(monkeypatch, name):
     monkeypatch.setattr(dual, "batched", point_by_point)
     assert hexes(gkmod.validate_bihermitian(
         s.gk, s.ctx, points, rng=np.random.default_rng(34))) == hexes(report)
+
+
+def test_a_projection_with_no_batch_form_keeps_the_point_stream(monkeypatch):
+    # the quotient is 2-dimensional, so its flux_type residual is 0 whatever
+    # the triples: the generator's state after the run shows the draws
+    base = sc.product_qg({"jplus_perturb": 0.3})
+    seen = []
+
+    def project(c):                 # a comparison: no batch form
+        seen.append(isinstance(dual.body(c[0]), Batch))
+        return [c[0], c[1] if c[0] > 0.0 else -c[1]]
+
+    s = dataclasses.replace(base, quotient=dataclasses.replace(
+        base.quotient, project=project))
+    rng = np.random.default_rng(37)
+    got = ck.check_gk_reduce(s, rng, 1e-8, points=5)
+    assert any(seen) and got.max_residual > 0.05
+    monkeypatch.setattr(ck, "batched", point_by_point)
+    monkeypatch.setattr(dual, "batched", point_by_point)
+    alone = np.random.default_rng(37)
+    assert ck.check_gk_reduce(s, alone, 1e-8, points=5) == got
+    assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_one_draw_of_the_triples_is_the_draw_per_point_and_structure():
