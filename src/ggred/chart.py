@@ -64,9 +64,8 @@ class Chart:
     def require_inside(self, point):
         """Raise DomainError unless every node of the point is inside (a
         batch point's coordinates may carry dual layers)."""
-        size = _nodes(point)
         for k, node in enumerate(dual.tighten(list(map(dual.body, point)),
-                                              size).T if size else [point]):
+                                              dual.nodes(point) or 1).T):
             if not self.contains(node):
                 raise DomainError(f"{_at(point, k)} outside chart "
                                   f"{self.name!r}")
@@ -108,12 +107,16 @@ class ChartField:
     ``fn`` maps a coordinate sequence (floats or duals) to a component
     array of shape ``(dim,) * valence.rank``; it must be pure and built from
     the math functions in :mod:`ggred.dual` so derivatives flow through it.
+    One with no batch form runs node by node (:func:`ggred.dual.per_node`).
     """
 
     chart: Chart
     valence: Valence
     fn: Callable[[Sequence], object]
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", dual.per_node(self.fn))
 
     def __call__(self, coords):
         return self.fn(coords)
@@ -134,20 +137,11 @@ class PointJet:
     d2: np.ndarray | None = None
 
 
-def _nodes(point) -> int:
-    """``dual.nodes`` of a point, through dual coordinates over a batch."""
-    if any(isinstance(x, dual.Dual) for x in point):
-        point = [dual.body(x) for x in point]
-    return dual.nodes(point)
-
-
-def _require_finite(point, *arrays, size=None):
-    """EvaluationError at the first non-finite node (or point) of arrays;
-    ``size`` is the point's node count, if known."""
-    size = _nodes(point) if size is None else size
-    ok = np.all([np.isfinite(a).reshape(-1, size).all(0) for a in arrays
-                 if a is not None], axis=0) if size else \
-        [all(map(math.isfinite, *arrays))]
+def _require_finite(point, *arrays):
+    """EvaluationError at the first non-finite node (a point is one) of
+    arrays, node axis last."""
+    ok = np.all([np.isfinite(a).reshape(-1, dual.nodes(point) or 1).all(0)
+                 for a in arrays if a is not None], axis=0)
     if not all(ok):
         raise EvaluationError("field evaluation produced non-finite output "
                               f"at {_at(point, int(np.argmin(ok)))}")
@@ -182,7 +176,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     fn = f.fn if isinstance(f, ChartField) else f
     use_chart = chart or (f.chart if isinstance(f, ChartField) else None)
     nested = any(isinstance(x, dual.Dual) for x in point)
-    size = dual.nodes(map(dual.body, point) if nested else point)
+    size = dual.nodes(point)
     if use_chart is not None:
         use_chart.require_inside(point)
     try:
@@ -204,11 +198,10 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     if size and not nested:
         value, d1, d2 = (d if d is None else dual.tighten(d, size)
                          for d in (value, d1, d2))
-        _require_finite(point, value, d1, d2, size=size)
+        _require_finite(point, value, d1, d2)
     else:
         bodies = [dual.body(v) for v in value.ravel().tolist()]
-        _require_finite(point, dual.tighten(bodies, size) if size else bodies,
-                        size=size)
+        _require_finite(point, dual.tighten(bodies, size or 1))
         value = dual.tighten(value)
     return PointJet(tuple(point), value, d1, d2)
 
@@ -292,30 +285,20 @@ def solve_linear(m, rhs):
     per-call overhead dwarfs the work on a handful of objects.  A pivot at
     most PIVOT_RTOL max |body| (a NaN one included) raises.
 
-    Entries over ``dual.Batch`` bodies solve every node at once: the floor
-    and the pivot are per node (:func:`_pivot_nodes`), so each node gets
-    the bits of its own solve.
+    Entries over ``dual.Batch`` bodies solve every node at once (a point
+    is one node): the floor and the pivot are per node (:func:`_pivot_nodes`),
+    so each node gets the bits of its own solve.
     """
     m = np.asarray(m, dtype=object)
     rhs = np.asarray(rhs, dtype=object)
     n = m.shape[0]
     bodies = [dual.body(v) for v in m.ravel().tolist()]
-    try:
-        floor, size = PIVOT_RTOL * max(map(abs, bodies)), 0
-    except TypeError:           # a Batch has no abs(): solve per node
-        size = dual.nodes(bodies)
-        floor = PIVOT_RTOL * np.abs(dual.tighten(bodies, size)).max(0)
+    floor = PIVOT_RTOL * np.abs(dual.tighten(bodies, dual.nodes(bodies) or 1)
+                                ).max(0)
     a = m.tolist()
     b = rhs.reshape(n, -1).tolist()
     for col in range(n):
-        if size:
-            _pivot_nodes(a, b, col, floor)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(dual.body(a[r][col])))
-            if not abs(dual.body(a[piv][col])) > floor:
-                raise SingularMetricError("singular linear system")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
+        _pivot_nodes(a, b, col, floor)
         arow, brow = a[col], b[col]
         for r in range(col + 1, n):
             fac = a[r][col] / arow[col]
@@ -333,12 +316,9 @@ def solve_linear(m, rhs):
 
 
 def _pivot_nodes(a, b, col, floor):
-    """Bring each node's pivot row of column ``col`` to row ``col``.
-
-    ``argmax`` takes the first largest |body|, as ``max`` does at a point.
-    Where the nodes pick different rows, the rows are swapped by
-    ``dual.select``, which does no arithmetic.
-    """
+    """Bring each node's pivot row of column ``col``, its first row of
+    largest |body|, to row ``col``.  Where the nodes pick different rows,
+    the rows are swapped by ``dual.select``, which does no arithmetic."""
     mags = np.abs(dual.tighten([dual.body(row[col]) for row in a[col:]],
                                floor.size))
     piv = mags.argmax(0)

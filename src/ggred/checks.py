@@ -23,7 +23,7 @@ from . import submanifold as sm
 from .dual import Batch, batched, chunks, sin
 from .errors import ConfigError, RankError, ScenarioError
 from .genmetric import (Geometry, bismut_curvature, bismut_derivative,
-                        bismut_via_courant)
+                        bismut_via_courant, field_values)
 from .grassmann import pfaffian
 from .scenarios import Scenario, int_param
 
@@ -164,13 +164,14 @@ def check_thm63(s: Scenario, rng, tol, points=None) -> CheckResult:
 def _flux_free_action(s: Scenario, p) -> bool:
     """H and every xi_a zero at p; a NaN H or xi is not flux-free."""
     return ch.max_abs([s.ctx.flux_at(p)] + [
-        np.asarray(x(p), dtype=float) for x in s.ea.xi]) == 0.0
+        field_values(x, p) for x in s.ea.xi]) == 0.0
 
 
 def check_oneill(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Flux-free degeneration vs the classical submersion formula."""
     scn = s.quotient
-    if not _flux_free_action(s, scn.lift(scn.quotient.sample(rng, 1)[0])):
+    probe = [Batch(x) for x in scn.quotient.sample(rng, 1).T]
+    if not _flux_free_action(s, scn.lift(probe)):
         raise ScenarioError("oneill check needs zero flux and zero xi")
     n = _npoints(s, 25, points)
     return _result("oneill", n, _batched_pairs(
@@ -349,10 +350,9 @@ def check_gk_reduce(s: Scenario, rng, tol, points=None) -> CheckResult:
     n = _npoints(s, 10, points)
     scn = s.quotient
 
-    def residual(q):
-        dplus, dminus = gkmod.check_tau_invariance(s.gk, scn, scn.lift(q))
-        _, _, rep = gkmod.reduce_gk(s.gk, scn, q, rng=rng, tol=tol)
-        return np.maximum(np.maximum(dplus, dminus), rep.max_residual)
+    def residual(q):    # the report holds the tau_pm invariance defects
+        return [gkmod.reduce_gk(s.gk, scn, q, rng=rng, tol=tol)[2]
+                .max_residual]
     return _result("gk_reduce", n, _sampled(residual, scn.quotient, rng, n),
                    tol)
 
@@ -430,8 +430,8 @@ def applicable(s: Scenario, cid: str) -> bool:
     if need == "quotient":
         return s.quotient is not None
     if need == "quotient_plain":
-        return s.quotient is not None and _flux_free_action(
-            s, s.chart.sample(np.random.default_rng(0), 1)[0])
+        return s.quotient is not None and _flux_free_action(s, [
+            Batch(x) for x in s.chart.sample(np.random.default_rng(0), 1).T])
     if need == "section":
         return s.section is not None
     if need == "gk":

@@ -189,22 +189,39 @@ def chunks(arrays, *groups):
 
 def batched(fn, chunks):
     """Yield, node by node, ``fn``'s (N,) values on chunks ``(points, *args)``
-    (node axis first), each as one batch point (``args`` node axis last).
-    A ``TypeError`` on the first chunk (a field that compares a coordinate or
-    calls ``math``) runs every node alone; on a later chunk it propagates."""
-    batch = True
-    for k, (points, *args) in enumerate(chunks):
-        if batch:
-            try:
-                yield from fn([Batch(x) for x in points.T],
-                              *(np.moveaxis(a, 0, -1) for a in args))
-                continue
-            except TypeError:
-                if k:
-                    raise
-                batch = False
-        for node, *node_args in zip(points, *args):
-            yield fn(list(node), *node_args)
+    (node axis first), each as one batch point (``args`` node axis last)."""
+    for points, *args in chunks:
+        yield from fn([Batch(x) for x in points.T],
+                      *(np.moveaxis(a, 0, -1) for a in args))
+
+
+def per_node(fn):
+    """``fn`` with a batch form: where ``fn`` raises ``TypeError`` at a batch
+    point (it compares a coordinate or calls ``math``), ``fn`` at each node,
+    every Batch leaf of a Dual tree read as that node's float, the values
+    merged by :func:`select`.  Idempotent."""
+    def call(coords):
+        try:
+            return fn(coords)
+        except TypeError:
+            size = nodes(coords)
+            if not size:
+                raise
+        out = [np.asarray(fn([_at_node(x, k) for x in coords]), dtype=object)
+               for k in range(size)]
+        for k in range(1, size):    # node k's entries over the merged ones
+            out[0] = np.frompyfunc(lambda a, b, m=np.arange(size) == k:
+                                   select(m, a, b), 2, 1)(out[k], out[0])
+        return out[0]
+    call.per_node = True
+    return fn if getattr(fn, "per_node", False) else call
+
+
+def _at_node(x, k):
+    """``x`` at node ``k``: each Batch leaf of a Dual tree as a float."""
+    if isinstance(x, Dual):
+        return Dual(_at_node(x.val, k), _at_node(x.eps, k), x.level)
+    return x.v[k].item() if isinstance(x, Batch) else x
 
 
 def body(x):
@@ -302,8 +319,8 @@ def _split(out, level):
 
 
 def nodes(point) -> int:
-    """Number of nodes of a batch point (a Batch coordinate); 0 at a point."""
-    for x in point:
+    """Nodes of a batch point (a Batch coordinate body); 0 at a point."""
+    for x in map(body, point):
         if isinstance(x, Batch):
             return x.v.size
     return 0

@@ -117,7 +117,7 @@ def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
     for sign, j in bh.pair():
         proj = ch.node_stack(qt.tau_projector(scn.ea, scn.ctx, point, sign))
         jv = field_values(j, point)
-        ch._require_finite(point, jv.ravel().tolist())
+        ch._require_finite(point, jv)
         defect = (np.eye(scn.ambient_dim) - proj) @ ch.node_stack(jv) @ proj
         out.append(np.linalg.norm(defect, 2, axis=(-2, -1)))
     return tuple(out)
@@ -148,9 +148,9 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
 
     Requires the invariance defects to vanish at the lifted point; returns
     (J_red_plus, J_red_minus, report) where the report validates the
-    reduced pair against the reduced metric and flux on the quotient chart.
-    At a batch quotient point the structures carry a trailing node axis
-    and the report covers every node.
+    reduced pair against the reduced data and holds the largest defect
+    (``tau_invariance``).  At a batch quotient point the structures carry
+    a trailing node axis and the report covers every node.
     """
     dplus, dminus = check_tau_invariance(bh, scn, scn.lift(qpoint))
     if not ch.max_abs((dplus, dminus)) <= tol:
@@ -159,12 +159,11 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
             f"(defects {np.max(dplus):.2e}, {np.max(dminus):.2e})")
     reduced = BiHermitianData(reduced_j_field(bh, scn, +1),
                               reduced_j_field(bh, scn, -1))
-    # the structures before the report draws its triples, so that a map
-    # with no batch form raises (and dual.batched reruns) with rng unspent
     jp, jm = (field_values(j, qpoint) for _, j in reduced.pair())
     # the nodes of qpoint, one point each
-    nodes = np.reshape(dual.tighten(list(qpoint), dual.nodes(qpoint)),
-                       (len(qpoint), -1)).T
+    nodes = dual.tighten(list(qpoint), dual.nodes(qpoint) or 1).T
     report = validate_bihermitian(reduced, qt.reduced_context(scn), nodes,
                                   rng=rng, tol=max(tol, 1e-6))
+    report.conditions["tau_invariance"] = qt.ConditionResult(
+        "tau_invariance", ch.max_abs((dplus, dminus)), tol)
     return jp, jm, report

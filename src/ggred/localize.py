@@ -132,9 +132,9 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     curvature (or the plain curvature when ``use_flux`` is false) times the
     metric volume factor, normalized by (2 pi)^(dim/2).
 
-    Each slab of nodes along the last two axes is one batch point
-    (:func:`ggred.dual.batched`, which runs a field with no batch form node
-    by node); terms are summed in C order.
+    Each slab of nodes along the last two axes is one batch point (a field
+    with no batch form runs node by node inside itself,
+    :func:`ggred.dual.per_node`); terms are summed in C order.
     """
     lo, hi = (np.asarray(domain[0], dtype=float),
               np.asarray(domain[1], dtype=float))
@@ -388,15 +388,13 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
     if pf.r:
         defects.append(("not tangent to the zero locus", ch.node_einsum(
             "ai,ri->ar", pf.dsigma, pf.plus_frame)))
-    size = dual.nodes(pf.point)
+    size = dual.nodes(pf.point) or 1
     for what, defect in defects:
         # a NaN defect fails the test, as does a NaN max
-        ok = np.abs(defect).reshape(-1, size).max(0) <= tol if size else \
-            [np.max(np.abs(defect)) <= tol]
+        ok = np.abs(defect).reshape(-1, size).max(0) <= tol
         if not all(ok):
-            k = int(np.argmin(ok)) if size else None
-            raise FrameMismatchError(
-                f"zero-mode frame {what} at {ch._at(pf.point, k)}")
+            raise FrameMismatchError(f"zero-mode frame {what} at "
+                                     f"{ch._at(pf.point, int(np.argmin(ok)))}")
 
 
 def point_frame_section(lp: sm.LocusPoint) -> PointFrame:

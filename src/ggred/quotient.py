@@ -21,7 +21,8 @@ from . import chart as ch
 from . import dual
 from .errors import LiftError, RankError, ScenarioError, SingularMetricError
 from .genmetric import (GeneralizedMetricContext, Geometry,
-                        bismut_connection_coeffs, bismut_curvature, zero_flux)
+                        bismut_connection_coeffs, bismut_curvature,
+                        field_values, zero_flux)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class ValidationReport:
         batch point p, ``residuals(p, *args)`` lists the residual arrays of
         each condition of ``tols`` (name -> tolerance), node axis last."""
         def rows(p, *a):        # per node, each condition's largest |entry|
-            shape = (-1,) + (dual.nodes(p),) * bool(dual.nodes(p))
-            return np.stack([np.max([np.abs(r).reshape(shape).max(0)
+            size = dual.nodes(p) or 1
+            return np.stack([np.max([np.abs(r).reshape(-1, size).max(0)
                                      for r in rs], axis=0)
                              for rs in residuals(p, *a)], axis=-1)
         rows = np.reshape(list(dual.batched(rows, dual.chunks(
@@ -298,6 +299,10 @@ class QuotientScenario:
     lift: Callable
     name: str = ""
 
+    def __post_init__(self):
+        for name in ("project", "lift"):
+            object.__setattr__(self, name, dual.per_node(getattr(self, name)))
+
     @property
     def ambient_dim(self) -> int:
         return self.ctx.chart.dim
@@ -307,15 +312,13 @@ class QuotientScenario:
         return self.quotient.dim
 
     def check_maps(self, rng, n: int = 5, tol: float = 1e-10):
-        """project(lift(q)) = q and d(project)(V_a) = 0 on samples."""
-        residuals = []
-        for q in self.quotient.sample(rng, n):
-            p = self.lift(q)
-            residuals.append(np.asarray(self.project(p), dtype=float) - q)
-            dproj = project_jacobian(self, p)
-            residuals += [dproj @ np.asarray(vf(p), dtype=float)
-                          for vf in self.ea.V]
-        worst = ch.max_abs(residuals)
+        """project(lift(q)) = q and d(project)(V_a) = 0 on n samples."""
+        q = self.quotient.sample(rng, n)
+        p = self.lift([dual.Batch(x) for x in q.T])
+        dproj = dual.tighten(project_jacobian(self, p), n)
+        worst = ch.max_abs([dual.tighten(list(self.project(p)), n) - q.T] + [
+            ch.node_einsum("ij,j->i", dproj, field_values(vf, p))
+            for vf in self.ea.V])
         if not worst <= tol:
             raise ScenarioError(
                 f"quotient maps inconsistent (residual {worst:.2e})")

@@ -231,7 +231,7 @@ def test_a_math_field_gives_the_loops_report(monkeypatch, cid):
         else "point_frame_quotient"
     frames = record(monkeypatch, lz, frame)
     got = run(scenario_of(scn), cid, 42)
-    assert frames and all(dual.nodes(lp.p) == 0 for lp, in frames)
+    assert frames and all(dual.nodes(lp.p) for lp, in frames)
     monkeypatch.undo()
     assert got == run(scenario_of(base), cid, 42)
     assert got.max_residual.hex() == loop(cid, scn, 42).hex()

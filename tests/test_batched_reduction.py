@@ -390,9 +390,9 @@ def test_a_lift_with_no_batch_form_runs_point_by_point(monkeypatch):
                                                                lift=lift))
     calls = record(monkeypatch, qt, "reduced_curvature_direct")
     got = ck.run_check(s, "thm63", 42)
-    # one batch attempt, on the first chunk, then node by node
-    assert seen[0] == 50 and not any(seen[1:])
-    assert [dual.nodes(c[1]) for c in calls] == [0] * 50
+    # a batch attempt at each call, then node by node inside the lift
+    assert seen[0] == 50 and set(seen) == {50, 0}
+    assert [dual.nodes(c[1]) for c in calls] == [50]
     monkeypatch.undo()
     assert got == ck.run_check(base, "thm63", 42)
     assert got.max_residual == loop_thm63(scn, 42)

@@ -7,8 +7,8 @@ one of the same sample object; ``pair_symmetry`` takes both signs from one
 per batch), while
 each oracle builds its own.  Every ``chart.differentiate`` call takes a jet
 afresh, so running a check twice repeats its results and its jet passes.
-The batch route is exercised with the point-by-point fallback of
-``dual.batched`` switched off.
+The batch route is exercised with the node-by-node fallback of
+``dual.per_node`` switched off.
 """
 
 from functools import partial
@@ -239,13 +239,11 @@ def test_chart_keeps_no_jet_cache():
     assert np.array_equal(first.d2, again.d2)
 
 
-# -- the batch route without its point-by-point fallback -------------------
+# -- the batch route without its node-by-node fallback --------------------
 
-def strict_batched(fn, chunks):
-    """``dual.batched`` with no fallback: a ``TypeError`` propagates."""
-    for points, *args in chunks:
-        yield from fn([Batch(x) for x in points.T],
-                      *(np.moveaxis(a, 0, -1) for a in args))
+def no_node_by_node(x, k):
+    """``dual._at_node`` switched off: no field may run node by node."""
+    raise AssertionError("a field with no batch form ran node by node")
 
 
 BATCHED = ("bismut_courant", "pair_symmetry", "lemma62", "thm63", "oneill",
@@ -268,8 +266,7 @@ def test_batch_route_runs_without_the_fallback(monkeypatch, name, cid):
     euler = cid.startswith("euler") and "order" in sc.ALLOWED_PARAMS[name]
     s = build(name, {"order": 4} if euler else {})
     want = ck.run_check(s, cid, 42, points=70)
-    monkeypatch.setattr(ck, "batched", strict_batched)
-    monkeypatch.setattr(dual, "batched", strict_batched)
+    monkeypatch.setattr(dual, "_at_node", no_node_by_node)
     got = ck.run_check(s, cid, 42, points=70)
     assert got == want
     assert got.passed

@@ -333,14 +333,15 @@ def test_field_with_no_batch_form_runs_node_by_node(monkeypatch, fn):
     domain = ((0.0, 0.0), (np.pi, 2 * np.pi))
     calls = count_partials(monkeypatch)
     chi = lz.euler_characteristic(ctx, domain, 8)
-    # every node took its own order-2 jet: n + n^2 passes each
-    assert calls[0] == 8 * 8 * (2 + 2 * 2)
+    # the one slab of 8 x 8 nodes took one order-2 jet, n + n^2 passes,
+    # and the field ran node by node inside each pass
+    assert calls[0] == 2 + 2 * 2
     assert chi == node_loop_euler(ctx, domain, 8)[0]
     if fn is branching_metric:
         assert abs(chi - 2.0) < 0.05
 
 
-def test_type_error_after_the_first_slab_propagates():
+def test_type_error_after_the_first_slab_runs_that_slab_node_by_node():
     def late_failure(c):
         if isinstance(c[0], Batch) and c[0].v[0] > 2.0:
             raise TypeError("fails on a later slab")
@@ -349,8 +350,9 @@ def test_type_error_after_the_first_slab_propagates():
     box = ch.Chart("t4", (0.0,) * 4, (2 * np.pi,) * 4)
     ctx = GeneralizedMetricContext.create(
         ch.ChartField(box, ch.METRIC, late_failure))
-    with pytest.raises(TypeError, match="later slab"):
-        lz.euler_characteristic(ctx, (box.lower, box.upper), 4)
+    domain = (box.lower, box.upper)
+    assert lz.euler_characteristic(ctx, domain, 4) == \
+        node_loop_euler(ctx, domain, 4)[0]
 
 
 # -- the flat 4-torus from the CLI, and the validator's evaluations -------
