@@ -122,6 +122,12 @@ class ChartField:
         return self.fn(coords)
 
 
+def batch_field(chart: Chart, valence: Valence, fn, name="") -> ChartField:
+    """A library field: ``fn`` is not wrapped, so its TypeErrors propagate."""
+    fn.batch_form = True
+    return ChartField(chart, valence, fn, name)
+
+
 @dataclass
 class PointJet:
     """Value and partial derivatives of a field at one point.

@@ -66,7 +66,7 @@ def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
     def fn(c):
         return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
                 for i in range(n)]
-    return ch.ChartField(chart, ch.VECTOR, fn, name="random")
+    return ch.batch_field(chart, ch.VECTOR, fn, name="random")
 
 
 def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:

@@ -198,23 +198,30 @@ def batched(fn, chunks):
 def per_node(fn):
     """``fn`` with a batch form: where ``fn`` raises ``TypeError`` at a batch
     point (it compares a coordinate or calls ``math``), ``fn`` at each node,
-    every Batch leaf of a Dual tree read as that node's float, the values
-    merged by :func:`select`.  Idempotent."""
+    every Batch leaf of a Dual tree read as that node's float, the nodes'
+    values stacked by :func:`_stack`.  A ``batch_form`` function is kept."""
     def call(coords):
         try:
             return fn(coords)
         except TypeError:
-            size = nodes(coords)
-            if not size:
+            if not nodes(coords):
                 raise
         out = [np.asarray(fn([_at_node(x, k) for x in coords]), dtype=object)
-               for k in range(size)]
-        for k in range(1, size):    # node k's entries over the merged ones
-            out[0] = np.frompyfunc(lambda a, b, m=np.arange(size) == k:
-                                   select(m, a, b), 2, 1)(out[k], out[0])
-        return out[0]
-    call.per_node = True
-    return fn if getattr(fn, "per_node", False) else call
+               for k in range(nodes(coords))]
+        return np.apply_along_axis(_stack, -1, np.stack(out, -1))[()]
+    call.batch_form = True
+    return fn if getattr(fn, "batch_form", False) else call
+
+
+def _stack(vals):
+    """The nodes' values as one, Batch leaves through the Dual levels (a
+    value below a level read as that level's constant)."""
+    lev = max((v.level for v in vals if isinstance(v, Dual)), default=0)
+    if not lev:
+        return Batch(list(vals))
+    pairs = [(v.val, v.eps) if isinstance(v, Dual) and v.level == lev
+             else (v, 0.0) for v in vals]
+    return Dual(*(_stack(p) for p in zip(*pairs)), lev)
 
 
 def _at_node(x, k):

@@ -47,7 +47,7 @@ def field_values(field: ch.ChartField, point) -> np.ndarray:
 
 def zero_flux(chart: ch.Chart) -> ch.ChartField:
     n = chart.dim
-    return ch.ChartField(chart, ch.form_valence(3),
+    return ch.batch_field(chart, ch.form_valence(3),
                          lambda c: np.zeros((n, n, n)), name=_H_ZERO_NAME)
 
 
@@ -138,7 +138,7 @@ def flat_covector(ctx: GeneralizedMetricContext, x: ch.ChartField,
         gx = np.asarray(ctx.g(coords), dtype=object) @ \
             np.asarray(x(coords), dtype=object)
         return gx if sign > 0 else -gx
-    return ch.ChartField(ctx.chart, ch.COVECTOR, fn, name=f"flat({x.name})")
+    return ch.batch_field(ctx.chart, ch.COVECTOR, fn, name=f"flat({x.name})")
 
 
 def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,

@@ -138,7 +138,7 @@ def reduced_j_field(bh: BiHermitianData, scn: qt.QuotientScenario,
         lifts = qt.horizontal_lift(scn, p, sign, np.eye(m))
         jv = np.asarray(j(p), dtype=object)
         return qt.project_jacobian(scn, p) @ (jv @ lifts.T)
-    return ch.ChartField(scn.quotient, ch.Valence(1, 1), fn,
+    return ch.batch_field(scn.quotient, ch.Valence(1, 1), fn,
                          name=f"J{'+' if sign > 0 else '-'}_red")
 
 

@@ -43,7 +43,7 @@ class ExtendedAction:
 
 def zero_xi(chart: ch.Chart) -> ch.ChartField:
     n = chart.dim
-    return ch.ChartField(chart, ch.COVECTOR, lambda c: np.zeros(n), name="0")
+    return ch.batch_field(chart, ch.COVECTOR, lambda c: np.zeros(n), name="0")
 
 
 @dataclass
@@ -179,7 +179,7 @@ def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
     """The 1-form g(V_a^pm) = g(V_a) +/- xi_a."""
     def fn(coords):
         return constraint_rows(ea, ctx, coords, sign)[a]
-    return ch.ChartField(ctx.chart, ch.COVECTOR, fn,
+    return ch.batch_field(ctx.chart, ch.COVECTOR, fn,
                          name=f"xi{a}{'+' if sign > 0 else '-'}")
 
 
@@ -365,7 +365,7 @@ def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
         q = scn.project(coords)
         w = np.asarray(qfield(q), dtype=object)
         return horizontal_lift(scn, coords, sign, [w])[0]
-    return ch.ChartField(scn.ctx.chart, ch.VECTOR, fn,
+    return ch.batch_field(scn.ctx.chart, ch.VECTOR, fn,
                          name=f"lift{sign:+d}({qfield.name})")
 
 
@@ -444,7 +444,7 @@ def reduced_metric_field(scn: QuotientScenario) -> ch.ChartField:
         lifts = horizontal_lift(scn, p, +1, np.eye(m))
         return ch.frame_contract(np.asarray(scn.ctx.g(p), dtype=object),
                                  lifts, lifts)
-    return ch.ChartField(scn.quotient, ch.METRIC, fn, name="g_red")
+    return ch.batch_field(scn.quotient, ch.METRIC, fn, name="g_red")
 
 
 def reduced_flux_field(scn: QuotientScenario) -> ch.ChartField:
@@ -456,7 +456,7 @@ def reduced_flux_field(scn: QuotientScenario) -> ch.ChartField:
     def fn(coords):
         p = scn.lift(coords)
         return _reduced_flux(scn, p, horizontal_lift(scn, p, +1, np.eye(m)))
-    return ch.ChartField(scn.quotient, ch.form_valence(3), fn, name="H_red")
+    return ch.batch_field(scn.quotient, ch.form_valence(3), fn, name="H_red")
 
 
 def reduced_context(scn: QuotientScenario) -> GeneralizedMetricContext:
@@ -597,7 +597,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     qvecs = dual.entries(basis, size)
     lifts = dual.tighten(horizontal_lift(scn, p, +1, qvecs), size)
 
-    qfields = [ch.ChartField(scn.quotient, ch.VECTOR, lambda c, w=w: w,
+    qfields = [ch.batch_field(scn.quotient, ch.VECTOR, lambda c, w=w: w,
                              name=f"E{i}") for i, w in enumerate(qvecs)]
     lfields = [lifted_field(scn, qf, +1) for qf in qfields]
 

@@ -149,7 +149,7 @@ def induced_metric_field(scn: SubmanifoldScenario) -> ch.ChartField:
         frame = embed_jacobian(scn, u).T
         return ch.frame_contract(np.asarray(scn.ctx.g(p), dtype=object),
                                  frame, frame)
-    return ch.ChartField(scn.nchart, ch.METRIC, fn, name="induced g")
+    return ch.batch_field(scn.nchart, ch.METRIC, fn, name="induced g")
 
 
 def induced_flux_field(scn: SubmanifoldScenario) -> ch.ChartField:
@@ -161,7 +161,7 @@ def induced_flux_field(scn: SubmanifoldScenario) -> ch.ChartField:
         hval = np.asarray(scn.ctx.H(scn.embed(u)), dtype=object)
         frame = embed_jacobian(scn, u).T
         return ch.frame_contract(hval, frame, frame, frame)
-    return ch.ChartField(scn.nchart, ch.form_valence(3), fn, name="induced H")
+    return ch.batch_field(scn.nchart, ch.form_valence(3), fn, name="induced H")
 
 
 def induced_context(scn: SubmanifoldScenario) -> GeneralizedMetricContext:

@@ -7,8 +7,8 @@ one point frame and one reduced curvature per chunk.  The Grassmann stage
 runs node by node, on C-order slices of the batch frame and curvature.
 Every node must keep the bits of its own point-by-point evaluation, so each
 report must equal the point loop it replaced, copied here, exactly.  A run
-of any size is batched; a scenario whose fields have no batch form runs
-point by point.
+of any size is batched; a field or map with no batch form runs node by
+node inside itself, and the library still sees batch points.
 """
 
 import dataclasses
@@ -235,6 +235,39 @@ def test_a_math_field_gives_the_loops_report(monkeypatch, cid):
     monkeypatch.undo()
     assert got == run(scenario_of(base), cid, 42)
     assert got.max_residual.hex() == loop(cid, scn, 42).hex()
+
+
+def branching_map(scn):
+    """The scenario with a lift or an embedding that compares a coordinate
+    (the same values on both sides, through different expressions)."""
+    if isinstance(scn, qt.QuotientScenario):
+        def lift(q):
+            return [q[0], q[1], 2.0 if q[0] > 1.0 else q[0] * 0.0 + 2.0]
+        return dataclasses.replace(scn, lift=lift)
+    embed = scn.embed
+
+    def branching(u):
+        p = embed(u)
+        return p if u[0] > 1.0 else [p[0], p[1], p[2] + 0.0]
+    return dataclasses.replace(scn, embed=branching)
+
+
+@pytest.mark.parametrize("points, chunks", [(1, [1]), (65, [64, 1])])
+@pytest.mark.parametrize("cid", ["localize2", "localize3"])
+def test_a_branching_map_on_a_one_node_chunk_keeps_the_loops_bits(
+        monkeypatch, cid, points, chunks):
+    base = SECTIONS["sphere_in_flat_c05"]() if cid == "localize3" \
+        else QUOTIENTS["hopf_flux"]()
+    scn = branching_map(base)
+    frame = "point_frame_section" if cid == "localize3" \
+        else "point_frame_quotient"
+    frames = record(monkeypatch, lz, frame)
+    got = run(scenario_of(scn), cid, 42, points=points)
+    # the map's node values stack into Batch leaves at one node too
+    assert [dual.nodes(lp.p) for lp, in frames] == chunks
+    assert [lp.basis.shape[-1] for lp, in frames] == chunks
+    monkeypatch.undo()
+    assert got.max_residual.hex() == loop_chain(cid, scn, 42, points).hex()
 
 
 # -- the point frames of a batch sample ---------------------------------------

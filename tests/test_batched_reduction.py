@@ -398,6 +398,29 @@ def test_a_lift_with_no_batch_form_runs_point_by_point(monkeypatch):
     assert got.max_residual == loop_thm63(scn, 42)
 
 
+def branching_lift(scn):
+    """hopf_flux's quotient with a lift that compares a coordinate: a
+    different fiber point on each side of q0 = 1."""
+    def lift(q):
+        return [q[0], q[1], 2.0 if q[0] > 1.0 else q[0] * 0.5 + 1.5]
+    return dataclasses.replace(scn, lift=lift)
+
+
+@pytest.mark.parametrize("points, chunks", [(1, [1]), (65, [64, 1])])
+def test_a_branching_lift_on_a_one_node_chunk_keeps_the_loops_bits(
+        monkeypatch, points, chunks):
+    # a one-node chunk too: the lift's node values stack into Batch leaves,
+    # so the library sees a one-node batch point and a one-node frame
+    scn = branching_lift(sc.build("hopf_flux", {}).quotient)
+    calls = record(monkeypatch, qt, "reduced_curvature_direct")
+    got = run(scenario_of(scn), "thm63", 42, points)
+    assert [dual.nodes(c[1]) for c in calls] == chunks
+    assert [dual.nodes(scn.lift(c[1])) for c in calls] == chunks
+    assert [c[2].shape[-1] for c in calls] == chunks
+    monkeypatch.undo()
+    assert got.max_residual.hex() == loop_thm63(scn, 42, points).hex()
+
+
 # -- degenerate input ----------------------------------------------------------
 
 def test_a_batch_node_outside_the_chart_raises_domain_error():

@@ -3,9 +3,11 @@
 A user function with no batch form (it compares a coordinate or calls
 ``math``) runs node by node inside itself (``dual.per_node``), applied once
 where it enters the library: ``ChartField.fn``, ``QuotientScenario.lift`` and
-``project``, ``SubmanifoldScenario.embed``.  ``dual.batched`` is then a plain
-chunk loop, so a ``TypeError`` from library code propagates instead of
-rerunning the check point by point.
+``project``, ``SubmanifoldScenario.embed``; its node values stack into
+``Batch`` leaves, at one node too.  ``dual.batched`` is then a plain chunk
+loop, and the library builds its own fields with ``chart.batch_field``,
+which does not wrap them, so a ``TypeError`` from library code propagates
+instead of rerunning the check point by point.
 """
 
 import dataclasses
@@ -83,6 +85,43 @@ def test_a_library_type_error_at_a_batch_point_propagates(monkeypatch):
     with pytest.raises(TypeError, match="bug at batch points"):
         ck.run_check(sc.build("hopf_flux", {}), "pair_symmetry", 42,
                      points=3)
+
+
+def test_a_library_type_error_inside_a_library_field_propagates(
+        monkeypatch):
+    # the library's own fields (here the lifted fields inside thm63's jets)
+    # are not wrapped, so no node-by-node rerun hides the bug
+    original = qt.horizontal_lift
+
+    def batch_only_bug(scn, p, sign, qvecs):
+        if dual.nodes(p) and any(isinstance(x, dual.Dual) for x in p):
+            raise TypeError("a bug at batch points inside a jet")
+        return original(scn, p, sign, qvecs)
+    monkeypatch.setattr(qt, "horizontal_lift", batch_only_bug)
+    with pytest.raises(TypeError, match="bug at batch points"):
+        ck.run_check(sc.build("hopf_flux", {}), "thm63", 42, points=5)
+
+
+def test_a_library_field_runs_its_function_as_given():
+    def fn(c):
+        return [c[0], c[1]]
+    field = ch.batch_field(BOX, ch.VECTOR, fn)
+    assert field.fn is fn
+    assert dataclasses.replace(field, name="again").fn is fn
+    assert ch.ChartField(BOX, ch.VECTOR, fn).fn is fn
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_node_values_stack_into_batch_leaves(size):
+    def fn(c):
+        x = c[0] * c[0] if c[0] > 1.0 else c[0] + 2.0
+        return [x, dual.body(c[1])]
+    point = batch_of(np.linspace([0.5, 0.5], [1.5, 1.5], size))
+    got = ch.ChartField(BOX, ch.VECTOR, fn)(
+        [dual.Dual(point[0], 1.0, dual.fresh_level()), point[1]])
+    assert isinstance(got[1], Batch) and got[1].v.size == size
+    leaves = [got[0].val, got[0].eps]
+    assert all(isinstance(v, Batch) and v.v.size == size for v in leaves)
 
 
 def _config(name):
