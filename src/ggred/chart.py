@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dual
-from .errors import (DegreeError, DomainError, EvaluationError, RankError,
-                     SingularMetricError)
+from .errors import (DegreeError, DomainError, EvaluationError,
+                     MathDomainError, RankError, SingularMetricError)
 
 EPS_ID = 1e-8          # tolerance for pointwise algebraic identities
 DOMAIN_MARGIN = 1e-3   # sampled points stay this fraction of each axis inside
@@ -65,7 +65,7 @@ class Chart:
         """Raise DomainError unless every node of the point is inside (a
         batch point's coordinates may carry dual layers)."""
         for k, node in enumerate(dual.tighten(list(map(dual.body, point)),
-                                              dual.nodes(point) or 1).T):
+                                              dual.nodes(point)).T):
             if not self.contains(node):
                 raise DomainError(f"{_at(point, k)} outside chart "
                                   f"{self.name!r}")
@@ -144,9 +144,9 @@ class PointJet:
 
 
 def _require_finite(point, *arrays):
-    """EvaluationError at the first non-finite node (a point is one) of
-    arrays, node axis last."""
-    ok = np.all([np.isfinite(a).reshape(-1, dual.nodes(point) or 1).all(0)
+    """EvaluationError at the first non-finite node of arrays, node axis
+    last."""
+    ok = np.all([np.isfinite(a).reshape(-1, dual.nodes(point)).all(0)
                  for a in arrays if a is not None], axis=0)
     if not all(ok):
         raise EvaluationError("field evaluation produced non-finite output "
@@ -154,14 +154,12 @@ def _require_finite(point, *arrays):
 
 
 def _at(point, k=None) -> str:
-    """The point, or node ``k`` of a batch point, for an error message."""
-    bodies = [dual.body(x) for x in point]
-    if not dual.nodes(bodies):
-        return f"point {tuple(map(float, bodies))}"
-    if k is None:
+    """Node ``k`` of a point for an error message (with no ``k``, a
+    one-node point's node, or "a batch point")."""
+    nodes = dual.tighten(list(map(dual.body, point)), dual.nodes(point))
+    if k is None and nodes.shape[-1] > 1:
         return "a batch point"
-    node = (x.v[k] if isinstance(x, dual.Batch) else x for x in bodies)
-    return f"node {k} {tuple(map(float, node))}"
+    return f"node {k or 0} {tuple(nodes[:, k or 0].tolist())}"
 
 
 def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> PointJet:
@@ -172,10 +170,10 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     use nested duals with independent level tags.  Every call takes its
     jet afresh: callers that reuse a jet keep it (``genmetric.Geometry``).
 
-    A batch point (``dual.Batch`` coordinates) gives arrays with a trailing
-    node axis from the same passes, every node checked.  Inside an enclosing
-    jet (dual coordinates over a batch) the arrays keep their ``Dual``
-    entries, as at a point.
+    The arrays carry a trailing node axis, of one node at a plain point,
+    every node checked.  Inside an enclosing jet (dual coordinates) they
+    keep ``Dual`` entries and no node axis: a differentiated field body
+    takes its inner jets with :func:`ggred.dual.gradient` (no node axis).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -198,16 +196,17 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
                 return eps
             rows.append(dual.gradient(da_fn, list(point)))
         d2 = np.array(rows) if rows else None
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, MathDomainError) as exc:
+        at = _at(point, getattr(exc, "node", None))
         raise EvaluationError(
-            f"field evaluation failed at {_at(point)}: {exc}") from exc
-    if size and not nested:
+            f"field evaluation failed at {at}: {exc}") from exc
+    if not nested:
         value, d1, d2 = (d if d is None else dual.tighten(d, size)
                          for d in (value, d1, d2))
         _require_finite(point, value, d1, d2)
     else:
         bodies = [dual.body(v) for v in value.ravel().tolist()]
-        _require_finite(point, dual.tighten(bodies, size or 1))
+        _require_finite(point, dual.tighten(bodies, size))
         value = dual.tighten(value)
     return PointJet(tuple(point), value, d1, d2)
 
@@ -291,16 +290,16 @@ def solve_linear(m, rhs):
     per-call overhead dwarfs the work on a handful of objects.  A pivot at
     most PIVOT_RTOL max |body| (a NaN one included) raises.
 
-    Entries over ``dual.Batch`` bodies solve every node at once (a point
-    is one node): the floor and the pivot are per node (:func:`_pivot_nodes`),
-    so each node gets the bits of its own solve.
+    Entries over ``dual.Batch`` bodies solve every node at once (a plain
+    point is one node): the floor and the pivot are per node
+    (:func:`_pivot_nodes`), so each node gets the bits of its own solve.
     """
     m = np.asarray(m, dtype=object)
     rhs = np.asarray(rhs, dtype=object)
     n = m.shape[0]
     bodies = [dual.body(v) for v in m.ravel().tolist()]
-    floor = PIVOT_RTOL * np.abs(dual.tighten(bodies, dual.nodes(bodies) or 1)
-                                ).max(0)
+    floor = PIVOT_RTOL * np.abs(dual.tighten(bodies,
+                                             dual.nodes(bodies))).max(0)
     a = m.tolist()
     b = rhs.reshape(n, -1).tolist()
     for col in range(n):
@@ -456,11 +455,9 @@ def node_einsum(spec: str, *ops) -> np.ndarray:
 
 def node_slices(arr, size: int):
     """Each node's C-order slice of an array with a trailing axis of
-    ``size`` nodes, one at a time, or ``[arr]`` at a point (``size`` 0).
-    einsum and BLAS may round a strided operand differently, so a node's
-    slice is copied to the layout of its point-by-point value."""
-    if not size:
-        return [arr]
+    ``size`` nodes, one at a time.  einsum and BLAS may round a strided
+    operand differently, so a node's slice is copied to the layout of its
+    point-by-point value."""
     return (np.ascontiguousarray(arr[..., k]) for k in range(size))
 
 
@@ -606,17 +603,15 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
 
     A vector whose remainder has g-norm at most 1e-10 of the metric scale
     is dropped, and a NaN one with it; RankError unless ``rank`` rows are
-    left.  ``vectors`` are (k, n), shared, or (k, n, nodes).  A metric with
-    a trailing node axis gives one frame per node, (rank, n, nodes), each
-    with the bits of its own frame; a point's metric is a one-node stack.
+    left.  ``vectors`` are (k, n), shared, or (k, n, nodes).  The metric
+    carries a trailing node axis, and so does the frame, (rank, n, nodes),
+    each node with the bits of its own frame.
 
     A dropped vector leaves a zero row at its node, which later steps
     subtract exactly; each node's kept rows are gathered at the end.
     """
-    point = np.ndim(gmat) == 2
-    g = np.asarray(gmat, dtype=float)
     # C-order stacks: matmul then runs each node's product as at a point
-    g = np.ascontiguousarray(g[None] if point else _stack(g))
+    g = np.ascontiguousarray(_stack(np.asarray(gmat, dtype=float)))
     size, n = g.shape[0], g.shape[-1]
     vecs = np.asarray(vectors, dtype=float)
     vecs = np.ascontiguousarray(
@@ -643,9 +638,8 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
     count = np.sum(kept, axis=0)
     if (count != rank).any():
         k = int(np.argmax(count != rank))
-        raise RankError(f"{what} has rank {count[k]}"
-                        f"{'' if point else f' at node {k}'}, "
+        raise RankError(f"{what} has rank {count[k]} at node {k}, "
                         f"expected {rank}")
     rows = np.argsort(~np.array(kept), axis=0, kind="stable")[:rank]
     frames = np.take_along_axis(np.array(basis), rows[..., None], axis=0)
-    return frames[:, 0] if point else np.moveaxis(frames, 1, 2)
+    return np.moveaxis(frames, 1, 2)

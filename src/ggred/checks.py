@@ -57,11 +57,10 @@ def random_field_coeffs(n: int, rng):
 
 
 def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
-    """The field c0^i + sum_j c1^i_j sin(c^j); coefficients with a trailing
-    node axis give one field with ``dual.Batch`` coefficients."""
+    """The field c0^i + sum_j c1^i_j sin(c^j), with ``dual.Batch``
+    coefficients read from a trailing node axis."""
     n = chart.dim
-    c0, c1 = ((c0.tolist(), c1.tolist()) if np.ndim(c0) == 1 else
-              ([Batch(v) for v in c0], [[Batch(v) for v in r] for r in c1]))
+    c0, c1 = [Batch(v) for v in c0], [[Batch(v) for v in r] for r in c1]
 
     def fn(c):
         return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
@@ -71,7 +70,8 @@ def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
 
 def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
     """A smooth seeded vector field: affine plus sine terms per axis."""
-    return vector_field(chart, *random_field_coeffs(chart.dim, rng))
+    c0, c1 = random_field_coeffs(chart.dim, rng)
+    return vector_field(chart, c0[:, None], c1[..., None])
 
 
 def _sampled(residual, chart, rng, n):

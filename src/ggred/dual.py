@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import MathDomainError
+
 _LEVELS = itertools.count(1)
 
 
@@ -107,7 +109,7 @@ class Dual:
                     self.level)
 
     def __rpow__(self, base):
-        return exp(self * math.log(base))
+        return exp(self * _libm(math.log, base))
 
     # -- comparisons act on the numeric body ------------------------------
 
@@ -164,16 +166,29 @@ class Batch:
         return Batch(-self.v)
 
     def __pow__(self, p):
-        return NotImplemented if isinstance(p, Dual) else _nodes(pow, self, p)
+        return NotImplemented if isinstance(p, Dual) else _libm(pow, self, p)
 
     def __rpow__(self, base):
-        return _nodes(pow, base, self)
+        return _libm(pow, base, self)
 
 
-def _nodes(f, *args):
-    """``f`` node by node over the Batch arguments (floats are shared)."""
-    return Batch(list(map(f, *(a.v.tolist() if isinstance(a, Batch)
-                               else itertools.repeat(a) for a in args))))
+def _libm(f, *args, node=None):
+    """libm's ``f``: on floats, a math domain error as a MathDomainError at
+    ``node``; with Batch arguments, node by node (floats are shared), an
+    error naming the first node that raises it."""
+    if Batch not in map(type, args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            raise MathDomainError(f"{f.__name__}{args}: {exc}", node) from exc
+    cols = [a.v.tolist() if isinstance(a, Batch) else itertools.repeat(a)
+            for a in args]
+    try:
+        return Batch(list(map(f, *cols)))
+    except ValueError:
+        for k, xs in enumerate(zip(*cols)):
+            _libm(f, *xs, node=k)
+        raise
 
 
 BATCH = 64   # nodes per batch point: one Euler slab at order 8
@@ -204,8 +219,7 @@ def per_node(fn):
         try:
             return fn(coords)
         except TypeError:
-            if not nodes(coords):
-                raise
+            pass
         out = [np.asarray(fn([_at_node(x, k) for x in coords]), dtype=object)
                for k in range(nodes(coords))]
         return np.apply_along_axis(_stack, -1, np.stack(out, -1))[()]
@@ -241,13 +255,13 @@ def body(x):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps, x.level)
-    return _nodes(math.sin, x) if isinstance(x, Batch) else math.sin(x)
+    return _libm(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps, x.level)
-    return _nodes(math.cos, x) if isinstance(x, Batch) else math.cos(x)
+    return _libm(math.cos, x)
 
 
 def tan(x):
@@ -258,38 +272,38 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, e * x.eps, x.level)
-    return _nodes(math.exp, x) if isinstance(x, Batch) else math.exp(x)
+    return _libm(math.exp, x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.eps / x.val, x.level)
-    return _nodes(math.log, x) if isinstance(x, Batch) else math.log(x)
+    return _libm(math.log, x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.eps / (2.0 * s), x.level)
-    return _nodes(math.sqrt, x) if isinstance(x, Batch) else math.sqrt(x)
+    return _libm(math.sqrt, x)
 
 
 def asin(x):
     if isinstance(x, Dual):
         return Dual(asin(x.val), x.eps / sqrt(1.0 - x.val * x.val), x.level)
-    return _nodes(math.asin, x) if isinstance(x, Batch) else math.asin(x)
+    return _libm(math.asin, x)
 
 
 def acos(x):
     if isinstance(x, Dual):
         return Dual(acos(x.val), -x.eps / sqrt(1.0 - x.val * x.val), x.level)
-    return _nodes(math.acos, x) if isinstance(x, Batch) else math.acos(x)
+    return _libm(math.acos, x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.val), x.eps / (1.0 + x.val * x.val), x.level)
-    return _nodes(math.atan, x) if isinstance(x, Batch) else math.atan(x)
+    return _libm(math.atan, x)
 
 
 def atan2(y, x):
@@ -301,9 +315,7 @@ def atan2(y, x):
         xv, xe = (x.val, x.eps) if xlev == lev else (x, 0.0)
         denom = xv * xv + yv * yv
         return Dual(atan2(yv, xv), (xv * ye - yv * xe) / denom, lev)
-    if isinstance(y, Batch) or isinstance(x, Batch):
-        return _nodes(math.atan2, y, x)
-    return math.atan2(y, x)
+    return _libm(math.atan2, y, x)
 
 
 def hypot(x, y):
@@ -326,19 +338,17 @@ def _split(out, level):
 
 
 def nodes(point) -> int:
-    """Nodes of a batch point (a Batch coordinate body); 0 at a point."""
+    """Nodes of a point: the size of its Batch coordinate bodies, or 1 (a
+    plain point is a one-node batch)."""
     for x in map(body, point):
         if isinstance(x, Batch):
             return x.v.size
-    return 0
+    return 1
 
 
-def entries(arr, size: int | None = None):
+def entries(arr):
     """The inverse of ``tighten(., size)``: the Batch entries of a float
-    array with a trailing node axis, or at a point (``size`` 0) the entries
-    of ``arr``.  An object array either way."""
-    if size == 0:
-        return np.asarray(arr, dtype=object)
+    array with a trailing node axis, as an object array."""
     arr = np.asarray(arr, dtype=float)
     out = np.empty(arr.shape[:-1], dtype=object)
     out.ravel()[:] = [Batch(v) for v in arr.reshape(-1, arr.shape[-1])]
@@ -395,7 +405,6 @@ def partial(fn, point, axis):
 
 
 def gradient(fn, point):
-    """All first partials, stacked along a leading derivative axis."""
-    parts = [partial(fn, point, a)[1] for a in range(len(point))]
-    return np.array(parts) if parts and parts[0].dtype != object \
-        else np.asarray(parts, dtype=object)
+    """All first partials, stacked along a leading derivative axis (a
+    scalar function's object entries too, not as 0-d arrays)."""
+    return np.stack([partial(fn, point, a)[1] for a in range(len(point))])

@@ -13,6 +13,15 @@ class EvaluationError(GgredError):
     """A field evaluation produced non-finite output."""
 
 
+class MathDomainError(EvaluationError):
+    """A math function was called outside its domain: at node ``node`` of a
+    batch point, or (``node`` None) on floats."""
+
+    def __init__(self, msg: str, node: int | None = None):
+        super().__init__(msg if node is None else f"{msg} at node {node}")
+        self.node = node
+
+
 class SingularMetricError(GgredError):
     """The metric is singular or not positive definite at the requested point."""
 

@@ -34,13 +34,14 @@ class GeneralizedVector:
     xi: np.ndarray
     at: tuple
 
-    def pairing(self, other: "GeneralizedVector") -> float:
-        """<X+xi, Y+eta> = xi(Y) + eta(X)."""
-        return float(self.xi @ other.X + other.xi @ self.X)
+    def pairing(self, other: "GeneralizedVector") -> np.ndarray:
+        """<X+xi, Y+eta> = xi(Y) + eta(X), one per node."""
+        return np.einsum("i...,i...->...", self.xi, other.X) \
+            + np.einsum("i...,i...->...", other.xi, self.X)
 
 
 def field_values(field: ch.ChartField, point) -> np.ndarray:
-    """Float components of a field at a point (node axis last at a batch)."""
+    """Float components of a field at a point, node axis last."""
     return dual.tighten(np.asarray(field(point), dtype=object),
                         dual.nodes(point))
 
@@ -77,14 +78,14 @@ class GeneralizedMetricContext:
         return field_values(self.H, point)
 
     def closure_residual(self, point):
-        """max |dH| component at a point; one per node at a batch point."""
+        """max |dH| component at a point, one per node."""
         dh = ch.exterior_derivative(ch.differentiate(self.H, point), 3)
         return np.abs(dh).max(axis=(0, 1, 2, 3))
 
 
 class Geometry:
     """g, g^-1, H, the jet of g, Gamma, R and the torsion terms of R^pm of a
-    context at a point or a batch point, each computed once, on first use.
+    context at a point (node axis last), each computed once, on first use.
     The jet of g is of order 2 once curvature is asked for, and then also
     serves Gamma.  Code under test shares one Geometry per sample; each
     oracle builds its own."""
@@ -260,19 +261,20 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
     s = _sgn(sign)
 
     def coeffs(coords):
-        gam = ch.christoffel(ch.differentiate(ctx.g, coords, order=1,
-                                              chart=None))
-        hval = np.asarray(ctx.H(coords), dtype=object)
+        # dual-safe: a ch.differentiate jet would carry a node axis here
         gmat = np.asarray(ctx.g(coords), dtype=object)
+        gam = ch.christoffel(ch.PointJet(tuple(coords), gmat,
+                                         dual.gradient(ctx.g, coords)))
+        hval = np.asarray(ctx.H(coords), dtype=object)
         ginv = ch.invert_matrix(gmat)
         return gam + 0.5 * s * np.einsum("il,ljk->ijk", ginv, hval)
 
     jet = ch.differentiate(coeffs, point, order=1)
     gam = jet.value
     dgam = jet.d1
-    rop = (np.einsum("ambc->mcab", dgam)
-           - np.einsum("bmac->mcab", dgam)
-           + np.einsum("mal,lbc->mcab", gam, gam)
-           - np.einsum("mbl,lac->mcab", gam, gam))
+    rop = (np.einsum("ambc...->mcab...", dgam)
+           - np.einsum("bmac...->mcab...", dgam)
+           + np.einsum("mal...,lbc...->mcab...", gam, gam)
+           - np.einsum("mbl...,lac...->mcab...", gam, gam))
     gmat = ctx.metric_at(point)
-    return np.einsum("km,mlij->ijkl", gmat, rop)
+    return np.einsum("km...,mlij...->ijkl...", gmat, rop)

@@ -35,7 +35,7 @@ class BiHermitianData:
 
 def nijenhuis(jet: ch.PointJet) -> np.ndarray:
     """N[i, a, b] of the Nijenhuis tensor, from an order-1 jet of J (with a
-    trailing node axis at a batch point)."""
+    trailing node axis)."""
     jv = jet.value        # J^i_j
     dj = jet.d1           # dj[k, i, j] = d_k J^i_j
     t1 = ch.node_einsum("la,lib->iab", jv, dj)
@@ -57,8 +57,8 @@ def flux_type_residual(j: ch.ChartField, ctx: GeneralizedMetricContext,
                        point, vecs):
     """Reality form of the (2,1)+(1,2) condition on given vector triples:
     H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z).  The largest |residual|
-    over the triples; per node at a batch point, where each vector has a
-    trailing node axis."""
+    over the triples, per node (each vector may have a trailing node
+    axis)."""
     h, jv = ctx.flux_at(point), field_values(j, point)
 
     def residual(x, y, z):
@@ -110,7 +110,7 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
 def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
                          point):
     """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm.
-    One per node at a batch point.
+    One per node.
 
     A non-finite entry of J_pm raises EvaluationError naming the point."""
     out = []
@@ -160,10 +160,10 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
     reduced = BiHermitianData(reduced_j_field(bh, scn, +1),
                               reduced_j_field(bh, scn, -1))
     jp, jm = (field_values(j, qpoint) for _, j in reduced.pair())
-    # the nodes of qpoint, one point each
-    nodes = dual.tighten(list(qpoint), dual.nodes(qpoint) or 1).T
-    report = validate_bihermitian(reduced, qt.reduced_context(scn), nodes,
-                                  rng=rng, tol=max(tol, 1e-6))
+    report = validate_bihermitian(      # at the nodes of qpoint, as points
+        reduced, qt.reduced_context(scn),
+        dual.tighten(list(qpoint), dual.nodes(qpoint)).T, rng=rng,
+        tol=max(tol, 1e-6))
     report.conditions["tau_invariance"] = qt.ConditionResult(
         "tau_invariance", ch.max_abs((dplus, dminus)), tol)
     return jp, jm, report

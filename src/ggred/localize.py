@@ -120,7 +120,7 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray):
     dens = [berezin_integral((0.5 * curvature_quartic(r, n)).exp(),
                              euler_measure(n)).body
             for r in np.moveaxis(rfr.reshape(rfr.shape[:4] + (-1,)), -1, 0)]
-    return dens[0] if rfr.ndim == 4 else np.array(dens)
+    return np.array(dens)
 
 
 def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
@@ -337,12 +337,9 @@ class PointFrame:
         return self.plus_frame.shape[0]
 
     def nodes(self):
-        """The frame of each node of a batch point, one at a time, every
-        array its C-order slice (:func:`ggred.chart.node_slices`); ``[self]``
-        at a point."""
+        """The frame of each node of the point, one at a time, every array
+        its C-order slice (:func:`ggred.chart.node_slices`)."""
         size = dual.nodes(self.point)
-        if not size:
-            return [self]
         names = [f.name for f in fields(self)
                  if isinstance(getattr(self, f.name), np.ndarray)]
         slices = zip(*(ch.node_slices(getattr(self, name), size)
@@ -388,10 +385,9 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
     if pf.r:
         defects.append(("not tangent to the zero locus", ch.node_einsum(
             "ai,ri->ar", pf.dsigma, pf.plus_frame)))
-    size = dual.nodes(pf.point) or 1
     for what, defect in defects:
         # a NaN defect fails the test, as does a NaN max
-        ok = np.abs(defect).reshape(-1, size).max(0) <= tol
+        ok = np.abs(defect).reshape(-1, dual.nodes(pf.point)).max(0) <= tol
         if not all(ok):
             raise FrameMismatchError(f"zero-mode frame {what} at "
                                      f"{ch._at(pf.point, int(np.argmin(ok)))}")
@@ -399,7 +395,7 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
 
 def point_frame_section(lp: sm.LocusPoint) -> PointFrame:
     """Assemble the constrained-model data of a locus sample on its frame
-    (a batch frame at a batch sample)."""
+    (a batch frame, of one node at a plain point)."""
     geo = lp.geo
     rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
     pf = PointFrame(

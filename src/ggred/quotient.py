@@ -22,7 +22,7 @@ from . import dual
 from .errors import LiftError, RankError, ScenarioError, SingularMetricError
 from .genmetric import (GeneralizedMetricContext, Geometry,
                         bismut_connection_coeffs, bismut_curvature,
-                        field_values, zero_flux)
+                        bismut_derivative, field_values, zero_flux)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,8 @@ class ValidationReport:
         batch point p, ``residuals(p, *args)`` lists the residual arrays of
         each condition of ``tols`` (name -> tolerance), node axis last."""
         def rows(p, *a):        # per node, each condition's largest |entry|
-            size = dual.nodes(p) or 1
-            return np.stack([np.max([np.abs(r).reshape(-1, size).max(0)
-                                     for r in rs], axis=0)
+            return np.stack([np.max([np.abs(r).reshape(-1, dual.nodes(p))
+                                     .max(0) for r in rs], axis=0)
                              for rs in residuals(p, *a)], axis=-1)
         rows = np.reshape(list(dual.batched(rows, dual.chunks(
             (np.asarray(points, dtype=float),) + args))), (-1, len(tols)))
@@ -236,7 +235,7 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
 def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                       point):
     """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point (one per
-    node, on a trailing axis, at a batch point).
+    node, on a trailing axis).
 
     Each tau_sign is the g-orthogonal complement of span{V_a^sign}; the
     basis comes from modified Gram-Schmidt over projected coordinate
@@ -260,7 +259,7 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     """Connection curvature of tau_sign on frame pairs, by both routes.
 
     Returns (from_xi, from_theta): s x m x m arrays (with a trailing node
-    axis at a batch point, as on a frame from :func:`horizontal_frames`)
+    axis, as on a frame from :func:`horizontal_frames`)
     from_xi[a, i, j]  the matrix-weighted d(g(V^sign)) evaluation and
     from_theta[a, i, j] the direct exterior derivative of the connection
     form theta^a; the two agree on tau_sign.
@@ -371,7 +370,7 @@ def lifted_field(scn: QuotientScenario, qfield: ch.ChartField,
 
 def omega_two_form(scn: QuotientScenario, point):
     """tau_+ curvature 2-forms Omega^a as ambient component arrays (with
-    ``Batch`` entries at a batch point, as field bodies need)."""
+    ``Batch`` entries, one-node at a plain point, as field bodies need)."""
     ea, ctx = scn.ea, scn.ctx
     dxi = d_constraint_rows(action_jet(ea, ctx, point))[0]
     dxi = dual.entries(dxi) if dxi.ndim == 4 else \
@@ -401,10 +400,10 @@ def reduce_metric_flux(scn: QuotientScenario, qpoint):
     """
     m = scn.reduced_dim
     p, lifts, gred = _lifted_metric(scn, qpoint, +1)
-    hred = np.zeros((m, m, m))
+    hred = np.zeros((m, m, m) + gred.shape[-1:])
     if m > 2:
-        hred = np.vectorize(dual.body, otypes=[float])(
-            _reduced_flux(scn, p, lifts))
+        hred = dual.tighten(_reduced_flux(scn, p, dual.entries(lifts)),
+                            dual.nodes(p))
     return gred, hred
 
 
@@ -465,42 +464,38 @@ def reduced_context(scn: QuotientScenario) -> GeneralizedMetricContext:
 
 
 def reduced_bismut(scn: QuotientScenario, xq: ch.ChartField,
-                   yq: ch.ChartField, zq: ch.ChartField, qpoint) -> float:
-    """g(grad^-_{X^+} Y^-, Z^-) at lift(qpoint), from ambient data.
+                   yq: ch.ChartField, zq: ch.ChartField, qpoint) -> np.ndarray:
+    """g(grad^-_{X^+} Y^-, Z^-) at lift(qpoint) per node, from ambient data.
 
     X^+ is the tau_+ lift of [X]; Y^-, Z^- are tau_- lifts, differentiated
     as genuine ambient fields through the lift solve.  Cross-check:
     :func:`reduced_bismut_direct`.
     """
     p = scn.lift(qpoint)
-    xplus = horizontal_lift(scn, p, +1,
-                            [np.asarray(xq(qpoint), dtype=float)])[0]
+    xplus, zminus = (dual.tighten(horizontal_lift(
+        scn, p, sign, [np.asarray(f(qpoint), dtype=object)]), dual.nodes(p))[0]
+        for sign, f in ((+1, xq), (-1, zq)))
     yfield = lifted_field(scn, yq, -1)
-    zminus = horizontal_lift(scn, p, -1,
-                             [np.asarray(zq(qpoint), dtype=float)])[0]
     jy = ch.differentiate(yfield, p, order=1, chart=scn.ctx.chart)
     geo = Geometry(scn.ctx, p)
     coeffs = bismut_connection_coeffs(-1, geo)
-    nab = np.einsum("j,ji->i", xplus, jy.d1) \
-        + np.einsum("ijk,j,k->i", coeffs, xplus, jy.value)
-    return float(nab @ geo.g @ zminus)
+    nab = ch.node_einsum("j,ji->i", xplus, jy.d1) \
+        + ch.node_einsum("ijk,j,k->i", coeffs, xplus, jy.value)
+    return ch.node_einsum("i,ij,j->", nab, geo.g, zminus)
 
 
-def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq, qpoint) -> float:
+def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq,
+                          qpoint) -> np.ndarray:
     """Same pairing computed on the quotient chart from (g_red, H_red)."""
-    geo = Geometry(reduced_context(scn), qpoint)
-    jy = ch.differentiate(yq, qpoint, order=1)
-    coeffs = bismut_connection_coeffs(-1, geo)
-    xv = np.asarray(xq(qpoint), dtype=float)
-    nab = np.einsum("j,ji->i", xv, jy.d1) \
-        + np.einsum("ijk,j,k->i", coeffs, xv, jy.value)
-    zv = np.asarray(zq(qpoint), dtype=float)
-    return float(nab @ geo.g @ zv)
+    ctx = reduced_context(scn)
+    nab = bismut_derivative(xq, yq, -1, ctx, qpoint)
+    return ch.node_einsum("i,ij,j->", nab, ctx.metric_at(qpoint),
+                          field_values(zq, qpoint))
 
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
     """Deterministic g_red-orthonormal basis of the quotient tangent space
-    (one per node, on a trailing axis, at a batch point)."""
+    (one per node, on a trailing axis)."""
     gred = _lifted_metric(scn, qpoint, +1)[2]
     return ch.orthonormal_frame(np.eye(scn.reduced_dim), gred,
                                 scn.reduced_dim, "quotient frame")
@@ -509,18 +504,17 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
 class LiftedPoint:
     """One quotient sample: q, p = lift(q), the ambient Geometry at p, the
     quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, the
-    reduction matrices ``rm`` and one :func:`action_jet`, at a point or a
-    batch point (trailing node axes).  The code under test shares one per
-    sample; each oracle builds its own data from (scn, q, basis)."""
+    reduction matrices ``rm`` and one :func:`action_jet`, node axes last (of
+    1 at a plain point).  The code under test shares one per sample; each
+    oracle builds its own data from (scn, q, basis)."""
 
     def __init__(self, scn: QuotientScenario, q):
         self.scn, self.q, self.p = scn, q, scn.lift(q)
         self.geo = Geometry(scn.ctx, self.p)
         self.basis = quotient_frame(scn, q)
-        size = dual.nodes(self.p)
-        qvecs = dual.entries(self.basis, size)
-        self.plus, self.minus = (
-            dual.tighten(horizontal_lift(scn, self.p, sign, qvecs), size)
+        qvecs = dual.entries(self.basis)
+        self.plus, self.minus = (dual.tighten(horizontal_lift(
+            scn, self.p, sign, qvecs), dual.nodes(self.p))
             for sign in (+1, -1))
         self.jet = action_jet(scn.ea, scn.ctx, self.p)
         self.rm = reduction_matrices(scn.ea, scn.ctx, self.p)
@@ -566,7 +560,7 @@ def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
 def reduced_curvature_direct(scn: QuotientScenario, qpoint,
                              basis) -> np.ndarray:
     """Torsion curvature of (g_red, H_red) computed on the quotient chart
-    (with a trailing node axis at a batch quotient point)."""
+    (with a trailing node axis)."""
     basis = np.asarray(basis, dtype=float)
     rarr = bismut_curvature(-1, Geometry(reduced_context(scn), qpoint))
     return ch.operator_slots(rarr, basis, basis, basis, basis)
@@ -594,7 +588,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     graminv = ch.inverse(ch._stack(vg @ v_s.swapaxes(-1, -2), vg.ndim - 2),
                          RankError, "Gram matrix of the V_a")
     vg = ch._stack(vg, vg.ndim - 2)
-    qvecs = dual.entries(basis, size)
+    qvecs = dual.entries(basis)
     lifts = dual.tighten(horizontal_lift(scn, p, +1, qvecs), size)
 
     qfields = [ch.batch_field(scn.quotient, ch.VECTOR, lambda c, w=w: w,

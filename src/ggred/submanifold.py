@@ -19,7 +19,8 @@ from . import chart as ch
 from . import dual
 from .errors import RankError, ScenarioError, TangencyError
 from .genmetric import (GeneralizedMetricContext, Geometry,
-                        bismut_connection_coeffs, bismut_curvature, zero_flux)
+                        bismut_connection_coeffs, bismut_curvature,
+                        field_values, zero_flux)
 
 EPS_LOCUS = 1e-8
 
@@ -35,7 +36,7 @@ class SectionData:
         return len(self.sigma)
 
     def values(self, point):
-        """sigma^alpha at a point (node axis last at a batch point)."""
+        """sigma^alpha at a point, node axis last."""
         return dual.tighten([dual.body(np.asarray(s(point), dtype=object)
                                        .ravel()[0]) for s in self.sigma],
                             dual.nodes(point))
@@ -49,7 +50,7 @@ class SectionData:
 
     def gradients(self, point) -> np.ndarray:
         """The r x n rows d sigma^alpha in C order (dual-safe; node axis
-        last at a batch point)."""
+        last)."""
         return _gradients(self.jet(point))
 
 
@@ -115,7 +116,7 @@ class LocusPoint:
     """One zero-locus sample: u, p = embed(u), the ambient Geometry at p,
     the tangent frame ``basis``, one order-2 jet of all sigma^alpha with its
     gradient rows ``grads``, and the inverse ``tlow`` of the transverse Gram
-    matrix, at a point or a batch point (trailing node axes).  The code
+    matrix, each with a trailing node axis (of 1 at a plain point).  The code
     under test shares one per sample; each oracle builds its own data from
     (scn, u, basis)."""
 
@@ -135,7 +136,7 @@ def embed_jacobian(scn: SubmanifoldScenario, u):
 
 def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
     """Deterministic g-orthonormal frame of TN at embed(u), ambient rows
-    (one per node, on a trailing axis, at a batch point)."""
+    (one per node, on a trailing axis)."""
     p = scn.embed(u)
     gmat = scn.ctx.metric_at(p)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
@@ -201,30 +202,28 @@ def tangential_derivative(scn: SubmanifoldScenario, xbar: ch.ChartField,
         return demb @ yv
 
     jet = ch.differentiate(ambient_y, u, order=1, chart=None)
-    xv = np.asarray(xbar(u), dtype=float)
-    return np.einsum("a,ai->i", xv, jet.d1), jet.value
+    return ch.node_einsum("a,ai->i", field_values(xbar, u), jet.d1), jet.value
 
 
 def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
                            ybar: ch.ChartField, zbar: ch.ChartField,
-                           u) -> float:
-    """g(grad^-_X Y, Z) at embed(u) for locus-tangent fields.
+                           u) -> np.ndarray:
+    """g(grad^-_X Y, Z) at embed(u) for locus-tangent fields, per node.
 
     Equals the intrinsic torsion-connection pairing of the induced geometry;
     cross-checks: :func:`reduced_connection_direct` and the ambient
     coefficient form of :func:`reduced_connection_coefficients`.
     """
     p = scn.embed(u)
-    dy, yval = tangential_derivative(scn, xbar, ybar, u)
-    demb = np.asarray(embed_jacobian(scn, u), dtype=float)
-    xv = demb @ np.asarray(xbar(u), dtype=float)
-    zv = demb @ np.asarray(zbar(u), dtype=float)
-    yv = np.asarray(yval, dtype=float)
+    dy, yv = tangential_derivative(scn, xbar, ybar, u)
+    demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
+    xv, zv = (ch.node_einsum("ia,a->i", demb, field_values(f, u))
+              for f in (xbar, zbar))
     _require_tangent(scn.sd.gradients(p), [xv, zv, yv])
     geo = Geometry(scn.ctx, p)
     coeffs = bismut_connection_coeffs(-1, geo)
-    nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
-    return float(nab @ geo.g @ zv)
+    nab = dy + ch.node_einsum("ijk,j,k->i", coeffs, xv, yv)
+    return ch.node_einsum("i,ij,j->", nab, geo.g, zv)
 
 
 def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
@@ -238,23 +237,22 @@ def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,
     and equal to tight tolerance.
     """
     lp = LocusPoint(scn, u)
-    demb = np.asarray(embed_jacobian(scn, u), dtype=float)
-    dy, yval = tangential_derivative(scn, xbar, ybar, u)
-    xv = demb @ np.asarray(xbar(u), dtype=float)
-    yv = np.asarray(yval, dtype=float)
+    dy, yv = tangential_derivative(scn, xbar, ybar, u)
+    demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
+    xv = ch.node_einsum("ia,a->i", demb, field_values(xbar, u))
     geo = lp.geo
     coeffs = bismut_connection_coeffs(-1, geo)
-    nab = dy + np.einsum("ijk,j,k->i", coeffs, xv, yv)
+    nab = dy + ch.node_einsum("ijk,j,k->i", coeffs, xv, yv)
 
     mm = nabla_pm_dsigma(lp.jet, -1, geo)   # [a, i, j]
-    corr = np.einsum("ab,bjk,j,k,ai->i", lp.tlow, mm, xv, yv,
-                     lp.grads @ geo.ginv)
+    corr = ch.node_einsum("ab,bjk,j,k,al,li->i", lp.tlow, mm, xv, yv,
+                          lp.grads, geo.ginv)
     corrected = nab + corr
 
     mp = nabla_pm_dsigma(lp.jet, +1, geo)
-    gamma_tilde = coeffs + np.einsum("ab,il,al,bjk->ikj", lp.tlow,
-                                     geo.ginv, lp.grads, mp)
-    coeff_form = dy + np.einsum("ikj,k,j->i", gamma_tilde, xv, yv)
+    gamma_tilde = coeffs + ch.node_einsum("ab,il,al,bjk->ikj", lp.tlow,
+                                          geo.ginv, lp.grads, mp)
+    coeff_form = dy + ch.node_einsum("ikj,k,j->i", gamma_tilde, xv, yv)
     return corrected, coeff_form
 
 
@@ -282,17 +280,14 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
                                  basis) -> np.ndarray:
     """Torsion curvature of the induced geometry, computed on the locus
     chart and expressed on the same ambient frame (with a trailing node
-    axis at a batch point)."""
+    axis)."""
     basis = np.asarray(basis, dtype=float)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
     # chart components of the frame vectors: solve demb @ e = basis row;
     # lstsq has no stacked form, so one solve per node
-    if demb.ndim == 3:
-        coords = np.stack([np.linalg.lstsq(demb[..., k], basis[..., k].T,
-                                           rcond=None)[0].T
-                           for k in range(demb.shape[-1])], axis=-1)
-    else:
-        coords = np.linalg.lstsq(demb, basis.T, rcond=None)[0].T
+    coords = np.stack([np.linalg.lstsq(demb[..., k], basis[..., k].T,
+                                       rcond=None)[0].T
+                       for k in range(demb.shape[-1])], axis=-1)
     rarr = bismut_curvature(-1, Geometry(induced_context(scn), u))
     return ch.operator_slots(rarr, coords, coords, coords, coords)
 
@@ -315,14 +310,14 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     hess = []
     for s in scn.sd.sigma:
         jet = ch.differentiate(s, p, order=2, chart=None)
-        hess.append(jet.d2.reshape(scn.ambient_dim, scn.ambient_dim)
-                    - np.einsum("lij,l->ij",
-                                coeffs, jet.d1.reshape(scn.ambient_dim)))
+        hess.append(jet.d2[:, :, 0]
+                    - ch.node_einsum("lij,l->ij", coeffs, jet.d1[:, 0]))
     hess = np.array(hess)
     # II(E_m, E_n) = -T_{ab} nb[b, m, n] g^{-1} dsigma^a
-    nb = np.einsum("aij,mi,nj->amn", hess, basis, basis)
-    iivec = -np.einsum("ab,bmn,ai->mni", tlow, nb, grads @ ginv)
-    dots = np.einsum("mni,ij,rsj->mnrs", iivec, gmat, iivec)
+    nb = ch.node_einsum("aij,mi,nj->amn", hess, basis, basis)
+    iivec = -ch.node_einsum("ab,bmn,al,li->mni", tlow, nb, grads, ginv)
+    dots = ch.node_einsum("mni,ij,rsj->mnrs", iivec, gmat, iivec)
     # (II(X,W), II(Y,Z)) - (II(X,Z), II(Y,W)) in operator slots
-    term2 = (np.einsum("msnr->mnrs", dots) - np.einsum("mrns->mnrs", dots))
+    term2 = (np.einsum("msnr...->mnrs...", dots)
+             - np.einsum("mrns...->mnrs...", dots))
     return term1 + term2

@@ -88,9 +88,9 @@ def loop_chain(cid, scn, seed, points=100):
             sm.reduced_curvature_sub, "section"
     for x in xs:
         lp = sample(scn, x)
-        pf = frame(lp)
+        (pf,) = frame(lp).nodes()       # a point is a one-node batch
         exponent, _ = lz.localize_model(pf, model)
-        target = lz.localized_exponent_target(pf, curvature(lp))
+        target = lz.localized_exponent_target(pf, curvature(lp)[..., 0])
         low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
         samples.append([(exponent - target).max_abs()] + low)
     return ch.max_abs(samples)
@@ -100,7 +100,7 @@ def loop_phi(scn, seed, points=25):
     rng = check_rng("phi_closed_form", seed)
     out = []
     for q in scn.quotient.sample(rng, points):
-        pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
+        (pf,) = lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes()
         _, details = lz.localize_model(pf, "quotient")
         closed = ck.mixed_multiplier_closed_form(pf)
         out += [(closed[a] - details[f"pm{a}"][0]).max_abs()
@@ -180,9 +180,9 @@ def test_the_point_frame_runs_once_per_chunk(monkeypatch, name, cid, frame,
     if cid != "phi_closed_form":
         curvature = sections if cid == "localize3" else curvatures
         assert [c[0] for c in curvature] == [c[0] for c in frames]
-    # the Grassmann stage: one chain per node, each on a point frame
+    # the Grassmann stage: one chain per node, each on a node's slice
     assert len(models) == sum(sizes)
-    assert all(not dual.nodes(pf.point) for pf, _ in models)
+    assert all(pf.g.ndim == 2 for pf, _ in models)
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])
@@ -231,7 +231,7 @@ def test_a_math_field_gives_the_loops_report(monkeypatch, cid):
         else "point_frame_quotient"
     frames = record(monkeypatch, lz, frame)
     got = run(scenario_of(scn), cid, 42)
-    assert frames and all(dual.nodes(lp.p) for lp, in frames)
+    assert frames and all(isinstance(lp.p[0], Batch) for lp, in frames)
     monkeypatch.undo()
     assert got == run(scenario_of(base), cid, 42)
     assert got.max_residual.hex() == loop(cid, scn, 42).hex()
@@ -293,8 +293,8 @@ def test_quotient_frame_nodes_keep_their_bits(name):
     got = list(pf.nodes())
     assert len(got) == 7
     for k, node in enumerate(nodes):
-        _frames_equal(got[k], lz.point_frame_quotient(
-            qt.LiftedPoint(scn, node)))
+        (want,) = lz.point_frame_quotient(qt.LiftedPoint(scn, node)).nodes()
+        _frames_equal(got[k], want)
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -304,15 +304,8 @@ def test_section_frame_nodes_keep_their_bits(name):
     pf = lz.point_frame_section(sm.LocusPoint(scn, batch_of(nodes)))
     got = list(pf.nodes())
     for k, node in enumerate(nodes):
-        _frames_equal(got[k], lz.point_frame_section(sm.LocusPoint(scn,
-                                                                   node)))
-
-
-def test_a_point_frame_is_its_own_node():
-    scn = QUOTIENTS["hopf_flux"]()
-    pf = lz.point_frame_quotient(qt.LiftedPoint(
-        scn, scn.quotient.sample(np.random.default_rng(23), 1)[0]))
-    assert pf.nodes() == [pf]
+        (want,) = lz.point_frame_section(sm.LocusPoint(scn, node)).nodes()
+        _frames_equal(got[k], want)
 
 
 def test_node_slices_are_c_order_copies():
@@ -321,7 +314,6 @@ def test_node_slices_are_c_order_copies():
     assert len(got) == 4
     for k, sl in enumerate(got):
         assert sl.flags.c_contiguous and np.array_equal(sl, arr[..., k])
-    assert ch.node_slices(arr, 0) == [arr]
 
 
 # -- zero-mode frames that violate their constraint ---------------------------
@@ -366,6 +358,6 @@ def test_a_point_off_its_constraint_names_the_point():
     scn = SECTIONS["sphere_in_flat"]()
     lp = sm.LocusPoint(scn, scn.nchart.sample(np.random.default_rng(27),
                                               1)[0])
-    lp.basis = np.eye(3)[:2]
-    with pytest.raises(FrameMismatchError, match=r"at point \("):
+    lp.basis = np.eye(3)[:2, :, None]
+    with pytest.raises(FrameMismatchError, match=r"at node 0 \("):
         lz.point_frame_section(lp)

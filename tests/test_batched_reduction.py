@@ -160,9 +160,9 @@ def _metric_stack(rng, n):
 
 
 def _metric(g, k):
-    """Node k's metric in C order, as the reductions pass one (BLAS may
-    round a strided matrix product differently)."""
-    return np.ascontiguousarray(g[..., k])
+    """Node k's metric as a one-node stack in C order, as the reductions
+    pass one (BLAS may round a strided matrix product differently)."""
+    return np.ascontiguousarray(g[..., k:k + 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -175,8 +175,8 @@ def test_node_frames_equal_the_per_node_frames(n, shared):
     assert got.shape == (n, n, NODES)
     for k in range(NODES):
         v = vecs if shared else vecs[..., k]
-        assert np.array_equal(got[..., k],
-                              ch.orthonormal_frame(v, _metric(g, k), n, "t"))
+        assert np.array_equal(got[..., k], ch.orthonormal_frame(
+            v, _metric(g, k), n, "t")[..., 0])
 
 
 def test_nodes_may_drop_different_vectors():
@@ -190,7 +190,7 @@ def test_nodes_may_drop_different_vectors():
     got = ch.orthonormal_frame(vecs, g, 2, "test frame")
     for k in range(NODES):
         assert np.array_equal(got[..., k], ch.orthonormal_frame(
-            vecs[..., k], _metric(g, k), 2, "t"))
+            vecs[..., k], _metric(g, k), 2, "t")[..., 0])
 
 
 def test_a_node_that_loses_rank_raises():
@@ -226,13 +226,13 @@ def test_quotient_curvatures_keep_every_nodes_bits(name):
     assert basis.shape == (m, m, 9) and amb.shape == direct.shape == \
         (m, m, m, m, 9)
     for k, node in enumerate(nodes):
-        one = qt.LiftedPoint(scn, node)
+        one = qt.LiftedPoint(scn, node)     # a one-node batch
         b = one.basis
-        assert np.array_equal(basis[..., k], b)
+        assert np.array_equal(basis[..., k], b[..., 0])
         assert np.array_equal(amb[..., k],
-                              qt.reduced_curvature_quotient(one))
-        assert np.array_equal(direct[..., k],
-                              qt.reduced_curvature_direct(scn, node, b))
+                              qt.reduced_curvature_quotient(one)[..., 0])
+        assert np.array_equal(direct[..., k], qt.reduced_curvature_direct(
+            scn, node, b)[..., 0])
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -245,12 +245,13 @@ def test_section_curvatures_keep_every_nodes_bits(name):
     amb = sm.reduced_curvature_sub(lp)
     direct = sm.reduced_curvature_sub_direct(scn, u, basis)
     for k, node in enumerate(nodes):
-        one = sm.LocusPoint(scn, node)
+        one = sm.LocusPoint(scn, node)      # a one-node batch
         b = one.basis
-        assert np.array_equal(basis[..., k], b)
-        assert np.array_equal(amb[..., k], sm.reduced_curvature_sub(one))
-        assert np.array_equal(direct[..., k],
-                              sm.reduced_curvature_sub_direct(scn, node, b))
+        assert np.array_equal(basis[..., k], b[..., 0])
+        assert np.array_equal(amb[..., k],
+                              sm.reduced_curvature_sub(one)[..., 0])
+        assert np.array_equal(direct[..., k], sm.reduced_curvature_sub_direct(
+            scn, node, b)[..., 0])
 
 
 def test_reduction_matrices_of_a_batch_are_the_node_matrices():
@@ -261,7 +262,8 @@ def test_reduction_matrices_of_a_batch_are_the_node_matrices():
     for k, p in enumerate(nodes):
         one = qt.reduction_matrices(scn.ea, scn.ctx, p)
         for f in ("G", "K", "T", "Kinv", "Tinv"):
-            assert np.array_equal(getattr(rm, f)[..., k], getattr(one, f))
+            assert np.array_equal(getattr(rm, f)[..., k],
+                                  getattr(one, f)[..., 0])
 
 
 # -- the two checks against the loops they replaced ----------------------------
@@ -383,7 +385,7 @@ def test_a_lift_with_no_batch_form_runs_point_by_point(monkeypatch):
     seen = []
 
     def lift(q):
-        seen.append(dual.nodes(q))
+        seen.append((dual.nodes(q), isinstance(dual.body(q[0]), Batch)))
         return [q[0], q[1], 2.0 if q[0] > 1.0 else 2.0]
 
     s = dataclasses.replace(base, quotient=dataclasses.replace(scn,
@@ -391,7 +393,7 @@ def test_a_lift_with_no_batch_form_runs_point_by_point(monkeypatch):
     calls = record(monkeypatch, qt, "reduced_curvature_direct")
     got = ck.run_check(s, "thm63", 42)
     # a batch attempt at each call, then node by node inside the lift
-    assert seen[0] == 50 and set(seen) == {50, 0}
+    assert seen[0] == (50, True) and set(seen) == {(50, True), (1, False)}
     assert [dual.nodes(c[1]) for c in calls] == [50]
     monkeypatch.undo()
     assert got == ck.run_check(base, "thm63", 42)
@@ -459,7 +461,7 @@ def test_a_jet_at_dual_batch_coordinates_keeps_dual_entries():
 def test_a_non_finite_metric_is_named_as_such(g):
     jet = ch.PointJet((0.25, 0.5), np.array(g), np.zeros((2, 2, 2)))
     with pytest.raises(SingularMetricError,
-                       match=r"not finite at point \(0\.25, 0\.5\)"):
+                       match=r"not finite at node 0 \(0\.25, 0\.5\)"):
         ch.christoffel(jet)
 
 

@@ -199,11 +199,13 @@ def numpy_coefficient_field(chart, rng):
 
 
 def same_bits(a, b):
-    """Equal dual trees whose float leaves have equal bit patterns."""
+    """Equal dual trees whose float leaves have equal bit patterns; a
+    one-node Batch leaf is read as its node's float."""
     if isinstance(a, Dual) or isinstance(b, Dual):
         return isinstance(a, Dual) and isinstance(b, Dual) \
             and a.level == b.level and same_bits(a.val, b.val) \
             and same_bits(a.eps, b.eps)
+    a, b = (x.v.item() if isinstance(x, dual.Batch) else x for x in (a, b))
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 

@@ -16,6 +16,11 @@ from ggred.scenarios import antisym3
 
 RNG = np.random.default_rng(42)
 
+
+def node0(*arrays):
+    """Node 0 of each array: a point is a one-node batch."""
+    return tuple(a[..., 0] for a in arrays)
+
 BOX3 = Chart("r3", (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 FLAT3 = ChartField(BOX3, METRIC, lambda c: np.eye(3))
 CONST_FLUX = ChartField(BOX3, form_valence(3),
@@ -72,13 +77,16 @@ def test_pairing_symmetric_bilinear():
 
 def test_split_pm_eigenvectors():
     p = (0.1, 0.2, 0.3)
-    gmat = CTX_FLAT.metric_at(p)
+    (gmat,) = node0(CTX_FLAT.metric_at(p))
     x = np.array([1.0, -2.0, 0.5])
-    plus = GeneralizedVector(x, gmat @ x, p)
-    xp, xm = split_pm(plus, CTX_FLAT)
+    # the vector parts at a point carry a node axis of 1
+    plus = GeneralizedVector(x[:, None], (gmat @ x)[:, None], p)
+    xp, xm = node0(*split_pm(plus, CTX_FLAT))
+    assert xp.shape == xm.shape == x.shape
     assert np.allclose(xp, x) and np.allclose(xm, 0.0)
-    minus = GeneralizedVector(x, -gmat @ x, p)
-    xp, xm = split_pm(minus, CTX_FLAT)
+    minus = GeneralizedVector(x[:, None], (-gmat @ x)[:, None], p)
+    xp, xm = node0(*split_pm(minus, CTX_FLAT))
+    assert xp.shape == xm.shape == x.shape
     assert np.allclose(xm, x) and np.allclose(xp, 0.0)
 
 
@@ -88,15 +96,16 @@ def test_split_pm_reconstruction_and_pairing():
     rng = np.random.default_rng(1)
     ctx = s3_ctx(0.7)
     for p in S3.sample(rng, 4):
-        gmat = ctx.metric_at(p)
-        a = GeneralizedVector(rng.normal(size=3), rng.normal(size=3),
+        (gmat,) = node0(ctx.metric_at(p))
+        a = GeneralizedVector(rng.normal(size=(3, 1)), rng.normal(size=(3, 1)),
                               tuple(p))
-        xp, xm = split_pm(a, ctx)
+        xp, xm = node0(*split_pm(a, ctx))
         recon_x = xp + xm
         recon_xi = gmat @ xp - gmat @ xm
-        assert np.allclose(recon_x, a.X, atol=1e-12)
-        assert np.allclose(recon_xi, a.xi, atol=1e-12)
-        lhs = a.pairing(a)
+        assert recon_x.shape == recon_xi.shape == a.X[:, 0].shape
+        assert np.allclose(recon_x, a.X[:, 0], atol=1e-12)
+        assert np.allclose(recon_xi, a.xi[:, 0], atol=1e-12)
+        (lhs,) = a.pairing(a)
         rhs = 2.0 * xp @ gmat @ xp - 2.0 * xm @ gmat @ xm
         assert abs(lhs - rhs) < 1e-10
 
@@ -139,7 +148,8 @@ def test_bracket_flux_term():
     br = courant_bracket(x, zero_cov(BOX3), y, zero_cov(BOX3), ctx,
                          (0.0, 0.0, 0.0))
     assert np.max(np.abs(br.X)) == 0.0
-    assert np.allclose(br.xi, [0.0, 0.0, 1.0])
+    assert br.xi.shape == (3, 1)
+    assert np.allclose(br.xi[:, 0], [0.0, 0.0, 1.0])
 
 
 def test_bracket_reduces_to_lie_bracket():
@@ -160,11 +170,14 @@ def test_bismut_reduces_to_levi_civita():
     ctx0 = GeneralizedMetricContext.create(GS3)
     p = S3.sample(rng, 1)[0]
     jy = ch.differentiate(y, p, order=1)
-    gam = ch.christoffel(ch.differentiate(GS3, p))
-    lc = (np.einsum("j,ji->i", np.asarray(x(p), float), jy.d1)
-          + np.einsum("ijk,j,k->i", gam, np.asarray(x(p), float), jy.value))
+    dy, yv, gam = node0(jy.d1, jy.value,
+                        ch.christoffel(ch.differentiate(GS3, p)))
+    lc = (np.einsum("j,ji->i", np.asarray(x(p), float), dy)
+          + np.einsum("ijk,j,k->i", gam, np.asarray(x(p), float), yv))
     for sign in (+1, -1):
-        assert np.allclose(bismut_derivative(x, y, sign, ctx0, p), lc)
+        (got,) = node0(bismut_derivative(x, y, sign, ctx0, p))
+        assert got.shape == lc.shape
+        assert np.allclose(got, lc)
 
 
 def test_torsion_is_flux():
@@ -173,15 +186,15 @@ def test_torsion_is_flux():
     for _ in range(3):
         x, y = rand_vec(S3, rng), rand_vec(S3, rng)
         p = S3.sample(rng, 1)[0]
-        ginv = ch.metric_inverse(ctx.metric_at(p))
-        h = ctx.flux_at(p)
+        ginv, h = node0(ch.metric_inverse(ctx.metric_at(p)), ctx.flux_at(p))
         xv = np.asarray(x(p), float)
         yv = np.asarray(y(p), float)
         expect = np.einsum("il,ljk,j,k->i", ginv, h, xv, yv)
         for sign in (+1, -1):
-            tor = (bismut_derivative(x, y, sign, ctx, p)
-                   - bismut_derivative(y, x, sign, ctx, p)
-                   - ch.lie_bracket(x, y, p))
+            (tor,) = node0(bismut_derivative(x, y, sign, ctx, p)
+                           - bismut_derivative(y, x, sign, ctx, p)
+                           - ch.lie_bracket(x, y, p))
+            assert tor.shape == expect.shape
             assert np.max(np.abs(tor - sign * expect)) < ch.EPS_ID
 
 
@@ -200,13 +213,13 @@ def test_metric_compatibility():
         return [yv @ gm @ zv]
     jet = ch.differentiate(gyz, p, order=1)
     xv = np.asarray(x(p), float)
-    lhs = float(np.einsum("j,j->", xv, jet.d1[:, 0]))
-    gmat = ctx.metric_at(p)
+    lhs = float(np.einsum("j,j->", xv, jet.d1[:, 0, 0]))
+    (gmat,) = node0(ctx.metric_at(p))
     for sign in (+1, -1):
-        rhs = (bismut_derivative(x, y, sign, ctx, p) @ gmat
-               @ np.asarray(z(p), float)
-               + np.asarray(y(p), float) @ gmat
-               @ bismut_derivative(x, z, sign, ctx, p))
+        dy, dz = node0(bismut_derivative(x, y, sign, ctx, p),
+                       bismut_derivative(x, z, sign, ctx, p))
+        rhs = (dy @ gmat @ np.asarray(z(p), float)
+               + np.asarray(y(p), float) @ gmat @ dz)
         assert abs(lhs - rhs) < ch.EPS_ID
 
 
@@ -252,6 +265,7 @@ def test_curvature_formula_vs_commutator(lam):
     for sign in (+1, -1):
         formula = bismut_curvature(sign, Geometry(ctx, p))
         oracle = bismut_curvature_commutator(sign, ctx, p)
+        assert formula.shape == oracle.shape
         assert np.max(np.abs(formula - oracle)) < ch.EPS_ID
 
 
@@ -259,8 +273,8 @@ def test_pair_exchange_symmetry_and_antisymmetries():
     rng = np.random.default_rng(7)
     ctx = s3_ctx(1.3)
     for p in S3.sample(rng, 4):
-        rm = bismut_curvature(-1, Geometry(ctx, p))
-        rp = bismut_curvature(+1, Geometry(ctx, p))
+        rm, rp = node0(bismut_curvature(-1, Geometry(ctx, p)),
+                       bismut_curvature(+1, Geometry(ctx, p)))
         assert np.max(np.abs(rm - np.einsum("ijkl->klij", rp))) < ch.EPS_ID
         for r in (rm, rp):
             assert np.max(np.abs(r + np.einsum("ijkl->jikl", r))) < ch.EPS_ID

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ggred import chart as ch
+from ggred import dual
 from ggred import gk
 from ggred import quotient as qt
 from ggred.chart import Chart, ChartField, METRIC
@@ -96,9 +97,10 @@ def test_defect_is_frame_independent():
     s = product_qg({})
     p = s.chart.sample(RNG, 1)[0]
     scn = s.quotient
-    gmat = s.ctx.metric_at(p)
+    # a point is a one-node batch: node 0 of its arrays
+    gmat = s.ctx.metric_at(p)[..., 0]
     jv = np.asarray(s.gk.Jplus(p), dtype=float)
-    tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
+    tp = qt.horizontal_frames(s.ea, s.ctx, p)[0][..., 0]
     defects = []
     for order in ([0, 1], [1, 0]):
         fr = tp[order]
@@ -106,7 +108,7 @@ def test_defect_is_frame_independent():
         defect = np.linalg.norm((np.eye(4) - proj) @ jv @ proj, 2)
         defects.append(defect)
     assert abs(defects[0] - defects[1]) < ch.EPS_ID
-    dp, _ = gk.check_tau_invariance(s.gk, scn, p)
+    (dp,), _ = gk.check_tau_invariance(s.gk, scn, p)
     assert abs(defects[0] - dp) < ch.EPS_ID
 
 
@@ -120,6 +122,8 @@ def test_reduce_kaehler_product_to_sphere():
                                    rng=np.random.default_rng(5))
         expect = np.array([[0.0, -np.sin(q[0])],
                            [1.0 / np.sin(q[0]), 0.0]])
+        jp, jm = jp[..., 0], jm[..., 0]
+        assert jp.shape == jm.shape == expect.shape
         assert np.max(np.abs(jp - expect)) < 1e-6
         assert np.max(np.abs(jm - expect)) < 1e-6
         assert rep.passed
@@ -145,7 +149,7 @@ def test_horizontal_curvature_type_exploratory():
     # recorded as an observation, not a build gate.
     s = product_qg({})
     p = s.chart.sample(RNG, 1)[0]
-    om = qt.omega_two_form(s.quotient, p)
-    worst = max(abs(float(x)) for a in range(2)
-                for x in np.asarray(om[a], dtype=float).ravel())
+    # one-node Batch entries at a point, as in a field body
+    om = dual.tighten(qt.omega_two_form(s.quotient, p), 1)
+    worst = max(abs(float(x)) for a in range(2) for x in om[a].ravel())
     assert worst < 1e-10

@@ -79,7 +79,7 @@ def test_flux_free_multiplier_decouples():
     # curvature constant: eliminating them changes nothing quartic
     s = hopf({"flux": 0.0})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
     poly = lz.build_quotient_action(pf)
     const_before = poly.const
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -89,7 +89,7 @@ def test_flux_free_multiplier_decouples():
 def test_elimination_order_robust():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
     poly = lz.build_quotient_action(pf)
     delta, _ = poly.eliminate([f"pp{a}" for a in range(pf.s)]
                               + [f"mm{a}" for a in range(pf.s)])
@@ -118,9 +118,9 @@ def test_quotient_chain_equals_reduced_curvature(maker):
     rng = np.random.default_rng(3)
     for q in scn.quotient.sample(rng, 3):
         lp = qt.LiftedPoint(scn, q)
-        pf = lz.point_frame_quotient(lp)
+        (pf,) = lz.point_frame_quotient(lp).nodes()   # a one-node batch
         exponent, _ = lz.localize_model(pf, "quotient")
-        thm = qt.reduced_curvature_quotient(lp)
+        thm = qt.reduced_curvature_quotient(lp)[..., 0]
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -132,9 +132,9 @@ def test_section_chain_equals_reduced_curvature(cval):
     rng = np.random.default_rng(4)
     for u in scn.nchart.sample(rng, 3):
         lp = sm.LocusPoint(scn, u)
-        pf = lz.point_frame_section(lp)
+        (pf,) = lz.point_frame_section(lp).nodes()    # a one-node batch
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(lp)
+        thm = sm.reduced_curvature_sub(lp)[..., 0]
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -142,7 +142,7 @@ def test_section_chain_equals_reduced_curvature(cval):
 def test_chain_output_is_pure_quartic():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
     exponent, _ = lz.localize_model(pf, "quotient")
     assert exponent.degrees() <= {4}
     for k in (0, 1, 2, 3, 5, 6):
@@ -153,7 +153,8 @@ def test_eliminated_multiplier_matches_closed_form():
     for maker in (lambda: hopf_flux({"flux": 1.1}), lambda: s3xt2({})):
         s = maker()
         q = s.quotient.quotient.sample(RNG, 1)[0]
-        pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+        lp = qt.LiftedPoint(s.quotient, q)
+        (pf,) = lz.point_frame_quotient(lp).nodes()
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
         for a in range(pf.s):
@@ -165,16 +166,17 @@ def test_point_frame_consistency_with_chart_calculus():
     from ggred.genmetric import Geometry, bismut_curvature
     s = hopf_flux({"flux": 0.9})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
     p = list(pf.point)
-    assert np.max(np.abs(pf.g - s.ctx.metric_at(p))) < 1e-14
+    pairs = [(pf.g, s.ctx.metric_at(p)),
+             (pf.gamma, ch.christoffel(ch.differentiate(s.ctx.g, p))),
+             (pf.r_minus, bismut_curvature(-1, Geometry(s.ctx, p))),
+             (pf.K_ab, qt.reduction_matrices(s.ea, s.ctx, p).K)]
+    for got, want in pairs:
+        want = want[..., 0]     # a point is a one-node batch
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
     assert np.max(np.abs(pf.ginv @ pf.g - np.eye(pf.n))) < 1e-12
-    assert np.max(np.abs(pf.gamma - ch.christoffel(
-        ch.differentiate(s.ctx.g, p)))) < 1e-14
-    assert np.max(np.abs(pf.r_minus - bismut_curvature(
-        -1, Geometry(s.ctx, p)))) < 1e-14
-    rm = qt.reduction_matrices(s.ea, s.ctx, p)
-    assert np.max(np.abs(pf.K_ab - rm.K)) < 1e-14
 
 
 # -- Euler characteristic ----------------------------------------------------------
@@ -230,7 +232,7 @@ def test_field_elimination_matches_hand_derived_terms():
     # against independently hand-built coefficients at one point
     s = hopf_flux({"flux": 1.2})
     q = s.quotient.quotient.sample(np.random.default_rng(0), 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
     poly = lz.build_quotient_action(pf)
     lin_before = {a: poly.l_entry(f"pm{a}") for a in range(pf.s)}
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -301,9 +303,9 @@ def test_composed_reduction_endpoints():
         expect = np.asarray(s_bundle.ctx.g(u), dtype=float)
         assert np.max(np.abs(got - expect)) < 1e-12
         lp = sm.LocusPoint(scn3, u)
-        pf = lz.point_frame_section(lp)
+        (pf,) = lz.point_frame_section(lp).nodes()    # a one-node batch
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(lp)
+        thm = sm.reduced_curvature_sub(lp)[..., 0]
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
         # round 3-sphere of unit radius: all sectional values are 1
@@ -312,9 +314,9 @@ def test_composed_reduction_endpoints():
     # second stage endpoint, on the same ambient geometry
     q = s_bundle.quotient.quotient.sample(rng, 1)[0]
     lp = qt.LiftedPoint(s_bundle.quotient, q)
-    pf2 = lz.point_frame_quotient(lp)
+    (pf2,) = lz.point_frame_quotient(lp).nodes()
     exponent, _ = lz.localize_model(pf2, "quotient")
-    thm2 = qt.reduced_curvature_quotient(lp)
+    thm2 = qt.reduced_curvature_quotient(lp)[..., 0]
     assert (exponent - lz.localized_exponent_target(pf2, thm2)).max_abs() \
         < 1e-8
     assert np.isclose(thm2[0, 1, 1, 0], 4.0, atol=1e-9)

@@ -184,9 +184,12 @@ def test_flux_type_residual_keeps_a_nan():
     p = s.chart.sample(np.random.default_rng(3), 1)[0]
     vecs = [tuple(np.random.default_rng(k).normal(size=(3, 4)))
             for k in range(4)]
-    assert gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs) < 1e-8
+    # one residual per node: a point is a one-node batch
+    (res,) = gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs)
+    assert res < 1e-8
     vecs[2] = (np.full(4, NAN),) + vecs[2][1:]
-    assert math.isnan(gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs))
+    (res,) = gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs)
+    assert math.isnan(res)
 
 
 # -- the three set-up gates -------------------------------------------------

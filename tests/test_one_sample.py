@@ -108,14 +108,14 @@ def test_a_batch_sample_holds_the_node_samples():
     nodes = scn.quotient.sample(np.random.default_rng(19), 5)
     batch = qt.LiftedPoint(scn, [Batch(c) for c in nodes.T])
     for k, node in enumerate(nodes):
-        one = qt.LiftedPoint(scn, node)
+        one = qt.LiftedPoint(scn, node)     # a one-node batch
         for name in ("basis", "plus", "minus"):
             assert np.array_equal(getattr(batch, name)[..., k],
-                                  getattr(one, name))
+                                  getattr(one, name)[..., 0])
         for name in ("G", "K", "T", "Kinv", "Tinv"):
             assert np.array_equal(getattr(batch.rm, name)[..., k],
-                                  getattr(one.rm, name))
-        assert np.array_equal(batch.jet.d1[..., k], one.jet.d1)
+                                  getattr(one.rm, name)[..., 0])
+        assert np.array_equal(batch.jet.d1[..., k], one.jet.d1[..., 0])
 
 
 # -- the oracles build their own data ---------------------------------------------

@@ -184,13 +184,15 @@ QUOTIENTS = {"hopf_flux": lambda: hopf_flux({}),
 def quotient_frame_at(name, seed=5):
     scn = QUOTIENTS[name]().quotient
     q = scn.quotient.sample(np.random.default_rng(seed), 1)[0]
-    return lz.point_frame_quotient(qt.LiftedPoint(scn, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes()
+    return pf       # a point is a one-node batch: its node's frame
 
 
 def section_frame_at(seed=5):
     scn = sphere_in_flat({"c": 0.5}).section
     u = scn.nchart.sample(np.random.default_rng(seed), 1)[0]
-    return lz.point_frame_section(sm.LocusPoint(scn, u))
+    (pf,) = lz.point_frame_section(sm.LocusPoint(scn, u)).nodes()
+    return pf
 
 
 def chain(pf, model):

@@ -33,6 +33,12 @@ def batch_of(nodes):
     return [Batch(col) for col in np.asarray(nodes).T]
 
 
+def is_batch_point(point):
+    """A coordinate holds a Batch (``dual.nodes`` reads a plain point as one
+    node too, so it cannot tell the two apart)."""
+    return any(isinstance(dual.body(x), Batch) for x in point)
+
+
 def branching(c):
     """Each component takes a different branch at some nodes; one branch
     is a constant, one calls libm on the body."""
@@ -60,7 +66,7 @@ def test_a_branching_field_in_an_order_two_jet_keeps_each_nodes_arrays():
         want = ch.differentiate(field, list(node), order=2)
         for got, ref in ((jet.value, want.value), (jet.d1, want.d1),
                          (jet.d2, want.d2)):
-            assert np.array_equal(got[..., k], ref)
+            assert np.array_equal(got[..., k], ref[..., 0])     # one node
 
 
 def test_a_type_error_with_no_batch_point_propagates():
@@ -77,7 +83,7 @@ def test_a_library_type_error_at_a_batch_point_propagates(monkeypatch):
     original = gm.bismut_curvature
 
     def batch_only_bug(sign, geo):
-        if dual.nodes(geo.point):
+        if is_batch_point(geo.point):
             raise TypeError("a bug at batch points")
         return original(sign, geo)
     monkeypatch.setattr(gm, "bismut_curvature", batch_only_bug)
@@ -94,7 +100,7 @@ def test_a_library_type_error_inside_a_library_field_propagates(
     original = qt.horizontal_lift
 
     def batch_only_bug(scn, p, sign, qvecs):
-        if dual.nodes(p) and any(isinstance(x, dual.Dual) for x in p):
+        if is_batch_point(p) and any(isinstance(x, dual.Dual) for x in p):
             raise TypeError("a bug at batch points inside a jet")
         return original(scn, p, sign, qvecs)
     monkeypatch.setattr(qt, "horizontal_lift", batch_only_bug)
@@ -139,7 +145,7 @@ def test_every_jet_pass_of_a_run_sees_a_batch_point(monkeypatch, name):
     passes, partial = [], dual.partial
 
     def spy(fn, point, axis):
-        passes.append(dual.nodes(point))
+        passes.append(is_batch_point(point))
         return partial(fn, point, axis)
 
     def no_fallback(x, k):

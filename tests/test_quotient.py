@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ggred import chart as ch
+from ggred import dual
 from ggred import quotient as qt
 from ggred.chart import ChartField, VECTOR
 from ggred.dual import cos, sin
@@ -12,6 +13,11 @@ from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import hopf, hopf_flux, product_qg, s3xt2
 
 RNG = np.random.default_rng(42)
+
+
+def node0(*arrays):
+    """Node 0 of each array: a point is a one-node batch."""
+    return tuple(a[..., 0] for a in arrays)
 
 
 def rand_qfield(chart, rng):
@@ -76,9 +82,9 @@ def test_constructed_violations_name_their_condition(param, condition):
 def test_frames_coincide_without_one_form():
     s = hopf({"flux": 0.0})
     p = s.chart.sample(RNG, 1)[0]
-    tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
+    tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
     assert np.max(np.abs(tp - tm)) < 1e-12
-    gmat = s.ctx.metric_at(p)
+    (gmat,) = node0(s.ctx.metric_at(p))
     vval = np.asarray(s.ea.V[0](p), float)
     for v in tp:
         assert abs(v @ gmat @ vval) < ch.EPS_ID
@@ -87,8 +93,8 @@ def test_frames_coincide_without_one_form():
 def test_frames_tilt_with_flux():
     s = hopf_flux({"flux": 1.5})
     p = s.chart.sample(RNG, 1)[0]
-    tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
-    gmat = s.ctx.metric_at(p)
+    tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
+    (gmat,) = node0(s.ctx.metric_at(p))
     overlap = tp @ gmat @ tm.T
     angles = np.linalg.svd(overlap)[1]
     assert angles.min() < 1.0 - 1e-6  # genuinely different subspaces
@@ -97,14 +103,14 @@ def test_frames_tilt_with_flux():
 def test_frame_defining_constraints():
     s = s3xt2({})
     for p in s.chart.sample(RNG, 3):
-        tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
+        tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
         assert tp.shape == (4, 5) and tm.shape == (4, 5)
         for sign, fr in ((+1, tp), (-1, tm)):
             rows = qt.constraint_rows(s.ea, s.ctx, p, sign)
             worst = max(abs(float(np.asarray(r, float) @ v))
                         for r in rows for v in fr)
             assert worst < ch.EPS_ID
-        gmat = s.ctx.metric_at(p)
+        (gmat,) = node0(s.ctx.metric_at(p))
         assert np.max(np.abs(tp @ gmat @ tp.T - np.eye(4))) < ch.EPS_ID
 
 
@@ -112,14 +118,16 @@ def test_reduction_matrices_identities():
     s = s3xt2({})
     for p in s.chart.sample(RNG, 3):
         rm = qt.reduction_matrices(s.ea, s.ctx, p)
-        assert np.max(np.abs(rm.T - rm.T.T)) < 1e-14
-        assert np.all(np.linalg.eigvalsh(rm.T) > 0)
-        assert np.max(np.abs(rm.Kinv @ rm.K - np.eye(s.ea.s))) < 1e-12
+        t, k, kinv = node0(rm.T, rm.K, rm.Kinv)
+        assert np.max(np.abs(t - t.T)) < 1e-14
+        assert np.all(np.linalg.eigvalsh(t) > 0)
+        assert np.max(np.abs(kinv @ k - np.eye(s.ea.s))) < 1e-12
         # T from V^- equals T from V^+
-        gmat = s.ctx.metric_at(p)
+        (gmat,) = node0(s.ctx.metric_at(p))
         vm = np.array([np.asarray(v, float)
                        for v in qt.v_pm_values(s.ea, s.ctx, p, -1)])
-        assert np.max(np.abs(vm @ gmat @ vm.T - rm.T)) < 1e-12
+        assert (vm @ gmat @ vm.T).shape == t.shape
+        assert np.max(np.abs(vm @ gmat @ vm.T - t)) < 1e-12
 
 
 # -- connection curvature of the horizontal spaces ---------------------------
@@ -163,8 +171,9 @@ def test_hopf_reduces_to_half_radius_sphere():
     s = hopf({"flux": 0.0})
     scn = s.quotient
     for q in scn.quotient.sample(RNG, 3):
-        gred, hred = qt.reduce_metric_flux(scn, q)
+        gred, hred = node0(*qt.reduce_metric_flux(scn, q))
         expect = np.diag([0.25, 0.25 * np.sin(q[0]) ** 2])
+        assert gred.shape == expect.shape
         assert np.max(np.abs(gred - expect)) < 1e-12
         assert np.max(np.abs(hred)) == 0.0
 
@@ -180,13 +189,13 @@ def test_padded_scenario_has_reduced_flux():
     s = s3xt2({})
     scn = s.quotient
     q = scn.quotient.sample(RNG, 1)[0]
-    gred, hred = qt.reduce_metric_flux(scn, q)
+    gred, hred = node0(*qt.reduce_metric_flux(scn, q))
     assert np.max(np.abs(hred)) > 0.05
-    # independent recomputation through the flux field closure
+    # independent recomputation through the flux field closure, whose
+    # entries are one-node Batch values at a point
     f = qt.reduced_flux_field(scn)
-    again = np.array(
-        [[[float(x) for x in row] for row in plane]
-         for plane in np.asarray(f(q), dtype=object)])
+    (again,) = node0(dual.tighten(np.asarray(f(q), dtype=object), 1))
+    assert again.shape == hred.shape
     assert np.max(np.abs(again - hred)) < 1e-12
     # fully antisymmetric
     assert np.max(np.abs(hred + np.einsum("abc->bac", hred))) < 1e-12
@@ -226,7 +235,8 @@ def test_reduced_connection_ambient_vs_direct(maker):
         x, y, z = (rand_qfield(scn.quotient, rng) for _ in range(3))
         ambient = qt.reduced_bismut(scn, x, y, z, q)
         direct = qt.reduced_bismut_direct(scn, x, y, z, q)
-        assert abs(ambient - direct) < 1e-6
+        assert ambient.shape == direct.shape == (1,)
+        assert abs(ambient[0] - direct[0]) < 1e-6
 
 
 def test_hopf_reduced_connection_is_levi_civita_of_quotient():
@@ -235,18 +245,19 @@ def test_hopf_reduced_connection_is_levi_civita_of_quotient():
     rng = np.random.default_rng(6)
     q = scn.quotient.sample(rng, 1)[0]
     x, y, z = (rand_qfield(scn.quotient, rng) for _ in range(3))
-    val = qt.reduced_bismut(scn, x, y, z, q)
+    (val,) = qt.reduced_bismut(scn, x, y, z, q)
     # direct Levi-Civita of the radius-1/2 round metric
     half = ChartField(scn.quotient, ch.METRIC,
                       lambda c: [[0.25, 0.0], [0.0, 0.25 * sin(c[0]) ** 2]])
     from ggred.genmetric import GeneralizedMetricContext
     ctxq = GeneralizedMetricContext.create(half)
     jy = ch.differentiate(y, q, order=1)
-    gam = ch.christoffel(ch.differentiate(half, q))
+    dy, yv, gam, gq = node0(jy.d1, jy.value,
+                            ch.christoffel(ch.differentiate(half, q)),
+                            ctxq.metric_at(q))
     xv = np.asarray(x(q), float)
-    nab = np.einsum("j,ji->i", xv, jy.d1) \
-        + np.einsum("ijk,j,k->i", gam, xv, jy.value)
-    expect = float(nab @ ctxq.metric_at(q) @ np.asarray(z(q), float))
+    nab = np.einsum("j,ji->i", xv, dy) + np.einsum("ijk,j,k->i", gam, xv, yv)
+    expect = float(nab @ gq @ np.asarray(z(q), float))
     assert abs(val - expect) < 1e-9
 
 
@@ -258,10 +269,10 @@ def test_vertical_derivative_identity():
     rng = np.random.default_rng(7)
     q = scn.quotient.sample(rng, 1)[0]
     p = scn.lift(q)
-    gmat = s.ctx.metric_at(p)
-    coeffs = bismut_connection_coeffs(-1, Geometry(s.ctx, p))
     jxm = ch.differentiate(qt.xi_pm_field(s.ea, s.ctx, 0, -1), p, order=1)
-    dxm = ch.exterior_derivative(jxm, 1)
+    gmat, coeffs, dxm = node0(
+        s.ctx.metric_at(p), bismut_connection_coeffs(-1, Geometry(s.ctx, p)),
+        ch.exterior_derivative(jxm, 1))
     vval = np.asarray(s.ea.V[0](p), float)
     for _ in range(3):
         zq, wq = rand_qfield(scn.quotient, rng), rand_qfield(scn.quotient,
@@ -269,8 +280,9 @@ def test_vertical_derivative_identity():
         zf = qt.lifted_field(scn, zq, -1)
         wf = qt.lifted_field(scn, wq, -1)
         jz = ch.differentiate(zf, p, order=1, chart=s.ctx.chart)
-        nab = np.einsum("j,ji->i", vval, jz.d1) \
-            + np.einsum("ijk,j,k->i", coeffs, vval, jz.value)
+        dz, zv = node0(jz.d1, jz.value)
+        nab = np.einsum("j,ji->i", vval, dz) \
+            + np.einsum("ijk,j,k->i", coeffs, vval, zv)
         wval = np.asarray(wf(p), float)
         lhs = float(nab @ gmat @ wval)
         rhs = 0.5 * float(np.einsum("ij,i,j->", dxm,
@@ -318,8 +330,9 @@ def test_product_scenario_reduces_to_factor():
     s = product_qg({})
     scn = s.quotient
     q = scn.quotient.sample(RNG, 1)[0]
-    gred, hred = qt.reduce_metric_flux(scn, q)
+    gred, hred = node0(*qt.reduce_metric_flux(scn, q))
     expect = np.diag([1.0, np.sin(q[0]) ** 2])
+    assert gred.shape == expect.shape
     assert np.max(np.abs(gred - expect)) < 1e-12
     t = qt.reduced_curvature_quotient(qt.LiftedPoint(scn, q))
     assert np.isclose(t[0, 1, 1, 0], 1.0, atol=1e-10)

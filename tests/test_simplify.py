@@ -77,12 +77,17 @@ def test_invert_matrix_derivative_is_minus_inv_dm_inv():
     q = [0.4, 0.9]
     jm = ch.differentiate(mfn, q, order=1)
     jinv = ch.differentiate(lambda x: ch.invert_matrix(mfn(x)), q, order=1)
-    minv = np.linalg.inv(jm.value)
-    assert np.max(np.abs(jinv.value - minv)) < 1e-11
+    # a point is a one-node batch: node 0 of each jet
+    mval, md1, ival, id1 = (a[..., 0] for a in (jm.value, jm.d1, jinv.value,
+                                                jinv.d1))
+    minv = np.linalg.inv(mval)
+    assert ival.shape == minv.shape
+    assert np.max(np.abs(ival - minv)) < 1e-11
     for a in range(len(q)):
-        expected = -minv @ jm.d1[a] @ minv
+        expected = -minv @ md1[a] @ minv
         assert np.max(np.abs(expected)) > 1e-3
-        assert np.max(np.abs(jinv.d1[a] - expected)) < 1e-10
+        assert id1[a].shape == expected.shape
+        assert np.max(np.abs(id1[a] - expected)) < 1e-10
 
 
 # -- one K^{-1}: omega_two_form and theta against explicit b-loops -----------
@@ -117,9 +122,10 @@ def _loop_omega(scn, point):
     kinv = ch.invert_matrix(kmat)
     dxi = []
     for b in range(s):
-        jet = ch.differentiate(qt.xi_pm_field(ea, ctx, b, +1), point,
-                               order=1)
-        dxi.append(ch.exterior_derivative(jet, 1))
+        # dual.gradient, not a jet: this body also runs inside a jet
+        d1 = dual.gradient(qt.xi_pm_field(ea, ctx, b, +1), list(point))
+        dxi.append(ch.exterior_derivative(ch.PointJet(tuple(point), None, d1),
+                                          1))
     om = np.empty((s, n, n), dtype=object)
     for a in range(s):
         for i in range(n):
@@ -137,14 +143,17 @@ def test_omega_two_form_matches_loop_oracle(scn):
     p = scn.lift(scn.quotient.sample(np.random.default_rng(8), 1)[0])
     oracle = dual.tighten(_loop_omega(scn, p))
     assert np.max(np.abs(oracle)) > 0.05
-    om = dual.tighten(qt.omega_two_form(scn, p))
+    # one-node Batch entries at a point, as in a field body
+    om = dual.tighten(qt.omega_two_form(scn, p), 1)[..., 0]
     assert om.shape == oracle.shape
     assert np.max(np.abs(om - oracle)) < 1e-12
 
     jet = ch.differentiate(lambda c: qt.omega_two_form(scn, c), p, order=1)
     ojet = ch.differentiate(lambda c: _loop_omega(scn, c), p, order=1)
     assert np.max(np.abs(ojet.d1)) > 1e-3
+    assert jet.value.shape == ojet.value.shape
     assert np.max(np.abs(jet.value - ojet.value)) < 1e-12
+    assert jet.d1.shape == ojet.d1.shape
     assert np.max(np.abs(jet.d1 - ojet.d1)) < 1e-10
 
 
@@ -172,13 +181,13 @@ def test_tau_projector(make, sign):
     scn = make({}).quotient
     ea, ctx = scn.ea, scn.ctx
     p = scn.lift(scn.quotient.sample(np.random.default_rng(5), 1)[0])
-    proj = qt.tau_projector(ea, ctx, p, sign)
+    proj = qt.tau_projector(ea, ctx, p, sign)[..., 0]    # one node
     n = scn.ambient_dim
     assert proj.shape == (n, n)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     for v in qt.v_pm_values(ea, ctx, p, sign):
         assert np.max(np.abs(proj @ np.asarray(v, dtype=float))) < 1e-12
-    frame = qt.horizontal_frames(ea, ctx, p)[0 if sign > 0 else 1]
+    frame = qt.horizontal_frames(ea, ctx, p)[0 if sign > 0 else 1][..., 0]
     assert frame.shape == (n - ea.s, n)
     for e in frame:
         assert np.max(np.abs(proj @ e - e)) < 1e-12

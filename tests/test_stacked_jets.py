@@ -26,6 +26,11 @@ QUOTIENTS = [s3xt2({}).quotient, two_generator_action()]
 QUOTIENT_IDS = ["s3xt2", "two_generators"]
 
 
+def node0(*arrays):
+    """Node 0 of each array: a point is a one-node batch."""
+    return tuple(a[..., 0] for a in arrays)
+
+
 def _ambient_point(scn, seed):
     return scn.lift(scn.quotient.sample(np.random.default_rng(seed), 1)[0])
 
@@ -48,15 +53,16 @@ def test_d_constraint_rows_match_per_row_jets(scn, sign):
 def test_minus_derivative_matrix_matches_per_generator_jets(scn):
     p = _ambient_point(scn, 4)
     ea, ctx = scn.ea, scn.ctx
-    coeffs = bismut_connection_coeffs(-1, Geometry(ctx, p))
+    (coeffs,) = node0(bismut_connection_coeffs(-1, Geometry(ctx, p)))
     per_row = []
     for a in range(ea.s):
         field = ChartField(ctx.chart, VECTOR,
                            lambda c, a=a: qt.v_pm_values(ea, ctx, c, -1)[a])
         jet = ch.differentiate(field, p, order=1)
-        per_row.append(jet.d1 + np.einsum("ijk,k->ji", coeffs, jet.value))
+        d1, value = node0(jet.d1, jet.value)
+        per_row.append(d1 + np.einsum("ijk,k->ji", coeffs, value))
     per_row = np.array(per_row)
-    stacked = qt._minus_derivative_matrix(scn, Geometry(scn.ctx, p))
+    (stacked,) = node0(qt._minus_derivative_matrix(scn, Geometry(scn.ctx, p)))
     assert np.max(np.abs(per_row)) > 0.05
     assert np.array_equal(stacked, per_row)
 
@@ -64,15 +70,17 @@ def test_minus_derivative_matrix_matches_per_generator_jets(scn):
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
 def test_point_frame_quotient_matches_per_generator_jets(scn):
     q = scn.quotient.sample(np.random.default_rng(5), 1)[0]
-    pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
+    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes()
     p = list(pf.point)
-    gamma = ch.christoffel(ch.differentiate(scn.ctx.g, p))
+    (gamma,) = node0(ch.christoffel(ch.differentiate(scn.ctx.g, p)))
     dxi, dvl = [], []
     for vf, xf in zip(scn.ea.V, scn.ea.xi):
         jx = ch.differentiate(xf, p, order=1)
-        dxi.append(jx.d1 - np.einsum("mki,m->ki", gamma, jx.value))
+        dx, x = node0(jx.d1, jx.value)
+        dxi.append(dx - np.einsum("mki,m->ki", gamma, x))
         jv = ch.differentiate(vf, p, order=1)
-        dv = jv.d1 + np.einsum("ikm,m->ki", gamma, jv.value)
+        dv, v = node0(jv.d1, jv.value)
+        dv = dv + np.einsum("ikm,m->ki", gamma, v)
         dvl.append(np.einsum("ki,im->km", dv, pf.g))
     assert np.max(np.abs(dxi)) > 0.05 and np.max(np.abs(dvl)) > 0.05
     assert np.array_equal(pf.dxi_cov, np.array(dxi))
@@ -97,7 +105,7 @@ def test_section_gradients_match_per_constraint_jets():
     sd = two_constraint_section().sd
     p = [0.3, -0.5, 0.7]
     per_row = [j.d1.reshape(-1) for j in _per_constraint_jets(sd, p, 1)]
-    stacked = sd.gradients(p)
+    (stacked,) = node0(sd.gradients(p))
     assert len(stacked) == sd.r == 2
     for got, want in zip(stacked, per_row):
         assert np.array_equal(np.asarray(got, dtype=float), want)
@@ -107,12 +115,12 @@ def test_section_gradients_match_per_constraint_jets():
 def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
     scn = two_constraint_section()
     p = [0.3, -0.5, 0.7]
-    coeffs = bismut_connection_coeffs(sign, Geometry(scn.ctx, p))
+    (coeffs,) = node0(bismut_connection_coeffs(sign, Geometry(scn.ctx, p)))
     per_row = np.array([
         j.d2.reshape(3, 3) - np.einsum("lij,l->ij", coeffs, j.d1.reshape(3))
         for j in _per_constraint_jets(scn.sd, p, 2)])
-    stacked = sm.nabla_pm_dsigma(scn.sd.jet(p, order=2), sign,
-                                 Geometry(scn.ctx, p))
+    (stacked,) = node0(sm.nabla_pm_dsigma(scn.sd.jet(p, order=2), sign,
+                                          Geometry(scn.ctx, p)))
     assert np.max(np.abs(per_row[1])) > 0.05
     assert np.array_equal(stacked, per_row)
 
@@ -120,7 +128,7 @@ def test_nabla_pm_dsigma_matches_per_constraint_jets(sign):
 def test_point_frame_section_matches_per_constraint_jets():
     scn = two_constraint_section()
     u = [1.1]
-    pf = lz.point_frame_section(sm.LocusPoint(scn, u))
+    (pf,) = lz.point_frame_section(sm.LocusPoint(scn, u)).nodes()
     jets = _per_constraint_jets(scn.sd, list(pf.point), 2)
     assert np.array_equal(pf.dsigma, [j.d1.reshape(3) for j in jets])
     assert np.array_equal(pf.hess_sigma, [j.d2.reshape(3, 3) for j in jets])

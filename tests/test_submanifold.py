@@ -14,6 +14,11 @@ from ggred.scenarios import sphere_in_flat
 
 RNG = np.random.default_rng(42)
 
+
+def node0(*arrays):
+    """Node 0 of each array: a point is a one-node batch."""
+    return tuple(a[..., 0] for a in arrays)
+
 BOX3 = Chart("r3", (-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))
 FLAT3 = GeneralizedMetricContext.create(ChartField(BOX3, METRIC,
                                                    lambda c: np.eye(3)))
@@ -50,7 +55,8 @@ def test_t_matrix_unit_sphere():
 def test_t_matrix_two_sections_identity():
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),
                          ChartField(BOX3, SCALAR, lambda c: [c[1]])))
-    tup, _ = sm.t_matrix(sd, FLAT3, (0.0, 0.0, 0.4))
+    (tup,) = node0(sm.t_matrix(sd, FLAT3, (0.0, 0.0, 0.4))[0])
+    assert tup.shape == (2, 2)
     assert np.max(np.abs(tup - np.eye(2))) < 1e-12
 
 
@@ -79,11 +85,11 @@ def test_tangent_frame_orthonormal_and_tangent():
     s = sphere_in_flat({})
     scn = s.section
     for u in scn.nchart.sample(RNG, 3):
-        fr = sm.tangent_frame(scn, u)
         p = scn.embed(u)
-        gmat = s.ctx.metric_at(p)
+        fr, gmat, grads = node0(sm.tangent_frame(scn, u), s.ctx.metric_at(p),
+                                scn.sd.gradients(p))
         assert np.max(np.abs(fr @ gmat @ fr.T - np.eye(2))) < ch.EPS_ID
-        for grad in scn.sd.gradients(p):
+        for grad in grads:
             for v in fr:
                 assert abs(float(np.asarray(grad, float) @ v)) < ch.EPS_ID
 
@@ -99,11 +105,13 @@ def test_flat_hyperplane_connection():
     rng = np.random.default_rng(2)
     u = nchart.sample(rng, 1)[0]
     x, y = rand_tfield(nchart, rng), rand_tfield(nchart, rng)
-    corrected, coeff_form = sm.reduced_connection_vector(scn, x, y, u)
+    corrected, coeff_form = node0(*sm.reduced_connection_vector(scn, x, y, u))
     jy = ch.differentiate(y, u, order=1)
-    plain = np.einsum("a,ai->i", np.asarray(x(u), float), jy.d1)
+    plain = np.einsum("a,ai->i", np.asarray(x(u), float), jy.d1[..., 0])
+    assert corrected[:2].shape == plain.shape
     assert np.allclose(corrected[:2], plain, atol=1e-12)
     assert abs(corrected[2]) < 1e-12
+    assert coeff_form.shape == corrected.shape
     assert np.allclose(coeff_form, corrected, atol=1e-12)
 
 
@@ -116,18 +124,22 @@ def test_connection_three_routes_agree(cval):
     for _ in range(3):
         u = scn.nchart.sample(rng, 1)[0]
         x, y, z = (rand_tfield(scn.nchart, rng) for _ in range(3))
-        ambient = sm.reduced_connection_sub(scn, x, y, z, u)
+        (ambient,) = sm.reduced_connection_sub(scn, x, y, z, u)
         jy = ch.differentiate(y, u, order=1)
-        co = bismut_connection_coeffs(-1, Geometry(ctxn, u))
+        dy, yv, co, gn = node0(
+            jy.d1, jy.value, bismut_connection_coeffs(-1, Geometry(ctxn, u)),
+            ctxn.metric_at(u))
         xv = np.asarray(x(u), float)
-        nab = np.einsum("j,ji->i", xv, jy.d1) \
-            + np.einsum("ijk,j,k->i", co, xv, jy.value)
-        direct = float(nab @ ctxn.metric_at(u) @ np.asarray(z(u), float))
+        nab = np.einsum("j,ji->i", xv, dy) \
+            + np.einsum("ijk,j,k->i", co, xv, yv)
+        direct = float(nab @ gn @ np.asarray(z(u), float))
         assert abs(ambient - direct) < 1e-6
-        corrected, coeff_form = sm.reduced_connection_vector(scn, x, y, u)
+        corrected, coeff_form = node0(*sm.reduced_connection_vector(scn, x, y,
+                                                                    u))
+        assert corrected.shape == coeff_form.shape
         assert np.max(np.abs(corrected - coeff_form)) < ch.EPS_ID
         p = scn.embed(u)
-        for grad in scn.sd.gradients(p):
+        for grad in node0(scn.sd.gradients(p))[0]:
             assert abs(float(np.asarray(grad, float) @ corrected)) < ch.EPS_ID
 
 
@@ -138,8 +150,8 @@ def test_sphere_connection_flux_independent():
     rng = np.random.default_rng(4)
     u = s0.section.nchart.sample(rng, 1)[0]
     x, y, z = (rand_tfield(s0.section.nchart, rng) for _ in range(3))
-    v0 = sm.reduced_connection_sub(s0.section, x, y, z, u)
-    v2 = sm.reduced_connection_sub(s2.section, x, y, z, u)
+    (v0,) = sm.reduced_connection_sub(s0.section, x, y, z, u)
+    (v2,) = sm.reduced_connection_sub(s2.section, x, y, z, u)
     assert abs(v0 - v2) < 1e-10
 
 
@@ -152,7 +164,7 @@ def test_extension_independence():
     u = scn.nchart.sample(rng, 1)[0]
     p = scn.embed(u)
     x, y, z = (rand_tfield(scn.nchart, rng) for _ in range(3))
-    route_a = sm.reduced_connection_sub(scn, x, y, z, u)
+    (route_a,) = sm.reduced_connection_sub(scn, x, y, z, u)
 
     def y_ext(coords):
         ub = scn.unembed(coords)
@@ -162,10 +174,11 @@ def test_extension_independence():
     demb = np.asarray(sm.embed_jacobian(scn, u), dtype=float)
     xv = demb @ np.asarray(x(u), float)
     zv = demb @ np.asarray(z(u), float)
-    co = bismut_connection_coeffs(-1, Geometry(s.ctx, p))
-    nab = np.einsum("j,ji->i", xv, jy.d1) \
-        + np.einsum("ijk,j,k->i", co, xv, jy.value)
-    route_b = float(nab @ s.ctx.metric_at(p) @ zv)
+    dy, yv, co, gmat = node0(jy.d1, jy.value,
+                             bismut_connection_coeffs(-1, Geometry(s.ctx, p)),
+                             s.ctx.metric_at(p))
+    nab = np.einsum("j,ji->i", xv, dy) + np.einsum("ijk,j,k->i", co, xv, yv)
+    route_b = float(nab @ gmat @ zv)
     assert abs(route_a - route_b) < ch.EPS_ID
 
 
@@ -183,8 +196,8 @@ def test_metric_compatibility_of_reduced_connection():
         zv = np.asarray(z(c), dtype=object)
         return [yv @ gm @ zv]
     jet = ch.differentiate(gyz, u, order=1)
-    lhs = float(np.einsum("j,j->", np.asarray(x(u), float), jet.d1[:, 0]))
-    rhs = sm.reduced_connection_sub(scn, x, y, z, u) \
+    lhs = float(np.einsum("j,j->", np.asarray(x(u), float), jet.d1[:, 0, 0]))
+    (rhs,) = sm.reduced_connection_sub(scn, x, y, z, u) \
         + sm.reduced_connection_sub(scn, x, z, y, u)
     assert abs(lhs - rhs) < ch.EPS_ID
 
@@ -242,6 +255,7 @@ def test_gauss_equation_oracle():
         lp = sm.LocusPoint(scn, u)
         t = sm.reduced_curvature_sub(lp)
         g = sm.gauss_equation_oracle(scn, u, lp.basis)
+        assert t.shape == g.shape
         assert np.max(np.abs(t - g)) < 1e-9
 
 
@@ -251,10 +265,10 @@ def test_swap_identity_bridges_connections():
     rng = np.random.default_rng(9)
     for u in scn.nchart.sample(rng, 3):
         p = scn.embed(u)
-        fr = sm.tangent_frame(scn, u)
         jet = scn.sd.jet(p, order=2)
-        mm = sm.nabla_pm_dsigma(jet, -1, Geometry(scn.ctx, p))
-        mp = sm.nabla_pm_dsigma(jet, +1, Geometry(scn.ctx, p))
+        fr, mm, mp = node0(sm.tangent_frame(scn, u),
+                           sm.nabla_pm_dsigma(jet, -1, Geometry(scn.ctx, p)),
+                           sm.nabla_pm_dsigma(jet, +1, Geometry(scn.ctx, p)))
         for a in range(scn.sd.r):
             nbm = np.einsum("ij,mi,rj->mr", mm[a], fr, fr)
             nbp = np.einsum("ij,mi,rj->mr", mp[a], fr, fr)

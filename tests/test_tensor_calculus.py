@@ -25,8 +25,16 @@ ULP = np.finfo(float).eps
 
 
 def lie(v, t, p):
-    """``lie_derivative`` of two fields at p, from their order-1 jets."""
-    return ch.lie_derivative(ch.differentiate(v, p), ch.differentiate(t, p))
+    """``lie_derivative`` of two fields at p, from their order-1 jets: node
+    0 of its one-node result (a point is a one-node batch)."""
+    return ch.lie_derivative(ch.differentiate(v, p),
+                             ch.differentiate(t, p))[..., 0]
+
+
+def jet0(f, point):
+    """The order-1 jet of ``f`` at a point, node 0 of each array."""
+    jet = ch.differentiate(f, point)
+    return ch.PointJet(jet.point, jet.value[..., 0], jet.d1[..., 0])
 
 
 # -- test-local copies of the replaced routines ----------------------------
@@ -66,8 +74,7 @@ def loop_wedge(omega, eta, p, q):
 
 
 def einsum_lie_metric(v, g, point):
-    jv = ch.differentiate(v, point, order=1)
-    jg = ch.differentiate(g, point, order=1)
+    jv, jg = jet0(v, point), jet0(g, point)
     return (np.einsum("k,kij->ij", jv.value, jg.d1)
             + np.einsum("kj,ik->ij", jg.value, jv.d1)
             + np.einsum("ik,jk->ij", jg.value, jv.d1))
@@ -75,15 +82,14 @@ def einsum_lie_metric(v, g, point):
 
 def cartan_lie_form(v, omega, point):
     k = omega.valence.cov
-    vval = np.asarray(v(point), dtype=float)
-    dom = loop_exterior_derivative(ch.differentiate(omega.fn, point), k)
+    vval = jet0(v, point).value
+    dom = loop_exterior_derivative(jet0(omega.fn, point), k)
     term1 = np.tensordot(vval, dom, axes=(0, 0))
 
     def iv_omega(c):
         return np.tensordot(np.asarray(v.fn(c), dtype=object),
                             np.asarray(omega.fn(c), dtype=object), axes=(0, 0))
-    jet = ch.differentiate(iv_omega, point)
-    return term1 + loop_exterior_derivative(jet, k - 1)
+    return term1 + loop_exterior_derivative(jet0(iv_omega, point), k - 1)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -117,8 +123,7 @@ def dual_array(rng, shape):
 
 def lie_scale(v, t, point):
     """The coordinate formula evaluated on absolute values."""
-    jv = ch.differentiate(v.fn, point)
-    jt = ch.differentiate(t.fn, point)
+    jv, jt = jet0(v.fn, point), jet0(t.fn, point)
     out = np.tensordot(np.abs(jv.value), np.abs(jt.d1), axes=(0, 0))
     for slot in range(jt.value.ndim):
         out = out + np.moveaxis(np.tensordot(np.abs(jt.value),
@@ -206,10 +211,11 @@ def test_lie_derivative_matches_metric_and_cartan_routes(name):
     for p in s.chart.sample(np.random.default_rng(22), 3):
         for v in fields:
             for t, old in tensors:
-                got = lie(v, t, p)
-                assert got.shape == (s.chart.dim,) * t.valence.cov
+                got, want = lie(v, t, p), old(v, t, p)
+                assert got.shape == want.shape == \
+                    (s.chart.dim,) * t.valence.cov
                 bound = 8 * ULP * lie_scale(v, t, p)
-                assert np.max(np.abs(got - old(v, t, p)), initial=0.0) \
+                assert np.max(np.abs(got - want), initial=0.0) \
                     <= bound, (t.name, v.name)
 
 
@@ -230,8 +236,9 @@ def test_lie_derivative_of_random_polynomial_two_form():
     v = ck.random_vector_field(box, rng)
     worst = 0.0
     for p in box.sample(rng, 4):
-        got = lie(v, omega, p)
-        err = np.max(np.abs(got - cartan_lie_form(v, omega, p)))
+        got, want = lie(v, omega, p), cartan_lie_form(v, omega, p)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want))
         assert err <= 8 * ULP * lie_scale(v, omega, p)
         worst = max(worst, float(np.max(np.abs(got))))
     assert worst > 1.0          # the comparison is not between zeros
@@ -259,6 +266,7 @@ def test_lie_derivative_of_one_form_by_hand():
     got = lie(v, xi, (0.5, 2.0))
     assert np.array_equal(got, [5.0, 2.0])
     got = lie(v, xi, (-1.5, 0.25))
+    assert got.shape == (2,)
     assert np.allclose(got, [1.0625, 0.75], rtol=0, atol=4 * ULP)
 
 
