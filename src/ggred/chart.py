@@ -23,7 +23,6 @@ Component conventions, used consistently across the package:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -240,27 +239,11 @@ def inverse(m, error, what: str, definite: bool = False):
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} not positive definite" if definite else
                     f"{what} singular") from exc
-    if m.ndim == 2:     # one matrix: Python floats cost less than numpy calls
-        cond = _abs_max(m) * _abs_max(inv)
-        ok = cond < 1.0 / PIVOT_RTOL
-    else:
-        cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
-        ok = (cond < 1.0 / PIVOT_RTOL).all()
-    if not ok:
+    cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
+    if not (cond < 1.0 / PIVOT_RTOL).all():
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
                     f"{np.max(cond):.1e}")
     return _stack(inv, inv.ndim - 2)
-
-
-def _abs_max(a) -> float:
-    """``np.abs(a).max()`` of a float array, as a Python float.  A NaN
-    entry makes the sum NaN (as do infinities of both signs), so the
-    entries are searched for one only then."""
-    v = a.ravel().tolist()
-    total = sum(v)
-    if total != total and any(x != x for x in v):
-        return math.nan
-    return max(map(abs, v))
 
 
 def _stack(m, k: int = 2):
@@ -451,14 +434,6 @@ def node_einsum(spec: str, *ops) -> np.ndarray:
            for o, node in zip(ops, lead)]
     spec = ",".join("..." * node + sub for sub, node in zip(subs, lead))
     return np.moveaxis(np.einsum(f"{spec}->...{out}", *ops), 0, -1)
-
-
-def node_slices(arr, size: int):
-    """Each node's C-order slice of an array with a trailing axis of
-    ``size`` nodes, one at a time.  einsum and BLAS may round a strided
-    operand differently, so a node's slice is copied to the layout of its
-    point-by-point value."""
-    return (np.ascontiguousarray(arr[..., k]) for k in range(size))
 
 
 def swap_operator_slots(arr) -> np.ndarray:

@@ -134,8 +134,12 @@ class Dual:
 
 def _elementwise(f):
     def op(self, o):
-        return NotImplemented if isinstance(o, (Dual, np.ndarray)) else \
-            Batch(f(self.v, o.v if isinstance(o, Batch) else o))
+        if isinstance(o, (Dual, np.ndarray)):
+            return NotImplemented
+        v = f(self.v, o.v if type(o) is Batch else o)
+        out = object.__new__(Batch)     # the ufunc's float array as it is
+        out.v = v if type(v) is np.ndarray else np.asarray(v)   # 0-d
+        return out
     return op
 
 
@@ -164,6 +168,9 @@ class Batch:
 
     def __neg__(self):
         return Batch(-self.v)
+
+    def __format__(self, spec):
+        return "[" + " ".join(format(x, spec) for x in self.v.flat) + "]"
 
     def __pow__(self, p):
         return NotImplemented if isinstance(p, Dual) else _libm(pow, self, p)
@@ -220,8 +227,14 @@ def per_node(fn):
             return fn(coords)
         except TypeError:
             pass
-        out = [np.asarray(fn([_at_node(x, k) for x in coords]), dtype=object)
-               for k in range(nodes(coords))]
+        out = []
+        try:
+            for k in range(nodes(coords)):
+                out.append(np.asarray(fn([_at_node(x, k) for x in coords]),
+                                      dtype=object))
+        except MathDomainError as exc:
+            exc.node = len(out)     # libm saw that node's floats only
+            raise
         return np.apply_along_axis(_stack, -1, np.stack(out, -1))[()]
     call.batch_form = True
     return fn if getattr(fn, "batch_form", False) else call
@@ -378,6 +391,10 @@ def tighten(arr, size: int = 0):
     with ``size`` nodes, Batch (and float) entries stack on a last axis."""
     a = np.asarray(arr)
     if size:
+        try:    # all floats: one value for every node
+            return np.repeat(a.astype(float)[..., None], size, -1)
+        except TypeError:
+            pass
         out = np.empty((a.size, size))
         for i, e in enumerate(a.ravel().tolist()):
             out[i] = e.v if isinstance(e, Batch) else e

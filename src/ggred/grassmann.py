@@ -5,6 +5,11 @@ Generators are indexed 0..n-1; a set bit i in a mask stands for theta_i, and
 the stored coefficient multiplies the ascending-ordered product
 theta_{i1} theta_{i2} ... (i1 < i2 < ...).
 
+A coefficient is a float or a ``dual.Batch`` (one float per node).  A word
+is kept while it is nonzero at some node; adding an exact zero is exact and
+products sum in a fixed word order, so each node gets the bits of its own
+run (only a node's inf or NaN times a word zero there differs: NaN).
+
 Berezin convention: integrals are iterated left derivatives applied from the
 innermost (last listed) measure outwards, so that for a single pair
 ``integrate(e, [p, m])`` maps theta_m theta_p -> 1.
@@ -12,11 +17,13 @@ innermost (last listed) measure outwards, so that for a single pair
 
 from __future__ import annotations
 
-import math
+import functools
 import numbers
 
 import numpy as np
 
+from . import dual
+from .dual import Batch
 from .errors import AsymmetryError, OddDimensionError, UnknownGeneratorError
 
 MAX_GENERATORS = 16
@@ -36,9 +43,16 @@ def _parity_above(mask: int) -> int:
     return above
 
 
-def _real_scalar(x) -> float:
-    """A real scalar operand (0-d arrays included) as a float."""
-    if type(x) is float:
+@functools.lru_cache(maxsize=None)
+def _word_key(mask: int) -> tuple:
+    """A word's generators, ascending: words sort as curvature_quartic
+    meets them (theta_0 theta_1, theta_0 theta_2, ..., theta_1 theta_2)."""
+    return tuple(i for i in range(MAX_GENERATORS) if mask >> i & 1)
+
+
+def _real_scalar(x):
+    """A real scalar operand (0-d arrays included) as a float, or a Batch."""
+    if type(x) is float or type(x) is Batch:
         return x
     if isinstance(x, np.ndarray) and x.ndim == 0:
         x = x[()]
@@ -48,10 +62,25 @@ def _real_scalar(x) -> float:
         f"cannot combine a Grassmann element with {type(x).__name__}")
 
 
+def _nonzero(c) -> bool:
+    """Whether a coefficient is nonzero at some node (a NaN counts)."""
+    return bool(c.v.any()) if type(c) is Batch else c != 0.0
+
+
+def _accumulate(out: dict, m: int, c):
+    """out[m] += c, the word dropped where the sum is zero at every node."""
+    v = out.get(m, 0.0) + c
+    if _nonzero(v):
+        out[m] = v
+    else:
+        out.pop(m, None)
+
+
 class GrassmannElement:
     """A real element of the Grassmann algebra on ``n`` generators."""
 
     __slots__ = ("n", "coeffs")
+    __array_ufunc__ = None      # ndarray * G defers to G; Batch * G raises
 
     def __init__(self, n: int, coeffs: dict[int, float] | None = None):
         if not 0 < n <= MAX_GENERATORS:
@@ -63,7 +92,7 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, n: int, value: float) -> "GrassmannElement":
-        return cls(n, {0: float(value)} if value != 0.0 else {})
+        return cls(n, {0: v} if _nonzero(v := _real_scalar(value)) else {})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "GrassmannElement":
@@ -79,11 +108,7 @@ class GrassmannElement:
         """
         out: dict[int, float] = {}
         for m, c in zip(masks, coeffs):
-            v = out.get(m, 0.0) + c
-            if v == 0.0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            _accumulate(out, m, c)
         return cls(n, out)
 
     def copy(self) -> "GrassmannElement":
@@ -97,15 +122,11 @@ class GrassmannElement:
 
     def __add__(self, other):
         if not isinstance(other, GrassmannElement):
-            other = GrassmannElement.scalar(self.n, _real_scalar(other))
+            other = GrassmannElement.scalar(self.n, other)
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            v = out.get(m, 0.0) + c
-            if v == 0.0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            _accumulate(out, m, c)
         return GrassmannElement(self.n, out)
 
     __radd__ = __add__
@@ -125,11 +146,15 @@ class GrassmannElement:
             # a product can underflow to zero; only nonzero entries are kept
             return GrassmannElement(
                 self.n, {m: v for m, c in self.coeffs.items()
-                         if (v := c * s) != 0.0})
+                         if _nonzero(v := c * s)})
         self._check(other)
         out: dict[int, float] = {}
         bitems = list(other.coeffs.items())
-        for ma, ca in self.coeffs.items():
+        # word m gets one term per word A of self (B = m - A), in the order
+        # of _word_key: a node's sum does not depend on which words other
+        # nodes keep, or on the order they were stored in
+        for ma in sorted(self.coeffs, key=_word_key):
+            ca = self.coeffs[ma]
             # merging theta_A theta_B into ascending order passes each
             # generator of B over the generators of A above it
             above = _parity_above(ma)
@@ -140,18 +165,15 @@ class GrassmannElement:
                 t = ca * cb
                 if (above & mb).bit_count() & 1:
                     t = -t
-                v = out.get(m, 0.0) + t
-                if v == 0.0:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
+                _accumulate(out, m, t)
         return GrassmannElement(self.n, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, GrassmannElement):
-            return self.n == other.n and (self - other).max_abs() == 0.0
+            return self.n == other.n and \
+                not np.any((self - other).max_abs())
         return NotImplemented
 
     # -- structure ---------------------------------------------------------
@@ -178,11 +200,11 @@ class GrassmannElement:
     def is_odd(self) -> bool:
         return all(m.bit_count() & 1 for m in self.coeffs)
 
-    def max_abs(self) -> float:
-        """The largest |coefficient|, 0.0 for none and NaN if any is NaN
-        (Python's ``max`` passes over a NaN that does not come first)."""
-        mags = list(map(abs, self.coeffs.values()))
-        return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
+    def max_abs(self):
+        """The largest |coefficient| at each node (one number for float
+        coefficients), 0.0 for none and NaN where any is NaN."""
+        vals = (c.v if type(c) is Batch else c for c in self.coeffs.values())
+        return np.max(np.abs(np.broadcast_arrays(0.0, *vals)), axis=0)
 
     def max_abs_degree(self, k: int) -> float:
         return GrassmannElement(self.n, {
@@ -194,14 +216,13 @@ class GrassmannElement:
         if not self.is_even():
             raise ValueError("exp is defined here for even elements only")
         nil = self.soul()
-        out = GrassmannElement.scalar(self.n, 1.0)
-        term = GrassmannElement.scalar(self.n, 1.0)
+        out = term = GrassmannElement.scalar(self.n, 1.0)
         for k in range(1, self.n // 2 + 1):
             term = term * nil * (1.0 / k)
             if not term.coeffs:
                 break
             out = out + term
-        return out * math.exp(self.body)
+        return out * dual.exp(self.body)
 
     def __repr__(self):
         if not self.coeffs:
@@ -232,8 +253,8 @@ def berezin_integral(e: GrassmannElement, generators) -> GrassmannElement:
             if not m & bit:
                 continue
             sign = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
-            new[m & ~bit] = new.get(m & ~bit, 0.0) + sign * c
-        out = GrassmannElement(e.n, {m: c for m, c in new.items() if c != 0.0})
+            _accumulate(new, m & ~bit, sign * c)
+        out = GrassmannElement(e.n, new)
     return out
 
 

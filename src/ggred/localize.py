@@ -15,7 +15,7 @@ Grassmann generator layout with m zero modes per chirality: generators
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from . import chart as ch
 from . import dual
 from . import quotient as qt
 from . import submanifold as sm
+from .dual import Batch
 from .errors import (FrameMismatchError, OddDimensionError,
                      SingularBodyError, SingularMetricError)
 from .genmetric import GeneralizedMetricContext, Geometry, bismut_curvature
@@ -63,14 +64,15 @@ def _words(shape, factors):
 def _word_sum(ngen, coeffs, factors):
     """sum coeffs[idx] theta_g0 theta_g1 ..., assembled word by word.
 
+    ``coeffs`` carries a trailing node axis: each coefficient is a Batch.
     See :func:`_words` for ``factors``.  Terms are summed in the C order of
     ``coeffs``, as the explicit generator-product loop over its axes sums
     them.
     """
-    masks, sign, valid = _words(coeffs.shape, factors)
-    keep = valid & (coeffs != 0.0)
+    masks, sign, valid = _words(coeffs.shape[:-1], factors)
+    keep = valid & coeffs.any(-1)
     return G.from_terms(ngen, masks[keep].tolist(),
-                        (coeffs * sign)[keep].tolist())
+                        dual.entries((coeffs * sign[..., None])[keep]))
 
 
 def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
@@ -104,8 +106,8 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray):
 
     Contracts the curvature into a positively oriented orthonormal frame,
     exponentiates the quartic pairing, and Berezin-integrates against the
-    paired measure.  The result carries no volume factor.  Trailing node
-    axes give one density per node; the Grassmann stage runs node by node.
+    paired measure.  The result carries no volume factor.  The trailing
+    node axis gives one density per node, from one Grassmann stage for all.
     """
     n = gmat.shape[0]
     if n % 2:
@@ -117,10 +119,9 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray):
             "Euler density needs a positive definite metric") from exc
     frame = ch._stack(np.linalg.inv(low), low.ndim - 2)  # rows: the frame
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
-    dens = [berezin_integral((0.5 * curvature_quartic(r, n)).exp(),
-                             euler_measure(n)).body
-            for r in np.moveaxis(rfr.reshape(rfr.shape[:4] + (-1,)), -1, 0)]
-    return np.array(dens)
+    dens = berezin_integral((0.5 * curvature_quartic(rfr, n)).exp(),
+                            euler_measure(n)).body
+    return dual.tighten([dens], rfr.shape[-1])[0]
 
 
 def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
@@ -132,8 +133,8 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
     curvature (or the plain curvature when ``use_flux`` is false) times the
     metric volume factor, normalized by (2 pi)^(dim/2).
 
-    Each slab of nodes along the last two axes is one batch point (a field
-    with no batch form runs node by node inside itself,
+    Each slab of order^2 nodes is one batch point, jets and Grassmann stage
+    alike (a field with no batch form runs node by node inside itself,
     :func:`ggred.dual.per_node`); terms are summed in C order.
     """
     lo, hi = (np.asarray(domain[0], dtype=float),
@@ -222,9 +223,7 @@ class AuxiliaryPolynomial:
         self.const = self.const + self._as_elem(coeff)
 
     def _as_elem(self, c):
-        if isinstance(c, GrassmannElement):
-            return c
-        return G.scalar(self.ngen, float(c))
+        return c if isinstance(c, GrassmannElement) else G.scalar(self.ngen, c)
 
     def q_entry(self, a, b):
         return self.quad.get((a, b), self._zero())
@@ -243,19 +242,23 @@ class AuxiliaryPolynomial:
         group = list(group)
         keep = [v for v in self.variables if v not in group]
         qww = [[self.q_entry(a, b) for b in group] for a in group]
-        body = np.array([[e.body for e in row] for row in qww])
-        body_inv = ch.inverse(body, SingularBodyError,
+        body = [[e.body for e in row] for row in qww]
+        # Batch bodies: one inverse per node of their stack
+        size = max((b.v.size for row in body for b in row
+                    if type(b) is Batch), default=0)
+        body_inv = ch.inverse(dual.tighten(body, size), SingularBodyError,
                               f"block body of group {group}")
         # (B + N)^{-1} = sum_k (-B^{-1} N)^k B^{-1}, exact because N is
         # nilpotent.
-        binv = [[G.scalar(self.ngen, b) for b in row] for row in body_inv]
+        binv = [[G.scalar(self.ngen, b) for b in row] for row in
+                (dual.entries(body_inv) if size else body_inv)]
         nil = [[e - G.scalar(self.ngen, b) for e, b in zip(row, brow)]
                for row, brow in zip(qww, body)]
         step = [[-e for e in row] for row in _gm_mul(binv, nil)]
         inv = term = binv
         for _ in range(self.ngen // 2 + 1):
             term = _gm_mul(step, term)
-            if all(e.max_abs() == 0.0 for row in term for e in row):
+            if not any(e.coeffs for row in term for e in row):
                 break
             inv = [[a + b for a, b in zip(ra, rb)]
                    for ra, rb in zip(inv, term)]
@@ -270,11 +273,11 @@ class AuxiliaryPolynomial:
         out.const = self.const - 0.5 * _gv_dot(lw, [row[0] for row in x])
         for i, ka in enumerate(keep):
             new_l = self.l_entry(ka) - corr[i][0]
-            if new_l.max_abs():
+            if new_l.coeffs:
                 out.lin[ka] = new_l
             for j, kb in enumerate(keep, 1):
                 val = self.q_entry(ka, kb) - corr[i][j]
-                if val.max_abs():
+                if val.coeffs:
                     out.quad[(ka, kb)] = val
         solution = {w: (-x[i][0], {k: -e for k, e in zip(keep, x[i][1:])})
                     for i, w in enumerate(group)}
@@ -305,8 +308,8 @@ def _gv_dot(u, v):
 
 @dataclass
 class PointFrame:
-    """Every tensor value the component actions consume at one point, or at
-    a batch point (every array with a trailing node axis)."""
+    """Every tensor value the Grassmann stage consumes at a batch point (one
+    node at a plain point), each array with a trailing node axis."""
 
     point: tuple
     n: int
@@ -335,18 +338,6 @@ class PointFrame:
     @property
     def m(self) -> int:
         return self.plus_frame.shape[0]
-
-    def nodes(self):
-        """The frame of each node of the point, one at a time, every array
-        its C-order slice (:func:`ggred.chart.node_slices`)."""
-        size = dual.nodes(self.point)
-        names = [f.name for f in fields(self)
-                 if isinstance(getattr(self, f.name), np.ndarray)]
-        slices = zip(*(ch.node_slices(getattr(self, name), size)
-                       for name in names))
-        points = dual.tighten(list(self.point), size).T
-        return (replace(self, point=tuple(p), **dict(zip(names, sl)))
-                for p, sl in zip(points, slices))
 
 
 def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
@@ -439,14 +430,14 @@ def _base_action(pf: PointFrame, poly: AuxiliaryPolynomial):
     poly.add_const(0.5 * curvature_quartic(rhat, m))
     for i in range(pf.n):
         for j in range(pf.n):
-            if pf.g[i, j] != 0.0:
-                poly.add_quad(f"F{i}", f"F{j}", 0.5 * pf.g[i, j])
-    c1 = np.einsum("ijk,ri,mj->rmk", pf.H, m_fr, p_fr)
+            if pf.g[i, j].any():
+                poly.add_quad(f"F{i}", f"F{j}", 0.5 * Batch(pf.g[i, j]))
+    c1 = ch.node_einsum("ijk,ri,mj->rmk", pf.H, m_fr, p_fr)
     for k in range(pf.n):
         coupling = _quad_sum(ngen, m, 0.5 * c1[:, :, k], m, 0)
-        if coupling.max_abs():
+        if coupling.coeffs:
             poly.add_lin(f"F{k}", coupling)
-    dmat = np.einsum("rmk,kl,snl->rmsn", c1, pf.ginv, c1)
+    dmat = ch.node_einsum("rmk,kl,snl->rmsn", c1, pf.ginv, c1)
     poly.add_const(0.125 * _flux_square_quartic(dmat))
 
 
@@ -471,38 +462,38 @@ def build_quotient_action(pf: PointFrame) -> AuxiliaryPolynomial:
 
     for a in range(pf.s):
         for b in range(pf.s):
-            if pf.G_ab[a, b] != 0.0:
-                poly.add_quad(f"pm{a}", f"pm{b}", -0.5 * pf.G_ab[a, b])
-            if pf.K_ab[a, b] != 0.0:
-                poly.add_quad(f"pp{a}", f"mm{b}", 0.5 * pf.K_ab[a, b])
+            if pf.G_ab[a, b].any():
+                poly.add_quad(f"pm{a}", f"pm{b}", -0.5 * Batch(pf.G_ab[a, b]))
+            if pf.K_ab[a, b].any():
+                poly.add_quad(f"pp{a}", f"mm{b}", 0.5 * Batch(pf.K_ab[a, b]))
     for a in range(pf.s):
         for i in range(pf.n):
-            if pf.xi[a, i] != 0.0:
-                poly.add_quad(f"F{i}", f"pm{a}", -pf.xi[a, i])
+            if pf.xi[a, i].any():
+                poly.add_quad(f"F{i}", f"pm{a}", -Batch(pf.xi[a, i]))
 
     for a in range(pf.s):
         # mixed multiplier: (1/2)(grad_+ xi psi_- - grad_- xi psi_+)
         # + (psi_+, grad_- V_a)
-        t1 = np.einsum("ki,mk,ri->mr", pf.dxi_cov[a], p_fr, m_fr)
-        t2 = np.einsum("ki,rk,mi->rm", pf.dxi_cov[a], m_fr, p_fr)
-        t3 = np.einsum("ki,mi,rk->mr", pf.dv_cov_low[a], p_fr, m_fr)
+        t1 = ch.node_einsum("ki,mk,ri->mr", pf.dxi_cov[a], p_fr, m_fr)
+        t2 = ch.node_einsum("ki,rk,mi->rm", pf.dxi_cov[a], m_fr, p_fr)
+        t3 = ch.node_einsum("ki,mi,rk->mr", pf.dv_cov_low[a], p_fr, m_fr)
         lin = (_quad_sum(ngen, m, 0.5 * t1, 0, m)
                + _quad_sum(ngen, m, -0.5 * t2, m, 0)
                + _quad_sum(ngen, m, t3, 0, m))
-        if lin.max_abs():
+        if lin.coeffs:
             poly.add_lin(f"pm{a}", lin)
         # chiral multipliers
-        u1 = np.einsum("ki,ri,sk->rs", pf.dxi_cov[a], m_fr, m_fr)
-        u2 = np.einsum("kj,rk,sj->rs", pf.dv_cov_low[a], m_fr, m_fr)
+        u1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[a], m_fr, m_fr)
+        u2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[a], m_fr, m_fr)
         lpp = _quad_sum(ngen, m, 0.5 * u1, m, m) \
             + _quad_sum(ngen, m, 0.5 * u2, m, m)
-        if lpp.max_abs():
+        if lpp.coeffs:
             poly.add_lin(f"pp{a}", lpp)
-        w1 = np.einsum("ki,ri,sk->rs", pf.dxi_cov[a], p_fr, p_fr)
-        w2 = np.einsum("kj,rk,sj->rs", pf.dv_cov_low[a], p_fr, p_fr)
+        w1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[a], p_fr, p_fr)
+        w2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[a], p_fr, p_fr)
         lmm = _quad_sum(ngen, m, -0.5 * w1, 0, 0) \
             + _quad_sum(ngen, m, 0.5 * w2, 0, 0)
-        if lmm.max_abs():
+        if lmm.coeffs:
             poly.add_lin(f"mm{a}", lmm)
     return poly
 
@@ -525,14 +516,15 @@ def build_section_action(pf: PointFrame) -> AuxiliaryPolynomial:
     e_fr = pf.plus_frame
     for al in range(pf.r):
         for i in range(pf.n):
-            if pf.dsigma[al, i] != 0.0:
-                poly.add_quad(f"F{i}", f"W{al}", pf.dsigma[al, i])
-        hess_c = np.einsum("ij,ri,nj->nr", pf.hess_sigma[al], e_fr, e_fr)
+            if pf.dsigma[al, i].any():
+                poly.add_quad(f"F{i}", f"W{al}", Batch(pf.dsigma[al, i]))
+        hess_c = ch.node_einsum("ij,ri,nj->nr", pf.hess_sigma[al], e_fr,
+                                e_fr)
         lin = _quad_sum(ngen, m, -hess_c, 0, m)
-        gam_c = np.einsum("i,ijk,rj,nk->rn",
-                          pf.dsigma[al], pf.gamma, e_fr, e_fr)
+        gam_c = ch.node_einsum("i,ijk,rj,nk->rn",
+                               pf.dsigma[al], pf.gamma, e_fr, e_fr)
         lin = lin + _quad_sum(ngen, m, -gam_c, m, 0)
-        if lin.max_abs():
+        if lin.coeffs:
             poly.add_lin(f"W{al}", lin)
     return poly
 

@@ -2,11 +2,12 @@
 
 The three chain checks take a chunk of at most ``dual.BATCH`` sample
 points as one ``dual.Batch`` point: one ``LiftedPoint`` or ``LocusPoint``,
-one point frame and one reduced curvature per chunk.  The Grassmann stage
-(the elimination chain, its target and the closed-form multiplier) still
-runs node by node, on C-order slices of the batch frame and curvature.
-Every node must keep the bits of its own point-by-point evaluation, so each
-report must equal the point loop it replaced, copied here, exactly.  A run
+one point frame and one reduced curvature per chunk, and one Grassmann
+stage (the elimination chain, its target and the closed-form multiplier)
+on the batch frame, each word's coefficient a ``dual.Batch``.  Every node
+must keep the bits of its own point-by-point evaluation, so each report
+must equal the point loop it replaced, copied here, exactly (each point a
+one-node batch).  A run
 of any size is batched; a field or map with no batch form runs node by
 node inside itself, and the library still sees batch points.
 """
@@ -59,6 +60,11 @@ def run(s, cid, seed, points=None):
     return spec.fn(s, check_rng(cid, seed), spec.tolerance, points)
 
 
+def node_values(c):
+    """A Grassmann coefficient's values: a Batch's array or the float."""
+    return c.v if isinstance(c, Batch) else c
+
+
 def record(monkeypatch, owner, name):
     """Wrap ``owner.<name>``; returns the list of its argument tuples."""
     calls, original = [], getattr(owner, name)
@@ -88,10 +94,11 @@ def loop_chain(cid, scn, seed, points=100):
             sm.reduced_curvature_sub, "section"
     for x in xs:
         lp = sample(scn, x)
-        (pf,) = frame(lp).nodes()       # a point is a one-node batch
+        pf = frame(lp)                  # a point is a one-node batch
         exponent, _ = lz.localize_model(pf, model)
-        target = lz.localized_exponent_target(pf, curvature(lp)[..., 0])
-        low = [c for m, c in exponent.coeffs.items() if m.bit_count() < 4]
+        target = lz.localized_exponent_target(pf, curvature(lp))
+        low = [node_values(c) for m, c in exponent.coeffs.items()
+               if m.bit_count() < 4]
         samples.append([(exponent - target).max_abs()] + low)
     return ch.max_abs(samples)
 
@@ -100,7 +107,7 @@ def loop_phi(scn, seed, points=25):
     rng = check_rng("phi_closed_form", seed)
     out = []
     for q in scn.quotient.sample(rng, points):
-        (pf,) = lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes()
+        pf = lz.point_frame_quotient(qt.LiftedPoint(scn, q))
         _, details = lz.localize_model(pf, "quotient")
         closed = ck.mixed_multiplier_closed_form(pf)
         out += [(closed[a] - details[f"pm{a}"][0]).max_abs()
@@ -180,9 +187,8 @@ def test_the_point_frame_runs_once_per_chunk(monkeypatch, name, cid, frame,
     if cid != "phi_closed_form":
         curvature = sections if cid == "localize3" else curvatures
         assert [c[0] for c in curvature] == [c[0] for c in frames]
-    # the Grassmann stage: one chain per node, each on a node's slice
-    assert len(models) == sum(sizes)
-    assert all(pf.g.ndim == 2 for pf, _ in models)
+    # the Grassmann stage: one chain per chunk, on its batch frame
+    assert [pf.g.shape[-1] for pf, _ in models] == sizes
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])
@@ -272,15 +278,16 @@ def test_a_branching_map_on_a_one_node_chunk_keeps_the_loops_bits(
 
 # -- the point frames of a batch sample ---------------------------------------
 
-def _frames_equal(got, want):
+def _frames_equal(got, k, want):
+    """Node k of the batch frame ``got`` against the one-node ``want``."""
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
-            assert a.flags.c_contiguous, f.name
-            assert a.shape == b.shape and np.array_equal(a, b), f.name
+            assert a.shape[:-1] == b.shape[:-1], f.name
+            assert np.array_equal(a[..., k], b[..., 0]), f.name
         elif f.name != "point":
             assert a == b, f.name
-    assert np.array_equal(np.asarray(got.point, dtype=float),
+    assert np.array_equal(dual.tighten(list(got.point), got.g.shape[-1])[:, k],
                           np.asarray(want.point, dtype=float))
 
 
@@ -290,11 +297,9 @@ def test_quotient_frame_nodes_keep_their_bits(name):
     nodes = scn.quotient.sample(np.random.default_rng(21), 7)
     pf = lz.point_frame_quotient(qt.LiftedPoint(scn, batch_of(nodes)))
     assert pf.V.shape[-1] == pf.r_minus.shape[-1] == 7
-    got = list(pf.nodes())
-    assert len(got) == 7
     for k, node in enumerate(nodes):
-        (want,) = lz.point_frame_quotient(qt.LiftedPoint(scn, node)).nodes()
-        _frames_equal(got[k], want)
+        want = lz.point_frame_quotient(qt.LiftedPoint(scn, node))
+        _frames_equal(pf, k, want)
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -302,18 +307,9 @@ def test_section_frame_nodes_keep_their_bits(name):
     scn = SECTIONS[name]()
     nodes = scn.nchart.sample(np.random.default_rng(22), 7)
     pf = lz.point_frame_section(sm.LocusPoint(scn, batch_of(nodes)))
-    got = list(pf.nodes())
     for k, node in enumerate(nodes):
-        (want,) = lz.point_frame_section(sm.LocusPoint(scn, node)).nodes()
-        _frames_equal(got[k], want)
-
-
-def test_node_slices_are_c_order_copies():
-    arr = np.arange(24.0).reshape(2, 3, 4)
-    got = list(ch.node_slices(arr, 4))
-    assert len(got) == 4
-    for k, sl in enumerate(got):
-        assert sl.flags.c_contiguous and np.array_equal(sl, arr[..., k])
+        want = lz.point_frame_section(sm.LocusPoint(scn, node))
+        _frames_equal(pf, k, want)
 
 
 # -- zero-mode frames that violate their constraint ---------------------------

@@ -49,9 +49,11 @@ def word(ngen, gens):
 
 
 def same_element(fast, slow):
-    """Equal coefficients, summed into the same order."""
+    """Equal coefficients, summed into the same order; ``fast`` is the
+    one-node element of an array with a node axis of 1."""
     assert fast.n == slow.n
-    assert list(fast.coeffs.items()) == list(slow.coeffs.items())
+    assert [(m, c.v.shape, c.v[0]) for m, c in fast.coeffs.items()] == \
+        [(m, (1,), c) for m, c in slow.coeffs.items()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,7 +69,7 @@ def test_curvature_quartic_equals_generator_products(data, mplus, mminus):
             continue
         prod = word(ngen, (mplus + rho, mu, mplus + sig, nu))
         slow = slow + 0.5 * c * prod
-    same_element(lz.curvature_quartic(rfr, mplus, mminus), slow)
+    same_element(lz.curvature_quartic(rfr[..., None], mplus, mminus), slow)
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,7 +83,7 @@ def test_flux_square_quartic_equals_generator_products(data, m):
         if c == 0.0:
             continue
         slow = slow + c * word(ngen, (m + rr, mm, m + ss, nn))
-    same_element(lz._flux_square_quartic(dmat), slow)
+    same_element(lz._flux_square_quartic(dmat[..., None]), slow)
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +98,8 @@ def test_quad_sum_equals_generator_products(data, m, chirality):
         if c == 0.0:
             continue
         slow = slow + c * word(ngen, (first + rr, second + cc))
-    same_element(lz._quad_sum(ngen, m, coeffs, first, second), slow)
+    same_element(lz._quad_sum(ngen, m, coeffs[..., None], first, second),
+                 slow)
 
 
 @settings(max_examples=40, deadline=None)

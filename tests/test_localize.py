@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ggred import chart as ch
 from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import submanifold as sm
@@ -79,7 +80,7 @@ def test_flux_free_multiplier_decouples():
     # curvature constant: eliminating them changes nothing quartic
     s = hopf({"flux": 0.0})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     const_before = poly.const
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -89,7 +90,7 @@ def test_flux_free_multiplier_decouples():
 def test_elimination_order_robust():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     delta, _ = poly.eliminate([f"pp{a}" for a in range(pf.s)]
                               + [f"mm{a}" for a in range(pf.s)])
@@ -118,9 +119,9 @@ def test_quotient_chain_equals_reduced_curvature(maker):
     rng = np.random.default_rng(3)
     for q in scn.quotient.sample(rng, 3):
         lp = qt.LiftedPoint(scn, q)
-        (pf,) = lz.point_frame_quotient(lp).nodes()   # a one-node batch
+        pf = lz.point_frame_quotient(lp)   # a one-node batch
         exponent, _ = lz.localize_model(pf, "quotient")
-        thm = qt.reduced_curvature_quotient(lp)[..., 0]
+        thm = qt.reduced_curvature_quotient(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -132,9 +133,9 @@ def test_section_chain_equals_reduced_curvature(cval):
     rng = np.random.default_rng(4)
     for u in scn.nchart.sample(rng, 3):
         lp = sm.LocusPoint(scn, u)
-        (pf,) = lz.point_frame_section(lp).nodes()    # a one-node batch
+        pf = lz.point_frame_section(lp)    # a one-node batch
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(lp)[..., 0]
+        thm = sm.reduced_curvature_sub(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
 
@@ -142,7 +143,7 @@ def test_section_chain_equals_reduced_curvature(cval):
 def test_chain_output_is_pure_quartic():
     s = s3xt2({})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     exponent, _ = lz.localize_model(pf, "quotient")
     assert exponent.degrees() <= {4}
     for k in (0, 1, 2, 3, 5, 6):
@@ -154,7 +155,7 @@ def test_eliminated_multiplier_matches_closed_form():
         s = maker()
         q = s.quotient.quotient.sample(RNG, 1)[0]
         lp = qt.LiftedPoint(s.quotient, q)
-        (pf,) = lz.point_frame_quotient(lp).nodes()
+        pf = lz.point_frame_quotient(lp)
         _, details = lz.localize_model(pf, "quotient")
         closed = mixed_multiplier_closed_form(pf)
         for a in range(pf.s):
@@ -162,21 +163,20 @@ def test_eliminated_multiplier_matches_closed_form():
 
 
 def test_point_frame_consistency_with_chart_calculus():
-    from ggred import chart as ch
     from ggred.genmetric import Geometry, bismut_curvature
     s = hopf_flux({"flux": 0.9})
     q = s.quotient.quotient.sample(RNG, 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     p = list(pf.point)
     pairs = [(pf.g, s.ctx.metric_at(p)),
              (pf.gamma, ch.christoffel(ch.differentiate(s.ctx.g, p))),
              (pf.r_minus, bismut_curvature(-1, Geometry(s.ctx, p))),
              (pf.K_ab, qt.reduction_matrices(s.ea, s.ctx, p).K)]
-    for got, want in pairs:
-        want = want[..., 0]     # a point is a one-node batch
+    for got, want in pairs:     # a point is a one-node batch
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-14
-    assert np.max(np.abs(pf.ginv @ pf.g - np.eye(pf.n))) < 1e-12
+    assert np.max(np.abs(pf.ginv[..., 0] @ pf.g[..., 0] - np.eye(pf.n))) \
+        < 1e-12
 
 
 # -- Euler characteristic ----------------------------------------------------------
@@ -232,7 +232,7 @@ def test_field_elimination_matches_hand_derived_terms():
     # against independently hand-built coefficients at one point
     s = hopf_flux({"flux": 1.2})
     q = s.quotient.quotient.sample(np.random.default_rng(0), 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q)).nodes()
+    pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     poly = lz.build_quotient_action(pf)
     lin_before = {a: poly.l_entry(f"pm{a}") for a in range(pf.s)}
     out, _ = poly.eliminate([f"F{i}" for i in range(pf.n)])
@@ -240,11 +240,11 @@ def test_field_elimination_matches_hand_derived_terms():
     for a in range(pf.s):
         for b in range(pf.s):
             got = out.q_entry(f"pm{a}", f"pm{b}")
-            assert abs(got.body + pf.T_ab[a, b]) < 1e-12
+            assert abs(got.body.v + pf.T_ab[a, b]) < 1e-12
             assert got.soul().max_abs() < 1e-12
-        hxi = np.einsum("jkm,mi,i->jk", pf.H, pf.ginv, pf.xi[a])
-        coeff = np.einsum("jk,rj,nk->rn", hxi, pf.minus_frame,
-                          pf.plus_frame)
+        hxi = ch.node_einsum("jkm,mi,i->jk", pf.H, pf.ginv, pf.xi[a])
+        coeff = ch.node_einsum("jk,rj,nk->rn", hxi, pf.minus_frame,
+                               pf.plus_frame)
         expect = lin_before[a] + lz._quad_sum(ngen, m, 0.5 * coeff, m, 0)
         assert (out.l_entry(f"pm{a}") - expect).max_abs() < 1e-12
 
@@ -265,7 +265,6 @@ def test_inconsistent_zero_mode_frame_rejected():
 def _three_sphere_in_flat():
     """Unit 3-sphere cut out of flat R^4, parametrized so the induced
     metric matches the circle-bundle scenario's ambient block."""
-    from ggred import chart as ch
     from ggred.dual import cos, sin
     from ggred.genmetric import GeneralizedMetricContext
     box = ch.Chart("r4", (-1.4,) * 4, (1.4,) * 4)
@@ -303,9 +302,9 @@ def test_composed_reduction_endpoints():
         expect = np.asarray(s_bundle.ctx.g(u), dtype=float)
         assert np.max(np.abs(got - expect)) < 1e-12
         lp = sm.LocusPoint(scn3, u)
-        (pf,) = lz.point_frame_section(lp).nodes()    # a one-node batch
+        pf = lz.point_frame_section(lp)    # a one-node batch
         exponent, _ = lz.localize_model(pf, "section")
-        thm = sm.reduced_curvature_sub(lp)[..., 0]
+        thm = sm.reduced_curvature_sub(lp)
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
         # round 3-sphere of unit radius: all sectional values are 1
@@ -314,9 +313,9 @@ def test_composed_reduction_endpoints():
     # second stage endpoint, on the same ambient geometry
     q = s_bundle.quotient.quotient.sample(rng, 1)[0]
     lp = qt.LiftedPoint(s_bundle.quotient, q)
-    (pf2,) = lz.point_frame_quotient(lp).nodes()
+    pf2 = lz.point_frame_quotient(lp)
     exponent, _ = lz.localize_model(pf2, "quotient")
-    thm2 = qt.reduced_curvature_quotient(lp)[..., 0]
+    thm2 = qt.reduced_curvature_quotient(lp)
     assert (exponent - lz.localized_exponent_target(pf2, thm2)).max_abs() \
         < 1e-8
     assert np.isclose(thm2[0, 1, 1, 0], 4.0, atol=1e-9)

@@ -70,10 +70,9 @@ def test_a_lifted_point_and_its_frame_at_a_point_are_one_node():
     for name in ("G", "K", "T", "Kinv", "Tinv"):
         assert_same(getattr(got.rm, name), getattr(want.rm, name))
     assert_same(got.jet.d1, want.jet.d1)
-    (a,), (b,) = (list(lz.point_frame_quotient(lp).nodes())
-                  for lp in (got, want))
-    assert a.g.ndim == 2
-    assert_same(a.point, b.point)
+    a, b = (lz.point_frame_quotient(lp) for lp in (got, want))
+    assert a.g.shape[-1] == 1
+    assert_same(*(dual.tighten(list(pf.point), 1) for pf in (a, b)))
     for name in ("g", "ginv", "H", "gamma", "r_minus", "V", "xi", "dxi_cov",
                  "dv_cov_low", "G_ab", "K_ab", "T_ab", "plus_frame",
                  "minus_frame"):

@@ -116,7 +116,7 @@ SAMPLED = [
     ("localize3", "sphere_in_flat", {"c": 0.5}, sm,
      "reduced_curvature_sub", 1),
     ("phi_closed_form", "hopf_flux", {}, ck, "mixed_multiplier_closed_form",
-     2),
+     1),
     ("pfaffian", "flat_torus", {}, ck, "pfaffian", 3),
     ("gk_validate", "product_qg", {}, gkmod, "nijenhuis", 2),
     ("gk_reduce", "product_qg", {}, gkmod, "nijenhuis", 2),

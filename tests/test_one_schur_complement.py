@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from ggred import chart as ch
 from ggred import checks as ck
+from ggred import dual
 from ggred import localize as lz
 from ggred import quotient as qt
 from ggred import submanifold as sm
+from ggred.dual import Batch
 from ggred.errors import SingularBodyError
 from ggred.grassmann import GrassmannElement as G
 from ggred.scenarios import hopf_flux, product_qg, s3xt2, sphere_in_flat
@@ -62,7 +64,9 @@ def reference_eliminate(self, group, steps=None):
     keep = [v for v in self.variables if v not in group]
     nw = len(group)
     qww = [[self.q_entry(a, b) for b in group] for a in group]
-    body = np.array([[qww[i][j].body for j in range(nw)] for i in range(nw)])
+    # float bodies, or those of a one-node frame's Batch coefficients
+    body = dual.tighten([[qww[i][j].body for j in range(nw)]
+                         for i in range(nw)], 1)[..., 0]
     body_inv = ch.inverse(body, SingularBodyError,
                           f"block body of group {group}")
     nil = [[qww[i][j] - G.scalar(self.ngen, body[i, j])
@@ -111,7 +115,9 @@ def reference_eliminate(self, group, steps=None):
 
 
 def bits(e):
-    return list(e.coeffs.items())
+    """Keys and values in order; a one-node Batch value as its float."""
+    return [(m, np.ravel(c.v if isinstance(c, Batch) else c).tolist())
+            for m, c in e.coeffs.items()]
 
 
 def assert_same_elimination(got, want):
@@ -184,15 +190,13 @@ QUOTIENTS = {"hopf_flux": lambda: hopf_flux({}),
 def quotient_frame_at(name, seed=5):
     scn = QUOTIENTS[name]().quotient
     q = scn.quotient.sample(np.random.default_rng(seed), 1)[0]
-    (pf,) = lz.point_frame_quotient(qt.LiftedPoint(scn, q)).nodes()
-    return pf       # a point is a one-node batch: its node's frame
+    return lz.point_frame_quotient(qt.LiftedPoint(scn, q))   # one node
 
 
 def section_frame_at(seed=5):
     scn = sphere_in_flat({"c": 0.5}).section
     u = scn.nchart.sample(np.random.default_rng(seed), 1)[0]
-    (pf,) = lz.point_frame_section(sm.LocusPoint(scn, u)).nodes()
-    return pf
+    return lz.point_frame_section(sm.LocusPoint(scn, u))
 
 
 def chain(pf, model):

@@ -24,6 +24,7 @@ from ggred import genmetric as gm
 from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred.dual import Batch
+from ggred.errors import EvaluationError
 
 NAMES = sorted(sc.BUILTIN) + ["s3xt2"]
 BOX = ch.Chart("box", (0.0, 0.0), (2.0, 2.0))
@@ -67,6 +68,18 @@ def test_a_branching_field_in_an_order_two_jet_keeps_each_nodes_arrays():
         for got, ref in ((jet.value, want.value), (jet.d1, want.d1),
                          (jet.d2, want.d2)):
             assert np.array_equal(got[..., k], ref[..., 0])     # one node
+
+
+def test_a_domain_error_in_a_field_with_no_batch_form_names_its_node():
+    def fn(c):      # compares a coordinate: no batch form
+        return [dual.sqrt(c[0]) if c[1] > 0.0 else c[0]]
+    field = ch.ChartField(ch.Chart("wide", (-2.0, -2.0), (2.0, 2.0)),
+                          ch.SCALAR, fn)
+    for order in (1, 2):
+        with pytest.raises(EvaluationError,
+                           match=r"at node 1 \(-0\.5, 0\.3\): sqrt"):
+            ch.differentiate(field, batch_of([[0.5, 0.3], [-0.5, 0.3]]),
+                             order=order)
 
 
 def test_a_type_error_with_no_batch_point_propagates():

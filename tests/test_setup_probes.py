@@ -148,11 +148,11 @@ def test_inverse_decides_as_the_numpy_scale_test(k, definite):
 @pytest.mark.parametrize("pos", range(4))
 @pytest.mark.parametrize("bad", [NAN, INF, -INF, 1e308])
 def test_abs_max_is_numpys_max_of_the_absolute_values(bad, pos):
-    # LAPACK spreads a NaN over the inverse, so this is the NaN test that
-    # does not lean on it
+    # chart.max_abs, the one abs-max reduction of residuals, on the entries
+    # that a Python max would pass over or sum wrongly
     a = np.array([[1.0, -3.0], [2.0, -1e308]])
     a.ravel()[pos] = bad
     both = a.copy()
     both.ravel()[(pos + 1) % 4] = -bad
     for m in (a, both, a.T):
-        assert repr(ch._abs_max(m)) == repr(float(np.abs(m).max()))
+        assert repr(ch.max_abs([m])) == repr(float(np.abs(m).max()))
