@@ -85,10 +85,6 @@ class Valence:
     con: int = 0
     form: bool = False
 
-    @property
-    def rank(self) -> int:
-        return self.cov + self.con
-
 
 SCALAR = Valence(0, 0)
 VECTOR = Valence(0, 1)
@@ -104,7 +100,7 @@ class ChartField:
     """A tensor-valued function of chart coordinates.
 
     ``fn`` maps a coordinate sequence (floats or duals) to a component
-    array of shape ``(dim,) * valence.rank``; it must be pure and built from
+    array of shape ``(dim,) * (cov + con)``; it must be pure and built from
     the math functions in :mod:`ggred.dual` so derivatives flow through it.
     One with no batch form runs node by node (:func:`ggred.dual.per_node`).
     """
@@ -248,15 +244,9 @@ def inverse(m, error, what: str, definite: bool = False):
 
 def _stack(m, k: int = 2):
     """The first ``k`` axes of ``m`` moved last: (n, n, nodes) matrices as a
-    stack for ``np.linalg`` and ``@``; ``k = m.ndim - 2`` undoes it."""
+    stack for ``np.linalg``; ``k = m.ndim - 2`` undoes it."""
     return m if k in (0, m.ndim) else \
         m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
-
-
-def node_stack(m):
-    """:func:`_stack` as a C-order copy, so that matmul runs each node's
-    product as at a point (BLAS may round strided operands differently)."""
-    return np.ascontiguousarray(_stack(np.asarray(m)))
 
 
 def invert_matrix(m):
@@ -417,19 +407,22 @@ def operator_slots(r, f1, f2, f3, f4) -> np.ndarray:
 
 
 def node_einsum(spec: str, *ops) -> np.ndarray:
-    """``np.einsum(spec, *ops)`` where operands may carry a trailing node
-    axis (``spec`` names only their other axes); so does the result.
+    """``np.einsum(spec, *ops)`` on node stacks, the one product there (no
+    BLAS): operands carry a trailing node axis that ``spec`` does not name
+    (an operand without one is shared by every node); so does the result.
 
-    Each node keeps the bits of its own einsum: the node axis goes first
+    Each node keeps the bits of its one-node run: the node axis goes first
     on C-order copies, so the inner loop sums over the same contiguous
-    axis as at a point.  With the node axis innermost, einsum would sum in
-    another order.
+    axis.  With the node axis innermost, einsum would sum in another order.
+    Not every spec keeps them: ``i,ij,j->`` does not at n = 2, so a pairing
+    runs as two one-index stages (``tests/test_node_einsum.py`` tries every
+    spec in the package).
     """
     subs, out = spec.split("->")
     subs = subs.split(",")
     lead = [o.ndim > len(sub) for o, sub in zip(ops, subs)]
-    if not any(lead):
-        return np.einsum(spec, *ops)
+    if not any(lead):   # moving an axis of the result would misplace it
+        raise ValueError(f"node_einsum {spec!r}: no operand has a node axis")
     ops = [np.ascontiguousarray(np.moveaxis(o, -1, 0)) if node else o
            for o, node in zip(ops, lead)]
     spec = ",".join("..." * node + sub for sub, node in zip(subs, lead))
@@ -494,39 +487,13 @@ def _perm_sign(perm) -> int:
 
 
 def interior(vector, omega: np.ndarray, degree: int) -> np.ndarray:
-    """Contraction of a k-form with a vector in the first slot; a trailing
-    node axis on either gives one per node (:func:`node_einsum`)."""
+    """Contraction of a k-form with a vector in the first slot, one per node
+    of the trailing node axis that either carries (:func:`node_einsum`)."""
     if degree < 1:
         raise DegreeError("interior product needs a form of degree >= 1")
     idx = "abcdefgh"[:degree - 1]
     return node_einsum(f"m{idx},m->{idx}", np.asarray(omega),
                        np.asarray(vector))
-
-
-def form_calculus(omega: ChartField, op: str, point, other=None):
-    """Pointwise exterior calculus: op in {'d', 'wedge', 'interior'}.
-
-    ``other`` is a second form field for 'wedge' or a vector field for
-    'interior'.  Returns the component array of the result at ``point``.
-    """
-    if not omega.valence.form and omega.valence.rank > 0:
-        raise DegreeError("form_calculus needs an antisymmetric form field")
-    k = omega.valence.cov
-    if op == "d":
-        jet = differentiate(omega, point, order=1)
-        return exterior_derivative(jet, k)
-    if op == "wedge":
-        q = other.valence.cov
-        if k + q > omega.chart.dim:
-            raise DegreeError("wedge degrees exceed chart dimension")
-        return wedge(np.asarray(omega(point), dtype=object),
-                     np.asarray(other(point), dtype=object), k, q)
-    if op == "interior":
-        if k < 1:
-            raise DegreeError("interior product needs degree >= 1")
-        return dual.tighten(interior(other(point), np.asarray(omega(point),
-                                                              dtype=object), k))
-    raise ValueError(f"unknown form operation {op!r}")
 
 
 def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
@@ -585,7 +552,7 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
     A dropped vector leaves a zero row at its node, which later steps
     subtract exactly; each node's kept rows are gathered at the end.
     """
-    # C-order stacks: matmul then runs each node's product as at a point
+    # node-first C-order stacks: each einsum sums one index per node
     g = np.ascontiguousarray(_stack(np.asarray(gmat, dtype=float)))
     size, n = g.shape[0], g.shape[-1]
     vecs = np.asarray(vectors, dtype=float)
@@ -593,12 +560,8 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
         np.moveaxis(vecs, 2, 1) if vecs.ndim == 3 else
         np.broadcast_to(vecs[:, None, :], (len(vecs), size, n)))
 
-    def pair(u, w):
-        # u @ g @ w per node; the dot's rows start on 16-byte boundaries, as
-        # fresh vectors do (OpenBLAS's Prescott ddot rounds by alignment)
-        rows = np.empty((2, size, n + n % 2))[..., :n]
-        rows[0], rows[1] = (u[:, None, :] @ g)[:, 0], w
-        return (rows[0][:, None, :] @ rows[1][:, :, None])[:, 0, 0]
+    def pair(u, w):     # g(u, w) per node
+        return np.einsum("kj,kj->k", np.einsum("ki,kij->kj", u, g), w)
 
     scale = np.sqrt(np.trace(g, axis1=1, axis2=2) / n)
     basis, kept = [], []

@@ -309,8 +309,7 @@ def check_euler_flux(s: Scenario, rng, tol, points=None) -> CheckResult:
     material.
     """
     dim, _, order = _euler_setup(s)
-    chi = lz.euler_characteristic(s.ctx, s.euler_domain, order,
-                                  use_flux=True)
+    chi = lz.euler_characteristic(s.ctx, s.euler_domain, order)
     return _result("euler_flux", order ** dim, abs(chi - 0.0), tol,
                    exploratory=True)
 

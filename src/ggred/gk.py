@@ -86,16 +86,16 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
 
     def residuals(p, vecs):
         geo = Geometry(ctx, p)
-        g = ch.node_stack(geo.g)
         res = [[], [], [], [], []]
         for (sign, j), triples in zip(bh.pair(), vecs):
             # one jet per distinct field: J_- may be J_+ itself
             jet = jet if sign < 0 and j is bh.Jplus else \
                 ch.differentiate(j, p, order=1)
-            jv = ch.node_stack(jet.value)
-            sq, comp = jv @ jv + np.eye(n), jv.swapaxes(-1, -2) @ g @ jv - g
-            res[0].append(ch._stack(sq, sq.ndim - 2))
-            res[1].append(ch._stack(comp, comp.ndim - 2))
+            jv = jet.value
+            res[0].append(ch.node_einsum("ij,jk->ik", jv, jv)
+                          + np.eye(n)[..., None])
+            res[1].append(ch.node_einsum("ji,jk,kl->il", jv, geo.g, jv)
+                          - geo.g)
             res[2].append(nijenhuis(jet))
             res[3].append(nabla_j(sign, jet, geo))
             res[4].append(flux_type_residual(j, ctx, p, triples))
@@ -115,11 +115,12 @@ def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
     A non-finite entry of J_pm raises EvaluationError naming the point."""
     out = []
     for sign, j in bh.pair():
-        proj = ch.node_stack(qt.tau_projector(scn.ea, scn.ctx, point, sign))
+        proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
         jv = field_values(j, point)
         ch._require_finite(point, jv)
-        defect = (np.eye(scn.ambient_dim) - proj) @ ch.node_stack(jv) @ proj
-        out.append(np.linalg.norm(defect, 2, axis=(-2, -1)))
+        eye = np.eye(scn.ambient_dim)[..., None]
+        defect = ch.node_einsum("ij,jk,kl->il", eye - proj, jv, proj)
+        out.append(np.linalg.norm(ch._stack(defect), 2, axis=(-2, -1)))
     return tuple(out)
 
 

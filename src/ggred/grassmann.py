@@ -178,9 +178,6 @@ class GrassmannElement:
 
     # -- structure ---------------------------------------------------------
 
-    def coefficient(self, mask: int) -> float:
-        return self.coeffs.get(mask, 0.0)
-
     @property
     def body(self) -> float:
         """The degree-0 part."""
@@ -304,13 +301,9 @@ def pfaffian(a: np.ndarray) -> float:
     return minor((1 << n) - 1, list(range(n)))
 
 
-def fermionic_gaussian(a: np.ndarray) -> float:
-    """int exp((1/2) psi^T A psi) dpsi_n ... dpsi_1 = Pf(A)."""
-    return pfaffian(a)
-
-
 def fermionic_gaussian_berezin(a: np.ndarray) -> float:
-    """Same integral evaluated through the Grassmann engine (slow path).
+    """int exp((1/2) psi^T A psi) dpsi_n ... dpsi_1 = Pf(A), evaluated
+    through the Grassmann engine (slow path).
 
     Used as an independent cross-check of the Pfaffian recursion: the measure
     dpsi_n ... dpsi_1 applies dpsi_1 innermost, i.e. generators listed in

@@ -124,14 +124,14 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray):
     return dual.tighten([dens], rfr.shape[-1])[0]
 
 
-def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
-                         use_flux: bool = True) -> float:
+def euler_characteristic(ctx: GeneralizedMetricContext, domain,
+                         order: int) -> float:
     """Gauss-Legendre estimate of the Euler characteristic.
 
     ``domain`` is a (lower, upper) pair of coordinate bounds covering the
     manifold once; the integrand is the fermionic density of the torsion
-    curvature (or the plain curvature when ``use_flux`` is false) times the
-    metric volume factor, normalized by (2 pi)^(dim/2).
+    curvature (the plain curvature without flux) times the metric volume
+    factor, normalized by (2 pi)^(dim/2).
 
     Each slab of order^2 nodes is one batch point, jets and Grassmann stage
     alike (a field with no batch form runs node by node inside itself,
@@ -155,8 +155,7 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain, order: int,
 
     def terms(p, w):
         geo = Geometry(ctx, p)
-        rarr = bismut_curvature(-1, geo) if use_flux and ctx.has_flux \
-            else geo.R
+        rarr = bismut_curvature(-1, geo) if ctx.has_flux else geo.R
         return w * euler_density(rarr, geo.g) * \
             np.sqrt(np.linalg.det(ch._stack(geo.g)))
 

@@ -141,17 +141,12 @@ def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                        point) -> ReductionMatrices:
     """G_ab = g(V_a, V_b); K_ab = G_ab - xi_a(V_b);
     T_ab = G_ab + g^{-1}(xi_a, xi_b).  A batch point gives a trailing node
-    axis; the products run on C-order node stacks, one per node as at a
-    point."""
-    size = dual.nodes(point)
-    gmat, v, x = (ch.node_stack(dual.tighten(a, size))
+    axis."""
+    gmat, v, x = (dual.tighten(a, dual.nodes(point))
                   for a in _action_rows(ea, ctx, point))
-    ginv = ch._stack(ch.metric_inverse(ch._stack(gmat, gmat.ndim - 2)))
-    vt = v.swapaxes(-1, -2)
-    G = v @ gmat @ vt
-    K = G - x @ vt
-    T = G + x @ ginv @ x.swapaxes(-1, -2)
-    G, K, T = (ch._stack(a, a.ndim - 2) for a in (G, K, T))
+    G = ch.node_einsum("ai,ij,bj->ab", v, gmat, v)
+    K = G - ch.node_einsum("ai,bi->ab", x, v)
+    T = G + ch.node_einsum("ai,ij,bj->ab", x, ch.metric_inverse(gmat), x)
     Tinv = ch.inverse(T, RankError, "T_ab", definite=True)
     Kinv = ch.inverse(K, RankError, "K_ab")
     return ReductionMatrices(G, K, T, Kinv, Tinv)
@@ -218,18 +213,14 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
                   sign: int) -> np.ndarray:
     """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
     with V the rows V_a^sign and T = V g V^T.  A batch point gives a
-    trailing node axis; the products run on C-order node stacks."""
-    size = dual.nodes(point)
-    gmat, vpm = (ch.node_stack(a) for a in (
-        ctx.metric_at(point),
-        dual.tighten(v_pm_values(ea, ctx, point, sign), size)))
-    vt = vpm.swapaxes(-1, -2)
-    t = vpm @ gmat @ vt
-    tinv = ch._stack(ch.inverse(ch._stack(t, t.ndim - 2), RankError,
-                                f"T of the V^{'+' if sign > 0 else '-'} rows",
-                                definite=True))
-    proj = np.eye(gmat.shape[-1]) - vt @ tinv @ vpm @ gmat
-    return ch._stack(proj, proj.ndim - 2)
+    trailing node axis."""
+    gmat = ctx.metric_at(point)
+    vpm = dual.tighten(v_pm_values(ea, ctx, point, sign), dual.nodes(point))
+    tinv = ch.inverse(ch.node_einsum("ai,ij,bj->ab", vpm, gmat, vpm),
+                      RankError, f"T of the V^{'+' if sign > 0 else '-'} rows",
+                      definite=True)
+    return np.eye(len(gmat))[..., None] - ch.node_einsum(
+        "ai,ab,bj,jk->ik", vpm, tinv, vpm, gmat)
 
 
 def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
@@ -481,7 +472,8 @@ def reduced_bismut(scn: QuotientScenario, xq: ch.ChartField,
     coeffs = bismut_connection_coeffs(-1, geo)
     nab = ch.node_einsum("j,ji->i", xplus, jy.d1) \
         + ch.node_einsum("ijk,j,k->i", coeffs, xplus, jy.value)
-    return ch.node_einsum("i,ij,j->", nab, geo.g, zminus)
+    return ch.node_einsum("j,j->", ch.node_einsum("i,ij->j", nab, geo.g),
+                          zminus)
 
 
 def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq,
@@ -489,8 +481,8 @@ def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq,
     """Same pairing computed on the quotient chart from (g_red, H_red)."""
     ctx = reduced_context(scn)
     nab = bismut_derivative(xq, yq, -1, ctx, qpoint)
-    return ch.node_einsum("i,ij,j->", nab, ctx.metric_at(qpoint),
-                          field_values(zq, qpoint))
+    return ch.node_einsum("j,j->", ch.node_einsum(
+        "i,ij->j", nab, ctx.metric_at(qpoint)), field_values(zq, qpoint))
 
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
@@ -583,11 +575,9 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     p = scn.lift(qpoint)
     size = dual.nodes(p)
     gmat, vvals = (dual.tighten(a, size) for a in _action_rows(ea, ctx, p)[:2])
-    v_s = ch.node_stack(vvals)
-    vg = v_s @ ch.node_stack(gmat)
-    graminv = ch.inverse(ch._stack(vg @ v_s.swapaxes(-1, -2), vg.ndim - 2),
-                         RankError, "Gram matrix of the V_a")
-    vg = ch._stack(vg, vg.ndim - 2)
+    vg = ch.node_einsum("ai,ij->aj", vvals, gmat)
+    graminv = ch.inverse(ch.node_einsum("aj,bj->ab", vg, vvals), RankError,
+                         "Gram matrix of the V_a")
     qvecs = dual.entries(basis)
     lifts = dual.tighten(horizontal_lift(scn, p, +1, qvecs), size)
 

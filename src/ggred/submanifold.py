@@ -69,9 +69,8 @@ def _t_matrix(jet: ch.PointJet, ginv):
     """:func:`t_matrix` from a jet of all sigma^alpha and g^{-1} there."""
     if not np.max(np.abs(jet.value)) <= EPS_LOCUS:
         raise TangencyError("t_matrix needs a point on the zero locus")
-    grads = ch.node_stack(_gradients(jet))
-    tup = grads @ ch._stack(ginv) @ grads.swapaxes(-1, -2)
-    tup = ch._stack(tup, tup.ndim - 2)
+    grads = _gradients(jet)
+    tup = ch.node_einsum("ai,ij,bj->ab", grads, ginv, grads)
     return tup, ch.inverse(tup, RankError, "transverse Gram matrix of "
                            "d sigma", definite=True)
 
@@ -182,9 +181,8 @@ def nabla_pm_dsigma(jet: ch.PointJet, sign: int,
 def _require_tangent(grads, vecs, tol=ch.EPS_ID):
     """TangencyError unless the rows d sigma^alpha ``grads`` annihilate
     every vector."""
-    grads = ch._stack(grads)
-    vecs = ch._stack(np.asarray(vecs))
-    if not ch.max_abs([grads @ vecs.swapaxes(-1, -2)]) <= tol:
+    if not ch.max_abs([ch.node_einsum("ai,bi->ab", grads,
+                                      np.asarray(vecs))]) <= tol:
         raise TangencyError("field value not tangent to the locus")
 
 
@@ -211,8 +209,8 @@ def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
     """g(grad^-_X Y, Z) at embed(u) for locus-tangent fields, per node.
 
     Equals the intrinsic torsion-connection pairing of the induced geometry;
-    cross-checks: :func:`reduced_connection_direct` and the ambient
-    coefficient form of :func:`reduced_connection_coefficients`.
+    cross-checks: the two routes of :func:`reduced_connection_vector`, the
+    transverse correction and the one-sided coefficient form.
     """
     p = scn.embed(u)
     dy, yv = tangential_derivative(scn, xbar, ybar, u)
@@ -223,7 +221,7 @@ def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
     geo = Geometry(scn.ctx, p)
     coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + ch.node_einsum("ijk,j,k->i", coeffs, xv, yv)
-    return ch.node_einsum("i,ij,j->", nab, geo.g, zv)
+    return ch.node_einsum("j,j->", ch.node_einsum("i,ij->j", nab, geo.g), zv)
 
 
 def reduced_connection_vector(scn: SubmanifoldScenario, xbar, ybar,

@@ -436,7 +436,7 @@ def test_validate_extended_action_keeps_the_interior_product(scn):
     hval = scn.ctx.flux_at(pts[0])[..., 0]
     vval = np.asarray(scn.ea.V[-1](list(pts[0])), dtype=float)
     assert np.max(np.abs(hval)) > 0.05
-    assert _same(ch.interior(vval, hval, 3),
+    assert _same(ch.interior(vval[:, None], hval[..., None], 3)[..., 0],
                  np.einsum("ijk,i->jk", hval, vval))
 
 
@@ -523,7 +523,8 @@ def test_finite_structures_keep_their_tau_defects():
     for sign, j in bh.pair():
         proj = qt.tau_projector(scn.ea, scn.ctx, p, sign)[..., 0]
         jv = dual.tighten(np.asarray(j(p), dtype=object))
-        defect = (np.eye(scn.ambient_dim) - proj) @ jv @ proj
+        defect = np.einsum("ij,jk,kl->il", np.eye(scn.ambient_dim) - proj,
+                           jv, proj)
         want.append(float(np.linalg.norm(defect, 2)))
     got = tuple(d[0] for d in gkmod.check_tau_invariance(bh, scn, p))
     assert got == tuple(want) and max(got) > 0.05

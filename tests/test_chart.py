@@ -6,8 +6,8 @@ import pytest
 from ggred import chart as ch
 from ggred import dual
 from ggred.chart import (Chart, ChartField, METRIC, SCALAR, VECTOR,
-                         christoffel, differentiate, form_calculus,
-                         form_valence, lie_bracket, riemann)
+                         christoffel, differentiate, exterior_derivative,
+                         form_valence, interior, lie_bracket, riemann, wedge)
 from ggred.dual import cos, sin
 from ggred.errors import (DegreeError, DomainError, EvaluationError,
                           SingularMetricError)
@@ -185,13 +185,13 @@ def test_dd_scalar_is_zero():
         return jet.d1[:, 0]
     one_form = ChartField(PLANE, ch.COVECTOR, df)
     for p in PLANE.sample(RNG, 4):
-        ddf = form_calculus(one_form, "d", p)
+        ddf = exterior_derivative(differentiate(one_form, p), 1)
         assert np.max(np.abs(ddf)) < ch.EPS_ID
 
 
 def test_exterior_derivative_x_dy():
     omega = ChartField(PLANE, ch.COVECTOR, lambda c: [0.0, c[0]])
-    dw = form_calculus(omega, "d", (0.7, -0.2))
+    dw = exterior_derivative(differentiate(omega, (0.7, -0.2)), 1)
     assert np.isclose(dw[0, 1], 1.0)
     assert np.isclose(dw[1, 0], -1.0)
 
@@ -201,32 +201,25 @@ def test_interior_product_sign():
     dxdy = np.zeros((2, 2))
     dxdy[0, 1] = 1.0
     dxdy[1, 0] = -1.0
-    omega = ChartField(PLANE, form_valence(2), lambda c: dxdy)
-    ey = ChartField(PLANE, VECTOR, lambda c: [0.0, 1.0])
-    val = form_calculus(omega, "interior", (0.0, 0.0), other=ey)
-    assert np.allclose(val, [-1.0, 0.0])
+    val = interior(np.array([[0.0], [1.0]]), dxdy[..., None], 2)
+    assert np.allclose(val[..., 0], [-1.0, 0.0])
 
 
 def test_wedge_product_basic():
-    dx = ChartField(PLANE, ch.COVECTOR, lambda c: [1.0, 0.0])
-    dy = ChartField(PLANE, ch.COVECTOR, lambda c: [0.0, 1.0])
-    w = form_calculus(dx, "wedge", (0.0, 0.0), other=dy)
+    w = wedge(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, 1)
     assert np.isclose(w[0, 1], 1.0)
     assert np.isclose(w[1, 0], -1.0)
 
 
 def test_wedge_degree_error():
-    two = ChartField(PLANE, form_valence(2),
-                     lambda c: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    two = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(DegreeError):
-        form_calculus(two, "wedge", (0.0, 0.0), other=two)
+        wedge(two, two, 2, 2)
 
 
 def test_interior_degree_error():
-    f = ChartField(PLANE, form_valence(0), lambda c: [1.0])
-    v = ChartField(PLANE, VECTOR, lambda c: [1.0, 0.0])
     with pytest.raises(DegreeError):
-        form_calculus(f, "interior", (0.0, 0.0), other=v)
+        interior(np.array([[1.0], [0.0]]), np.array([1.0]), 0)
 
 
 # -- Lie brackets --------------------------------------------------------

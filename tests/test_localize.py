@@ -209,8 +209,7 @@ def test_euler_flux_block_reports_zero():
     # the flux-twisted density on the parallelized group block vanishes
     # pointwise, so the estimate is exactly the expected Euler number 0
     s = s3xs1_gk({})
-    chi = lz.euler_characteristic(s.ctx, s.euler_domain, order=4,
-                                  use_flux=True)
+    chi = lz.euler_characteristic(s.ctx, s.euler_domain, order=4)
     assert abs(chi) < 1e-12
 
 

@@ -247,9 +247,9 @@ def _old_reduction_matrices(ea, ctx, point):
     ginv = ch.metric_inverse(gmat)
     v = np.array([np.asarray(f(point), dtype=float) for f in ea.V])
     x = np.array([np.asarray(f(point), dtype=float) for f in ea.xi])
-    G = v @ gmat @ v.T
-    K = G - x @ v.T
-    T = G + x @ ginv @ x.T
+    G = np.einsum("ai,ij,bj->ab", v, gmat, v)
+    K = G - np.einsum("ai,bi->ab", x, v)
+    T = G + np.einsum("ai,ij,bj->ab", x, ginv, x)
     return G, K, T, np.linalg.inv(K), np.linalg.inv(T)
 
 
