@@ -64,7 +64,7 @@ class Chart:
         """Raise DomainError unless every node of the point is inside (a
         batch point's coordinates may carry dual layers)."""
         for k, node in enumerate(dual.tighten(list(map(dual.body, point)),
-                                              dual.nodes(point)).T):
+                                              dual.nodes(point))):
             if not self.contains(node):
                 raise DomainError(f"{_at(point, k)} outside chart "
                                   f"{self.name!r}")
@@ -125,11 +125,12 @@ def batch_field(chart: Chart, valence: Valence, fn, name="") -> ChartField:
 
 @dataclass
 class PointJet:
-    """Value and partial derivatives of a field at one point.
+    """Value and partial derivatives of a field at a batch point.
 
-    ``d1[a]`` is the a-th partial of the component array; ``d2[a, b]`` is
-    the mixed second partial (computed independently for every (a, b), so
-    its symmetry is a genuine check on the dual-number engine).
+    ``value[N, ...]``, ``d1[N, a, ...]`` and ``d2[N, a, b, ...]`` are the
+    component array, its a-th partial and its mixed second partial at node
+    N (every (a, b) computed independently, so the symmetry of ``d2`` is a
+    genuine check on the dual-number engine); a nested jet has no N.
     """
 
     point: tuple
@@ -140,8 +141,8 @@ class PointJet:
 
 def _require_finite(point, *arrays):
     """EvaluationError at the first non-finite node of arrays, node axis
-    last."""
-    ok = np.all([np.isfinite(a).reshape(-1, dual.nodes(point)).all(0)
+    first."""
+    ok = np.all([np.isfinite(a).reshape(dual.nodes(point), -1).all(1)
                  for a in arrays if a is not None], axis=0)
     if not all(ok):
         raise EvaluationError("field evaluation produced non-finite output "
@@ -152,9 +153,9 @@ def _at(point, k=None) -> str:
     """Node ``k`` of a point for an error message (with no ``k``, a
     one-node point's node, or "a batch point")."""
     nodes = dual.tighten(list(map(dual.body, point)), dual.nodes(point))
-    if k is None and nodes.shape[-1] > 1:
+    if k is None and len(nodes) > 1:
         return "a batch point"
-    return f"node {k or 0} {tuple(nodes[:, k or 0].tolist())}"
+    return f"node {k or 0} {tuple(nodes[k or 0].tolist())}"
 
 
 def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> PointJet:
@@ -165,7 +166,7 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     use nested duals with independent level tags.  Every call takes its
     jet afresh: callers that reuse a jet keep it (``genmetric.Geometry``).
 
-    The arrays carry a trailing node axis, of one node at a plain point,
+    The arrays carry a leading node axis, of one node at a plain point,
     every node checked.  Inside an enclosing jet (dual coordinates) they
     keep ``Dual`` entries and no node axis: a differentiated field body
     takes its inner jets with :func:`ggred.dual.gradient` (no node axis).
@@ -220,14 +221,14 @@ def metric_inverse(gmat):
 
 
 def inverse(m, error, what: str, definite: bool = False):
-    """The float inverse of a square matrix, one per node on trailing axes.
+    """The float inverse of a square matrix, one per node on leading axes.
 
     The one singularity rule: ``error`` is raised unless
     max|m| max|m^-1| < 1 / PIVOT_RTOL, a comparison that a NaN or an
     infinity fails; with ``definite``, also unless the symmetric part of
     ``m`` has a Cholesky factor.  ``what`` names the matrix.
     """
-    m = _stack(np.asarray(m, dtype=float))
+    m = np.asarray(m, dtype=float)
     try:
         if definite:
             np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
@@ -239,14 +240,7 @@ def inverse(m, error, what: str, definite: bool = False):
     if not (cond < 1.0 / PIVOT_RTOL).all():
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
                     f"{np.max(cond):.1e}")
-    return _stack(inv, inv.ndim - 2)
-
-
-def _stack(m, k: int = 2):
-    """The first ``k`` axes of ``m`` moved last: (n, n, nodes) matrices as a
-    stack for ``np.linalg``; ``k = m.ndim - 2`` undoes it."""
-    return m if k in (0, m.ndim) else \
-        m.transpose(tuple(range(k, m.ndim)) + tuple(range(k)))
+    return inv
 
 
 def invert_matrix(m):
@@ -272,7 +266,7 @@ def solve_linear(m, rhs):
     n = m.shape[0]
     bodies = [dual.body(v) for v in m.ravel().tolist()]
     floor = PIVOT_RTOL * np.abs(dual.tighten(bodies,
-                                             dual.nodes(bodies))).max(0)
+                                             dual.nodes(bodies))).max(1)
     a = m.tolist()
     b = rhs.reshape(n, -1).tolist()
     for col in range(n):
@@ -299,8 +293,8 @@ def _pivot_nodes(a, b, col, floor):
     the rows are swapped by ``dual.select``, which does no arithmetic."""
     mags = np.abs(dual.tighten([dual.body(row[col]) for row in a[col:]],
                                floor.size))
-    piv = mags.argmax(0)
-    ok = mags[piv, np.arange(floor.size)] > floor
+    piv = mags.argmax(1)
+    ok = mags[np.arange(floor.size), piv] > floor
     if not ok.all():
         raise SingularMetricError("singular linear system at node "
                                   f"{int(np.argmin(ok))}")
@@ -323,19 +317,19 @@ def christoffel(jet: PointJet) -> np.ndarray:
     gmat = jet.value
     if np.asarray(gmat).dtype != object:
         if not np.isfinite(gmat).all():     # before NaN - NaN fails below
-            finite = np.isfinite(gmat).reshape(gmat.shape[0] ** 2, -1).all(0)
+            finite = np.isfinite(gmat).reshape(-1, gmat.shape[-1] ** 2).all(1)
             raise SingularMetricError(
                 "metric component matrix is not finite at "
                 f"{_at(jet.point, int(np.argmin(finite)))}, so not symmetric")
-        if not np.max(np.abs(gmat - gmat.swapaxes(0, 1))) <= EPS_ID:
+        if not np.max(np.abs(gmat - gmat.swapaxes(-1, -2))) <= EPS_ID:
             raise SingularMetricError(
                 "metric component matrix is not symmetric")
     ginv = metric_inverse(gmat)
-    dg = jet.d1  # dg[a, i, j] = d_a g_{ij}
+    dg = jet.d1  # dg[..., a, i, j] = d_a g_{ij}
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})
-    t = np.einsum("jlk...->ljk...", dg) + np.einsum("klj...->ljk...", dg) \
-        - np.einsum("ljk...->ljk...", dg)
-    return 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
+    t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
+        - np.einsum("...ljk->...ljk", dg)
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
 
 
 def riemann(jet: PointJet) -> np.ndarray:
@@ -349,24 +343,24 @@ def riemann(jet: PointJet) -> np.ndarray:
     """
     gmat, dg, d2g = jet.value, jet.d1, jet.d2
     ginv = metric_inverse(gmat)
-    t = np.einsum("jlk...->ljk...", dg) + np.einsum("klj...->ljk...", dg) \
-        - np.einsum("ljk...->ljk...", dg)
-    gamma = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, t)
+    t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
+        - np.einsum("...ljk->...ljk", dg)
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
     # d_a Gamma^i_{jk}: differentiate the defining formula by hand.
-    dt = np.einsum("ajlk...->aljk...", d2g) \
-        + np.einsum("aklj...->aljk...", d2g) - np.einsum("aljk...->aljk...", d2g)
-    dginv = -np.einsum("im...,amn...,nl...->ail...", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("ail...,ljk...->aijk...", dginv, t)
-                    + np.einsum("il...,aljk...->aijk...", ginv, dt))
+    dt = np.einsum("...ajlk->...aljk", d2g) \
+        + np.einsum("...aklj->...aljk", d2g) - np.einsum("...aljk->...aljk", d2g)
+    dginv = -np.einsum("...im,...amn,...nl->...ail", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...ail,...ljk->...aijk", dginv, t)
+                    + np.einsum("...il,...aljk->...aijk", ginv, dt))
     del dt, dginv
     # Operator components: R(e_a, e_b) e_c = Rop[m, c, a, b] e_m.
-    rop = (np.einsum("ambc...->mcab...", dgamma)
-           - np.einsum("bmac...->mcab...", dgamma)
-           + np.einsum("mal...,lbc...->mcab...", gamma, gamma)
-           - np.einsum("mbl...,lac...->mcab...", gamma, gamma))
+    rop = (np.einsum("...ambc->...mcab", dgamma)
+           - np.einsum("...bmac->...mcab", dgamma)
+           + np.einsum("...mal,...lbc->...mcab", gamma, gamma)
+           - np.einsum("...mbl,...lac->...mcab", gamma, gamma))
     del dgamma
     # Lower and flip the last operand into the pairing convention.
-    return np.einsum("km...,mlij...->ijkl...", gmat, rop)
+    return np.einsum("...km,...mlij->...ijkl", gmat, rop)
 
 
 def frame_contract(arr, *frames) -> np.ndarray:
@@ -375,23 +369,19 @@ def frame_contract(arr, *frames) -> np.ndarray:
     ``out[a, b, ...] = arr[i, j, ...] f1[a, i] f2[b, j] ...``, one frame
     per leading slot; each frame is an (m, n) array whose rows are the
     frame vectors' components, and entries may be duals.  Staged as one
-    pairwise contraction per frame: each contracts the leading axis with
+    pairwise contraction per frame: each contracts the first slot with
     the frame (a reshape and one matrix product) and appends the frame
-    index, so no many-operand product is formed.  Trailing node axes on
+    index, so no many-operand product is formed.  Leading node axes on
     ``arr`` and the frames give one product per node.
     """
-    k = len(frames)
-    out = _stack(np.asarray(arr), k)
-    lead = out.ndim - k
+    out = np.asarray(arr)
+    lead = out.ndim - len(frames)
     for frame in frames:
-        frame = _stack(frame)
-        if frame.ndim > 2:      # C-order stacks: BLAS as at a point
-            frame = np.ascontiguousarray(frame)
         shape = out.shape
         out = (out.reshape(shape[:lead + 1] + (-1,)).swapaxes(-1, -2)
                @ frame.swapaxes(-1, -2)).reshape(
             shape[:lead] + shape[lead + 1:] + frame.shape[-2:-1])
-    return _stack(out, out.ndim - k)
+    return out
 
 
 def operator_slots(r, f1, f2, f3, f4) -> np.ndarray:
@@ -408,32 +398,37 @@ def operator_slots(r, f1, f2, f3, f4) -> np.ndarray:
 
 def node_einsum(spec: str, *ops) -> np.ndarray:
     """``np.einsum(spec, *ops)`` on node stacks, the one product there (no
-    BLAS): operands carry a trailing node axis that ``spec`` does not name
+    BLAS): operands carry a leading node axis that ``spec`` does not name
     (an operand without one is shared by every node); so does the result.
 
-    Each node keeps the bits of its one-node run: the node axis goes first
-    on C-order copies, so the inner loop sums over the same contiguous
-    axis.  With the node axis innermost, einsum would sum in another order.
-    Not every spec keeps them: ``i,ij,j->`` does not at n = 2, so a pairing
-    runs as two one-index stages (``tests/test_node_einsum.py`` tries every
-    spec in the package).
+    Each node keeps the bits of its one-node run: on C-order operands the
+    inner loop sums over the same contiguous axis.  Not on every spec:
+    ``i,ij,j->`` does not at n = 2, so a pairing runs as two one-index
+    stages; a result of one entry per node with an index of size 1 is read
+    from a repeat of size 2 (``tests/test_node_einsum.py`` tries them all).
     """
     subs, out = spec.split("->")
     subs = subs.split(",")
     lead = [o.ndim > len(sub) for o, sub in zip(ops, subs)]
-    if not any(lead):   # moving an axis of the result would misplace it
+    if not any(lead):   # the result would have no node axis
         raise ValueError(f"node_einsum {spec!r}: no operand has a node axis")
-    ops = [np.ascontiguousarray(np.moveaxis(o, -1, 0)) if node else o
-           for o, node in zip(ops, lead)]
+    ops = [np.ascontiguousarray(o) for o in ops]
+    size = {i: n for o, sub in zip(ops, subs)
+            for i, n in zip(sub[::-1], o.shape[::-1])}
+    pad = 1 in size.values() and all(size[i] == 1 for i in out)
+    if pad:     # a repeated output index of the first operand
+        ops[0], subs[0] = np.repeat(ops[0][..., None], 2, -1), subs[0] + "Z"
+        out += "Z"
     spec = ",".join("..." * node + sub for sub, node in zip(subs, lead))
-    return np.moveaxis(np.einsum(f"{spec}->...{out}", *ops), 0, -1)
+    res = np.einsum(f"{spec}->...{out}", *ops)
+    return res[..., 0] if pad else res
 
 
 def swap_operator_slots(arr) -> np.ndarray:
     """The swap of slots 2 and 3 between raw component slots and operator
     slots; it is its own inverse, so it also takes an operator-slot array
-    back to raw slots.  Trailing node axes are kept."""
-    return np.swapaxes(arr, 2, 3)
+    back to raw slots.  Leading node axes are kept."""
+    return np.swapaxes(arr, -2, -1)
 
 
 def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
@@ -444,7 +439,7 @@ def exterior_derivative(jet: PointJet, degree: int) -> np.ndarray:
     """
     out = jet.d1
     for j in range(1, degree + 1):
-        term = np.moveaxis(jet.d1, 0, j)
+        term = np.moveaxis(jet.d1, -degree - 1, j - degree - 1)
         out = out + term if j % 2 == 0 else out - term
     return out
 
@@ -488,7 +483,7 @@ def _perm_sign(perm) -> int:
 
 def interior(vector, omega: np.ndarray, degree: int) -> np.ndarray:
     """Contraction of a k-form with a vector in the first slot, one per node
-    of the trailing node axis that either carries (:func:`node_einsum`)."""
+    of the leading node axis that either carries (:func:`node_einsum`)."""
     if degree < 1:
         raise DegreeError("interior product needs a form of degree >= 1")
     idx = "abcdefgh"[:degree - 1]
@@ -500,8 +495,8 @@ def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i at a point (or a batch point)."""
     jx = differentiate(x, point, order=1)
     jy = differentiate(y, point, order=1)
-    return (np.einsum("j...,ji...->i...", jx.value, jy.d1)
-            - np.einsum("j...,ji...->i...", jy.value, jx.d1))
+    return (np.einsum("...j,...ji->...i", jx.value, jy.d1)
+            - np.einsum("...j,...ji->...i", jy.value, jx.d1))
 
 
 def lie_derivative(jv: PointJet, jt: PointJet) -> np.ndarray:
@@ -509,7 +504,7 @@ def lie_derivative(jv: PointJet, jt: PointJet) -> np.ndarray:
 
     The coordinate formula for a covariant tensor field T of any rank, with
     m in slot s of the s-th term; built from order-1 jets of V and T at one
-    point.  A batch point gives a trailing node axis, each node with the
+    point.  A batch point gives a leading node axis, each node with the
     bits of its point (:func:`node_einsum`).
     """
     idx = "abcdefgh"[:jt.value.ndim - jv.value.ndim + 1]
@@ -545,27 +540,24 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
 
     A vector whose remainder has g-norm at most 1e-10 of the metric scale
     is dropped, and a NaN one with it; RankError unless ``rank`` rows are
-    left.  ``vectors`` are (k, n), shared, or (k, n, nodes).  The metric
-    carries a trailing node axis, and so does the frame, (rank, n, nodes),
+    left.  ``vectors`` are (k, n), shared, or (nodes, k, n).  The metric
+    carries a leading node axis, and so does the frame, (nodes, rank, n),
     each node with the bits of its own frame.
 
     A dropped vector leaves a zero row at its node, which later steps
     subtract exactly; each node's kept rows are gathered at the end.
     """
-    # node-first C-order stacks: each einsum sums one index per node
-    g = np.ascontiguousarray(_stack(np.asarray(gmat, dtype=float)))
+    g = np.ascontiguousarray(gmat, dtype=float)
     size, n = g.shape[0], g.shape[-1]
     vecs = np.asarray(vectors, dtype=float)
-    vecs = np.ascontiguousarray(
-        np.moveaxis(vecs, 2, 1) if vecs.ndim == 3 else
-        np.broadcast_to(vecs[:, None, :], (len(vecs), size, n)))
 
-    def pair(u, w):     # g(u, w) per node
+    def pair(u, w):     # g(u, w) per node, on C-order (nodes, n) rows
         return np.einsum("kj,kj->k", np.einsum("ki,kij->kj", u, g), w)
 
     scale = np.sqrt(np.trace(g, axis1=1, axis2=2) / n)
     basis, kept = [], []
-    for w in vecs:
+    for i in range(vecs.shape[-2]):
+        w = np.ascontiguousarray(np.broadcast_to(vecs[..., i, :], (size, n)))
         for b in basis:
             w = w - pair(b, w)[:, None] * b
         nrm = np.sqrt(pair(w, w))
@@ -578,6 +570,5 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
         k = int(np.argmax(count != rank))
         raise RankError(f"{what} has rank {count[k]} at node {k}, "
                         f"expected {rank}")
-    rows = np.argsort(~np.array(kept), axis=0, kind="stable")[:rank]
-    frames = np.take_along_axis(np.array(basis), rows[..., None], axis=0)
-    return np.moveaxis(frames, 1, 2)
+    rows = np.argsort(~np.stack(kept, 1), axis=1, kind="stable")[:, :rank]
+    return np.take_along_axis(np.stack(basis, 1), rows[..., None], axis=1)

@@ -58,9 +58,9 @@ def random_field_coeffs(n: int, rng):
 
 def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
     """The field c0^i + sum_j c1^i_j sin(c^j), with ``dual.Batch``
-    coefficients read from a trailing node axis."""
+    coefficients read from a leading node axis."""
     n = chart.dim
-    c0, c1 = [Batch(v) for v in c0], [[Batch(v) for v in r] for r in c1]
+    c0, c1 = dual.entries(c0), dual.entries(c1)
 
     def fn(c):
         return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
@@ -71,7 +71,7 @@ def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
 def random_vector_field(chart: ch.Chart, rng) -> ch.ChartField:
     """A smooth seeded vector field: affine plus sine terms per axis."""
     c0, c1 = random_field_coeffs(chart.dim, rng)
-    return vector_field(chart, c0[:, None], c1[..., None])
+    return vector_field(chart, c0[None], c1[None])
 
 
 def _sampled(residual, chart, rng, n):
@@ -103,7 +103,7 @@ def check_bismut_courant(s: Scenario, rng, tol, points=None) -> CheckResult:
         x, y = vector_field(s.chart, c0x, c1x), vector_field(s.chart, c0y, c1y)
         d = bismut_derivative(x, y, sign, s.ctx, p) \
             - bismut_via_courant(x, y, sign, s.ctx, p)
-        return np.abs(d).max(axis=0)
+        return np.abs(d).max(axis=1)
 
     runs = chunks((pts, signs, *coeffs), np.flatnonzero(signs > 0),
                   np.flatnonzero(signs < 0))
@@ -119,10 +119,10 @@ def check_pair_symmetry(s: Scenario, rng, tol, points=None) -> CheckResult:
         geo = Geometry(s.ctx, p)
         rm = bismut_curvature(-1, geo)
         rp = bismut_curvature(+1, geo)
-        return np.max([np.abs(d).max(axis=(0, 1, 2, 3)) for d in (
-            rm - np.einsum("ijkl...->klij...", rp),
-            rm + np.einsum("ijkl...->jikl...", rm),
-            rp + np.einsum("ijkl...->ijlk...", rp))], axis=0)
+        return np.max([np.abs(d).max(axis=(1, 2, 3, 4)) for d in (
+            rm - np.einsum("...ijkl->...klij", rp),
+            rm + np.einsum("...ijkl->...jikl", rm),
+            rp + np.einsum("...ijkl->...ijlk", rp))], axis=0)
 
     return _result("pair_symmetry", n, _sampled(residual, s.chart, rng, n),
                    tol)
@@ -135,7 +135,7 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
     def residual(p):
         frames = zip((+1, -1), qt.horizontal_frames(s.ea, s.ctx, p))
         return np.max([np.abs(np.subtract(*qt.omega_curvature(
-            s.ea, s.ctx, sign, p, fr))).max(axis=(0, 1, 2))
+            s.ea, s.ctx, sign, p, fr))).max(axis=(1, 2, 3))
             for sign, fr in frames], axis=0)
     return _result("lemma62", n, _sampled(residual, s.chart, rng, n), tol)
 
@@ -147,7 +147,7 @@ def _batched_pairs(sample, ambient, direct, chart, rng, n):
     def residual(x):
         lp = sample(x)
         return np.abs(ambient(lp) - direct(x, lp.basis)).max(
-            axis=(0, 1, 2, 3))
+            axis=(1, 2, 3, 4))
 
     return _sampled(residual, chart, rng, n)
 
@@ -250,9 +250,9 @@ def mixed_multiplier_closed_form(pf: lz.PointFrame):
     hxi = ch.node_einsum("ijm,mk,bk->bij", pf.H, pf.ginv, pf.xi)
     lbs = []
     for b in range(pf.s):
-        t1 = ch.node_einsum("kj,mk,rj->mr", dvm[b], p_fr, m_fr)
-        t2 = ch.node_einsum("kj,rk,mj->rm", dvp[b], m_fr, p_fr)
-        t3 = ch.node_einsum("ij,ri,mj->rm", hxi[b], m_fr, p_fr)
+        t1 = ch.node_einsum("kj,mk,rj->mr", dvm[:, b], p_fr, m_fr)
+        t2 = ch.node_einsum("kj,rk,mj->rm", dvp[:, b], m_fr, p_fr)
+        t3 = ch.node_einsum("ij,ri,mj->rm", hxi[:, b], m_fr, p_fr)
         lbs.append(lz._quad_sum(ngen, m, t1, 0, m)
                    + lz._quad_sum(ngen, m, t2, m, 0)
                    + lz._quad_sum(ngen, m, -t3, m, 0))

@@ -105,8 +105,8 @@ class Dual:
             return exp(log(self) * p)
         if p == 2:
             return self * self
-        return Dual(self.val ** p, p * self.val ** (p - 1) * self.eps,
-                    self.level)
+        return Dual(_libm(pow, self.val, p),
+                    p * self.val ** (p - 1) * self.eps, self.level)
 
     def __rpow__(self, base):
         return exp(self * _libm(math.log, base))
@@ -180,19 +180,22 @@ class Batch:
 
 
 def _libm(f, *args, node=None):
-    """libm's ``f``: on floats, a math domain error as a MathDomainError at
-    ``node``; with Batch arguments, node by node (floats are shared), an
-    error naming the first node that raises it."""
+    """libm's ``f``: on floats, a math domain error (or a complex ``pow``)
+    as a MathDomainError at ``node``; with Batch arguments, node by node
+    (floats are shared), an error naming the first node that raises it."""
     if Batch not in map(type, args):
         try:
-            return f(*args)
+            out = f(*args)
         except ValueError as exc:
             raise MathDomainError(f"{f.__name__}{args}: {exc}", node) from exc
+        if type(out) is complex:
+            raise MathDomainError(f"{f.__name__}{args}: complex result", node)
+        return out
     cols = [a.v.tolist() if isinstance(a, Batch) else itertools.repeat(a)
             for a in args]
     try:
         return Batch(list(map(f, *cols)))
-    except ValueError:
+    except (ValueError, TypeError):     # a complex entry is a TypeError
         for k, xs in enumerate(zip(*cols)):
             _libm(f, *xs, node=k)
         raise
@@ -211,10 +214,9 @@ def chunks(arrays, *groups):
 
 def batched(fn, chunks):
     """Yield, node by node, ``fn``'s (N,) values on chunks ``(points, *args)``
-    (node axis first), each as one batch point (``args`` node axis last)."""
+    (node axis first), each as one batch point."""
     for points, *args in chunks:
-        yield from fn([Batch(x) for x in points.T],
-                      *(np.moveaxis(a, 0, -1) for a in args))
+        yield from fn([Batch(x) for x in points.T], *args)
 
 
 def per_node(fn):
@@ -361,10 +363,10 @@ def nodes(point) -> int:
 
 def entries(arr):
     """The inverse of ``tighten(., size)``: the Batch entries of a float
-    array with a trailing node axis, as an object array."""
+    array with a leading node axis, as an object array."""
     arr = np.asarray(arr, dtype=float)
-    out = np.empty(arr.shape[:-1], dtype=object)
-    out.ravel()[:] = [Batch(v) for v in arr.reshape(-1, arr.shape[-1])]
+    out = np.empty(arr.shape[1:], dtype=object)
+    out.ravel()[:] = [Batch(v) for v in arr.reshape(len(arr), -1).T]
     return out
 
 
@@ -388,17 +390,17 @@ def select(mask, a, b):
 
 def tighten(arr, size: int = 0):
     """Return a float array when no duals remain, object array otherwise;
-    with ``size`` nodes, Batch (and float) entries stack on a last axis."""
+    with ``size`` nodes, Batch (and float) entries stack on a leading axis."""
     a = np.asarray(arr)
     if size:
         try:    # all floats: one value for every node
-            return np.repeat(a.astype(float)[..., None], size, -1)
+            return np.repeat(a.astype(float)[None], size, 0)
         except TypeError:
             pass
-        out = np.empty((a.size, size))
+        out = np.empty((size, a.size))
         for i, e in enumerate(a.ravel().tolist()):
-            out[i] = e.v if isinstance(e, Batch) else e
-        return out.reshape(a.shape + (size,))
+            out[:, i] = e.v if isinstance(e, Batch) else e
+        return out.reshape((size,) + a.shape)
     try:
         return a.astype(float)
     except (TypeError, ValueError):

@@ -36,12 +36,12 @@ class GeneralizedVector:
 
     def pairing(self, other: "GeneralizedVector") -> np.ndarray:
         """<X+xi, Y+eta> = xi(Y) + eta(X), one per node."""
-        return np.einsum("i...,i...->...", self.xi, other.X) \
-            + np.einsum("i...,i...->...", other.xi, self.X)
+        return np.einsum("...i,...i->...", self.xi, other.X) \
+            + np.einsum("...i,...i->...", other.xi, self.X)
 
 
 def field_values(field: ch.ChartField, point) -> np.ndarray:
-    """Float components of a field at a point, node axis last."""
+    """Float components of a field at a point, node axis first."""
     return dual.tighten(np.asarray(field(point), dtype=object),
                         dual.nodes(point))
 
@@ -80,12 +80,12 @@ class GeneralizedMetricContext:
     def closure_residual(self, point):
         """max |dH| component at a point, one per node."""
         dh = ch.exterior_derivative(ch.differentiate(self.H, point), 3)
-        return np.abs(dh).max(axis=(0, 1, 2, 3))
+        return np.abs(dh).max(axis=(1, 2, 3, 4))
 
 
 class Geometry:
     """g, g^-1, H, the jet of g, Gamma, R and the torsion terms of R^pm of a
-    context at a point (node axis last), each computed once, on first use.
+    context at a point (node axis first), each computed once, on first use.
     The jet of g is of order 2 once curvature is asked for, and then also
     serves Gamma.  Code under test shares one Geometry per sample; each
     oracle builds its own."""
@@ -124,11 +124,11 @@ class Geometry:
     def torsion_terms(self):
         """The nabla-H and H-H terms of R^pm (see bismut_curvature)."""
         nh = nabla_flux(self)
-        hup = np.einsum("ijm...,mp...->ijp...", self.H, self.ginv)
-        term_dh = 0.5 * (np.einsum("ijkl...->ijkl...", nh)
-                         - np.einsum("jikl...->ijkl...", nh))
-        term_hh = 0.25 * (np.einsum("kip...,jlp...->ijkl...", self.H, hup)
-                          - np.einsum("kjp...,ilp...->ijkl...", self.H, hup))
+        hup = np.einsum("...ijm,...mp->...ijp", self.H, self.ginv)
+        term_dh = 0.5 * (np.einsum("...ijkl->...ijkl", nh)
+                         - np.einsum("...jikl->...ijkl", nh))
+        term_hh = 0.25 * (np.einsum("...kip,...jlp->...ijkl", self.H, hup)
+                          - np.einsum("...kjp,...ilp->...ijkl", self.H, hup))
         return term_dh, term_hh
 
 
@@ -148,7 +148,7 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     """Flux-twisted Courant bracket of A = X + xi and B = Y + eta at a point.
 
     Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H.
-    A batch point gives a trailing node axis.
+    A batch point gives a leading node axis.
     """
     ctx.chart.require_inside(point)
     vec = ch.lie_bracket(a_vec, b_vec, point)
@@ -158,11 +158,11 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
     jxi = ch.differentiate(a_cov, point, order=1)
     dxi = ch.exterior_derivative(jxi, 1)
     yval = field_values(b_vec, point)
-    cov = cov - np.einsum("j...,jk...->k...", yval, dxi)
+    cov = cov - np.einsum("...j,...jk->...k", yval, dxi)
 
     hval = ctx.flux_at(point)
     xval = field_values(a_vec, point)
-    cov = cov + np.einsum("i...,j...,ijk...->k...", xval, yval, hval)
+    cov = cov + np.einsum("...i,...j,...ijk->...k", xval, yval, hval)
     return GeneralizedVector(np.asarray(vec, dtype=float),
                              np.asarray(cov, dtype=float), tuple(point))
 
@@ -174,7 +174,7 @@ def split_pm(a: GeneralizedVector, ctx: GeneralizedMetricContext):
     """
     gmat = ctx.metric_at(a.at)
     ginv = ch.metric_inverse(gmat)
-    gxi = np.einsum("ij...,j...->i...", ginv, a.xi)
+    gxi = np.einsum("...ij,...j->...i", ginv, a.xi)
     return 0.5 * (a.X + gxi), 0.5 * (a.X - gxi)
 
 
@@ -191,14 +191,14 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
     jy = ch.differentiate(y, point, order=1)
     coeffs = bismut_connection_coeffs(sign, Geometry(ctx, point))
     xval = field_values(x, point)
-    return (np.einsum("j...,ji...->i...", xval, jy.d1)
-            + np.einsum("ijk...,j...,k...->i...", coeffs, xval, jy.value))
+    return (np.einsum("...j,...ji->...i", xval, jy.d1)
+            + np.einsum("...ijk,...j,...k->...i", coeffs, xval, jy.value))
 
 
 def bismut_connection_coeffs(sign, geo: Geometry):
     """Connection coefficients Gamma^(pm)i_{jk} (j = direction, k = argument)."""
     s = _sgn(sign)
-    return geo.gamma + 0.5 * s * np.einsum("il...,ljk...->ijk...", geo.ginv,
+    return geo.gamma + 0.5 * s * np.einsum("...il,...ljk->...ijk", geo.ginv,
                                            geo.H)
 
 
@@ -222,9 +222,9 @@ def nabla_flux(geo: Geometry) -> np.ndarray:
     jet, gam = ch.differentiate(geo.ctx.H, geo.point), geo.gamma
     h = jet.value
     out = jet.d1.copy()
-    out -= np.einsum("mai...,mjk...->aijk...", gam, h)
-    out -= np.einsum("maj...,imk...->aijk...", gam, h)
-    out -= np.einsum("mak...,ijm...->aijk...", gam, h)
+    out -= np.einsum("...mai,...mjk->...aijk", gam, h)
+    out -= np.einsum("...maj,...imk->...aijk", gam, h)
+    out -= np.einsum("...mak,...ijm->...aijk", gam, h)
     return out
 
 
@@ -272,9 +272,9 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
     jet = ch.differentiate(coeffs, point, order=1)
     gam = jet.value
     dgam = jet.d1
-    rop = (np.einsum("ambc...->mcab...", dgam)
-           - np.einsum("bmac...->mcab...", dgam)
-           + np.einsum("mal...,lbc...->mcab...", gam, gam)
-           - np.einsum("mbl...,lac...->mcab...", gam, gam))
+    rop = (np.einsum("...ambc->...mcab", dgam)
+           - np.einsum("...bmac->...mcab", dgam)
+           + np.einsum("...mal,...lbc->...mcab", gam, gam)
+           - np.einsum("...mbl,...lac->...mcab", gam, gam))
     gmat = ctx.metric_at(point)
-    return np.einsum("km...,mlij...->ijkl...", gmat, rop)
+    return np.einsum("...km,...mlij->...ijkl", gmat, rop)

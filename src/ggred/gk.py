@@ -35,7 +35,7 @@ class BiHermitianData:
 
 def nijenhuis(jet: ch.PointJet) -> np.ndarray:
     """N[i, a, b] of the Nijenhuis tensor, from an order-1 jet of J (with a
-    trailing node axis)."""
+    leading node axis)."""
     jv = jet.value        # J^i_j
     dj = jet.d1           # dj[k, i, j] = d_k J^i_j
     t1 = ch.node_einsum("la,lib->iab", jv, dj)
@@ -57,9 +57,10 @@ def flux_type_residual(j: ch.ChartField, ctx: GeneralizedMetricContext,
                        point, vecs):
     """Reality form of the (2,1)+(1,2) condition on given vector triples:
     H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z).  The largest |residual|
-    over the triples, per node (each vector may have a trailing node
-    axis)."""
+    over the triples, per node (``vecs`` is (T, 3, n), shared, or
+    (nodes, T, 3, n))."""
     h, jv = ctx.flux_at(point), field_values(j, point)
+    vecs = np.moveaxis(np.asarray(vecs, dtype=float), (-3, -2), (0, 1))
 
     def residual(x, y, z):
         jx, jy, jz = (ch.node_einsum("ij,j->i", jv, v) for v in (x, y, z))
@@ -87,13 +88,12 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
     def residuals(p, vecs):
         geo = Geometry(ctx, p)
         res = [[], [], [], [], []]
-        for (sign, j), triples in zip(bh.pair(), vecs):
+        for (sign, j), triples in zip(bh.pair(), np.moveaxis(vecs, -4, 0)):
             # one jet per distinct field: J_- may be J_+ itself
             jet = jet if sign < 0 and j is bh.Jplus else \
                 ch.differentiate(j, p, order=1)
             jv = jet.value
-            res[0].append(ch.node_einsum("ij,jk->ik", jv, jv)
-                          + np.eye(n)[..., None])
+            res[0].append(ch.node_einsum("ij,jk->ik", jv, jv) + np.eye(n))
             res[1].append(ch.node_einsum("ji,jk,kl->il", jv, geo.g, jv)
                           - geo.g)
             res[2].append(nijenhuis(jet))
@@ -118,9 +118,9 @@ def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
         proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
         jv = field_values(j, point)
         ch._require_finite(point, jv)
-        eye = np.eye(scn.ambient_dim)[..., None]
+        eye = np.eye(scn.ambient_dim)
         defect = ch.node_einsum("ij,jk,kl->il", eye - proj, jv, proj)
-        out.append(np.linalg.norm(ch._stack(defect), 2, axis=(-2, -1)))
+        out.append(np.linalg.norm(defect, 2, axis=(-2, -1)))
     return tuple(out)
 
 
@@ -151,7 +151,7 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
     (J_red_plus, J_red_minus, report) where the report validates the
     reduced pair against the reduced data and holds the largest defect
     (``tau_invariance``).  At a batch quotient point the structures carry
-    a trailing node axis and the report covers every node.
+    a leading node axis and the report covers every node.
     """
     dplus, dminus = check_tau_invariance(bh, scn, scn.lift(qpoint))
     if not ch.max_abs((dplus, dminus)) <= tol:
@@ -163,7 +163,7 @@ def reduce_gk(bh: BiHermitianData, scn: qt.QuotientScenario, qpoint,
     jp, jm = (field_values(j, qpoint) for _, j in reduced.pair())
     report = validate_bihermitian(      # at the nodes of qpoint, as points
         reduced, qt.reduced_context(scn),
-        dual.tighten(list(qpoint), dual.nodes(qpoint)).T, rng=rng,
+        dual.tighten(list(qpoint), dual.nodes(qpoint)), rng=rng,
         tol=max(tol, 1e-6))
     report.conditions["tau_invariance"] = qt.ConditionResult(
         "tau_invariance", ch.max_abs((dplus, dminus)), tol)

@@ -64,15 +64,15 @@ def _words(shape, factors):
 def _word_sum(ngen, coeffs, factors):
     """sum coeffs[idx] theta_g0 theta_g1 ..., assembled word by word.
 
-    ``coeffs`` carries a trailing node axis: each coefficient is a Batch.
+    ``coeffs`` carries a leading node axis: each coefficient is a Batch.
     See :func:`_words` for ``factors``.  Terms are summed in the C order of
     ``coeffs``, as the explicit generator-product loop over its axes sums
     them.
     """
-    masks, sign, valid = _words(coeffs.shape[:-1], factors)
-    keep = valid & coeffs.any(-1)
+    masks, sign, valid = _words(coeffs.shape[1:], factors)
+    keep = valid & coeffs.any(0)
     return G.from_terms(ngen, masks[keep].tolist(),
-                        dual.entries((coeffs * sign[..., None])[keep]))
+                        dual.entries((coeffs * sign)[:, keep]))
 
 
 def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
@@ -87,7 +87,7 @@ def curvature_quartic(rfr: np.ndarray, mplus: int, mminus: int | None = None
     """
     if mminus is None:
         mminus = mplus
-    rfr = np.asarray(rfr, dtype=float)[:mplus, :mplus, :mminus, :mminus]
+    rfr = np.asarray(rfr, dtype=float)[:, :mplus, :mplus, :mminus, :mminus]
     # psi-_rho psi+_mu psi-_sig psi+_nu as (offset, axis) factors
     return _word_sum(mplus + mminus, 0.5 * rfr,
                      ((mplus, 2), (0, 0), (mplus, 3), (0, 1)))
@@ -106,22 +106,22 @@ def euler_density(rarr: np.ndarray, gmat: np.ndarray):
 
     Contracts the curvature into a positively oriented orthonormal frame,
     exponentiates the quartic pairing, and Berezin-integrates against the
-    paired measure.  The result carries no volume factor.  The trailing
+    paired measure.  The result carries no volume factor.  The leading
     node axis gives one density per node, from one Grassmann stage for all.
     """
-    n = gmat.shape[0]
+    n = gmat.shape[-1]
     if n % 2:
         raise OddDimensionError("Euler density needs even dimension")
     try:
-        low = np.linalg.cholesky(ch._stack(gmat))
+        low = np.linalg.cholesky(gmat)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(
             "Euler density needs a positive definite metric") from exc
-    frame = ch._stack(np.linalg.inv(low), low.ndim - 2)  # rows: the frame
+    frame = np.linalg.inv(low)  # rows: the frame
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     dens = berezin_integral((0.5 * curvature_quartic(rfr, n)).exp(),
                             euler_measure(n)).body
-    return dual.tighten([dens], rfr.shape[-1])[0]
+    return dual.tighten(dens, len(rfr))
 
 
 def euler_characteristic(ctx: GeneralizedMetricContext, domain,
@@ -157,7 +157,7 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain,
         geo = Geometry(ctx, p)
         rarr = bismut_curvature(-1, geo) if ctx.has_flux else geo.R
         return w * euler_density(rarr, geo.g) * \
-            np.sqrt(np.linalg.det(ch._stack(geo.g)))
+            np.sqrt(np.linalg.det(geo.g))
 
     tail = list(np.indices((order, order)).reshape(2, -1))
     idx = ([np.full(order * order, i) for i in head] + tail
@@ -308,7 +308,7 @@ def _gv_dot(u, v):
 @dataclass
 class PointFrame:
     """Every tensor value the Grassmann stage consumes at a batch point (one
-    node at a plain point), each array with a trailing node axis."""
+    node at a plain point), each array with a leading node axis."""
 
     point: tuple
     n: int
@@ -336,7 +336,7 @@ class PointFrame:
 
     @property
     def m(self) -> int:
-        return self.plus_frame.shape[0]
+        return self.plus_frame.shape[-2]
 
 
 def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
@@ -349,10 +349,10 @@ def point_frame_quotient(lp: qt.LiftedPoint) -> PointFrame:
     """
     geo, rm = lp.geo, lp.rm
     rmin = bismut_curvature(-1, geo)    # before Gamma: one order-2 jet of g
-    vv, xv, _ = lp.jet.value
-    d1 = np.moveaxis(lp.jet.d1, 0, 2)   # [row, a, k, i] = d_k row_ai
-    dxi = d1[1] - ch.node_einsum("mki,am->aki", geo.gamma, xv)
-    dv = d1[0] + ch.node_einsum("ikm,am->aki", geo.gamma, vv)
+    vv, xv = lp.jet.value[:, 0], lp.jet.value[:, 1]
+    d1 = np.moveaxis(lp.jet.d1, 1, 3)   # [N, row, a, k, i] = d_k row_ai
+    dxi = d1[:, 1] - ch.node_einsum("mki,am->aki", geo.gamma, xv)
+    dv = d1[:, 0] + ch.node_einsum("ikm,am->aki", geo.gamma, vv)
     pf = PointFrame(
         point=tuple(lp.p), n=lp.scn.ambient_dim, g=geo.g, ginv=geo.ginv,
         H=geo.H, gamma=geo.gamma, r_minus=rmin, s=lp.scn.ea.s, V=vv, xi=xv,
@@ -377,7 +377,7 @@ def _check_zero_mode_frames(pf: PointFrame, tol: float = 1e-6):
             "ai,ri->ar", pf.dsigma, pf.plus_frame)))
     for what, defect in defects:
         # a NaN defect fails the test, as does a NaN max
-        ok = np.abs(defect).reshape(-1, dual.nodes(pf.point)).max(0) <= tol
+        ok = np.abs(defect).reshape(dual.nodes(pf.point), -1).max(1) <= tol
         if not all(ok):
             raise FrameMismatchError(f"zero-mode frame {what} at "
                                      f"{ch._at(pf.point, int(np.argmin(ok)))}")
@@ -392,7 +392,7 @@ def point_frame_section(lp: sm.LocusPoint) -> PointFrame:
         point=tuple(lp.p), n=lp.scn.ambient_dim, g=geo.g, ginv=geo.ginv,
         H=geo.H, gamma=geo.gamma, r_minus=rmin, r=lp.scn.sd.r,
         dsigma=lp.grads,
-        hess_sigma=np.ascontiguousarray(np.moveaxis(lp.jet.d2, 2, 0)),
+        hess_sigma=np.moveaxis(lp.jet.d2, 3, 1),
         plus_frame=lp.basis, minus_frame=lp.basis)
     _check_zero_mode_frames(pf)
     return pf
@@ -413,7 +413,7 @@ def _quad_sum(ngen, m, coeffs, first, second):
 
 def _flux_square_quartic(dmat: np.ndarray) -> GrassmannElement:
     """sum dmat[r, m, s, n] psi-_r psi+_m psi-_s psi+_n over m modes each."""
-    m = dmat.shape[0]
+    m = dmat.shape[1]
     return _word_sum(2 * m, dmat, ((m, 0), (0, 1), (m, 2), (0, 3)))
 
 
@@ -429,11 +429,11 @@ def _base_action(pf: PointFrame, poly: AuxiliaryPolynomial):
     poly.add_const(0.5 * curvature_quartic(rhat, m))
     for i in range(pf.n):
         for j in range(pf.n):
-            if pf.g[i, j].any():
-                poly.add_quad(f"F{i}", f"F{j}", 0.5 * Batch(pf.g[i, j]))
+            if pf.g[:, i, j].any():
+                poly.add_quad(f"F{i}", f"F{j}", 0.5 * Batch(pf.g[:, i, j]))
     c1 = ch.node_einsum("ijk,ri,mj->rmk", pf.H, m_fr, p_fr)
     for k in range(pf.n):
-        coupling = _quad_sum(ngen, m, 0.5 * c1[:, :, k], m, 0)
+        coupling = _quad_sum(ngen, m, 0.5 * c1[..., k], m, 0)
         if coupling.coeffs:
             poly.add_lin(f"F{k}", coupling)
     dmat = ch.node_einsum("rmk,kl,snl->rmsn", c1, pf.ginv, c1)
@@ -461,35 +461,37 @@ def build_quotient_action(pf: PointFrame) -> AuxiliaryPolynomial:
 
     for a in range(pf.s):
         for b in range(pf.s):
-            if pf.G_ab[a, b].any():
-                poly.add_quad(f"pm{a}", f"pm{b}", -0.5 * Batch(pf.G_ab[a, b]))
-            if pf.K_ab[a, b].any():
-                poly.add_quad(f"pp{a}", f"mm{b}", 0.5 * Batch(pf.K_ab[a, b]))
+            if pf.G_ab[:, a, b].any():
+                poly.add_quad(f"pm{a}", f"pm{b}",
+                              -0.5 * Batch(pf.G_ab[:, a, b]))
+            if pf.K_ab[:, a, b].any():
+                poly.add_quad(f"pp{a}", f"mm{b}",
+                              0.5 * Batch(pf.K_ab[:, a, b]))
     for a in range(pf.s):
         for i in range(pf.n):
-            if pf.xi[a, i].any():
-                poly.add_quad(f"F{i}", f"pm{a}", -Batch(pf.xi[a, i]))
+            if pf.xi[:, a, i].any():
+                poly.add_quad(f"F{i}", f"pm{a}", -Batch(pf.xi[:, a, i]))
 
     for a in range(pf.s):
         # mixed multiplier: (1/2)(grad_+ xi psi_- - grad_- xi psi_+)
         # + (psi_+, grad_- V_a)
-        t1 = ch.node_einsum("ki,mk,ri->mr", pf.dxi_cov[a], p_fr, m_fr)
-        t2 = ch.node_einsum("ki,rk,mi->rm", pf.dxi_cov[a], m_fr, p_fr)
-        t3 = ch.node_einsum("ki,mi,rk->mr", pf.dv_cov_low[a], p_fr, m_fr)
+        t1 = ch.node_einsum("ki,mk,ri->mr", pf.dxi_cov[:, a], p_fr, m_fr)
+        t2 = ch.node_einsum("ki,rk,mi->rm", pf.dxi_cov[:, a], m_fr, p_fr)
+        t3 = ch.node_einsum("ki,mi,rk->mr", pf.dv_cov_low[:, a], p_fr, m_fr)
         lin = (_quad_sum(ngen, m, 0.5 * t1, 0, m)
                + _quad_sum(ngen, m, -0.5 * t2, m, 0)
                + _quad_sum(ngen, m, t3, 0, m))
         if lin.coeffs:
             poly.add_lin(f"pm{a}", lin)
         # chiral multipliers
-        u1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[a], m_fr, m_fr)
-        u2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[a], m_fr, m_fr)
+        u1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[:, a], m_fr, m_fr)
+        u2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[:, a], m_fr, m_fr)
         lpp = _quad_sum(ngen, m, 0.5 * u1, m, m) \
             + _quad_sum(ngen, m, 0.5 * u2, m, m)
         if lpp.coeffs:
             poly.add_lin(f"pp{a}", lpp)
-        w1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[a], p_fr, p_fr)
-        w2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[a], p_fr, p_fr)
+        w1 = ch.node_einsum("ki,ri,sk->rs", pf.dxi_cov[:, a], p_fr, p_fr)
+        w2 = ch.node_einsum("kj,rk,sj->rs", pf.dv_cov_low[:, a], p_fr, p_fr)
         lmm = _quad_sum(ngen, m, -0.5 * w1, 0, 0) \
             + _quad_sum(ngen, m, 0.5 * w2, 0, 0)
         if lmm.coeffs:
@@ -515,13 +517,13 @@ def build_section_action(pf: PointFrame) -> AuxiliaryPolynomial:
     e_fr = pf.plus_frame
     for al in range(pf.r):
         for i in range(pf.n):
-            if pf.dsigma[al, i].any():
-                poly.add_quad(f"F{i}", f"W{al}", Batch(pf.dsigma[al, i]))
-        hess_c = ch.node_einsum("ij,ri,nj->nr", pf.hess_sigma[al], e_fr,
+            if pf.dsigma[:, al, i].any():
+                poly.add_quad(f"F{i}", f"W{al}", Batch(pf.dsigma[:, al, i]))
+        hess_c = ch.node_einsum("ij,ri,nj->nr", pf.hess_sigma[:, al], e_fr,
                                 e_fr)
         lin = _quad_sum(ngen, m, -hess_c, 0, m)
         gam_c = ch.node_einsum("i,ijk,rj,nk->rn",
-                               pf.dsigma[al], pf.gamma, e_fr, e_fr)
+                               pf.dsigma[:, al], pf.gamma, e_fr, e_fr)
         lin = lin + _quad_sum(ngen, m, -gam_c, m, 0)
         if lin.coeffs:
             poly.add_lin(f"W{al}", lin)

@@ -77,10 +77,10 @@ class ValidationReport:
         """The report over ``points``, which go through ``dual.batched`` in
         chunks of at most ``dual.BATCH``, with the rows of ``args``: at a
         batch point p, ``residuals(p, *args)`` lists the residual arrays of
-        each condition of ``tols`` (name -> tolerance), node axis last."""
+        each condition of ``tols`` (name -> tolerance), node axis first."""
         def rows(p, *a):        # per node, each condition's largest |entry|
-            return np.stack([np.max([np.abs(r).reshape(-1, dual.nodes(p))
-                                     .max(0) for r in rs], axis=0)
+            return np.stack([np.max([np.abs(r).reshape(dual.nodes(p), -1)
+                                     .max(1) for r in rs], axis=0)
                              for rs in residuals(p, *a)], axis=-1)
         rows = np.reshape(list(dual.batched(rows, dual.chunks(
             (np.asarray(points, dtype=float),) + args))), (-1, len(tols)))
@@ -108,18 +108,18 @@ def validate_extended_action(ea: ExtendedAction, ctx: GeneralizedMetricContext,
         jv, jx = ([ch.differentiate(f, p) for f in fields]
                   for fields in (ea.V, ea.xi))
         jg, jh = (ch.differentiate(f, p) for f in (ctx.g, ctx.H))
-        v, x = (np.array([j.value for j in js]) for js in (jv, jx))
+        v, x = (np.stack([j.value for j in js], 1) for js in (jv, jx))
         iso = ch.node_einsum("ai,bi->ab", x, v)        # xi_a(V_b)
         inv = [ch.lie_derivative(va, jt) for va in jv for jt in (jg, jh)]
         flux = [ch.exterior_derivative(ja, 1)
                 - ch.interior(va.value, jh.value, 3)
                 for ja, va in zip(jx, jv)]
         flux += [ch.lie_derivative(va, jb) for va in jv for jb in jx]
-        ev = np.linalg.eigvalsh(ch._stack(
-            ch.node_einsum("ai,ij,bj->ab", v, jg.value, v)))
+        gram = ch.node_einsum("ai,ij,bj->ab", v, jg.value, v)
+        ev = np.linalg.eigvalsh(gram)
         # 1.0 where the V_a are (nearly) dependent or the Gram matrix is NaN
         dep = ~(ev[..., 0] > 1e-9 * np.maximum(ev[..., -1], 1e-30))
-        return [iso + iso.swapaxes(0, 1)], flux, inv, [dep.astype(float)]
+        return [iso + iso.swapaxes(1, 2)], flux, inv, [dep.astype(float)]
 
     return ValidationReport.sampled(residuals, {
         "isotropy": tol, "flux_match": tol, "invariance": tol,
@@ -140,7 +140,7 @@ class ReductionMatrices:
 def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                        point) -> ReductionMatrices:
     """G_ab = g(V_a, V_b); K_ab = G_ab - xi_a(V_b);
-    T_ab = G_ab + g^{-1}(xi_a, xi_b).  A batch point gives a trailing node
+    T_ab = G_ab + g^{-1}(xi_a, xi_b).  A batch point gives a leading node
     axis."""
     gmat, v, x = (dual.tighten(a, dual.nodes(point))
                   for a in _action_rows(ea, ctx, point))
@@ -197,15 +197,15 @@ def action_jet(ea: ExtendedAction, ctx: GeneralizedMetricContext, point
 
 def d_constraint_rows(jet: ch.PointJet):
     """(d(g V_a^+), d(g V_a^-)): two s x n x n stacks of the 2-forms
-    d(g(V_a) +/- xi_a), from an :func:`action_jet`.
+    d(g(V_a) +/- xi_a), from an :func:`action_jet` (after any node axis).
 
     The sign is applied to the jet before it is antisymmetrized, so each
     stack equals the exterior derivative of that sign's own row jet.
     """
     out = []
     for sign in (+1, -1):
-        d = jet.d1[:, 2] + sign * jet.d1[:, 1]  # d[k, a, j] = d_k row_aj
-        out.append(d.swapaxes(0, 1) - d.transpose(1, 2, 0, *range(3, d.ndim)))
+        d = jet.d1[..., 2, :, :] + sign * jet.d1[..., 1, :, :]  # d_k row_aj
+        out.append(d.swapaxes(-3, -2) - np.moveaxis(d, -3, -1))
     return tuple(out)
 
 
@@ -213,20 +213,20 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
                   sign: int) -> np.ndarray:
     """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
     with V the rows V_a^sign and T = V g V^T.  A batch point gives a
-    trailing node axis."""
+    leading node axis."""
     gmat = ctx.metric_at(point)
     vpm = dual.tighten(v_pm_values(ea, ctx, point, sign), dual.nodes(point))
     tinv = ch.inverse(ch.node_einsum("ai,ij,bj->ab", vpm, gmat, vpm),
                       RankError, f"T of the V^{'+' if sign > 0 else '-'} rows",
                       definite=True)
-    return np.eye(len(gmat))[..., None] - ch.node_einsum(
+    return np.eye(gmat.shape[-1]) - ch.node_einsum(
         "ai,ab,bj,jk->ik", vpm, tinv, vpm, gmat)
 
 
 def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                       point):
     """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point (one per
-    node, on a trailing axis).
+    node, on a leading axis).
 
     Each tau_sign is the g-orthogonal complement of span{V_a^sign}; the
     basis comes from modified Gram-Schmidt over projected coordinate
@@ -234,8 +234,8 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
     """
     gmat = ctx.metric_at(point)
     return tuple(ch.orthonormal_frame(
-        np.swapaxes(tau_projector(ea, ctx, point, sign), 0, 1), gmat,
-        gmat.shape[0] - ea.s, f"tau_{'+' if sign > 0 else '-'} frame")
+        np.swapaxes(tau_projector(ea, ctx, point, sign), 1, 2), gmat,
+        gmat.shape[-1] - ea.s, f"tau_{'+' if sign > 0 else '-'} frame")
         for sign in (+1, -1))
 
 
@@ -249,7 +249,7 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
                     sign: int, point, frame):
     """Connection curvature of tau_sign on frame pairs, by both routes.
 
-    Returns (from_xi, from_theta): s x m x m arrays (with a trailing node
+    Returns (from_xi, from_theta): s x m x m arrays (after a leading node
     axis, as on a frame from :func:`horizontal_frames`)
     from_xi[a, i, j]  the matrix-weighted d(g(V^sign)) evaluation and
     from_theta[a, i, j] the direct exterior derivative of the connection
@@ -272,8 +272,8 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
 
     jet = ch.differentiate(theta_fn, point, order=1)
     # d(theta^a)_{ij} = d_i theta^a_j - d_j theta^a_i
-    dth = np.einsum("iaj...->aij...", jet.d1) \
-        - np.einsum("jai...->aij...", jet.d1)
+    dth = np.einsum("...iaj->...aij", jet.d1) \
+        - np.einsum("...jai->...aij", jet.d1)
     from_theta = ch.node_einsum("aij,pi,qj->apq", dth, frame, frame)
     return from_xi, from_theta
 
@@ -306,7 +306,7 @@ class QuotientScenario:
         q = self.quotient.sample(rng, n)
         p = self.lift([dual.Batch(x) for x in q.T])
         dproj = dual.tighten(project_jacobian(self, p), n)
-        worst = ch.max_abs([dual.tighten(list(self.project(p)), n) - q.T] + [
+        worst = ch.max_abs([dual.tighten(list(self.project(p)), n) - q] + [
             ch.node_einsum("ij,j->i", dproj, field_values(vf, p))
             for vf in self.ea.V])
         if not worst <= tol:
@@ -391,7 +391,7 @@ def reduce_metric_flux(scn: QuotientScenario, qpoint):
     """
     m = scn.reduced_dim
     p, lifts, gred = _lifted_metric(scn, qpoint, +1)
-    hred = np.zeros((m, m, m) + gred.shape[-1:])
+    hred = np.zeros(gred.shape[:1] + (m, m, m))
     if m > 2:
         hred = dual.tighten(_reduced_flux(scn, p, dual.entries(lifts)),
                             dual.nodes(p))
@@ -464,8 +464,8 @@ def reduced_bismut(scn: QuotientScenario, xq: ch.ChartField,
     """
     p = scn.lift(qpoint)
     xplus, zminus = (dual.tighten(horizontal_lift(
-        scn, p, sign, [np.asarray(f(qpoint), dtype=object)]), dual.nodes(p))[0]
-        for sign, f in ((+1, xq), (-1, zq)))
+        scn, p, sign, [np.asarray(f(qpoint), dtype=object)]),
+        dual.nodes(p))[:, 0] for sign, f in ((+1, xq), (-1, zq)))
     yfield = lifted_field(scn, yq, -1)
     jy = ch.differentiate(yfield, p, order=1, chart=scn.ctx.chart)
     geo = Geometry(scn.ctx, p)
@@ -487,7 +487,7 @@ def reduced_bismut_direct(scn: QuotientScenario, xq, yq, zq,
 
 def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
     """Deterministic g_red-orthonormal basis of the quotient tangent space
-    (one per node, on a trailing axis)."""
+    (one per node, on a leading axis)."""
     gred = _lifted_metric(scn, qpoint, +1)[2]
     return ch.orthonormal_frame(np.eye(scn.reduced_dim), gred,
                                 scn.reduced_dim, "quotient frame")
@@ -496,7 +496,7 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
 class LiftedPoint:
     """One quotient sample: q, p = lift(q), the ambient Geometry at p, the
     quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, the
-    reduction matrices ``rm`` and one :func:`action_jet`, node axes last (of
+    reduction matrices ``rm`` and one :func:`action_jet`, node axes first (of
     1 at a plain point).  The code under test shares one per sample; each
     oracle builds its own data from (scn, q, basis)."""
 
@@ -518,7 +518,7 @@ def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
     coeffs = bismut_connection_coeffs(-1, geo)
     jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), geo.point,
                            order=1, chart=ctx.chart)
-    return jet.d1.swapaxes(0, 1) + ch.node_einsum("ijk,ak->aji", coeffs,
+    return jet.d1.swapaxes(1, 2) + ch.node_einsum("ijk,ak->aji", coeffs,
                                                   jet.value)
 
 
@@ -530,7 +530,7 @@ def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
     tau_-, tau_-) lifts, a mixed term quadratic in the tau_pm connection
     2-forms, and a vertical-derivative correction weighted by the inverse
     of T_ab.  Cross-check: :func:`reduced_curvature_direct` with the same
-    basis.  A batch sample gives a trailing node axis.
+    basis.  A batch sample gives a leading node axis.
     """
     geo, plus, minus, rm = lp.geo, lp.plus, lp.minus, lp.rm
     term1 = ch.operator_slots(bismut_curvature(-1, geo), plus, plus, minus,
@@ -552,7 +552,7 @@ def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
 def reduced_curvature_direct(scn: QuotientScenario, qpoint,
                              basis) -> np.ndarray:
     """Torsion curvature of (g_red, H_red) computed on the quotient chart
-    (with a trailing node axis)."""
+    (with a leading node axis)."""
     basis = np.asarray(basis, dtype=float)
     rarr = bismut_curvature(-1, Geometry(reduced_context(scn), qpoint))
     return ch.operator_slots(rarr, basis, basis, basis, basis)
@@ -566,12 +566,12 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     A_XY = (1/2) vert([X_lift, Y_lift]).  Only valid when all xi vanish and
     there is no flux, where tau_+ = tau_- is the orthogonal horizontal
     space.  It takes its own order-2 jet of g at lift(qpoint).  A batch
-    quotient point (and a basis with a trailing node axis) gives a
-    trailing node axis.
+    quotient point (and a basis with a leading node axis) gives a
+    leading node axis.
     """
     ea, ctx = scn.ea, scn.ctx
     basis = np.asarray(basis, dtype=float)
-    m = basis.shape[0]
+    m = basis.shape[-2]
     p = scn.lift(qpoint)
     size = dual.nodes(p)
     gmat, vvals = (dual.tighten(a, size) for a in _action_rows(ea, ctx, p)[:2])
@@ -588,15 +588,15 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     def vert(w):
         return ch.node_einsum("ai,ab,bj,j->i", vvals, graminv, vg, w)
 
-    amat = np.zeros((m, m) + vvals.shape[1:])
+    amat = np.zeros((size, m, m, vvals.shape[-1]))
     for i, j in itertools.combinations(range(m), 2):
         br = ch.lie_bracket(lfields[i], lfields[j], p)
-        amat[i, j] = 0.5 * vert(np.asarray(br, dtype=float))
-        amat[j, i] = -amat[i, j]
+        amat[:, i, j] = 0.5 * vert(np.asarray(br, dtype=float))
+        amat[:, j, i] = -amat[:, i, j]
 
     rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))
     base = ch.operator_slots(rarr, lifts, lifts, lifts, lifts)
     inner = ch.node_einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner
-            + np.einsum("nrms...->mnrs...", inner)
-            - np.einsum("mrns...->mnrs...", inner))
+            + np.einsum("...nrms->...mnrs", inner)
+            - np.einsum("...mrns->...mnrs", inner))

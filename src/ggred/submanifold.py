@@ -36,7 +36,7 @@ class SectionData:
         return len(self.sigma)
 
     def values(self, point):
-        """sigma^alpha at a point, node axis last."""
+        """sigma^alpha at a point, node axis first."""
         return dual.tighten([dual.body(np.asarray(s(point), dtype=object)
                                        .ravel()[0]) for s in self.sigma],
                             dual.nodes(point))
@@ -50,13 +50,13 @@ class SectionData:
 
     def gradients(self, point) -> np.ndarray:
         """The r x n rows d sigma^alpha in C order (dual-safe; node axis
-        last)."""
+        first)."""
         return _gradients(self.jet(point))
 
 
 def _gradients(jet: ch.PointJet) -> np.ndarray:
     """The r x n rows d sigma^alpha of a jet of all sigma^alpha, C order."""
-    return np.ascontiguousarray(jet.d1.swapaxes(0, 1))
+    return np.ascontiguousarray(jet.d1.swapaxes(-1, -2))
 
 
 def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
@@ -115,7 +115,7 @@ class LocusPoint:
     """One zero-locus sample: u, p = embed(u), the ambient Geometry at p,
     the tangent frame ``basis``, one order-2 jet of all sigma^alpha with its
     gradient rows ``grads``, and the inverse ``tlow`` of the transverse Gram
-    matrix, each with a trailing node axis (of 1 at a plain point).  The code
+    matrix, each with a leading node axis (of 1 at a plain point).  The code
     under test shares one per sample; each oracle builds its own data from
     (scn, u, basis)."""
 
@@ -135,11 +135,11 @@ def embed_jacobian(scn: SubmanifoldScenario, u):
 
 def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
     """Deterministic g-orthonormal frame of TN at embed(u), ambient rows
-    (one per node, on a trailing axis)."""
+    (one per node, on a leading axis)."""
     p = scn.embed(u)
     gmat = scn.ctx.metric_at(p)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
-    return ch.orthonormal_frame(demb.swapaxes(0, 1), gmat,
+    return ch.orthonormal_frame(demb.swapaxes(1, 2), gmat,
                                 scn.locus_dim, "tangent frame")
 
 
@@ -174,13 +174,13 @@ def nabla_pm_dsigma(jet: ch.PointJet, sign: int,
     """M[alpha, i, j] = (grad^sign_i d sigma^alpha)_j from an order-2 jet of
     all sigma^alpha at the ambient point of ``geo``."""
     coeffs = bismut_connection_coeffs(sign, geo)
-    return np.moveaxis(jet.d2, 2, 0) - ch.node_einsum("lij,la->aij", coeffs,
+    return np.moveaxis(jet.d2, 3, 1) - ch.node_einsum("lij,la->aij", coeffs,
                                                        jet.d1)
 
 
 def _require_tangent(grads, vecs, tol=ch.EPS_ID):
     """TangencyError unless the rows d sigma^alpha ``grads`` annihilate
-    every vector."""
+    every row of ``vecs``."""
     if not ch.max_abs([ch.node_einsum("ai,bi->ab", grads,
                                       np.asarray(vecs))]) <= tol:
         raise TangencyError("field value not tangent to the locus")
@@ -217,7 +217,7 @@ def reduced_connection_sub(scn: SubmanifoldScenario, xbar: ch.ChartField,
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
     xv, zv = (ch.node_einsum("ia,a->i", demb, field_values(f, u))
               for f in (xbar, zbar))
-    _require_tangent(scn.sd.gradients(p), [xv, zv, yv])
+    _require_tangent(scn.sd.gradients(p), np.stack([xv, zv, yv], 1))
     geo = Geometry(scn.ctx, p)
     coeffs = bismut_connection_coeffs(-1, geo)
     nab = dy + ch.node_einsum("ijk,j,k->i", coeffs, xv, yv)
@@ -260,10 +260,10 @@ def reduced_curvature_sub(lp: LocusPoint) -> np.ndarray:
     In operator slots: the ambient torsion curvature restricted to the
     frame plus a transverse correction quadratic in grad^- d sigma.
     Cross-check: :func:`reduced_curvature_sub_direct` with the same basis.
-    A batch sample gives a trailing node axis.
+    A batch sample gives a leading node axis.
     """
     basis, geo = lp.basis, lp.geo
-    _require_tangent(lp.grads, list(basis))
+    _require_tangent(lp.grads, basis)
     term1 = ch.operator_slots(bismut_curvature(-1, geo), basis, basis, basis,
                               basis)
     mm = nabla_pm_dsigma(lp.jet, -1, geo)
@@ -277,15 +277,14 @@ def reduced_curvature_sub(lp: LocusPoint) -> np.ndarray:
 def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
                                  basis) -> np.ndarray:
     """Torsion curvature of the induced geometry, computed on the locus
-    chart and expressed on the same ambient frame (with a trailing node
+    chart and expressed on the same ambient frame (with a leading node
     axis)."""
     basis = np.asarray(basis, dtype=float)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
     # chart components of the frame vectors: solve demb @ e = basis row;
     # lstsq has no stacked form, so one solve per node
-    coords = np.stack([np.linalg.lstsq(demb[..., k], basis[..., k].T,
-                                       rcond=None)[0].T
-                       for k in range(demb.shape[-1])], axis=-1)
+    coords = np.stack([np.linalg.lstsq(dk, bk.T, rcond=None)[0].T
+                       for dk, bk in zip(demb, basis)])
     rarr = bismut_curvature(-1, Geometry(induced_context(scn), u))
     return ch.operator_slots(rarr, coords, coords, coords, coords)
 
@@ -308,14 +307,14 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     hess = []
     for s in scn.sd.sigma:
         jet = ch.differentiate(s, p, order=2, chart=None)
-        hess.append(jet.d2[:, :, 0]
-                    - ch.node_einsum("lij,l->ij", coeffs, jet.d1[:, 0]))
-    hess = np.array(hess)
+        hess.append(jet.d2[..., 0]
+                    - ch.node_einsum("lij,l->ij", coeffs, jet.d1[..., 0]))
+    hess = np.stack(hess, 1)
     # II(E_m, E_n) = -T_{ab} nb[b, m, n] g^{-1} dsigma^a
     nb = ch.node_einsum("aij,mi,nj->amn", hess, basis, basis)
     iivec = -ch.node_einsum("ab,bmn,al,li->mni", tlow, nb, grads, ginv)
     dots = ch.node_einsum("mni,ij,rsj->mnrs", iivec, gmat, iivec)
     # (II(X,W), II(Y,Z)) - (II(X,Z), II(Y,W)) in operator slots
-    term2 = (np.einsum("msnr...->mnrs...", dots)
-             - np.einsum("mrns...->mnrs...", dots))
+    term2 = (np.einsum("...msnr->...mnrs", dots)
+             - np.einsum("...mrns->...mnrs", dots))
     return term1 + term2

@@ -77,7 +77,7 @@ def test_criterion_04_quotient_curvature():
     sec_err = 0.0
     for q in s0.quotient.quotient.sample(rng, 5):
         t = qt.reduced_curvature_quotient(qt.LiftedPoint(s0.quotient, q))
-        sec_err = max(sec_err, abs(t[0, 1, 1, 0, 0] - 4.0))  # node 0
+        sec_err = max(sec_err, abs(t[0, 0, 1, 1, 0] - 4.0))  # node 0
     dt = time.perf_counter() - t0
     report("criterion 4 (quotient curvature cross-check)",
            worst <= 1e-6 and sec_err <= 1e-6 and dt < 60.0,
@@ -105,7 +105,7 @@ def test_criterion_06_locus_curvature():
         worst = max(worst, res.max_residual)
         for u in s.section.nchart.sample(rng, 3):
             t = sm.reduced_curvature_sub(sm.LocusPoint(s.section, u))
-            gauss_err = max(gauss_err, abs(t[0, 1, 1, 0, 0] - 1.0))
+            gauss_err = max(gauss_err, abs(t[0, 0, 1, 1, 0] - 1.0))
     report("criterion 6 (zero-locus curvature cross-check)",
            worst <= 1e-6 and gauss_err <= 1e-6,
            f"componentwise {worst:.2e} <= 1e-6 for flux scale in "

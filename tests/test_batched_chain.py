@@ -188,7 +188,7 @@ def test_the_point_frame_runs_once_per_chunk(monkeypatch, name, cid, frame,
         curvature = sections if cid == "localize3" else curvatures
         assert [c[0] for c in curvature] == [c[0] for c in frames]
     # the Grassmann stage: one chain per chunk, on its batch frame
-    assert [pf.g.shape[-1] for pf, _ in models] == sizes
+    assert [pf.g.shape[0] for pf, _ in models] == sizes
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])
@@ -271,7 +271,7 @@ def test_a_branching_map_on_a_one_node_chunk_keeps_the_loops_bits(
     got = run(scenario_of(scn), cid, 42, points=points)
     # the map's node values stack into Batch leaves at one node too
     assert [dual.nodes(lp.p) for lp, in frames] == chunks
-    assert [lp.basis.shape[-1] for lp, in frames] == chunks
+    assert [lp.basis.shape[0] for lp, in frames] == chunks
     monkeypatch.undo()
     assert got.max_residual.hex() == loop_chain(cid, scn, 42, points).hex()
 
@@ -283,11 +283,11 @@ def _frames_equal(got, k, want):
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
-            assert a.shape[:-1] == b.shape[:-1], f.name
-            assert np.array_equal(a[..., k], b[..., 0]), f.name
+            assert a.shape[1:] == b.shape[1:], f.name
+            assert np.array_equal(a[k], b[0]), f.name
         elif f.name != "point":
             assert a == b, f.name
-    assert np.array_equal(dual.tighten(list(got.point), got.g.shape[-1])[:, k],
+    assert np.array_equal(dual.tighten(list(got.point), len(got.g))[k],
                           np.asarray(want.point, dtype=float))
 
 
@@ -296,7 +296,7 @@ def test_quotient_frame_nodes_keep_their_bits(name):
     scn = QUOTIENTS[name]()
     nodes = scn.quotient.sample(np.random.default_rng(21), 7)
     pf = lz.point_frame_quotient(qt.LiftedPoint(scn, batch_of(nodes)))
-    assert pf.V.shape[-1] == pf.r_minus.shape[-1] == 7
+    assert pf.V.shape[0] == pf.r_minus.shape[0] == 7
     for k, node in enumerate(nodes):
         want = lz.point_frame_quotient(qt.LiftedPoint(scn, node))
         _frames_equal(pf, k, want)
@@ -320,7 +320,7 @@ def test_a_quotient_node_off_its_constraint_is_named():
     lp = qt.LiftedPoint(scn, batch_of(nodes))
     lz.point_frame_quotient(lp)
     plus = lp.plus.copy()
-    plus[..., 5] = np.eye(*plus.shape[:2])    # coordinate vectors
+    plus[5] = np.eye(*plus.shape[1:])    # coordinate vectors
     lp.plus = plus
     with pytest.raises(FrameMismatchError, match="horizontality.*node 5 "):
         lz.point_frame_quotient(lp)
@@ -332,7 +332,7 @@ def test_a_section_node_off_the_locus_is_named():
     lp = sm.LocusPoint(scn, batch_of(nodes))
     lz.point_frame_section(lp)
     basis = lp.basis.copy()
-    basis[..., 3] = np.eye(3)[:2]   # a coordinate plane, not tangent
+    basis[3] = np.eye(3)[:2]   # a coordinate plane, not tangent
     lp.basis = basis
     with pytest.raises(FrameMismatchError,
                        match="not tangent to the zero locus at node 3 "):
@@ -344,7 +344,7 @@ def test_a_nan_node_is_named():
     lp = sm.LocusPoint(scn, batch_of(
         scn.nchart.sample(np.random.default_rng(26), 8)))
     basis = lp.basis.copy()
-    basis[0, 0, 6] = math.nan
+    basis[6, 0, 0] = math.nan
     lp.basis = basis
     with pytest.raises(FrameMismatchError, match="node 6 "):
         lz.point_frame_section(lp)
@@ -354,6 +354,6 @@ def test_a_point_off_its_constraint_names_the_point():
     scn = SECTIONS["sphere_in_flat"]()
     lp = sm.LocusPoint(scn, scn.nchart.sample(np.random.default_rng(27),
                                               1)[0])
-    lp.basis = np.eye(3)[:2, :, None]
+    lp.basis = np.eye(3)[None, :2]
     with pytest.raises(FrameMismatchError, match=r"at node 0 \("):
         lz.point_frame_section(lp)

@@ -5,11 +5,9 @@ Both checks evaluate at most ``dual.BATCH`` sample points as one
 whose batch form keeps every node's bits, so its report must equal the
 point-by-point loop it replaced exactly.  ``bismut_courant`` also runs the
 Courant route (``lie_derivative``, ``courant_bracket``, ``split_pm``,
-``bismut_via_courant``) with a trailing node axis.  numpy's einsum sums a
-contraction whose index is the innermost axis with unrolled partial sums at
-one point, and in index order once a node axis is innermost, so those
-routines agree with per-point calls within a bound, stated at each test
-with the largest value measured over every built-in and ``s3xt2``; the
+``bismut_via_courant``) with a leading node axis.  Those routines are held
+to per-point calls within a bound, stated at each test with the largest
+value measured over every built-in and ``s3xt2``; the
 connection coefficients, ``bismut_derivative``, ``lie_bracket`` and
 ``split_pm`` on a given bracket agree bit for bit.
 """
@@ -45,9 +43,9 @@ def batch_of(nodes):
 def field_pair(chart, rng):
     """One batch field of NODES random fields, and the per-node fields."""
     draws = [ck.random_field_coeffs(chart.dim, rng) for _ in range(NODES)]
-    c0, c1 = (np.moveaxis(np.array(c), 0, -1) for c in zip(*draws))
+    c0, c1 = (np.array(c) for c in zip(*draws))
     return (ck.vector_field(chart, c0, c1),
-            [ck.vector_field(chart, d0[:, None], d1[..., None])
+            [ck.vector_field(chart, d0[None], d1[None])
              for d0, d1 in draws])
 
 
@@ -61,8 +59,8 @@ def loop_pair_symmetry(s, seed, points=100):
     rng = check_rng("pair_symmetry", seed)
     worst = 0.0
     for p in s.chart.sample(rng, points):
-        rm = gm.bismut_curvature(-1, gm.Geometry(s.ctx, p))[..., 0]
-        rp = gm.bismut_curvature(+1, gm.Geometry(s.ctx, p))[..., 0]
+        rm = gm.bismut_curvature(-1, gm.Geometry(s.ctx, p))[0]
+        rp = gm.bismut_curvature(+1, gm.Geometry(s.ctx, p))[0]
         worst = max(worst, float(np.max(np.abs(rm - np.einsum("ijkl->klij",
                                                               rp)))))
         worst = max(worst, float(np.max(np.abs(rm + np.einsum("ijkl->jikl",
@@ -120,23 +118,23 @@ def test_connection_and_bracket_routines_keep_every_nodes_bits(name):
         deriv = gm.bismut_derivative(bx, by, sign, s.ctx, p)
         for k, q in enumerate(pts):
             want = gm.bismut_connection_coeffs(sign, gm.Geometry(s.ctx, q))
-            assert np.array_equal(coeffs[..., k], want[..., 0])
+            assert np.array_equal(coeffs[k], want[0])
             assert np.array_equal(
-                deriv[..., k], gm.bismut_derivative(xs[k], ys[k], sign,
-                                                    s.ctx, q)[..., 0])
+                deriv[k], gm.bismut_derivative(xs[k], ys[k], sign,
+                                                    s.ctx, q)[0])
     for k, q in enumerate(pts):
-        assert np.array_equal(bracket[..., k],
-                              ch.lie_bracket(xs[k], ys[k], q)[..., 0])
+        assert np.array_equal(bracket[k],
+                              ch.lie_bracket(xs[k], ys[k], q)[0])
     # split_pm on a given bracket, node by node
     br = gm.courant_bracket(bx, gm.flat_covector(s.ctx, bx), by,
                             gm.flat_covector(s.ctx, by), s.ctx, p)
     plus, minus = gm.split_pm(br, s.ctx)
     for k, q in enumerate(pts):
-        one = gm.GeneralizedVector(br.X[:, k:k + 1], br.xi[:, k:k + 1],
+        one = gm.GeneralizedVector(br.X[k:k + 1], br.xi[k:k + 1],
                                    tuple(q))
         want = gm.split_pm(one, s.ctx)
-        assert np.array_equal(plus[:, k], want[0][:, 0])
-        assert np.array_equal(minus[:, k], want[1][:, 0])
+        assert np.array_equal(plus[k], want[0][0])
+        assert np.array_equal(minus[k], want[1][0])
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -162,38 +160,38 @@ def test_courant_route_matches_per_point_calls_within_its_bound(name):
         # a length-n sum in two orders differs by at most 2 n eps times
         # the sum of |products|; measured: 0.40 n eps
         jv, jt, jg = (ch.differentiate(f, q) for f in (x, fy, s.ctx.g))
-        v, dv, t, dt, g, dg = (a[..., 0] for a in (
+        v, dv, t, dt, g, dg = (a[0] for a in (
             jv.value, jv.d1, jt.value, jt.d1, jg.value, jg.d1))
         scale = np.abs(v) @ np.abs(dt) + np.abs(dv) @ np.abs(t)
-        want = ch.lie_derivative(jv, jt)[..., 0]
-        assert want.shape == lie[:, k].shape == scale.shape
-        assert np.all(np.abs(lie[:, k] - want) <= n * EPS * scale)
+        want = ch.lie_derivative(jv, jt)[0]
+        assert want.shape == lie[k].shape == scale.shape
+        assert np.all(np.abs(lie[k] - want) <= n * EPS * scale)
         scale_g = np.einsum("m,mab->ab", np.abs(v), np.abs(dg)) \
             + np.abs(g) @ np.abs(dv).T + np.abs(dv) @ np.abs(g)
-        want = ch.lie_derivative(jv, jg)[..., 0]
-        assert want.shape == lie_g[..., k].shape == scale_g.shape
-        assert np.all(np.abs(lie_g[..., k] - want) <= n * EPS * scale_g)
+        want = ch.lie_derivative(jv, jg)[0]
+        assert want.shape == lie_g[k].shape == scale_g.shape
+        assert np.all(np.abs(lie_g[k] - want) <= n * EPS * scale_g)
         # the bracket: X bit for bit; xi within 8 ulps of max |xi|
         # (measured: 3.1)
         one = gm.courant_bracket(x, gm.flat_covector(s.ctx, x), y, fy,
                                  s.ctx, q)
-        one_x, one_xi = one.X[:, 0], one.xi[:, 0]
-        assert np.array_equal(br.X[:, k], one_x)
-        assert br.xi[:, k].shape == one_xi.shape
-        assert np.max(np.abs(br.xi[:, k] - one_xi)) <= \
+        one_x, one_xi = one.X[0], one.xi[0]
+        assert np.array_equal(br.X[k], one_x)
+        assert br.xi[k].shape == one_xi.shape
+        assert np.max(np.abs(br.xi[k] - one_xi)) <= \
             8 * EPS * np.max(np.abs(one_xi))
         # the bracket route: within 16 ulps of max(|X| + |g^-1| |xi|) of
         # the bracket it splits (measured: 3.6)
-        ginv = ch.metric_inverse(s.ctx.metric_at(q))[..., 0]
+        ginv = ch.metric_inverse(s.ctx.metric_at(q))[0]
         for sign in (1, -1):
             signed = gm.courant_bracket(
                 x, gm.flat_covector(s.ctx, x, -sign), y,
                 gm.flat_covector(s.ctx, y, sign), s.ctx, q)
-            scale = np.max(np.abs(signed.X[:, 0])
-                           + np.abs(ginv) @ np.abs(signed.xi[:, 0]))
-            want = gm.bismut_via_courant(x, y, sign, s.ctx, q)[:, 0]
-            assert via[sign][:, k].shape == want.shape
-            assert np.max(np.abs(via[sign][:, k] - want)) <= 16 * EPS * scale
+            scale = np.max(np.abs(signed.X[0])
+                           + np.abs(ginv) @ np.abs(signed.xi[0]))
+            want = gm.bismut_via_courant(x, y, sign, s.ctx, q)[0]
+            assert via[sign][k].shape == want.shape
+            assert np.max(np.abs(via[sign][k] - want)) <= 16 * EPS * scale
 
 
 # -- the two checks against the loops they replaced ------------------------
@@ -225,15 +223,15 @@ def test_bismut_courant_keeps_its_status_and_the_loops_draws(
         assert dual.nodes(p) <= dual.BATCH
         xv, yv = (dual.tighten(np.asarray(f(p), dtype=object), dual.nodes(p))
                   for f in (x, y))
-        for k, node in enumerate(dual.tighten(p, dual.nodes(p)).T):
-            seen[tuple(node)] = (xv[:, k], yv[:, k], sign)
+        for k, node in enumerate(dual.tighten(p, dual.nodes(p))):
+            seen[tuple(node)] = (xv[k], yv[k], sign)
     assert len(seen) == len(samples) == sum(dual.nodes(c[4]) for c in calls)
     for q, x, y, sign in samples:
         xk, yk, sk = seen[tuple(q)]
         assert sk == sign
         for got, f in ((xk, x), (yk, y)):
             want = dual.tighten(np.asarray(f(list(q)), dtype=object), 1)
-            assert np.array_equal(got, want[:, 0])
+            assert np.array_equal(got, want[0])
 
 
 def runs(count):

@@ -106,7 +106,7 @@ def test_solve_linear_with_batch_entries_and_a_shared_float_column():
     got = ch.solve_linear(m, rhs)
     for j in range(NODES):
         want = ch.solve_linear(_at_node(m, j).astype(float), rhs)
-        assert np.array_equal(dual.tighten(got, NODES)[..., j],
+        assert np.array_equal(dual.tighten(got, NODES)[j],
                               want.astype(float))
 
 
@@ -146,7 +146,7 @@ def test_select_picks_through_dual_trees_without_arithmetic():
 
 
 def test_entries_undo_tighten():
-    arr = np.random.default_rng(9).normal(size=(2, 3, 5))
+    arr = np.moveaxis(np.random.default_rng(9).normal(size=(2, 3, 5)), -1, 0)
     ent = dual.entries(arr)
     assert ent.shape == (2, 3) and isinstance(ent[1, 2], Batch)
     assert np.array_equal(dual.tighten(ent, 5), arr)
@@ -156,13 +156,13 @@ def test_entries_undo_tighten():
 
 def _metric_stack(rng, n):
     a = rng.normal(size=(NODES, n, n))
-    return np.moveaxis(a @ a.transpose(0, 2, 1) + n * np.eye(n), 0, -1).copy()
+    return a @ a.transpose(0, 2, 1) + n * np.eye(n)
 
 
 def _metric(g, k):
     """Node k's metric as a one-node stack in C order, as the reductions
     pass one (BLAS may round a strided matrix product differently)."""
-    return np.ascontiguousarray(g[..., k:k + 1])
+    return np.ascontiguousarray(g[k:k + 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -170,13 +170,14 @@ def _metric(g, k):
 def test_node_frames_equal_the_per_node_frames(n, shared):
     rng = np.random.default_rng(n)
     g = _metric_stack(rng, n)
-    vecs = np.eye(n) if shared else rng.normal(size=(n, n, NODES))
+    vecs = np.eye(n) if shared else \
+        np.moveaxis(rng.normal(size=(n, n, NODES)), -1, 0)
     got = ch.orthonormal_frame(vecs, g, n, "test frame")
-    assert got.shape == (n, n, NODES)
+    assert got.shape == (NODES, n, n)
     for k in range(NODES):
-        v = vecs if shared else vecs[..., k]
-        assert np.array_equal(got[..., k], ch.orthonormal_frame(
-            v, _metric(g, k), n, "t")[..., 0])
+        v = vecs if shared else vecs[k]
+        assert np.array_equal(got[k], ch.orthonormal_frame(
+            v, _metric(g, k), n, "t")[0])
 
 
 def test_nodes_may_drop_different_vectors():
@@ -187,10 +188,11 @@ def test_nodes_may_drop_different_vectors():
     vecs = rng.normal(size=(3, 2, NODES))
     vecs[2, :, 0::2] = 0.5 * vecs[0, :, 0::2]
     vecs[1, :, 1::2] = -3.0 * vecs[0, :, 1::2]
+    vecs = np.moveaxis(vecs, -1, 0)
     got = ch.orthonormal_frame(vecs, g, 2, "test frame")
     for k in range(NODES):
-        assert np.array_equal(got[..., k], ch.orthonormal_frame(
-            vecs[..., k], _metric(g, k), 2, "t")[..., 0])
+        assert np.array_equal(got[k], ch.orthonormal_frame(
+            vecs[k], _metric(g, k), 2, "t")[0])
 
 
 def test_a_node_that_loses_rank_raises():
@@ -198,6 +200,7 @@ def test_a_node_that_loses_rank_raises():
     g = _metric_stack(rng, 3)
     vecs = rng.normal(size=(3, 3, NODES))
     vecs[2, :, 17] = vecs[0, :, 17] - vecs[1, :, 17]
+    vecs = np.moveaxis(vecs, -1, 0)
     with pytest.raises(RankError, match="rank 2 at node 17, expected 3"):
         ch.orthonormal_frame(vecs, g, 3, "test frame")
 
@@ -223,16 +226,16 @@ def test_quotient_curvatures_keep_every_nodes_bits(name):
     amb = qt.reduced_curvature_quotient(lp)
     direct = qt.reduced_curvature_direct(scn, q, basis)
     m = scn.reduced_dim
-    assert basis.shape == (m, m, 9) and amb.shape == direct.shape == \
-        (m, m, m, m, 9)
+    assert basis.shape == (9, m, m) and amb.shape == direct.shape == \
+        (9, m, m, m, m)
     for k, node in enumerate(nodes):
         one = qt.LiftedPoint(scn, node)     # a one-node batch
         b = one.basis
-        assert np.array_equal(basis[..., k], b[..., 0])
-        assert np.array_equal(amb[..., k],
-                              qt.reduced_curvature_quotient(one)[..., 0])
-        assert np.array_equal(direct[..., k], qt.reduced_curvature_direct(
-            scn, node, b)[..., 0])
+        assert np.array_equal(basis[k], b[0])
+        assert np.array_equal(amb[k],
+                              qt.reduced_curvature_quotient(one)[0])
+        assert np.array_equal(direct[k], qt.reduced_curvature_direct(
+            scn, node, b)[0])
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -247,11 +250,11 @@ def test_section_curvatures_keep_every_nodes_bits(name):
     for k, node in enumerate(nodes):
         one = sm.LocusPoint(scn, node)      # a one-node batch
         b = one.basis
-        assert np.array_equal(basis[..., k], b[..., 0])
-        assert np.array_equal(amb[..., k],
-                              sm.reduced_curvature_sub(one)[..., 0])
-        assert np.array_equal(direct[..., k], sm.reduced_curvature_sub_direct(
-            scn, node, b)[..., 0])
+        assert np.array_equal(basis[k], b[0])
+        assert np.array_equal(amb[k],
+                              sm.reduced_curvature_sub(one)[0])
+        assert np.array_equal(direct[k], sm.reduced_curvature_sub_direct(
+            scn, node, b)[0])
 
 
 def test_reduction_matrices_of_a_batch_are_the_node_matrices():
@@ -262,8 +265,8 @@ def test_reduction_matrices_of_a_batch_are_the_node_matrices():
     for k, p in enumerate(nodes):
         one = qt.reduction_matrices(scn.ea, scn.ctx, p)
         for f in ("G", "K", "T", "Kinv", "Tinv"):
-            assert np.array_equal(getattr(rm, f)[..., k],
-                                  getattr(one, f)[..., 0])
+            assert np.array_equal(getattr(rm, f)[k],
+                                  getattr(one, f)[0])
 
 
 # -- the two checks against the loops they replaced ----------------------------
@@ -418,7 +421,7 @@ def test_a_branching_lift_on_a_one_node_chunk_keeps_the_loops_bits(
     got = run(scenario_of(scn), "thm63", 42, points)
     assert [dual.nodes(c[1]) for c in calls] == chunks
     assert [dual.nodes(scn.lift(c[1])) for c in calls] == chunks
-    assert [c[2].shape[-1] for c in calls] == chunks
+    assert [c[2].shape[0] for c in calls] == chunks
     monkeypatch.undo()
     assert got.max_residual.hex() == loop_thm63(scn, 42, points).hex()
 
@@ -466,10 +469,10 @@ def test_a_non_finite_metric_is_named_as_such(g):
 
 
 def test_a_non_finite_metric_names_its_batch_node():
-    gmat = np.repeat(np.eye(2)[..., None], 8, axis=-1)
-    gmat[1, 1, 3] = NAN
+    gmat = np.repeat(np.eye(2)[None], 8, axis=0)
+    gmat[3, 1, 1] = NAN
     point = batch_of(np.linspace(0.1, 0.8, 16).reshape(8, 2))
-    jet = ch.PointJet(tuple(point), gmat, np.zeros((2, 2, 2, 8)))
+    jet = ch.PointJet(tuple(point), gmat, np.zeros((8, 2, 2, 2)))
     with pytest.raises(SingularMetricError, match=r"not finite at node 3"):
         ch.christoffel(jet)
 
@@ -479,7 +482,7 @@ def test_a_non_finite_metric_names_its_batch_node():
 def test_operator_slots_are_undone_by_the_chart_swap():
     assert not hasattr(lz, "operator_slots_to_raw")
     rng = np.random.default_rng(19)
-    r = rng.normal(size=(3, 3, 3, 3, 4))
-    frames = [rng.normal(size=(2, 3, 4)) for _ in range(4)]
+    r = rng.normal(size=(4, 3, 3, 3, 3))
+    frames = [rng.normal(size=(4, 2, 3)) for _ in range(4)]
     assert np.array_equal(ch.swap_operator_slots(ch.operator_slots(r, *frames)),
                           ch.frame_contract(r, *frames))

@@ -65,12 +65,11 @@ def test_inverse_raises_at_exactly_the_bound_and_passes_below_it():
 
 def test_inverse_keeps_the_bits_of_a_stack_of_inverses():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 5, 7))
-    a = np.einsum("ijn,kjn->ikn", a, a) + 5.0 * np.eye(5)[..., None]
+    a = np.moveaxis(rng.normal(size=(5, 5, 7)), -1, 0)    # 7 nodes
+    a = np.einsum("nij,nkj->nik", a, a) + 5.0 * np.eye(5)
     inv = ch.inverse(a, RankError, "a", definite=True)
-    assert inv.shape == (5, 5, 7)
-    assert np.array_equal(inv, np.moveaxis(
-        np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1))
+    assert inv.shape == (7, 5, 5)
+    assert np.array_equal(inv, np.linalg.inv(a))
 
 
 def test_inverse_with_definite_rejects_an_indefinite_matrix():
@@ -100,11 +99,11 @@ def test_metric_inverse_rejects_a_nan_entry(g):
 
 
 def test_metric_inverse_rejects_a_nan_stack():
-    g = np.repeat(np.eye(3)[..., None], 8, axis=-1)
-    g[1, 2, 5] = g[2, 1, 5] = NAN
+    g = np.repeat(np.eye(3)[None], 8, axis=0)
+    g[5, 1, 2] = g[5, 2, 1] = NAN
     with pytest.raises(SingularMetricError):
         ch.metric_inverse(g)
-    g[1, 2, 5] = g[2, 1, 5] = 0.0
+    g[5, 1, 2] = g[5, 2, 1] = 0.0
     assert np.array_equal(ch.metric_inverse(g), g)
 
 
@@ -177,7 +176,7 @@ def test_tau_projector_requires_a_definite_t():
 def test_horizontal_frames_reject_a_degenerate_minus_side():
     # V_2^- = (1 - c) d_t2 with c = 1 - 1e-7; V_2^+ = (1 + c) d_t2
     scn = qg_action(v2=(0.0, 0.0, 0.0, 1.0), xi2=(0.0, 0.0, 0.0, 1.0 - TILT))
-    assert np.allclose(qt.tau_projector(scn.ea, scn.ctx, P, +1)[3], 0.0)
+    assert np.allclose(qt.tau_projector(scn.ea, scn.ctx, P, +1)[:, 3], 0.0)
     with pytest.raises(RankError, match="V\\^- rows numerically singular"):
         qt.horizontal_frames(scn.ea, scn.ctx, P)
 
@@ -316,14 +315,14 @@ def test_orthonormal_frame_names_its_rank(vectors, got):
     # a metric carries a node axis: here of one node
     with pytest.raises(RankError,
                        match=f"frame has rank {got} at node 0, expected 3"):
-        ch.orthonormal_frame(vectors, np.eye(3)[..., None], 3, "frame")
+        ch.orthonormal_frame(vectors, np.eye(3)[None], 3, "frame")
 
 
 def test_orthonormal_frame_is_g_orthonormal_in_input_order():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
-    basis = ch.orthonormal_frame(np.eye(3), g[..., None], 3, "frame")
-    assert basis.shape == (3, 3, 1)
-    basis = basis[..., 0]
+    basis = ch.orthonormal_frame(np.eye(3), g[None], 3, "frame")
+    assert basis.shape == (1, 3, 3)
+    basis = basis[0]
     assert np.allclose(basis @ g @ basis.T, np.eye(3), atol=1e-14)
     assert basis[0, 1] == basis[0, 2] == 0.0
 

@@ -69,7 +69,7 @@ def test_curvature_quartic_equals_generator_products(data, mplus, mminus):
             continue
         prod = word(ngen, (mplus + rho, mu, mplus + sig, nu))
         slow = slow + 0.5 * c * prod
-    same_element(lz.curvature_quartic(rfr[..., None], mplus, mminus), slow)
+    same_element(lz.curvature_quartic(rfr[None], mplus, mminus), slow)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +83,7 @@ def test_flux_square_quartic_equals_generator_products(data, m):
         if c == 0.0:
             continue
         slow = slow + c * word(ngen, (m + rr, mm, m + ss, nn))
-    same_element(lz._flux_square_quartic(dmat[..., None]), slow)
+    same_element(lz._flux_square_quartic(dmat[None]), slow)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +98,7 @@ def test_quad_sum_equals_generator_products(data, m, chirality):
         if c == 0.0:
             continue
         slow = slow + c * word(ngen, (first + rr, second + cc))
-    same_element(lz._quad_sum(ngen, m, coeffs[..., None], first, second),
+    same_element(lz._quad_sum(ngen, m, coeffs[None], first, second),
                  slow)
 
 

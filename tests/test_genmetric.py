@@ -19,7 +19,7 @@ RNG = np.random.default_rng(42)
 
 def node0(*arrays):
     """Node 0 of each array: a point is a one-node batch."""
-    return tuple(a[..., 0] for a in arrays)
+    return tuple(a[0] for a in arrays)
 
 BOX3 = Chart("r3", (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 FLAT3 = ChartField(BOX3, METRIC, lambda c: np.eye(3))
@@ -80,11 +80,11 @@ def test_split_pm_eigenvectors():
     (gmat,) = node0(CTX_FLAT.metric_at(p))
     x = np.array([1.0, -2.0, 0.5])
     # the vector parts at a point carry a node axis of 1
-    plus = GeneralizedVector(x[:, None], (gmat @ x)[:, None], p)
+    plus = GeneralizedVector(x[None], (gmat @ x)[None], p)
     xp, xm = node0(*split_pm(plus, CTX_FLAT))
     assert xp.shape == xm.shape == x.shape
     assert np.allclose(xp, x) and np.allclose(xm, 0.0)
-    minus = GeneralizedVector(x[:, None], (-gmat @ x)[:, None], p)
+    minus = GeneralizedVector(x[None], (-gmat @ x)[None], p)
     xp, xm = node0(*split_pm(minus, CTX_FLAT))
     assert xp.shape == xm.shape == x.shape
     assert np.allclose(xm, x) and np.allclose(xp, 0.0)
@@ -97,14 +97,14 @@ def test_split_pm_reconstruction_and_pairing():
     ctx = s3_ctx(0.7)
     for p in S3.sample(rng, 4):
         (gmat,) = node0(ctx.metric_at(p))
-        a = GeneralizedVector(rng.normal(size=(3, 1)), rng.normal(size=(3, 1)),
+        a = GeneralizedVector(rng.normal(size=(1, 3)), rng.normal(size=(1, 3)),
                               tuple(p))
         xp, xm = node0(*split_pm(a, ctx))
         recon_x = xp + xm
         recon_xi = gmat @ xp - gmat @ xm
-        assert recon_x.shape == recon_xi.shape == a.X[:, 0].shape
-        assert np.allclose(recon_x, a.X[:, 0], atol=1e-12)
-        assert np.allclose(recon_xi, a.xi[:, 0], atol=1e-12)
+        assert recon_x.shape == recon_xi.shape == a.X[0].shape
+        assert np.allclose(recon_x, a.X[0], atol=1e-12)
+        assert np.allclose(recon_xi, a.xi[0], atol=1e-12)
         (lhs,) = a.pairing(a)
         rhs = 2.0 * xp @ gmat @ xp - 2.0 * xm @ gmat @ xm
         assert abs(lhs - rhs) < 1e-10
@@ -148,8 +148,8 @@ def test_bracket_flux_term():
     br = courant_bracket(x, zero_cov(BOX3), y, zero_cov(BOX3), ctx,
                          (0.0, 0.0, 0.0))
     assert np.max(np.abs(br.X)) == 0.0
-    assert br.xi.shape == (3, 1)
-    assert np.allclose(br.xi[:, 0], [0.0, 0.0, 1.0])
+    assert br.xi.shape == (1, 3)
+    assert np.allclose(br.xi[0], [0.0, 0.0, 1.0])
 
 
 def test_bracket_reduces_to_lie_bracket():
@@ -213,7 +213,7 @@ def test_metric_compatibility():
         return [yv @ gm @ zv]
     jet = ch.differentiate(gyz, p, order=1)
     xv = np.asarray(x(p), float)
-    lhs = float(np.einsum("j,j->", xv, jet.d1[:, 0, 0]))
+    lhs = float(np.einsum("j,j->", xv, jet.d1[0, :, 0]))
     (gmat,) = node0(ctx.metric_at(p))
     for sign in (+1, -1):
         dy, dz = node0(bismut_derivative(x, y, sign, ctx, p),

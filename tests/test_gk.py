@@ -98,9 +98,9 @@ def test_defect_is_frame_independent():
     p = s.chart.sample(RNG, 1)[0]
     scn = s.quotient
     # a point is a one-node batch: node 0 of its arrays
-    gmat = s.ctx.metric_at(p)[..., 0]
+    gmat = s.ctx.metric_at(p)[0]
     jv = np.asarray(s.gk.Jplus(p), dtype=float)
-    tp = qt.horizontal_frames(s.ea, s.ctx, p)[0][..., 0]
+    tp = qt.horizontal_frames(s.ea, s.ctx, p)[0][0]
     defects = []
     for order in ([0, 1], [1, 0]):
         fr = tp[order]
@@ -122,7 +122,7 @@ def test_reduce_kaehler_product_to_sphere():
                                    rng=np.random.default_rng(5))
         expect = np.array([[0.0, -np.sin(q[0])],
                            [1.0 / np.sin(q[0]), 0.0]])
-        jp, jm = jp[..., 0], jm[..., 0]
+        jp, jm = jp[0], jm[0]
         assert jp.shape == jm.shape == expect.shape
         assert np.max(np.abs(jp - expect)) < 1e-6
         assert np.max(np.abs(jm - expect)) < 1e-6
@@ -151,5 +151,5 @@ def test_horizontal_curvature_type_exploratory():
     p = s.chart.sample(RNG, 1)[0]
     # one-node Batch entries at a point, as in a field body
     om = dual.tighten(qt.omega_two_form(s.quotient, p), 1)
-    worst = max(abs(float(x)) for a in range(2) for x in om[a].ravel())
+    worst = max(abs(float(x)) for a in range(2) for x in om[:, a].ravel())
     assert worst < 1e-10

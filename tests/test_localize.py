@@ -175,7 +175,7 @@ def test_point_frame_consistency_with_chart_calculus():
     for got, want in pairs:     # a point is a one-node batch
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-14
-    assert np.max(np.abs(pf.ginv[..., 0] @ pf.g[..., 0] - np.eye(pf.n))) \
+    assert np.max(np.abs(pf.ginv[0] @ pf.g[0] - np.eye(pf.n))) \
         < 1e-12
 
 
@@ -307,8 +307,8 @@ def test_composed_reduction_endpoints():
         target = lz.localized_exponent_target(pf, thm)
         assert (exponent - target).max_abs() < 1e-8
         # round 3-sphere of unit radius: all sectional values are 1
-        assert np.isclose(thm[0, 1, 1, 0], 1.0, atol=1e-9)
-        assert np.isclose(thm[0, 2, 2, 0], 1.0, atol=1e-9)
+        assert np.isclose(thm[:, 0, 1, 1, 0], 1.0, atol=1e-9)
+        assert np.isclose(thm[:, 0, 2, 2, 0], 1.0, atol=1e-9)
     # second stage endpoint, on the same ambient geometry
     q = s_bundle.quotient.quotient.sample(rng, 1)[0]
     lp = qt.LiftedPoint(s_bundle.quotient, q)
@@ -317,7 +317,7 @@ def test_composed_reduction_endpoints():
     thm2 = qt.reduced_curvature_quotient(lp)
     assert (exponent - lz.localized_exponent_target(pf2, thm2)).max_abs() \
         < 1e-8
-    assert np.isclose(thm2[0, 1, 1, 0], 4.0, atol=1e-9)
+    assert np.isclose(thm2[:, 0, 1, 1, 0], 4.0, atol=1e-9)
 
 
 def test_euler_density_indefinite_metric_is_singular_metric_error():

@@ -1,7 +1,7 @@
 """A plain point is a one-node batch.
 
 ``dual.nodes`` reads a point with no ``Batch`` coordinate as one node, so
-every array the library returns there carries a trailing node axis of 1.
+every array the library returns there carries a leading node axis of 1.
 Each routine below is evaluated at a plain point and at the same point
 with every coordinate a one-node ``Batch``; the two must agree in shape
 and bit for bit.  A math function called outside its domain raises an
@@ -45,7 +45,7 @@ def test_a_jet_at_a_point_is_a_one_node_jet(order):
     for field in (s.ctx.g, s.ctx.H, s.ea.V[0]):
         got = ch.differentiate(field, p, order=order)
         want = ch.differentiate(field, one_node(p), order=order)
-        assert got.value.shape[-1] == 1
+        assert got.value.shape[0] == 1
         assert (got.d2 is None) == (want.d2 is None) == (order == 1)
         for name in ("value", "d1", "d2")[:order + 1]:
             assert_same(getattr(got, name), getattr(want, name))
@@ -71,7 +71,7 @@ def test_a_lifted_point_and_its_frame_at_a_point_are_one_node():
         assert_same(getattr(got.rm, name), getattr(want.rm, name))
     assert_same(got.jet.d1, want.jet.d1)
     a, b = (lz.point_frame_quotient(lp) for lp in (got, want))
-    assert a.g.shape[-1] == 1
+    assert a.g.shape[0] == 1
     assert_same(*(dual.tighten(list(pf.point), 1) for pf in (a, b)))
     for name in ("g", "ginv", "H", "gamma", "r_minus", "V", "xi", "dxi_cov",
                  "dv_cov_low", "G_ab", "K_ab", "T_ab", "plus_frame",
@@ -92,7 +92,7 @@ def test_orthonormal_frame_and_solve_linear_at_a_point_are_one_node():
     s = sc.s3xt2({})
     p = plain_point(s.chart, 5)
     gp, gb = (s.ctx.metric_at(x) for x in (p, one_node(p)))
-    n = gp.shape[0]
+    n = gp.shape[-1]
     assert_same(ch.orthonormal_frame(np.eye(n), gp, n, "frame"),
                 ch.orthonormal_frame(np.eye(n), gb, n, "frame"))
     rhs = np.arange(2.0 * n).reshape(n, 2)
@@ -109,6 +109,7 @@ BOX = ch.Chart("box", (-2.0, -2.0), (2.0, 2.0))
 
 @pytest.mark.parametrize("fn, bad", [
     (lambda c: [dual.sqrt(c[0])], (-0.5, 0.3)),
+    (lambda c: [c[0] ** 0.5], (-0.5, 0.3)),
     (lambda c: [dual.log(c[0] * c[1])], (0.0, 1.0))])
 def test_a_domain_error_at_one_node_of_a_batch_names_that_node(fn, bad):
     field = ch.ChartField(BOX, ch.SCALAR, fn)

@@ -110,12 +110,12 @@ def test_a_batch_sample_holds_the_node_samples():
     for k, node in enumerate(nodes):
         one = qt.LiftedPoint(scn, node)     # a one-node batch
         for name in ("basis", "plus", "minus"):
-            assert np.array_equal(getattr(batch, name)[..., k],
-                                  getattr(one, name)[..., 0])
+            assert np.array_equal(getattr(batch, name)[k],
+                                  getattr(one, name)[0])
         for name in ("G", "K", "T", "Kinv", "Tinv"):
-            assert np.array_equal(getattr(batch.rm, name)[..., k],
-                                  getattr(one.rm, name)[..., 0])
-        assert np.array_equal(batch.jet.d1[..., k], one.jet.d1[..., 0])
+            assert np.array_equal(getattr(batch.rm, name)[k],
+                                  getattr(one.rm, name)[0])
+        assert np.array_equal(batch.jet.d1[k], one.jet.d1[0])
 
 
 # -- the oracles build their own data ---------------------------------------------

@@ -66,7 +66,7 @@ def reference_eliminate(self, group, steps=None):
     qww = [[self.q_entry(a, b) for b in group] for a in group]
     # float bodies, or those of a one-node frame's Batch coefficients
     body = dual.tighten([[qww[i][j].body for j in range(nw)]
-                         for i in range(nw)], 1)[..., 0]
+                         for i in range(nw)], 1)[0]
     body_inv = ch.inverse(body, SingularBodyError,
                           f"block body of group {group}")
     nil = [[qww[i][j] - G.scalar(self.ngen, body[i, j])

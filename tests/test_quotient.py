@@ -17,7 +17,7 @@ RNG = np.random.default_rng(42)
 
 def node0(*arrays):
     """Node 0 of each array: a point is a one-node batch."""
-    return tuple(a[..., 0] for a in arrays)
+    return tuple(a[0] for a in arrays)
 
 
 def rand_qfield(chart, rng):
@@ -148,7 +148,7 @@ def test_omega_hopf_value():
     p = s.chart.sample(RNG, 1)[0]
     tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
     from_xi, from_theta = qt.omega_curvature(s.ea, s.ctx, +1, p, tp)
-    assert np.isclose(abs(from_theta[0, 0, 1]), 4.0, atol=1e-10)
+    assert np.isclose(abs(from_theta[:, 0, 0, 1]), 4.0, atol=1e-10)
     assert np.max(np.abs(from_xi - from_theta)) < ch.EPS_ID
 
 
@@ -312,7 +312,7 @@ def test_hopf_sectional_curvature_value():
     scn = s.quotient
     for q in scn.quotient.sample(RNG, 3):
         t = qt.reduced_curvature_quotient(qt.LiftedPoint(scn, q))
-        assert np.isclose(t[0, 1, 1, 0], 4.0, atol=1e-9)
+        assert np.isclose(t[:, 0, 1, 1, 0], 4.0, atol=1e-9)
 
 
 def test_oneill_oracle_matches():
@@ -335,4 +335,4 @@ def test_product_scenario_reduces_to_factor():
     assert gred.shape == expect.shape
     assert np.max(np.abs(gred - expect)) < 1e-12
     t = qt.reduced_curvature_quotient(qt.LiftedPoint(scn, q))
-    assert np.isclose(t[0, 1, 1, 0], 1.0, atol=1e-10)
+    assert np.isclose(t[:, 0, 1, 1, 0], 1.0, atol=1e-10)

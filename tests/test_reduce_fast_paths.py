@@ -162,12 +162,12 @@ def test_staged_reduced_flux_matches_loop_oracle():
     field = qt.reduced_flux_field(scn)
     assert field.name == "H_red"
     # Omega^a has one-node Batch entries at a point: node 0 of each
-    oracle = dual.tighten(_loop_reduced_flux(scn, q), 1)[..., 0]
+    oracle = dual.tighten(_loop_reduced_flux(scn, q), 1)[0]
     assert np.max(np.abs(oracle)) > 0.05
-    staged = dual.tighten(np.asarray(field(q), dtype=object), 1)[..., 0]
+    staged = dual.tighten(np.asarray(field(q), dtype=object), 1)[0]
     assert staged.shape == oracle.shape
     assert np.max(np.abs(staged - oracle)) < 1e-12
-    hred = qt.reduce_metric_flux(scn, q)[1][..., 0]
+    hred = qt.reduce_metric_flux(scn, q)[1][0]
     assert hred.shape == oracle.shape
     assert np.max(np.abs(hred - oracle)) < 1e-12
 
@@ -246,8 +246,8 @@ def test_quotient_frame_raises_on_degenerate_projection():
 def test_quotient_frame_is_reduced_orthonormal():
     scn = s3xt2({}).quotient
     q = scn.quotient.sample(np.random.default_rng(6), 1)[0]
-    basis = qt.quotient_frame(scn, q)[..., 0]      # one node
-    gred = qt.reduce_metric_flux(scn, q)[0][..., 0]
+    basis = qt.quotient_frame(scn, q)[0]      # one node
+    gred = qt.reduce_metric_flux(scn, q)[0][0]
     assert np.max(np.abs(basis @ gred @ basis.T
                          - np.eye(scn.reduced_dim))) < 1e-12
 

@@ -78,7 +78,7 @@ def test_invert_matrix_derivative_is_minus_inv_dm_inv():
     jm = ch.differentiate(mfn, q, order=1)
     jinv = ch.differentiate(lambda x: ch.invert_matrix(mfn(x)), q, order=1)
     # a point is a one-node batch: node 0 of each jet
-    mval, md1, ival, id1 = (a[..., 0] for a in (jm.value, jm.d1, jinv.value,
+    mval, md1, ival, id1 = (a[0] for a in (jm.value, jm.d1, jinv.value,
                                                 jinv.d1))
     minv = np.linalg.inv(mval)
     assert ival.shape == minv.shape
@@ -144,7 +144,7 @@ def test_omega_two_form_matches_loop_oracle(scn):
     oracle = dual.tighten(_loop_omega(scn, p))
     assert np.max(np.abs(oracle)) > 0.05
     # one-node Batch entries at a point, as in a field body
-    om = dual.tighten(qt.omega_two_form(scn, p), 1)[..., 0]
+    om = dual.tighten(qt.omega_two_form(scn, p), 1)[0]
     assert om.shape == oracle.shape
     assert np.max(np.abs(om - oracle)) < 1e-12
 
@@ -165,7 +165,7 @@ def test_theta_route_agrees_with_xi_route_for_nonsymmetric_k(sign):
     scn = _two_generator_action()
     p = scn.lift(scn.quotient.sample(np.random.default_rng(9), 1)[0])
     k = qt.reduction_matrices(scn.ea, scn.ctx, p).K
-    assert abs(k[0, 1] - k[1, 0]) > 0.1
+    assert abs(k[:, 0, 1] - k[:, 1, 0]) > 0.1
     frames = dict(zip((+1, -1), qt.horizontal_frames(scn.ea, scn.ctx, p)))
     from_xi, from_theta = qt.omega_curvature(scn.ea, scn.ctx, sign, p,
                                              frames[sign])
@@ -181,13 +181,13 @@ def test_tau_projector(make, sign):
     scn = make({}).quotient
     ea, ctx = scn.ea, scn.ctx
     p = scn.lift(scn.quotient.sample(np.random.default_rng(5), 1)[0])
-    proj = qt.tau_projector(ea, ctx, p, sign)[..., 0]    # one node
+    proj = qt.tau_projector(ea, ctx, p, sign)[0]    # one node
     n = scn.ambient_dim
     assert proj.shape == (n, n)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     for v in qt.v_pm_values(ea, ctx, p, sign):
         assert np.max(np.abs(proj @ np.asarray(v, dtype=float))) < 1e-12
-    frame = qt.horizontal_frames(ea, ctx, p)[0 if sign > 0 else 1][..., 0]
+    frame = qt.horizontal_frames(ea, ctx, p)[0 if sign > 0 else 1][0]
     assert frame.shape == (n - ea.s, n)
     for e in frame:
         assert np.max(np.abs(proj @ e - e)) < 1e-12

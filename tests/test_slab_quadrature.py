@@ -75,7 +75,7 @@ def node_loop_euler(ctx, domain, order, use_flux=True):
                 if use_flux and ctx.has_flux
                 else ch.riemann(ch.differentiate(ctx.g, p, order=2)))
         term = w * lz.euler_density(rarr, gmat)[0] * \
-            np.sqrt(np.linalg.det(gmat[..., 0]))
+            np.sqrt(np.linalg.det(gmat[0]))
         total += term
         scale += abs(term)
     norm = (2.0 * np.pi) ** (n // 2)
@@ -102,7 +102,7 @@ def old_euler_density(rarr, gmat):
     n = gmat.shape[0]
     frame = np.linalg.inv(np.linalg.cholesky(gmat))
     rfr = old_frame_contract(rarr, frame, frame, frame, frame)
-    quart = lz.curvature_quartic(rfr[..., None], n)     # one node
+    quart = lz.curvature_quartic(rfr[None], n)     # one node
     body = lz.berezin_integral((0.5 * quart).exp(), lz.euler_measure(n)).body
     return body.v[0] if isinstance(body, Batch) else body
 
@@ -189,13 +189,13 @@ def test_batched_jet_equals_per_node_jets(name, params, attr):
     nodes = s.chart.sample(np.random.default_rng(5), NODES)
     jet = ch.differentiate(field, batch_of(nodes), order=2)
     n = s.chart.dim
-    assert jet.value.shape[-1] == NODES and jet.d1.shape[:1] == (n,) \
-        and jet.d2.shape[:2] == (n, n)
+    assert jet.value.shape[0] == NODES and jet.d1.shape[:2] == (NODES, n) \
+        and jet.d2.shape[:3] == (NODES, n, n)
     for k, node in enumerate(nodes):
         ref = ch.differentiate(field, list(node), order=2)
         for got, want in ((jet.value, ref.value), (jet.d1, ref.d1),
                           (jet.d2, ref.d2)):
-            assert np.array_equal(got[..., k], want[..., 0])
+            assert np.array_equal(got[k], want[0])
 
 
 @pytest.mark.parametrize("name,params", EULER_BUILTINS)
@@ -210,14 +210,14 @@ def test_batched_geometry_equals_per_node_geometry(name, params):
     assert dens.shape == (NODES,)
     for k, node in enumerate(nodes):
         node = list(node)
-        g_k = s.ctx.metric_at(node)[..., 0]
-        assert np.array_equal(gmat[..., k], g_k)
-        assert np.array_equal(riem[..., k], ch.riemann(
-            ch.differentiate(s.ctx.g, node, order=2))[..., 0])
-        r_k = bismut_curvature(-1, Geometry(s.ctx, node))[..., 0]
-        assert np.array_equal(rmin[..., k], r_k)
-        assert dens[k] == lz.euler_density(r_k[..., None],
-                                           g_k[..., None])[0]
+        g_k = s.ctx.metric_at(node)[0]
+        assert np.array_equal(gmat[k], g_k)
+        assert np.array_equal(riem[k], ch.riemann(
+            ch.differentiate(s.ctx.g, node, order=2))[0])
+        r_k = bismut_curvature(-1, Geometry(s.ctx, node))[0]
+        assert np.array_equal(rmin[k], r_k)
+        assert dens[k] == lz.euler_density(r_k[None],
+                                           g_k[None])[0]
 
 
 def test_single_point_routines_keep_their_bits():
@@ -230,7 +230,7 @@ def test_single_point_routines_keep_their_bits():
         assert np.array_equal(ch.metric_inverse(g), old_metric_inverse(g))
         assert np.array_equal(ch.frame_contract(r, *frames),
                               old_frame_contract(r, *frames))
-        assert lz.euler_density(r[..., None], g[..., None])[0] == \
+        assert lz.euler_density(r[None], g[None])[0] == \
             old_euler_density(r, g)
 
 
@@ -269,11 +269,11 @@ def test_dense_metric_geometry_and_quadrature_equal_the_node_loop():
     gmat = ctx.metric_at(p)
     dens = lz.euler_density(riem, gmat)
     for k, node in enumerate(nodes):
-        r_k = ch.riemann(ch.differentiate(WARPED, list(node), order=2))[..., 0]
-        assert np.array_equal(riem[..., k], r_k)
-        g_k = ctx.metric_at(list(node))[..., 0]
-        assert dens[k] == lz.euler_density(r_k[..., None],
-                                           g_k[..., None])[0]
+        r_k = ch.riemann(ch.differentiate(WARPED, list(node), order=2))[0]
+        assert np.array_equal(riem[k], r_k)
+        g_k = ctx.metric_at(list(node))[0]
+        assert dens[k] == lz.euler_density(r_k[None],
+                                           g_k[None])[0]
     domain = (WARPED.chart.lower, WARPED.chart.upper)
     chi = lz.euler_characteristic(ctx, domain, 4)
     assert chi == node_loop_euler(ctx, domain, 4)[0]

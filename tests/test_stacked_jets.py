@@ -28,7 +28,7 @@ QUOTIENT_IDS = ["s3xt2", "two_generators"]
 
 def node0(*arrays):
     """Node 0 of each array: a point is a one-node batch."""
-    return tuple(a[..., 0] for a in arrays)
+    return tuple(a[0] for a in arrays)
 
 
 def _ambient_point(scn, seed):
@@ -39,9 +39,9 @@ def _ambient_point(scn, seed):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_d_constraint_rows_match_per_row_jets(scn, sign):
     p = _ambient_point(scn, 3)
-    per_row = np.array([ch.exterior_derivative(ch.differentiate(
+    per_row = np.stack([ch.exterior_derivative(ch.differentiate(
         qt.xi_pm_field(scn.ea, scn.ctx, a, sign), p, order=1), 1)
-        for a in range(scn.ea.s)])
+        for a in range(scn.ea.s)], 1)
     stacked = qt.d_constraint_rows(qt.action_jet(scn.ea, scn.ctx, p))[
         0 if sign > 0 else 1]
     assert stacked.shape == per_row.shape

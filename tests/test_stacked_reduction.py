@@ -132,9 +132,9 @@ def test_lifted_metric_keeps_the_comprehension_bits(scn, sign):
     # rest on these bits
     for q in scn.quotient.sample(np.random.default_rng(12), 20):
         # a point is a one-node batch: node 0 of each array
-        p, lifts, gred = (a[..., 0] if isinstance(a, np.ndarray) else a
+        p, lifts, gred = (a[0] if isinstance(a, np.ndarray) else a
                           for a in qt._lifted_metric(scn, q, sign))
-        gmat = scn.ctx.metric_at(p)[..., 0]
+        gmat = scn.ctx.metric_at(p)[0]
         assert np.array_equal(gred, _loop_restriction(gmat, lifts, lifts))
 
 
@@ -243,7 +243,7 @@ def _old_horizontal_lift(scn, point, sign, qvecs):
 
 
 def _old_reduction_matrices(ea, ctx, point):
-    gmat = ctx.metric_at(point)[..., 0]
+    gmat = ctx.metric_at(point)[0]
     ginv = ch.metric_inverse(gmat)
     v = np.array([np.asarray(f(point), dtype=float) for f in ea.V])
     x = np.array([np.asarray(f(point), dtype=float) for f in ea.xi])
@@ -268,7 +268,7 @@ def _old_d_constraint_rows(ea, ctx, point):
 
     d1 = ch.differentiate(rows, point, order=1, chart=ctx.chart).d1
     if d1.dtype != object:      # a float point is a one-node batch
-        d1 = d1[..., 0]
+        d1 = d1[0]
     out = []
     for sign in (+1, -1):
         d = d1[:, 0] + sign * d1[:, 1]
@@ -314,7 +314,7 @@ def test_reduction_matrices_equal_the_row_loop(scn):
     got = (rm.G, rm.K, rm.T, rm.Kinv, rm.Tinv)
     for new, old in zip(got, _old_reduction_matrices(scn.ea, scn.ctx, p)):
         assert new.dtype == float
-        assert np.array_equal(new[..., 0], old)
+        assert np.array_equal(new[0], old)
 
 
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
@@ -326,7 +326,7 @@ def test_k_inverse_and_row_derivatives_equal_the_row_loops(scn, with_dual):
         _all_bits(_old_k_inverse(ea, ctx, p))
     for new, old in zip(qt.d_constraint_rows(qt.action_jet(ea, ctx, p)),
                         _old_d_constraint_rows(ea, ctx, p)):
-        new = new if with_dual else new[..., 0]
+        new = new if with_dual else new[0]
         assert new.shape == (ea.s,) + (scn.ambient_dim,) * 2
         assert _all_bits(new) == _all_bits(old)
 
@@ -351,7 +351,7 @@ def test_gradients_are_the_stacked_rows(sd, with_dual):
         p[2] = Dual(p[2], 1.0, dual.fresh_level())
     grads, d1 = sd.gradients(p), sd.jet(p).d1
     if not with_dual:       # a float point is a one-node batch
-        grads, d1 = grads[..., 0], d1[..., 0]
+        grads, d1 = grads[0], d1[0]
     old = list(np.asarray(d1, dtype=object).T)
     assert grads.shape == (sd.r, 3)
     _assert_same(grads, old, not with_dual)

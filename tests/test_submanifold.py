@@ -17,7 +17,7 @@ RNG = np.random.default_rng(42)
 
 def node0(*arrays):
     """Node 0 of each array: a point is a one-node batch."""
-    return tuple(a[..., 0] for a in arrays)
+    return tuple(a[0] for a in arrays)
 
 BOX3 = Chart("r3", (-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))
 FLAT3 = GeneralizedMetricContext.create(ChartField(BOX3, METRIC,
@@ -107,7 +107,7 @@ def test_flat_hyperplane_connection():
     x, y = rand_tfield(nchart, rng), rand_tfield(nchart, rng)
     corrected, coeff_form = node0(*sm.reduced_connection_vector(scn, x, y, u))
     jy = ch.differentiate(y, u, order=1)
-    plain = np.einsum("a,ai->i", np.asarray(x(u), float), jy.d1[..., 0])
+    plain = np.einsum("a,ai->i", np.asarray(x(u), float), jy.d1[0])
     assert corrected[:2].shape == plain.shape
     assert np.allclose(corrected[:2], plain, atol=1e-12)
     assert abs(corrected[2]) < 1e-12
@@ -196,7 +196,7 @@ def test_metric_compatibility_of_reduced_connection():
         zv = np.asarray(z(c), dtype=object)
         return [yv @ gm @ zv]
     jet = ch.differentiate(gyz, u, order=1)
-    lhs = float(np.einsum("j,j->", np.asarray(x(u), float), jet.d1[:, 0, 0]))
+    lhs = float(np.einsum("j,j->", np.asarray(x(u), float), jet.d1[0, :, 0]))
     (rhs,) = sm.reduced_connection_sub(scn, x, y, z, u) \
         + sm.reduced_connection_sub(scn, x, z, y, u)
     assert abs(lhs - rhs) < ch.EPS_ID
@@ -244,7 +244,7 @@ def test_curvature_ambient_vs_direct(cval):
         d = sm.reduced_curvature_sub_direct(scn, u, lp.basis)
         assert np.max(np.abs(t - d)) < 1e-6
         # unit-sphere sectional value, independent of the ambient 3-form
-        assert np.isclose(t[0, 1, 1, 0], 1.0, atol=1e-9)
+        assert np.isclose(t[:, 0, 1, 1, 0], 1.0, atol=1e-9)
 
 
 def test_gauss_equation_oracle():

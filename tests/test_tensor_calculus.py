@@ -28,13 +28,13 @@ def lie(v, t, p):
     """``lie_derivative`` of two fields at p, from their order-1 jets: node
     0 of its one-node result (a point is a one-node batch)."""
     return ch.lie_derivative(ch.differentiate(v, p),
-                             ch.differentiate(t, p))[..., 0]
+                             ch.differentiate(t, p))[0]
 
 
 def jet0(f, point):
     """The order-1 jet of ``f`` at a point, node 0 of each array."""
     jet = ch.differentiate(f, point)
-    return ch.PointJet(jet.point, jet.value[..., 0], jet.d1[..., 0])
+    return ch.PointJet(jet.point, jet.value[0], jet.d1[0])
 
 
 # -- test-local copies of the replaced routines ----------------------------
