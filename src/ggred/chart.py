@@ -369,18 +369,18 @@ def frame_contract(arr, *frames) -> np.ndarray:
     ``out[a, b, ...] = arr[i, j, ...] f1[a, i] f2[b, j] ...``, one frame
     per leading slot; each frame is an (m, n) array whose rows are the
     frame vectors' components, and entries may be duals.  Staged as one
-    pairwise contraction per frame: each contracts the first slot with
-    the frame (a reshape and one matrix product) and appends the frame
-    index, so no many-operand product is formed.  Leading node axes on
-    ``arr`` and the frames give one product per node.
+    :func:`node_einsum` per frame (no BLAS): each contracts the first slot
+    with the frame and appends the frame index, so no many-operand product
+    is formed.  A leading node axis on ``arr`` or a frame gives one product
+    per node; with none (a point, or dual entries) the arrays run as a
+    one-node batch.
     """
     out = np.asarray(arr)
-    lead = out.ndim - len(frames)
+    if out.ndim == len(frames) and all(f.ndim == 2 for f in frames):
+        return frame_contract(out[None], *frames)[0]
+    rest = "jklm"[:len(frames) - 1]
     for frame in frames:
-        shape = out.shape
-        out = (out.reshape(shape[:lead + 1] + (-1,)).swapaxes(-1, -2)
-               @ frame.swapaxes(-1, -2)).reshape(
-            shape[:lead] + shape[lead + 1:] + frame.shape[-2:-1])
+        out = node_einsum(f"i{rest},ai->{rest}a", out, frame)
     return out
 
 

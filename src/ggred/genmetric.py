@@ -162,7 +162,7 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
 
     hval = ctx.flux_at(point)
     xval = field_values(a_vec, point)
-    cov = cov + np.einsum("...i,...j,...ijk->...k", xval, yval, hval)
+    cov = cov + ch.node_einsum("i,j,ijk->k", xval, yval, hval)
     return GeneralizedVector(np.asarray(vec, dtype=float),
                              np.asarray(cov, dtype=float), tuple(point))
 
@@ -192,7 +192,7 @@ def bismut_derivative(x: ch.ChartField, y: ch.ChartField, sign,
     coeffs = bismut_connection_coeffs(sign, Geometry(ctx, point))
     xval = field_values(x, point)
     return (np.einsum("...j,...ji->...i", xval, jy.d1)
-            + np.einsum("...ijk,...j,...k->...i", coeffs, xval, jy.value))
+            + ch.node_einsum("ijk,j,k->i", coeffs, xval, jy.value))
 
 
 def bismut_connection_coeffs(sign, geo: Geometry):

@@ -344,7 +344,7 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
         sol = ch.solve_linear(mat, rhs)
     except SingularMetricError as exc:
         raise LiftError(f"horizontal lift degenerate: {exc}") from exc
-    # C order, as the rows were: BLAS may round strided rows differently
+    # C order, as the rows were: every node stack is in C order
     return dual.tighten(sol.T.copy())
 
 

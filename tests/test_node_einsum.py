@@ -2,7 +2,8 @@
 
 Every literal einsum spec in the package's source is read from the files,
 so a spec added later is tested too, together with the specs that
-``chart.interior`` and ``chart.lie_derivative`` build for ranks 1 to 3.
+``chart.interior`` and ``chart.lie_derivative`` build for ranks 1 to 3 and
+``chart.frame_contract`` builds for ranks 1 to 4.
 Each runs through ``chart.node_einsum`` on random node stacks, every index
 size drawn from 1..5, and node k of the stacked result must equal the run
 on node k alone, bit for bit.  The ``...`` specs the package hands to
@@ -40,6 +41,9 @@ def _built_specs():
                   f"m,m{idx}->{idx}"]                            # L_V T
         specs += [f"{idx[:s]}m{idx[s + 1:]},{i}m->{idx}"
                   for s, i in enumerate(idx)]
+    for rank in (1, 2, 3, 4):                                   # frame_contract
+        rest = "jklm"[:rank - 1]
+        specs.append(f"i{rest},ai->{rest}a")
     return specs
 
 
@@ -90,9 +94,15 @@ def test_every_node_keeps_the_bits_of_its_one_node_run(spec):
     ("ki,ri,sk->rs", "i2k2r1s1"), ("kj,rk,sj->rs", "j2k2r1s1"),
     ("ai,ab,bj,j->i", "a1b2i1j2"), ("ai,ij,bj->ab", "a1b1i2j2"),
     ("ijk,j,k->i", "i1j2k2"), ("ikj,k,j->i", "i1j2k2"),
-    ("ab,bmn,al,li->mni", "a1b2i1l2m1n1"), ("ijk,i,j,k->", "i1j2k2")])
+    ("ab,bmn,al,li->mni", "a1b2i1l2m1n1"), ("ijk,i,j,k->", "i1j2k2"),
+    ("i,j,ijk->k", "i2j2k1"), ("ijk,j,k->i", "i1j2k3")])
 def test_a_result_of_one_entry_per_node_keeps_its_bits(spec, sizes):
-    # each node's result is one entry, and some index has size 1
+    # each node's result is one entry, and some index has size 1; the
+    # package must not hand such a spec to np.einsum in its ellipsis form,
+    # which can give node k other bits than its one-node run
+    subs, out = spec.split("->")
+    assert ",".join("..." + sub for sub in subs.split(",")) + "->..." + out \
+        not in ELLIPSIS_SPECS
     size = dict(zip(sizes[::2], map(int, sizes[1::2])))
     rng = np.random.default_rng(5)
     for nodes in (2, 3, 64):

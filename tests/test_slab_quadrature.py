@@ -31,6 +31,7 @@ from ggred.genmetric import (GeneralizedMetricContext, Geometry,
                              bismut_curvature)
 
 NODES = 64
+EPS = np.finfo(float).eps
 
 
 def count_partials(monkeypatch):
@@ -89,19 +90,22 @@ def old_metric_inverse(g):
     return np.linalg.inv(g)
 
 
-def old_frame_contract(arr, f1, f2, f3, f4):
-    out = np.asarray(arr)
-    for frame in (f1, f2, f3, f4):
-        rest = out.shape[1:]
-        out = (out.reshape(out.shape[0], -1).T @ frame.T).reshape(
-            rest + (frame.shape[0],))
-    return out
+def loop_frame_contract(arr, *frames):
+    """The staged frame contraction as plain Python sums in index order."""
+    out = np.asarray(arr, dtype=object)
+    for frame in frames:
+        new = np.empty(out.shape[1:] + frame.shape[:1], dtype=object)
+        for *rest, a in np.ndindex(*new.shape):
+            new[(*rest, a)] = sum(out[(i, *rest)] * frame[a, i]
+                                  for i in range(frame.shape[1]))
+        out = new
+    return out.astype(float)
 
 
 def old_euler_density(rarr, gmat):
     n = gmat.shape[0]
     frame = np.linalg.inv(np.linalg.cholesky(gmat))
-    rfr = old_frame_contract(rarr, frame, frame, frame, frame)
+    rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     quart = lz.curvature_quartic(rfr[None], n)     # one node
     body = lz.berezin_integral((0.5 * quart).exp(), lz.euler_measure(n)).body
     return body.v[0] if isinstance(body, Batch) else body
@@ -222,16 +226,27 @@ def test_batched_geometry_equals_per_node_geometry(name, params):
 
 def test_single_point_routines_keep_their_bits():
     rng = np.random.default_rng(2)
+    draws = []
     for _ in range(20):
         a = rng.normal(size=(4, 4))
         g = a @ a.T + 0.5 * np.eye(4)
         r = rng.normal(size=(4, 4, 4, 4))
         frames = [rng.normal(size=(m, 4)) for m in (4, 3, 2, 4)]
         assert np.array_equal(ch.metric_inverse(g), old_metric_inverse(g))
-        assert np.array_equal(ch.frame_contract(r, *frames),
-                              old_frame_contract(r, *frames))
         assert lz.euler_density(r[None], g[None])[0] == \
             old_euler_density(r, g)
+        draws.append((r, frames))
+    # the frame contraction has no BLAS reference: node k of the stacked
+    # draws keeps the bits of draw k alone, within 4 stages of 4-term sums
+    # of the plain loop
+    stacked = ch.frame_contract(np.array([r for r, _ in draws]), *(
+        np.array(f) for f in zip(*(frames for _, frames in draws))))
+    for k, (r, frames) in enumerate(draws):
+        got = ch.frame_contract(r, *frames)
+        assert np.array_equal(stacked[k], got)
+        bound = 16 * EPS * loop_frame_contract(np.abs(r),
+                                               *map(np.abs, frames))
+        assert np.all(np.abs(got - loop_frame_contract(r, *frames)) <= bound)
 
 
 # -- the slab quadrature ---------------------------------------------------

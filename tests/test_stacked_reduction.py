@@ -5,9 +5,12 @@ through any number of frames; ``quotient._action_rows`` reads g, V_a and
 xi_a for every routine built on the action, and the reduction steps pass
 stacked (k, n) arrays.  Each is compared bit for bit with the plain loop it
 replaced, written out here, at float points and at points that carry a dual
-coordinate.  Different frames go into different slots, so a swapped slot
-shows, and one action sits on a metric matrix that is not symmetric, so a
-transposed g shows.
+coordinate.  Float frame contractions are the exception: they go through
+einsum, not BLAS, so node k of a stack must keep the bits of its one-node
+run, and the result lies within a rounding bound of a plain Python loop.
+Different frames go into different slots, so a swapped slot shows, and one
+action sits on a metric matrix that is not symmetric, so a transposed g
+shows.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from ggred import genmetric as gm
 from ggred import quotient as qt
 from ggred import submanifold as sm
 from ggred.chart import COVECTOR, METRIC, SCALAR, VECTOR, Chart, ChartField
-from ggred.dual import Dual, cos, sin
+from ggred.dual import Batch, Dual, cos, sin
 from ggred.genmetric import GeneralizedMetricContext
 from ggred.scenarios import hopf, product_qg, s3xt2, sphere_in_flat
 
@@ -46,7 +49,11 @@ def _assert_same(new, old, float_point):
     assert _all_bits(new) == _all_bits(old)
 
 
-# -- frame_contract against the contractions it replaced ----------------------
+# -- frame_contract against plain loops --------------------------------------
+
+EPS = np.finfo(float).eps
+NODES = 3
+
 
 def _loop_pullback(arr, *frames):
     """The staged tensordot pull-back, one frame per slot."""
@@ -54,6 +61,28 @@ def _loop_pullback(arr, *frames):
     for frame in frames:
         out = np.tensordot(out, frame, axes=(0, 1))
     return out
+
+
+def _loop_stages(arr, *frames):
+    """The staged pull-back as plain Python sums, each in index order (no
+    BLAS and no einsum)."""
+    out = np.asarray(arr, dtype=object)
+    for frame in frames:
+        new = np.empty(out.shape[1:] + frame.shape[:1], dtype=object)
+        for *rest, a in np.ndindex(*new.shape):
+            new[(*rest, a)] = sum(out[(i, *rest)] * frame[a, i]
+                                  for i in range(frame.shape[1]))
+        out = new
+    return out.astype(float)
+
+
+def _assert_within_the_loop_bound(got, arr, *frames):
+    """Each stage is a length-n sum, so k stages round by at most k n eps
+    times the stages taken on absolute values.  The bound is not zero:
+    einsum may sum in another order than the loop."""
+    bound = len(frames) * frames[0].shape[1] * EPS * _loop_stages(
+        np.abs(arr), *map(np.abs, frames))
+    assert np.all(np.abs(got - _loop_stages(arr, *frames)) <= bound)
 
 
 def _loop_restriction(gmat, f1, f2):
@@ -91,36 +120,56 @@ MAKERS = [_float_array, _dual_array]
 MAKER_IDS = ["float", "dual"]
 
 
+def _check_pullback(make, rng, shape, rows):
+    """frame_contract of a ``shape`` array on frames of ``rows`` rows; returns
+    the point's array and its frames.
+
+    Dual entries keep the bits of the staged tensordot.  Float arrays come as
+    node stacks, with a frame per node and with node 0's frames shared: node k
+    keeps the bits of its one-node run and of the point alone, and lies within
+    the rounding bound of the plain loop.
+    """
+    n = shape[0]
+    if make is _dual_array:
+        arr, frames = make(rng, shape), [make(rng, (m, n)) for m in rows]
+        got = ch.frame_contract(arr, *frames)
+        assert got.shape == tuple(rows)
+        assert _all_bits(got) == _all_bits(_loop_pullback(arr, *frames))
+        return (arr, *frames)
+    arr = make(rng, (NODES,) + shape)
+    frames = [make(rng, (NODES, m, n)) for m in rows]
+    got = ch.frame_contract(arr, *frames)
+    shared = ch.frame_contract(arr, *(f[0] for f in frames))
+    assert got.shape == shared.shape == (NODES,) + tuple(rows)
+    for k in range(NODES):
+        one = [f[k] for f in frames]
+        assert np.array_equal(got[k], ch.frame_contract(
+            arr[k:k + 1], *(f[k:k + 1] for f in frames))[0])
+        assert np.array_equal(got[k], ch.frame_contract(arr[k], *one))
+        assert np.array_equal(shared[k], ch.frame_contract(
+            arr[k], *(f[0] for f in frames)))
+        _assert_within_the_loop_bound(got[k], arr[k], *one)
+    return (arr[0], *(f[0] for f in frames))
+
+
 @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_frame_is_the_pullback(make, seed):
-    rng = np.random.default_rng(seed)
-    arr, frame = make(rng, (5,)), make(rng, (3, 5))
-    got = ch.frame_contract(arr, frame)
-    assert got.shape == (3,)
-    assert _all_bits(got) == _all_bits(_loop_pullback(arr, frame))
+    _check_pullback(make, np.random.default_rng(seed), (5,), (3,))
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_two_frames_are_the_metric_restrictions(make, seed):
     # object entries (duals, or floats in the dual-safe fields) keep the
-    # loops' products and sums; float arrays go through BLAS, where matrix
-    # products and the tensordot agree, but vector-matrix products may
-    # round differently, so the float comprehension gets a bound instead
-    rng = np.random.default_rng(seed)
-    gmat, f1, f2 = make(rng, (5, 5)), make(rng, (3, 5)), make(rng, (4, 5))
-    got = ch.frame_contract(gmat, f1, f2)
-    assert got.shape == (3, 4)
-    assert _all_bits(got) == _all_bits(_loop_pullback(gmat, f1, f2))
+    # loops' products and sums
+    gmat, f1, f2 = _check_pullback(make, np.random.default_rng(seed),
+                                   (5, 5), (3, 4))
     obj = [np.asarray(a, dtype=object) for a in (gmat, f1, f2)]
     got_obj = ch.frame_contract(*obj)
     assert _all_bits(got_obj) == _all_bits(_loop_restriction(*obj))
     assert _all_bits(got_obj) == \
         _all_bits(_loop_induced(obj[0], obj[1].T, obj[2].T))
-    if make is _float_array:
-        bound = 10 * np.finfo(float).eps * (abs(f1) @ abs(gmat) @ abs(f2).T)
-        assert np.all(np.abs(got - _loop_restriction(gmat, f1, f2)) <= bound)
 
 
 @pytest.mark.parametrize("scn", [s3xt2({}).quotient, product_qg({}).quotient,
@@ -128,25 +177,21 @@ def test_two_frames_are_the_metric_restrictions(make, seed):
                          ids=["s3xt2", "product_qg", "hopf_flux"])
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_lifted_metric_keeps_the_comprehension_bits(scn, sign):
-    # the float restriction of the built-in quotients' lifts: the reports
-    # rest on these bits
-    for q in scn.quotient.sample(np.random.default_rng(12), 20):
-        # a point is a one-node batch: node 0 of each array
-        p, lifts, gred = (a[0] if isinstance(a, np.ndarray) else a
-                          for a in qt._lifted_metric(scn, q, sign))
-        gmat = scn.ctx.metric_at(p)[0]
-        assert np.array_equal(gred, _loop_restriction(gmat, lifts, lifts))
+    # the float restriction of the built-in quotients' lifts, on which the
+    # reports rest: node k of a batch keeps the bits of the point alone, and
+    # lies within the rounding bound of the plain loop
+    qpts = scn.quotient.sample(np.random.default_rng(12), 20)
+    p, lifts, gred = qt._lifted_metric(scn, [Batch(c) for c in qpts.T], sign)
+    gmat = scn.ctx.metric_at(p)
+    for k, q in enumerate(qpts):
+        assert np.array_equal(gred[k], qt._lifted_metric(scn, q, sign)[2][0])
+        _assert_within_the_loop_bound(gred[k], gmat[k], lifts[k], lifts[k])
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_three_frames_are_the_flux_pullback(make, seed):
-    rng = np.random.default_rng(seed)
-    h = make(rng, (5, 5, 5))
-    frames = [make(rng, (m, 5)) for m in (3, 4, 2)]
-    got = ch.frame_contract(h, *frames)
-    assert got.shape == (3, 4, 2)
-    assert _all_bits(got) == _all_bits(_loop_pullback(h, *frames))
+    _check_pullback(make, np.random.default_rng(seed), (5, 5, 5), (3, 4, 2))
 
 
 def test_frame_contract_mixes_float_frames_and_dual_entries():
