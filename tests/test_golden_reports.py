@@ -1,0 +1,57 @@
+"""The committed golden reports (``tests/golden/``) and the gate on them.
+
+``tests/golden/regenerate.py`` regenerates every report in one process
+under the Haswell OpenBLAS kernel, the kernel the files were made under,
+and exits 1 when one differs from its file by a byte.  A change that moves
+a residual rewrites the files with ``--update`` and lists each moved row.
+"""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "tests", "golden", "regenerate.py")
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tier1.yml")
+
+
+def _load_script():
+    # the script restarts itself under its kernel unless the variable is set
+    env = os.environ.get("OPENBLAS_CORETYPE")
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+    try:
+        spec = importlib.util.spec_from_file_location("regenerate", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if env is None:
+            del os.environ["OPENBLAS_CORETYPE"]
+        else:
+            os.environ["OPENBLAS_CORETYPE"] = env
+    return module
+
+
+def test_the_ci_runs_are_the_workflow_runs():
+    golden = _load_script()
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        text = fh.read()
+    step = text[text.index("runs=("):text.index("for hashseed")]
+    assert re.findall(r'^\s+"(.+)"$', step, re.M) == golden.CI_RUNS
+    for name, raw in golden.CI_FILES.items():
+        assert f"echo '{json.dumps(raw)}' > {name}" in text
+
+
+def test_one_file_per_report():
+    golden = _load_script()
+    names = [f"{name}.json" for name, _ in golden.runs()]
+    assert len(names) == len(set(names)) == 2 * (16 + 9 + 19)
+    assert sorted(os.listdir(golden.REPORTS)) == sorted(names)
+
+
+def test_every_report_keeps_its_golden_bytes():
+    out = subprocess.run([sys.executable, SCRIPT], capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
