@@ -491,10 +491,9 @@ def interior(vector, omega: np.ndarray, degree: int) -> np.ndarray:
                        np.asarray(vector))
 
 
-def lie_bracket(x: ChartField, y: ChartField, point) -> np.ndarray:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i at a point (or a batch point)."""
-    jx = differentiate(x, point, order=1)
-    jy = differentiate(y, point, order=1)
+def lie_bracket(jx: PointJet, jy: PointJet) -> np.ndarray:
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i from order-1 jets of X and Y at
+    one point (or batch point)."""
     return (np.einsum("...j,...ji->...i", jx.value, jy.d1)
             - np.einsum("...j,...ji->...i", jy.value, jx.d1))
 

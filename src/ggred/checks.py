@@ -132,10 +132,13 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Connection curvature of tau_pm: matrix-weighted d xi vs direct d theta."""
     n = _npoints(s, 25, points)
 
-    def residual(p):
+    def residual(p):    # one action jet and one set of matrices, both signs
+        geo, jet = Geometry(s.ctx, p), qt.action_jet(s.ea, s.ctx, p)
+        rm = qt.reduction_matrices(geo.g, geo.ginv, jet.value[:, 0],
+                                   jet.value[:, 1])
         frames = zip((+1, -1), qt.horizontal_frames(s.ea, s.ctx, p))
         return np.max([np.abs(np.subtract(*qt.omega_curvature(
-            s.ea, s.ctx, sign, p, fr))).max(axis=(1, 2, 3))
+            s.ea, s.ctx, sign, p, fr, jet, rm))).max(axis=(1, 2, 3))
             for sign, fr in frames], axis=0)
     return _result("lemma62", n, _sampled(residual, s.chart, rng, n), tol)
 

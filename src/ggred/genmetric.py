@@ -84,15 +84,16 @@ class GeneralizedMetricContext:
 
 
 class Geometry:
-    """g, g^-1, H, the jet of g, Gamma, R and the torsion terms of R^pm of a
-    context at a point (node axis first), each computed once, on first use.
-    The jet of g is of order 2 once curvature is asked for, and then also
-    serves Gamma.  Code under test shares one Geometry per sample; each
-    oracle builds its own."""
+    """g, g^-1, H, the jets of g and of H, Gamma, R and the torsion terms of
+    R^pm of a context at a point (node axis first), each computed once, on
+    first use.  The jet of g is of order 2 once curvature is asked for, and
+    then also serves Gamma; g and H are read from their jets when the
+    Geometry holds them.  Code under test shares one Geometry per sample;
+    each oracle builds its own."""
 
     def __init__(self, ctx: GeneralizedMetricContext, point):
         self.ctx, self.point = ctx, point
-        self._jet = None
+        self._jet = self._hjet = None
 
     def jet(self, order: int = 1) -> ch.PointJet:
         """The jet of g, of order ``order`` at least."""
@@ -100,9 +101,14 @@ class Geometry:
             self._jet = ch.differentiate(self.ctx.g, self.point, order=order)
         return self._jet
 
+    def flux_jet(self) -> ch.PointJet:
+        """The order-1 jet of H."""
+        self._hjet = self._hjet or ch.differentiate(self.ctx.H, self.point)
+        return self._hjet
+
     @cached_property
     def g(self) -> np.ndarray:
-        return self.ctx.metric_at(self.point)
+        return self._jet.value if self._jet else self.ctx.metric_at(self.point)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -110,7 +116,7 @@ class Geometry:
 
     @cached_property
     def H(self) -> np.ndarray:
-        return self.ctx.flux_at(self.point)
+        return self._hjet.value if self._hjet else self.ctx.flux_at(self.point)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -147,23 +153,18 @@ def courant_bracket(a_vec: ch.ChartField, a_cov: ch.ChartField,
                     ctx: GeneralizedMetricContext, point) -> GeneralizedVector:
     """Flux-twisted Courant bracket of A = X + xi and B = Y + eta at a point.
 
-    Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H.
-    A batch point gives a leading node axis.
+    Vector part [X, Y]; covector part L_X eta - i_Y d xi + i_Y i_X H, from
+    one order-1 jet of each field.  A batch point gives a leading node axis.
     """
     ctx.chart.require_inside(point)
-    vec = ch.lie_bracket(a_vec, b_vec, point)
-
-    cov = ch.lie_derivative(ch.differentiate(a_vec, point),
-                            ch.differentiate(b_cov, point))
-    jxi = ch.differentiate(a_cov, point, order=1)
-    dxi = ch.exterior_derivative(jxi, 1)
-    yval = field_values(b_vec, point)
-    cov = cov - np.einsum("...j,...jk->...k", yval, dxi)
-
-    hval = ctx.flux_at(point)
-    xval = field_values(a_vec, point)
-    cov = cov + ch.node_einsum("i,j,ijk->k", xval, yval, hval)
-    return GeneralizedVector(np.asarray(vec, dtype=float),
+    jx, jxi, jy, jeta = (ch.differentiate(f, point)
+                         for f in (a_vec, a_cov, b_vec, b_cov))
+    cov = (ch.lie_derivative(jx, jeta)
+           - np.einsum("...j,...jk->...k", jy.value,
+                       ch.exterior_derivative(jxi, 1))
+           + ch.node_einsum("i,j,ijk->k", jx.value, jy.value,
+                            ctx.flux_at(point)))
+    return GeneralizedVector(np.asarray(ch.lie_bracket(jx, jy), dtype=float),
                              np.asarray(cov, dtype=float), tuple(point))
 
 
@@ -219,7 +220,7 @@ def bismut_via_courant(x: ch.ChartField, y: ch.ChartField, sign,
 
 def nabla_flux(geo: Geometry) -> np.ndarray:
     """Levi-Civita covariant derivative (nabla_a H)_{ijk}."""
-    jet, gam = ch.differentiate(geo.ctx.H, geo.point), geo.gamma
+    jet, gam = geo.flux_jet(), geo.gamma
     h = jet.value
     out = jet.d1.copy()
     out -= np.einsum("...mai,...mjk->...aijk", gam, h)

@@ -53,13 +53,11 @@ def nabla_j(sign, jet: ch.PointJet, geo: Geometry) -> np.ndarray:
             - ch.node_einsum("lkj,il->kij", coeffs, jet.value))
 
 
-def flux_type_residual(j: ch.ChartField, ctx: GeneralizedMetricContext,
-                       point, vecs):
+def flux_type_residual(jv, h, vecs):
     """Reality form of the (2,1)+(1,2) condition on given vector triples:
-    H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z).  The largest |residual|
-    over the triples, per node (``vecs`` is (T, 3, n), shared, or
-    (nodes, T, 3, n))."""
-    h, jv = ctx.flux_at(point), field_values(j, point)
+    H(JX,JY,Z) + H(JX,Y,JZ) + H(X,JY,JZ) = H(X,Y,Z), from J and H at a
+    point, node axis first.  The largest |residual| over the triples, per
+    node (``vecs`` is (T, 3, n), shared, or (nodes, T, 3, n))."""
     vecs = np.moveaxis(np.asarray(vecs, dtype=float), (-3, -2), (0, 1))
 
     def residual(x, y, z):
@@ -98,7 +96,7 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
                           - geo.g)
             res[2].append(nijenhuis(jet))
             res[3].append(nabla_j(sign, jet, geo))
-            res[4].append(flux_type_residual(j, ctx, p, triples))
+            res[4].append(flux_type_residual(jv, geo.H, triples))
         return res
 
     return qt.ValidationReport.sampled(

@@ -137,16 +137,13 @@ class ReductionMatrices:
     Tinv: np.ndarray
 
 
-def reduction_matrices(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                       point) -> ReductionMatrices:
+def reduction_matrices(gmat, ginv, v, x) -> ReductionMatrices:
     """G_ab = g(V_a, V_b); K_ab = G_ab - xi_a(V_b);
-    T_ab = G_ab + g^{-1}(xi_a, xi_b).  A batch point gives a leading node
-    axis."""
-    gmat, v, x = (dual.tighten(a, dual.nodes(point))
-                  for a in _action_rows(ea, ctx, point))
+    T_ab = G_ab + g^{-1}(xi_a, xi_b), from the g, g^-1 and s x n rows V_a
+    and xi_a that the caller holds, node axis first."""
     G = ch.node_einsum("ai,ij,bj->ab", v, gmat, v)
     K = G - ch.node_einsum("ai,bi->ab", x, v)
-    T = G + ch.node_einsum("ai,ij,bj->ab", x, ch.metric_inverse(gmat), x)
+    T = G + ch.node_einsum("ai,ij,bj->ab", x, ginv, x)
     Tinv = ch.inverse(T, RankError, "T_ab", definite=True)
     Kinv = ch.inverse(K, RankError, "K_ab")
     return ReductionMatrices(G, K, T, Kinv, Tinv)
@@ -246,18 +243,17 @@ def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
 
 
 def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                    sign: int, point, frame):
+                    sign: int, point, frame, jet, rm):
     """Connection curvature of tau_sign on frame pairs, by both routes.
 
     Returns (from_xi, from_theta): s x m x m arrays (after a leading node
     axis, as on a frame from :func:`horizontal_frames`)
-    from_xi[a, i, j]  the matrix-weighted d(g(V^sign)) evaluation and
+    from_xi[a, i, j]  the matrix-weighted d(g(V^sign)) evaluation, read from
+    the point's :func:`action_jet` and :func:`reduction_matrices`, and
     from_theta[a, i, j] the direct exterior derivative of the connection
     form theta^a; the two agree on tau_sign.
     """
     frame = np.asarray(frame, dtype=float)
-    rm = reduction_matrices(ea, ctx, point)
-    jet = action_jet(ea, ctx, point)
     dxi_pm = d_constraint_rows(jet)[0 if sign > 0 else 1]
     # curvature of tau_+: K^{ba} d(g V_b^+); of tau_-: K^{ab} d(g V_b^-)
     mix = ch.node_einsum("ba,bij->aij" if sign > 0 else "ab,bij->aij",
@@ -270,10 +266,10 @@ def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,
         rows = constraint_rows(ea, ctx, coords, sign)
         return (kinv.T if sign > 0 else kinv) @ rows
 
-    jet = ch.differentiate(theta_fn, point, order=1)
+    tjet = ch.differentiate(theta_fn, point, order=1)
     # d(theta^a)_{ij} = d_i theta^a_j - d_j theta^a_i
-    dth = np.einsum("...iaj->...aij", jet.d1) \
-        - np.einsum("...jai->...aij", jet.d1)
+    dth = np.einsum("...iaj->...aij", tjet.d1) \
+        - np.einsum("...jai->...aij", tjet.d1)
     from_theta = ch.node_einsum("aij,pi,qj->apq", dth, frame, frame)
     return from_xi, from_theta
 
@@ -495,10 +491,11 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
 
 class LiftedPoint:
     """One quotient sample: q, p = lift(q), the ambient Geometry at p, the
-    quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, the
-    reduction matrices ``rm`` and one :func:`action_jet`, node axes first (of
-    1 at a plain point).  The code under test shares one per sample; each
-    oracle builds its own data from (scn, q, basis)."""
+    quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, one
+    :func:`action_jet` and the reduction matrices ``rm`` of the Geometry's
+    g and the jet's V and xi, node axes first (of 1 at a plain point).  The
+    code under test shares one per sample; each oracle builds its own data
+    from (scn, q, basis)."""
 
     def __init__(self, scn: QuotientScenario, q):
         self.scn, self.q, self.p = scn, q, scn.lift(q)
@@ -509,7 +506,8 @@ class LiftedPoint:
             scn, self.p, sign, qvecs), dual.nodes(self.p))
             for sign in (+1, -1))
         self.jet = action_jet(scn.ea, scn.ctx, self.p)
-        self.rm = reduction_matrices(scn.ea, scn.ctx, self.p)
+        self.rm = reduction_matrices(self.geo.g, self.geo.ginv,
+                                     self.jet.value[:, 0], self.jet.value[:, 1])
 
 
 def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
@@ -581,16 +579,16 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
     qvecs = dual.entries(basis)
     lifts = dual.tighten(horizontal_lift(scn, p, +1, qvecs), size)
 
-    qfields = [ch.batch_field(scn.quotient, ch.VECTOR, lambda c, w=w: w,
-                             name=f"E{i}") for i, w in enumerate(qvecs)]
-    lfields = [lifted_field(scn, qf, +1) for qf in qfields]
+    jets = [ch.differentiate(lifted_field(scn, ch.batch_field(
+        scn.quotient, ch.VECTOR, lambda c, w=w: w, name=f"E{i}"), +1), p)
+        for i, w in enumerate(qvecs)]
 
     def vert(w):
         return ch.node_einsum("ai,ab,bj,j->i", vvals, graminv, vg, w)
 
     amat = np.zeros((size, m, m, vvals.shape[-1]))
     for i, j in itertools.combinations(range(m), 2):
-        br = ch.lie_bracket(lfields[i], lfields[j], p)
+        br = ch.lie_bracket(jets[i], jets[j])
         amat[:, i, j] = 0.5 * vert(np.asarray(br, dtype=float))
         amat[:, j, i] = -amat[:, i, j]
 

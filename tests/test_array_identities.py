@@ -33,6 +33,7 @@ from ggred.dual import sin
 from ggred.errors import EvaluationError, TangencyError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from reduction_cases import two_constraint_section, two_generator_action
+from point_routines import bracket_at, matrices_at, omega_at
 
 
 QUOTIENTS = [sc.s3xt2({}).quotient, two_generator_action()]
@@ -105,7 +106,7 @@ def test_nabla_pm_dsigma_keeps_the_per_constraint_loop(sign):
 
 def _old_omega_curvature(ea, ctx, sign, point, frame):
     frame = np.asarray(frame, dtype=float)[0]
-    kinv = qt.reduction_matrices(ea, ctx, point).Kinv[0]
+    kinv = matrices_at(ea, ctx, point).Kinv[0]
     dxi_pm = qt.d_constraint_rows(qt.action_jet(ea, ctx, point))[
         0 if sign > 0 else 1][0]
     if sign > 0:
@@ -120,7 +121,7 @@ def _old_omega_curvature(ea, ctx, sign, point, frame):
 def test_omega_curvature_keeps_the_two_branch_sign(scn, sign):
     p = scn.lift(_qpoint(scn, 6))
     frame = qt.horizontal_frames(scn.ea, scn.ctx, p)[0 if sign > 0 else 1]
-    from_xi, _ = qt.omega_curvature(scn.ea, scn.ctx, sign, p, frame)
+    from_xi, _ = omega_at(scn.ea, scn.ctx, sign, p, frame)
     old = _old_omega_curvature(scn.ea, scn.ctx, sign, p, frame)
     assert np.max(np.abs(old)) > 0.05
     assert _same(from_xi[0], old)
@@ -129,8 +130,7 @@ def test_omega_curvature_keeps_the_two_branch_sign(scn, sign):
 def test_two_generator_k_is_not_symmetric():
     """Else K^{ba} and K^{ab} agree and the sign branch cannot show."""
     scn = QUOTIENTS[1]
-    kinv = qt.reduction_matrices(scn.ea, scn.ctx,
-                                 scn.lift(_qpoint(scn, 6))).Kinv[0]
+    kinv = matrices_at(scn.ea, scn.ctx, scn.lift(_qpoint(scn, 6))).Kinv[0]
     assert np.max(np.abs(kinv - kinv.T)) > 0.05
 
 
@@ -154,7 +154,7 @@ def _old_oneill(scn, qpoint):
     avals = np.empty((m, m), dtype=object)
     for i in range(m):
         for j in range(m):
-            avals[i, j] = ch.lie_bracket(lfields[i], lfields[j], p)[0] \
+            avals[i, j] = bracket_at(lfields[i], lfields[j], p)[0] \
                 if i < j else None
     amat = np.zeros((m, m, scn.ambient_dim))
     for i in range(m):

@@ -24,6 +24,7 @@ from ggred import submanifold as sm
 from ggred.dual import Batch, Dual
 from ggred.errors import DomainError, RankError, SingularMetricError
 from reduction_cases import two_constraint_section, two_generator_action
+from point_routines import matrices_at
 
 NODES = 64
 NAN = float("nan")
@@ -261,9 +262,9 @@ def test_reduction_matrices_of_a_batch_are_the_node_matrices():
     scn = two_generator_action()
     nodes = [scn.lift(q) for q in
              scn.quotient.sample(np.random.default_rng(16), 9)]
-    rm = qt.reduction_matrices(scn.ea, scn.ctx, batch_of(nodes))
+    rm = matrices_at(scn.ea, scn.ctx, batch_of(nodes))
     for k, p in enumerate(nodes):
-        one = qt.reduction_matrices(scn.ea, scn.ctx, p)
+        one = matrices_at(scn.ea, scn.ctx, p)
         for f in ("G", "K", "T", "Kinv", "Tinv"):
             assert np.array_equal(getattr(rm, f)[k],
                                   getattr(one, f)[0])

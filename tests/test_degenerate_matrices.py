@@ -27,6 +27,7 @@ from ggred.genmetric import GeneralizedMetricContext
 from ggred.grassmann import GrassmannElement as G
 from ggred.grassmann import pfaffian
 from ggred.scenarios import product_qg, sphere_in_flat
+from point_routines import matrices_at
 
 NAN = float("nan")
 TILT = 1e-7
@@ -120,7 +121,7 @@ def test_christoffel_rejects_a_nan_metric(g):
 def test_reduction_matrices_reject_the_tilted_action_at_t():
     scn = qg_action()
     with pytest.raises(RankError, match="T_ab numerically singular"):
-        qt.reduction_matrices(scn.ea, scn.ctx, P)
+        matrices_at(scn.ea, scn.ctx, P)
 
 
 def test_reduction_matrices_reject_a_nearly_singular_k():
@@ -128,13 +129,13 @@ def test_reduction_matrices_reject_a_nearly_singular_k():
     scn = qg_action(v2=(0.0, 0.0, 0.0, 1.0),
                     xi1=(0.0, 0.0, 1.0 - 1e-14, 0.0))
     with pytest.raises(RankError, match="K_ab numerically singular"):
-        qt.reduction_matrices(scn.ea, scn.ctx, P)
+        matrices_at(scn.ea, scn.ctx, P)
 
 
 def test_reduction_matrices_reject_a_nan_form():
     scn = qg_action(v2=(0.0, 0.0, 0.0, 1.0), xi1=(NAN, 0.0, 0.0, 0.0))
     with pytest.raises(RankError):
-        qt.reduction_matrices(scn.ea, scn.ctx, P)
+        matrices_at(scn.ea, scn.ctx, P)
 
 
 def test_reduction_matrices_require_a_definite_t(monkeypatch):
@@ -144,7 +145,7 @@ def test_reduction_matrices_require_a_definite_t(monkeypatch):
     inverse = ch.metric_inverse
     monkeypatch.setattr(ch, "metric_inverse", lambda g: -inverse(g))
     with pytest.raises(RankError, match="T_ab not positive definite"):
-        qt.reduction_matrices(scn.ea, scn.ctx, P)
+        matrices_at(scn.ea, scn.ctx, P)
 
 
 # -- the tau projector and the tau frames -------------------------------------

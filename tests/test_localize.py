@@ -12,6 +12,7 @@ from ggred.errors import SingularBodyError, SingularMetricError
 from ggred.grassmann import GrassmannElement as G
 from ggred.scenarios import (flat_torus, hopf, hopf_flux, product_qg,
                              round_sphere, s3xs1_gk, s3xt2, sphere_in_flat)
+from point_routines import matrices_at
 
 RNG = np.random.default_rng(42)
 
@@ -171,7 +172,7 @@ def test_point_frame_consistency_with_chart_calculus():
     pairs = [(pf.g, s.ctx.metric_at(p)),
              (pf.gamma, ch.christoffel(ch.differentiate(s.ctx.g, p))),
              (pf.r_minus, bismut_curvature(-1, Geometry(s.ctx, p))),
-             (pf.K_ab, qt.reduction_matrices(s.ea, s.ctx, p).K)]
+             (pf.K_ab, matrices_at(s.ea, s.ctx, p).K)]
     for got, want in pairs:     # a point is a one-node batch
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-14

@@ -185,10 +185,11 @@ def test_flux_type_residual_keeps_a_nan():
     vecs = [tuple(np.random.default_rng(k).normal(size=(3, 4)))
             for k in range(4)]
     # one residual per node: a point is a one-node batch
-    (res,) = gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs)
+    jv, h = gm.field_values(s.gk.Jplus, p), s.ctx.flux_at(p)
+    (res,) = gkmod.flux_type_residual(jv, h, vecs)
     assert res < 1e-8
     vecs[2] = (np.full(4, NAN),) + vecs[2][1:]
-    (res,) = gkmod.flux_type_residual(s.gk.Jplus, s.ctx, p, vecs)
+    (res,) = gkmod.flux_type_residual(jv, h, vecs)
     assert math.isnan(res)
 
 

@@ -11,6 +11,7 @@ from ggred.dual import cos, sin
 from ggred.errors import LiftError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import hopf, hopf_flux, product_qg, s3xt2
+from point_routines import matrices_at, omega_at
 
 RNG = np.random.default_rng(42)
 
@@ -117,7 +118,7 @@ def test_frame_defining_constraints():
 def test_reduction_matrices_identities():
     s = s3xt2({})
     for p in s.chart.sample(RNG, 3):
-        rm = qt.reduction_matrices(s.ea, s.ctx, p)
+        rm = matrices_at(s.ea, s.ctx, p)
         t, k, kinv = node0(rm.T, rm.K, rm.Kinv)
         assert np.max(np.abs(t - t.T)) < 1e-14
         assert np.all(np.linalg.eigvalsh(t) > 0)
@@ -136,7 +137,7 @@ def test_omega_vanishes_on_product():
     s = product_qg({})
     p = s.chart.sample(RNG, 1)[0]
     tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
-    from_xi, from_theta = qt.omega_curvature(s.ea, s.ctx, +1, p, tp)
+    from_xi, from_theta = omega_at(s.ea, s.ctx, +1, p, tp)
     assert np.max(np.abs(from_xi)) < 1e-12
     assert np.max(np.abs(from_theta)) < 1e-12
 
@@ -147,7 +148,7 @@ def test_omega_hopf_value():
     s = hopf({"flux": 0.0})
     p = s.chart.sample(RNG, 1)[0]
     tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
-    from_xi, from_theta = qt.omega_curvature(s.ea, s.ctx, +1, p, tp)
+    from_xi, from_theta = omega_at(s.ea, s.ctx, +1, p, tp)
     assert np.isclose(abs(from_theta[:, 0, 0, 1]), 4.0, atol=1e-10)
     assert np.max(np.abs(from_xi - from_theta)) < ch.EPS_ID
 
@@ -161,7 +162,7 @@ def test_omega_two_routes_agree(maker):
     for p in s.chart.sample(rng, 3):
         tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
         for sign, fr in ((+1, tp), (-1, tm)):
-            a, b = qt.omega_curvature(s.ea, s.ctx, sign, p, fr)
+            a, b = omega_at(s.ea, s.ctx, sign, p, fr)
             assert np.max(np.abs(a - b)) < ch.EPS_ID
 
 

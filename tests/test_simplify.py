@@ -16,6 +16,7 @@ from ggred import quotient as qt
 from ggred.chart import COVECTOR, VECTOR, ChartField
 from ggred.dual import Dual, cos, sin
 from ggred.scenarios import product_qg, s3xt2
+from point_routines import matrices_at, omega_at
 
 
 def _coeffs(x):
@@ -164,10 +165,10 @@ def test_theta_route_agrees_with_xi_route_for_nonsymmetric_k(sign):
     # agree only if both weight the rows with the same index order.
     scn = _two_generator_action()
     p = scn.lift(scn.quotient.sample(np.random.default_rng(9), 1)[0])
-    k = qt.reduction_matrices(scn.ea, scn.ctx, p).K
+    k = matrices_at(scn.ea, scn.ctx, p).K
     assert abs(k[:, 0, 1] - k[:, 1, 0]) > 0.1
     frames = dict(zip((+1, -1), qt.horizontal_frames(scn.ea, scn.ctx, p)))
-    from_xi, from_theta = qt.omega_curvature(scn.ea, scn.ctx, sign, p,
+    from_xi, from_theta = omega_at(scn.ea, scn.ctx, sign, p,
                                              frames[sign])
     assert np.max(np.abs(from_xi)) > 0.05
     assert np.max(np.abs(from_xi - from_theta)) < 1e-9

@@ -25,6 +25,7 @@ from ggred.chart import COVECTOR, METRIC, SCALAR, VECTOR, Chart, ChartField
 from ggred.dual import Batch, Dual, cos, sin
 from ggred.genmetric import GeneralizedMetricContext
 from ggred.scenarios import hopf, product_qg, s3xt2, sphere_in_flat
+from point_routines import matrices_at
 
 
 def _bits(x):
@@ -355,7 +356,7 @@ def test_lift_is_one_row_per_vector(scn, with_dual, sign):
 @pytest.mark.parametrize("scn", QUOTIENTS, ids=QUOTIENT_IDS)
 def test_reduction_matrices_equal_the_row_loop(scn):
     p = _point(scn, False)
-    rm = qt.reduction_matrices(scn.ea, scn.ctx, p)
+    rm = matrices_at(scn.ea, scn.ctx, p)
     got = (rm.G, rm.K, rm.T, rm.Kinv, rm.Tinv)
     for new, old in zip(got, _old_reduction_matrices(scn.ea, scn.ctx, p)):
         assert new.dtype == float
