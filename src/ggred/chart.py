@@ -55,19 +55,16 @@ class Chart:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, point) -> bool:
-        return len(point) == self.dim and all(
-            l < dual.body(x) < u
-            for x, l, u in zip(point, self.lower, self.upper))
-
     def require_inside(self, point):
-        """Raise DomainError unless every node of the point is inside (a
-        batch point's coordinates may carry dual layers)."""
-        for k, node in enumerate(dual.tighten(list(map(dual.body, point)),
-                                              dual.nodes(point))):
-            if not self.contains(node):
-                raise DomainError(f"{_at(point, k)} outside chart "
-                                  f"{self.name!r}")
+        """Raise DomainError naming the first node of the point outside the
+        chart, every node tested at once (a batch point's coordinates may
+        carry dual layers)."""
+        nodes = dual.tighten(list(map(dual.body, point)), dual.nodes(point))
+        inside = len(point) == self.dim and np.all(
+            (nodes > self.lower) & (nodes < self.upper), axis=1)
+        if not np.all(inside):
+            raise DomainError(f"{_at(point, int(np.argmin(inside)))} outside "
+                              f"chart {self.name!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Seeded uniform draws strictly inside the domain."""

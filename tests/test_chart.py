@@ -73,6 +73,23 @@ def test_domain_error():
         differentiate(f, (5.0,), order=1)
 
 
+def test_domain_error_names_the_first_node_outside():
+    nodes = PLANE.sample(np.random.default_rng(5), 6)
+    PLANE.require_inside([dual.Batch(x) for x in nodes.T])
+    nodes[4, 1] = PLANE.upper[1] + 0.1
+    nodes[2, 0] = np.nan
+    with pytest.raises(DomainError, match=r"node 2 \(nan, "):
+        PLANE.require_inside([dual.Batch(x) for x in nodes.T])
+    nodes[2] = PLANE.lower       # a bound itself is outside
+    with pytest.raises(DomainError, match="node 2 "):
+        PLANE.require_inside([dual.Batch(x) for x in nodes.T])
+    nodes[2] = nodes[0]
+    with pytest.raises(DomainError, match="node 4 "):
+        PLANE.require_inside([dual.Batch(x) for x in nodes.T])
+    with pytest.raises(DomainError, match="node 0 "):
+        PLANE.require_inside((0.1,))            # too few coordinates
+
+
 def test_evaluation_error_on_nonfinite():
     f = ChartField(LINE, SCALAR, lambda c: [c[0] / 0.0 if c[0] > 0 else 0.0])
     with pytest.raises((EvaluationError, ZeroDivisionError)):
@@ -281,7 +298,7 @@ def test_jacobi_identity_on_random_fields():
 def test_sampling_stays_inside():
     rng = np.random.default_rng(0)
     pts = POLAR.sample(rng, 200)
-    assert all(POLAR.contains(p) for p in pts)
+    POLAR.require_inside([dual.Batch(x) for x in pts.T])
     assert pts.min(axis=0)[0] > POLAR.lower[0]
 
 
