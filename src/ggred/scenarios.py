@@ -19,7 +19,7 @@ import numpy as np
 from . import chart as ch
 from .chart import Chart, ChartField, METRIC, VECTOR, COVECTOR, form_valence
 from .dual import acos, atan2, cos, sin, sqrt
-from .errors import ConfigError
+from .errors import ConfigError, GgredError, ScenarioError
 from .genmetric import GeneralizedMetricContext, zero_flux
 from .gk import BiHermitianData
 from .quotient import ExtendedAction, QuotientScenario, zero_xi
@@ -445,7 +445,17 @@ def build(name: str, params: dict, factory: str | None = None) -> Scenario:
         except (ImportError, AttributeError) as exc:
             raise ConfigError(f"cannot load factory {factory!r}: {exc}") \
                 from exc
-        return fn(params)
+        try:
+            scenario = fn(params)
+        except GgredError:
+            raise
+        except Exception as exc:    # a failed factory is a set-up error
+            raise ScenarioError(f"factory {factory!r} raised "
+                                f"{type(exc).__name__}: {exc}") from exc
+        if not isinstance(scenario, Scenario):
+            raise ScenarioError(f"factory {factory!r} returned a "
+                                f"{type(scenario).__name__}, not a Scenario")
+        return scenario
     if name not in BUILTIN:
         raise ConfigError(f"unknown scenario {name!r}")
     allowed = ALLOWED_PARAMS[name]

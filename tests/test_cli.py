@@ -250,3 +250,20 @@ def test_unwritable_report_path_is_config_error(tmp_path, capsys):
                    "--report", str(tmp_path / "missing" / "r.json")])
     assert rc == 2
     assert "cannot write the report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn, message", [
+    ("raises", "factory 'badfac:raises' raised ValueError: no scenario"),
+    ("notscn", "factory 'badfac:notscn' returned a dict, not a Scenario"),
+], ids=["raises", "notscn"])
+def test_a_failing_custom_factory_is_a_scenario_error(tmp_path, monkeypatch,
+                                                       capsys, fn, message):
+    (tmp_path / "badfac.py").write_text(
+        "def raises(params):\n    raise ValueError('no scenario')\n\n"
+        "def notscn(params):\n    return {}\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    cfg = write_config(tmp_path, {"scenario": "custom",
+                                  "factory": f"badfac:{fn}"})
+    for command in ("run", "validate"):
+        assert cli.main([command, cfg]) == 3
+        assert message in capsys.readouterr().err
