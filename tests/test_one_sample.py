@@ -3,9 +3,13 @@
 ``quotient.LiftedPoint`` and ``submanifold.LocusPoint`` build the lifts,
 the reduction matrices and the jets of the action rows and of sigma once
 per sample (or batch point); the point frames, the ambient-formula reduced
-curvatures and the chain checks read them from it.  The counts below pin
-that work per sample.  Every oracle keeps (scn, point, basis) and builds its
-own data, so none of them may receive a sample object or a Geometry.
+curvatures and the chain checks read them from it.  Each field is
+evaluated once per sample: a Geometry reads g and H from its jets when it
+holds them, the bracket route reads X and Y from its jets, and the
+reduction matrices come from the g, V and xi the caller holds.  The counts
+below pin that work per sample.  Every oracle keeps (scn, point, basis) and
+builds its own data, so none of them may receive a sample object or a
+Geometry.
 """
 
 from functools import partial
@@ -36,15 +40,28 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def record_jets(monkeypatch):
-    """Record every ``chart.differentiate`` call: (f, point, order) each."""
-    jets, differentiate = [], ch.differentiate
+def record_evaluations(monkeypatch):
+    """Record every ``chart.differentiate`` call, (f, point, order) each,
+    and every field evaluated by value outside a jet; returns (jets,
+    values)."""
+    jets, values, depth = [], [], [0]
+    differentiate, call = ch.differentiate, ChartField.__call__
 
     def recorded(f, point, order=1, chart=None):
         jets.append((f, point, order))
-        return differentiate(f, point, order=order, chart=chart)
+        depth[0] += 1
+        try:
+            return differentiate(f, point, order=order, chart=chart)
+        finally:
+            depth[0] -= 1
+
+    def evaluated(field, coords):
+        if not depth[0]:
+            values.append(field)
+        return call(field, coords)
     monkeypatch.setattr(ch, "differentiate", recorded)
-    return jets
+    monkeypatch.setattr(ChartField, "__call__", evaluated)
+    return jets, values
 
 
 def record_sigma_jets(monkeypatch):
@@ -66,8 +83,15 @@ def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
     qs = scn.quotient.sample(np.random.default_rng(
         [42, ck.CHECK_ORDER.index("localize2")]), 2)
     lifts = count_calls(monkeypatch, qt, "horizontal_lift")
-    matrices = count_calls(monkeypatch, qt, "reduction_matrices")
-    jets = record_jets(monkeypatch)
+    jets, values = record_evaluations(monkeypatch)
+    matrices, reduction_matrices = [], qt.reduction_matrices
+
+    def matrices_of(*args):     # the evaluations made inside the call
+        before = len(jets) + len(values)
+        out = reduction_matrices(*args)
+        matrices.append(len(jets) + len(values) - before)
+        return out
+    monkeypatch.setattr(qt, "reduction_matrices", matrices_of)
     for q in qs:
         residuals = ck._chain_residual(
             partial(qt.LiftedPoint, scn), lz.point_frame_quotient,
@@ -76,7 +100,8 @@ def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
     # per sample: the quotient frame's lift of the coordinate frame and
     # the tau_+ and tau_- lifts of that frame
     assert len(lifts) == 3 * 2
-    assert len(matrices) == 2
+    # one set of matrices per sample, from the g, V and xi it holds
+    assert matrices == [0, 0]
     # the jets that are not of a field: the stacked action rows [V, xi, gV]
     # and the V^- rows of the vertical-derivative term
     rows = [order for f, _, order in jets if not isinstance(f, ChartField)]
@@ -101,6 +126,45 @@ def test_thm65_batch_takes_one_jet_of_sigma(monkeypatch):
     orders = record_sigma_jets(monkeypatch)
     assert ck.run_check(s, "thm65", 42).status == "pass"   # one batch
     assert orders == [2]
+
+
+def test_the_bracket_route_takes_one_jet_of_each_field(monkeypatch):
+    s = sc.build("hopf_flux", {})
+    rng = np.random.default_rng(3)
+    p = [Batch(c) for c in s.chart.sample(rng, 4).T]
+    x, y = (ck.random_vector_field(s.chart, rng) for _ in range(2))
+    jets, values = record_evaluations(monkeypatch)
+    gm.bismut_via_courant(x, y, -1, s.ctx, p)
+    fields = [f for f, _, _ in jets]
+    # X, Y and their two flat covectors, each differentiated once
+    assert len(fields) == len(set(map(id, fields))) == 4
+    assert x in fields and y in fields
+    # X and Y are read from their jets, never evaluated by value
+    assert not any(f is x or f is y for f in values)
+
+
+def test_the_direct_quotient_curvature_reads_g_and_h_from_their_jets(
+        monkeypatch):
+    scn = sc.s3xt2({}).quotient
+    q = [Batch(c) for c in scn.quotient.sample(np.random.default_rng(4), 3).T]
+    jets, values = record_evaluations(monkeypatch)
+    qt.reduced_curvature_direct(scn, q, np.eye(scn.reduced_dim))
+    reduced = [(f.name, order) for f, _, order in jets
+               if isinstance(f, ChartField) and f.chart is scn.quotient]
+    # one order-2 jet of g_red and one order-1 jet of H_red, each a lift
+    # solve per pass, and neither evaluated again by value
+    assert sorted(reduced) == [("H_red", 1), ("g_red", 2)]
+    assert not [f.name for f in values if f.chart is scn.quotient]
+
+
+def test_lemma62_takes_one_action_jet_per_batch_point(monkeypatch):
+    s = sc.build("hopf_flux", {})
+    action_jets = count_calls(monkeypatch, qt, "action_jet")
+    matrices = count_calls(monkeypatch, qt, "reduction_matrices")
+    omegas = count_calls(monkeypatch, qt, "omega_curvature")
+    assert ck.run_check(s, "lemma62", 42, points=3).status == "pass"
+    # the three points are one batch point, and both signs share its jet
+    assert (len(action_jets), len(matrices), len(omegas)) == (1, 1, 2)
 
 
 def test_a_batch_sample_holds_the_node_samples():
@@ -159,7 +223,7 @@ def test_validate_bihermitian_takes_one_jet_per_distinct_field(
     s = sc.build(name, {})
     assert (s.gk.Jplus is s.gk.Jminus) == (per_point == 1)
     points = s.chart.sample(np.random.default_rng(20), 3)
-    jets = record_jets(monkeypatch)
+    jets, values = record_evaluations(monkeypatch)
     rep = gkmod.validate_bihermitian(s.gk, s.ctx, points)
     assert rep.passed
     structures = [p for f, p, _ in jets if f is s.gk.Jplus
@@ -167,3 +231,6 @@ def test_validate_bihermitian_takes_one_jet_per_distinct_field(
     # the three points are one batch point
     assert len(structures) == per_point
     assert all(len(p[0].v) == len(points) for p in structures)
+    # the flux-type residual reads J from its jet and H from the Geometry
+    assert not any(f is s.gk.Jplus or f is s.gk.Jminus for f in values)
+    assert [f for f in values if f is s.ctx.H] == [s.ctx.H]
