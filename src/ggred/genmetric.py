@@ -84,16 +84,16 @@ class GeneralizedMetricContext:
 
 
 class Geometry:
-    """g, g^-1, H, the jets of g and of H, Gamma, R and the torsion terms of
-    R^pm of a context at a point (node axis first), each computed once, on
-    first use.  The jet of g is of order 2 once curvature is asked for, and
-    then also serves Gamma; g and H are read from their jets when the
-    Geometry holds them.  Code under test shares one Geometry per sample;
-    each oracle builds its own."""
+    """g, g^-1, H, the jet of g, Gamma, R and the torsion terms of R^pm of a
+    context at a point (node axis first), each computed once, on first use.
+    The jet of g is of order 2 once curvature is asked for, and then also
+    serves Gamma; g is read from the jet of g once it is held, and H from
+    the jet of H that the torsion terms take.  Code under test shares one
+    Geometry per sample; each oracle builds its own."""
 
     def __init__(self, ctx: GeneralizedMetricContext, point):
         self.ctx, self.point = ctx, point
-        self._jet = self._hjet = None
+        self._jet = None
 
     def jet(self, order: int = 1) -> ch.PointJet:
         """The jet of g, of order ``order`` at least."""
@@ -102,9 +102,11 @@ class Geometry:
         return self._jet
 
     def flux_jet(self) -> ch.PointJet:
-        """The order-1 jet of H."""
-        self._hjet = self._hjet or ch.differentiate(self.ctx.H, self.point)
-        return self._hjet
+        """An order-1 jet of H, which :func:`nabla_flux` takes once; H is
+        read from it from then on, and the jet itself is not kept."""
+        jet = ch.differentiate(self.ctx.H, self.point)
+        vars(self).setdefault("H", jet.value)
+        return jet
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -116,7 +118,7 @@ class Geometry:
 
     @cached_property
     def H(self) -> np.ndarray:
-        return self._hjet.value if self._hjet else self.ctx.flux_at(self.point)
+        return self.ctx.flux_at(self.point)
 
     @cached_property
     def gamma(self) -> np.ndarray:
