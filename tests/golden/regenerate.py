@@ -143,18 +143,14 @@ def main(argv=None):
                 fh.write(text)
         print(f"wrote {len(reports)} reports to {REPORTS}")
         return 0
-    bad = sorted(committed - set(reports))
-    for name, text in reports.items():
-        path = os.path.join(REPORTS, name)
-        if name not in committed:
-            bad.append(name)
-            continue
-        with open(path, encoding="utf-8") as fh:
-            if fh.read() != text:
+    bad = sorted(committed ^ set(reports))     # missing or left over
+    for name in sorted(committed & set(reports)):
+        with open(os.path.join(REPORTS, name), encoding="utf-8") as fh:
+            if fh.read() != reports[name]:
                 bad.append(name)
     for name in bad:
         print(f"differs from its golden report: {name}")
-    print(f"{len(reports) - len(bad)} of {len(reports)} reports identical")
+    print(f"{len(reports)} reports, {len(bad)} differences")
     return 1 if bad else 0
 
 
