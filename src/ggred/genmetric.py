@@ -110,7 +110,8 @@ class Geometry:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return self._jet.value if self._jet else self.ctx.metric_at(self.point)
+        jet = self._jet
+        return self.ctx.metric_at(self.point) if jet is None else jet.value
 
     @cached_property
     def ginv(self) -> np.ndarray:
