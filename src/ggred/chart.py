@@ -204,45 +204,58 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
     return PointJet(tuple(point), value, d1, d2)
 
 
-def metric_inverse(gmat):
-    """Inverse of a metric component matrix; raises on singular input.
-
-    Float matrices (and node stacks) go through :func:`inverse` with the
-    definiteness test; dual entries through the elimination pivots of
-    :func:`invert_matrix`.  Both tests are relative to the matrix scale.
+def inverse(m, error=SingularMetricError, what: str = "metric",
+            definite: bool = False):
+    """The package's one inverse of a square matrix, one per node on
+    leading axes: :func:`gauss_jordan` for floats, under one rule: ``error``
+    (naming the matrix ``what``) unless max|m| max|m^-1| < 1 / PIVOT_RTOL,
+    which a NaN or an infinity fails (a zero pivot gives one), and with
+    ``definite`` unless the symmetric part has a Cholesky factor (a test
+    that only decides).  Dual-number entries (an object array) go through
+    :func:`solve_linear` on the identity, under its pivot rule.
     """
-    g = np.asarray(gmat)
-    if g.dtype == object:
-        return invert_matrix(g)
-    return inverse(g, SingularMetricError, "metric", definite=True)
-
-
-def inverse(m, error, what: str, definite: bool = False):
-    """The float inverse of a square matrix, one per node on leading axes.
-
-    The one singularity rule: ``error`` is raised unless
-    max|m| max|m^-1| < 1 / PIVOT_RTOL, a comparison that a NaN or an
-    infinity fails; with ``definite``, also unless the symmetric part of
-    ``m`` has a Cholesky factor.  ``what`` names the matrix.
-    """
+    if np.asarray(m).dtype == object:
+        return solve_linear(m, np.eye(len(m)))
     m = np.asarray(m, dtype=float)
-    try:
-        if definite:
+    if definite:
+        try:
             np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise error(f"{what} not positive definite" if definite else
-                    f"{what} singular") from exc
-    cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
+        except np.linalg.LinAlgError as exc:
+            raise error(f"{what} not positive definite") from exc
+    inv = gauss_jordan(m)[0]
+    with np.errstate(invalid="ignore"):     # 0 inf is a NaN, which fails
+        cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
     if not (cond < 1.0 / PIVOT_RTOL).all():
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
                     f"{np.max(cond):.1e}")
     return inv
 
 
-def invert_matrix(m):
-    """Inverse that tolerates dual-number entries: solve_linear on I."""
-    return solve_linear(m, np.eye(len(m)))
+def gauss_jordan(m):
+    """(inverse, determinant) of float matrices, one per node on leading
+    axes, by Gauss-Jordan elimination in fixed order, each column's pivot
+    its first row of largest |entry| per node.  Every step is elementwise
+    numpy (no LAPACK), so each node keeps the bits of its one-node run under
+    every BLAS kernel.  No pivot is tested: a zero one leaves inf or NaN."""
+    a = np.asarray(m, dtype=float)
+    n = a.shape[-1]
+    aug = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], -1)
+    det = np.ones(a.shape[:-2])
+    rows = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n):
+            piv = col + np.abs(aug[..., col:, col]).argmax(-1)
+            swap = piv != col
+            if swap.any():
+                order = np.where(rows == col, piv[..., None],
+                                 np.where(rows == piv[..., None], col, rows))
+                aug = np.take_along_axis(aug, order[..., None], -2)
+            p = aug[..., col, col, None]
+            det = np.where(swap, -det, det) * p[..., 0]
+            top = aug[..., col, :] / p
+            aug -= aug[..., :, col, None] * top[..., None, :]
+            aug[..., col, :] = top
+    return aug[..., n:], det
 
 
 def solve_linear(m, rhs):
@@ -321,7 +334,7 @@ def christoffel(jet: PointJet) -> np.ndarray:
         if not np.max(np.abs(gmat - gmat.swapaxes(-1, -2))) <= EPS_ID:
             raise SingularMetricError(
                 "metric component matrix is not symmetric")
-    ginv = metric_inverse(gmat)
+    ginv = inverse(gmat, definite=True)
     dg = jet.d1  # dg[..., a, i, j] = d_a g_{ij}
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
@@ -339,7 +352,7 @@ def riemann(jet: PointJet) -> np.ndarray:
     curvature shares no code with the commutator oracle built on it.
     """
     gmat, dg, d2g = jet.value, jet.d1, jet.d2
-    ginv = metric_inverse(gmat)
+    ginv = inverse(gmat, definite=True)
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
         - np.einsum("...ljk->...ljk", dg)
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)

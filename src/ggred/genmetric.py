@@ -115,7 +115,7 @@ class Geometry:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return ch.metric_inverse(self.g)
+        return ch.inverse(self.g, definite=True)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -177,7 +177,7 @@ def split_pm(a: GeneralizedVector, ctx: GeneralizedMetricContext):
     Reconstruction: A = (X_+ + g(X_+)) + (X_- - g(X_-)).
     """
     gmat = ctx.metric_at(a.at)
-    ginv = ch.metric_inverse(gmat)
+    ginv = ch.inverse(gmat, definite=True)
     gxi = np.einsum("...ij,...j->...i", ginv, a.xi)
     return 0.5 * (a.X + gxi), 0.5 * (a.X - gxi)
 
@@ -270,7 +270,7 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
         gam = ch.christoffel(ch.PointJet(tuple(coords), gmat,
                                          dual.gradient(ctx.g, coords)))
         hval = np.asarray(ctx.H(coords), dtype=object)
-        ginv = ch.invert_matrix(gmat)
+        ginv = ch.inverse(gmat)
         return gam + 0.5 * s * np.einsum("il,ljk->ijk", ginv, hval)
 
     jet = ch.differentiate(coeffs, point, order=1)

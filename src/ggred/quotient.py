@@ -162,7 +162,7 @@ def v_pm_values(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
                 sign: int) -> np.ndarray:
     """The s x n rows V_a +/- g^{-1} xi_a at a point (dual-safe)."""
     gmat, v, x = _action_rows(ea, ctx, point)
-    return v + sign * (ch.invert_matrix(gmat) @ x.T).T
+    return v + sign * (ch.inverse(gmat) @ x.T).T
 
 
 def xi_pm_field(ea: ExtendedAction, ctx: GeneralizedMetricContext, a: int,
@@ -239,7 +239,7 @@ def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
 def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):
     """K^{-1} for K_ab = g(V_a, V_b) - xi_a(V_b) at a point (dual-safe)."""
     gmat, v, x = _action_rows(ea, ctx, point)
-    return ch.invert_matrix(v @ gmat @ v.T - x @ v.T)
+    return ch.inverse(v @ gmat @ v.T - x @ v.T)
 
 
 def omega_curvature(ea: ExtendedAction, ctx: GeneralizedMetricContext,

@@ -62,7 +62,8 @@ def _gradients(jet: ch.PointJet) -> np.ndarray:
 def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
     """Transverse Gram matrix T^{ab} = dsigma^a . g^{-1} . dsigma^b and its
     inverse at a zero-locus point."""
-    return _t_matrix(sd.jet(point), ch.metric_inverse(ctx.metric_at(point)))
+    return _t_matrix(sd.jet(point),
+                     ch.inverse(ctx.metric_at(point), definite=True))
 
 
 def _t_matrix(jet: ch.PointJet, ginv):
@@ -281,10 +282,11 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
     axis)."""
     basis = np.asarray(basis, dtype=float)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
-    # chart components of the frame vectors: solve demb @ e = basis row;
-    # lstsq has no stacked form, so one solve per node
-    coords = np.stack([np.linalg.lstsq(dk, bk.T, rcond=None)[0].T
-                       for dk, bk in zip(demb, basis)])
+    # chart components of the frame vectors: demb @ e = basis row, by the
+    # normal equations (demb^T demb) e = demb^T row
+    gram = ch.inverse(ch.node_einsum("ia,ib->ab", demb, demb), RankError,
+                      "Gram matrix of d(embed)")
+    coords = ch.node_einsum("ab,ib,ri->ra", gram, demb, basis)
     rarr = bismut_curvature(-1, Geometry(induced_context(scn), u))
     return ch.operator_slots(rarr, coords, coords, coords, coords)
 

@@ -21,7 +21,7 @@ def matrices_at(ea, ctx, point):
     """The reduction matrices of g, g^-1, V and xi evaluated at the point."""
     gmat, v, x = (dual.tighten(a, dual.nodes(point))
                   for a in qt._action_rows(ea, ctx, point))
-    return qt.reduction_matrices(gmat, ch.metric_inverse(gmat), v, x)
+    return qt.reduction_matrices(gmat, ch.inverse(gmat, definite=True), v, x)
 
 
 def omega_at(ea, ctx, sign, point, frame):

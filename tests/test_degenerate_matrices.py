@@ -36,6 +36,17 @@ TILTED_GRAM = np.array([[1.0, 1.0], [1.0, 1.0 + TILT ** 2]])
 P = (1.0, 1.0, 1.0, 2.0)   # product_qg's lift of the quotient point (1, 1)
 
 
+def negate_the_metric_inverse(monkeypatch):
+    """Make ``chart.inverse`` return the metric's inverse (the matrix it
+    names "metric") with the wrong sign."""
+    inverse = ch.inverse
+
+    def negated(m, error=SingularMetricError, what="metric", definite=False):
+        inv = inverse(m, error, what, definite)
+        return -inv if what == "metric" else inv
+    monkeypatch.setattr(ch, "inverse", negated)
+
+
 def qg_action(v2=(0.0, 0.0, 1.0, TILT), xi1=None, xi2=None):
     """product_qg with generators d_t1 and v2 and constant forms xi1, xi2."""
     s = product_qg({})
@@ -61,7 +72,7 @@ def test_inverse_raises_at_exactly_the_bound_and_passes_below_it():
         ch.inverse(at, SingularMetricError, "m")
     below = np.diag([1.0, 2 * ch.PIVOT_RTOL])
     assert np.array_equal(ch.inverse(below, SingularMetricError, "m"),
-                          np.linalg.inv(below))
+                          np.diag([1.0, 0.5 / ch.PIVOT_RTOL]))
 
 
 def test_inverse_keeps_the_bits_of_a_stack_of_inverses():
@@ -70,7 +81,9 @@ def test_inverse_keeps_the_bits_of_a_stack_of_inverses():
     a = np.einsum("nij,nkj->nik", a, a) + 5.0 * np.eye(5)
     inv = ch.inverse(a, RankError, "a", definite=True)
     assert inv.shape == (7, 5, 5)
-    assert np.array_equal(inv, np.linalg.inv(a))
+    assert np.allclose(inv, np.linalg.inv(a), rtol=1e-13, atol=0.0)
+    for k in range(7):
+        assert np.array_equal(inv[k], ch.inverse(a[k], RankError, "a"))
 
 
 def test_inverse_with_definite_rejects_an_indefinite_matrix():
@@ -80,32 +93,32 @@ def test_inverse_with_definite_rejects_an_indefinite_matrix():
         ch.inverse(m, RankError, "m", definite=True)
 
 
-# -- metric_inverse -----------------------------------------------------------
+# -- the metric's inverse ----------------------------------------------------
 
 def test_metric_inverse_rejects_the_tilted_gram_matrix():
     with pytest.raises(SingularMetricError, match="metric numerically"):
-        ch.metric_inverse(TILTED_GRAM)
+        ch.inverse(TILTED_GRAM, definite=True)
 
 
 def test_metric_inverse_rejects_an_indefinite_metric():
     with pytest.raises(SingularMetricError, match="metric not positive"):
-        ch.metric_inverse(np.diag([1.0, -1.0]))
+        ch.inverse(np.diag([1.0, -1.0]), definite=True)
 
 
 @pytest.mark.parametrize("g", [[[1.0, NAN], [0.0, 1.0]],
                                [[1.0, 0.0], [0.0, NAN]]])
 def test_metric_inverse_rejects_a_nan_entry(g):
     with pytest.raises(SingularMetricError):
-        ch.metric_inverse(np.array(g))
+        ch.inverse(np.array(g), definite=True)
 
 
 def test_metric_inverse_rejects_a_nan_stack():
     g = np.repeat(np.eye(3)[None], 8, axis=0)
     g[5, 1, 2] = g[5, 2, 1] = NAN
     with pytest.raises(SingularMetricError):
-        ch.metric_inverse(g)
+        ch.inverse(g, definite=True)
     g[5, 1, 2] = g[5, 2, 1] = 0.0
-    assert np.array_equal(ch.metric_inverse(g), g)
+    assert np.array_equal(ch.inverse(g, definite=True), g)
 
 
 @pytest.mark.parametrize("g", [[[1.0, NAN], [0.0, 1.0]],
@@ -142,8 +155,7 @@ def test_reduction_matrices_require_a_definite_t(monkeypatch):
     # a g^-1 of the wrong sign makes T = I - 4 I indefinite while K = -I
     scn = qg_action(v2=(0.0, 0.0, 0.0, 1.0), xi1=(0.0, 0.0, 2.0, 0.0),
                     xi2=(0.0, 0.0, 0.0, 2.0))
-    inverse = ch.metric_inverse
-    monkeypatch.setattr(ch, "metric_inverse", lambda g: -inverse(g))
+    negate_the_metric_inverse(monkeypatch)
     with pytest.raises(RankError, match="T_ab not positive definite"):
         matrices_at(scn.ea, scn.ctx, P)
 
@@ -255,8 +267,7 @@ def test_t_matrix_rejects_a_tilted_section():
 
 def test_t_matrix_requires_a_definite_matrix(monkeypatch):
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),))
-    inverse = ch.metric_inverse
-    monkeypatch.setattr(ch, "metric_inverse", lambda g: -inverse(g))
+    negate_the_metric_inverse(monkeypatch)
     with pytest.raises(RankError, match="not positive definite"):
         sm.t_matrix(sd, flat3(), (0.0, 0.0, 0.1))
 

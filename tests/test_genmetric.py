@@ -187,7 +187,7 @@ def test_torsion_is_flux():
     for _ in range(3):
         x, y = rand_vec(S3, rng), rand_vec(S3, rng)
         p = S3.sample(rng, 1)[0]
-        ginv, h = node0(ch.metric_inverse(ctx.metric_at(p)), ctx.flux_at(p))
+        ginv, h = node0(ch.inverse(ctx.metric_at(p), definite=True), ctx.flux_at(p))
         xv = np.asarray(x(p), float)
         yv = np.asarray(y(p), float)
         expect = np.einsum("il,ljk,j,k->i", ginv, h, xv, yv)

@@ -257,7 +257,7 @@ def test_quotient_frame_is_reduced_orthonormal():
 @pytest.mark.parametrize("dtype", [float, object])
 def test_tiny_but_regular_metric_is_inverted(dtype):
     g = (1e-15 * np.eye(2)).astype(dtype)
-    inv = np.asarray(ch.metric_inverse(g), dtype=float)
+    inv = np.asarray(ch.inverse(g, definite=True), dtype=float)
     assert np.allclose(inv, 1e15 * np.eye(2), rtol=1e-12, atol=0.0)
 
 
@@ -265,7 +265,7 @@ def test_tiny_but_regular_metric_is_inverted(dtype):
 def test_nearly_singular_metric_raises(dtype):
     g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]).astype(dtype)
     with pytest.raises(SingularMetricError):
-        ch.metric_inverse(g)
+        ch.inverse(g, definite=True)
 
 
 def test_solve_linear_pivot_is_scale_relative():
@@ -275,4 +275,5 @@ def test_solve_linear_pivot_is_scale_relative():
     with pytest.raises(SingularMetricError):
         ch.solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 0.0])
     with pytest.raises(SingularMetricError):
-        ch.invert_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        ch.inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+                            dtype=object))

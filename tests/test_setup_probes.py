@@ -91,15 +91,18 @@ def test_shared_jets_keep_the_validator_report(name):
 # -- chart.inverse: the scale test of one matrix ------------------------------
 
 def numpy_inverse(m, error, what, definite=False):
-    """The inverse with its scale test as numpy reductions, as on a stack."""
+    """The inverse with its scale test as numpy reductions, as on a stack;
+    an exactly singular matrix has no finite inverse."""
     m = np.asarray(m, dtype=float)
     try:
         if definite:
             np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
-        inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise error(f"{what} not positive definite" if definite else
-                    f"{what} singular") from exc
+        raise error(f"{what} not positive definite") from exc
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(m, np.inf)
     cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
     if not (cond < 1.0 / ch.PIVOT_RTOL).all():
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
@@ -108,12 +111,12 @@ def numpy_inverse(m, error, what, definite=False):
 
 
 def outcome(fn, m, definite):
+    """The decision: the error raised and its reason, or the inverse."""
     try:
         with np.errstate(all="ignore"):
-            inv = fn(m, SingularBodyError, "block", definite=definite)
+            return fn(m, SingularBodyError, "block", definite=definite)
     except (SingularBodyError, RankError, SingularMetricError) as exc:
-        return type(exc), str(exc)
-    return [float(v).hex() for v in inv.ravel()]
+        return type(exc), str(exc).split(":")[0]
 
 
 def cases():
@@ -140,9 +143,14 @@ def cases():
 @pytest.mark.parametrize("definite", [False, True])
 @pytest.mark.parametrize("k", range(len(cases())))
 def test_inverse_decides_as_the_numpy_scale_test(k, definite):
+    # the same decision; an accepted inverse to a few ulps of LAPACK's
     m = cases()[k]
-    assert outcome(ch.inverse, m, definite) == \
-        outcome(numpy_inverse, m, definite)
+    got, want = (outcome(fn, m, definite) for fn in (ch.inverse,
+                                                      numpy_inverse))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("pos", range(4))

@@ -65,7 +65,7 @@ def test_invert_matrix_times_matrix_is_identity(make, seed):
     body = np.vectorize(dual.body, otypes=[float])(m)
     col0 = np.abs(body[:, 0])
     assert col0[0] < col0.max()  # the first pivot is not on the diagonal
-    inv = ch.invert_matrix(m)
+    inv = ch.inverse(m)
     assert inv.shape == (4, 4)
     assert _max_coeff(m @ inv - np.eye(4)) < 1e-11
     assert _max_coeff(inv @ m - np.eye(4)) < 1e-11
@@ -77,7 +77,7 @@ def test_invert_matrix_derivative_is_minus_inv_dm_inv():
 
     q = [0.4, 0.9]
     jm = ch.differentiate(mfn, q, order=1)
-    jinv = ch.differentiate(lambda x: ch.invert_matrix(mfn(x)), q, order=1)
+    jinv = ch.differentiate(lambda x: ch.inverse(mfn(x)), q, order=1)
     # a point is a one-node batch: node 0 of each jet
     mval, md1, ival, id1 = (a[0] for a in (jm.value, jm.d1, jinv.value,
                                                 jinv.d1))
@@ -120,7 +120,7 @@ def _loop_omega(scn, point):
     for a in range(s):
         for b in range(s):
             kmat[a, b] = (v[a] @ gmat @ v[b]) - (x[a] @ v[b])
-    kinv = ch.invert_matrix(kmat)
+    kinv = ch.inverse(kmat)
     dxi = []
     for b in range(s):
         # dual.gradient, not a jet: this body also runs inside a jet

@@ -266,7 +266,7 @@ def _old_constraint_rows(ea, ctx, point, sign):
 
 def _old_v_pm_values(ea, ctx, point, sign):
     gmat = np.asarray(ctx.g(point), dtype=object)
-    ginv = ch.invert_matrix(gmat)
+    ginv = ch.inverse(gmat)
     out = []
     for vf, xf in zip(ea.V, ea.xi):
         v = np.asarray(vf(point), dtype=object)
@@ -290,20 +290,20 @@ def _old_horizontal_lift(scn, point, sign, qvecs):
 
 def _old_reduction_matrices(ea, ctx, point):
     gmat = ctx.metric_at(point)[0]
-    ginv = ch.metric_inverse(gmat)
+    ginv = ch.inverse(gmat, definite=True)
     v = np.array([np.asarray(f(point), dtype=float) for f in ea.V])
     x = np.array([np.asarray(f(point), dtype=float) for f in ea.xi])
     G = np.einsum("ai,ij,bj->ab", v, gmat, v)
     K = G - np.einsum("ai,bi->ab", x, v)
     T = G + np.einsum("ai,ij,bj->ab", x, ginv, x)
-    return G, K, T, np.linalg.inv(K), np.linalg.inv(T)
+    return G, K, T, ch.gauss_jordan(K)[0], ch.gauss_jordan(T)[0]
 
 
 def _old_k_inverse(ea, ctx, point):
     gmat = np.asarray(ctx.g(point), dtype=object)
     v = np.array([np.asarray(f(point), dtype=object) for f in ea.V])
     x = np.array([np.asarray(f(point), dtype=object) for f in ea.xi])
-    return ch.invert_matrix(v @ gmat @ v.T - x @ v.T)
+    return ch.inverse(v @ gmat @ v.T - x @ v.T)
 
 
 def _old_d_constraint_rows(ea, ctx, point):
