@@ -14,10 +14,10 @@ The set, each at seeds 42 and 7, run in one process through ``ggred run``:
 Each report is the JSON that ``ggred run --report`` writes, one file per
 report under ``reports/``, so a moved residual reads as a diff.
 
-Kernel: report bytes still depend on the OpenBLAS kernel through
-``np.linalg`` (``inv``, ``det``, ``lstsq``), so the files were made under
-``OPENBLAS_CORETYPE=Haswell`` and the script always runs under that kernel:
-it restarts itself with the variable set when it is not.
+No report byte depends on the OpenBLAS kernel: every float inverse,
+determinant and solve is ``chart.gauss_jordan``, and no float product on a
+node stack calls BLAS, so the same files hold under every kernel
+(``OPENBLAS_CORETYPE``).
 """
 
 import argparse
@@ -28,11 +28,6 @@ import json
 import os
 import sys
 import tempfile
-
-KERNEL = "Haswell"
-if os.environ.get("OPENBLAS_CORETYPE") != KERNEL:   # before numpy loads
-    os.execve(sys.executable, [sys.executable, *sys.argv],
-              {**os.environ, "OPENBLAS_CORETYPE": KERNEL})
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))

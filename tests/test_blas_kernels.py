@@ -1,10 +1,13 @@
 """The same bytes under every OpenBLAS kernel.
 
-Two payloads run in fresh processes under the default kernel and under
+Three payloads run in fresh processes under the default kernel and under
 ``OPENBLAS_CORETYPE=Haswell`` and ``Prescott``, and must give the same
-bytes: ``chart.frame_contract`` on seeded random float node stacks, and the
-hopf ``thm63`` report at seed 42 (its reduced curvatures are frame
-contractions).  The variable selects a kernel only in an OpenBLAS built
+bytes: ``chart.frame_contract`` on seeded random float node stacks,
+``chart.inverse`` and the ``chart.gauss_jordan`` determinant on seeded
+float stacks of sizes 1 to 8, and the hopf ``thm63`` report at seed 42 (its
+reduced curvatures are frame contractions).  The golden reports
+(``tests/golden/``) are checked under each kernel by the Tier-1 run under
+it.  The variable selects a kernel only in an OpenBLAS built
 with ``DYNAMIC_ARCH``; anywhere else the test is skipped.
 """
 
@@ -27,6 +30,18 @@ rng = np.random.default_rng(3)
 arr = rng.normal(size=(50, 5, 5, 5, 5))
 frames = [rng.normal(size=(50, m, 5)) for m in (3, 4, 2, 3)]
 sys.stdout.write(ch.frame_contract(arr, *frames).tobytes().hex())
+"""
+
+INVERSE = """
+import sys
+import numpy as np
+from ggred import chart as ch
+rng = np.random.default_rng(4)
+out = []
+for n in range(1, 9):
+    a = rng.normal(size=(40, n, n)) + n * np.eye(n)
+    out += [ch.inverse(a).tobytes(), ch.gauss_jordan(a)[1].tobytes()]
+sys.stdout.write(b"".join(out).hex())
 """
 
 
@@ -55,6 +70,13 @@ def _run(args, kernel):
 def test_frame_contract_gives_the_same_bytes_under_every_kernel():
     out = {k: _run(["-c", FRAME_CONTRACT], k) for k in KERNELS}
     assert len(out[None]) == 2 * 8 * 50 * 3 * 4 * 2 * 3
+    assert out["Haswell"] == out[None]
+    assert out["Prescott"] == out[None]
+
+
+def test_inverse_and_determinant_give_the_same_bytes_under_every_kernel():
+    out = {k: _run(["-c", INVERSE], k) for k in KERNELS}
+    assert len(out[None]) == 2 * 8 * 40 * sum(n * n + 1 for n in range(1, 9))
     assert out["Haswell"] == out[None]
     assert out["Prescott"] == out[None]
 
