@@ -132,11 +132,11 @@ def check_lemma62(s: Scenario, rng, tol, points=None) -> CheckResult:
     """Connection curvature of tau_pm: matrix-weighted d xi vs direct d theta."""
     n = _npoints(s, 25, points)
 
-    def residual(p):    # one action jet and one set of matrices, both signs
+    def residual(p):    # one Geometry, action jet and set of matrices
         geo, jet = Geometry(s.ctx, p), qt.action_jet(s.ea, s.ctx, p)
-        rm = qt.reduction_matrices(geo.g, geo.ginv, jet.value[:, 0],
-                                   jet.value[:, 1])
-        frames = zip((+1, -1), qt.horizontal_frames(s.ea, s.ctx, p))
+        held = (geo.g, geo.ginv, jet.value[:, 0], jet.value[:, 1])
+        rm = qt.reduction_matrices(*held)
+        frames = zip((+1, -1), qt.horizontal_frames(*held))
         return np.max([np.abs(np.subtract(*qt.omega_curvature(
             s.ea, s.ctx, sign, p, fr, jet, rm))).max(axis=(1, 2, 3))
             for sign, fr in frames], axis=0)

@@ -108,12 +108,14 @@ def validate_bihermitian(bh: BiHermitianData, ctx: GeneralizedMetricContext,
 def check_tau_invariance(bh: BiHermitianData, scn: qt.QuotientScenario,
                          point):
     """Operator norms of (1 - P_pm) J_pm P_pm; zero iff J_pm tau_pm = tau_pm.
-    One per node.
+    One per node, from its own g, g^-1, V and xi at the point.
 
     A non-finite entry of J_pm raises EvaluationError naming the point."""
-    out = []
+    geo, out = Geometry(scn.ctx, point), []
+    v, x = (np.stack([field_values(f, point) for f in fields], 1)
+            for fields in (scn.ea.V, scn.ea.xi))
     for sign, j in bh.pair():
-        proj = qt.tau_projector(scn.ea, scn.ctx, point, sign)
+        proj = qt.tau_projector(geo.g, geo.ginv, v, x, sign)
         jv = field_values(j, point)
         ch._require_finite(point, jv)
         eye = np.eye(scn.ambient_dim)

@@ -206,13 +206,12 @@ def d_constraint_rows(jet: ch.PointJet):
     return tuple(out)
 
 
-def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
-                  sign: int) -> np.ndarray:
-    """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign at a point,
-    with V the rows V_a^sign and T = V g V^T.  A batch point gives a
-    leading node axis."""
-    gmat = ctx.metric_at(point)
-    vpm = dual.tighten(v_pm_values(ea, ctx, point, sign), dual.nodes(point))
+def tau_projector(gmat, ginv, v, x, sign: int) -> np.ndarray:
+    """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign, with V the
+    rows V_a^sign = V_a + sign g^{-1} xi_a and T = V g V^T, from the g,
+    g^-1 and s x n rows V_a and xi_a that the caller holds, node axis
+    first."""
+    vpm = v + sign * ch.node_einsum("ij,aj->ai", ginv, x)
     tinv = ch.inverse(ch.node_einsum("ai,ij,bj->ab", vpm, gmat, vpm),
                       RankError, f"T of the V^{'+' if sign > 0 else '-'} rows",
                       definite=True)
@@ -220,20 +219,18 @@ def tau_projector(ea: ExtendedAction, ctx: GeneralizedMetricContext, point,
         "ai,ab,bj,jk->ik", vpm, tinv, vpm, gmat)
 
 
-def horizontal_frames(ea: ExtendedAction, ctx: GeneralizedMetricContext,
-                      point):
-    """Orthonormal (w.r.t. g) bases of tau_+ and tau_- at a point (one per
-    node, on a leading axis).
+def horizontal_frames(gmat, ginv, v, x):
+    """Orthonormal (w.r.t. g) bases of tau_+ and tau_- (one per node, on a
+    leading axis), from what :func:`tau_projector` takes.
 
     Each tau_sign is the g-orthogonal complement of span{V_a^sign}; the
     basis comes from modified Gram-Schmidt over projected coordinate
     vectors in fixed order, so it is deterministic.
     """
-    gmat = ctx.metric_at(point)
     return tuple(ch.orthonormal_frame(
-        np.swapaxes(tau_projector(ea, ctx, point, sign), 1, 2), gmat,
-        gmat.shape[-1] - ea.s, f"tau_{'+' if sign > 0 else '-'} frame")
-        for sign in (+1, -1))
+        np.swapaxes(tau_projector(gmat, ginv, v, x, sign), 1, 2), gmat,
+        gmat.shape[-1] - v.shape[-2],
+        f"tau_{'+' if sign > 0 else '-'} frame") for sign in (+1, -1))
 
 
 def _k_inverse(ea: ExtendedAction, ctx: GeneralizedMetricContext, point):

@@ -1,9 +1,10 @@
 """Routines that take what a sample holds, called at a bare point.
 
-``chart.lie_bracket`` takes two jets, and ``quotient.reduction_matrices`` and
-``quotient.omega_curvature`` take the g, V, xi and action jet that the
-sample or the check holds.  Each helper here evaluates them at the point
-first, by value as the package evaluated them before, and passes them on.
+``chart.lie_bracket`` takes two jets, and ``quotient.reduction_matrices``,
+``quotient.omega_curvature``, ``quotient.tau_projector`` and
+``quotient.horizontal_frames`` take the g, g^-1, V, xi and action jet that
+the sample or the check holds.  Each helper here evaluates them at the
+point first, by value, and passes them on.
 """
 
 from ggred import chart as ch
@@ -17,11 +18,27 @@ def bracket_at(x, y, point):
                           ch.differentiate(y, point))
 
 
-def matrices_at(ea, ctx, point):
-    """The reduction matrices of g, g^-1, V and xi evaluated at the point."""
+def held_at(ea, ctx, point):
+    """g, g^-1 (with no definiteness test), V and xi evaluated at the
+    point, node axis first."""
     gmat, v, x = (dual.tighten(a, dual.nodes(point))
                   for a in qt._action_rows(ea, ctx, point))
-    return qt.reduction_matrices(gmat, ch.inverse(gmat, definite=True), v, x)
+    return gmat, ch.inverse(gmat), v, x
+
+
+def matrices_at(ea, ctx, point):
+    """The reduction matrices of g, g^-1, V and xi evaluated at the point."""
+    return qt.reduction_matrices(*held_at(ea, ctx, point))
+
+
+def projector_at(ea, ctx, point, sign):
+    """The tau_sign projector of g, g^-1, V and xi evaluated at the point."""
+    return qt.tau_projector(*held_at(ea, ctx, point), sign)
+
+
+def frames_at(ea, ctx, point):
+    """The tau_pm frames of g, g^-1, V and xi evaluated at the point."""
+    return qt.horizontal_frames(*held_at(ea, ctx, point))
 
 
 def omega_at(ea, ctx, sign, point, frame):

@@ -33,7 +33,8 @@ from ggred.dual import sin
 from ggred.errors import EvaluationError, TangencyError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from reduction_cases import two_constraint_section, two_generator_action
-from point_routines import bracket_at, matrices_at, omega_at
+from point_routines import (bracket_at, frames_at, matrices_at, omega_at,
+                            projector_at)
 
 
 QUOTIENTS = [sc.s3xt2({}).quotient, two_generator_action()]
@@ -120,7 +121,7 @@ def _old_omega_curvature(ea, ctx, sign, point, frame):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_omega_curvature_keeps_the_two_branch_sign(scn, sign):
     p = scn.lift(_qpoint(scn, 6))
-    frame = qt.horizontal_frames(scn.ea, scn.ctx, p)[0 if sign > 0 else 1]
+    frame = frames_at(scn.ea, scn.ctx, p)[0 if sign > 0 else 1]
     from_xi, _ = omega_at(scn.ea, scn.ctx, sign, p, frame)
     old = _old_omega_curvature(scn.ea, scn.ctx, sign, p, frame)
     assert np.max(np.abs(old)) > 0.05
@@ -185,8 +186,8 @@ def test_horizontal_frames_keep_the_unit_vector_products(scn):
     p = scn.lift(_qpoint(scn, 9))
     gmat = scn.ctx.metric_at(p)
     n = gmat.shape[-1]
-    for sign, got in zip((+1, -1), qt.horizontal_frames(scn.ea, scn.ctx, p)):
-        proj = qt.tau_projector(scn.ea, scn.ctx, p, sign)[0]
+    for sign, got in zip((+1, -1), frames_at(scn.ea, scn.ctx, p)):
+        proj = projector_at(scn.ea, scn.ctx, p, sign)[0]
         old = ch.orthonormal_frame([proj @ e for e in np.eye(n)], gmat,
                                    n - scn.ea.s, "tau frame")
         assert _same(got, old)
@@ -521,7 +522,7 @@ def test_finite_structures_keep_their_tau_defects():
     p = scn.lift(_qpoint(scn, 14))
     want = []
     for sign, j in bh.pair():
-        proj = qt.tau_projector(scn.ea, scn.ctx, p, sign)[0]
+        proj = projector_at(scn.ea, scn.ctx, p, sign)[0]
         jv = dual.tighten(np.asarray(j(p), dtype=object))
         defect = np.einsum("ij,jk,kl->il", np.eye(scn.ambient_dim) - proj,
                            jv, proj)

@@ -25,7 +25,7 @@ from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred.dual import Batch
 from reduction_cases import two_generator_action
-from point_routines import omega_at
+from point_routines import frames_at, omega_at
 
 NODES = 5
 QUOTIENTS = {"hopf": sc.hopf({}).quotient,
@@ -57,14 +57,14 @@ def test_tau_frames_and_both_curvature_routes_keep_every_nodes_bits(name):
     qs = scn.quotient.sample(np.random.default_rng(30), NODES)
     nodes = [list(map(float, scn.lift(q))) for q in qs]
     batch = batch_of(nodes)
-    frames = qt.horizontal_frames(scn.ea, scn.ctx, batch)
+    frames = frames_at(scn.ea, scn.ctx, batch)
     largest = 0.0
     for sign, frame in zip((+1, -1), frames):
         got = omega_at(scn.ea, scn.ctx, sign, batch, frame)
         assert frame.shape[0] == got[0].shape[0] == NODES
         for k, p in enumerate(nodes):
             # a point is a one-node batch: node 0 of its arrays
-            one = qt.horizontal_frames(scn.ea, scn.ctx, p)[0 if sign > 0
+            one = frames_at(scn.ea, scn.ctx, p)[0 if sign > 0
                                                           else 1]
             assert np.array_equal(frame[k], one[0])
             want = omega_at(scn.ea, scn.ctx, sign, p, one)

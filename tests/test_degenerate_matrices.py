@@ -27,7 +27,7 @@ from ggred.genmetric import GeneralizedMetricContext
 from ggred.grassmann import GrassmannElement as G
 from ggred.grassmann import pfaffian
 from ggred.scenarios import product_qg, sphere_in_flat
-from point_routines import matrices_at
+from point_routines import frames_at, matrices_at, projector_at
 
 NAN = float("nan")
 TILT = 1e-7
@@ -166,13 +166,13 @@ def test_reduction_matrices_require_a_definite_t(monkeypatch):
 def test_tau_projector_rejects_the_tilted_action(sign):
     scn = qg_action()
     with pytest.raises(RankError, match="numerically singular"):
-        qt.tau_projector(scn.ea, scn.ctx, P, sign)
+        projector_at(scn.ea, scn.ctx, P, sign)
 
 
 def test_tau_projector_rejects_a_nan_generator():
     scn = qg_action(v2=(0.0, 0.0, NAN, 1.0))
     with pytest.raises(RankError):
-        qt.tau_projector(scn.ea, scn.ctx, P, +1)
+        projector_at(scn.ea, scn.ctx, P, +1)
 
 
 def test_tau_projector_requires_a_definite_t():
@@ -183,15 +183,15 @@ def test_tau_projector_requires_a_definite_t():
     ea = qt.ExtendedAction((ChartField(box, VECTOR, lambda c: np.eye(4)[3]),),
                            (qt.zero_xi(box),))
     with pytest.raises(RankError, match="not positive definite"):
-        qt.tau_projector(ea, ctx, P, +1)
+        projector_at(ea, ctx, P, +1)
 
 
 def test_horizontal_frames_reject_a_degenerate_minus_side():
     # V_2^- = (1 - c) d_t2 with c = 1 - 1e-7; V_2^+ = (1 + c) d_t2
     scn = qg_action(v2=(0.0, 0.0, 0.0, 1.0), xi2=(0.0, 0.0, 0.0, 1.0 - TILT))
-    assert np.allclose(qt.tau_projector(scn.ea, scn.ctx, P, +1)[:, 3], 0.0)
+    assert np.allclose(projector_at(scn.ea, scn.ctx, P, +1)[:, 3], 0.0)
     with pytest.raises(RankError, match="V\\^- rows numerically singular"):
-        qt.horizontal_frames(scn.ea, scn.ctx, P)
+        frames_at(scn.ea, scn.ctx, P)
 
 
 # -- the reduced metric and the quotient frame --------------------------------

@@ -11,6 +11,7 @@ from ggred.chart import Chart, ChartField, METRIC
 from ggred.errors import ReductionConditionError
 from ggred.genmetric import GeneralizedMetricContext
 from ggred.scenarios import product_qg, s3xs1_gk
+from point_routines import frames_at
 
 RNG = np.random.default_rng(42)
 
@@ -100,7 +101,7 @@ def test_defect_is_frame_independent():
     # a point is a one-node batch: node 0 of its arrays
     gmat = s.ctx.metric_at(p)[0]
     jv = np.asarray(s.gk.Jplus(p), dtype=float)
-    tp = qt.horizontal_frames(s.ea, s.ctx, p)[0][0]
+    tp = frames_at(s.ea, s.ctx, p)[0][0]
     defects = []
     for order in ([0, 1], [1, 0]):
         fr = tp[order]

@@ -167,6 +167,15 @@ def test_lemma62_takes_one_action_jet_per_batch_point(monkeypatch):
     assert (len(action_jets), len(matrices), len(omegas)) == (1, 1, 2)
 
 
+def test_lemma62_evaluates_only_its_geometrys_g_by_value(monkeypatch):
+    s = sc.build("hopf_flux", {})
+    jets, values = record_evaluations(monkeypatch)
+    assert ck.run_check(s, "lemma62", 42).status == "pass"
+    # one batch point: the Geometry's g, and the tau frames take g, g^-1,
+    # V and xi from the Geometry and the action jet the check holds
+    assert values == [s.ctx.g]
+
+
 def test_a_batch_sample_holds_the_node_samples():
     scn = sc.s3xt2({}).quotient
     nodes = scn.quotient.sample(np.random.default_rng(19), 5)

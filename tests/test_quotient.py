@@ -11,7 +11,7 @@ from ggred.dual import cos, sin
 from ggred.errors import LiftError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import hopf, hopf_flux, product_qg, s3xt2
-from point_routines import matrices_at, omega_at
+from point_routines import frames_at, matrices_at, omega_at
 
 RNG = np.random.default_rng(42)
 
@@ -83,7 +83,7 @@ def test_constructed_violations_name_their_condition(param, condition):
 def test_frames_coincide_without_one_form():
     s = hopf({"flux": 0.0})
     p = s.chart.sample(RNG, 1)[0]
-    tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
+    tp, tm = node0(*frames_at(s.ea, s.ctx, p))
     assert np.max(np.abs(tp - tm)) < 1e-12
     (gmat,) = node0(s.ctx.metric_at(p))
     vval = np.asarray(s.ea.V[0](p), float)
@@ -94,7 +94,7 @@ def test_frames_coincide_without_one_form():
 def test_frames_tilt_with_flux():
     s = hopf_flux({"flux": 1.5})
     p = s.chart.sample(RNG, 1)[0]
-    tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
+    tp, tm = node0(*frames_at(s.ea, s.ctx, p))
     (gmat,) = node0(s.ctx.metric_at(p))
     overlap = tp @ gmat @ tm.T
     angles = np.linalg.svd(overlap)[1]
@@ -104,7 +104,7 @@ def test_frames_tilt_with_flux():
 def test_frame_defining_constraints():
     s = s3xt2({})
     for p in s.chart.sample(RNG, 3):
-        tp, tm = node0(*qt.horizontal_frames(s.ea, s.ctx, p))
+        tp, tm = node0(*frames_at(s.ea, s.ctx, p))
         assert tp.shape == (4, 5) and tm.shape == (4, 5)
         for sign, fr in ((+1, tp), (-1, tm)):
             rows = qt.constraint_rows(s.ea, s.ctx, p, sign)
@@ -136,7 +136,7 @@ def test_reduction_matrices_identities():
 def test_omega_vanishes_on_product():
     s = product_qg({})
     p = s.chart.sample(RNG, 1)[0]
-    tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
+    tp, _ = frames_at(s.ea, s.ctx, p)
     from_xi, from_theta = omega_at(s.ea, s.ctx, +1, p, tp)
     assert np.max(np.abs(from_xi)) < 1e-12
     assert np.max(np.abs(from_theta)) < 1e-12
@@ -147,7 +147,7 @@ def test_omega_hopf_value():
     # a metric-orthonormal horizontal pair of the unit bundle is +/- 4
     s = hopf({"flux": 0.0})
     p = s.chart.sample(RNG, 1)[0]
-    tp, _ = qt.horizontal_frames(s.ea, s.ctx, p)
+    tp, _ = frames_at(s.ea, s.ctx, p)
     from_xi, from_theta = omega_at(s.ea, s.ctx, +1, p, tp)
     assert np.isclose(abs(from_theta[:, 0, 0, 1]), 4.0, atol=1e-10)
     assert np.max(np.abs(from_xi - from_theta)) < ch.EPS_ID
@@ -160,7 +160,7 @@ def test_omega_two_routes_agree(maker):
     s = maker()
     rng = np.random.default_rng(3)
     for p in s.chart.sample(rng, 3):
-        tp, tm = qt.horizontal_frames(s.ea, s.ctx, p)
+        tp, tm = frames_at(s.ea, s.ctx, p)
         for sign, fr in ((+1, tp), (-1, tm)):
             a, b = omega_at(s.ea, s.ctx, sign, p, fr)
             assert np.max(np.abs(a - b)) < ch.EPS_ID

@@ -16,7 +16,7 @@ from ggred import quotient as qt
 from ggred.chart import COVECTOR, VECTOR, ChartField
 from ggred.dual import Dual, cos, sin
 from ggred.scenarios import product_qg, s3xt2
-from point_routines import matrices_at, omega_at
+from point_routines import frames_at, matrices_at, omega_at, projector_at
 
 
 def _coeffs(x):
@@ -167,7 +167,7 @@ def test_theta_route_agrees_with_xi_route_for_nonsymmetric_k(sign):
     p = scn.lift(scn.quotient.sample(np.random.default_rng(9), 1)[0])
     k = matrices_at(scn.ea, scn.ctx, p).K
     assert abs(k[:, 0, 1] - k[:, 1, 0]) > 0.1
-    frames = dict(zip((+1, -1), qt.horizontal_frames(scn.ea, scn.ctx, p)))
+    frames = dict(zip((+1, -1), frames_at(scn.ea, scn.ctx, p)))
     from_xi, from_theta = omega_at(scn.ea, scn.ctx, sign, p,
                                              frames[sign])
     assert np.max(np.abs(from_xi)) > 0.05
@@ -182,13 +182,13 @@ def test_tau_projector(make, sign):
     scn = make({}).quotient
     ea, ctx = scn.ea, scn.ctx
     p = scn.lift(scn.quotient.sample(np.random.default_rng(5), 1)[0])
-    proj = qt.tau_projector(ea, ctx, p, sign)[0]    # one node
+    proj = projector_at(ea, ctx, p, sign)[0]    # one node
     n = scn.ambient_dim
     assert proj.shape == (n, n)
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     for v in qt.v_pm_values(ea, ctx, p, sign):
         assert np.max(np.abs(proj @ np.asarray(v, dtype=float))) < 1e-12
-    frame = qt.horizontal_frames(ea, ctx, p)[0 if sign > 0 else 1][0]
+    frame = frames_at(ea, ctx, p)[0 if sign > 0 else 1][0]
     assert frame.shape == (n - ea.s, n)
     for e in frame:
         assert np.max(np.abs(proj @ e - e)) < 1e-12
