@@ -206,14 +206,11 @@ def differentiate(f, point, order: int = 1, chart: Chart | None = None) -> Point
 
 def inverse(m, error=SingularMetricError, what: str = "metric",
             definite: bool = False):
-    """The package's one inverse of a square matrix, one per node on
-    leading axes: :func:`gauss_jordan` for floats, under one rule: ``error``
-    (naming the matrix ``what``) unless max|m| max|m^-1| < 1 / PIVOT_RTOL,
-    which a NaN or an infinity fails (a zero pivot gives one), and with
+    """The package's one inverse, one per node on leading axes: floats by
+    :func:`gauss_jordan`, raising ``error`` (naming ``what``) unless max|m|
+    max|m^-1| < 1 / PIVOT_RTOL, which a NaN or infinity fails, and with
     ``definite`` unless the symmetric part has a Cholesky factor (a test
-    that only decides).  Dual-number entries (an object array) go through
-    :func:`solve_linear` on the identity, under its pivot rule.
-    """
+    that only decides); dual entries by :func:`solve_linear` on I."""
     if np.asarray(m).dtype == object:
         return solve_linear(m, np.eye(len(m)))
     m = np.asarray(m, dtype=float)
@@ -233,26 +230,21 @@ def inverse(m, error=SingularMetricError, what: str = "metric",
 
 def gauss_jordan(m):
     """(inverse, determinant) of float matrices, one per node on leading
-    axes, by Gauss-Jordan elimination in fixed order, each column's pivot
-    its first row of largest |entry| per node.  Every step is elementwise
-    numpy (no LAPACK), so each node keeps the bits of its one-node run under
-    every BLAS kernel.  No pivot is tested: a zero one leaves inf or NaN."""
+    axes: Gauss-Jordan in fixed order, each pivot the first largest |entry|
+    per node, all elementwise numpy (no LAPACK), so each node keeps the bits
+    of its one-node run on every BLAS kernel.  A zero pivot gives inf/NaN."""
     a = np.asarray(m, dtype=float)
-    n = a.shape[-1]
+    n, rows, det = a.shape[-1], np.arange(a.shape[-1]), np.ones(a.shape[:-2])
     aug = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], -1)
-    det = np.ones(a.shape[:-2])
-    rows = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for col in range(n):
             piv = col + np.abs(aug[..., col:, col]).argmax(-1)
-            swap = piv != col
-            if swap.any():
+            if (piv != col).any():
                 order = np.where(rows == col, piv[..., None],
                                  np.where(rows == piv[..., None], col, rows))
                 aug = np.take_along_axis(aug, order[..., None], -2)
-            p = aug[..., col, col, None]
-            det = np.where(swap, -det, det) * p[..., 0]
-            top = aug[..., col, :] / p
+            det = np.where(piv != col, -det, det) * aug[..., col, col]
+            top = aug[..., col, :] / aug[..., col, col, None]
             aug -= aug[..., :, col, None] * top[..., None, :]
             aug[..., col, :] = top
     return aug[..., n:], det
@@ -563,13 +555,13 @@ def orthonormal_frame(vectors, gmat, rank: int, what: str) -> np.ndarray:
     def pair(u, w):     # g(u, w) per node, on C-order (nodes, n) rows
         return np.einsum("kj,kj->k", np.einsum("ki,kij->kj", u, g), w)
 
-    scale = np.sqrt(np.trace(g, axis1=1, axis2=2) / n)
+    scale = np.sqrt(np.abs(np.trace(g, axis1=1, axis2=2)) / n)
     basis, kept = [], []
     for i in range(vecs.shape[-2]):
         w = np.ascontiguousarray(np.broadcast_to(vecs[..., i, :], (size, n)))
         for b in basis:
             w = w - pair(b, w)[:, None] * b
-        nrm = np.sqrt(pair(w, w))
+        nrm = np.sqrt(np.maximum(pair(w, w), 0.0))     # < 0: dropped
         keep = nrm > 1e-10 * scale
         basis.append(np.divide(w, nrm[:, None], out=np.zeros_like(w),
                                where=keep[:, None]))

@@ -330,6 +330,19 @@ def test_orthonormal_frame_names_its_rank(vectors, got):
         ch.orthonormal_frame(vectors, np.eye(3)[None], 3, "frame")
 
 
+@pytest.mark.parametrize("diag, got", [((1.0, -1.0, 1.0), 2),
+                                       ((-1.0, -2.0, -3.0), 0)])
+def test_orthonormal_frame_drops_a_negative_norm_quietly(diag, got):
+    # an indefinite metric: RankError, with no invalid-value warning
+    with np.errstate(all="raise"), pytest.raises(
+            RankError, match=f"frame has rank {got} at node 0"):
+        ch.orthonormal_frame(np.eye(3), np.diag(diag)[None], 3, "frame")
+    with np.errstate(all="raise"), pytest.raises(
+            SingularMetricError, match="positive definite"):
+        lz.euler_density(np.zeros((1, 2, 2, 2, 2)),
+                         np.diag(diag[:2])[None])
+
+
 def test_orthonormal_frame_is_g_orthonormal_in_input_order():
     g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
     basis = ch.orthonormal_frame(np.eye(3), g[None], 3, "frame")
