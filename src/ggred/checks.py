@@ -326,8 +326,7 @@ def check_pfaffian(s: Scenario, rng, tol, points=None) -> CheckResult:
     def residual(nn):   # the draws of one matrix at a time, as one stack
         a = rng.normal(size=(per, nn, nn))
         a = a - a.swapaxes(1, 2)
-        pf = np.array([pfaffian(x) for x in a])
-        det = ch.gauss_jordan(a)[1]
+        pf, det = np.array([pfaffian(x) for x in a]), ch.gauss_jordan(a)[1]
         return (pf * pf - det) / np.maximum(np.abs(det), 1.0)
     return _result("pfaffian", per * len(sizes), ch.max_abs(
         residual(nn) for nn in sizes), tol)

@@ -176,9 +176,7 @@ def split_pm(a: GeneralizedVector, ctx: GeneralizedMetricContext):
 
     Reconstruction: A = (X_+ + g(X_+)) + (X_- - g(X_-)).
     """
-    gmat = ctx.metric_at(a.at)
-    ginv = ch.inverse(gmat, definite=True)
-    gxi = np.einsum("...ij,...j->...i", ginv, a.xi)
+    gxi = np.einsum("...ij,...j->...i", Geometry(ctx, a.at).ginv, a.xi)
     return 0.5 * (a.X + gxi), 0.5 * (a.X - gxi)
 
 

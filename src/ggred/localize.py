@@ -104,34 +104,24 @@ def euler_measure(m: int) -> list[int]:
 def euler_density(rarr: np.ndarray, gmat: np.ndarray):
     """Fermionic Gaussian density whose integral gives the Euler number.
 
-    Contracts the curvature into a positively oriented orthonormal frame
-    (:func:`euler_frame`), exponentiates the quartic pairing, and
-    Berezin-integrates against the paired measure.  The result carries no
-    volume factor.  The leading node axis gives one density per node, from
-    one Grassmann stage for all.
+    Contracts the curvature into a positively oriented orthonormal frame,
+    exponentiates the quartic pairing, and Berezin-integrates against the
+    paired measure.  The result carries no volume factor.  The leading
+    node axis gives one density per node, from one Grassmann stage for all.
     """
     n = gmat.shape[-1]
     if n % 2:
         raise OddDimensionError("Euler density needs even dimension")
-    frame = euler_frame(gmat)
+    try:    # Gram-Schmidt of the coordinate basis: lower triangular, oriented
+        frame = ch.orthonormal_frame(np.eye(n), np.reshape(gmat, (-1, n, n)),
+                                     n, "metric")
+    except RankError as exc:
+        raise SingularMetricError(
+            "Euler density needs a positive definite metric") from exc
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     dens = berezin_integral((0.5 * curvature_quartic(rfr, n)).exp(),
                             euler_measure(n)).body
     return dual.tighten(dens, len(rfr))
-
-
-def euler_frame(gmat: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt of the coordinate basis in g, as rows, one frame per
-    node: lower triangular with a positive diagonal, so positively oriented,
-    and sqrt(det g) = 1 / prod(diag).  SingularMetricError unless g > 0."""
-    n = gmat.shape[-1]
-    try:
-        with np.errstate(invalid="ignore"):     # sqrt of a negative norm
-            return ch.orthonormal_frame(np.eye(n), np.reshape(
-                gmat, (-1, n, n)), n, "metric")
-    except RankError as exc:
-        raise SingularMetricError(
-            "Euler density needs a positive definite metric") from exc
 
 
 def euler_characteristic(ctx: GeneralizedMetricContext, domain,
@@ -166,8 +156,8 @@ def euler_characteristic(ctx: GeneralizedMetricContext, domain,
     def terms(p, w):
         geo = Geometry(ctx, p)
         rarr = bismut_curvature(-1, geo) if ctx.has_flux else geo.R
-        diag = np.diagonal(euler_frame(geo.g), axis1=-2, axis2=-1)
-        return w * euler_density(rarr, geo.g) / np.prod(diag, axis=-1)
+        return w * euler_density(rarr, geo.g) * \
+            np.sqrt(ch.gauss_jordan(geo.g)[1])
 
     tail = list(np.indices((order, order)).reshape(2, -1))
     idx = ([np.full(order * order, i) for i in head] + tail

@@ -207,10 +207,9 @@ def d_constraint_rows(jet: ch.PointJet):
 
 
 def tau_projector(gmat, ginv, v, x, sign: int) -> np.ndarray:
-    """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign, with V the
-    rows V_a^sign = V_a + sign g^{-1} xi_a and T = V g V^T, from the g,
-    g^-1 and s x n rows V_a and xi_a that the caller holds, node axis
-    first."""
+    """g-orthogonal projector 1 - V^T T^{-1} V g onto tau_sign, V the rows
+    V_a + sign g^{-1} xi_a and T = V g V^T, from the g, g^-1 and s x n rows
+    V_a and xi_a that the caller holds, node axis first."""
     vpm = v + sign * ch.node_einsum("ij,aj->ai", ginv, x)
     tinv = ch.inverse(ch.node_einsum("ai,ij,bj->ab", vpm, gmat, vpm),
                       RankError, f"T of the V^{'+' if sign > 0 else '-'} rows",
@@ -227,9 +226,8 @@ def horizontal_frames(gmat, ginv, v, x):
     basis comes from modified Gram-Schmidt over projected coordinate
     vectors in fixed order, so it is deterministic.
     """
-    return tuple(ch.orthonormal_frame(
-        np.swapaxes(tau_projector(gmat, ginv, v, x, sign), 1, 2), gmat,
-        gmat.shape[-1] - v.shape[-2],
+    return tuple(ch.orthonormal_frame(np.swapaxes(tau_projector(
+        gmat, ginv, v, x, sign), 1, 2), gmat, gmat.shape[-1] - v.shape[-2],
         f"tau_{'+' if sign > 0 else '-'} frame") for sign in (+1, -1))
 
 

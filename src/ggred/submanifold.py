@@ -282,8 +282,7 @@ def reduced_curvature_sub_direct(scn: SubmanifoldScenario, u,
     axis)."""
     basis = np.asarray(basis, dtype=float)
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
-    # chart components of the frame vectors: demb @ e = basis row, by the
-    # normal equations (demb^T demb) e = demb^T row
+    # chart components e of the frame rows: demb^T demb e = demb^T row
     gram = ch.inverse(ch.node_einsum("ia,ib->ab", demb, demb), RankError,
                       "Gram matrix of d(embed)")
     coords = ch.node_einsum("ab,ib,ri->ra", gram, demb, basis)

@@ -75,8 +75,8 @@ def node_loop_euler(ctx, domain, order, use_flux=True):
         rarr = (bismut_curvature(-1, Geometry(ctx, p))
                 if use_flux and ctx.has_flux
                 else ch.riemann(ch.differentiate(ctx.g, p, order=2)))
-        term = w * lz.euler_density(rarr, gmat)[0] / \
-            np.prod(np.diagonal(lz.euler_frame(gmat)[0]))
+        term = w * lz.euler_density(rarr, gmat)[0] * \
+            np.sqrt(ch.gauss_jordan(gmat[0])[1])
         total += term
         scale += abs(term)
     norm = (2.0 * np.pi) ** (n // 2)
@@ -112,7 +112,7 @@ def loop_frame_contract(arr, *frames):
 
 def old_euler_density(rarr, gmat):
     n = gmat.shape[0]
-    frame = lz.euler_frame(gmat[None])[0]
+    frame = ch.orthonormal_frame(np.eye(n), gmat[None], n, "frame")[0]
     rfr = ch.frame_contract(rarr, frame, frame, frame, frame)
     quart = lz.curvature_quartic(rfr[None], n)     # one node
     body = lz.berezin_integral((0.5 * quart).exp(), lz.euler_measure(n)).body
