@@ -220,7 +220,7 @@ def inverse(m, error=SingularMetricError, what: str = "metric",
         except np.linalg.LinAlgError as exc:
             raise error(f"{what} not positive definite") from exc
     inv = gauss_jordan(m)[0]
-    with np.errstate(invalid="ignore"):     # 0 inf is a NaN, which fails
+    with np.errstate(invalid="ignore"):     # inf * 0 is a NaN, which fails
         cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
     if not (cond < 1.0 / PIVOT_RTOL).all():
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
