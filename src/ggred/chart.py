@@ -314,19 +314,9 @@ def _pivot_nodes(a, b, col, floor):
                                    for u, v in zip(top, rows[r])])
 
 
-def christoffel(jet: PointJet) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma^i_{jk} from a jet of g."""
-    gmat = jet.value
-    if np.asarray(gmat).dtype != object:
-        if not np.isfinite(gmat).all():     # before NaN - NaN fails below
-            finite = np.isfinite(gmat).reshape(-1, gmat.shape[-1] ** 2).all(1)
-            raise SingularMetricError(
-                "metric component matrix is not finite at "
-                f"{_at(jet.point, int(np.argmin(finite)))}, so not symmetric")
-        if not np.max(np.abs(gmat - gmat.swapaxes(-1, -2))) <= EPS_ID:
-            raise SingularMetricError(
-                "metric component matrix is not symmetric")
-    ginv = inverse(gmat, definite=True)
+def christoffel(jet: PointJet, ginv) -> np.ndarray:
+    """Levi-Civita Christoffel symbols Gamma^i_{jk} from a jet of g and the
+    g^-1 its caller holds (``genmetric.Geometry.ginv`` tests g)."""
     dg = jet.d1  # dg[..., a, i, j] = d_a g_{ij}
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
@@ -334,9 +324,9 @@ def christoffel(jet: PointJet) -> np.ndarray:
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
 
 
-def riemann(jet: PointJet) -> np.ndarray:
+def riemann(jet: PointJet, ginv) -> np.ndarray:
     """Fully lowered curvature R[i,j,k,l] = g(R(e_i,e_j) e_l, e_k) from an
-    order-2 jet of g.
+    order-2 jet of g and the g^-1 its caller holds.
 
     Antisymmetric in (i,j) and in (k,l), pair symmetric, and positive on
     sphere diagonals: on the unit round 2-sphere R[0,1,0,1] = sin(theta)^2.
@@ -344,7 +334,6 @@ def riemann(jet: PointJet) -> np.ndarray:
     curvature shares no code with the commutator oracle built on it.
     """
     gmat, dg, d2g = jet.value, jet.d1, jet.d2
-    ginv = inverse(gmat, definite=True)
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) \
         - np.einsum("...ljk->...ljk", dg)
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)

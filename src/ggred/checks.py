@@ -63,7 +63,8 @@ def vector_field(chart: ch.Chart, c0, c1) -> ch.ChartField:
     c0, c1 = dual.entries(c0), dual.entries(c1)
 
     def fn(c):
-        return [c0[i] + sum(c1[i][j] * sin(c[j]) for j in range(n))
+        sines = [sin(x) for x in c]
+        return [c0[i] + sum(c1[i][j] * sines[j] for j in range(n))
                 for i in range(n)]
     return ch.batch_field(chart, ch.VECTOR, fn, name="random")
 
@@ -369,7 +370,7 @@ class CheckSpec:
     id: str
     fn: Callable
     tolerance: float
-    needs: str          # "any" | "quotient" | "section" | "gk" | ...
+    applies: Callable[[Scenario], bool]
     description: str
     exploratory: bool = False
 
@@ -381,65 +382,65 @@ def _register(spec: CheckSpec):
     REGISTRY[spec.id] = spec
 
 
-_register(CheckSpec("bismut_courant", check_bismut_courant, 1e-8, "any",
+def _quotient(s: Scenario) -> bool:
+    return s.quotient is not None
+
+
+def _flux_free_quotient(s: Scenario) -> bool:
+    return _quotient(s) and _flux_free_action(s, [
+        Batch(x) for x in s.chart.sample(np.random.default_rng(0), 1).T])
+
+
+def _euler_cover(flux: bool):
+    """Applies to an even-dimensional cover, with flux exactly if ``flux``."""
+    return lambda s: s.euler_domain is not None and \
+        len(s.euler_domain[0]) % 2 == 0 and s.ctx.has_flux == flux
+
+
+_register(CheckSpec("bismut_courant", check_bismut_courant, 1e-8,
+                    lambda s: True,
                     "bracket route equals the torsion covariant derivative"))
-_register(CheckSpec("pair_symmetry", check_pair_symmetry, 1e-8, "any",
+_register(CheckSpec("pair_symmetry", check_pair_symmetry, 1e-8,
+                    lambda s: True,
                     "chirality exchange symmetry of the two curvatures"))
-_register(CheckSpec("lemma62", check_lemma62, 1e-8, "quotient",
+_register(CheckSpec("lemma62", check_lemma62, 1e-8, _quotient,
                     "horizontal curvature: weighted d(xi) vs direct d(theta)"))
-_register(CheckSpec("thm63", check_thm63, 1e-6, "quotient",
+_register(CheckSpec("thm63", check_thm63, 1e-6, _quotient,
                     "quotient curvature: ambient formula vs direct chart"))
-_register(CheckSpec("oneill", check_oneill, 1e-6, "quotient_plain",
+_register(CheckSpec("oneill", check_oneill, 1e-6, _flux_free_quotient,
                     "flux-free degeneration vs classical submersion formula"))
-_register(CheckSpec("thm65", check_thm65, 1e-6, "section",
+_register(CheckSpec("thm65", check_thm65, 1e-6,
+                    lambda s: s.section is not None,
                     "zero-locus curvature: ambient formula vs induced chart"))
-_register(CheckSpec("localize2", check_localize2, 1e-6, "quotient",
+_register(CheckSpec("localize2", check_localize2, 1e-6, _quotient,
                     "gauged-model localization equals quotient curvature"))
-_register(CheckSpec("localize3", check_localize3, 1e-6, "section",
+_register(CheckSpec("localize3", check_localize3, 1e-6,
+                    lambda s: s.section is not None,
                     "constrained-model localization equals locus curvature"))
 _register(CheckSpec("phi_closed_form", check_phi_closed_form, 1e-8,
-                    "quotient",
+                    _quotient,
                     "eliminated mixed multiplier matches its closed form"))
-_register(CheckSpec("euler", check_euler, 0.02, "euler",
+_register(CheckSpec("euler", check_euler, 0.02, _euler_cover(False),
                     "fermionic density quadrature gives the Euler number"))
-_register(CheckSpec("euler_flux", check_euler_flux, 0.02, "euler_flux",
+_register(CheckSpec("euler_flux", check_euler_flux, 0.02, _euler_cover(True),
                     "flux-twisted density quadrature (report only)",
                     exploratory=True))
-_register(CheckSpec("pfaffian", check_pfaffian, 1e-10, "any",
+_register(CheckSpec("pfaffian", check_pfaffian, 1e-10, lambda s: True,
                     "squared fermionic Gaussian equals the determinant"))
-_register(CheckSpec("gk_validate", check_gk_validate, 1e-8, "gk",
+_register(CheckSpec("gk_validate", check_gk_validate, 1e-8,
+                    lambda s: s.gk is not None,
                     "structure-pair validity conditions"))
-_register(CheckSpec("gk_reduce", check_gk_reduce, 1e-6, "gk_quotient",
+_register(CheckSpec("gk_reduce", check_gk_reduce, 1e-6,
+                    lambda s: s.gk is not None and _quotient(s),
                     "structure pair descends to the quotient and re-validates"))
-_register(CheckSpec("ea_validate", check_ea_validate, 1e-8, "quotient",
+_register(CheckSpec("ea_validate", check_ea_validate, 1e-8, _quotient,
                     "extended-action validity conditions"))
 
 CHECK_ORDER = list(REGISTRY)
 
 
 def applicable(s: Scenario, cid: str) -> bool:
-    spec = REGISTRY[cid]
-    need = spec.needs
-    if need == "any":
-        return True
-    if need == "quotient":
-        return s.quotient is not None
-    if need == "quotient_plain":
-        return s.quotient is not None and _flux_free_action(s, [
-            Batch(x) for x in s.chart.sample(np.random.default_rng(0), 1).T])
-    if need == "section":
-        return s.section is not None
-    if need == "gk":
-        return s.gk is not None
-    if need == "gk_quotient":
-        return s.gk is not None and s.quotient is not None
-    if need == "euler":
-        return s.euler_domain is not None and \
-            len(s.euler_domain[0]) % 2 == 0 and not s.ctx.has_flux
-    if need == "euler_flux":
-        return s.euler_domain is not None and \
-            len(s.euler_domain[0]) % 2 == 0 and s.ctx.has_flux
-    return False
+    return REGISTRY[cid].applies(s)
 
 
 def default_checks(s: Scenario) -> list[str]:

@@ -248,9 +248,15 @@ def _stack(vals):
     lev = max((v.level for v in vals if isinstance(v, Dual)), default=0)
     if not lev:
         return Batch(list(vals))
-    pairs = [(v.val, v.eps) if isinstance(v, Dual) and v.level == lev
-             else (v, 0.0) for v in vals]
-    return Dual(*(_stack(p) for p in zip(*pairs)), lev)
+    return Dual(*(_stack(p) for p in zip(*(_parts(v, lev) for v in vals))),
+                lev)
+
+
+def _parts(x, lev):
+    """(val, eps) of ``x`` at level ``lev``, or (x, 0.0): a value below
+    that level is its constant."""
+    return (x.val, x.eps) if isinstance(x, Dual) and x.level == lev \
+        else (x, 0.0)
 
 
 def _at_node(x, k):
@@ -322,12 +328,9 @@ def atan(x):
 
 
 def atan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        ylev = y.level if isinstance(y, Dual) else 0
-        xlev = x.level if isinstance(x, Dual) else 0
-        lev = max(ylev, xlev)
-        yv, ye = (y.val, y.eps) if ylev == lev else (y, 0.0)
-        xv, xe = (x.val, x.eps) if xlev == lev else (x, 0.0)
+    lev = max((v.level for v in (y, x) if isinstance(v, Dual)), default=0)
+    if lev:
+        (yv, ye), (xv, xe) = _parts(y, lev), _parts(x, lev)
         denom = xv * xv + yv * yv
         return Dual(atan2(yv, xv), (xv * ye - yv * xe) / denom, lev)
     return _libm(math.atan2, y, x)
@@ -378,11 +381,9 @@ def select(mask, a, b):
     """
     if a is b:
         return a
-    la, lb = (x.level if isinstance(x, Dual) else 0 for x in (a, b))
-    if la or lb:
-        lev = max(la, lb)
-        av, ae = (a.val, a.eps) if la == lev else (a, 0.0)
-        bv, be = (b.val, b.eps) if lb == lev else (b, 0.0)
+    lev = max((v.level for v in (a, b) if isinstance(v, Dual)), default=0)
+    if lev:
+        (av, ae), (bv, be) = _parts(a, lev), _parts(b, lev)
         return Dual(select(mask, av, bv), select(mask, ae, be), lev)
     return Batch(np.where(mask, a.v if isinstance(a, Batch) else a,
                           b.v if isinstance(b, Batch) else b))

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import chart as ch
 from . import dual
+from .errors import SingularMetricError
 
 _H_ZERO_NAME = "zero-flux"
 
@@ -115,7 +116,17 @@ class Geometry:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return ch.inverse(self.g, definite=True)
+        """The one float inverse of g, finite, symmetric and definite."""
+        gmat = self.g
+        finite = np.isfinite(gmat).reshape(-1, gmat.shape[-1] ** 2).all(1)
+        if not finite.all():     # before NaN - NaN fails below
+            at = ch._at(self.point, int(np.argmin(finite)))
+            raise SingularMetricError("metric component matrix is not "
+                                      f"finite at {at}, so not symmetric")
+        if not np.max(np.abs(gmat - gmat.swapaxes(-1, -2))) <= ch.EPS_ID:
+            raise SingularMetricError(
+                "metric component matrix is not symmetric")
+        return ch.inverse(gmat, definite=True)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -123,11 +134,11 @@ class Geometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return ch.christoffel(self.jet())
+        return ch.christoffel(self.jet(), self.ginv)
 
     @cached_property
     def R(self) -> np.ndarray:
-        return ch.riemann(self.jet(order=2))
+        return ch.riemann(self.jet(order=2), self.ginv)
 
     @cached_property
     def torsion_terms(self):
@@ -265,10 +276,10 @@ def bismut_curvature_commutator(sign, ctx: GeneralizedMetricContext,
     def coeffs(coords):
         # dual-safe: a ch.differentiate jet would carry a node axis here
         gmat = np.asarray(ctx.g(coords), dtype=object)
-        gam = ch.christoffel(ch.PointJet(tuple(coords), gmat,
-                                         dual.gradient(ctx.g, coords)))
-        hval = np.asarray(ctx.H(coords), dtype=object)
         ginv = ch.inverse(gmat)
+        gam = ch.christoffel(ch.PointJet(tuple(coords), gmat,
+                                         dual.gradient(ctx.g, coords)), ginv)
+        hval = np.asarray(ctx.H(coords), dtype=object)
         return gam + 0.5 * s * np.einsum("il,ljk->ijk", ginv, hval)
 
     jet = ch.differentiate(coeffs, point, order=1)

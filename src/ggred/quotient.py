@@ -362,15 +362,14 @@ def omega_two_form(scn: QuotientScenario, point):
 
 
 def _lifted_metric(scn: QuotientScenario, qpoint, sign: int):
-    """(point, float tau_sign lifts of the coordinate frame, reduced metric)
-    at lift(qpoint); raises LiftError unless the metric is positive."""
-    m = scn.reduced_dim
-    p = scn.lift(qpoint)
-    lifts = dual.tighten(horizontal_lift(scn, p, sign, np.eye(m)),
-                         dual.nodes(p))
-    gred = ch.frame_contract(scn.ctx.metric_at(p), lifts, lifts)
+    """(Geometry at p = lift(qpoint), float tau_sign lifts of the coordinate
+    frame, its g on them); raises LiftError unless that is positive."""
+    geo = Geometry(scn.ctx, scn.lift(qpoint))
+    lifts = dual.tighten(horizontal_lift(scn, geo.point, sign, np.eye(
+        scn.reduced_dim)), dual.nodes(geo.point))
+    gred = ch.frame_contract(geo.g, lifts, lifts)
     ch.inverse(gred, LiftError, "reduced metric", definite=True)
-    return p, lifts, gred
+    return geo, lifts, gred
 
 
 def reduce_metric_flux(scn: QuotientScenario, qpoint):
@@ -381,11 +380,11 @@ def reduce_metric_flux(scn: QuotientScenario, qpoint):
     vanishes identically when the quotient dimension is at most 2.
     """
     m = scn.reduced_dim
-    p, lifts, gred = _lifted_metric(scn, qpoint, +1)
+    geo, lifts, gred = _lifted_metric(scn, qpoint, +1)
     hred = np.zeros(gred.shape[:1] + (m, m, m))
     if m > 2:
-        hred = dual.tighten(_reduced_flux(scn, p, dual.entries(lifts)),
-                            dual.nodes(p))
+        hred = dual.tighten(_reduced_flux(scn, geo.point, dual.entries(
+            lifts)), dual.nodes(geo.point))
     return gred, hred
 
 
@@ -486,20 +485,21 @@ def quotient_frame(scn: QuotientScenario, qpoint) -> np.ndarray:
 
 class LiftedPoint:
     """One quotient sample: q, p = lift(q), the ambient Geometry at p, the
-    quotient frame ``basis``, its tau_pm lifts ``plus`` and ``minus``, one
-    :func:`action_jet` and the reduction matrices ``rm`` of the Geometry's
-    g and the jet's V and xi, node axes first (of 1 at a plain point).  The
-    code under test shares one per sample; each oracle builds its own data
-    from (scn, q, basis)."""
+    g_red-orthonormal frame ``basis``, its tau_pm lifts ``plus`` (from the
+    tau_+ lifts g_red is built on) and ``minus``, one :func:`action_jet` and
+    the reduction matrices ``rm`` of the Geometry's g and the jet's V and xi,
+    node axes first (of 1 at a plain point).  The code under test shares one
+    per sample; each oracle builds its own data from (scn, q, basis)."""
 
     def __init__(self, scn: QuotientScenario, q):
-        self.scn, self.q, self.p = scn, q, scn.lift(q)
-        self.geo = Geometry(scn.ctx, self.p)
-        self.basis = quotient_frame(scn, q)
-        qvecs = dual.entries(self.basis)
-        self.plus, self.minus = (dual.tighten(horizontal_lift(
-            scn, self.p, sign, qvecs), dual.nodes(self.p))
-            for sign in (+1, -1))
+        self.geo, lifts, gred = _lifted_metric(scn, q, +1)
+        self.scn, self.q, self.p = scn, q, self.geo.point
+        m = scn.reduced_dim
+        self.basis = ch.orthonormal_frame(np.eye(m), gred, m,
+                                          "quotient frame")
+        self.plus = ch.node_einsum("ai,ij->aj", self.basis, lifts)
+        self.minus = dual.tighten(horizontal_lift(
+            scn, self.p, -1, dual.entries(self.basis)), dual.nodes(self.p))
         self.jet = action_jet(scn.ea, scn.ctx, self.p)
         self.rm = reduction_matrices(self.geo.g, self.geo.ginv,
                                      self.jet.value[:, 0], self.jet.value[:, 1])
@@ -587,7 +587,7 @@ def oneill_curvature(scn: QuotientScenario, qpoint, basis) -> np.ndarray:
         amat[:, i, j] = 0.5 * vert(np.asarray(br, dtype=float))
         amat[:, j, i] = -amat[:, i, j]
 
-    rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))
+    rarr = Geometry(ctx, p).R       # its own, not the sample's
     base = ch.operator_slots(rarr, lifts, lifts, lifts, lifts)
     inner = ch.node_einsum("abi,ij,cdj->abcd", amat, gmat, amat)
     return (base - 2.0 * inner

@@ -59,15 +59,9 @@ def _gradients(jet: ch.PointJet) -> np.ndarray:
     return np.ascontiguousarray(jet.d1.swapaxes(-1, -2))
 
 
-def t_matrix(sd: SectionData, ctx: GeneralizedMetricContext, point):
+def t_matrix(jet: ch.PointJet, ginv):
     """Transverse Gram matrix T^{ab} = dsigma^a . g^{-1} . dsigma^b and its
-    inverse at a zero-locus point."""
-    return _t_matrix(sd.jet(point),
-                     ch.inverse(ctx.metric_at(point), definite=True))
-
-
-def _t_matrix(jet: ch.PointJet, ginv):
-    """:func:`t_matrix` from a jet of all sigma^alpha and g^{-1} there."""
+    inverse at a zero-locus point, from a jet of all sigma^alpha and g^-1."""
     if not np.max(np.abs(jet.value)) <= EPS_LOCUS:
         raise TangencyError("t_matrix needs a point on the zero locus")
     grads = _gradients(jet)
@@ -113,20 +107,20 @@ class SubmanifoldScenario:
 
 
 class LocusPoint:
-    """One zero-locus sample: u, p = embed(u), the ambient Geometry at p,
-    the tangent frame ``basis``, one order-2 jet of all sigma^alpha with its
-    gradient rows ``grads``, and the inverse ``tlow`` of the transverse Gram
-    matrix, each with a leading node axis (of 1 at a plain point).  The code
-    under test shares one per sample; each oracle builds its own data from
-    (scn, u, basis)."""
+    """One zero-locus sample: u, p = embed(u) (embedded once), the ambient
+    Geometry at p, the tangent frame ``basis`` of the Geometry's g, one
+    order-2 jet of all sigma^alpha with its gradient rows ``grads``, and
+    the inverse ``tlow`` of the transverse Gram matrix, each with a leading
+    node axis (of 1 at a plain point).  The code under test shares one per
+    sample; each oracle builds its own data from (scn, u, basis)."""
 
     def __init__(self, scn: SubmanifoldScenario, u):
         self.scn, self.u, self.p = scn, u, scn.embed(u)
         self.geo = Geometry(scn.ctx, self.p)
-        self.basis = tangent_frame(scn, u)
+        self.basis = _tangent_frame(scn, u, self.geo.g)
         self.jet = scn.sd.jet(self.p, order=2)
         self.grads = _gradients(self.jet)
-        _, self.tlow = _t_matrix(self.jet, self.geo.ginv)
+        _, self.tlow = t_matrix(self.jet, self.geo.ginv)
 
 
 def embed_jacobian(scn: SubmanifoldScenario, u):
@@ -137,8 +131,11 @@ def embed_jacobian(scn: SubmanifoldScenario, u):
 def tangent_frame(scn: SubmanifoldScenario, u) -> np.ndarray:
     """Deterministic g-orthonormal frame of TN at embed(u), ambient rows
     (one per node, on a leading axis)."""
-    p = scn.embed(u)
-    gmat = scn.ctx.metric_at(p)
+    return _tangent_frame(scn, u, scn.ctx.metric_at(scn.embed(u)))
+
+
+def _tangent_frame(scn: SubmanifoldScenario, u, gmat) -> np.ndarray:
+    """:func:`tangent_frame` on the metric ``gmat`` at embed(u)."""
     demb = dual.tighten(embed_jacobian(scn, u), dual.nodes(u))
     return ch.orthonormal_frame(demb.swapaxes(1, 2), gmat,
                                 scn.locus_dim, "tangent frame")
@@ -302,7 +299,7 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     geo = Geometry(scn.ctx, p)      # its own, not the formula's
     gmat, ginv = geo.g, geo.ginv
     term1 = ch.operator_slots(geo.R, basis, basis, basis, basis)
-    tup, tlow = t_matrix(scn.sd, scn.ctx, p)
+    _, tlow = t_matrix(scn.sd.jet(p), ginv)
     grads = scn.sd.gradients(p)
     coeffs = geo.gamma
     hess = []

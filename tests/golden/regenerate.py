@@ -12,7 +12,9 @@ The set, each at seeds 42 and 7, run in one process through ``ggred run``:
   read only).
 
 Each report is the JSON that ``ggred run --report`` writes, one file per
-report under ``reports/``, so a moved residual reads as a diff.
+report under ``reports/``, so a moved residual reads as a diff; for a
+report that differs, the script prints each moved row: the check id, its
+old -> new ``max_residual`` and its status.
 
 No report byte depends on the OpenBLAS kernel: every float inverse,
 determinant and solve is ``chart.gauss_jordan``, and no float product on a
@@ -122,6 +124,18 @@ def generate():
     return out
 
 
+def moved_rows(old, new):
+    """Each check row of two report texts whose residual or status moved,
+    as one line (a row on one side only reads None on the other)."""
+    rows = [{c["id"]: (c["max_residual"], c["status"])
+             for c in json.loads(text)["checks"]} for text in (old, new)]
+    for cid in dict.fromkeys([*rows[0], *rows[1]]):
+        (res0, st0), (res1, st1) = (r.get(cid, (None, None)) for r in rows)
+        if (res0, st0) != (res1, st1):
+            yield f"  {cid}: max_residual {res0!r} -> {res1!r}, " \
+                  f"status {st0} -> {st1}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
@@ -139,12 +153,16 @@ def main(argv=None):
         print(f"wrote {len(reports)} reports to {REPORTS}")
         return 0
     bad = sorted(committed ^ set(reports))     # missing or left over
-    for name in sorted(committed & set(reports)):
-        with open(os.path.join(REPORTS, name), encoding="utf-8") as fh:
-            if fh.read() != reports[name]:
-                bad.append(name)
     for name in bad:
         print(f"differs from its golden report: {name}")
+    for name in sorted(committed & set(reports)):
+        with open(os.path.join(REPORTS, name), encoding="utf-8") as fh:
+            old = fh.read()
+        if old != reports[name]:
+            bad.append(name)
+            print(f"differs from its golden report: {name}")
+            for row in moved_rows(old, reports[name]):
+                print(row)
     print(f"{len(reports)} reports, {len(bad)} differences")
     return 1 if bad else 0
 

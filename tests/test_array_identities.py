@@ -34,7 +34,7 @@ from ggred.errors import EvaluationError, TangencyError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from reduction_cases import two_constraint_section, two_generator_action
 from point_routines import (bracket_at, frames_at, matrices_at, omega_at,
-                            projector_at)
+                            projector_at, riemann_of)
 
 
 QUOTIENTS = [sc.s3xt2({}).quotient, two_generator_action()]
@@ -163,7 +163,7 @@ def _old_oneill(scn, qpoint):
             a = 0.5 * vert(np.asarray(avals[i, j], dtype=float))
             amat[i, j] = a
             amat[j, i] = -a
-    rarr = ch.riemann(ch.differentiate(ctx.g, p, order=2))[0]
+    rarr = riemann_of(ch.differentiate(ctx.g, p, order=2))[0]
     base = np.swapaxes(ch.frame_contract(rarr, lifts, lifts, lifts, lifts),
                        2, 3)
     inner = np.einsum("abi,ij,cdj->abcd", amat, gmat, amat)
@@ -456,7 +456,7 @@ def test_operator_slots_pair_the_sphere_curvature_operator():
     s = sc.round_sphere({})
     p = [1.0, 2.0]
     frame = np.diag([1.0, 1.0 / np.sin(1.0)])
-    got = ch.operator_slots(ch.riemann(ch.differentiate(s.ctx.g, p, order=2)),
+    got = ch.operator_slots(riemann_of(ch.differentiate(s.ctx.g, p, order=2)),
                             *[frame] * 4)
     assert got[:, 0, 1, 0, 1] == pytest.approx(-1.0, abs=1e-12)
     assert got[:, 0, 1, 1, 0] == pytest.approx(1.0, abs=1e-12)

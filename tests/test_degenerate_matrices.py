@@ -27,7 +27,8 @@ from ggred.genmetric import GeneralizedMetricContext
 from ggred.grassmann import GrassmannElement as G
 from ggred.grassmann import pfaffian
 from ggred.scenarios import product_qg, sphere_in_flat
-from point_routines import frames_at, matrices_at, projector_at
+from point_routines import (christoffel_of, frames_at, matrices_at,
+                            projector_at, t_matrix_at)
 
 NAN = float("nan")
 TILT = 1e-7
@@ -126,7 +127,7 @@ def test_metric_inverse_rejects_a_nan_stack():
 def test_christoffel_rejects_a_nan_metric(g):
     jet = ch.PointJet((0.0, 0.0), np.array(g), np.zeros((2, 2, 2)))
     with pytest.raises(SingularMetricError, match="not symmetric"):
-        ch.christoffel(jet)
+        christoffel_of(jet)
 
 
 # -- K_ab and T_ab of the extended action -------------------------------------
@@ -262,20 +263,20 @@ def tilted_section():
 def test_t_matrix_rejects_a_tilted_section():
     with pytest.raises(RankError, match="transverse Gram matrix of d sigma "
                                         "numerically singular"):
-        sm.t_matrix(tilted_section(), flat3(), (0.0, 0.0, 0.1))
+        t_matrix_at(tilted_section(), flat3(), (0.0, 0.0, 0.1))
 
 
 def test_t_matrix_requires_a_definite_matrix(monkeypatch):
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),))
     negate_the_metric_inverse(monkeypatch)
     with pytest.raises(RankError, match="not positive definite"):
-        sm.t_matrix(sd, flat3(), (0.0, 0.0, 0.1))
+        t_matrix_at(sd, flat3(), (0.0, 0.0, 0.1))
 
 
 def test_t_matrix_rejects_a_nan_metric():
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),))
     with pytest.raises(SingularMetricError):
-        sm.t_matrix(sd, flat3(NAN), (0.0, 0.0, 0.1))
+        t_matrix_at(sd, flat3(NAN), (0.0, 0.0, 0.1))
 
 
 # -- the body of an eliminated multiplier block -------------------------------

@@ -4,8 +4,9 @@
 and exits 1 when one differs from its file by a byte.  The bytes do not
 depend on the OpenBLAS kernel, so the script runs under whatever kernel
 the tests run under (CI runs Tier-1 under the default kernel, ``Prescott``
-and ``Haswell``).  A change that moves a residual rewrites the files with
-``--update`` and lists each moved row.
+and ``Haswell``).  For a report that differs, the script prints each moved
+row (check id, old -> new ``max_residual``, status); a change that moves a
+residual lists those rows and rewrites the files with ``--update``.
 """
 
 import importlib.util
@@ -48,3 +49,17 @@ def test_every_report_keeps_its_golden_bytes():
     out = subprocess.run([sys.executable, SCRIPT], capture_output=True,
                          text=True, timeout=600)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_a_differing_report_prints_its_moved_rows():
+    golden = _load_script()
+    old = json.dumps({"checks": [
+        {"id": "thm63", "max_residual": 4.4e-16, "status": "pass"},
+        {"id": "oneill", "max_residual": 0.0, "status": "pass"}]})
+    new = json.dumps({"checks": [
+        {"id": "thm63", "max_residual": 6.6e-16, "status": "pass"},
+        {"id": "oneill", "max_residual": 0.0, "status": "pass"},
+        {"id": "lemma62", "max_residual": 2.0, "status": "fail"}]})
+    assert list(golden.moved_rows(old, new)) == [
+        "  thm63: max_residual 4.4e-16 -> 6.6e-16, status pass -> pass",
+        "  lemma62: max_residual None -> 2.0, status None -> fail"]

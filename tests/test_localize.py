@@ -12,7 +12,7 @@ from ggred.errors import SingularBodyError, SingularMetricError
 from ggred.grassmann import GrassmannElement as G
 from ggred.scenarios import (flat_torus, hopf, hopf_flux, product_qg,
                              round_sphere, s3xs1_gk, s3xt2, sphere_in_flat)
-from point_routines import matrices_at
+from point_routines import christoffel_of, matrices_at, riemann_of
 
 RNG = np.random.default_rng(42)
 
@@ -170,7 +170,7 @@ def test_point_frame_consistency_with_chart_calculus():
     pf = lz.point_frame_quotient(qt.LiftedPoint(s.quotient, q))
     p = list(pf.point)
     pairs = [(pf.g, s.ctx.metric_at(p)),
-             (pf.gamma, ch.christoffel(ch.differentiate(s.ctx.g, p))),
+             (pf.gamma, christoffel_of(ch.differentiate(s.ctx.g, p))),
              (pf.r_minus, bismut_curvature(-1, Geometry(s.ctx, p))),
              (pf.K_ab, matrices_at(s.ea, s.ctx, p).K)]
     for got, want in pairs:     # a point is a one-node batch
@@ -219,7 +219,7 @@ def test_euler_density_orientation():
     from ggred import chart as ch2
     s = round_sphere({"radius": 1.0})
     p = (np.pi / 2, 1.0)
-    rarr = ch2.riemann(ch2.differentiate(s.ctx.g, p, order=2))
+    rarr = riemann_of(ch2.differentiate(s.ctx.g, p, order=2))
     gmat = s.ctx.metric_at(p)
     dens = lz.euler_density(rarr, gmat)
     assert np.isclose(dens, 1.0, atol=1e-12)

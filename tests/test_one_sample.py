@@ -3,15 +3,18 @@
 ``quotient.LiftedPoint`` and ``submanifold.LocusPoint`` build the lifts,
 the reduction matrices and the jets of the action rows and of sigma once
 per sample (or batch point); the point frames, the ambient-formula reduced
-curvatures and the chain checks read them from it.  Each field is
-evaluated once per sample: a Geometry reads g and H from its jets when it
-holds them, the bracket route reads X and Y from its jets, and the
-reduction matrices come from the g, V and xi the caller holds.  The counts
-below pin that work per sample.  Every oracle keeps (scn, point, basis) and
-builds its own data, so none of them may receive a sample object or a
-Geometry.
+curvatures and the chain checks read them from it.  A sample lifts q (or
+embeds u) once, and its tau_+ lifts of the quotient frame come from the
+lifts that its reduced metric is built from.  Each field is evaluated once
+per sample: a Geometry reads g and H from its jets when it holds them, the
+bracket route reads X and Y from its jets, and the reduction matrices come
+from the g, V and xi the caller holds.  A Geometry inverts its g once, and
+Christoffel and Riemann read that inverse.  The counts below pin that work
+per sample.  Every oracle keeps (scn, point, basis) and builds its own
+data, so none of them may receive a sample object or a Geometry.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -26,7 +29,7 @@ from ggred import quotient as qt
 from ggred import scenarios as sc
 from ggred import submanifold as sm
 from ggred.chart import ChartField
-from ggred.dual import Batch
+from ggred.dual import Batch, Dual
 
 
 def count_calls(monkeypatch, owner, name):
@@ -64,6 +67,19 @@ def record_evaluations(monkeypatch):
     return jets, values
 
 
+def counted_map(scn, name):
+    """``scn`` with its map ``name`` (``lift`` or ``embed``) wrapped; returns
+    (scenario, the points it maps outside a jet)."""
+    calls, original = [], getattr(scn, name)
+
+    def spy(coords):
+        if not any(isinstance(x, Dual) for x in coords):
+            calls.append(coords)
+        return original(coords)
+    spy.batch_form = True
+    return replace(scn, **{name: spy}), calls
+
+
 def record_sigma_jets(monkeypatch):
     """The order of every ``SectionData.jet`` taken."""
     orders, jet = [], sm.SectionData.jet
@@ -77,9 +93,9 @@ def record_sigma_jets(monkeypatch):
 
 # -- the work of one sample -------------------------------------------------------
 
-def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
+def test_localize2_sample_lifts_twice_and_takes_two_row_jets(
         monkeypatch):
-    scn = sc.s3xt2({}).quotient
+    scn, lifted = counted_map(sc.s3xt2({}).quotient, "lift")
     qs = scn.quotient.sample(np.random.default_rng(
         [42, ck.CHECK_ORDER.index("localize2")]), 2)
     lifts = count_calls(monkeypatch, qt, "horizontal_lift")
@@ -97,15 +113,63 @@ def test_localize2_sample_lifts_three_times_and_takes_two_row_jets(
             partial(qt.LiftedPoint, scn), lz.point_frame_quotient,
             qt.reduced_curvature_quotient, "quotient", q)
         assert ch.max_abs(residuals) <= ck.REGISTRY["localize2"].tolerance
-    # per sample: the quotient frame's lift of the coordinate frame and
-    # the tau_+ and tau_- lifts of that frame
-    assert len(lifts) == 3 * 2
+    # per sample: one lift of q, the tau_+ lift of the coordinate frame
+    # (the frame's tau_+ lifts are its combinations) and the tau_- lift of
+    # the frame
+    assert len(lifted) == 2
+    assert [sign for _, _, sign, _ in lifts] == [+1, -1] * 2
     # one set of matrices per sample, from the g, V and xi it holds
     assert matrices == [0, 0]
     # the jets that are not of a field: the stacked action rows [V, xi, gV]
     # and the V^- rows of the vertical-derivative term
     rows = [order for f, _, order in jets if not isinstance(f, ChartField)]
     assert rows == [1, 1] * 2
+
+
+def test_a_locus_sample_embeds_u_once():
+    scn, embedded = counted_map(sc.build("sphere_in_flat", {"c": 0.5})
+                                .section, "embed")
+    u = [Batch(c) for c in scn.nchart.sample(np.random.default_rng(8), 3).T]
+    lp = sm.LocusPoint(scn, u)
+    assert embedded == [u]
+    assert np.array_equal(lp.basis, sm.tangent_frame(scn, u))
+
+
+@pytest.mark.parametrize("name, cid, batches", [("s3xt2", "thm63", 1),
+                                                ("hopf_flux", "localize2", 2)])
+def test_a_geometry_inverts_its_g_once(monkeypatch, name, cid, batches):
+    s = sc.s3xt2({}) if name == "s3xt2" else sc.build(name, {})
+    built, init = [], gm.Geometry.__init__
+
+    def recorded(geo, ctx, point):
+        built.append(geo)
+        init(geo, ctx, point)
+    monkeypatch.setattr(gm.Geometry, "__init__", recorded)
+    # the chain eliminates its own Gaussian block, whose body is g: the
+    # other side of the localize2 cross-check, so not counted here
+    inverted, eliminating = [], [0]
+    eliminate = lz.AuxiliaryPolynomial.eliminate
+
+    def eliminated(poly, group):
+        eliminating[0] += 1
+        try:
+            return eliminate(poly, group)
+        finally:
+            eliminating[0] -= 1
+    monkeypatch.setattr(lz.AuxiliaryPolynomial, "eliminate", eliminated)
+    gauss_jordan = ch.gauss_jordan
+
+    def spy(m):
+        if not eliminating[0]:
+            inverted.append(np.array(m, dtype=float))
+        return gauss_jordan(m)
+    monkeypatch.setattr(ch, "gauss_jordan", spy)
+    assert ck.run_check(s, cid, 42).status == "pass"
+    ambient = [geo for geo in built if geo.ctx is s.ctx]
+    assert len(ambient) == batches      # one per batch of samples
+    for geo in ambient:
+        assert sum(m.shape == geo.g.shape and np.array_equal(m, geo.g)
+                   for m in inverted) == 1
 
 
 def test_localize3_sample_takes_one_order2_jet_of_sigma(monkeypatch):

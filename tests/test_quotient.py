@@ -11,7 +11,7 @@ from ggred.dual import cos, sin
 from ggred.errors import LiftError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import hopf, hopf_flux, product_qg, s3xt2
-from point_routines import frames_at, matrices_at, omega_at
+from point_routines import christoffel_of, frames_at, matrices_at, omega_at
 
 RNG = np.random.default_rng(42)
 
@@ -254,7 +254,7 @@ def test_hopf_reduced_connection_is_levi_civita_of_quotient():
     ctxq = GeneralizedMetricContext.create(half)
     jy = ch.differentiate(y, q, order=1)
     dy, yv, gam, gq = node0(jy.d1, jy.value,
-                            ch.christoffel(ch.differentiate(half, q)),
+                            christoffel_of(ch.differentiate(half, q)),
                             ctxq.metric_at(q))
     xv = np.asarray(x(q), float)
     nab = np.einsum("j,ji->i", xv, dy) + np.einsum("ijk,j,k->i", gam, xv, yv)

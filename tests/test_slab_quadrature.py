@@ -29,6 +29,7 @@ from ggred.dual import Batch, Dual
 from ggred.errors import DomainError, EvaluationError
 from ggred.genmetric import (GeneralizedMetricContext, Geometry,
                              bismut_curvature)
+from point_routines import riemann_of
 
 NODES = 64
 EPS = np.finfo(float).eps
@@ -74,7 +75,7 @@ def node_loop_euler(ctx, domain, order, use_flux=True):
         gmat = ctx.metric_at(p)
         rarr = (bismut_curvature(-1, Geometry(ctx, p))
                 if use_flux and ctx.has_flux
-                else ch.riemann(ch.differentiate(ctx.g, p, order=2)))
+                else riemann_of(ch.differentiate(ctx.g, p, order=2)))
         term = w * lz.euler_density(rarr, gmat)[0] * \
             np.sqrt(ch.gauss_jordan(gmat[0])[1])
         total += term
@@ -216,7 +217,7 @@ def test_batched_geometry_equals_per_node_geometry(name, params):
     nodes = s.chart.sample(np.random.default_rng(8), NODES)
     p = batch_of(nodes)
     gmat = s.ctx.metric_at(p)
-    riem = ch.riemann(ch.differentiate(s.ctx.g, p, order=2))
+    riem = riemann_of(ch.differentiate(s.ctx.g, p, order=2))
     rmin = bismut_curvature(-1, Geometry(s.ctx, p))
     dens = lz.euler_density(rmin, gmat)
     assert dens.shape == (NODES,)
@@ -224,7 +225,7 @@ def test_batched_geometry_equals_per_node_geometry(name, params):
         node = list(node)
         g_k = s.ctx.metric_at(node)[0]
         assert np.array_equal(gmat[k], g_k)
-        assert np.array_equal(riem[k], ch.riemann(
+        assert np.array_equal(riem[k], riemann_of(
             ch.differentiate(s.ctx.g, node, order=2))[0])
         r_k = bismut_curvature(-1, Geometry(s.ctx, node))[0]
         assert np.array_equal(rmin[k], r_k)
@@ -289,11 +290,11 @@ def test_dense_metric_geometry_and_quadrature_equal_the_node_loop():
     ctx = GeneralizedMetricContext.create(WARPED)
     nodes = WARPED.chart.sample(np.random.default_rng(9), NODES)
     p = batch_of(nodes)
-    riem = ch.riemann(ch.differentiate(WARPED, p, order=2))
+    riem = riemann_of(ch.differentiate(WARPED, p, order=2))
     gmat = ctx.metric_at(p)
     dens = lz.euler_density(riem, gmat)
     for k, node in enumerate(nodes):
-        r_k = ch.riemann(ch.differentiate(WARPED, list(node), order=2))[0]
+        r_k = riemann_of(ch.differentiate(WARPED, list(node), order=2))[0]
         assert np.array_equal(riem[k], r_k)
         g_k = ctx.metric_at(list(node))[0]
         assert dens[k] == lz.euler_density(r_k[None],

@@ -20,6 +20,7 @@ from ggred.errors import DomainError
 from ggred.genmetric import Geometry, bismut_connection_coeffs
 from ggred.scenarios import s3xt2
 from reduction_cases import two_constraint_section, two_generator_action
+from point_routines import christoffel_of
 
 
 QUOTIENTS = [s3xt2({}).quotient, two_generator_action()]
@@ -74,7 +75,7 @@ def test_point_frame_quotient_matches_per_generator_jets(scn):
     p = list(pf.point)
     g, dxi_cov, dv_cov_low, vv, xv = node0(pf.g, pf.dxi_cov, pf.dv_cov_low,
                                            pf.V, pf.xi)
-    (gamma,) = node0(ch.christoffel(ch.differentiate(scn.ctx.g, p)))
+    (gamma,) = node0(christoffel_of(ch.differentiate(scn.ctx.g, p)))
     dxi, dvl = [], []
     for vf, xf in zip(scn.ea.V, scn.ea.xi):
         jx = ch.differentiate(xf, p, order=1)

@@ -182,8 +182,9 @@ def test_lifted_metric_keeps_the_comprehension_bits(scn, sign):
     # reports rest: node k of a batch keeps the bits of the point alone, and
     # lies within the rounding bound of the plain loop
     qpts = scn.quotient.sample(np.random.default_rng(12), 20)
-    p, lifts, gred = qt._lifted_metric(scn, [Batch(c) for c in qpts.T], sign)
-    gmat = scn.ctx.metric_at(p)
+    geo, lifts, gred = qt._lifted_metric(scn, [Batch(c) for c in qpts.T],
+                                         sign)
+    gmat = scn.ctx.metric_at(geo.point)
     for k, q in enumerate(qpts):
         assert np.array_equal(gred[k], qt._lifted_metric(scn, q, sign)[2][0])
         _assert_within_the_loop_bound(gred[k], gmat[k], lifts[k], lifts[k])

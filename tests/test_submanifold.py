@@ -11,6 +11,7 @@ from ggred.errors import RankError, TangencyError
 from ggred.genmetric import (GeneralizedMetricContext, Geometry,
                              bismut_connection_coeffs)
 from ggred.scenarios import sphere_in_flat
+from point_routines import t_matrix_at
 
 RNG = np.random.default_rng(42)
 
@@ -39,7 +40,7 @@ def rand_tfield(chart, rng):
 
 def test_t_matrix_linear_section():
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),))
-    tup, tlow = sm.t_matrix(sd, FLAT3, (0.0, 0.3, -0.2))
+    tup, tlow = t_matrix_at(sd, FLAT3, (0.0, 0.3, -0.2))
     assert np.isclose(tup[0, 0], 1.0)
     assert np.isclose(tlow[0, 0], 1.0)
 
@@ -47,7 +48,7 @@ def test_t_matrix_linear_section():
 def test_t_matrix_unit_sphere():
     s = sphere_in_flat({})
     p = s.section.embed((1.0, 0.5))
-    tup, tlow = sm.t_matrix(s.section.sd, s.ctx, p)
+    tup, tlow = t_matrix_at(s.section.sd, s.ctx, p)
     assert np.isclose(tup[0, 0], 4.0)
     assert np.isclose(tlow[0, 0], 0.25)
 
@@ -55,7 +56,7 @@ def test_t_matrix_unit_sphere():
 def test_t_matrix_two_sections_identity():
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),
                          ChartField(BOX3, SCALAR, lambda c: [c[1]])))
-    (tup,) = node0(sm.t_matrix(sd, FLAT3, (0.0, 0.0, 0.4))[0])
+    (tup,) = node0(t_matrix_at(sd, FLAT3, (0.0, 0.0, 0.4))[0])
     assert tup.shape == (2, 2)
     assert np.max(np.abs(tup - np.eye(2))) < 1e-12
 
@@ -63,14 +64,14 @@ def test_t_matrix_two_sections_identity():
 def test_t_matrix_needs_locus_point():
     s = sphere_in_flat({})
     with pytest.raises(TangencyError):
-        sm.t_matrix(s.section.sd, s.ctx, (0.2, 0.2, 0.2))
+        t_matrix_at(s.section.sd, s.ctx, (0.2, 0.2, 0.2))
 
 
 def test_t_matrix_degenerate_rank():
     sd = sm.SectionData((ChartField(BOX3, SCALAR, lambda c: [c[0]]),
                          ChartField(BOX3, SCALAR, lambda c: [2.0 * c[0]])))
     with pytest.raises(RankError):
-        sm.t_matrix(sd, FLAT3, (0.0, 0.1, 0.1))
+        t_matrix_at(sd, FLAT3, (0.0, 0.1, 0.1))
 
 
 # -- scenario structure -------------------------------------------------------
