@@ -210,21 +210,31 @@ def inverse(m, error=SingularMetricError, what: str = "metric",
     :func:`gauss_jordan`, raising ``error`` (naming ``what``) unless max|m|
     max|m^-1| < 1 / PIVOT_RTOL, which a NaN or infinity fails, and with
     ``definite`` unless the symmetric part has a Cholesky factor (a test
-    that only decides); dual entries by :func:`solve_linear` on I."""
+    that only decides); each error names the first failing node of a
+    stack.  Dual entries by :func:`solve_linear` on I."""
     if np.asarray(m).dtype == object:
         return solve_linear(m, np.eye(len(m)))
     m = np.asarray(m, dtype=float)
     if definite:
-        try:
-            np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
-        except np.linalg.LinAlgError as exc:
-            raise error(f"{what} not positive definite") from exc
+        def factors(x):
+            try:
+                return np.linalg.cholesky(x) is not None
+            except np.linalg.LinAlgError:
+                return False
+        sym = 0.5 * (m + m.swapaxes(-1, -2))
+        if not factors(sym):    # then node by node, for the first that fails
+            k = next(k for k, x in enumerate(sym.reshape(-1, *m.shape[-2:]))
+                     if not factors(x))
+            raise error(f"{what} not positive definite: no Cholesky factor "
+                        f"at node {k}")
     inv = gauss_jordan(m)[0]
     with np.errstate(invalid="ignore"):     # inf * 0 is a NaN, which fails
         cond = np.abs(m).max((-2, -1)) * np.abs(inv).max((-2, -1))
-    if not (cond < 1.0 / PIVOT_RTOL).all():
+    ok = np.ravel(cond < 1.0 / PIVOT_RTOL)
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise error(f"{what} numerically singular: max|m| max|m^-1| = "
-                    f"{np.max(cond):.1e}")
+                    f"{np.ravel(cond)[k]:.1e} at node {k}")
     return inv
 
 
@@ -251,67 +261,76 @@ def gauss_jordan(m):
 
 
 def solve_linear(m, rhs):
-    """LU solve with partial pivoting, tolerant of dual-number entries.
+    """x with m x = rhs, ``rhs`` an (n,) vector or an (n, k) block; entries
+    are floats, ``dual.Batch`` values or ``Dual`` trees over them.
 
-    ``rhs`` is an (n,) vector or an (n, k) block of k right-hand sides.
-    The matrix is factored once; each column gets exactly the arithmetic of
-    a solve with that column alone.  Rows are Python lists, since numpy's
-    per-call overhead dwarfs the work on a handful of objects.  A pivot at
-    most PIVOT_RTOL max |body| (a NaN one included) raises.
+    The float body of m is factored once (:func:`_factor`, which raises on a
+    singular node); each ``Dual`` level is then solved on that one
+    factorization by the implicit rule (:func:`_solve_levels`).  Every node
+    and every column gets the bits of its own solve; a plain point is one
+    node and gets floats."""
+    m, rhs = np.asarray(m, dtype=object), np.asarray(rhs, dtype=object)
+    n = len(m)
+    bodies = [dual.body(v) for v in m.ravel().tolist() + rhs.ravel().tolist()]
+    size = dual.nodes(bodies) * any(isinstance(v, dual.Batch) for v in bodies)
+    solve = _factor(dual.tighten(bodies[:n * n], size or 1).reshape(-1, n, n))
+    return _solve_levels(solve, m, rhs.reshape(n, -1), size).reshape(rhs.shape)
 
-    Entries over ``dual.Batch`` bodies solve every node at once (a plain
-    point is one node): the floor and the pivot are per node
-    (:func:`_pivot_nodes`), so each node gets the bits of its own solve.
-    """
-    m = np.asarray(m, dtype=object)
-    rhs = np.asarray(rhs, dtype=object)
-    n = m.shape[0]
-    bodies = [dual.body(v) for v in m.ravel().tolist()]
-    floor = PIVOT_RTOL * np.abs(dual.tighten(bodies,
-                                             dual.nodes(bodies))).max(1)
-    a = m.tolist()
-    b = rhs.reshape(n, -1).tolist()
+
+def _solve_levels(solve, m, b, size):
+    """x with m x = b, ``solve`` the factorization of m's body: at the top
+    ``Dual`` level of m and b, m = m0 + e m1 and b = b0 + e b1, so m0 x0 = b0
+    and m0 x1 = b1 - m1 x0 (the implicit rule); with no level left, one
+    ``solve``, as ``Batch`` entries over ``size`` nodes (floats at none)."""
+    lev = max((v.level for v in m.ravel().tolist() + b.ravel().tolist()
+               if isinstance(v, dual.Dual)), default=0)
+    if not lev:
+        x = solve(dual.tighten(b, size or 1))
+        return dual.entries(x) if size else x[0].astype(object)
+    split = np.frompyfunc(lambda v: dual._parts(v, lev), 1, 2)
+    (m0, m1), (b0, b1) = split(m), split(b)
+    x0 = _solve_levels(solve, m0, b0, size)
+    x1 = _solve_levels(solve, m0, b1 - m1 @ x0, size)
+    # a column that holds no lev, nor does m, keeps x0, as if solved alone
+    held = np.frompyfunc(lambda v: getattr(v, "level", 0) == lev, 1, 1)
+    own = held(m).any() | held(b).any(0).astype(bool)
+    return np.where(own, np.frompyfunc(lambda u, e: dual.Dual(u, e, lev),
+                                       2, 1)(x0, x1), x0)
+
+
+def _factor(a):
+    """The solve of (N, n, k) float stacks b by a partial-pivot LU of ``a``,
+    float matrices on the same leading node axis, in elementwise numpy: each
+    pivot is the first row of largest |entry| per node, and one at most
+    PIVOT_RTOL max |entry| there (a NaN one included) raises."""
+    floor = PIVOT_RTOL * np.abs(a).max((1, 2))
+    nodes, n = np.arange(len(a)), a.shape[-1]
+    perm = np.repeat(np.arange(n)[None], len(a), 0)
     for col in range(n):
-        _pivot_nodes(a, b, col, floor)
-        arow, brow = a[col], b[col]
-        for r in range(col + 1, n):
-            fac = a[r][col] / arow[col]
-            a[r][col:] = [u - fac * v for u, v in zip(a[r][col:], arow[col:])]
-            b[r] = [u - fac * v for u, v in zip(b[r], brow)]
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = [u - a[r][c] * v for u, v in zip(acc, x[c])]
-        x[r] = [u / a[r][r] for u in acc]
-    out = np.empty((n, len(b[0])), dtype=object)
-    out[:] = x
-    return out.reshape(rhs.shape)
+        mags = np.abs(a[:, col:, col])
+        piv, ok = col + mags.argmax(1), mags.max(1) > floor
+        if not ok.all():
+            raise SingularMetricError("singular linear system at node "
+                                      f"{int(np.argmin(ok))}")
+        if (piv != col).any():  # whole rows: the multipliers move with them
+            for x in (a, perm):
+                x[nodes, col], x[nodes, piv] = x[nodes, piv], x[nodes, col]
+        low = slice(col + 1, None)
+        a[:, low, col] /= a[:, col, col, None]
+        a[:, low, low] -= a[:, low, col, None] * a[:, col, None, low]
 
-
-def _pivot_nodes(a, b, col, floor):
-    """Bring each node's pivot row of column ``col``, its first row of
-    largest |body|, to row ``col``.  Where the nodes pick different rows,
-    the rows are swapped by ``dual.select``, which does no arithmetic."""
-    mags = np.abs(dual.tighten([dual.body(row[col]) for row in a[col:]],
-                               floor.size))
-    piv = mags.argmax(1)
-    ok = mags[np.arange(floor.size), piv] > floor
-    if not ok.all():
-        raise SingularMetricError("singular linear system at node "
-                                  f"{int(np.argmin(ok))}")
-    piv = piv + col
-    top_a, top_b = a[col], b[col]
-    for r in sorted(set(piv.tolist()) - {col}):
-        mask = piv == r
-        if mask.all():
-            a[col], a[r], b[col], b[r] = a[r], top_a, b[r], top_b
-            break
-        for rows, top in ((a, top_a), (b, top_b)):
-            rows[col], rows[r] = ([dual.select(mask, u, v)
-                                   for u, v in zip(rows[r], rows[col])],
-                                  [dual.select(mask, u, v)
-                                   for u, v in zip(top, rows[r])])
+    def solve(b):   # b's rows in pivot order, elimination, back substitution
+        b = b[nodes[:, None], perm]
+        for col in range(n - 1):
+            b[:, col + 1:] -= a[:, col + 1:, col, None] * b[:, col, None]
+        x = np.empty_like(b)
+        for r in range(n - 1, -1, -1):
+            acc = b[:, r]
+            for c in range(r + 1, n):
+                acc = acc - a[:, r, c, None] * x[:, c]
+            x[:, r] = acc / a[:, r, r, None]
+        return x
+    return solve
 
 
 def christoffel(jet: PointJet, ginv) -> np.ndarray:

@@ -373,42 +373,26 @@ def entries(arr):
     return out
 
 
-def select(mask, a, b):
-    """``a`` at the nodes where ``mask`` holds and ``b`` elsewhere.
-
-    An exact selection through ``Dual`` trees, with no arithmetic; a value
-    opposite a ``Dual`` of a higher level is read as that level's constant.
-    """
-    if a is b:
-        return a
-    lev = max((v.level for v in (a, b) if isinstance(v, Dual)), default=0)
-    if lev:
-        (av, ae), (bv, be) = _parts(a, lev), _parts(b, lev)
-        return Dual(select(mask, av, bv), select(mask, ae, be), lev)
-    return Batch(np.where(mask, a.v if isinstance(a, Batch) else a,
-                          b.v if isinstance(b, Batch) else b))
-
-
 def tighten(arr, size: int = 0):
     """Return a float array when no duals remain, object array otherwise;
-    with ``size`` nodes, Batch (and float) entries stack on a leading axis."""
+    with ``size`` nodes, Batch (and float) entries stack on a leading axis.
+    A None entry raises TypeError where numpy would read it as NaN."""
     a = np.asarray(arr)
-    if size:
-        try:    # all floats: one value for every node
-            return np.repeat(a.astype(float)[None], size, 0)
-        except TypeError:
-            pass
-        out = np.empty((size, a.size))
-        for i, e in enumerate(a.ravel().tolist()):
-            out[:, i] = e.v if isinstance(e, Batch) else e
-        return out.reshape((size,) + a.shape)
     try:
-        return a.astype(float)
+        out = a.astype(float)
     except (TypeError, ValueError):
+        if size:
+            out = np.empty((size, a.size))
+            for i, e in enumerate(a.ravel().tolist()):
+                out[:, i] = e.v if isinstance(e, Batch) else float(e)
+            return out.reshape((size,) + a.shape)
         if a.dtype == object and any(isinstance(e, (Dual, Batch))
                                      for e in a.ravel().tolist()):
             return a
         raise
+    if a.dtype == object and None in a.ravel().tolist():    # floats only
+        raise TypeError("a None entry has no float value")
+    return np.repeat(out[None], size, 0) if size else out  # shared by nodes
 
 
 def partial(fn, point, axis):

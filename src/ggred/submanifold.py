@@ -299,15 +299,11 @@ def gauss_equation_oracle(scn: SubmanifoldScenario, u,
     geo = Geometry(scn.ctx, p)      # its own, not the formula's
     gmat, ginv = geo.g, geo.ginv
     term1 = ch.operator_slots(geo.R, basis, basis, basis, basis)
-    _, tlow = t_matrix(scn.sd.jet(p), ginv)
-    grads = scn.sd.gradients(p)
-    coeffs = geo.gamma
-    hess = []
-    for s in scn.sd.sigma:
-        jet = ch.differentiate(s, p, order=2, chart=None)
-        hess.append(jet.d2[..., 0]
-                    - ch.node_einsum("lij,l->ij", coeffs, jet.d1[..., 0]))
-    hess = np.stack(hess, 1)
+    jet = scn.sd.jet(p, order=2)    # T, the gradients and the Hessians
+    _, tlow = t_matrix(jet, ginv)
+    grads = _gradients(jet)
+    hess = np.stack([jet.d2[..., a] - ch.node_einsum(
+        "lij,l->ij", geo.gamma, jet.d1[..., a]) for a in range(scn.sd.r)], 1)
     # II(E_m, E_n) = -T_{ab} nb[b, m, n] g^{-1} dsigma^a
     nb = ch.node_einsum("aij,mi,nj->amn", hess, basis, basis)
     iivec = -ch.node_einsum("ab,bmn,al,li->mni", tlow, nb, grads, ginv)

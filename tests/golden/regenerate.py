@@ -16,10 +16,10 @@ report under ``reports/``, so a moved residual reads as a diff; for a
 report that differs, the script prints each moved row: the check id, its
 old -> new ``max_residual`` and its status.
 
-No report byte depends on the OpenBLAS kernel: every float inverse,
-determinant and solve is ``chart.gauss_jordan``, and no float product on a
-node stack calls BLAS, so the same files hold under every kernel
-(``OPENBLAS_CORETYPE``).
+No report byte depends on the OpenBLAS kernel: every float inverse and
+determinant is ``chart.gauss_jordan``, every solve ``chart.solve_linear``'s
+elementwise LU, and no float product on a node stack calls BLAS, so the
+same files hold under every kernel (``OPENBLAS_CORETYPE``).
 """
 
 import argparse

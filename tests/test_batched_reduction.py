@@ -13,6 +13,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ggred import chart as ch
 from ggred import checks as ck
@@ -77,23 +79,68 @@ def _at_node(arr, k):
 
 
 @pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
-def test_solve_linear_equals_the_node_solves_bit_for_bit(monkeypatch, k):
+def test_solve_linear_equals_the_node_solves_bit_for_bit(k):
     m, rhs = _dual_system(np.random.default_rng(5), 4, k or 1)
     if k is None:
         rhs = rhs[:, 0]
     first = np.abs(np.array([[_node(v, j).val for j in range(NODES)]
                              for v in m[:, 0]])).argmax(0)
     assert len(set(first.tolist())) == 4     # every row is some node's pivot
-    selections = []
-    select = dual.select
-    monkeypatch.setattr(dual, "select",
-                        lambda *a: selections.append(1) or select(*a))
     got = ch.solve_linear(m, rhs)
-    assert selections
     assert got.shape == rhs.shape
     for j in range(NODES):
         want = ch.solve_linear(_at_node(m, j), _at_node(rhs, j))
         assert _node_bits(got, j) == [_bits(v) for v in want.ravel()]
+
+
+def _tree(rng, levels):
+    """A random entry: Batch leaves under each of ``levels`` (innermost
+    first) that the entry carries, each level carried or not at random."""
+    if not levels:
+        return Batch(rng.normal(size=NODES))
+    inner = _tree(rng, levels[:-1])
+    return Dual(inner, _tree(rng, levels[:-1]), levels[-1]) \
+        if rng.random() < 0.7 else inner
+
+
+def _coeffs(x):
+    """Every coefficient of a value, each as its (NODES,) floats."""
+    if isinstance(x, Dual):
+        return _coeffs(x.val) + _coeffs(x.eps)
+    return [np.broadcast_to(x.v if isinstance(x, Batch) else x, NODES)]
+
+
+def _node_max(arr):
+    return np.abs([c for v in np.ravel(arr) for c in _coeffs(v)]).max(0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(2, 3),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 2, 2, 0)    # a column with no Dual of the top level
+def test_solve_linear_by_levels_solves_every_node_and_column(n, depth, k,
+                                                             seed):
+    """m x - rhs vanishes at every Dual level, each node keeps the bits of
+    its one-node solve and each column those of its own solve."""
+    rng = np.random.default_rng(seed)
+    levels = [dual.fresh_level() for _ in range(depth)]
+    m, rhs = (np.empty(shape, dtype=object) for shape in ((n, n), (n, k)))
+    for arr in (m, rhs):
+        arr.ravel()[:] = [_tree(rng, levels) for _ in range(arr.size)]
+    m *= np.array([Batch(10.0 ** rng.uniform(-1, 1, NODES))
+                   for _ in range(n)], dtype=object)[:, None]
+    first = np.abs(dual.tighten([dual.body(v) for v in m[:, 0]], NODES))
+    assert n == 1 or len(set(first.argmax(1).tolist())) > 1
+    x = ch.solve_linear(m, rhs)
+    scale = n * _node_max(m) * _node_max(x) + _node_max(rhs)
+    assert (_node_max(m @ x - rhs) <= 1e-12 * scale).all()
+    for j in range(NODES):
+        want = ch.solve_linear(_at_node(m, j), _at_node(rhs, j))
+        assert _node_bits(x, j) == [_bits(v) for v in want.ravel()]
+    for c in range(k):
+        col = ch.solve_linear(m, rhs[:, c])
+        assert all(_node_bits(x[:, c], j) == _node_bits(col, j)
+                   for j in range(NODES))
 
 
 def test_solve_linear_with_batch_entries_and_a_shared_float_column():
@@ -129,21 +176,6 @@ def test_a_singular_node_raises():
         m[i, j] = Batch(vals[i, j])
     with pytest.raises(SingularMetricError, match="node 9"):
         ch.solve_linear(m, np.eye(3))
-
-
-def test_select_picks_through_dual_trees_without_arithmetic():
-    mask = np.array([True, False, True])
-    lo, hi = dual.fresh_level(), dual.fresh_level()
-    a = Dual(Dual(Batch([1.0, 2.0, 3.0]), 4.0, lo), Batch([5., 6., 7.]), hi)
-    b = Dual(Batch([-1.0, -2.0, -3.0]), 0.5, hi)
-    got = dual.select(mask, a, b)
-    assert got.level == hi and got.val.level == lo
-    assert np.array_equal(got.val.val.v, [1.0, -2.0, 3.0])
-    assert np.array_equal(got.val.eps.v, [4.0, 0.0, 4.0])
-    assert np.array_equal(got.eps.v, [5.0, 0.5, 7.0])
-    assert dual.select(mask, a, a) is a
-    assert np.array_equal(dual.select(mask, 1.0, Batch([2., 3., 4.])).v,
-                          [1.0, 3.0, 1.0])
 
 
 def test_entries_undo_tighten():

@@ -94,6 +94,30 @@ def test_inverse_with_definite_rejects_an_indefinite_matrix():
         ch.inverse(m, RankError, "m", definite=True)
 
 
+def _stack_failing_at_node_9(last):
+    """64 symmetric positive definite 3x3 matrices, node 9's last diagonal
+    entry replaced by ``last``."""
+    a = np.moveaxis(np.random.default_rng(4).normal(size=(3, 3, 64)), -1, 0)
+    a = np.einsum("nij,nkj->nik", a, a) + np.eye(3)
+    a[9, :, 2] = a[9, 2, :] = 0.0
+    a[9, 2, 2] = last
+    return a
+
+
+def test_inverse_names_the_singular_node_of_a_stack():
+    with pytest.raises(RankError,
+                       match="m numerically singular: .* at node 9$"):
+        ch.inverse(_stack_failing_at_node_9(0.0), RankError, "m")
+
+
+def test_inverse_names_the_indefinite_node_of_a_stack():
+    a = _stack_failing_at_node_9(-1.0)
+    assert ch.inverse(a, RankError, "m").shape == (64, 3, 3)
+    with pytest.raises(RankError,
+                       match="m not positive definite: .* at node 9$"):
+        ch.inverse(a, RankError, "m", definite=True)
+
+
 # -- the metric's inverse ----------------------------------------------------
 
 def test_metric_inverse_rejects_the_tilted_gram_matrix():

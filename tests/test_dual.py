@@ -1,6 +1,7 @@
 """Dual-number engine: arithmetic, nesting, level isolation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,13 @@ def test_tighten_preserves_duals():
     assert out.dtype == object
     plain = dual.tighten(np.asarray([1.0, 2.0], dtype=object))
     assert plain.dtype == float
+
+
+@pytest.mark.parametrize("arr, size", [
+    ([1.0, None], 0), ([1.0, None], 2), ([dual.Batch([1.0, 2.0]), None], 2)])
+def test_tighten_reads_no_none_entry_as_nan(arr, size):
+    with pytest.raises(TypeError, match="None"):
+        dual.tighten(np.array(arr, dtype=object), size)
 
 
 @settings(max_examples=50, deadline=None)

@@ -205,6 +205,21 @@ def test_gauss_oracle_builds_its_own_geometry(monkeypatch):
     assert np.max(np.abs(formula - oracle)) < 1e-9
 
 
+def test_gauss_oracle_takes_one_jet_of_all_sigma(monkeypatch):
+    scn = sc.build("sphere_in_flat", {"c": 0.0}).section
+    u = scn.nchart.sample(np.random.default_rng(3), 1)[0]
+    basis = sm.LocusPoint(scn, u).basis
+    jets, differentiate = [], ch.differentiate
+
+    def recorded(f, point, order=1, chart=None):
+        jets.append((f is scn.ctx.g, order))
+        return differentiate(f, point, order=order, chart=chart)
+    monkeypatch.setattr(ch, "differentiate", recorded)
+    sm.gauss_equation_oracle(scn, u, basis)
+    # its Geometry's order-2 jet of g, then one order-2 jet of all sigma
+    assert jets == [(True, 2), (False, 2)]
+
+
 # -- no memo: a rerun repeats the results and the jet passes ---------------
 
 @pytest.mark.parametrize("name, cid", [("hopf_flux", "pair_symmetry"),
