@@ -34,7 +34,7 @@ from .errors import (DegreeError, DomainError, EvaluationError,
 
 EPS_ID = 1e-8          # tolerance for pointwise algebraic identities
 DOMAIN_MARGIN = 1e-3   # sampled points stay this fraction of each axis inside
-PIVOT_RTOL = 1e-12     # a pivot <= this share of max |entry| is singular
+PIVOT_RTOL = 1e-12     # singular where max|m| max|m^-1| >= 1 / PIVOT_RTOL
 
 
 @dataclass(frozen=True)
@@ -264,73 +264,46 @@ def solve_linear(m, rhs):
     """x with m x = rhs, ``rhs`` an (n,) vector or an (n, k) block; entries
     are floats, ``dual.Batch`` values or ``Dual`` trees over them.
 
-    The float body of m is factored once (:func:`_factor`, which raises on a
-    singular node); each ``Dual`` level is then solved on that one
-    factorization by the implicit rule (:func:`_solve_levels`).  Every node
-    and every column gets the bits of its own solve; a plain point is one
-    node and gets floats."""
+    The float body of m is inverted once (:func:`inverse`, under its scale
+    rule); each ``Dual`` level is then solved with that one inverse by the
+    implicit rule (:func:`_solve_levels`).  Every node and every column gets
+    the bits of its own solve: a column that, with m, holds no ``Batch``
+    entry gets floats, as does a plain point, which is one node."""
     m, rhs = np.asarray(m, dtype=object), np.asarray(rhs, dtype=object)
-    n = len(m)
-    bodies = [dual.body(v) for v in m.ravel().tolist() + rhs.ravel().tolist()]
+    n, b = len(m), rhs.reshape(len(m), -1)
+    bodies = [dual.body(v) for v in m.ravel().tolist() + b.ravel().tolist()]
     size = dual.nodes(bodies) * any(isinstance(v, dual.Batch) for v in bodies)
-    solve = _factor(dual.tighten(bodies[:n * n], size or 1).reshape(-1, n, n))
-    return _solve_levels(solve, m, rhs.reshape(n, -1), size).reshape(rhs.shape)
+    batch = np.frompyfunc(lambda v: isinstance(dual.body(v), dual.Batch), 1, 1)
+    cols = batch(m).any() | batch(b).any(0).astype(bool)
+    inv = inverse(dual.tighten(bodies[:n * n], size or 1).reshape(-1, n, n),
+                  what="linear system")
+    return _solve_levels(inv, m, b, size, cols).reshape(rhs.shape)
 
 
-def _solve_levels(solve, m, b, size):
-    """x with m x = b, ``solve`` the factorization of m's body: at the top
-    ``Dual`` level of m and b, m = m0 + e m1 and b = b0 + e b1, so m0 x0 = b0
-    and m0 x1 = b1 - m1 x0 (the implicit rule); with no level left, one
-    ``solve``, as ``Batch`` entries over ``size`` nodes (floats at none)."""
+def _solve_levels(inv, m, b, size, cols):
+    """x with m x = b, ``inv`` the inverse of m's body: at the top ``Dual``
+    level of m and b, m = m0 + e m1 and b = b0 + e b1, so m0 x0 = b0 and
+    m0 x1 = b1 - m1 x0 (the implicit rule); with no level left, one product
+    with ``inv``, the columns ``cols`` as ``Batch`` entries over ``size``
+    nodes and the others as floats."""
     lev = max((v.level for v in m.ravel().tolist() + b.ravel().tolist()
                if isinstance(v, dual.Dual)), default=0)
-    if not lev:
-        x = solve(dual.tighten(b, size or 1))
-        return dual.entries(x) if size else x[0].astype(object)
+    if not lev:     # columns as rows: each sums over its contiguous axis
+        x = node_einsum("ij,kj->ki", inv, dual.tighten(b, size or 1)
+                        .swapaxes(1, 2)).swapaxes(1, 2)
+        out = x[0].astype(object)
+        if size:
+            out[:, cols] = dual.entries(x[..., cols])
+        return out
     split = np.frompyfunc(lambda v: dual._parts(v, lev), 1, 2)
     (m0, m1), (b0, b1) = split(m), split(b)
-    x0 = _solve_levels(solve, m0, b0, size)
-    x1 = _solve_levels(solve, m0, b1 - m1 @ x0, size)
+    x0 = _solve_levels(inv, m0, b0, size, cols)
+    x1 = _solve_levels(inv, m0, b1 - m1 @ x0, size, cols)
     # a column that holds no lev, nor does m, keeps x0, as if solved alone
     held = np.frompyfunc(lambda v: getattr(v, "level", 0) == lev, 1, 1)
     own = held(m).any() | held(b).any(0).astype(bool)
     return np.where(own, np.frompyfunc(lambda u, e: dual.Dual(u, e, lev),
                                        2, 1)(x0, x1), x0)
-
-
-def _factor(a):
-    """The solve of (N, n, k) float stacks b by a partial-pivot LU of ``a``,
-    float matrices on the same leading node axis, in elementwise numpy: each
-    pivot is the first row of largest |entry| per node, and one at most
-    PIVOT_RTOL max |entry| there (a NaN one included) raises."""
-    floor = PIVOT_RTOL * np.abs(a).max((1, 2))
-    nodes, n = np.arange(len(a)), a.shape[-1]
-    perm = np.repeat(np.arange(n)[None], len(a), 0)
-    for col in range(n):
-        mags = np.abs(a[:, col:, col])
-        piv, ok = col + mags.argmax(1), mags.max(1) > floor
-        if not ok.all():
-            raise SingularMetricError("singular linear system at node "
-                                      f"{int(np.argmin(ok))}")
-        if (piv != col).any():  # whole rows: the multipliers move with them
-            for x in (a, perm):
-                x[nodes, col], x[nodes, piv] = x[nodes, piv], x[nodes, col]
-        low = slice(col + 1, None)
-        a[:, low, col] /= a[:, col, col, None]
-        a[:, low, low] -= a[:, low, col, None] * a[:, col, None, low]
-
-    def solve(b):   # b's rows in pivot order, elimination, back substitution
-        b = b[nodes[:, None], perm]
-        for col in range(n - 1):
-            b[:, col + 1:] -= a[:, col + 1:, col, None] * b[:, col, None]
-        x = np.empty_like(b)
-        for r in range(n - 1, -1, -1):
-            acc = b[:, r]
-            for c in range(r + 1, n):
-                acc = acc - a[:, r, c, None] * x[:, c]
-            x[:, r] = acc / a[:, r, r, None]
-        return x
-    return solve
 
 
 def christoffel(jet: PointJet, ginv) -> np.ndarray:

@@ -316,7 +316,7 @@ def horizontal_lift(scn: QuotientScenario, point, sign: int, qvecs):
     vector (a float array at a float point).
 
     Solves the square system stacking the s constraint rows of tau_sign on
-    d(project), one factorization for all vectors; raises LiftError when
+    d(project), one solve for all vectors; raises LiftError when
     the system degenerates.  At a batch point the entries stay ``Batch``
     values (``qvecs`` may hold them too), as a field body needs them;
     callers outside a field tighten with ``dual.nodes(point)``.
@@ -505,14 +505,17 @@ class LiftedPoint:
                                      self.jet.value[:, 0], self.jet.value[:, 1])
 
 
-def _minus_derivative_matrix(scn: QuotientScenario, geo: Geometry):
-    """D[a, j, i] = (grad^-_j V_a^-)^i at the Geometry's point."""
-    ea, ctx = scn.ea, scn.ctx
-    coeffs = bismut_connection_coeffs(-1, geo)
-    jet = ch.differentiate(lambda c: v_pm_values(ea, ctx, c, -1), geo.point,
-                           order=1, chart=ctx.chart)
-    return jet.d1.swapaxes(1, 2) + ch.node_einsum("ijk,ak->aji", coeffs,
-                                                  jet.value)
+def _minus_derivative_matrix(geo: Geometry, jet: ch.PointJet):
+    """D[a, j, i] = (grad^-_j V_a^-)^i at the Geometry's point, from its
+    g^-1 and jet of g and the point's :func:`action_jet`: V^- = V - g^-1 xi
+    and d_j V^- = d_j V - g^-1 (d_j xi - d_j g g^-1 xi); no jet is taken."""
+    v, x = jet.value[:, 0], jet.value[:, 1]
+    dv, dx = jet.d1[:, :, 0], jet.d1[:, :, 1]      # [N, j, a, i]
+    gx = ch.node_einsum("il,al->ai", geo.ginv, x)
+    dgx = dx - ch.node_einsum("jlm,am->jal", geo.jet().d1, gx)
+    dvm = dv - ch.node_einsum("il,jal->jai", geo.ginv, dgx)
+    return dvm.swapaxes(1, 2) + ch.node_einsum(
+        "ijk,ak->aji", bismut_connection_coeffs(-1, geo), v - gx)
 
 
 def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
@@ -534,7 +537,7 @@ def reduced_curvature_quotient(lp: LiftedPoint) -> np.ndarray:
     om_m = ch.node_einsum("aij,ci,dj->acd", dxi_m, minus, minus)
     term2 = -0.5 * ch.node_einsum("ab,axy,bzw->xyzw", rm.Kinv, om_p, om_m)
 
-    dmat = _minus_derivative_matrix(lp.scn, geo)  # [a, j, i]
+    dmat = _minus_derivative_matrix(geo, lp.jet)  # [a, j, i]
     # edge[a, mu, rho] = g(X^-_rho, grad^-_{X^+_mu} V_a^-)
     edge = ch.node_einsum("aji,mj,ik,rk->amr", dmat, plus, geo.g, minus)
     term3 = (ch.node_einsum("ab,anz,bmw->mnzw", rm.Tinv, edge, edge)

@@ -143,6 +143,32 @@ def test_solve_linear_by_levels_solves_every_node_and_column(n, depth, k,
                    for j in range(NODES))
 
 
+def test_solve_linear_eliminates_its_body_once(monkeypatch):
+    """A 64-node 3 x 3 system with two nested Dual levels and two columns
+    is one ``gauss_jordan`` call: every level and column reuse its one
+    inverse."""
+    rng = np.random.default_rng(10)
+    inner, outer = dual.fresh_level(), dual.fresh_level()
+
+    def entry():
+        def leaf():
+            return Dual(Batch(rng.normal(size=NODES)),
+                        Batch(rng.normal(size=NODES)), inner)
+        return Dual(leaf(), leaf(), outer)
+    m, rhs = (np.empty(shape, dtype=object) for shape in ((3, 3), (3, 2)))
+    for arr in (m, rhs):
+        arr.ravel()[:] = [entry() for _ in range(arr.size)]
+    calls, gauss_jordan = [], ch.gauss_jordan
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return gauss_jordan(a)
+    monkeypatch.setattr(ch, "gauss_jordan", spy)
+    x = ch.solve_linear(m, rhs)
+    assert x.shape == (3, 2) and x[0, 0].level == outer
+    assert calls == [(NODES, 3, 3)]
+
+
 def test_solve_linear_with_batch_entries_and_a_shared_float_column():
     rng = np.random.default_rng(6)
     vals = rng.normal(size=(3, 3, NODES))

@@ -2,10 +2,12 @@
 
 Three payloads run in fresh processes under the default kernel and under
 ``OPENBLAS_CORETYPE=Haswell`` and ``Prescott``, and must give the same
-bytes: ``chart.frame_contract`` on seeded random float node stacks,
+bytes: ``chart.frame_contract`` on seeded random float node stacks;
 ``chart.inverse`` and the ``chart.gauss_jordan`` determinant on seeded
-float stacks of sizes 1 to 8, and the hopf ``thm63`` report at seed 42 (its
-reduced curvatures are frame contractions).  The golden reports
+float stacks of sizes 1 to 8, and ``chart.solve_linear`` on seeded 64-node
+systems of sizes 1 to 5 with two columns, with no ``Dual`` level, one and
+two nested levels; and the hopf ``thm63`` report at seed 42 (its reduced
+curvatures are frame contractions).  The golden reports
 (``tests/golden/``) are checked under each kernel by the Tier-1 run under
 it.  The variable selects a kernel only in an OpenBLAS built
 with ``DYNAMIC_ARCH``; anywhere else the test is skipped.
@@ -36,11 +38,36 @@ INVERSE = """
 import sys
 import numpy as np
 from ggred import chart as ch
+from ggred import dual
 rng = np.random.default_rng(4)
 out = []
 for n in range(1, 9):
     a = rng.normal(size=(40, n, n)) + n * np.eye(n)
     out += [ch.inverse(a).tobytes(), ch.gauss_jordan(a)[1].tobytes()]
+
+
+def entry(levels, body=0.0):    # Batch leaves under every level
+    if not levels:
+        return dual.Batch(body + rng.normal(size=64))
+    return dual.Dual(entry(levels[:-1], body), entry(levels[:-1]),
+                     levels[-1])
+
+
+def coeffs(x):
+    if isinstance(x, dual.Dual):
+        return coeffs(x.val) + coeffs(x.eps)
+    return [x.v.tobytes()]
+
+
+for depth in range(3):
+    levels = [dual.fresh_level() for _ in range(depth)]
+    for n in range(1, 6):
+        m = np.array([[entry(levels, n * (i == j)) for j in range(n)]
+                      for i in range(n)], dtype=object)
+        rhs = np.array([[entry(levels) for _ in range(2)]
+                        for _ in range(n)], dtype=object)
+        x = ch.solve_linear(m, rhs)
+        out += [c for v in x.ravel() for c in coeffs(v)]
 sys.stdout.write(b"".join(out).hex())
 """
 
@@ -76,7 +103,9 @@ def test_frame_contract_gives_the_same_bytes_under_every_kernel():
 
 def test_inverse_and_determinant_give_the_same_bytes_under_every_kernel():
     out = {k: _run(["-c", INVERSE], k) for k in KERNELS}
-    assert len(out[None]) == 2 * 8 * 40 * sum(n * n + 1 for n in range(1, 9))
+    assert len(out[None]) == 2 * 8 * (
+        40 * sum(n * n + 1 for n in range(1, 9))
+        + 64 * 2 * (1 + 2 + 4) * sum(range(1, 6)))
     assert out["Haswell"] == out[None]
     assert out["Prescott"] == out[None]
 

@@ -1,8 +1,9 @@
 """No ``np.linalg`` routine reaches report bytes.
 
-LAPACK's results depend on the OpenBLAS kernel, so every float inverse
-and determinant in the package is ``chart.gauss_jordan`` and every solve
-``chart.solve_linear``'s elementwise LU.  The package's source is parsed, and
+LAPACK's results depend on the OpenBLAS kernel, so every float inverse,
+determinant and solve in the package goes through ``chart.gauss_jordan``
+(``chart.solve_linear`` through the inverse of its body).  The package's
+source is parsed, and
 every ``np.linalg`` call must be on the allowlist below, each entry the
 routine and the module-level function it sits in, with the reason its
 result writes no bytes that depend on the kernel.  Importing from

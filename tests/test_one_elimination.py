@@ -1,6 +1,7 @@
 """One fixed-order elimination: ``chart.gauss_jordan``.
 
-Every float inverse (``chart.inverse``) and the determinant side of the
+Every float inverse (``chart.inverse``), every solve (``chart.solve_linear``,
+a product with the inverse of its body) and the determinant side of the
 ``pfaffian`` check come from one Gauss-Jordan elimination with per-node
 partial pivoting, in elementwise numpy over the node axis and no LAPACK.
 It is exact where every step is (integer matrices whose inverses and

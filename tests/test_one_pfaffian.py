@@ -99,9 +99,10 @@ NAN_SOLVES = [
 
 @pytest.mark.parametrize("m", NAN_SOLVES)
 def test_a_nan_pivot_is_a_singular_dual_solve(m):
-    with pytest.raises(SingularMetricError, match="singular linear system"):
+    singular = "linear system numerically singular"
+    with pytest.raises(SingularMetricError, match=singular):
         ch.inverse(m)
-    with pytest.raises(SingularMetricError, match="singular linear system"):
+    with pytest.raises(SingularMetricError, match=singular):
         ch.inverse(m, definite=True)
 
 

@@ -9,9 +9,11 @@ lifts that its reduced metric is built from.  Each field is evaluated once
 per sample: a Geometry reads g and H from its jets when it holds them, the
 bracket route reads X and Y from its jets, and the reduction matrices come
 from the g, V and xi the caller holds.  A Geometry inverts its g once, and
-Christoffel and Riemann read that inverse.  The counts below pin that work
-per sample.  Every oracle keeps (scn, point, basis) and builds its own
-data, so none of them may receive a sample object or a Geometry.
+Christoffel, Riemann and the vertical derivative read that inverse; the
+vertical derivative also reads the sample's action jet and takes none of
+its own.  The counts below pin that work per sample.  Every oracle keeps
+(scn, point, basis) and builds its own data, so none of them may receive a
+sample object or a Geometry.
 """
 
 from dataclasses import replace
@@ -93,8 +95,7 @@ def record_sigma_jets(monkeypatch):
 
 # -- the work of one sample -------------------------------------------------------
 
-def test_localize2_sample_lifts_twice_and_takes_two_row_jets(
-        monkeypatch):
+def test_localize2_sample_lifts_twice_and_takes_one_row_jet(monkeypatch):
     scn, lifted = counted_map(sc.s3xt2({}).quotient, "lift")
     qs = scn.quotient.sample(np.random.default_rng(
         [42, ck.CHECK_ORDER.index("localize2")]), 2)
@@ -120,10 +121,23 @@ def test_localize2_sample_lifts_twice_and_takes_two_row_jets(
     assert [sign for _, _, sign, _ in lifts] == [+1, -1] * 2
     # one set of matrices per sample, from the g, V and xi it holds
     assert matrices == [0, 0]
-    # the jets that are not of a field: the stacked action rows [V, xi, gV]
-    # and the V^- rows of the vertical-derivative term
+    # the one jet that is not of a field: the stacked action rows
+    # [V, xi, gV], which the vertical-derivative term reads too
     rows = [order for f, _, order in jets if not isinstance(f, ChartField)]
-    assert rows == [1, 1] * 2
+    assert rows == [1] * 2
+
+
+def test_the_vertical_derivative_reads_the_held_jets(monkeypatch):
+    scn = sc.s3xt2({}).quotient
+    q = [Batch(c) for c in scn.quotient.sample(np.random.default_rng(
+        [42, ck.CHECK_ORDER.index("thm63")]), 4).T]
+    lp = qt.LiftedPoint(scn, q)
+    # the curvature's first term takes the order-2 jet of g and H's jet
+    gm.bismut_curvature(-1, lp.geo)
+    jets, values = record_evaluations(monkeypatch)
+    dmat = qt._minus_derivative_matrix(lp.geo, lp.jet)
+    assert dmat.shape == (4, scn.ea.s, scn.ambient_dim, scn.ambient_dim)
+    assert jets == [] and values == []
 
 
 def test_a_locus_sample_embeds_u_once():

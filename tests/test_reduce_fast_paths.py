@@ -2,7 +2,7 @@
 
 Covers the multi-column linear solve, one-factorization horizontal lifts,
 the staged reduced and induced flux pull-backs, the metric-only quotient
-frame and the scale-relative pivot test.  Each fast path is compared
+frame and the scale-relative singularity test.  Each fast path is compared
 against a plain recomputation written out here: bit for bit where the
 arithmetic is the same, to a tight tolerance where only the summation
 order differs.
@@ -18,16 +18,19 @@ from ggred import dual
 from ggred import quotient as qt
 from ggred import submanifold as sm
 from ggred.chart import Chart, ChartField, METRIC, SCALAR, form_valence
-from ggred.dual import Dual, cos, sin
+from ggred.dual import Batch, Dual, cos, sin
 from ggred.errors import LiftError, SingularMetricError
 from ggred.genmetric import GeneralizedMetricContext
 from ggred.scenarios import hopf, s3xt2
 
 
 def _bits(x):
-    """Exact structure of a float or nested dual, for bitwise comparison."""
+    """Exact structure of a float, Batch or nested dual, for bitwise
+    comparison."""
     if isinstance(x, Dual):
         return (x.level, _bits(x.val), _bits(x.eps))
+    if isinstance(x, Batch):
+        return ("batch", x.v.tobytes().hex())
     return float(x).hex()
 
 
@@ -66,8 +69,18 @@ def _nested_system(rng, n, k):
     return a, b
 
 
+def _mixed_system(rng, n, k):
+    """A float matrix, a float first column and Batch entries in the other
+    columns (floats in the odd rows of the second)."""
+    b = np.empty((n, k), dtype=object)
+    for (i, j), v in np.ndenumerate(rng.normal(size=(n, k))):
+        b[i, j] = v if j == 0 or j == 1 and i % 2 else \
+            Batch(v + rng.normal(size=7))
+    return rng.normal(size=(n, n)), b
+
+
 @pytest.mark.parametrize("make", [_float_system, _dual_system,
-                                  _nested_system])
+                                  _nested_system, _mixed_system])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_rhs_equals_column_solves_bitwise(make, seed):
     rng = np.random.default_rng(seed)
@@ -252,7 +265,7 @@ def test_quotient_frame_is_reduced_orthonormal():
                          - np.eye(scn.reduced_dim))) < 1e-12
 
 
-# -- a scale-relative pivot test ----------------------------------------------
+# -- a scale-relative singularity test ----------------------------------------
 
 @pytest.mark.parametrize("dtype", [float, object])
 def test_tiny_but_regular_metric_is_inverted(dtype):
